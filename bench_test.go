@@ -494,33 +494,6 @@ func BenchmarkStreamIngest(b *testing.B) {
 			perSec(b)
 		})
 	}
-	// streamed-adaptive pins the controller's overhead on a uniform,
-	// non-bursty feed: it must stay within a few percent of the fixed
-	// streamed-4 run (BENCH_PR9.json tracks the A/B).
-	b.Run("streamed-adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := scilens.New(scilens.Config{
-				StreamShards:        4,
-				StreamQueueCapacity: 4096,
-				StreamAdaptive:      true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, payload := range payloads {
-				if err := p.Pipeline.Enqueue(events[j].ArticleURL, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p.Pipeline.Flush()
-			if st := p.StreamStats(); st.DeadLettered != 0 {
-				b.Fatalf("dead letters: %+v", st)
-			}
-			p.Close()
-		}
-		b.StopTimer()
-		perSec(b)
-	})
 }
 
 // burstBlocks packs a world's reaction events into a flash-crowd
@@ -570,13 +543,11 @@ func burstBlocks(events []synth.Event, storms, stormTarget int) (blocks [][]int,
 // event instead of parking the producer): the steady background paces
 // in short waves, and periodically a storm block — the hottest
 // articles' cascades back to back — arrives at line rate. The headline
-// metric is the shed percentage of the reaction feed. The A/B is a
-// fixed 4-shard pipeline vs the adaptive controller (grow to 16
-// shards, widen batches to 512): a storm overflows the static 4x256
-// aggregate queue, while the grown shard set absorbs it and the wider
-// batches drain the backlog between storms (BENCH_PR9.json records the
-// acceptance A/B). Some dead letters are expected: shedding part of a
-// reply tree orphans its descendants.
+// metric is the shed percentage of the reaction feed. The A/B is the
+// queue bound, the one lever for absorbing bursts: a storm overflows the
+// 4x256 aggregate queue, while 4x1024 holds it until the workers drain
+// the backlog between storms. Some dead letters are expected: shedding
+// part of a reply tree orphans its descendants.
 func BenchmarkBurstIngest(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 6, Days: 10, RateScale: 0.6, ReactionScale: 0.5,
@@ -683,14 +654,10 @@ func BenchmarkBurstIngest(b *testing.B) {
 			StreamQueueCapacity: 256,
 		})
 	})
-	b.Run("adaptive", func(b *testing.B) {
+	b.Run("static-4-cap1024", func(b *testing.B) {
 		run(b, scilens.Config{
 			StreamShards:        4,
-			StreamQueueCapacity: 256,
-			StreamAdaptive:      true,
-			StreamMaxShards:     16,
-			StreamMaxBatch:      512,
-			StreamAdaptInterval: 10 * time.Millisecond,
+			StreamQueueCapacity: 1024,
 		})
 	})
 }

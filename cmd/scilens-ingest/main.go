@@ -12,9 +12,6 @@
 // checkpoint compacts the log into a snapshot — the kill-and-recover
 // deployment shape, measurable against the in-memory default.
 //
-// With -adaptive the pipeline self-tunes under load: sustained queue
-// pressure grows the worker-shard set (up to -max-shards) and widens the
-// micro-batch ceiling (up to -max-batch); slack shrinks both back.
 // -admit-rate adds per-source token-bucket admission with priority lanes
 // on the HTTP ingest path (the broker path this command drives is
 // trusted and bypasses admission).
@@ -22,8 +19,8 @@
 // Usage:
 //
 //	scilens-ingest [-seed N] [-days N] [-scale F] [-consumers N] [-queue N]
-//	               [-shards N] [-batch N] [-sync] [-adaptive] [-max-shards N]
-//	               [-max-batch N] [-admit-rate F] [-admit-burst F]
+//	               [-shards N] [-batch N] [-sync]
+//	               [-admit-rate F] [-admit-burst F]
 //	               [-data-dir DIR] [-partitions N]
 //	               [-fsync checkpoint|interval[:dur]|always] [-delta-limit N]
 //	               [-checkpoint-interval DUR] [-checkpoint-wal-bytes N]
@@ -51,9 +48,6 @@ func main() {
 		shards     = flag.Int("shards", 4, "pipeline shard/worker count")
 		batch      = flag.Int("batch", 64, "pipeline micro-batch size")
 		syncMode   = flag.Bool("sync", false, "bypass the pipeline: synchronous one-event-at-a-time ingest")
-		adaptive   = flag.Bool("adaptive", false, "enable the adaptive controller: dynamic resharding and micro-batch tuning under load")
-		maxShards  = flag.Int("max-shards", 0, "adaptive shard-growth ceiling (0 = 4x -shards)")
-		maxBatch   = flag.Int("max-batch", 0, "adaptive micro-batch ceiling (0 = 8x -batch)")
 		admitRate  = flag.Float64("admit-rate", 0, "per-source steady admission rate on the HTTP ingest path, events/s (0 = admission off)")
 		admitBurst = flag.Float64("admit-burst", 0, "per-source burst-lane admission rate, events/s (0 = same as -admit-rate)")
 		dataDir    = flag.String("data-dir", "", "durable store directory (empty = in-memory)")
@@ -84,9 +78,6 @@ func main() {
 		QueueCapacity:        *queue,
 		StreamShards:         *shards,
 		StreamBatchSize:      *batch,
-		StreamAdaptive:       *adaptive,
-		StreamMaxShards:      *maxShards,
-		StreamMaxBatch:       *maxBatch,
 		AdmissionRate:        *admitRate,
 		AdmissionBurst:       *admitBurst,
 		DataDir:              *dataDir,
@@ -148,8 +139,6 @@ func run(seed int64, days int, scale, reactions float64, consumers int, syncMode
 	mode := fmt.Sprintf("streamed, %d consumers, %d shards, batch %d", consumers, ss.Shards, cfg.StreamBatchSize)
 	if syncMode {
 		mode = "synchronous"
-	} else if cfg.StreamAdaptive {
-		mode += fmt.Sprintf(" (adaptive: %d reshards, batch ceiling %d)", ss.Reshards, ss.BatchMax)
 	}
 	fmt.Printf("processed:       %d events in %v (%s)\n", n, wall.Round(time.Millisecond), mode)
 	fmt.Printf("throughput:      %.0f events/s, %.0f articles/s\n", perSec, articlesPerSec)

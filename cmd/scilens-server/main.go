@@ -11,7 +11,6 @@
 // Usage:
 //
 //	scilens-server [-addr :8080] [-seed N] [-days N] [-scale F]
-//	               [-adaptive] [-max-shards N] [-max-batch N]
 //	               [-admit-rate F] [-admit-burst F]
 //	               [-data-dir DIR] [-partitions N]
 //	               [-fsync checkpoint|interval[:dur]|always] [-delta-limit N]
@@ -59,9 +58,6 @@ func main() {
 		days       = flag.Int("days", 30, "collection window length in days")
 		scale      = flag.Float64("scale", 0.5, "outlet posting-rate scale")
 		reactions  = flag.Float64("reactions", 0.3, "social cascade size scale")
-		adaptive   = flag.Bool("adaptive", false, "enable the adaptive ingestion controller: dynamic resharding and micro-batch tuning under load")
-		maxShards  = flag.Int("max-shards", 0, "adaptive shard-growth ceiling (0 = 4x the shard count)")
-		maxBatch   = flag.Int("max-batch", 0, "adaptive micro-batch ceiling (0 = 8x the batch size)")
 		admitRate  = flag.Float64("admit-rate", 0, "per-source steady admission rate for POST /api/ingest, events/s (0 = admission off)")
 		admitBurst = flag.Float64("admit-burst", 0, "per-source burst-lane admission rate, events/s (0 = same as -admit-rate)")
 		dataDir    = flag.String("data-dir", "", "durable store directory (empty = in-memory)")
@@ -81,9 +77,6 @@ func main() {
 	platform, world, err := scilens.Bootstrap(scilens.BootstrapConfig{
 		Seed: seed64(*seed), Days: *days, RateScale: *scale, ReactionScale: *reactions,
 		Platform: scilens.Config{
-			StreamAdaptive:       *adaptive,
-			StreamMaxShards:      *maxShards,
-			StreamMaxBatch:       *maxBatch,
 			AdmissionRate:        *admitRate,
 			AdmissionBurst:       *admitBurst,
 			DataDir:              *dataDir,

@@ -441,9 +441,10 @@ func TestThrottledSourceAnswers429WithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestStatsReportAdaptiveShape pins the new adaptive-ingestion fields on
-// GET /api/stats: shard count, live batch ceiling, and the per-shard
-// breakdown with lane shed counters.
+// TestStatsReportAdaptiveShape pins the pipeline's static shape on
+// GET /api/stats — configured shard count and batch size, the per-shard
+// breakdown with lane shed counters — and that the fields which reported
+// a moving shard set (reshards, resharding, draining) are gone.
 func TestStatsReportAdaptiveShape(t *testing.T) {
 	p, srv := streamFixture(t, core.Config{StreamShards: 2})
 	events := worldEvents(46)[:6]
@@ -460,8 +461,13 @@ func TestStatsReportAdaptiveShape(t *testing.T) {
 	if int(pipeline["shards"].(float64)) != 2 {
 		t.Errorf("shards: %v", pipeline["shards"])
 	}
-	if int(pipeline["batch_max"].(float64)) == 0 {
-		t.Errorf("batch_max missing: %v", pipeline["batch_max"])
+	if int(pipeline["batch_max"].(float64)) != 64 {
+		t.Errorf("batch_max: %v, want the default 64", pipeline["batch_max"])
+	}
+	for _, field := range []string{"reshards", "resharding"} {
+		if _, ok := pipeline[field]; ok {
+			t.Errorf("pipeline still reports %q: %v", field, pipeline)
+		}
 	}
 	shardStats, ok := pipeline["shard_stats"].([]any)
 	if !ok || len(shardStats) != 2 {
@@ -472,5 +478,8 @@ func TestStatsReportAdaptiveShape(t *testing.T) {
 		if _, ok := first[field]; !ok {
 			t.Errorf("shard_stats missing %q: %v", field, first)
 		}
+	}
+	if _, ok := first["draining"]; ok {
+		t.Errorf("shard_stats still reports draining: %v", first)
 	}
 }

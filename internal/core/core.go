@@ -175,7 +175,9 @@ type Config struct {
 	StreamShards int
 	// StreamQueueCapacity bounds each pipeline shard's queue (default
 	// 1024): full shards block Platform.StreamEvent(ev, true) and shed
-	// StreamEvent(ev, false).
+	// StreamEvent(ev, false). It is the lever for absorbing bursts: the
+	// queue grows by append up to the bound, so a generous bound costs
+	// nothing while idle.
 	StreamQueueCapacity int
 	// StreamBatchSize is the micro-batch size per processing round
 	// (default 64), the amortisation unit for batched evaluation and
@@ -188,21 +190,6 @@ type Config struct {
 	// attempt up to StreamMaxBackoff (default 250ms).
 	StreamBackoff    time.Duration
 	StreamMaxBackoff time.Duration
-	// StreamAdaptive enables the pipeline's self-tuning controller:
-	// sustained queue pressure grows the shard set (up to
-	// StreamMaxShards) and widens the micro-batch ceiling (up to
-	// StreamMaxBatch); sustained slack shrinks both back. Off by default
-	// — the pipeline then stays at its assembly-time shape.
-	StreamAdaptive bool
-	// StreamMaxShards bounds adaptive shard growth (default 4×StreamShards).
-	StreamMaxShards int
-	// StreamMaxBatch bounds adaptive micro-batch widening (default
-	// 8×StreamBatchSize).
-	StreamMaxBatch int
-	// StreamAdaptInterval is the controller's tick cadence (default
-	// 250ms; negative disables the background ticker, for deterministic
-	// tests that call Pipeline.AdaptTick themselves).
-	StreamAdaptInterval time.Duration
 	// AdmissionRate, when positive, enables per-source token-bucket
 	// admission on the HTTP ingest path: each source (the event's outlet
 	// host) is admitted to the steady lane at this rate (events/sec),
@@ -409,6 +396,9 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	})
 	p.Engine.EnsureModelGenerationAbove(maxGen)
 	p.Bus = stream.NewBus()
+	// The pipeline keeps its wall-clock default for Now: it reads only
+	// elapsed time (queue wait, drain rate, admission refill), and
+	// cfg.Clock is the data clock, which Bootstrap pins to one instant.
 	pcfg := stream.PipelineConfig{
 		Shards:        cfg.StreamShards,
 		QueueCapacity: cfg.StreamQueueCapacity,
@@ -416,17 +406,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		MaxAttempts:   cfg.StreamMaxAttempts,
 		Backoff:       cfg.StreamBackoff,
 		MaxBackoff:    cfg.StreamMaxBackoff,
-		Now:           cfg.Clock,
 		Process:       p.processBatch,
 		OnDead:        p.writeDeadLetter,
-	}
-	if cfg.StreamAdaptive {
-		pcfg.Adaptive = stream.AdaptiveConfig{
-			Enabled:   true,
-			MaxShards: cfg.StreamMaxShards,
-			MaxBatch:  cfg.StreamMaxBatch,
-			Interval:  cfg.StreamAdaptInterval,
-		}
 	}
 	if cfg.AdmissionRate > 0 {
 		pcfg.Admission = &stream.AdmissionConfig{
@@ -435,10 +416,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 	}
 	p.Pipeline = stream.NewPipeline(pcfg)
-	// Stage telemetry is sized to the controller's growth ceiling: shard
-	// ids are reused on shrink/regrow, so ids never exceed this bound.
-	p.obsEval = make([]*obs.Histogram, p.Pipeline.MaxShards())
-	p.obsCommit = make([]*obs.Histogram, p.Pipeline.MaxShards())
+	p.obsEval = make([]*obs.Histogram, p.Pipeline.Shards())
+	p.obsCommit = make([]*obs.Histogram, p.Pipeline.Shards())
 	for i := range p.obsEval {
 		s := strconv.Itoa(i)
 		p.obsEval[i] = mEvalStage.With(s)

@@ -484,13 +484,10 @@ type StreamStats struct {
 	Inflight     int64  `json:"inflight"`
 	QueueDepth   int    `json:"queue_depth"`
 	QueueDepths  []int  `json:"queue_depths"`
-	// Adaptive-ingestion state: the current shard count, completed
-	// shard-set transitions (with Resharding marking one in progress), and
-	// the live micro-batch ceiling.
-	Shards     int    `json:"shards"`
-	Reshards   uint64 `json:"reshards"`
-	Resharding bool   `json:"resharding,omitempty"`
-	BatchMax   int    `json:"batch_max"`
+	// Shards and BatchMax are the configured shard count and micro-batch
+	// size.
+	Shards   int `json:"shards"`
+	BatchMax int `json:"batch_max"`
 	// ShardStats breaks queue depth and shed counts down per shard and
 	// lane; Admission is the per-source admitted/throttled breakdown (nil
 	// unless Config.AdmissionRate enables admission).
@@ -531,8 +528,6 @@ func (p *Platform) StreamStats() StreamStats {
 		QueueDepth:        depth,
 		QueueDepths:       ps.QueueDepths,
 		Shards:            ps.Shards,
-		Reshards:          ps.Reshards,
-		Resharding:        ps.Resharding,
 		BatchMax:          ps.MaxBatch,
 		ShardStats:        ps.PerShard,
 		Admission:         ps.Admission,

@@ -13,16 +13,15 @@ import (
 
 // TestChaosConvergence is the harness's headline scenario: both
 // platforms live, the primary ingesting a synthetic world through the
-// adaptive pipeline (resharding enabled) while checkpoints rotate and
-// compact its WAL, the link is cut mid-frame repeatedly, and the
-// primary's disk fails and heals once mid-run. At quiesce, every table
-// must be reflect.DeepEqual across the pair.
+// pipeline while checkpoints rotate and compact its WAL, the link is cut
+// mid-frame repeatedly, and the primary's disk fails and heals once
+// mid-run. At quiesce, every table must be reflect.DeepEqual across the
+// pair.
 func TestChaosConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run is heavyweight; covered by the full run")
 	}
 	pair := NewPair(t, func(c *core.Config) {
-		c.StreamAdaptive = true
 		c.QueueCapacity = 128
 		c.CheckpointDeltaLimit = 2 // force delta-chain compaction mid-run
 	}, nil)

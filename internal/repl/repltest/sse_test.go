@@ -12,11 +12,9 @@ import (
 // TestSSEEquivalence pins the live-feed contract across the link: a
 // subscriber on the follower's bus sees the same committed-assessment
 // byte sequence as a subscriber on the primary's bus — the frames are
-// fanned out verbatim over the WAL stream — modulo bounded lag, under
-// adaptive-pipeline ingest.
+// fanned out verbatim over the WAL stream — modulo bounded lag.
 func TestSSEEquivalence(t *testing.T) {
 	pair := NewPair(t, func(c *core.Config) {
-		c.StreamAdaptive = true
 		c.QueueCapacity = 256
 	}, nil)
 

@@ -2,9 +2,7 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,8 +13,7 @@ import (
 
 // Pipeline stage telemetry, labeled per shard. Handles are pre-registered
 // at shard construction so the per-envelope record calls are
-// allocation-free. Shard ids of removed shards are reused on later growth,
-// so label cardinality stays bounded by the largest shard set ever run.
+// allocation-free.
 var (
 	mQueueWait = obs.NewDurationHistogramVec("scilens_pipeline_queue_wait_seconds",
 		"Time a first-delivery envelope spent queued on its shard before a worker drained it.", "shard")
@@ -27,11 +24,7 @@ var (
 	mBatchSize = obs.NewSizeHistogram("scilens_pipeline_batch_records",
 		"Micro-batch sizes drained per processing round.")
 	mShardCount = obs.NewGauge("scilens_pipeline_shards",
-		"Current pipeline worker-shard count (moves under adaptive resharding).")
-	mReshards = obs.NewCounter("scilens_pipeline_reshards_total",
-		"Completed shard-set transitions, grow and shrink.")
-	mBatchMax = obs.NewGauge("scilens_pipeline_batch_max",
-		"Live micro-batch ceiling (MaxBatch when the adaptive controller is off).")
+		"Pipeline worker-shard count, fixed at construction.")
 	mShed = obs.NewCounterVec("scilens_pipeline_shed_total",
 		"Envelopes rejected at enqueue because a shard lane was full, by shard and lane.", "shard", "lane")
 	mAdmission = obs.NewCounterVec("scilens_pipeline_admission_total",
@@ -70,9 +63,8 @@ func (l lane) String() string {
 // are handed to the dead-letter callback once the attempt budget is
 // exhausted.
 //
-// Routing is rendezvous (highest-random-weight) hashing over a versioned
-// shard set, so Reshard can grow or shrink the worker pool live — see
-// Reshard for the ordering fence. Each shard runs two priority lanes
+// The shard set is fixed at construction and a key's shard is its hash
+// modulo the shard count. Each shard runs two priority lanes
 // drained under deficit-weighted round-robin; per-source token-bucket
 // admission (PipelineConfig.Admission) decides which lane a source's
 // traffic rides in, or throttles it outright.
@@ -87,48 +79,11 @@ type Pipeline struct {
 	now func() time.Time
 	wg  sync.WaitGroup
 
-	// Routing state. active is the authoritative shard set; during a
-	// transition next holds the target set and leaving the shards being
-	// drained out. epoch stamps every envelope with the routing version it
-	// was admitted under; transitions are serialised, so at most two
-	// epochs are ever live and in-flight counts index by epoch parity.
-	routerMu      sync.RWMutex
-	active        []*pshard
-	next          []*pshard
-	leaving       []*pshard
-	epoch         uint64
-	epochInflight [2]atomic.Int64
-
-	// Transition bookkeeping. transDone is closed when the pending
-	// transition completes; Reshard waits on it before starting another.
-	// The shard-id allocator lives here too: freed ids are reused
-	// smallest-first so ids (and the telemetry labels they feed) never
-	// exceed the largest set size.
-	transMu       sync.Mutex
-	transActive   atomic.Bool
-	transPending  bool
-	transOldEpoch uint64
-	transDone     chan struct{}
-	nextShardID   int
-	freeShardIDs  []int
-
-	// reshardMu serialises Reshard initiators (the adaptive controller
-	// and any manual caller).
-	reshardMu sync.Mutex
-
-	// maxBatch is the live micro-batch ceiling; the adaptive controller
-	// moves it, workers read it per drain round.
-	maxBatch atomic.Int64
+	shards []*pshard
 
 	sticky    stickyLanes
 	admission *admission
 	rate      drainRate
-
-	// Adaptive-controller state; AdaptTick is the single writer.
-	adaptHigh int
-	adaptLow  int
-	adaptStop chan struct{}
-	adaptWG   sync.WaitGroup
 
 	enqueued  atomic.Uint64
 	shed      atomic.Uint64
@@ -137,7 +92,6 @@ type Pipeline struct {
 	retries   atomic.Uint64
 	dead      atomic.Uint64
 	batches   atomic.Uint64
-	reshards  atomic.Uint64
 
 	// inflight counts envelopes accepted but not yet at a final outcome
 	// (queued, in a batch, or waiting out a retry backoff). Flush waits for
@@ -146,7 +100,6 @@ type Pipeline struct {
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
 
-	paused atomic.Bool
 	closed atomic.Bool
 }
 
@@ -161,11 +114,6 @@ type Envelope struct {
 	// Attempt is the number of failed processing attempts so far.
 	Attempt int
 
-	// lane is the priority lane the envelope was admitted to.
-	lane lane
-	// epoch is the routing-table version the envelope was admitted under;
-	// the resharding fence waits on per-epoch in-flight counts.
-	epoch uint64
 	// notify, when set (EnqueueNotify), is marked done once the envelope
 	// reaches its final outcome. It rides along through retries.
 	notify *sync.WaitGroup
@@ -199,19 +147,17 @@ type Result struct {
 // PipelineConfig configures NewPipeline. Process is required; everything
 // else has working defaults.
 type PipelineConfig struct {
-	// Shards is the initial queue/worker count (default 4). Per-key
-	// ordering holds within a shard, so more shards buy parallelism
-	// across keys. Reshard (and the adaptive controller) can change the
-	// count live.
+	// Shards is the queue/worker count (default 4). Per-key ordering holds
+	// within a shard, so more shards buy parallelism across keys.
 	Shards int
 	// QueueCapacity bounds each shard lane's queue (default 1024). A full
-	// lane blocks Enqueue and sheds TryEnqueue.
+	// lane blocks Enqueue and sheds TryEnqueue. It is a limit on an
+	// append-grown slice, not a preallocation: a generous bound costs
+	// nothing while the lane is idle.
 	QueueCapacity int
 	// MaxBatch is the micro-batch size a worker drains per processing round
 	// (default 64) — the amortisation unit for batched evaluation and
-	// batched store commits. The adaptive controller treats it as the
-	// starting point and moves the live ceiling between Adaptive.MinBatch
-	// and Adaptive.MaxBatch.
+	// batched store commits.
 	MaxBatch int
 	// MaxAttempts is the per-envelope attempt budget before dead-lettering
 	// (default 3).
@@ -230,16 +176,15 @@ type PipelineConfig struct {
 	// the source-aware enqueue paths (EnqueueSource and friends). Nil
 	// admits everything to the steady lane.
 	Admission *AdmissionConfig
-	// Adaptive configures the self-tuning controller; zero value = off.
-	Adaptive AdaptiveConfig
 	// Now is the injected clock used for envelope stamps, admission
-	// refill, and the drain-rate estimator (default time.Now). Tests and
-	// the platform inject a deterministic clock.
+	// refill, and the drain-rate estimator (default time.Now). Only elapsed
+	// time is ever read from it, so it must advance; tests inject a
+	// deterministic one.
 	Now func() time.Time
 	// Process handles one micro-batch for one shard and returns one Result
 	// per envelope, index-aligned (a short result slice treats the missing
 	// tail as committed). It runs concurrently across shards and must be
-	// safe for that. The shard argument is the shard's stable id.
+	// safe for that. The shard argument is the shard's index.
 	Process func(shard int, batch []Envelope) []Result
 	// OnDead, when set, receives every dead-lettered envelope with its
 	// final failure reason (the platform writes it to the dead_letters
@@ -254,15 +199,13 @@ type laneQueue struct {
 	deficit int
 }
 
-// pshard is one worker shard: two bounded priority lanes, the retry
-// re-injection buffer, and — during a reshard transition — the handoff
-// buffer for keys moving onto this shard. ready holds envelopes whose
-// backoff elapsed; they bypass the capacity bound (their slot was
-// accounted for when first enqueued) and are drained ahead of the lanes.
+// pshard is one worker shard: two bounded priority lanes and the retry
+// re-injection buffer. ready holds envelopes whose backoff elapsed; they
+// bypass the capacity bound (their slot was accounted for when first
+// enqueued) and are drained ahead of the lanes.
 type pshard struct {
-	// id is the shard's stable identity: rendezvous scores hash it, the
-	// batch processor and the telemetry labels receive it. Routing depends
-	// only on the live id set, never on slice positions.
+	// id is the shard's index; the batch processor and the telemetry
+	// labels receive it.
 	id int
 
 	mu       sync.Mutex
@@ -273,20 +216,6 @@ type pshard struct {
 	capacity int
 	paused   bool
 	stopped  bool
-	draining bool
-
-	// Resharding handoff. While a transition is pending, keys that move
-	// to this shard under the next routing table buffer here (counted
-	// against lane capacity via handoffLen) and splice into the live lanes
-	// only when the fence lifts — that barrier is the per-key order
-	// guarantee across the move. handoffEpoch pins the buffer to one
-	// transition: an envelope delayed across a completed fence must never
-	// park itself in a later transition's buffer, where its own (old)
-	// epoch count would deadlock that later fence.
-	handoff      []Envelope
-	handoffLen   [numLanes]int
-	handoffOpen  bool
-	handoffEpoch uint64
 
 	shed [numLanes]atomic.Uint64
 
@@ -297,12 +226,11 @@ type pshard struct {
 	obsShed      [numLanes]*obs.Counter
 }
 
-func newPshard(capacity, id int, paused bool) *pshard {
+func newPshard(capacity, id int) *pshard {
 	label := strconv.Itoa(id)
 	s := &pshard{
 		id:           id,
 		capacity:     capacity,
-		paused:       paused,
 		obsQueueWait: mQueueWait.With(label),
 		obsRetry:     mRetryBackoff.With(label),
 		obsDead:      mDeadAge.With(label),
@@ -342,64 +270,22 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		cfg.BurstWeight = 1
 	}
 	if cfg.Now == nil {
-		cfg.Now = time.Now //scilint:ignore determinism production default only; tests and the platform inject their clock
+		cfg.Now = time.Now //scilint:ignore determinism production default only; tests inject their clock
 	}
-	cfg.Adaptive = cfg.Adaptive.withDefaults(cfg)
 	p := &Pipeline{cfg: cfg, now: cfg.Now}
 	p.idleCond = sync.NewCond(&p.idleMu)
-	p.maxBatch.Store(int64(cfg.MaxBatch))
-	mBatchMax.Set(int64(cfg.MaxBatch))
 	p.sticky.init()
 	if cfg.Admission != nil {
 		p.admission = newAdmission(*cfg.Admission, p.now)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s := newPshard(cfg.QueueCapacity, i, false)
-		p.active = append(p.active, s)
+		s := newPshard(cfg.QueueCapacity, i)
+		p.shards = append(p.shards, s)
 		p.wg.Add(1)
 		go p.worker(s)
 	}
-	p.nextShardID = cfg.Shards
 	mShardCount.Set(int64(cfg.Shards))
-	if cfg.Adaptive.Enabled && cfg.Adaptive.Interval > 0 {
-		p.adaptStop = make(chan struct{})
-		p.adaptWG.Add(1)
-		go p.adaptLoop()
-	}
 	return p
-}
-
-// route picks the envelope's shard under the current routing table and
-// registers it against its epoch's in-flight count — atomically with the
-// table read, under the router read-lock, so a transition beginning right
-// after cannot miss the envelope in its fence. During a transition a key
-// whose next-table winner differs from its current one is directed at the
-// new winner with handoff=true: it must buffer behind the fence rather
-// than enter the live queue ahead of its predecessors.
-func (p *Pipeline) route(key string) (s *pshard, epoch uint64, handoff bool) {
-	p.routerMu.RLock()
-	defer p.routerMu.RUnlock()
-	epoch = p.epoch
-	p.epochInflight[epoch&1].Add(1)
-	cur := rendezvous(key, p.active)
-	if p.next == nil {
-		return cur, epoch, false
-	}
-	tgt := rendezvous(key, p.next)
-	if tgt == cur {
-		return cur, epoch, false
-	}
-	return tgt, epoch, true
-}
-
-// unroute undoes route for an envelope that was never accepted (shed,
-// cancelled, stale-routed); dropping the count may lift a pending fence.
-func (p *Pipeline) unroute(epoch uint64) { p.retireEpoch(epoch) }
-
-func (p *Pipeline) retireEpoch(epoch uint64) {
-	if p.epochInflight[epoch&1].Add(-1) == 0 && p.transActive.Load() {
-		p.maybeCompleteTransition(epoch)
-	}
 }
 
 // Enqueue routes the envelope to its key's shard, blocking while the
@@ -463,27 +349,17 @@ func (p *Pipeline) enqueue(ctx context.Context, source, key string, payload []by
 	// A key with envelopes still queued keeps their lane: a cascade must
 	// never straddle lanes, or the weighted scheduler could reorder it.
 	l := p.sticky.acquire(key, want)
-	for {
-		s, epoch, handoff := p.route(key)
-		ok, err := p.put(s, ctx, key, payload, l, epoch, handoff, block, notify)
-		if err != nil {
-			p.unroute(epoch)
-			p.sticky.release(key)
-			return err
-		}
-		if ok {
-			return nil
-		}
-		// Stale route: the shard left the set between the table read and
-		// the insert. Drop the stale epoch claim and route again.
-		p.unroute(epoch)
+	s := p.shards[keyHash(key)%uint32(len(p.shards))]
+	if err := p.put(s, ctx, key, payload, l, block, notify); err != nil {
+		p.sticky.release(key)
+		return err
 	}
+	return nil
 }
 
 // put inserts the envelope on shard s, blocking (or shedding) while the
-// lane is at capacity. ok=false with a nil error means the shard stopped
-// under us and the caller should re-route.
-func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byte, l lane, epoch uint64, handoff, block bool, notify *sync.WaitGroup) (ok bool, err error) {
+// lane is at capacity.
+func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byte, l lane, block bool, notify *sync.WaitGroup) error {
 	if ctx != nil && block {
 		// Wake the wait loop below on cancellation. Broadcasting under the
 		// shard lock pairs with the loop's ctx re-check: the waiter either
@@ -496,28 +372,25 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byt
 		defer stop()
 	}
 	s.mu.Lock()
-	for s.laneLen(l) >= s.capacity && !s.stopped {
+	for len(s.lanes[l].queue) >= s.capacity && !s.stopped {
 		if !block {
 			s.mu.Unlock()
 			s.shed[l].Add(1)
 			s.obsShed[l].Inc()
 			p.shed.Add(1)
-			return false, ErrFull
+			return ErrFull
 		}
 		if ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				s.mu.Unlock()
-				return false, cerr
+				return cerr
 			}
 		}
 		s.notFull.Wait()
 	}
 	if s.stopped {
 		s.mu.Unlock()
-		if p.closed.Load() {
-			return false, ErrClosed
-		}
-		return false, nil
+		return ErrClosed
 	}
 	// Count the envelope in-flight before it becomes visible to a worker,
 	// or a fast worker could retire it first and Flush would see a
@@ -527,26 +400,11 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byt
 	if notify != nil {
 		notify.Add(1)
 	}
-	env := Envelope{Key: key, Payload: payload, lane: l, epoch: epoch,
-		notify: notify, enqueuedNs: p.now().UnixNano()}
-	if handoff && s.handoffOpen && epoch == s.handoffEpoch {
-		s.handoff = append(s.handoff, env)
-		s.handoffLen[l]++
-	} else {
-		// Either no transition is pending for this shard, or the fence
-		// already lifted (the buffer was spliced before the table flip, so
-		// appending here lands behind any moved predecessors).
-		s.lanes[l].queue = append(s.lanes[l].queue, env)
-	}
+	s.lanes[l].queue = append(s.lanes[l].queue, Envelope{Key: key, Payload: payload,
+		notify: notify, enqueuedNs: p.now().UnixNano()})
 	s.mu.Unlock()
 	s.notEmpty.Broadcast()
-	return true, nil
-}
-
-// laneLen is the lane's occupancy including its share of the handoff
-// buffer (whose envelopes hold real queue slots). Callers hold s.mu.
-func (s *pshard) laneLen(l lane) int {
-	return len(s.lanes[l].queue) + s.handoffLen[l]
+	return nil
 }
 
 // queuedLocked is the total lane occupancy. Callers hold s.mu.
@@ -585,9 +443,6 @@ func (s *pshard) next(max int, quantum [numLanes]int) []Envelope {
 			break
 		}
 		s.notEmpty.Wait()
-	}
-	if max < 1 {
-		max = 1
 	}
 	batch := make([]Envelope, 0, min(max, s.queuedLocked()+len(s.ready)))
 	n := min(max, len(s.ready))
@@ -635,47 +490,17 @@ func (s *pshard) stop() {
 	s.notFull.Broadcast()
 }
 
-func (s *pshard) setDraining() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-}
-
-// openHandoff arms the handoff buffer for one transition, identified by
-// the epoch envelopes will carry after the routing-table version bump.
-func (s *pshard) openHandoff(epoch uint64) {
-	s.mu.Lock()
-	s.handoffOpen = true
-	s.handoffEpoch = epoch
-	s.mu.Unlock()
-}
-
-// splice closes the handoff buffer and moves its envelopes into the live
-// lanes in arrival order. Runs at fence-lift, before the table flip.
-func (s *pshard) splice() {
-	s.mu.Lock()
-	for _, env := range s.handoff {
-		s.lanes[env.lane].queue = append(s.lanes[env.lane].queue, env)
-	}
-	s.handoff = nil
-	s.handoffLen = [numLanes]int{}
-	s.handoffOpen = false
-	s.mu.Unlock()
-	s.notEmpty.Broadcast()
-	s.notFull.Broadcast()
-}
-
 func (s *pshard) depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queuedLocked() + len(s.handoff) + len(s.ready)
+	return s.queuedLocked() + len(s.ready)
 }
 
 func (p *Pipeline) worker(s *pshard) {
 	defer p.wg.Done()
 	quantum := [numLanes]int{LaneSteady: p.cfg.SteadyWeight, LaneBurst: p.cfg.BurstWeight}
 	for {
-		batch := s.next(int(p.maxBatch.Load()), quantum)
+		batch := s.next(p.cfg.MaxBatch, quantum)
 		if batch == nil {
 			return
 		}
@@ -757,15 +582,11 @@ func (p *Pipeline) deadLetter(s *pshard, env Envelope, err error) {
 }
 
 // retire marks one envelope's final outcome: it releases any
-// EnqueueNotify waiter, settles the envelope's epoch claim (possibly
-// lifting a resharding fence), and wakes Flush when the pipeline idles.
-// Epoch accounting runs before the inflight decrement so a Flush that
-// returns implies every fence has lifted.
+// EnqueueNotify waiter and wakes Flush when the pipeline idles.
 func (p *Pipeline) retire(env Envelope) {
 	if env.notify != nil {
 		env.notify.Done()
 	}
-	p.retireEpoch(env.epoch)
 	if p.inflight.Add(-1) == 0 {
 		p.idleMu.Lock()
 		p.idleCond.Broadcast()
@@ -773,153 +594,10 @@ func (p *Pipeline) retire(env Envelope) {
 	}
 }
 
-// Reshard transitions the pipeline to target worker shards and returns
-// without waiting for the transition to drain. The ordering contract:
-// envelopes admitted under the old routing table keep draining in place
-// (a leaving shard stops winning new keys, finishes its queues, and only
-// then stops); keys whose winner moves buffer on the new winner's handoff
-// queue; and once every old-table envelope reaches a final outcome the
-// fence lifts — the buffers splice into the live lanes and the new table
-// becomes authoritative. Per-key order is therefore preserved across the
-// move. A second Reshard first waits for the pending transition.
-func (p *Pipeline) Reshard(target int) error {
-	if target < 1 {
-		return fmt.Errorf("stream: reshard target %d: %w", target, ErrConfig)
-	}
-	p.reshardMu.Lock()
-	defer p.reshardMu.Unlock()
-	for {
-		if p.closed.Load() {
-			return ErrClosed
-		}
-		p.transMu.Lock()
-		if !p.transPending {
-			break
-		}
-		done := p.transDone
-		p.transMu.Unlock()
-		<-done
-	}
-	// transMu held, no transition pending.
-	p.routerMu.Lock()
-	if len(p.active) == target {
-		p.routerMu.Unlock()
-		p.transMu.Unlock()
-		return nil
-	}
-	next := make([]*pshard, 0, target)
-	var leaving []*pshard
-	if target > len(p.active) {
-		next = append(next, p.active...)
-		for len(next) < target {
-			s := newPshard(p.cfg.QueueCapacity, p.allocShardID(), p.paused.Load())
-			next = append(next, s)
-			p.wg.Add(1)
-			go p.worker(s)
-		}
-	} else {
-		// Shrink retires the highest-id shards: deterministic, and the
-		// freed ids are exactly the ones reused by the next grow.
-		byID := append([]*pshard(nil), p.active...)
-		sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
-		next = append(next, byID[:target]...)
-		leaving = append(leaving, byID[target:]...)
-	}
-	oldEpoch := p.epoch
-	p.transActive.Store(true)
-	p.epoch++
-	newEpoch := p.epoch
-	p.next = next
-	p.leaving = leaving
-	for _, s := range next {
-		s.openHandoff(newEpoch)
-	}
-	for _, s := range leaving {
-		s.setDraining()
-	}
-	p.routerMu.Unlock()
-	p.transPending = true
-	p.transOldEpoch = oldEpoch
-	p.transDone = make(chan struct{})
-	p.transMu.Unlock()
-	// An idle pipeline has nothing to fence on: complete immediately.
-	p.maybeCompleteTransition(oldEpoch)
-	return nil
-}
-
-// allocShardID hands out the smallest free shard id. Callers hold transMu.
-func (p *Pipeline) allocShardID() int {
-	if len(p.freeShardIDs) > 0 {
-		sort.Ints(p.freeShardIDs)
-		id := p.freeShardIDs[0]
-		p.freeShardIDs = p.freeShardIDs[1:]
-		return id
-	}
-	id := p.nextShardID
-	p.nextShardID++
-	return id
-}
-
-// maybeCompleteTransition lifts the resharding fence once nothing
-// admitted under the old routing table is still in flight. The handoff
-// buffers splice BEFORE the table flip: a same-key envelope routed right
-// after the flip must land behind its moved predecessors, never ahead.
-func (p *Pipeline) maybeCompleteTransition(oldEpoch uint64) {
-	p.transMu.Lock()
-	defer p.transMu.Unlock()
-	if !p.transPending || p.transOldEpoch != oldEpoch || p.epochInflight[oldEpoch&1].Load() != 0 {
-		return
-	}
-	p.routerMu.RLock()
-	next, leaving := p.next, p.leaving
-	p.routerMu.RUnlock()
-	for _, s := range next {
-		s.splice()
-	}
-	p.routerMu.Lock()
-	p.active = next
-	p.next = nil
-	p.leaving = nil
-	shardCount := len(p.active)
-	p.routerMu.Unlock()
-	for _, s := range leaving {
-		s.stop()
-		p.freeShardIDs = append(p.freeShardIDs, s.id)
-	}
-	p.reshards.Add(1)
-	mReshards.Inc()
-	mShardCount.Set(int64(shardCount))
-	p.transActive.Store(false)
-	p.transPending = false
-	close(p.transDone)
-}
-
-// Resharding reports whether a shard-set transition is pending.
-func (p *Pipeline) Resharding() bool { return p.transActive.Load() }
-
-// allShards snapshots every live shard: the active set plus, during a
-// transition, the incoming shards not yet in it.
-func (p *Pipeline) allShards() []*pshard {
-	p.routerMu.RLock()
-	defer p.routerMu.RUnlock()
-	out := append([]*pshard(nil), p.active...)
-	seen := make(map[int]bool, len(out))
-	for _, s := range out {
-		seen[s.id] = true
-	}
-	for _, s := range p.next {
-		if !seen[s.id] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Flush blocks until every accepted envelope has reached a final outcome
 // (committed or dead-lettered), including envelopes waiting out a retry
-// backoff; any pending reshard transition has completed by then too. It
-// does not stop the workers and must not be called while the pipeline is
-// paused with work pending.
+// backoff. It does not stop the workers and must not be called while the
+// pipeline is paused with work pending.
 func (p *Pipeline) Flush() {
 	p.idleMu.Lock()
 	defer p.idleMu.Unlock()
@@ -931,73 +609,46 @@ func (p *Pipeline) Flush() {
 // Pause stops the workers from starting new batches (in-flight batches
 // complete). Producers keep enqueueing until the queues fill.
 func (p *Pipeline) Pause() {
-	p.paused.Store(true)
-	for _, s := range p.allShards() {
+	for _, s := range p.shards {
 		s.setPaused(true)
 	}
 }
 
 // Resume undoes Pause.
 func (p *Pipeline) Resume() {
-	p.paused.Store(false)
-	for _, s := range p.allShards() {
+	for _, s := range p.shards {
 		s.setPaused(false)
 	}
 }
 
 // Close drains the pipeline gracefully: new enqueues fail with ErrClosed,
-// the adaptive controller stops, every accepted envelope is processed to
-// a final outcome (completing any reshard transition), then the workers
-// exit. Safe to call more than once.
+// every accepted envelope is processed to a final outcome, then the
+// workers exit. Safe to call more than once.
 func (p *Pipeline) Close() {
 	if p.closed.Swap(true) {
 		p.wg.Wait()
 		return
 	}
-	// Resume before joining the controller: a controller tick blocked in
-	// Reshard needs the workers draining to see its transition complete.
 	p.Resume()
-	if p.adaptStop != nil {
-		close(p.adaptStop)
-		p.adaptWG.Wait()
-	}
 	p.Flush()
-	for _, s := range p.allShards() {
+	for _, s := range p.shards {
 		s.stop()
 	}
 	p.wg.Wait()
 }
 
-// Depth returns the total queued-envelope count across shards, including
-// handoff-buffered envelopes (excluding envelopes waiting out a retry
-// backoff).
+// Depth returns the total queued-envelope count across shards (excluding
+// envelopes waiting out a retry backoff).
 func (p *Pipeline) Depth() int {
 	total := 0
-	for _, s := range p.allShards() {
+	for _, s := range p.shards {
 		total += s.depth()
 	}
 	return total
 }
 
-// Shards returns the current routing shard count (the outgoing set's
-// while a transition is draining).
-func (p *Pipeline) Shards() int {
-	p.routerMu.RLock()
-	defer p.routerMu.RUnlock()
-	return len(p.active)
-}
-
-// MaxShards returns the ceiling on live shard ids: the adaptive
-// controller's growth bound, or the fixed shard count when the controller
-// is off. Per-shard telemetry sized to this bound covers every id the
-// pipeline will ever label — ids of removed shards are reused, never
-// retired upward.
-func (p *Pipeline) MaxShards() int {
-	if p.cfg.Adaptive.Enabled {
-		return max(p.cfg.Shards, p.cfg.Adaptive.MaxShards)
-	}
-	return p.cfg.Shards
-}
+// Shards returns the shard count.
+func (p *Pipeline) Shards() int { return len(p.shards) }
 
 // RetryAfter estimates how long a shed producer should wait before
 // retrying: the queued backlog over the recent drain rate, clamped to
@@ -1118,8 +769,8 @@ func (t *stickyLanes) release(key string) {
 type ShardStats struct {
 	// ID is the shard's stable id (the telemetry label).
 	ID int `json:"id"`
-	// Steady and Burst are the lanes' queued-envelope counts (including
-	// handoff-buffered envelopes); Ready counts retries due again.
+	// Steady and Burst are the lanes' queued-envelope counts; Ready counts
+	// retries due again.
 	Steady int `json:"steady"`
 	Burst  int `json:"burst"`
 	Ready  int `json:"ready"`
@@ -1127,18 +778,15 @@ type ShardStats struct {
 	// the shard started.
 	ShedSteady uint64 `json:"shed_steady"`
 	ShedBurst  uint64 `json:"shed_burst"`
-	// Draining marks a shard leaving the set under a pending transition.
-	Draining bool `json:"draining,omitempty"`
 }
 
 func (s *pshard) stats() ShardStats {
 	s.mu.Lock()
 	st := ShardStats{
-		ID:       s.id,
-		Steady:   s.laneLen(LaneSteady),
-		Burst:    s.laneLen(LaneBurst),
-		Ready:    len(s.ready),
-		Draining: s.draining && !s.stopped,
+		ID:     s.id,
+		Steady: len(s.lanes[LaneSteady].queue),
+		Burst:  len(s.lanes[LaneBurst].queue),
+		Ready:  len(s.ready),
 	}
 	s.mu.Unlock()
 	st.ShedSteady = s.shed[LaneSteady].Load()
@@ -1158,16 +806,12 @@ type PipelineStats struct {
 	Batches uint64
 	// Inflight is the number of envelopes not yet at a final outcome.
 	Inflight int64
-	// Shards is the current routing shard count; Reshards counts completed
-	// transitions; Resharding marks one pending.
-	Shards     int
-	Reshards   uint64
-	Resharding bool
-	// MaxBatch is the live micro-batch ceiling (the adaptive controller
-	// moves it; static pipelines report their configured value).
+	// Shards and MaxBatch are the configured shard count and micro-batch
+	// size.
+	Shards   int
 	MaxBatch int
 	// QueueDepths is the per-shard queued-envelope count in shard-id
-	// order, including shards draining out of the set.
+	// order.
 	QueueDepths []int
 	// PerShard breaks queue depth and shed counts down by shard and lane,
 	// in shard-id order.
@@ -1179,11 +823,9 @@ type PipelineStats struct {
 
 // Stats returns a snapshot of the pipeline counters.
 func (p *Pipeline) Stats() PipelineStats {
-	shards := p.allShards()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
-	depths := make([]int, len(shards))
-	per := make([]ShardStats, len(shards))
-	for i, s := range shards {
+	depths := make([]int, len(p.shards))
+	per := make([]ShardStats, len(p.shards))
+	for i, s := range p.shards {
 		st := s.stats()
 		per[i] = st
 		depths[i] = st.Steady + st.Burst + st.Ready
@@ -1197,10 +839,8 @@ func (p *Pipeline) Stats() PipelineStats {
 		DeadLettered: p.dead.Load(),
 		Batches:      p.batches.Load(),
 		Inflight:     p.inflight.Load(),
-		Shards:       p.Shards(),
-		Reshards:     p.reshards.Load(),
-		Resharding:   p.Resharding(),
-		MaxBatch:     int(p.maxBatch.Load()),
+		Shards:       len(p.shards),
+		MaxBatch:     p.cfg.MaxBatch,
 		QueueDepths:  depths,
 		PerShard:     per,
 	}

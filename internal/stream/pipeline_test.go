@@ -40,49 +40,67 @@ func (c *collectProcessor) process(_ int, batch []Envelope) []Result {
 	return results
 }
 
+// TestPipelinePerKeyOrdering runs concurrent producers at several shard
+// widths and checks every key's envelopes were processed in enqueue order,
+// all on the one shard its hash selects modulo the width.
 func TestPipelinePerKeyOrdering(t *testing.T) {
-	proc := newCollectProcessor(nil)
-	p := NewPipeline(PipelineConfig{Shards: 4, MaxBatch: 8, Process: proc.process})
-	defer p.Close()
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			proc := newCollectProcessor(nil)
+			var wrongShard atomic.Int64
+			p := NewPipeline(PipelineConfig{Shards: shards, MaxBatch: 8, Process: func(shard int, batch []Envelope) []Result {
+				for _, env := range batch {
+					if shard != int(keyHash(env.Key)%uint32(shards)) {
+						wrongShard.Add(1)
+					}
+				}
+				return proc.process(shard, batch)
+			}})
+			defer p.Close()
 
-	const keys, perKey = 16, 50
-	var wg sync.WaitGroup
-	for k := 0; k < keys; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			key := fmt.Sprintf("key-%d", k)
-			for i := 0; i < perKey; i++ {
-				if err := p.Enqueue(key, []byte(fmt.Sprintf("%d", i))); err != nil {
-					t.Error(err)
-					return
+			const keys, perKey = 16, 50
+			var wg sync.WaitGroup
+			for k := 0; k < keys; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					key := fmt.Sprintf("key-%d", k)
+					for i := 0; i < perKey; i++ {
+						if err := p.Enqueue(key, []byte(fmt.Sprintf("%d", i))); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(k)
+			}
+			wg.Wait()
+			p.Flush()
+
+			if n := wrongShard.Load(); n != 0 {
+				t.Fatalf("%d envelopes processed off their key's hash-modulo shard", n)
+			}
+			proc.mu.Lock()
+			defer proc.mu.Unlock()
+			for k := 0; k < keys; k++ {
+				key := fmt.Sprintf("key-%d", k)
+				got := proc.byKey[key]
+				if len(got) != perKey {
+					t.Fatalf("key %s: processed %d of %d", key, len(got), perKey)
+				}
+				for i, v := range got {
+					if v != fmt.Sprintf("%d", i) {
+						t.Fatalf("key %s: out of order at %d: %q", key, i, v)
+					}
 				}
 			}
-		}(k)
-	}
-	wg.Wait()
-	p.Flush()
-
-	proc.mu.Lock()
-	defer proc.mu.Unlock()
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%d", k)
-		got := proc.byKey[key]
-		if len(got) != perKey {
-			t.Fatalf("key %s: processed %d of %d", key, len(got), perKey)
-		}
-		for i, v := range got {
-			if v != fmt.Sprintf("%d", i) {
-				t.Fatalf("key %s: out of order at %d: %q", key, i, v)
+			st := p.Stats()
+			if st.Committed != keys*perKey || st.Enqueued != keys*perKey {
+				t.Errorf("stats: %+v", st)
 			}
-		}
-	}
-	st := p.Stats()
-	if st.Committed != keys*perKey || st.Enqueued != keys*perKey {
-		t.Errorf("stats: %+v", st)
-	}
-	if st.Inflight != 0 {
-		t.Errorf("inflight after flush: %d", st.Inflight)
+			if st.Inflight != 0 || st.Shards != shards {
+				t.Errorf("inflight %d, shards %d after flush", st.Inflight, st.Shards)
+			}
+		})
 	}
 }
 

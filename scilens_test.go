@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	scilens "repro"
+	"repro/internal/stream"
 )
 
 // testDoc is a minimal news document in the markup subset the extractor
@@ -244,5 +248,83 @@ func TestDailyCycleThroughFacade(t *testing.T) {
 	}
 	if eval.Labelled != len(w.Articles) || eval.F1 <= 0 {
 		t.Errorf("model eval: %+v", eval)
+	}
+}
+
+// queueWaitSum scrapes the debug surface for the pipeline queue-wait
+// histogram's sum across shards, in seconds.
+func queueWaitSum(t *testing.T) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	scilens.NewDebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	total := 0.0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, "scilens_pipeline_queue_wait_seconds_sum{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		total += v
+	}
+	return total
+}
+
+// TestBootstrapPipelineMeasuresRealTime pins that the pipeline of a
+// Bootstrap platform — the shipped server's — measures elapsed time on
+// the wall clock, not on Bootstrap's data clock, which is pinned to the
+// end of the synthetic window: a throttled source's buckets refill, and
+// a backlog that waited records a queue wait.
+func TestBootstrapPipelineMeasuresRealTime(t *testing.T) {
+	const rate = 20 // events/s per bucket: one token is 50ms
+	p, w, err := scilens.Bootstrap(scilens.BootstrapConfig{
+		Seed: 5, Days: 4, RateScale: 0.25, ReactionScale: 0.2,
+		Platform: scilens.Config{AdmissionRate: rate},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	events := w.Events()
+	if len(events) < 8 {
+		t.Fatalf("world too small: %d events", len(events))
+	}
+
+	// Spend one source's steady and burst buckets (depth 2x and 4x rate).
+	hot := &events[0]
+	throttled := false
+	for i := 0; i < 20*rate && !throttled; i++ {
+		if err := p.StreamEvent(hot, true); errors.Is(err, stream.ErrThrottled) {
+			throttled = true
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !throttled {
+		t.Fatal("source never throttled")
+	}
+	time.Sleep(time.Second / rate * 3 / 2)
+	if err := p.StreamEvent(hot, true); err != nil {
+		t.Fatalf("event after one token's worth of real time: %v", err)
+	}
+	p.Pipeline.Flush()
+
+	before := queueWaitSum(t)
+	p.Pipeline.Pause()
+	for i := range events[:8] {
+		payload, err := events[i].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Pipeline.Enqueue(events[i].ArticleURL, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	p.Pipeline.Resume()
+	p.Pipeline.Flush()
+	if after := queueWaitSum(t); after <= before {
+		t.Fatalf("queue-wait sum %v -> %v after a 5ms blocked backlog; want it to grow", before, after)
 	}
 }
