@@ -1,9 +1,12 @@
 package rdbms
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/rdbms/vfs"
 )
 
 // BenchmarkCheckpointIncremental compares a full checkpoint against delta
@@ -295,4 +298,58 @@ func BenchmarkWALAppend(b *testing.B) {
 		defer db.Close()
 		run(b, db)
 	})
+}
+
+// BenchmarkWALTailPoll measures one poll of a follower stream's tail
+// reader on a real file, positioned at the end of a segment that already
+// holds 64 KiB or 8 MiB: idle (nothing appended since the last poll — what
+// a caught-up follower costs the primary every 5 ms) and with 64
+// reaction-sized records appended (the append is inside the timed loop;
+// it is the same write at both sizes). The cost must not depend on the
+// segment's size: a poll reads what is new, not what is there.
+func BenchmarkWALTailPoll(b *testing.B) {
+	_, rec := reactionRecord(b)
+	batch := bytes.Repeat(rec, 64)
+	for _, size := range []int{64 << 10, 8 << 20} {
+		for _, appended := range []int{0, 64} {
+			b.Run(fmt.Sprintf("seg-%dKiB/appended-%d", size>>10, appended), func(b *testing.B) {
+				feed := newTailFeed(b, vfs.NewOS(), b.TempDir())
+				feed.append(b, bytes.Repeat(rec, size/len(rec)))
+				end, err := feed.db.WALSegmentSize(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tail, err := feed.db.OpenWALTail(1, end)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer tail.Close()
+				emit := func([]byte) error { return nil }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if appended > 0 {
+						feed.append(b, batch)
+					}
+					if k, err := tail.Poll(emit); err != nil || k != appended {
+						b.Fatalf("poll emitted %d records, want %d (err %v)", k, appended, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkApplyReplRecord measures the follower's per-record apply of a
+// reaction-sized upsert: decode through the pooled reader, loose apply.
+func BenchmarkApplyReplRecord(b *testing.B) {
+	follower, rec := reactionRecord(b)
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := follower.ApplyReplRecord(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -21,6 +21,10 @@ import (
 	"hash/fnv"
 	"io"
 	"path/filepath"
+	"slices"
+	"sync"
+
+	"repro/internal/rdbms/vfs"
 )
 
 // ErrReplDiverged reports a follower cursor that does not match the
@@ -118,42 +122,171 @@ func (db *DB) WALSegmentSize(seq int) (int64, error) {
 	return info.Size(), nil
 }
 
-// StreamWALRecords reads complete records from segment seq starting at
-// byte offset off and hands each record's raw encoding to emit. It stops
-// cleanly at the last complete record boundary — a torn tail (a record
-// still being appended, or abandoned by a crashed writer) is never
-// emitted, so a follower can only ever receive whole records. Returns the
-// next offset to resume from. An emit error aborts the scan and is
-// returned with the offset of the last record emit accepted.
-func (db *DB) StreamWALRecords(seq int, off int64, emit func(rec []byte) error) (int64, error) {
+// openSegmentAt opens WAL segment seq for positioned reads after checking
+// that off lies inside it — the one read path the tail reader and the
+// cursor-hash check share. A pruned or never-written segment reports
+// fs.ErrNotExist; an offset past the segment's end is ErrReplDiverged. The
+// caller must Close the handle.
+func (db *DB) openSegmentAt(seq int, off int64) (vfs.File, error) {
 	if db.dir == "" {
-		return off, ErrNoDir
+		return nil, ErrNoDir
 	}
-	data, err := db.fs.ReadFile(filepath.Join(db.dir, segName(seq)))
+	f, err := db.fs.OpenRead(filepath.Join(db.dir, segName(seq)))
 	if err != nil {
-		return off, err
+		return nil, err
 	}
-	if off > int64(len(data)) {
-		return off, fmt.Errorf("%w: offset %d beyond segment %d size %d", ErrReplDiverged, off, seq, len(data))
+	info, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, err
 	}
-	cr := &countingReader{r: bytes.NewReader(data[off:])}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	var good int64
+	if off > info.Size() {
+		_ = f.Close()
+		return nil, fmt.Errorf("%w: offset %d beyond segment %d size %d", ErrReplDiverged, off, seq, info.Size())
+	}
+	return f, nil
+}
+
+// sliceDecoder runs readRecord — the one WAL decoder — over a byte slice
+// through a reader pair that is allocated once and reset per slice.
+type sliceDecoder struct {
+	rd bytes.Reader
+	br *bufio.Reader
+}
+
+func newSliceDecoder() *sliceDecoder {
+	return &sliceDecoder{br: bufio.NewReaderSize(nil, 4096)}
+}
+
+func (d *sliceDecoder) reset(b []byte) {
+	d.rd.Reset(b)
+	d.br.Reset(&d.rd)
+}
+
+// consumed reports how many bytes of the slice the records decoded since
+// reset occupy: what left the slice minus what still waits in the buffer.
+func (d *sliceDecoder) consumed() int {
+	return int(d.rd.Size()) - d.rd.Len() - d.br.Buffered()
+}
+
+// walTailChunk bounds one read of a tail poll, and is the carry buffer's
+// initial size. A record larger than the buffer grows it; nothing else does.
+const walTailChunk = 64 << 10
+
+// WALTail is a forward-only reader over the WAL, the primary side of one
+// follower stream: it holds a single read handle on the segment it is in
+// and every Poll reads only the bytes appended since the previous one, so
+// shipping costs what was written, never what the segment holds. Bytes
+// that do not yet end in a whole record — one still being appended, or a
+// tail abandoned by a crashed writer — wait in the carry buffer and are
+// neither emitted nor read from the file again. A WALTail is not safe for
+// concurrent use.
+type WALTail struct {
+	db    *DB
+	f     vfs.File
+	seq   int
+	off   int64  // segment offset of carry[0]: the next unemitted boundary
+	carry []byte // bytes read past off that no emitted record covers
+	dec   *sliceDecoder
+	// refused is set when emit failed: the carry then holds whole records
+	// the next Poll must offer again even if nothing new was appended.
+	refused bool
+}
+
+// OpenWALTail opens a tail reader on segment seq positioned at byte offset
+// off, which must be a record boundary the caller has verified (0, or a
+// cursor VerifyWALTail accepted). Errors are those of VerifyWALTail:
+// fs.ErrNotExist for a pruned segment, ErrReplDiverged for an offset past
+// the segment's end. The caller must Close it.
+func (db *DB) OpenWALTail(seq int, off int64) (*WALTail, error) {
+	f, err := db.openSegmentAt(seq, off)
+	if err != nil {
+		return nil, err
+	}
+	return &WALTail{
+		db:    db,
+		f:     f,
+		seq:   seq,
+		off:   off,
+		carry: make([]byte, 0, walTailChunk),
+		dec:   newSliceDecoder(),
+	}, nil
+}
+
+// Poll reads whatever was appended to the segment since the last call and
+// hands each complete record's raw encoding to emit, in order, exactly
+// once; rec is valid only during the call. It returns the number of
+// records emitted. A torn or undecodable tail is never emitted: the
+// primary's own recovery machinery owns deciding what those bytes mean.
+// An emit error aborts the poll and is returned; the refused record and
+// everything after it are offered again by the next Poll.
+func (t *WALTail) Poll(emit func(rec []byte) error) (int, error) {
+	emitted := 0
 	for {
-		if _, err := readRecord(br); err != nil {
-			// io.EOF at a boundary, a torn tail, or mid-file corruption:
-			// in every case the bytes past the last boundary must not be
-			// shipped. The primary's own recovery/replay machinery owns
-			// deciding what they mean.
-			return off + good, nil
+		room := cap(t.carry) - len(t.carry)
+		n, err := t.f.ReadAt(t.carry[len(t.carry):cap(t.carry)], t.off+int64(len(t.carry)))
+		if err != nil && err != io.EOF {
+			return emitted, err
 		}
-		boundary := cr.n - int64(br.Buffered())
-		if err := emit(data[off+good : off+boundary]); err != nil {
-			return off + good, err
+		t.carry = t.carry[:len(t.carry)+n]
+		if n > 0 || t.refused {
+			k, eerr := t.cut(emit)
+			emitted += k
+			if eerr != nil {
+				return emitted, eerr
+			}
 		}
-		good = boundary
+		if n < room {
+			return emitted, nil // reached the segment's current end
+		}
+		if len(t.carry) == cap(t.carry) {
+			// One unfinished record fills the buffer: make room for its rest.
+			t.carry = slices.Grow(t.carry, walTailChunk)
+		}
 	}
 }
+
+// cut emits every whole record at the front of the carry buffer and slides
+// the unfinished rest down to its start.
+func (t *WALTail) cut(emit func(rec []byte) error) (int, error) {
+	t.dec.reset(t.carry)
+	done, emitted := 0, 0
+	var err error
+	for {
+		if _, derr := readRecord(t.dec.br); derr != nil {
+			break // clean boundary, unfinished record, or corruption: ship none of it
+		}
+		end := t.dec.consumed()
+		if err = emit(t.carry[done:end]); err != nil {
+			break
+		}
+		done = end
+		emitted++
+	}
+	t.refused = err != nil
+	t.off += int64(done)
+	t.carry = t.carry[:copy(t.carry, t.carry[done:])]
+	return emitted, err
+}
+
+// Next moves the reader to the start of the following segment, dropping
+// whatever unfinished tail the drained one ended in. The caller decides
+// when a segment is drained: a Poll that emitted nothing, begun after
+// CurrentWALSegment had already moved past the reader's segment (rotation
+// syncs the old segment before the sequence number advances). On error the
+// reader is closed.
+func (t *WALTail) Next() error {
+	_ = t.f.Close()
+	f, err := t.db.openSegmentAt(t.seq+1, 0)
+	if err != nil {
+		return err
+	}
+	t.f, t.seq, t.off, t.carry, t.refused = f, t.seq+1, 0, t.carry[:0], false
+	return nil
+}
+
+// Close releases the segment handle.
+func (t *WALTail) Close() error { return t.f.Close() }
 
 // replTailHashLen bounds the cursor-alignment hash window: the follower
 // hashes the last up-to-64 bytes it applied, and the primary verifies the
@@ -161,24 +294,25 @@ func (db *DB) StreamWALRecords(seq int, off int64, emit func(rec []byte) error) 
 const replTailHashLen = 64
 
 // WALTailHash hashes (FNV-1a, 64 bit) the n bytes of segment seq that
-// precede offset off. Followers store this alongside their cursor;
-// VerifyWALTail compares it on reconnect.
+// precede offset off, reading only that window. Followers store this
+// alongside their cursor; VerifyWALTail compares it on reconnect.
 func (db *DB) WALTailHash(seq int, off int64, n int) (uint64, error) {
-	if db.dir == "" {
-		return 0, ErrNoDir
+	if n < 0 || n > replTailHashLen || int64(n) > off {
+		return 0, fmt.Errorf("%w: tail window %d at offset %d (limit %d)", ErrReplDiverged, n, off, replTailHashLen)
 	}
-	if n < 0 || int64(n) > off {
-		return 0, fmt.Errorf("%w: tail window %d exceeds offset %d", ErrReplDiverged, n, off)
-	}
-	data, err := db.fs.ReadFile(filepath.Join(db.dir, segName(seq)))
+	f, err := db.openSegmentAt(seq, off)
 	if err != nil {
 		return 0, err
 	}
-	if off > int64(len(data)) {
-		return 0, fmt.Errorf("%w: offset %d beyond segment %d size %d", ErrReplDiverged, off, seq, len(data))
+	defer func() { _ = f.Close() }()
+	var win [replTailHashLen]byte
+	if n > 0 {
+		if _, err := f.ReadAt(win[:n], off-int64(n)); err != nil {
+			return 0, fmt.Errorf("read tail window of segment %d: %w", seq, err)
+		}
 	}
 	h := fnv.New64a()
-	_, _ = h.Write(data[off-int64(n) : off])
+	_, _ = h.Write(win[:n])
 	return h.Sum64(), nil
 }
 
@@ -198,17 +332,24 @@ func (db *DB) VerifyWALTail(seq int, off int64, n int, sum uint64) error {
 	return nil
 }
 
+// replDecoders pools the reader pair ApplyReplRecord decodes through, so
+// applying a record allocates what the record holds and nothing else.
+var replDecoders = sync.Pool{New: func() any { return newSliceDecoder() }}
+
 // ApplyReplRecord decodes exactly one replicated WAL record and applies
 // it with recovery (loose) semantics, which makes re-application after a
 // reconnect idempotent. Trailing bytes after the record are corruption.
 func (db *DB) ApplyReplRecord(rec []byte) error {
-	cr := &countingReader{r: bytes.NewReader(rec)}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	r, err := readRecord(br)
+	d := replDecoders.Get().(*sliceDecoder)
+	d.reset(rec)
+	r, err := readRecord(d.br)
+	whole := d.consumed() == len(rec)
+	d.reset(nil) // the pool must not pin the caller's buffer
+	replDecoders.Put(d)
 	if err != nil {
 		return fmt.Errorf("replicated record: %w", ErrCorrupt)
 	}
-	if cr.n-int64(br.Buffered()) != int64(len(rec)) {
+	if !whole {
 		return fmt.Errorf("replicated record has trailing bytes: %w", ErrCorrupt)
 	}
 	return applyRecord(db, r, true)

@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -141,18 +142,28 @@ func TestReplHoldGenerations(t *testing.T) {
 	}
 }
 
-// collectRecords drains every complete record from a segment.
+// keepRecords returns an emit callback that copies each record into *into.
+func keepRecords(into *[][]byte) func([]byte) error {
+	return func(rec []byte) error {
+		*into = append(*into, append([]byte(nil), rec...))
+		return nil
+	}
+}
+
+// collectRecords drains every complete record of a segment from off with
+// a fresh tail reader, returning them and the offset the reader stopped at.
 func collectRecords(t *testing.T, db *DB, seq int, off int64) ([][]byte, int64) {
 	t.Helper()
-	var recs [][]byte
-	end, err := db.StreamWALRecords(seq, off, func(rec []byte) error {
-		recs = append(recs, append([]byte(nil), rec...))
-		return nil
-	})
+	tail, err := db.OpenWALTail(seq, off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, end
+	defer tail.Close()
+	var recs [][]byte
+	if _, err := tail.Poll(keepRecords(&recs)); err != nil {
+		t.Fatal(err)
+	}
+	return recs, tail.off
 }
 
 // tableRows returns every row sorted by primary key for comparison.
@@ -166,10 +177,10 @@ func tableRows(tbl *Table) []Row {
 	return rows
 }
 
-// TestStreamWALRecordsRoundTrip: the streamed records replay into an
+// TestWALTailRoundTrip: the records a tail reader emits replay into an
 // identical table on a second database, and re-applying the whole stream
 // is a no-op (loose apply is idempotent).
-func TestStreamWALRecordsRoundTrip(t *testing.T) {
+func TestWALTailRoundTrip(t *testing.T) {
 	mem := vfs.NewMem()
 	db, tbl := replFixture(t, mem, Options{})
 	mustInsert(t, tbl, 0, 25)
@@ -205,38 +216,88 @@ func TestStreamWALRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamWALRecordsTornTail: a partial record at the end of a segment
-// is never emitted; the stream stops at the last complete boundary and
-// resumes from there once the record completes.
-func TestStreamWALRecordsTornTail(t *testing.T) {
+// TestWALTailTornTail: a partial record at the end of a segment is never
+// emitted — not by the reader that was open when it appeared, not by one
+// resuming at the boundary before it — and both emit it, once, when the
+// record completes.
+func TestWALTailTornTail(t *testing.T) {
 	mem := vfs.NewMem()
 	db, tbl := replFixture(t, mem, Options{})
 	mustInsert(t, tbl, 0, 5)
 
-	recs, end := collectRecords(t, db, 1, 0)
-	n := len(recs)
+	live, err := db.OpenWALTail(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	var recs [][]byte
+	if _, err := live.Poll(keepRecords(&recs)); err != nil {
+		t.Fatal(err)
+	}
+	n, end := len(recs), live.off
 
 	// Tear: append the first half of a real record encoding.
-	torn := append([]byte(nil), recs[0]...)
+	torn := recs[0]
 	f, err := mem.OpenAppend("data/wal-000001.log")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+
+	if k, err := live.Poll(keepRecords(&recs)); err != nil || k != 0 || live.off != end {
+		t.Fatalf("open reader leaked a torn tail: %d records to offset %d, want 0 to %d (err %v)", k, live.off, end, err)
+	}
+	if all, end2 := collectRecords(t, db, 1, 0); len(all) != n || end2 != end {
+		t.Fatalf("torn tail leaked: %d records to offset %d, want %d to %d", len(all), end2, n, end)
+	}
+	resumed, err := db.OpenWALTail(1, end)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	recs2, end2 := collectRecords(t, db, 1, 0)
-	if len(recs2) != n || end2 != end {
-		t.Fatalf("torn tail leaked: %d records to offset %d, want %d to %d", len(recs2), end2, n, end)
+	defer resumed.Close()
+	var late [][]byte
+	if k, err := resumed.Poll(keepRecords(&late)); err != nil || k != 0 || resumed.off != end {
+		t.Fatalf("resume emitted %d records past a torn tail (err %v)", k, err)
 	}
-	// Incremental resume from the boundary sees nothing yet.
-	tail, end3 := collectRecords(t, db, 1, end)
-	if len(tail) != 0 || end3 != end {
-		t.Fatalf("resume emitted %d records past a torn tail", len(tail))
+
+	// The record completes: each reader emits it exactly once.
+	if _, err := f.Write(torn[len(torn)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*WALTail{"open": live, "resumed": resumed} {
+		var got [][]byte
+		if _, err := r.Poll(keepRecords(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !bytes.Equal(got[0], torn) {
+			t.Fatalf("%s reader: completed record emitted %d times", name, len(got))
+		}
+		if k, err := r.Poll(keepRecords(&got)); err != nil || k != 0 {
+			t.Fatalf("%s reader: record emitted again (%d, err %v)", name, k, err)
+		}
+	}
+}
+
+// TestOpenWALTailRejectsBadCursor: the errors a stream is refused with.
+func TestOpenWALTailRejectsBadCursor(t *testing.T) {
+	mem := vfs.NewMem()
+	db, tbl := replFixture(t, mem, Options{})
+	mustInsert(t, tbl, 0, 3)
+	size, err := db.WALSegmentSize(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.OpenWALTail(1, size+1); !errors.Is(err, ErrReplDiverged) {
+		t.Fatalf("offset beyond segment: %v", err)
+	}
+	if _, err := db.OpenWALTail(99, 0); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing segment: %v", err)
+	}
+	if _, err := NewDB().OpenWALTail(1, 0); !errors.Is(err, ErrNoDir) {
+		t.Fatalf("in-memory database: %v", err)
 	}
 }
 
@@ -288,6 +349,15 @@ func TestVerifyWALTail(t *testing.T) {
 	}
 	if err := db.VerifyWALTail(99, 0, 0, 0); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing segment: %v", err)
+	}
+	// The window is a claim from the wire: one no follower could have
+	// hashed is refused before a byte is read for it.
+	if err := db.VerifyWALTail(1, size, replTailHashLen+1, sum); !errors.Is(err, ErrReplDiverged) {
+		t.Fatalf("oversized tail window: %v", err)
+	}
+	// A fresh cursor (nothing applied yet in the segment) carries no hash.
+	if err := db.VerifyWALTail(1, 0, 0, 0); err != nil {
+		t.Fatalf("fresh cursor rejected: %v", err)
 	}
 }
 

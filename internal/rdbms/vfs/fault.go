@@ -263,6 +263,13 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 	return ff.h.Read(p)
 }
 
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := ff.f.gate(false, false); err != nil {
+		return 0, err
+	}
+	return ff.h.ReadAt(p, off)
+}
+
 func (ff *faultFile) Write(p []byte) (int, error) {
 	ff.f.mu.Lock()
 	tear := ff.f.tearNext

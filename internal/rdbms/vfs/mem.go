@@ -380,6 +380,25 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.m.mu.Lock()
+	defer h.m.mu.Unlock()
+	if h.closed {
+		return 0, pathErr("read", h.path, fs.ErrClosed)
+	}
+	if h.write || off < 0 {
+		return 0, pathErr("read", h.path, fs.ErrInvalid)
+	}
+	var n int
+	if off < int64(len(h.ino.data)) {
+		n = copy(p, h.ino.data[off:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()

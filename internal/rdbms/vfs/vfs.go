@@ -18,6 +18,11 @@ import (
 // File is one open file handle. *os.File satisfies it.
 type File interface {
 	io.Reader
+	// ReadAt is a positioned read (io.ReaderAt): it does not move the
+	// handle's read position, and returns io.EOF with n < len(p) when the
+	// file currently ends inside the window — a later call sees bytes
+	// appended since.
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes the file's content to stable storage.

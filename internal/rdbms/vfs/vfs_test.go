@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"path/filepath"
 	"syscall"
 	"testing"
 )
@@ -168,5 +169,60 @@ func TestFaultCrashAtBoundaryLatches(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatalf("close after crash must succeed: %v", err)
+	}
+}
+
+// TestReadAtSeesAppends: on every FS a read handle's ReadAt is positioned
+// (it neither uses nor moves the Read cursor), reports a window the file
+// ends inside as a short read with io.EOF, and sees bytes appended after
+// the handle was opened — what the WAL tail reader is built on.
+func TestReadAtSeesAppends(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fs   FS
+		dir  string
+	}{
+		{"os", NewOS(), t.TempDir()},
+		{"mem", NewMem(), "d"},
+		{"fault", NewFault(NewMem()), "d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(tc.dir, "seg")
+			if err := tc.fs.MkdirAll(tc.dir); err != nil {
+				t.Fatal(err)
+			}
+			w, err := tc.fs.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			write(t, w, "0123456789")
+			r, err := tc.fs.OpenRead(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+
+			buf := make([]byte, 4)
+			if n, err := r.ReadAt(buf, 3); n != 4 || err != nil || string(buf) != "3456" {
+				t.Fatalf("window inside the file: %d %q %v", n, buf[:n], err)
+			}
+			if n, err := r.ReadAt(buf, 8); n != 2 || err != io.EOF || string(buf[:n]) != "89" {
+				t.Fatalf("window past the end: %d %q %v", n, buf[:n], err)
+			}
+			if n, err := r.ReadAt(buf, 10); n != 0 || err != io.EOF {
+				t.Fatalf("window at the end: %d %v", n, err)
+			}
+			if n, err := r.ReadAt(nil, 10); n != 0 || err != nil {
+				t.Fatalf("empty window: %d %v", n, err)
+			}
+			write(t, w, "abcd")
+			if n, err := r.ReadAt(buf, 10); n != 4 || err != nil || string(buf) != "abcd" {
+				t.Fatalf("appended bytes: %d %q %v", n, buf[:n], err)
+			}
+			if n, err := r.Read(buf); n != 4 || err != nil || string(buf) != "0123" {
+				t.Fatalf("ReadAt moved the Read cursor: %d %q %v", n, buf[:n], err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bufio"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -69,13 +68,33 @@ type Status struct {
 	LastError      string `json:"last_error,omitempty"`
 }
 
+// replTailWindow mirrors the rdbms tail-hash window.
+const replTailWindow = 64
+
 // cursor is the follower's replication position: the next WAL byte to
 // request plus the raw tail bytes before it, which the primary hashes to
-// prove the histories still agree.
+// prove the histories still agree. The window lives in a fixed array, so a
+// cursor is a plain value: copying one snapshots it.
 type cursor struct {
-	seg  int
-	off  int64
-	tail []byte
+	seg     int
+	off     int64
+	tail    [replTailWindow]byte
+	tailLen int
+}
+
+// window returns the tail bytes the cursor holds.
+func (c *cursor) window() []byte { return c.tail[:c.tailLen] }
+
+// push slides rec into the tail window, keeping the last replTailWindow
+// bytes of everything applied in this segment.
+func (c *cursor) push(rec []byte) {
+	if len(rec) >= replTailWindow {
+		c.tailLen = copy(c.tail[:], rec[len(rec)-replTailWindow:])
+		return
+	}
+	keep := min(c.tailLen, replTailWindow-len(rec))
+	copy(c.tail[:], c.tail[c.tailLen-keep:c.tailLen])
+	c.tailLen = keep + copy(c.tail[keep:], rec)
 }
 
 // Client replays a primary's replication stream into the follower's DB.
@@ -246,9 +265,9 @@ func (c *Client) run(ctx context.Context) {
 func (c *Client) streamOnce(ctx context.Context) error {
 	cur := c.cursorSnapshot()
 	h := fnv.New64a()
-	_, _ = h.Write(cur.tail)
+	_, _ = h.Write(cur.window())
 	u := fmt.Sprintf("%s/api/repl/wal?id=%s&seg=%d&off=%d&n=%d&sum=%d",
-		c.primary, url.QueryEscape(c.id), cur.seg, cur.off, len(cur.tail), h.Sum64())
+		c.primary, url.QueryEscape(c.id), cur.seg, cur.off, cur.tailLen, h.Sum64())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
@@ -269,7 +288,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 	}
 	c.setConnected(true, nil)
 
-	br := bufio.NewReaderSize(resp.Body, 1<<16)
+	fr := newFrameReader(resp.Body)
 	pending := 0
 	flush := func() error {
 		if pending == 0 {
@@ -283,7 +302,9 @@ func (c *Client) streamOnce(ctx context.Context) error {
 		return nil
 	}
 	for {
-		typ, payload, err := readFrame(br)
+		// payload aliases fr's buffer: whatever outlives this iteration
+		// must copy it.
+		typ, payload, err := fr.next()
 		if err != nil {
 			_ = flush()
 			return err
@@ -318,7 +339,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 			}
 		case frameBusEvent:
 			if c.bus != nil {
-				c.bus.Publish(payload)
+				c.bus.Publish(append([]byte(nil), payload...))
 			}
 		case frameHeartbeat:
 			vals, verr := unpackUvarints(payload, 2)
@@ -445,7 +466,7 @@ func (c *Client) saveCursor() error {
 		rdbms.String("cursor"),
 		rdbms.Int(int64(cur.seg)),
 		rdbms.Int(cur.off),
-		rdbms.String(hex.EncodeToString(cur.tail)),
+		rdbms.String(hex.EncodeToString(cur.window())),
 	})
 }
 
@@ -457,15 +478,18 @@ func decodeCursor(row rdbms.Row) (cursor, error) {
 	if err != nil {
 		return cursor{}, fmt.Errorf("repl: malformed cursor tail: %w", err)
 	}
-	return cursor{seg: int(row[1].Int()), off: row[2].Int(), tail: tail}, nil
+	if len(tail) > replTailWindow {
+		return cursor{}, fmt.Errorf("repl: malformed cursor tail: %d bytes", len(tail))
+	}
+	cur := cursor{seg: int(row[1].Int()), off: row[2].Int()}
+	cur.push(tail)
+	return cur, nil
 }
 
 func (c *Client) cursorSnapshot() cursor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur := c.cur
-	cur.tail = append([]byte(nil), c.cur.tail...)
-	return cur
+	return c.cur
 }
 
 // advance moves the in-memory cursor past one applied record, keeping
@@ -473,10 +497,7 @@ func (c *Client) cursorSnapshot() cursor {
 func (c *Client) advance(rec []byte) {
 	c.mu.Lock()
 	c.cur.off += int64(len(rec))
-	c.cur.tail = append(c.cur.tail, rec...)
-	if len(c.cur.tail) > replTailWindow {
-		c.cur.tail = append([]byte(nil), c.cur.tail[len(c.cur.tail)-replTailWindow:]...)
-	}
+	c.cur.push(rec)
 	c.st.Segment, c.st.Offset = c.cur.seg, c.cur.off
 	c.st.RecordsApplied++
 	c.st.BytesReceived += uint64(len(rec))
@@ -484,9 +505,6 @@ func (c *Client) advance(rec []byte) {
 	mRecordsApplied.Inc()
 	mBytesReceived.Add(uint64(len(rec)))
 }
-
-// replTailWindow mirrors the rdbms tail-hash window.
-const replTailWindow = 64
 
 func (c *Client) notePrimary(seg int, size int64) {
 	c.mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame types.
@@ -66,18 +67,33 @@ func (fw *frameWriter) writeUvarints(typ byte, vals ...uint64) error {
 
 func (fw *frameWriter) flush() error { return fw.w.Flush() }
 
-// readFrame decodes the next frame. A clean end of stream is io.EOF; a
-// stream cut mid-frame is io.ErrUnexpectedEOF, and the partial frame is
+// frameReadStep bounds how far the payload buffer may run ahead of the
+// bytes that have actually arrived: a length prefix is a claim, and a
+// stream cut after a lying one costs in proportion to what was sent, not
+// the 64 MiB the prefix may name.
+const frameReadStep = 64 << 10
+
+// frameReader decodes frames from a buffered stream into one payload
+// buffer it reuses from frame to frame.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// next decodes the next frame. The payload aliases the reader's buffer and
+// is valid only until the following call. A clean end of stream is io.EOF;
+// a stream cut mid-frame is io.ErrUnexpectedEOF, and the partial frame is
 // discarded, never returned.
-func readFrame(br *bufio.Reader) (byte, []byte, error) {
-	typ, err := br.ReadByte()
+func (fr *frameReader) next() (byte, []byte, error) {
+	typ, err := fr.br.ReadByte()
 	if err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
 		return 0, nil, err
 	}
-	size, err := binary.ReadUvarint(br)
+	size, err := binary.ReadUvarint(fr.br)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -87,14 +103,21 @@ func readFrame(br *bufio.Reader) (byte, []byte, error) {
 	if size > maxFramePayload {
 		return 0, nil, fmt.Errorf("frame payload %d exceeds limit", size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf := fr.buf[:0]
+	for rem := int(size); rem > 0; {
+		step := min(rem, frameReadStep)
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(fr.br, buf[len(buf):len(buf)+step]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		buf = buf[:len(buf)+step]
+		rem -= step
 	}
-	return typ, payload, nil
+	fr.buf = buf
+	return typ, buf, nil
 }
 
 // unpackUvarints decodes exactly want packed uvarints.

@@ -135,7 +135,8 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "id, seg required; off, n, sum describe the cursor", http.StatusBadRequest)
 		return
 	}
-	if err := s.db.VerifyWALTail(seg, off, tn, sum); err != nil {
+	tail, err := s.openTail(seg, off, tn, sum)
+	if err != nil {
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			http.Error(w, "segment pruned: full resync required", http.StatusGone)
@@ -148,6 +149,9 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// One read handle on the segment being shipped, held for the stream's
+	// life and moved forward at each rotation.
+	defer func() { _ = tail.Close() }()
 
 	// From here the stream owns the follower's prune hold.
 	s.db.HoldWAL(id, seg)
@@ -170,22 +174,24 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		busC = sub.C
 	}
 
+	ship := func(rec []byte) error {
+		mBytesSent.Add(uint64(len(rec)))
+		return fw.write(frameRecord, rec)
+	}
 	ctx := r.Context()
 	lastBeat := time.Time{}
 	for {
 		if ctx.Err() != nil {
 			return
 		}
+		// Read before the poll: a poll that finds nothing after the
+		// sequence moved on has seen the whole of the rotated segment.
 		cur := s.db.CurrentWALSegment()
-		newOff, err := s.db.StreamWALRecords(seg, off, func(rec []byte) error {
-			mBytesSent.Add(uint64(len(rec)))
-			return fw.write(frameRecord, rec)
-		})
+		shipped, err := tail.Poll(ship)
 		if err != nil {
-			return // write error (follower gone) or segment lost under us
+			return // write error (follower gone) or segment unreadable
 		}
-		progressed := newOff > off
-		off = newOff
+		progressed := shipped > 0
 
 		if !progressed && cur > seg {
 			// The segment rotated away and is fully drained: hand the
@@ -194,7 +200,10 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			if fw.writeUvarints(frameEndSegment, uint64(seg+1)) != nil {
 				return
 			}
-			seg, off = seg+1, 0
+			if tail.Next() != nil {
+				return
+			}
+			seg++
 			s.db.HoldWAL(id, seg)
 			continue
 		}
@@ -241,6 +250,15 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		case <-timer.C:
 		}
 	}
+}
+
+// openTail verifies a follower cursor against the WAL and opens the tail
+// reader the stream ships from.
+func (s *Source) openTail(seg int, off int64, n int, sum uint64) (*rdbms.WALTail, error) {
+	if err := s.db.VerifyWALTail(seg, off, n, sum); err != nil {
+		return nil, err
+	}
+	return s.db.OpenWALTail(seg, off)
 }
 
 // forwardBusEvents drains pending feed events without blocking. False
