@@ -168,9 +168,9 @@ func BenchmarkFigure5EvidenceKDE(b *testing.B) {
 }
 
 // BenchmarkClaimC1IngestThroughput measures the full streaming ingestion
-// path — queue, extraction, indicators, store — with producer/consumer
-// overlap, and reports events/s (claim C1: "handling daily thousands of
-// news articles").
+// path — queue, extraction, indicators, store — with the producer
+// overlapping the shard workers, and reports events/s (claim C1: "handling
+// daily thousands of news articles").
 func BenchmarkClaimC1IngestThroughput(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 2, Days: 10, RateScale: 0.5, ReactionScale: 0.3,
@@ -182,7 +182,7 @@ func BenchmarkClaimC1IngestThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.IngestWorld(world, 4); err != nil {
+		if _, err := p.IngestWorld(world); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,60 +378,9 @@ func BenchmarkAblationMigrationBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPublishConsume isolates the broker hot path: publish and
-// consume one message through a partitioned topic.
-func BenchmarkStreamPublishConsume(b *testing.B) {
-	world := scilens.GenerateWorld(scilens.WorldConfig{Seed: 3, Days: 3, RateScale: 0.2, ReactionScale: 0.1})
-	events := world.Events()
-	payloads := make([][]byte, len(events))
-	for i := range events {
-		payload, err := events[i].Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads[i] = payload
-	}
-	p, err := scilens.New(scilens.Config{QueueCapacity: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	consumer, err := p.Broker.Subscribe("postings", "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer consumer.Close()
-	b.ResetTimer()
-	consumed := 0
-	for i := 0; i < b.N; i++ {
-		ev := &events[i%len(events)]
-		if _, err := p.Broker.Publish("postings", ev.ArticleURL, payloads[i%len(payloads)]); err != nil {
-			b.Fatal(err)
-		}
-		msgs, err := consumer.Poll(16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		consumed += len(msgs)
-		if i%1024 == 0 {
-			if err := consumer.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if err := consumer.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	_ = consumed
-}
-
-// BenchmarkStreamIngest compares the synchronous ingest loop the platform
-// used before the streaming pipeline (poll → decode → IngestEvent, one
-// event at a time) against the staged pipeline (sharded queues → decode →
-// micro-batched evaluation → coalesced commits) across worker counts,
-// reporting events/s. Both sides consume the same pre-encoded firehose
-// payloads, so the codec cost is identical and the delta isolates the
-// pipeline's batching and stage parallelism.
+// BenchmarkStreamIngest runs the staged pipeline (sharded queues → decode →
+// micro-batched evaluation → coalesced commits) across worker counts over
+// the same pre-encoded firehose payloads, reporting events/s.
 func BenchmarkStreamIngest(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 4, Days: 8, RateScale: 0.4, ReactionScale: 0.3,
@@ -449,26 +398,6 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.ReportMetric(float64(len(events))/(b.Elapsed().Seconds()/float64(b.N)), "events/s")
 	}
 
-	b.Run("sync-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := scilens.New(scilens.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, payload := range payloads {
-				ev, err := synth.DecodeEvent(payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.IngestEvent(&ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p.Close()
-		}
-		b.StopTimer()
-		perSec(b)
-	})
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("streamed-%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -602,7 +531,7 @@ func BenchmarkBurstIngest(b *testing.B) {
 			}
 			p.Pipeline.Flush()
 			try := func(idx int) {
-				err := p.Pipeline.TryEnqueue(events[idx].ArticleURL, payloads[idx])
+				err := p.Pipeline.TryEnqueueSource("", events[idx].ArticleURL, payloads[idx])
 				if err != nil && !errors.Is(err, stream.ErrFull) {
 					b.Fatal(err)
 				}

@@ -59,13 +59,13 @@
 //
 // # Streaming ingestion
 //
-// Ingestion is asynchronous and stage-parallel (internal/stream.Pipeline).
-// Producers — the POST /api/ingest bulk endpoint, the firehose consumers
-// behind Platform.RunIngest / IngestWorld, and replayed dead letters —
-// enqueue raw events onto sharded bounded queues, keyed by article URL so
-// a cascade's posting always precedes its reactions on its shard. Each
-// shard worker drains micro-batches through three stages: decode, batched
-// evaluation of the postings (Engine.EvaluateBatch amortises the
+// Ingestion is one asynchronous, stage-parallel path
+// (internal/stream.Pipeline). Producers — the POST /api/ingest bulk
+// endpoint, Platform.IngestWorld, and replayed dead letters — enqueue raw
+// events onto sharded bounded queues, keyed by article URL so a cascade's
+// posting always precedes its reactions on its shard. Each shard worker
+// drains micro-batches through three stages: decode, batched evaluation
+// of the postings (Engine.EvaluateBatch amortises the
 // single-pass analysis across the batch on the platform compute pool), and
 // batched store commits (posting rows in batch order, reactions coalesced
 // into one atomic read-modify-write per article). Backpressure is
@@ -76,9 +76,9 @@
 // Platform.DeadLetters and re-driven via ReplayDeadLetters (POST
 // /api/ingest/replay). Every committed assessment is published on the
 // platform Bus and served live over GET /api/stream (SSE); GET /api/stats
-// exposes the per-stage counters. The staged path stores bit-identical
-// rows to the synchronous IngestEvent path, and Platform.Close drains it
-// gracefully.
+// exposes the per-stage counters. Platform.IngestEvent runs the same
+// evaluate and commit stages inline on a batch of one, and Platform.Close
+// drains the pipeline gracefully.
 //
 // # Partitioned storage and durability
 //

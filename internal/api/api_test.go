@@ -27,10 +27,7 @@ func apiFixture(t *testing.T) (*core.Platform, *synth.World, *Server) {
 		t.Fatal(err)
 	}
 	w := synth.GenerateWorld(synth.Config{Seed: 31, Days: 10, RateScale: 0.25, ReactionScale: 0.3})
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunIngest(2, 20*time.Millisecond); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	return p, w, NewServer(p)

@@ -22,10 +22,7 @@ func durableFixture(t *testing.T) (*core.Platform, *Server) {
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	w := synth.GenerateWorld(synth.Config{Seed: 41, Days: 5, RateScale: 0.2, ReactionScale: 0.2})
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunIngest(2, 20*time.Millisecond); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	return p, NewServer(p)

@@ -31,10 +31,8 @@ import (
 	"repro/internal/synth"
 )
 
-// Topic and table names used by the platform.
+// Table names used by the platform.
 const (
-	// PostingsTopic is the broker topic the firehose publishes to.
-	PostingsTopic = "postings"
 	// ArticlesTable holds one row per ingested article.
 	ArticlesTable = "articles"
 	// SocialTable holds per-article social aggregates.
@@ -58,11 +56,10 @@ var ErrNotIngested = errors.New("core: article not ingested")
 
 // Platform is the assembled system.
 type Platform struct {
-	// Broker is the streaming entry point.
-	Broker *stream.Broker
-	// Pipeline is the asynchronous staged ingestion engine: sharded
-	// bounded queues feeding decode → batched evaluation → batched store
-	// commits, with retry and dead-lettering (see streaming.go).
+	// Pipeline is the streaming entry point, the asynchronous staged
+	// ingestion engine: sharded bounded queues feeding decode → batched
+	// evaluation → batched store commits, with retry and dead-lettering
+	// (see streaming.go).
 	Pipeline *stream.Pipeline
 	// Bus publishes each committed assessment to live-feed subscribers
 	// (the GET /api/stream SSE endpoint).
@@ -155,10 +152,6 @@ type IngestStats struct {
 type Config struct {
 	// Registry is the outlet registry (default outlets.DemoShortlist()).
 	Registry *outlets.Registry
-	// Partitions is the broker partition count (default 4).
-	Partitions int
-	// QueueCapacity is the per-partition retention bound (default 8192).
-	QueueCapacity int
 	// WarehouseNodes is the DFS datanode count (default 4).
 	WarehouseNodes int
 	// Clock is the time source (default time.Now).
@@ -194,9 +187,8 @@ type Config struct {
 	// admission on the HTTP ingest path: each source (the event's outlet
 	// host) is admitted to the steady lane at this rate (events/sec),
 	// overflows into the lower-priority burst lane at the same rate, and
-	// is throttled with a 429 + Retry-After past both budgets. Broker
-	// ingestion and dead-letter replay are trusted paths and bypass
-	// admission.
+	// is throttled with a 429 + Retry-After past both budgets. IngestWorld
+	// and dead-letter replay are trusted paths and bypass admission.
 	AdmissionRate float64
 	// AdmissionBurst is the burst-lane rate (default AdmissionRate).
 	AdmissionBurst float64
@@ -263,17 +255,11 @@ type Config struct {
 	DeadLetterMaxAge time.Duration
 }
 
-// NewPlatform builds the platform: broker topic, store schemas, warehouse
-// cluster and indicator engine.
+// NewPlatform builds the platform: store schemas, warehouse cluster,
+// indicator engine and ingestion pipeline.
 func NewPlatform(cfg Config) (*Platform, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = outlets.DemoShortlist()
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 4
-	}
-	if cfg.QueueCapacity <= 0 {
-		cfg.QueueCapacity = 8192
 	}
 	if cfg.WarehouseNodes <= 0 {
 		cfg.WarehouseNodes = 4
@@ -312,7 +298,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 
 	p := &Platform{
-		Broker:    stream.NewBrokerWithClock(cfg.Clock),
 		DB:        db,
 		Registry:  cfg.Registry,
 		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry}),
@@ -328,11 +313,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	var err error
 	p.Warehouse, err = dfs.NewCluster(dfs.Config{DataNodes: cfg.WarehouseNodes, BlockSize: 1 << 18, Replication: 3})
 	if err != nil {
-		return nil, err
-	}
-	if err := p.Broker.CreateTopic(PostingsTopic, stream.TopicConfig{
-		Partitions: cfg.Partitions, Capacity: cfg.QueueCapacity,
-	}); err != nil {
 		return nil, err
 	}
 	// Follower initial sync runs before createSchemas: the primary's
@@ -573,94 +553,39 @@ func (p *Platform) bumpStat(fn func(*IngestStats)) {
 	fn(&p.stats)
 }
 
-// PublishEvent puts one firehose event on the queue. Events of one article
-// share the article URL as routing key, so a cascade stays ordered within
-// its partition and the posting always precedes its reactions.
-func (p *Platform) PublishEvent(ev *synth.Event) error {
-	payload, err := ev.Encode()
-	if err != nil {
-		return err
+// IngestWorld streams a whole synthetic world through the ingestion
+// pipeline in time order and waits for it to drain. It is a trusted path
+// (no admission) and blocks on full shards, so the shard queue bound is the
+// backpressure on the feed. Events of one article share the article URL as
+// routing key, so a cascade stays ordered on its shard and the posting
+// always precedes its reactions. It returns the number of events that
+// reached a final processed outcome during the call (committed or
+// dead-lettered after retries; malformed payloads are excluded).
+func (p *Platform) IngestWorld(w *synth.World) (int, error) {
+	if err := p.writeGate(); err != nil {
+		return 0, err
 	}
-	_, err = p.Broker.Publish(PostingsTopic, ev.ArticleURL, payload)
-	return err
-}
-
-// FeedWorld publishes a whole synthetic world to the queue in time order.
-// It returns the number of published events.
-func (p *Platform) FeedWorld(w *synth.World) (int, error) {
+	before := p.ingestOutcomes()
 	events := w.Events()
-	for i := range events {
-		if err := p.PublishEvent(&events[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(events), nil
-}
-
-// IngestWorld feeds a synthetic world and consumes it concurrently with
-// `members` sharded consumers, mirroring the production overlap between the
-// firehose producer and the ingestion group. Unlike FeedWorld followed by
-// RunIngest, it does not require the queue to retain the whole world:
-// producers block on full partitions until the consumers free capacity.
-// Consumers keep polling until the producer has finished AND their
-// partitions are drained — an idle-timeout heuristic alone would let a
-// consumer exit while the producer is stalled on a different partition,
-// deadlocking the feed. It returns the number of processed events.
-func (p *Platform) IngestWorld(w *synth.World, members int) (int, error) {
-	producerDone := make(chan struct{})
-	feedErr := make(chan error, 1)
-	go func() {
-		_, err := p.FeedWorld(w)
-		feedErr <- err
-		close(producerDone)
-	}()
-	stop := func() bool {
-		select {
-		case <-producerDone:
-			return true
-		default:
-			return false
-		}
-	}
-	n, err := p.runIngestUntil(members, 20*time.Millisecond, stop)
-	if ferr := <-feedErr; ferr != nil && err == nil {
-		err = ferr
-	}
-	return n, err
-}
-
-// IngestEvent processes one decoded firehose event synchronously. While
-// the platform is in degraded read-only mode it fails fast with
-// ErrDegraded; a broken-WAL error from the store latches that mode.
-func (p *Platform) IngestEvent(ev *synth.Event) error {
-	if p.degraded.Load() {
-		return ErrDegraded
-	}
-	if err := p.followerGate(); err != nil {
-		return err
-	}
 	var err error
-	if ev.Type == synth.EventTypePosting {
-		err = p.ingestPosting(ev)
-	} else {
-		err = p.ingestReaction(ev)
+	for i := range events {
+		var payload []byte
+		if payload, err = events[i].Encode(); err != nil {
+			break
+		}
+		if err = p.Pipeline.Enqueue(events[i].ArticleURL, payload); err != nil {
+			break
+		}
 	}
-	p.noteStorageFault(err)
-	return err
+	p.Pipeline.Flush()
+	return int(p.ingestOutcomes() - before), err
 }
 
-// ingestPosting extracts and evaluates the article, then stores it.
-func (p *Platform) ingestPosting(ev *synth.Event) error {
-	// The generation is read before the evaluation it describes: a model
-	// attached between Evaluate and the commit must leave this row looking
-	// stale, never current.
-	gen := p.Engine.ModelGeneration()
-	report, err := p.Engine.Evaluate(ev.ArticleHTML, ev.ArticleURL, nil)
-	if err != nil {
-		p.bumpStat(func(s *IngestStats) { s.ParseFailures++ })
-		return fmt.Errorf("posting %s: %w", ev.PostID, err)
-	}
-	return p.applyPosting(ev, report, gen)
+// ingestOutcomes counts events that reached a final non-malformed outcome
+// — the "processed" notion IngestWorld reports.
+func (p *Platform) ingestOutcomes() uint64 {
+	st := p.Pipeline.Stats()
+	return st.Committed + st.DeadLettered - p.malformed.Load()
 }
 
 // isTopic reports whether the report carries the platform's supervised
@@ -674,10 +599,8 @@ func (p *Platform) isTopic(report *indicators.Report) bool {
 	return false
 }
 
-// applyPosting stores one posting given its evaluated report — the commit
-// stage shared by the synchronous IngestEvent path and the streaming
-// pipeline, so both produce bit-identical rows. gen is the model
-// generation the report was evaluated under (read by the caller before
+// applyPosting stores one posting given its evaluated report. gen is the
+// model generation the report was evaluated under (read by the caller before
 // evaluating): stamping the commit-time generation instead would let a
 // retrain that lands mid-flight mark a stale row as current, and the
 // incremental reindex would then never repair it.
@@ -757,9 +680,7 @@ type reactionEffect struct {
 	reply rdbms.Row
 }
 
-// reactionEffect classifies one reaction event — shared by the synchronous
-// path and the streaming pipeline's coalesced commits, so both apply
-// identical mutations.
+// reactionEffect classifies one reaction event.
 func (p *Platform) reactionEffect(ev *synth.Event, articleID string) reactionEffect {
 	eff := reactionEffect{bumps: []int{1}} // reactions
 	switch ev.Kind {
@@ -784,123 +705,6 @@ func (p *Platform) reactionEffect(ev *synth.Event, articleID string) reactionEff
 		eff.bumps = append(eff.bumps, 4)
 	}
 	return eff
-}
-
-// ingestReaction resolves the article by URL and updates the aggregates.
-func (p *Platform) ingestReaction(ev *synth.Event) error {
-	articleID, ok := p.resolveArticleID(ev.ArticleURL)
-	if !ok {
-		p.bumpStat(func(s *IngestStats) { s.OrphanReactions++ })
-		return fmt.Errorf("reaction %s: %w", ev.PostID, ErrNotIngested)
-	}
-
-	eff := p.reactionEffect(ev, articleID)
-	if eff.reply != nil {
-		if err := p.replies.Upsert(eff.reply); err != nil {
-			return err
-		}
-	}
-	// One atomic read-modify-write: the aggregate row is also touched by
-	// concurrent corpus re-indexing (stance-count rewrites), so a separate
-	// Get + Update pair would lose updates.
-	if err := p.social.Mutate(rdbms.String(articleID), func(agg rdbms.Row) (rdbms.Row, error) {
-		for _, i := range eff.bumps {
-			agg[i] = rdbms.Int(agg[i].Int() + 1)
-		}
-		return agg, nil
-	}); err != nil {
-		return err
-	}
-	p.bumpStat(func(s *IngestStats) { s.Reactions++ })
-	return nil
-}
-
-// RunIngest consumes the postings topic with `members` sharded consumers
-// until the queue stays empty for idle, forwarding every message onto the
-// streaming pipeline (see streaming.go) and draining it before returning.
-// It returns the number of events that reached a final processed outcome
-// during the run (committed or dead-lettered after retries; malformed
-// payloads are excluded, matching the historic skip behaviour).
-func (p *Platform) RunIngest(members int, idle time.Duration) (int, error) {
-	return p.runIngestUntil(members, idle, func() bool { return true })
-}
-
-// ingestOutcomes counts events that reached a final non-malformed outcome
-// — the "processed" notion RunIngest reports.
-func (p *Platform) ingestOutcomes() uint64 {
-	st := p.Pipeline.Stats()
-	return st.Committed + st.DeadLettered - p.malformed.Load()
-}
-
-// runIngestUntil is the shared consumer-group loop: a consumer exits only
-// when its partitions stay empty for idle AND stop() reports that no more
-// input is coming. RunIngest stops on the first idle window; IngestWorld
-// keeps consumers alive while the producer is still publishing. Consumers
-// do no processing themselves: they forward each message onto the
-// pipeline's URL-sharded queues (blocking on full shards, so broker
-// backpressure propagates to the firehose producer) and the pipeline's
-// stage workers do the decoding, evaluation and commits. The pipeline is
-// flushed before returning, so everything forwarded is fully processed.
-func (p *Platform) runIngestUntil(members int, idle time.Duration, stop func() bool) (int, error) {
-	if members <= 0 {
-		members = 1
-	}
-	if idle <= 0 {
-		idle = 50 * time.Millisecond
-	}
-	before := p.ingestOutcomes()
-	results := make(chan error, members)
-	for m := 0; m < members; m++ {
-		go func(m int) {
-			consumer, err := p.Broker.SubscribeShard(PostingsTopic, "ingest", m, members)
-			if err != nil {
-				results <- err
-				return
-			}
-			defer consumer.Close()
-			for {
-				msgs, err := consumer.PollWait(256, idle)
-				if err != nil {
-					results <- err
-					return
-				}
-				if len(msgs) == 0 {
-					if !stop() {
-						continue // producer still active: keep polling
-					}
-					// Final check: a message may have landed between the
-					// empty poll and the stop signal.
-					if msgs, err = consumer.Poll(256); err != nil || len(msgs) == 0 {
-						if cerr := consumer.Commit(); err == nil {
-							err = cerr
-						}
-						results <- err
-						return
-					}
-				}
-				for _, msg := range msgs {
-					// The broker key is the article URL, which is also the
-					// pipeline's shard key — cascade ordering carries over.
-					if err := p.Pipeline.Enqueue(msg.Key, msg.Payload); err != nil {
-						results <- err
-						return
-					}
-				}
-				if err := consumer.Commit(); err != nil {
-					results <- err
-					return
-				}
-			}
-		}(m)
-	}
-	var firstErr error
-	for m := 0; m < members; m++ {
-		if err := <-results; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	p.Pipeline.Flush()
-	return int(p.ingestOutcomes() - before), firstErr
 }
 
 // deadLetterSeq parses the numeric sequence out of a dead-letter id

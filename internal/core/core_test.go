@@ -12,42 +12,35 @@ import (
 	"repro/internal/synth"
 )
 
-// testPlatform builds a platform with an ingested small world. The queue is
-// sized to retain the entire world so the feed-then-consume sequence is
-// deterministic; the overlapped streaming path is covered separately by
-// TestIngestWorldOverlapped.
+// testPlatform builds a platform with an ingested small world.
 func testPlatform(t *testing.T, seed int64, days int, scale float64) (*Platform, *synth.World) {
 	t.Helper()
 	w := synth.GenerateWorld(synth.Config{Seed: seed, Days: days, RateScale: scale, ReactionScale: 0.3})
 	p, err := NewPlatform(Config{
-		Clock:         func() time.Time { return synth.WindowStart.AddDate(0, 0, days) },
-		QueueCapacity: len(w.Events()) + 1,
+		Clock: func() time.Time { return synth.WindowStart.AddDate(0, 0, days) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunIngest(2, 20*time.Millisecond); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	return p, w
 }
 
 func TestIngestWorldOverlapped(t *testing.T) {
-	// The production overlap: a small queue forces producer backpressure
-	// while consumers drain concurrently. Every event must still arrive
-	// exactly once in the store.
+	// The production overlap: shard queues far below the world size force
+	// producer backpressure while the workers drain concurrently. Every
+	// event must still arrive exactly once in the store, without deadlock.
 	w := synth.GenerateWorld(synth.Config{Seed: 31, Days: 10, RateScale: 0.4, ReactionScale: 0.3})
 	p, err := NewPlatform(Config{
-		Clock:         func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
-		QueueCapacity: 64, // far below the world size
+		Clock:               func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
+		StreamQueueCapacity: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := p.IngestWorld(w, 4)
+	n, err := p.IngestWorld(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +85,7 @@ func TestIngestIdempotentRedelivery(t *testing.T) {
 	// At-least-once semantics: replaying the same events must not
 	// duplicate articles (Upsert path).
 	p, w := testPlatform(t, 22, 5, 0.2)
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunIngest(2, 20*time.Millisecond); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	articlesTable, _ := p.DB.Table(ArticlesTable)
@@ -301,15 +291,20 @@ func TestIngestMalformedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Broker.Publish(PostingsTopic, "k", []byte("{broken")); err != nil {
+	if err := p.Pipeline.Enqueue("k", []byte("{broken")); err != nil {
 		t.Fatal(err)
 	}
-	n, err := p.RunIngest(1, 20*time.Millisecond)
+	// An empty world adds nothing: the delta IngestWorld reports is the
+	// malformed payload's outcome alone, which must not count as processed.
+	n, err := p.IngestWorld(&synth.World{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Errorf("malformed message processed: %d", n)
+	}
+	if ss := p.StreamStats(); ss.Malformed != 1 || len(p.DeadLetters()) != 1 {
+		t.Errorf("malformed %d, dead letters %d, want 1 and 1", ss.Malformed, len(p.DeadLetters()))
 	}
 }
 

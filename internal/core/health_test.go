@@ -96,6 +96,9 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	if err := p.StreamEvent(&ev, false); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("StreamEvent while degraded: %v", err)
 	}
+	if n, err := p.IngestWorld(w); !errors.Is(err, ErrDegraded) || n != 0 || p.StreamStats().Enqueued != 0 {
+		t.Fatalf("IngestWorld while degraded: n=%d err=%v enqueued=%d", n, err, p.StreamStats().Enqueued)
+	}
 	if _, err := p.Checkpoint(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Checkpoint while degraded: %v", err)
 	}

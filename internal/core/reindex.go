@@ -98,10 +98,7 @@ func ReindexForce() ReindexOption { return func(c *reindexCfg) { c.force = true 
 // aggregates are reconciled with per-article deltas rather than absolute
 // writes, so reactions ingested while the job runs are preserved.
 func (p *Platform) ReindexCorpus(pool *compute.Pool, opts ...ReindexOption) (*ReindexReport, error) {
-	if p.degraded.Load() {
-		return nil, ErrDegraded
-	}
-	if err := p.followerGate(); err != nil {
+	if err := p.writeGate(); err != nil {
 		return nil, err
 	}
 	if pool == nil {

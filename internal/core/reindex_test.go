@@ -273,7 +273,7 @@ func TestReindexConcurrentWithServing(t *testing.T) {
 				UserID:     "race-user",
 				ArticleURL: a.URL,
 			}
-			if err := p.ingestReaction(&ev); err != nil {
+			if err := p.IngestEvent(&ev); err != nil {
 				t.Error(err)
 				return
 			}

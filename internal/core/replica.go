@@ -44,12 +44,16 @@ func (p *Platform) ReplicationStatus() *repl.Status {
 	return &st
 }
 
-// followerGate fails writes on follower platforms.
-func (p *Platform) followerGate() error {
-	if p.replica == nil {
-		return nil
+// writeGate fails writes fast while the platform is in degraded read-only
+// mode (ErrDegraded) or is a follower (ErrFollower).
+func (p *Platform) writeGate() error {
+	if p.degraded.Load() {
+		return ErrDegraded
 	}
-	return p.followerErr
+	if p.replica != nil {
+		return p.followerErr
+	}
+	return nil
 }
 
 // setupReplica runs the follower's initial sync. It must run BEFORE

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -18,11 +17,10 @@ import (
 	"repro/internal/synth"
 )
 
-// Streaming ingestion: the platform's asynchronous ingest path. Producers
-// (the bulk ingest API, the firehose consumers of RunIngest, replayed dead
-// letters) enqueue raw events onto the stream.Pipeline's sharded bounded
-// queues, keyed by article URL so a cascade's posting→reaction order is
-// preserved per shard. Each micro-batch then moves through three stages:
+// Streaming ingestion: the platform's one ingest path. Producers (the bulk
+// ingest API, IngestWorld, replayed dead letters) enqueue raw events onto
+// the stream.Pipeline's sharded bounded queues, keyed by article URL so a
+// cascade's posting→reaction order is preserved per shard. Each micro-batch then moves through three stages:
 // decode, batched evaluation of the postings via Engine.EvaluateBatch
 // (amortising the single-pass document analysis on the platform compute
 // pool), and batched store commits (posting rows in order, reactions
@@ -30,9 +28,9 @@ import (
 // capped backoff and finally land in the dead_letters table; committed
 // assessments are published on the platform Bus for the live SSE feed.
 //
-// The staged path is row-for-row identical to the synchronous IngestEvent
-// path — both funnel through applyPosting / reactionEffect — which is
-// pinned by TestStreamedIngestMatchesSynchronous.
+// IngestEvent is the same evaluate → commit stage code run inline on a
+// batch of one; TestStreamedIngestMatchesSynchronous pins that coalescing
+// a micro-batch stores the rows one-at-a-time ingest stores.
 
 // errMalformedEvent marks payloads that fail to decode (never retried).
 var errMalformedEvent = errors.New("core: malformed event payload")
@@ -45,24 +43,6 @@ var (
 	mCommitStage = obs.NewDurationHistogramVec("scilens_pipeline_commit_seconds",
 		"Store-commit stage duration (postings + coalesced reactions) per pipeline shard.", "shard")
 )
-
-// stageEval returns shard's pre-registered evaluate-stage histogram,
-// falling back to a vec lookup for indexes outside the platform's shard
-// range (direct test invocations).
-func (p *Platform) stageEval(shard int) *obs.Histogram {
-	if shard >= 0 && shard < len(p.obsEval) {
-		return p.obsEval[shard]
-	}
-	return mEvalStage.With(strconv.Itoa(shard))
-}
-
-// stageCommit is stageEval's commit-stage counterpart.
-func (p *Platform) stageCommit(shard int) *obs.Histogram {
-	if shard >= 0 && shard < len(p.obsCommit) {
-		return p.obsCommit[shard]
-	}
-	return mCommitStage.With(strconv.Itoa(shard))
-}
 
 // processBatch is the pipeline's Process hook: one micro-batch for one
 // shard through decode → evaluate → commit.
@@ -82,7 +62,30 @@ func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Res
 		events[i] = ev
 		live[i] = true
 	}
+	p.evaluateAndCommit(shard, events, live, results)
+	return results
+}
 
+// IngestEvent processes one decoded firehose event synchronously: a batch
+// of one through the pipeline's evaluate → commit stages, on the caller's
+// goroutine, with no queue and no retry — the event's own failure comes
+// back as the error. While the platform is in degraded read-only mode it
+// fails fast with ErrDegraded; a broken-WAL error from the store latches
+// that mode. Its stage timings land on shard 0's histograms.
+func (p *Platform) IngestEvent(ev *synth.Event) error {
+	if err := p.writeGate(); err != nil {
+		return err
+	}
+	var result [1]stream.Result
+	p.evaluateAndCommit(0, []synth.Event{*ev}, []bool{true}, result[:])
+	p.countFailure(result[0].Err)
+	return result[0].Err
+}
+
+// evaluateAndCommit runs decoded events through the evaluate and commit
+// stages, writing one Result per live event into results (index-aligned;
+// entries of non-live events are left as the decode stage set them).
+func (p *Platform) evaluateAndCommit(shard int, events []synth.Event, live []bool, results []stream.Result) {
 	// Stage 2: micro-batched evaluation of the postings. EvaluateBatch
 	// fans the single-pass document analysis out on the platform compute
 	// pool and bypasses the real-time report cache (a firehose sweep must
@@ -102,7 +105,7 @@ func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Res
 	if len(docs) > 0 {
 		evalStart := time.Now()
 		brs, err := p.Engine.EvaluateBatch(p.Compute, docs)
-		p.stageEval(shard).ObserveDuration(time.Since(evalStart))
+		p.obsEval[shard].ObserveDuration(time.Since(evalStart))
 		if err != nil {
 			// A pool-level failure (not a per-document one) is transient:
 			// retry every posting of the batch.
@@ -129,7 +132,7 @@ func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Res
 	// Stage 3a: commit postings in batch order, so reactions later in the
 	// batch resolve their article.
 	commitStart := time.Now()
-	defer func() { p.stageCommit(shard).ObserveDuration(time.Since(commitStart)) }()
+	defer func() { p.obsCommit[shard].ObserveDuration(time.Since(commitStart)) }()
 	for _, i := range postingIdx {
 		if !live[i] {
 			continue
@@ -218,7 +221,6 @@ func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Res
 			p.bumpStat(func(s *IngestStats) { s.Reactions += n })
 		}
 	}
-	return results
 }
 
 // LiveAssessment is the payload published on the platform Bus (and served
@@ -272,10 +274,7 @@ func (p *Platform) publishAssessment(ev *synth.Event, report *indicators.Report)
 // admission when Config.AdmissionRate enables it — a throttled source
 // gets stream.ErrThrottled with a retry hint.
 func (p *Platform) StreamEvent(ev *synth.Event, block bool) error {
-	if p.degraded.Load() {
-		return ErrDegraded
-	}
-	if err := p.followerGate(); err != nil {
+	if err := p.writeGate(); err != nil {
 		return err
 	}
 	payload, err := ev.Encode()
@@ -292,10 +291,7 @@ func (p *Platform) StreamEvent(ev *synth.Event, block bool) error {
 // caller abandoned mid-backpressure (an HTTP client that gave up) unblocks
 // with the context error instead of parking a goroutine on the full shard.
 func (p *Platform) StreamEventCtx(ctx context.Context, ev *synth.Event) error {
-	if p.degraded.Load() {
-		return ErrDegraded
-	}
-	if err := p.followerGate(); err != nil {
+	if err := p.writeGate(); err != nil {
 		return err
 	}
 	payload, err := ev.Encode()
@@ -317,16 +313,22 @@ func eventSource(ev *synth.Event) string {
 	return ev.OutletID
 }
 
-// writeDeadLetter is the pipeline's OnDead hook: it records the event with
-// its final failure reason in the dead_letters table and feeds the
-// platform failure counters exactly once per event.
-func (p *Platform) writeDeadLetter(env stream.Envelope, cause error) {
+// countFailure feeds the platform failure counters for one event's final
+// failure; callers invoke it exactly once per event.
+func (p *Platform) countFailure(cause error) {
 	switch {
 	case errors.Is(cause, ErrNotIngested):
 		p.bumpStat(func(s *IngestStats) { s.OrphanReactions++ })
 	case errors.Is(cause, indicators.ErrNoArticle):
 		p.bumpStat(func(s *IngestStats) { s.ParseFailures++ })
 	}
+}
+
+// writeDeadLetter is the pipeline's OnDead hook: it records the event with
+// its final failure reason in the dead_letters table and counts the
+// failure.
+func (p *Platform) writeDeadLetter(env stream.Envelope, cause error) {
+	p.countFailure(cause)
 	reason := "unknown"
 	if cause != nil {
 		reason = cause.Error()
@@ -439,10 +441,7 @@ func (p *Platform) DeadLetters() []DeadLetter {
 // so a replay can complete under sustained concurrent ingest traffic.
 // It returns the number of replayed events.
 func (p *Platform) ReplayDeadLetters(wait bool) (int, error) {
-	if p.degraded.Load() {
-		return 0, ErrDegraded
-	}
-	if err := p.followerGate(); err != nil {
+	if err := p.writeGate(); err != nil {
 		return 0, err
 	}
 	letters := p.DeadLetters()
@@ -563,11 +562,10 @@ func (p *Platform) StorageStats() rdbms.StorageStats {
 }
 
 // Close drains the platform gracefully: the ingestion pipeline processes
-// everything accepted so far (including pending retries), the live feed
-// closes its subscribers, and the broker wakes any blocked producers and
-// consumers. Durable platforms stop the self-healing supervisor first
-// (so it cannot race the final checkpoint), then write that checkpoint
-// and release the store. Safe to call more than once.
+// everything accepted so far (including pending retries) and the live feed
+// closes its subscribers. Durable platforms stop the self-healing
+// supervisor first (so it cannot race the final checkpoint), then write
+// that checkpoint and release the store. Safe to call more than once.
 func (p *Platform) Close() error {
 	// A follower stops replaying first: nothing may write into the store
 	// while the final checkpoint runs and the DB closes.
@@ -577,7 +575,6 @@ func (p *Platform) Close() error {
 	p.stopStorageSupervisor()
 	p.Pipeline.Close()
 	p.Bus.Close()
-	p.Broker.Close()
 	if p.dataDir == "" || !p.closed.CompareAndSwap(false, true) {
 		return nil
 	}

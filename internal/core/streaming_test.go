@@ -28,9 +28,10 @@ func tableRows(t *testing.T, p *Platform, table string) []rdbms.Row {
 	return rows
 }
 
-// TestStreamedIngestMatchesSynchronous pins the PR's core equivalence
-// claim: the staged, micro-batched, shard-parallel pipeline stores exactly
-// the rows the synchronous one-event-at-a-time path stores — for every
+// TestStreamedIngestMatchesSynchronous is the coalescing check: the
+// evaluate → commit stages store the same rows whether they run on
+// batches of one (IngestEvent, in event order) or on shard-parallel
+// 64-event micro-batches with reactions coalesced per article — for every
 // table the ingest path writes.
 func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 	w := synth.GenerateWorld(synth.Config{Seed: 51, Days: 8, RateScale: 0.3, ReactionScale: 0.3})
@@ -48,7 +49,7 @@ func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4, StreamBatchSize: 32})
+	streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4, StreamBatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,10 @@ func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 	}
 }
 
-// TestStreamedIngestViaBrokerMatchesSynchronous covers the production
-// shape end to end: firehose → broker partitions → sharded consumers →
-// pipeline, overlapped with the producer, against the same synchronous
-// baseline.
-func TestStreamedIngestViaBrokerMatchesSynchronous(t *testing.T) {
+// TestIngestWorldMatchesBatchOfOne covers the bootstrap shape end to end:
+// IngestWorld blocking on shard queues far below the world size, against
+// the same batch-of-one baseline.
+func TestIngestWorldMatchesBatchOfOne(t *testing.T) {
 	w := synth.GenerateWorld(synth.Config{Seed: 52, Days: 6, RateScale: 0.3, ReactionScale: 0.3})
 	events := w.Events()
 	clock := func() time.Time { return synth.WindowStart.AddDate(0, 0, 6) }
@@ -110,12 +110,12 @@ func TestStreamedIngestViaBrokerMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	streamP, err := NewPlatform(Config{Clock: clock, QueueCapacity: 64, StreamQueueCapacity: 64})
+	streamP, err := NewPlatform(Config{Clock: clock, StreamQueueCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer streamP.Close()
-	n, err := streamP.IngestWorld(w, 3)
+	n, err := streamP.IngestWorld(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,14 @@ func TestStreamedIngestViaBrokerMatchesSynchronous(t *testing.T) {
 	}
 	for _, table := range []string{ArticlesTable, SocialTable, RepliesTable, DocsTable} {
 		if want, got := tableRows(t, syncP, table), tableRows(t, streamP, table); !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: broker-streamed rows diverge (want %d rows, got %d)", table, len(want), len(got))
+			t.Errorf("%s: IngestWorld rows diverge (want %d rows, got %d)", table, len(want), len(got))
 		}
+	}
+	if ws, gs := syncP.Stats(), streamP.Stats(); ws != gs {
+		t.Errorf("ingest stats diverge: batch-of-one %+v IngestWorld %+v", ws, gs)
+	}
+	if dls := streamP.DeadLetters(); len(dls) != 0 {
+		t.Errorf("dead letters on clean world: %+v", dls)
 	}
 }
 

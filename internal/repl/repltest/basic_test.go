@@ -56,7 +56,7 @@ func TestPlatformPairReplication(t *testing.T) {
 	}
 	pair := NewPair(t, nil, nil)
 	w := synth.GenerateWorld(synth.Config{Seed: 7, Days: 6, RateScale: 0.3, ReactionScale: 0.2})
-	if _, err := pair.Primary.Platform.IngestWorld(w, 2); err != nil {
+	if _, err := pair.Primary.Platform.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	WaitConvergedPair(t, pair, 30*time.Second)
@@ -73,6 +73,9 @@ func TestPlatformPairReplication(t *testing.T) {
 	}
 	if err := f.StreamEvent(ev, false); !errors.Is(err, core.ErrFollower) {
 		t.Fatalf("StreamEvent on follower: %v", err)
+	}
+	if n, err := f.IngestWorld(w); !errors.Is(err, core.ErrFollower) || n != 0 || f.StreamStats().Enqueued != 0 {
+		t.Fatalf("IngestWorld on follower: n=%d err=%v enqueued=%d", n, err, f.StreamStats().Enqueued)
 	}
 	if _, err := f.ReplayDeadLetters(false); !errors.Is(err, core.ErrFollower) {
 		t.Fatalf("ReplayDeadLetters on follower: %v", err)

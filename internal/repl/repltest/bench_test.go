@@ -18,7 +18,7 @@ func BenchmarkReplRead(b *testing.B) {
 	p := pair.Primary.Platform
 
 	w := synth.GenerateWorld(synth.Config{Seed: 7, Days: 4, RateScale: 0.3, ReactionScale: 0.2})
-	if _, err := p.IngestWorld(w, 2); err != nil {
+	if _, err := p.IngestWorld(w); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := p.Checkpoint(); err != nil {

@@ -22,7 +22,6 @@ func TestChaosConvergence(t *testing.T) {
 		t.Skip("chaos run is heavyweight; covered by the full run")
 	}
 	pair := NewPair(t, func(c *core.Config) {
-		c.QueueCapacity = 128
 		c.CheckpointDeltaLimit = 2 // force delta-chain compaction mid-run
 	}, nil)
 	p := pair.Primary.Platform

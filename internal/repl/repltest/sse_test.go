@@ -14,9 +14,7 @@ import (
 // byte sequence as a subscriber on the primary's bus — the frames are
 // fanned out verbatim over the WAL stream — modulo bounded lag.
 func TestSSEEquivalence(t *testing.T) {
-	pair := NewPair(t, func(c *core.Config) {
-		c.QueueCapacity = 256
-	}, nil)
+	pair := NewPair(t, nil, nil)
 
 	// Subscribe both ends before any traffic; buffers sized so nothing
 	// drops and the comparison is exact, not sampled.

@@ -161,11 +161,11 @@ func TestPipelinePerShardShed(t *testing.T) {
 
 	p.Pause()
 	for i := 0; i < 2; i++ {
-		if err := p.TryEnqueue(fmt.Sprintf("k%d", i), []byte("x")); err != nil {
+		if err := p.TryEnqueueSource("", fmt.Sprintf("k%d", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.TryEnqueue("k2", []byte("x")); !errors.Is(err, ErrFull) {
+	if err := p.TryEnqueueSource("", "k2", []byte("x")); !errors.Is(err, ErrFull) {
 		t.Fatalf("overflow = %v, want ErrFull", err)
 	}
 	st := p.Stats()

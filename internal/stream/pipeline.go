@@ -53,12 +53,12 @@ func (l lane) String() string {
 	return "steady"
 }
 
-// Pipeline is the asynchronous staged-ingestion engine layered over the
-// broker abstractions of this package: producers enqueue raw keyed
-// envelopes onto sharded bounded queues (key routing preserves per-key
-// ordering, e.g. an article's posting always precedes its reactions), and
-// one worker per shard drains micro-batches through a caller-supplied
-// batch processor. Per-envelope outcomes drive the rest of the machinery:
+// Pipeline is the asynchronous staged-ingestion engine: producers enqueue
+// raw keyed envelopes onto sharded bounded queues (key routing preserves
+// per-key ordering, e.g. an article's posting always precedes its
+// reactions), and one worker per shard drains micro-batches through a
+// caller-supplied batch processor. Per-envelope outcomes drive the rest of
+// the machinery:
 // failures retry on the same shard with capped exponential backoff and
 // are handed to the dead-letter callback once the attempt budget is
 // exhausted.
@@ -70,7 +70,7 @@ func (l lane) String() string {
 // traffic rides in, or throttles it outright.
 //
 // Backpressure is explicit and caller-selectable: Enqueue blocks while the
-// target lane is at capacity, TryEnqueue sheds with ErrFull (the API
+// target lane is at capacity, TryEnqueueSource sheds with ErrFull (the API
 // layer's 429 path). Flush waits for every accepted envelope to reach a
 // final outcome (committed or dead-lettered), which is what makes a
 // graceful drain possible; Close drains and stops the workers.
@@ -294,25 +294,12 @@ func (p *Pipeline) Enqueue(key string, payload []byte) error {
 	return p.enqueue(nil, "", key, payload, true, nil)
 }
 
-// EnqueueCtx behaves like Enqueue but stops waiting when ctx is cancelled,
-// returning the context error — the shape request handlers need so an
-// abandoned client cannot park a goroutine on a full shard forever.
-func (p *Pipeline) EnqueueCtx(ctx context.Context, key string, payload []byte) error {
-	return p.enqueue(ctx, "", key, payload, true, nil)
-}
-
 // EnqueueNotify behaves like Enqueue and additionally marks wg done when
 // the envelope reaches its final outcome (committed or dead-lettered,
 // after any retries) — the hook dead-letter replay uses to wait for its
 // own envelopes without flushing the whole pipeline.
 func (p *Pipeline) EnqueueNotify(key string, payload []byte, wg *sync.WaitGroup) error {
 	return p.enqueue(nil, "", key, payload, true, wg)
-}
-
-// TryEnqueue routes the envelope to its key's shard, shedding with ErrFull
-// when the lane is at capacity (the backpressure-by-load-shedding mode).
-func (p *Pipeline) TryEnqueue(key string, payload []byte) error {
-	return p.enqueue(nil, "", key, payload, false, nil)
 }
 
 // EnqueueSource behaves like Enqueue but first runs the envelope through
@@ -322,7 +309,9 @@ func (p *Pipeline) EnqueueSource(source, key string, payload []byte) error {
 	return p.enqueue(nil, source, key, payload, true, nil)
 }
 
-// EnqueueSourceCtx is EnqueueSource with context cancellation.
+// EnqueueSourceCtx is EnqueueSource that stops waiting when ctx is
+// cancelled, returning the context error — the shape request handlers need
+// so an abandoned client cannot park a goroutine on a full shard forever.
 func (p *Pipeline) EnqueueSourceCtx(ctx context.Context, source, key string, payload []byte) error {
 	return p.enqueue(ctx, source, key, payload, true, nil)
 }

@@ -112,11 +112,11 @@ func TestPipelineShedVsBlock(t *testing.T) {
 	// Paused workers make the capacity bound observable deterministically.
 	p.Pause()
 	for i := 0; i < 4; i++ {
-		if err := p.TryEnqueue("k", []byte("x")); err != nil {
+		if err := p.TryEnqueueSource("", "k", []byte("x")); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if err := p.TryEnqueue("k", []byte("x")); !errors.Is(err, ErrFull) {
+	if err := p.TryEnqueueSource("", "k", []byte("x")); !errors.Is(err, ErrFull) {
 		t.Fatalf("shed mode on full queue: %v", err)
 	}
 	if p.Stats().Shed != 1 {
@@ -223,10 +223,10 @@ func TestPipelineEnqueueCtxCancelUnblocks(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	unblocked := make(chan error, 1)
-	go func() { unblocked <- p.EnqueueCtx(ctx, "k", []byte("parked")) }()
+	go func() { unblocked <- p.EnqueueSourceCtx(ctx, "", "k", []byte("parked")) }()
 	select {
 	case err := <-unblocked:
-		t.Fatalf("EnqueueCtx returned on a full paused queue: %v", err)
+		t.Fatalf("EnqueueSourceCtx returned on a full paused queue: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	cancel()
@@ -236,7 +236,7 @@ func TestPipelineEnqueueCtxCancelUnblocks(t *testing.T) {
 			t.Fatalf("cancelled enqueue: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("EnqueueCtx never unblocked on cancellation")
+		t.Fatal("EnqueueSourceCtx never unblocked on cancellation")
 	}
 	// The cancelled envelope was never accepted: draining commits one.
 	p.Resume()

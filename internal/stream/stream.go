@@ -1,11 +1,8 @@
 // Package stream implements the streaming entry of the SciLens platform
 // (paper §3.3). The original system wraps the commercial Datastreamer API
-// as a messaging queue; this package provides the equivalent embedded
-// building blocks:
+// as a messaging queue; this package is that queue and the live feed
+// behind it:
 //
-//   - Broker: named topics split into partitions, key-hash routing,
-//     consumer groups with committed offsets (at-least-once delivery),
-//     bounded partitions with producer backpressure, blocking polls.
 //   - Pipeline: the asynchronous staged ingestion engine — sharded bounded
 //     queues feeding micro-batched processing with per-key ordering,
 //     caller-selectable backpressure (block or shed), capped-backoff
@@ -13,16 +10,10 @@
 //   - Bus: in-process pub/sub fan-out for the live assessment feed.
 package stream
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-)
+import "errors"
 
-// keyHash is allocation-free FNV-1a over the key — the one routing hash
-// shared by broker partition routing and pipeline sharding, so the two
-// cannot drift.
+// keyHash is allocation-free FNV-1a over the key — the pipeline's shard
+// routing hash.
 func keyHash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -34,419 +25,9 @@ func keyHash(key string) uint32 {
 
 // Sentinel errors.
 var (
-	// ErrNotFound is returned for unknown topics.
-	ErrNotFound = errors.New("stream: topic not found")
-	// ErrExists is returned when creating a topic that already exists.
-	ErrExists = errors.New("stream: topic already exists")
-	// ErrFull is returned by TryPublish when the partition is at capacity.
-	ErrFull = errors.New("stream: partition full")
-	// ErrClosed is returned when using a closed broker or consumer.
+	// ErrFull is returned by the shedding enqueue modes when the target
+	// shard lane is at capacity.
+	ErrFull = errors.New("stream: queue full")
+	// ErrClosed is returned when using a closed pipeline.
 	ErrClosed = errors.New("stream: closed")
-	// ErrConfig is returned for invalid topic configuration.
-	ErrConfig = errors.New("stream: invalid configuration")
 )
-
-// Message is one queued record.
-type Message struct {
-	// Topic is the topic the message was published to.
-	Topic string
-	// Partition is the partition index within the topic.
-	Partition int
-	// Offset is the message's position within its partition.
-	Offset int64
-	// Key is the routing key (outlet account id in SciLens).
-	Key string
-	// Payload is the opaque message body.
-	Payload []byte
-	// Time is the broker-assigned publish timestamp.
-	Time time.Time
-}
-
-// partition is one bounded append-only log.
-type partition struct {
-	mu        sync.Mutex
-	notEmpty  *sync.Cond
-	notFull   *sync.Cond
-	buf       []Message // ring of retained messages
-	first     int64     // offset of buf[0]
-	next      int64     // next offset to assign
-	capacity  int
-	committed map[string]int64 // group -> next offset to read after commit
-	closed    bool
-}
-
-func newPartition(capacity int) *partition {
-	p := &partition{capacity: capacity, committed: make(map[string]int64)}
-	p.notEmpty = sync.NewCond(&p.mu)
-	p.notFull = sync.NewCond(&p.mu)
-	return p
-}
-
-// minCommitted returns the smallest committed offset across groups, or
-// `first` when no group has committed yet (retain everything unread).
-func (p *partition) minCommitted() int64 {
-	min := p.next
-	for _, off := range p.committed {
-		if off < min {
-			min = off
-		}
-	}
-	if len(p.committed) == 0 {
-		return p.first
-	}
-	return min
-}
-
-// gc drops messages consumed by every group, freeing capacity.
-func (p *partition) gc() {
-	min := p.minCommitted()
-	for p.first < min && len(p.buf) > 0 {
-		p.buf = p.buf[1:]
-		p.first++
-	}
-}
-
-func (p *partition) publish(m Message, block bool, clock func() time.Time) (int64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.buf) >= p.capacity {
-		p.gc()
-		if len(p.buf) < p.capacity {
-			break
-		}
-		if !block {
-			return 0, ErrFull
-		}
-		if p.closed {
-			return 0, ErrClosed
-		}
-		p.notFull.Wait()
-	}
-	if p.closed {
-		return 0, ErrClosed
-	}
-	m.Offset = p.next
-	m.Time = clock()
-	p.buf = append(p.buf, m)
-	p.next++
-	p.notEmpty.Broadcast()
-	return m.Offset, nil
-}
-
-// read returns up to max messages starting at offset `from`, without
-// blocking. Offsets below the retention window are skipped forward.
-func (p *partition) read(from int64, max int) ([]Message, int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if from < p.first {
-		from = p.first
-	}
-	start := int(from - p.first)
-	if start >= len(p.buf) {
-		return nil, from
-	}
-	end := start + max
-	if end > len(p.buf) {
-		end = len(p.buf)
-	}
-	out := make([]Message, end-start)
-	copy(out, p.buf[start:end])
-	return out, from + int64(len(out))
-}
-
-func (p *partition) commit(group string, offset int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cur, ok := p.committed[group]; !ok || offset > cur {
-		p.committed[group] = offset
-	}
-	p.gc()
-	p.notFull.Broadcast()
-}
-
-func (p *partition) committedFor(group string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.committed[group]
-}
-
-// register makes the group visible to retention: messages are kept until
-// every registered group commits past them.
-func (p *partition) register(group string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.committed[group]; !ok {
-		p.committed[group] = p.first
-	}
-}
-
-func (p *partition) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	p.notEmpty.Broadcast()
-	p.notFull.Broadcast()
-}
-
-// lag returns next - committed for a group.
-func (p *partition) lag(group string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.next - p.committed[group]
-}
-
-// topic is a set of partitions.
-type topic struct {
-	name  string
-	parts []*partition
-}
-
-// TopicConfig configures CreateTopic.
-type TopicConfig struct {
-	// Partitions is the partition count (default 4).
-	Partitions int
-	// Capacity is the per-partition retention bound (default 4096).
-	// Producers block (or fail with TryPublish) when a partition holds
-	// this many messages not yet consumed by every group.
-	Capacity int
-}
-
-// Broker is the embedded message broker. All methods are safe for
-// concurrent use.
-type Broker struct {
-	mu     sync.RWMutex
-	topics map[string]*topic
-	clock  func() time.Time
-	closed bool
-}
-
-// NewBroker creates a broker using the real clock.
-func NewBroker() *Broker { return NewBrokerWithClock(time.Now) } //scilint:ignore determinism production default only; NewBrokerWithClock is the injection point
-
-// NewBrokerWithClock creates a broker with an injectable clock (virtual
-// time in experiments).
-func NewBrokerWithClock(clock func() time.Time) *Broker {
-	return &Broker{topics: make(map[string]*topic), clock: clock}
-}
-
-// CreateTopic declares a topic.
-func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
-	if name == "" {
-		return fmt.Errorf("empty topic name: %w", ErrConfig)
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 4
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	if _, dup := b.topics[name]; dup {
-		return fmt.Errorf("topic %q: %w", name, ErrExists)
-	}
-	t := &topic{name: name}
-	for i := 0; i < cfg.Partitions; i++ {
-		t.parts = append(t.parts, newPartition(cfg.Capacity))
-	}
-	b.topics[name] = t
-	return nil
-}
-
-func (b *Broker) topic(name string) (*topic, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	t, ok := b.topics[name]
-	if !ok {
-		return nil, fmt.Errorf("topic %q: %w", name, ErrNotFound)
-	}
-	return t, nil
-}
-
-// routePartition picks the partition for a key (FNV hash; empty keys go to
-// partition 0).
-func (t *topic) routePartition(key string) int {
-	if key == "" {
-		return 0
-	}
-	return int(keyHash(key) % uint32(len(t.parts)))
-}
-
-// Publish appends a message, blocking while the target partition is full.
-// It returns the assigned offset.
-func (b *Broker) Publish(topicName, key string, payload []byte) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	pi := t.routePartition(key)
-	return t.parts[pi].publish(Message{Topic: topicName, Partition: pi, Key: key, Payload: payload}, true, b.clock)
-}
-
-// TryPublish appends a message or fails immediately with ErrFull.
-func (b *Broker) TryPublish(topicName, key string, payload []byte) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	pi := t.routePartition(key)
-	return t.parts[pi].publish(Message{Topic: topicName, Partition: pi, Key: key, Payload: payload}, false, b.clock)
-}
-
-// Close shuts the broker down, waking all blocked producers and consumers.
-func (b *Broker) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, t := range b.topics {
-		for _, p := range t.parts {
-			p.close()
-		}
-	}
-}
-
-// Lag returns the total unconsumed message count for a group on a topic.
-func (b *Broker) Lag(topicName, group string) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, p := range t.parts {
-		total += p.lag(group)
-	}
-	return total, nil
-}
-
-// Consumer reads a topic on behalf of a consumer group. It tracks a
-// per-partition read position, starting at the group's committed offsets.
-// Poll advances the position; Commit persists it; Reset rewinds to the last
-// commit (the crash/redelivery path that makes delivery at-least-once).
-//
-// A Consumer is not safe for concurrent use; create one per goroutine in
-// the same group — partitions are split statically between them.
-type Consumer struct {
-	b        *Broker
-	t        *topic
-	group    string
-	parts    []int // partition indexes this consumer owns
-	position map[int]int64
-	closed   bool
-}
-
-// Subscribe creates a consumer owning every partition of the topic.
-func (b *Broker) Subscribe(topicName, group string) (*Consumer, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]int, len(t.parts))
-	for i := range parts {
-		parts[i] = i
-	}
-	return b.subscribeParts(t, group, parts)
-}
-
-// SubscribeShard creates a consumer owning the partitions assigned to
-// member `member` of `members` total (static group balancing: partition p
-// belongs to member p % members).
-func (b *Broker) SubscribeShard(topicName, group string, member, members int) (*Consumer, error) {
-	if members <= 0 || member < 0 || member >= members {
-		return nil, fmt.Errorf("bad shard %d/%d: %w", member, members, ErrConfig)
-	}
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	var parts []int
-	for i := range t.parts {
-		if i%members == member {
-			parts = append(parts, i)
-		}
-	}
-	return b.subscribeParts(t, group, parts)
-}
-
-func (b *Broker) subscribeParts(t *topic, group string, parts []int) (*Consumer, error) {
-	c := &Consumer{b: b, t: t, group: group, parts: parts, position: make(map[int]int64)}
-	for _, pi := range parts {
-		t.parts[pi].register(group)
-		c.position[pi] = t.parts[pi].committedFor(group)
-	}
-	return c, nil
-}
-
-// Poll returns up to max messages across the consumer's partitions without
-// blocking, advancing the in-memory position past everything returned.
-func (c *Consumer) Poll(max int) ([]Message, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if max <= 0 {
-		max = 128
-	}
-	var out []Message
-	for _, pi := range c.parts {
-		if len(out) >= max {
-			break
-		}
-		msgs, newPos := c.t.parts[pi].read(c.position[pi], max-len(out))
-		c.position[pi] = newPos
-		out = append(out, msgs...)
-	}
-	return out, nil
-}
-
-// PollWait behaves like Poll but blocks up to timeout for at least one
-// message. A zero or negative timeout polls exactly once.
-func (c *Consumer) PollWait(max int, timeout time.Duration) ([]Message, error) {
-	// The wait deadline is cadence, not data: it bounds how long the
-	// caller parks, and no message content or stored row depends on it.
-	deadline := time.Now().Add(timeout) //scilint:ignore determinism poll-wait deadline is cadence, not data
-	for {
-		msgs, err := c.Poll(max)
-		if err != nil || len(msgs) > 0 {
-			return msgs, err
-		}
-		if timeout <= 0 || time.Now().After(deadline) { //scilint:ignore determinism poll-wait deadline is cadence, not data
-			return nil, nil
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// Commit persists the consumer's position for its group; everything
-// polled so far will not be redelivered.
-func (c *Consumer) Commit() error {
-	if c.closed {
-		return ErrClosed
-	}
-	for _, pi := range c.parts {
-		c.t.parts[pi].commit(c.group, c.position[pi])
-	}
-	return nil
-}
-
-// Reset rewinds the read position to the last committed offsets, causing
-// redelivery of uncommitted messages (the simulated consumer crash).
-func (c *Consumer) Reset() error {
-	if c.closed {
-		return ErrClosed
-	}
-	for _, pi := range c.parts {
-		c.position[pi] = c.t.parts[pi].committedFor(c.group)
-	}
-	return nil
-}
-
-// Close releases the consumer.
-func (c *Consumer) Close() { c.closed = true }

@@ -183,10 +183,10 @@ var (
 	ErrFollower = core.ErrFollower
 )
 
-// New assembles a platform: broker topic, store schemas, warehouse cluster
-// and indicator engine. The zero Config is a working default (the 45-outlet
-// demo shortlist, 4 partitions, 4 warehouse nodes, real clock, COVID-19
-// topic segment).
+// New assembles a platform: store schemas, warehouse cluster, indicator
+// engine and ingestion pipeline. The zero Config is a working default (the
+// 45-outlet demo shortlist, 4 pipeline shards, 4 warehouse nodes, real
+// clock, COVID-19 topic segment).
 func New(cfg Config) (*Platform, error) { return core.NewPlatform(cfg) }
 
 // NewEngine builds a standalone indicator engine, for evaluating documents
@@ -236,8 +236,6 @@ type BootstrapConfig struct {
 	RateScale float64
 	// ReactionScale scales social cascade sizes (default 1).
 	ReactionScale float64
-	// Consumers is the ingestion consumer-group size (default 4).
-	Consumers int
 	// Platform overrides the platform configuration; its Clock default is
 	// pinned to the end of the generation window so time-decayed review
 	// weights are reproducible.
@@ -260,9 +258,6 @@ func Bootstrap(cfg BootstrapConfig) (*Platform, *World, error) {
 	}
 	if cfg.ReactionScale == 0 {
 		cfg.ReactionScale = 1
-	}
-	if cfg.Consumers <= 0 {
-		cfg.Consumers = 4
 	}
 	world := GenerateWorld(WorldConfig{
 		Seed:          cfg.Seed,
@@ -292,7 +287,7 @@ func Bootstrap(cfg BootstrapConfig) (*Platform, *World, error) {
 		}
 	}
 	if !recovered {
-		if _, err := platform.IngestWorld(world, cfg.Consumers); err != nil {
+		if _, err := platform.IngestWorld(world); err != nil {
 			return nil, nil, err
 		}
 	}
