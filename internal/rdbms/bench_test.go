@@ -3,8 +3,10 @@ package rdbms
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rdbms/vfs"
 )
@@ -350,6 +352,130 @@ func BenchmarkApplyReplRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := follower.ApplyReplRecord(rec); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// footprintTables mirrors the four hot-store tables core.createSchemas
+// declares — column kinds, indexes and the shape of the stored strings —
+// so the figure moves when the row or index representation does. (This
+// package cannot import core; a column added there should be added here.)
+var footprintTables = []struct {
+	name    string
+	cols    []Column
+	pk      string
+	hash    []string
+	ordered []string
+	row     func(i int) Row
+}{
+	{
+		name: "articles", pk: "id", hash: []string{"url", "outlet_id"}, ordered: []string{"published"},
+		cols: []Column{
+			{Name: "id", Type: TString}, {Name: "outlet_id", Type: TString, NotNull: true},
+			{Name: "rating", Type: TInt, NotNull: true}, {Name: "url", Type: TString, NotNull: true},
+			{Name: "title", Type: TString}, {Name: "published", Type: TTime, NotNull: true},
+			{Name: "clickbait", Type: TFloat}, {Name: "subjectivity", Type: TFloat},
+			{Name: "reading_grade", Type: TFloat}, {Name: "has_byline", Type: TBool},
+			{Name: "internal_refs", Type: TInt}, {Name: "external_refs", Type: TInt},
+			{Name: "sci_refs", Type: TInt}, {Name: "sci_ratio", Type: TFloat},
+			{Name: "has_refs", Type: TBool}, {Name: "is_topic", Type: TBool},
+			{Name: "composite", Type: TFloat}, {Name: "model_gen", Type: TInt, NotNull: true},
+		},
+		row: func(i int) Row {
+			return Row{
+				String(fmt.Sprintf("art-%06d", i)), String(fmt.Sprintf("outlet-%03d", i%200)),
+				Int(int64(i % 5)), String(fmt.Sprintf("https://good-%d.example/news/story-%06d", i%200, i)),
+				String(fmt.Sprintf("Study %d finds what studies find", i)),
+				Time(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute)),
+				Float(0.25), Float(0.5), Float(11.5), Bool(i%2 == 0),
+				Int(3), Int(4), Int(1), Float(0.2), Bool(true), Bool(i%3 == 0),
+				Float(0.61), Int(1),
+			}
+		},
+	},
+	{
+		name: "article_social", pk: "article_id",
+		cols: []Column{
+			{Name: "article_id", Type: TString}, {Name: "reactions", Type: TInt},
+			{Name: "replies", Type: TInt}, {Name: "reshares", Type: TInt}, {Name: "likes", Type: TInt},
+			{Name: "support", Type: TInt}, {Name: "deny", Type: TInt}, {Name: "comment", Type: TInt},
+		},
+		row: func(i int) Row {
+			return Row{String(fmt.Sprintf("art-%06d", i)), Int(9), Int(4), Int(3), Int(2), Int(2), Int(1), Int(1)}
+		},
+	},
+	{
+		name: "replies", pk: "id", hash: []string{"article_id"},
+		cols: []Column{
+			{Name: "id", Type: TString}, {Name: "article_id", Type: TString, NotNull: true},
+			{Name: "text", Type: TString}, {Name: "stance", Type: TString},
+		},
+		row: func(i int) Row {
+			return Row{
+				String(fmt.Sprintf("post-%07d", i)), String(fmt.Sprintf("art-%06d", i/9)),
+				String(fmt.Sprintf("reply %d: not sure the study supports the headline", i)), String("comment"),
+			}
+		},
+	},
+	{
+		name: "article_docs", pk: "id",
+		cols: []Column{
+			{Name: "id", Type: TString}, {Name: "url", Type: TString, NotNull: true},
+			{Name: "html", Type: TString, NotNull: true},
+		},
+		row: func(i int) Row {
+			return Row{
+				String(fmt.Sprintf("art-%06d", i)),
+				String(fmt.Sprintf("https://good-%d.example/news/story-%06d", i%200, i)),
+				String(fmt.Sprintf("<html><body><p>story %06d</p></body></html>", i)),
+			}
+		},
+	},
+}
+
+// BenchmarkTableFootprint reports the live heap one stored row costs in
+// each of the platform's four tables, indexes and string payload
+// included: HeapAlloc after a forced collection, table loaded minus table
+// absent, over the row count. It is a size, not a speed — run it with
+// -benchtime=1x; ns/op is the load time and means little.
+func BenchmarkTableFootprint(b *testing.B) {
+	const rows = 20000
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first cycle may only have finished a sweep
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for n := 0; n < b.N; n++ {
+		for _, spec := range footprintTables {
+			schema, err := NewSchema(spec.cols, spec.pk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			before := liveHeap()
+			tbl, err := NewDB().CreateTable(spec.name, schema)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, col := range spec.hash {
+				if err := tbl.CreateIndex(col, HashIndex); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, col := range spec.ordered {
+				if err := tbl.CreateIndex(col, OrderedIndex); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < rows; i++ {
+				if _, err := tbl.Insert(spec.row(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			after := liveHeap()
+			b.ReportMetric(float64(after-before)/rows, spec.name+"-B/row")
+			runtime.KeepAlive(tbl)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rdbms
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -30,10 +31,18 @@ type index interface {
 
 // hashIdx is an equality index: value hash key → set of row ids.
 type hashIdx struct {
-	m map[string]map[int]struct{}
+	m map[string]idList
 }
 
-func newHashIdx() *hashIdx { return &hashIdx{m: make(map[string]map[int]struct{})} }
+// idList is a non-empty set of row ids in insertion order. The first id
+// sits in the map slot itself, so a unique key — every primary key — costs
+// no allocation beyond the slot; only further ids spill into the slice.
+type idList struct {
+	first int
+	rest  []int
+}
+
+func newHashIdx() *hashIdx { return &hashIdx{m: make(map[string]idList)} }
 
 func (h *hashIdx) kind() IndexKind { return HashIndex }
 
@@ -42,32 +51,51 @@ func (h *hashIdx) insert(v Value, rowID int) { h.insertKey(v.hashKey(), rowID) }
 // insertKey is insert with the hash key precomputed — the primary-key
 // path, where the partition router already paid for the key.
 func (h *hashIdx) insertKey(k string, rowID int) {
-	set, ok := h.m[k]
+	l, ok := h.m[k]
 	if !ok {
-		set = make(map[int]struct{})
-		h.m[k] = set
+		h.m[k] = idList{first: rowID}
+		return
 	}
-	set[rowID] = struct{}{}
+	if l.first == rowID || slices.Contains(l.rest, rowID) {
+		return
+	}
+	l.rest = append(l.rest, rowID)
+	h.m[k] = l
 }
 
 func (h *hashIdx) remove(v Value, rowID int) { h.removeKey(v.hashKey(), rowID) }
 
 func (h *hashIdx) removeKey(k string, rowID int) {
-	if set, ok := h.m[k]; ok {
-		delete(set, rowID)
-		if len(set) == 0 {
-			delete(h.m, k)
-		}
+	l, ok := h.m[k]
+	if !ok {
+		return
 	}
+	switch {
+	case l.first != rowID:
+		i := slices.Index(l.rest, rowID)
+		if i < 0 {
+			return
+		}
+		l.rest = slices.Delete(l.rest, i, i+1)
+	case len(l.rest) == 0:
+		delete(h.m, k)
+		return
+	default:
+		l.first, l.rest = l.rest[0], l.rest[1:]
+	}
+	if len(l.rest) == 0 {
+		l.rest = nil // a key back to one id holds no slice
+	}
+	h.m[k] = l
 }
 
 func (h *hashIdx) lookup(v Value) []int {
-	set := h.m[v.hashKey()]
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+	l, ok := h.m[v.hashKey()]
+	if !ok {
+		return nil
 	}
-	return out
+	out := make([]int, 0, 1+len(l.rest))
+	return append(append(out, l.first), l.rest...)
 }
 
 // lookupOne returns one matching row id without allocating the id slice —
@@ -78,16 +106,18 @@ func (h *hashIdx) lookupOne(v Value) (int, bool) {
 
 // lookupOneKey is lookupOne with the hash key precomputed.
 func (h *hashIdx) lookupOneKey(k string) (int, bool) {
-	for id := range h.m[k] {
-		return id, true
-	}
-	return 0, false
+	l, ok := h.m[k]
+	return l.first, ok
 }
 
-// each invokes fn with every matching row id, without allocating; fn
-// returns false to stop early.
+// each invokes fn with every matching row id in insertion order, without
+// allocating; fn returns false to stop early.
 func (h *hashIdx) each(v Value, fn func(rowID int) bool) {
-	for id := range h.m[v.hashKey()] {
+	l, ok := h.m[v.hashKey()]
+	if !ok || !fn(l.first) {
+		return
+	}
+	for _, id := range l.rest {
 		if !fn(id) {
 			return
 		}

@@ -373,7 +373,7 @@ func restoreTable(db *DB, br *bufio.Reader) error {
 		if err != nil {
 			return fmt.Errorf("snapshot %q row %d: %w", name, i, ErrCorrupt)
 		}
-		if _, err := t.Insert(row); err != nil {
+		if _, err := t.insertOwned(row); err != nil {
 			return fmt.Errorf("snapshot %q row %d: %w", name, i, err)
 		}
 	}

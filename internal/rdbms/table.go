@@ -211,8 +211,15 @@ func (t *Table) indexCols() map[string]IndexKind {
 }
 
 // Insert adds a row; the primary key must be unique. It returns the heap
-// slot id within the row's partition.
-func (t *Table) Insert(r Row) (int, error) {
+// slot id within the row's partition. The table stores a copy: the caller
+// keeps r.
+func (t *Table) Insert(r Row) (int, error) { return t.insertOwned(r.Clone()) }
+
+// insertOwned is Insert for a row nobody else holds — one the WAL,
+// generation or replication decoder has just allocated — which the table
+// keeps as is instead of copying. The same goes for updateOwned,
+// upsertOwned and every *Locked helper below: r is the table's from here.
+func (t *Table) insertOwned(r Row) (int, error) {
 	if err := t.schema.Validate(r); err != nil {
 		return 0, err
 	}
@@ -228,7 +235,6 @@ func (t *Table) insertLocked(p *partition, pkKey string, r Row, logWAL bool) (in
 	if _, dup := p.pkIdx.lookupOneKey(pkKey); dup {
 		return 0, fmt.Errorf("pk %v: %w", pk, ErrDuplicate)
 	}
-	r = r.Clone()
 	// Write-ahead: the record must reach the log before the in-memory
 	// apply, so a failed append aborts the insert instead of acknowledging
 	// an unlogged row.
@@ -321,8 +327,10 @@ func (t *Table) ViewEq(col string, v Value, fn func(Row) bool) error {
 
 // Update replaces the row with the given primary key. The new row keeps
 // the same primary key value or moves to a new, unused one (possibly in a
-// different partition).
-func (t *Table) Update(pk Value, r Row) error {
+// different partition). The table stores a copy: the caller keeps r.
+func (t *Table) Update(pk Value, r Row) error { return t.updateOwned(pk, r.Clone()) }
+
+func (t *Table) updateOwned(pk Value, r Row) error {
 	if err := t.schema.Validate(r); err != nil {
 		return err
 	}
@@ -371,7 +379,6 @@ func (t *Table) updateLocked(p *partition, pkKey string, pk Value, r Row, logWAL
 		}
 	}
 	old := p.heap[slot]
-	r = r.Clone()
 	// Write-ahead: log before touching indexes or the heap.
 	if logWAL && t.wal != nil {
 		if err := t.wal.append(walRecord{Op: walUpdate, Table: t.name, Key: pk, Row: r}); err != nil {
@@ -471,7 +478,7 @@ func (t *Table) Mutate(pk Value, fn func(Row) (Row, error)) error {
 		}
 		pj := t.partFor(r[t.schema.PK])
 		if pj == pi {
-			err = t.updateLocked(p, k, pk, r, true)
+			err = t.updateLocked(p, k, pk, r.Clone(), true)
 			p.mu.Unlock()
 			return err
 		}
@@ -505,12 +512,12 @@ func (t *Table) mutateMove(pi, pj int, pk Value, fn func(Row) (Row, error)) (boo
 	}
 	target := t.partFor(r[t.schema.PK])
 	if target == pi {
-		return true, t.updateLocked(src, pk.hashKey(), pk, r, true)
+		return true, t.updateLocked(src, pk.hashKey(), pk, r.Clone(), true)
 	}
 	if target != pj {
 		return false, nil // fn steered elsewhere; retry with the right pair
 	}
-	return true, t.moveLocked(src, t.parts[pj], pk, r)
+	return true, t.moveLocked(src, t.parts[pj], pk, r.Clone())
 }
 
 // Delete removes the row with the given primary key.
@@ -548,8 +555,10 @@ func (t *Table) deleteLocked(p *partition, pkKey string, pk Value, logWAL bool) 
 
 // Upsert inserts the row, or updates it if the primary key exists. The key
 // routes to one partition either way, so the whole operation is one stripe
-// lock acquisition.
-func (t *Table) Upsert(r Row) error {
+// lock acquisition. The table stores a copy: the caller keeps r.
+func (t *Table) Upsert(r Row) error { return t.upsertOwned(r.Clone()) }
+
+func (t *Table) upsertOwned(r Row) error {
 	if err := t.schema.Validate(r); err != nil {
 		return err
 	}

@@ -43,6 +43,7 @@ package rdbms
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -82,35 +83,60 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a dynamically typed cell. The zero Value is NULL.
+// Value is a dynamically typed cell. The zero Value is NULL. Strings live
+// in s; every other kind shares the word n — an int's two's complement, a
+// float's IEEE bits, a bool's 0/1, a timestamp's UTC Unix nanoseconds —
+// which is exactly what the WAL and the snapshot generations persist, so a
+// row in memory equals the row recovery or replication would rebuild.
 type Value struct {
-	kind    Type
-	null    bool
-	i       int64
-	f       float64
 	s       string
-	b       bool
-	t       time.Time
+	n       uint64
+	kind    Type
 	present bool // false => NULL
 }
+
+// zeroTimeNanos stands in for the zero time.Time, which lies outside the
+// range Unix nanoseconds can express. It is the (wrapped) value
+// time.Time{}.UnixNano() has always written to the log, so the sentinel
+// costs no format change; the one real instant it shadows
+// (1754-08-30T22:43:41.128654848Z) reads back as the zero time.
+const zeroTimeNanos int64 = -6795364578871345152
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: TInt, i: v, present: true} }
+func Int(v int64) Value { return Value{kind: TInt, n: uint64(v), present: true} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: TFloat, f: v, present: true} }
+func Float(v float64) Value { return Value{kind: TFloat, n: math.Float64bits(v), present: true} }
 
 // String wraps a string.
 func String(v string) Value { return Value{kind: TString, s: v, present: true} }
 
 // Bool wraps a bool.
-func Bool(v bool) Value { return Value{kind: TBool, b: v, present: true} }
+func Bool(v bool) Value {
+	var n uint64
+	if v {
+		n = 1
+	}
+	return Value{kind: TBool, n: n, present: true}
+}
 
-// Time wraps a time.Time (stored UTC).
-func Time(v time.Time) Value { return Value{kind: TTime, t: v.UTC(), present: true} }
+// Time wraps a time.Time as UTC Unix nanoseconds: the zone and any
+// monotonic reading are dropped, and instants outside 1678–2262 other than
+// the zero time are not representable.
+func Time(v time.Time) Value {
+	ns := zeroTimeNanos
+	if !v.IsZero() {
+		ns = v.UnixNano()
+	}
+	return timeNanos(ns)
+}
+
+// timeNanos wraps UTC Unix nanoseconds as a timestamp — the decoder's
+// constructor.
+func timeNanos(ns int64) Value { return Value{kind: TTime, n: uint64(ns), present: true} }
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return !v.present }
@@ -119,24 +145,37 @@ func (v Value) IsNull() bool { return !v.present }
 func (v Value) Kind() Type { return v.kind }
 
 // Int returns the integer payload (0 if not an int).
-func (v Value) Int() int64 { return v.i }
-
-// Float returns the float payload, converting ints.
-func (v Value) Float() float64 {
-	if v.kind == TInt {
-		return float64(v.i)
+func (v Value) Int() int64 {
+	if v.kind != TInt {
+		return 0
 	}
-	return v.f
+	return int64(v.n)
+}
+
+// Float returns the float payload, converting ints (0 for other kinds).
+func (v Value) Float() float64 {
+	switch v.kind {
+	case TInt:
+		return float64(int64(v.n))
+	case TFloat:
+		return math.Float64frombits(v.n)
+	}
+	return 0
 }
 
 // Str returns the string payload ("" if not a string).
 func (v Value) Str() string { return v.s }
 
 // Bool returns the bool payload (false if not a bool).
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.kind == TBool && v.n == 1 }
 
-// Time returns the time payload (zero time if not a timestamp).
-func (v Value) Time() time.Time { return v.t }
+// Time returns the time payload in UTC (zero time if not a timestamp).
+func (v Value) Time() time.Time {
+	if v.kind != TTime || int64(v.n) == zeroTimeNanos {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(v.n)).UTC()
+}
 
 // String renders the value for debugging.
 func (v Value) String() string {
@@ -145,15 +184,15 @@ func (v Value) String() string {
 	}
 	switch v.kind {
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TString:
 		return strconv.Quote(v.s)
 	case TBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case TTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	default:
 		return "?"
 	}
@@ -168,16 +207,12 @@ func (v Value) Equal(w Value) bool {
 		return false
 	}
 	switch v.kind {
-	case TInt:
-		return v.i == w.i
 	case TFloat:
-		return v.f == w.f
+		return v.Float() == w.Float() // NaN != NaN, -0 == 0
 	case TString:
 		return v.s == w.s
-	case TBool:
-		return v.b == w.b
-	case TTime:
-		return v.t.Equal(w.t)
+	case TInt, TBool, TTime:
+		return v.n == w.n
 	}
 	return false
 }
@@ -200,34 +235,31 @@ func (v Value) Compare(w Value) (int, error) {
 	}
 	switch v.kind {
 	case TInt:
-		return cmpOrdered(v.i, w.i), nil
+		return cmpOrdered(int64(v.n), int64(w.n)), nil
 	case TFloat:
-		return cmpOrdered(v.f, w.f), nil
+		return cmpOrdered(v.Float(), w.Float()), nil
 	case TString:
 		return cmpOrdered(v.s, w.s), nil
 	case TBool:
-		vi, wi := 0, 0
-		if v.b {
-			vi = 1
-		}
-		if w.b {
-			wi = 1
-		}
-		return cmpOrdered(vi, wi), nil
+		return cmpOrdered(v.n, w.n), nil
 	case TTime:
+		// The zero time (year 1) sorts before every representable instant,
+		// wherever its sentinel falls among them.
+		vz, wz := int64(v.n) == zeroTimeNanos, int64(w.n) == zeroTimeNanos
 		switch {
-		case v.t.Before(w.t):
-			return -1, nil
-		case v.t.After(w.t):
-			return 1, nil
-		default:
+		case vz && wz:
 			return 0, nil
+		case vz:
+			return -1, nil
+		case wz:
+			return 1, nil
 		}
+		return cmpOrdered(int64(v.n), int64(w.n)), nil
 	}
 	return 0, ErrTypeMismatch
 }
 
-func cmpOrdered[T int | int64 | float64 | string](a, b T) int {
+func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -239,24 +271,27 @@ func cmpOrdered[T int | int64 | float64 | string](a, b T) int {
 }
 
 // hashKey returns a map-key representation of the value for hash indexes.
+// The partition router hashes it too, and recovery verifies every stored
+// row still routes to the stripe it was written in, so these strings are
+// part of the on-disk contract.
 func (v Value) hashKey() string {
 	if v.IsNull() {
 		return "\x00null"
 	}
 	switch v.kind {
 	case TInt:
-		return "i" + strconv.FormatInt(v.i, 36)
+		return "i" + strconv.FormatInt(int64(v.n), 36)
 	case TFloat:
-		return "f" + strconv.FormatFloat(v.f, 'b', -1, 64)
+		return "f" + strconv.FormatFloat(v.Float(), 'b', -1, 64)
 	case TString:
 		return "s" + v.s
 	case TBool:
-		if v.b {
+		if v.n == 1 {
 			return "b1"
 		}
 		return "b0"
 	case TTime:
-		return "t" + strconv.FormatInt(v.t.UnixNano(), 36)
+		return "t" + strconv.FormatInt(int64(v.n), 36)
 	default:
 		return "?"
 	}

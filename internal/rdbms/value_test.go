@@ -1,0 +1,192 @@
+package rdbms
+
+import (
+	"bufio"
+	"bytes"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// TestValueSize is the deterministic memory gate: a cell is two words of
+// string header, one payload word and two tag bytes. A field added to
+// Value multiplies by every cell of every stored row.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", got)
+	}
+}
+
+// codecRoundTrip pushes v through writeValue and readValue.
+func codecRoundTrip(t *testing.T, v Value) Value {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	writeValue(bw, v)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readValue(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatalf("readValue(writeValue(%v)): %v", v, err)
+	}
+	return got
+}
+
+// wrongKindAccessorsZero asserts every accessor that does not belong to
+// v's kind returns its zero value (Float also answers for ints).
+func wrongKindAccessorsZero(t *testing.T, name string, v Value) {
+	t.Helper()
+	k := v.Kind()
+	if v.IsNull() {
+		k = Type(255)
+	}
+	if k != TInt && v.Int() != 0 {
+		t.Errorf("%s: Int() = %d on a %v", name, v.Int(), v.Kind())
+	}
+	if k != TInt && k != TFloat && v.Float() != 0 {
+		t.Errorf("%s: Float() = %v on a %v", name, v.Float(), v.Kind())
+	}
+	if k != TString && v.Str() != "" {
+		t.Errorf("%s: Str() = %q on a %v", name, v.Str(), v.Kind())
+	}
+	if k != TBool && v.Bool() {
+		t.Errorf("%s: Bool() = true on a %v", name, v.Kind())
+	}
+	if k != TTime && !v.Time().IsZero() {
+		t.Errorf("%s: Time() = %v on a %v", name, v.Time(), v.Kind())
+	}
+}
+
+func TestValueEdgeRoundTrips(t *testing.T) {
+	wrongKindAccessorsZero(t, "NULL", Null())
+
+	for _, i := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+		v := Int(i)
+		if v.Int() != i || v.Float() != float64(i) {
+			t.Errorf("Int(%d): Int() = %d, Float() = %v", i, v.Int(), v.Float())
+		}
+		wrongKindAccessorsZero(t, v.String(), v)
+		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+			t.Errorf("Int(%d) changes through the codec", i)
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	for _, f := range []float64{negZero, 0, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64} {
+		v := Float(f)
+		if math.Float64bits(v.Float()) != math.Float64bits(f) {
+			t.Errorf("Float(%v).Float() = %v", f, v.Float())
+		}
+		wrongKindAccessorsZero(t, v.String(), v)
+		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+			t.Errorf("Float(%v) changes through the codec", f)
+		}
+	}
+	if Float(math.NaN()).Equal(Float(math.NaN())) {
+		t.Error("NaN equals NaN")
+	}
+	if !Float(negZero).Equal(Float(0)) {
+		t.Error("-0.0 does not equal 0.0")
+	}
+	if c, err := Float(negZero).Compare(Float(0)); err != nil || c != 0 {
+		t.Errorf("Compare(-0.0, 0.0) = %d, %v", c, err)
+	}
+	if c, err := Float(math.Inf(-1)).Compare(Float(-math.MaxFloat64)); err != nil || c != -1 {
+		t.Errorf("Compare(-Inf, -MaxFloat64) = %d, %v", c, err)
+	}
+
+	for _, s := range []string{"", "x", "naïve \x00 bytes"} {
+		v := String(s)
+		if v.Str() != s {
+			t.Errorf("String(%q).Str() = %q", s, v.Str())
+		}
+		wrongKindAccessorsZero(t, v.String(), v)
+		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+			t.Errorf("String(%q) changes through the codec", s)
+		}
+	}
+	if String("").IsNull() || String("").Equal(Null()) {
+		t.Error(`String("") is NULL`)
+	}
+
+	for _, b := range []bool{false, true} {
+		v := Bool(b)
+		if v.Bool() != b {
+			t.Errorf("Bool(%v).Bool() = %v", b, v.Bool())
+		}
+		wrongKindAccessorsZero(t, v.String(), v)
+		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+			t.Errorf("Bool(%v) changes through the codec", b)
+		}
+	}
+}
+
+func TestTimeValueEdges(t *testing.T) {
+	plus9 := time.FixedZone("JST", 9*3600)
+	times := map[string]time.Time{
+		"zero":      {},
+		"non-UTC":   time.Date(2024, 3, 9, 17, 4, 5, 123456789, plus9),
+		"monotonic": time.Now(),
+		"pre-1970":  time.Date(1931, 1, 2, 3, 4, 5, 6, time.UTC),
+		"epoch":     time.Unix(0, 0),
+		"earliest":  time.Unix(0, math.MinInt64),
+		"latest":    time.Unix(0, math.MaxInt64),
+	}
+	for name, in := range times {
+		v := Time(in)
+		got := v.Time()
+		if !got.Equal(in) {
+			t.Errorf("%s: Time(%v).Time() = %v", name, in, got)
+		}
+		if got.IsZero() != in.IsZero() {
+			t.Errorf("%s: IsZero %v became %v", name, in.IsZero(), got.IsZero())
+		}
+		if got.Location() != time.UTC {
+			t.Errorf("%s: location %v, want UTC", name, got.Location())
+		}
+		wrongKindAccessorsZero(t, name, v)
+		// What a recovered or replicated row holds is what memory holds:
+		// the same Value, and the same time.Time out of it, bit for bit.
+		back := codecRoundTrip(t, v)
+		if !reflect.DeepEqual(back, v) {
+			t.Errorf("%s: %v changes through the codec", name, v)
+		}
+		if !reflect.DeepEqual(back.Time(), got) {
+			t.Errorf("%s: accessor gives %#v in memory, %#v once recovered", name, got, back.Time())
+		}
+		if !v.Equal(back) {
+			t.Errorf("%s: not Equal to its recovered self", name)
+		}
+		if c, err := v.Compare(back); err != nil || c != 0 {
+			t.Errorf("%s: Compare with its recovered self = %d, %v", name, c, err)
+		}
+	}
+
+	// Compare agrees with time.Time.Compare across every pair, the zero
+	// time (year 1) sorting first although its sentinel falls in 1754.
+	for an, a := range times {
+		for bn, b := range times {
+			got, err := Time(a).Compare(Time(b))
+			if err != nil || got != a.Compare(b) {
+				t.Errorf("Compare(%s, %s) = %d, %v; time.Time says %d", an, bn, got, err, a.Compare(b))
+			}
+			if eq := Time(a).Equal(Time(b)); eq != a.Equal(b) {
+				t.Errorf("Equal(%s, %s) = %v; time.Time says %v", an, bn, eq, a.Equal(b))
+			}
+		}
+	}
+
+	if zeroTimeNanos != (time.Time{}).UnixNano() {
+		t.Errorf("zeroTimeNanos = %d, but the log has always held %d for the zero time",
+			zeroTimeNanos, (time.Time{}).UnixNano())
+	}
+	if got := Time(time.Time{}).String(); got != "0001-01-01T00:00:00Z" {
+		t.Errorf("zero time renders as %s", got)
+	}
+	if got := Time(times["non-UTC"]).String(); got != "2024-03-09T08:04:05.123456789Z" {
+		t.Errorf("non-UTC time renders as %s", got)
+	}
+}

@@ -507,29 +507,17 @@ func writeValue(w *bufio.Writer, v Value) int {
 	}
 	w.WriteByte(byte(v.kind))
 	n := 1
-	var buf [8]byte
 	switch v.kind {
-	case TInt:
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
-		w.Write(buf[:])
-		n += 8
-	case TFloat:
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
+	case TInt, TFloat, TTime:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v.n)
 		w.Write(buf[:])
 		n += 8
 	case TString:
 		n += writeString(w, v.s)
 	case TBool:
-		if v.b {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
-		}
+		w.WriteByte(byte(v.n))
 		n++
-	case TTime:
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.t.UnixNano()))
-		w.Write(buf[:])
-		n += 8
 	}
 	return n
 }
@@ -613,12 +601,26 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > 1<<24 {
 		return "", ErrCorrupt
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	// The length prefix is a claim until the bytes arrive: reserve at most
+	// one chunk up front and let the builder grow with what is actually
+	// read, so a torn record claiming 16 MiB costs one chunk, not 16 MiB.
+	// The builder's buffer becomes the string — one copy out of the reader.
+	var sb strings.Builder
+	sb.Grow(int(min(n, readStringChunk)))
+	for left := int(n); left > 0; {
+		b, err := r.Peek(min(left, r.Size()))
+		sb.Write(b)
+		left -= len(b)
+		_, _ = r.Discard(len(b)) // cannot fail: the bytes are buffered
+		if err != nil && left > 0 {
+			return "", err
+		}
 	}
-	return string(buf), nil
+	return sb.String(), nil
 }
+
+// readStringChunk is the most readString reserves before payload arrives.
+const readStringChunk = 64 << 10
 
 func readRow(r *bufio.Reader) (Row, error) {
 	n, err := binary.ReadUvarint(r)
@@ -674,7 +676,7 @@ func readValue(r *bufio.Reader) (Value, error) {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return Value{}, err
 		}
-		return Time(time.Unix(0, int64(binary.LittleEndian.Uint64(buf[:]))).UTC()), nil
+		return timeNanos(int64(binary.LittleEndian.Uint64(buf[:]))), nil
 	default:
 		return Value{}, ErrCorrupt
 	}
@@ -687,7 +689,8 @@ func readValue(r *bufio.Reader) (Value, error) {
 // apply with last-writer-wins semantics: inserts upsert, updates delete
 // the old key (if present) and upsert the new row, deletes of absent rows
 // and drops of absent tables are no-ops, and re-created tables/indexes are
-// skipped.
+// skipped. The record's row is handed to the table, not copied: callers
+// pass records they have just decoded and do not use rec.Row afterwards.
 func applyRecord(db *DB, rec walRecord, loose bool) error {
 	switch rec.Op {
 	case walCommit:
@@ -732,9 +735,9 @@ func applyRecord(db *DB, rec walRecord, loose bool) error {
 	switch rec.Op {
 	case walInsert:
 		if loose {
-			return t.Upsert(rec.Row)
+			return t.upsertOwned(rec.Row)
 		}
-		_, err = t.Insert(rec.Row)
+		_, err = t.insertOwned(rec.Row)
 	case walUpdate:
 		if loose {
 			if !rec.Key.Equal(rec.Row[t.schema.PK]) {
@@ -742,9 +745,9 @@ func applyRecord(db *DB, rec walRecord, loose bool) error {
 					return derr
 				}
 			}
-			return t.Upsert(rec.Row)
+			return t.upsertOwned(rec.Row)
 		}
-		err = t.Update(rec.Key, rec.Row)
+		err = t.updateOwned(rec.Key, rec.Row)
 	case walDelete:
 		err = t.Delete(rec.Key)
 		if loose && errors.Is(err, ErrNotFound) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,5 +263,81 @@ func TestValueEncodingRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A length prefix is a claim, not a fact: a 20-byte torn record whose
+// string says "16 MiB follow" must fail without reserving 16 MiB.
+func TestReadStringTruncatedClaimAllocatesBounded(t *testing.T) {
+	var claim bytes.Buffer
+	bw := bufio.NewWriter(&claim)
+	writeUvarint(bw, 1<<24)
+	bw.WriteString("sixteen bytes...")
+	bw.Flush()
+	input := claim.Bytes()
+	if len(input) != 20 {
+		t.Fatalf("input is %d bytes, want 20", len(input))
+	}
+
+	rd := bytes.NewReader(input)
+	br := bufio.NewReaderSize(rd, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	for i := 0; i < runs; i++ {
+		rd.Reset(input)
+		br.Reset(rd)
+		if s, err := readString(br); err == nil {
+			t.Fatalf("truncated string decoded to %d bytes", len(s))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2*readStringChunk {
+		t.Errorf("truncated 16 MiB claim allocates %d B per attempt, want <= %d", per, 2*readStringChunk)
+	}
+
+	// The same claim inside a record is a torn tail like any other.
+	rec := append([]byte{walInsert}, input...)
+	if _, err := readRecord(bufio.NewReader(bytes.NewReader(rec))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("torn record: %v, want ErrCorrupt", err)
+	}
+	var over bytes.Buffer
+	bw = bufio.NewWriter(&over)
+	writeUvarint(bw, 1<<24+1)
+	bw.Flush()
+	if _, err := readString(bufio.NewReader(&over)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("over-long claim: %v, want ErrCorrupt", err)
+	}
+}
+
+// Strings shorter than, equal to and several times the reader's buffer
+// come back whole, each built with a single allocation up to one chunk.
+func TestReadStringSizes(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 4096, readStringChunk, readStringChunk + 1, 5*readStringChunk + 3} {
+		want := strings.Repeat("abcdefghij", n/10+1)[:n]
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		writeString(bw, want)
+		bw.WriteByte(0x7f) // the byte after the string must stay unread
+		bw.Flush()
+		br := bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), 16)
+		got, err := readString(br)
+		if err != nil || got != want {
+			t.Fatalf("n=%d: got %d bytes, err %v", n, len(got), err)
+		}
+		if b, err := br.ReadByte(); err != nil || b != 0x7f {
+			t.Errorf("n=%d: reader left at %#x, %v", n, b, err)
+		}
+		if n == 0 || n > readStringChunk {
+			continue
+		}
+		rd := bytes.NewReader(buf.Bytes())
+		if allocs := testing.AllocsPerRun(20, func() {
+			rd.Reset(buf.Bytes())
+			br.Reset(rd)
+			readString(br)
+		}); allocs != 1 {
+			t.Errorf("n=%d: %v allocations, want 1", n, allocs)
+		}
 	}
 }
