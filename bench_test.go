@@ -378,22 +378,14 @@ func BenchmarkAblationMigrationBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamIngest runs the staged pipeline (sharded queues → decode →
+// BenchmarkStreamIngest runs the staged pipeline (sharded queues →
 // micro-batched evaluation → coalesced commits) across worker counts over
-// the same pre-encoded firehose payloads, reporting events/s.
+// the same decoded firehose events, reporting events/s.
 func BenchmarkStreamIngest(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 4, Days: 8, RateScale: 0.4, ReactionScale: 0.3,
 	})
 	events := world.Events()
-	payloads := make([][]byte, len(events))
-	for i := range events {
-		p, err := events[i].Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads[i] = p
-	}
 	perSec := func(b *testing.B) {
 		b.ReportMetric(float64(len(events))/(b.Elapsed().Seconds()/float64(b.N)), "events/s")
 	}
@@ -408,8 +400,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for j, payload := range payloads {
-					if err := p.Pipeline.Enqueue(events[j].ArticleURL, payload); err != nil {
+				for j := range events {
+					if err := p.StreamEvent(&events[j], true); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -468,7 +460,7 @@ func burstBlocks(events []synth.Event, storms, stormTarget int) (blocks [][]int,
 // BenchmarkBurstIngest measures shedding under a flash-crowd reaction
 // profile at deliberately modest per-shard queue capacity. Each
 // iteration pre-loads every article posting (block mode), then drives
-// the reaction feed in shed mode (TryEnqueue: a full shard drops the
+// the reaction feed in shed mode (StreamEvent(ev, false): a full shard drops the
 // event instead of parking the producer): the steady background paces
 // in short waves, and periodically a storm block — the hottest
 // articles' cascades back to back — arrives at line rate. The headline
@@ -482,14 +474,8 @@ func BenchmarkBurstIngest(b *testing.B) {
 		Seed: 6, Days: 10, RateScale: 0.6, ReactionScale: 0.5,
 	})
 	events := world.Events()
-	payloads := make([][]byte, len(events))
 	var postings, reactions []int
 	for i := range events {
-		p, err := events[i].Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads[i] = p
 		if events[i].Type == synth.EventTypePosting {
 			postings = append(postings, i)
 		} else {
@@ -525,13 +511,13 @@ func BenchmarkBurstIngest(b *testing.B) {
 			// Pre-load the articles so storms are pure reaction pressure,
 			// not orphaned cascades whose posting was shed.
 			for _, idx := range postings {
-				if err := p.Pipeline.Enqueue(events[idx].ArticleURL, payloads[idx]); err != nil {
+				if err := p.StreamEvent(&events[idx], true); err != nil {
 					b.Fatal(err)
 				}
 			}
 			p.Pipeline.Flush()
 			try := func(idx int) {
-				err := p.Pipeline.TryEnqueueSource("", events[idx].ArticleURL, payloads[idx])
+				err := p.StreamEvent(&events[idx], false)
 				if err != nil && !errors.Is(err, stream.ErrFull) {
 					b.Fatal(err)
 				}

@@ -61,10 +61,13 @@
 //
 // Ingestion is one asynchronous, stage-parallel path
 // (internal/stream.Pipeline). Producers — the POST /api/ingest bulk
-// endpoint, Platform.IngestWorld, and replayed dead letters — enqueue raw
+// endpoint, Platform.IngestWorld, and replayed dead letters — enqueue
 // events onto sharded bounded queues, keyed by article URL so a cascade's
-// posting always precedes its reactions on its shard. Each shard worker
-// drains micro-batches through three stages: decode, batched evaluation
+// posting always precedes its reactions on its shard. The queue carries an
+// event as its producer held it: decoded for the first two (no JSON
+// between the HTTP edge and the commit), stored bytes for replay. Each
+// shard worker drains micro-batches through three stages: decode (of the
+// bytes only), batched evaluation
 // of the postings (Engine.EvaluateBatch amortises the
 // single-pass analysis across the batch on the platform compute pool), and
 // batched store commits (posting rows in batch order, reactions coalesced

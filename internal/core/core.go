@@ -99,6 +99,9 @@ type Platform struct {
 	dlSeq     atomic.Uint64 // dead-letter id sequence
 	evaluated atomic.Uint64 // postings through the batched-evaluation stage
 	malformed atomic.Uint64 // payloads that failed to decode
+	// admission mirrors Config.AdmissionRate > 0: only then does anything
+	// read an event's admission source, so only then is it worked out.
+	admission bool
 
 	// Per-shard stage-timing handles, pre-registered so the batch path
 	// records without a vec lookup (see streaming.go).
@@ -168,9 +171,8 @@ type Config struct {
 	StreamShards int
 	// StreamQueueCapacity bounds each pipeline shard's queue (default
 	// 1024): full shards block Platform.StreamEvent(ev, true) and shed
-	// StreamEvent(ev, false). It is the lever for absorbing bursts: the
-	// queue grows by append up to the bound, so a generous bound costs
-	// nothing while idle.
+	// StreamEvent(ev, false). It is the lever for absorbing bursts; a
+	// shard lane in use holds a ring of this many 80-byte slots.
 	StreamQueueCapacity int
 	// StreamBatchSize is the micro-batch size per processing round
 	// (default 64), the amortisation unit for batched evaluation and
@@ -390,6 +392,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		OnDead:        p.writeDeadLetter,
 	}
 	if cfg.AdmissionRate > 0 {
+		p.admission = true
 		pcfg.Admission = &stream.AdmissionConfig{
 			SteadyRate: cfg.AdmissionRate,
 			BurstRate:  cfg.AdmissionBurst,
@@ -558,9 +561,11 @@ func (p *Platform) bumpStat(fn func(*IngestStats)) {
 // (no admission) and blocks on full shards, so the shard queue bound is the
 // backpressure on the feed. Events of one article share the article URL as
 // routing key, so a cascade stays ordered on its shard and the posting
-// always precedes its reactions. It returns the number of events that
-// reached a final processed outcome during the call (committed or
-// dead-lettered after retries; malformed payloads are excluded).
+// always precedes its reactions. The events go onto the queue as they are —
+// w.Events() builds a fresh slice nobody else holds, which is the ownership
+// the pipeline asks for. It returns the number of events that reached a
+// final processed outcome during the call (committed or dead-lettered
+// after retries; malformed payloads are excluded).
 func (p *Platform) IngestWorld(w *synth.World) (int, error) {
 	if err := p.writeGate(); err != nil {
 		return 0, err
@@ -569,11 +574,7 @@ func (p *Platform) IngestWorld(w *synth.World) (int, error) {
 	events := w.Events()
 	var err error
 	for i := range events {
-		var payload []byte
-		if payload, err = events[i].Encode(); err != nil {
-			break
-		}
-		if err = p.Pipeline.Enqueue(events[i].ArticleURL, payload); err != nil {
+		if err = p.Pipeline.EnqueueSource("", events[i].ArticleURL, &events[i]); err != nil {
 			break
 		}
 	}

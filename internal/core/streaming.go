@@ -17,11 +17,15 @@ import (
 	"repro/internal/synth"
 )
 
-// Streaming ingestion: the platform's one ingest path. Producers (the bulk
-// ingest API, IngestWorld, replayed dead letters) enqueue raw events onto
-// the stream.Pipeline's sharded bounded queues, keyed by article URL so a
-// cascade's posting→reaction order is preserved per shard. Each micro-batch then moves through three stages:
-// decode, batched evaluation of the postings via Engine.EvaluateBatch
+// Streaming ingestion: the platform's one ingest path. Producers enqueue
+// events onto the stream.Pipeline's sharded bounded queues, keyed by
+// article URL so a cascade's posting→reaction order is preserved per shard.
+// The bulk ingest API and IngestWorld hold decoded events and enqueue them
+// as *synth.Event; replayed dead letters hold the stored JSON bytes and
+// enqueue those. Each micro-batch then moves through three stages: decode
+// (of the envelopes that arrived as bytes — a decoded event is never
+// re-encoded on the way to a commit), batched evaluation of the postings
+// via Engine.EvaluateBatch
 // (amortising the single-pass document analysis on the platform compute
 // pool), and batched store commits (posting rows in order, reactions
 // coalesced into one Table.Mutate per article). Failed events retry with
@@ -48,12 +52,13 @@ var (
 // shard through decode → evaluate → commit.
 func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Result {
 	results := make([]stream.Result, len(batch))
-	events := make([]synth.Event, len(batch))
+	events := make([]*synth.Event, len(batch))
 	live := make([]bool, len(batch))
 
-	// Stage 1: decode. Malformed payloads are permanent failures.
-	for i, env := range batch {
-		ev, err := synth.DecodeEvent(env.Payload)
+	// Stage 1: decode what arrived as bytes. Malformed payloads are
+	// permanent failures.
+	for i := range batch {
+		ev, err := envelopeEvent(&batch[i])
 		if err != nil {
 			p.malformed.Add(1)
 			results[i] = stream.Result{Outcome: stream.OutcomeDead, Err: errors.Join(errMalformedEvent, err)}
@@ -64,6 +69,23 @@ func (p *Platform) processBatch(shard int, batch []stream.Envelope) []stream.Res
 	}
 	p.evaluateAndCommit(shard, events, live, results)
 	return results
+}
+
+// envelopeEvent is the event an envelope carries: the producer's own
+// *synth.Event, or the decoding of its raw payload.
+func envelopeEvent(env *stream.Envelope) (*synth.Event, error) {
+	switch ev := env.Event.(type) {
+	case *synth.Event:
+		return ev, nil
+	case nil:
+		decoded, err := synth.DecodeEvent(env.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return &decoded, nil
+	default:
+		return nil, fmt.Errorf("envelope carries a %T, not a *synth.Event", ev)
+	}
 }
 
 // IngestEvent processes one decoded firehose event synchronously: a batch
@@ -77,7 +99,7 @@ func (p *Platform) IngestEvent(ev *synth.Event) error {
 		return err
 	}
 	var result [1]stream.Result
-	p.evaluateAndCommit(0, []synth.Event{*ev}, []bool{true}, result[:])
+	p.evaluateAndCommit(0, []*synth.Event{ev}, []bool{true}, result[:])
 	p.countFailure(result[0].Err)
 	return result[0].Err
 }
@@ -85,7 +107,7 @@ func (p *Platform) IngestEvent(ev *synth.Event) error {
 // evaluateAndCommit runs decoded events through the evaluate and commit
 // stages, writing one Result per live event into results (index-aligned;
 // entries of non-live events are left as the decode stage set them).
-func (p *Platform) evaluateAndCommit(shard int, events []synth.Event, live []bool, results []stream.Result) {
+func (p *Platform) evaluateAndCommit(shard int, events []*synth.Event, live []bool, results []stream.Result) {
 	// Stage 2: micro-batched evaluation of the postings. EvaluateBatch
 	// fans the single-pass document analysis out on the platform compute
 	// pool and bypasses the real-time report cache (a firehose sweep must
@@ -137,7 +159,7 @@ func (p *Platform) evaluateAndCommit(shard int, events []synth.Event, live []boo
 		if !live[i] {
 			continue
 		}
-		ev := &events[i]
+		ev := events[i]
 		if err := p.applyPosting(ev, reports[i], gen); err != nil {
 			p.noteStorageFault(err)
 			outcome := stream.OutcomeRetry
@@ -167,7 +189,7 @@ func (p *Platform) evaluateAndCommit(shard int, events []synth.Event, live []boo
 		if !live[i] || events[i].Type == synth.EventTypePosting {
 			continue
 		}
-		ev := &events[i]
+		ev := events[i]
 		articleID, ok := p.resolveArticleID(ev.ArticleURL)
 		if !ok {
 			// Orphan reactions retry: the posting may be queued behind a
@@ -267,46 +289,46 @@ func (p *Platform) publishAssessment(ev *synth.Event, report *indicators.Report)
 	p.Bus.Publish(payload)
 }
 
-// StreamEvent encodes and enqueues one firehose event onto the ingestion
-// pipeline. block selects the backpressure mode: true parks the caller
-// while the target shard is full, false sheds with stream.ErrFull. This
-// is the untrusted (HTTP ingest) entry point, so it runs per-source
-// admission when Config.AdmissionRate enables it — a throttled source
-// gets stream.ErrThrottled with a retry hint.
+// StreamEvent enqueues one firehose event onto the ingestion pipeline, as
+// it is: the queue carries ev itself, so the caller must not modify *ev
+// after the call (the worker reads it, possibly again on a retry). block
+// selects the backpressure mode: true parks the caller while the target
+// shard is full, false sheds with stream.ErrFull. This is the untrusted
+// (HTTP ingest) entry point, so it runs per-source admission when
+// Config.AdmissionRate enables it — a throttled source gets
+// stream.ErrThrottled with a retry hint.
 func (p *Platform) StreamEvent(ev *synth.Event, block bool) error {
 	if err := p.writeGate(); err != nil {
 		return err
 	}
-	payload, err := ev.Encode()
-	if err != nil {
-		return err
-	}
 	if block {
-		return p.Pipeline.EnqueueSource(eventSource(ev), ev.ArticleURL, payload)
+		return p.Pipeline.EnqueueSource(p.eventSource(ev), ev.ArticleURL, ev)
 	}
-	return p.Pipeline.TryEnqueueSource(eventSource(ev), ev.ArticleURL, payload)
+	return p.Pipeline.TryEnqueueSource(p.eventSource(ev), ev.ArticleURL, ev)
 }
 
 // StreamEventCtx is StreamEvent in blocking mode with cancellation: a
 // caller abandoned mid-backpressure (an HTTP client that gave up) unblocks
 // with the context error instead of parking a goroutine on the full shard.
+// The same ownership rule holds: *ev is the pipeline's once this returns
+// nil.
 func (p *Platform) StreamEventCtx(ctx context.Context, ev *synth.Event) error {
 	if err := p.writeGate(); err != nil {
 		return err
 	}
-	payload, err := ev.Encode()
-	if err != nil {
-		return err
-	}
-	return p.Pipeline.EnqueueSourceCtx(ctx, eventSource(ev), ev.ArticleURL, payload)
+	return p.Pipeline.EnqueueSourceCtx(ctx, p.eventSource(ev), ev.ArticleURL, ev)
 }
 
 // eventSource is the admission identity of one firehose event: the
 // article's host (the outlet's domain), falling back to the outlet id for
 // events whose URL does not parse. Reactions inherit their article's
 // source, which is exactly right — a viral cascade is that article's
-// burst, not the reacting users'.
-func eventSource(ev *synth.Event) string {
+// burst, not the reacting users'. Without admission nothing reads the
+// source, so the URL is not parsed for it.
+func (p *Platform) eventSource(ev *synth.Event) string {
+	if !p.admission {
+		return ""
+	}
 	if h := hostOf(ev.ArticleURL); h != "" {
 		return h
 	}
@@ -326,18 +348,26 @@ func (p *Platform) countFailure(cause error) {
 
 // writeDeadLetter is the pipeline's OnDead hook: it records the event with
 // its final failure reason in the dead_letters table and counts the
-// failure.
+// failure. The payload column always holds the event's JSON bytes — the
+// ones that arrived, or, for an event that arrived decoded, its encoding,
+// made here and nowhere else.
 func (p *Platform) writeDeadLetter(env stream.Envelope, cause error) {
 	p.countFailure(cause)
 	reason := "unknown"
 	if cause != nil {
 		reason = cause.Error()
 	}
+	payload := env.Payload
+	if ev, ok := env.Event.(*synth.Event); ok {
+		// Encoding a struct of strings and a time cannot fail; if it ever
+		// did, the row would still record key and reason.
+		payload, _ = ev.Encode()
+	}
 	id := fmt.Sprintf("dl-%012d", p.dlSeq.Add(1))
 	if err := p.dead.Upsert(rdbms.Row{
 		rdbms.String(id),
 		rdbms.String(env.Key),
-		rdbms.String(string(env.Payload)),
+		rdbms.String(string(payload)),
 		rdbms.String(reason),
 		rdbms.Int(int64(env.Attempt)),
 		rdbms.Time(p.Clock()),

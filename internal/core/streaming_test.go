@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/outlets"
 	"repro/internal/rdbms"
 	"repro/internal/synth"
 )
@@ -28,11 +30,33 @@ func tableRows(t *testing.T, p *Platform, table string) []rdbms.Row {
 	return rows
 }
 
+// requireSameTables fails unless every table the ingest path writes holds,
+// row for row, the same rows on both platforms.
+func requireSameTables(t *testing.T, want, got *Platform) {
+	t.Helper()
+	for _, table := range []string{ArticlesTable, SocialTable, RepliesTable, DocsTable, DeadLettersTable} {
+		wantRows, gotRows := tableRows(t, want, table), tableRows(t, got, table)
+		if len(wantRows) == 0 && table != DeadLettersTable {
+			t.Fatalf("%s: empty fixture", table)
+		}
+		if !reflect.DeepEqual(wantRows, gotRows) {
+			for i := range wantRows {
+				if i >= len(gotRows) || !reflect.DeepEqual(wantRows[i], gotRows[i]) {
+					t.Fatalf("%s row %d diverges:\nwant: %v\ngot:  %v", table, i, wantRows[i], gotRows[i])
+				}
+			}
+			t.Fatalf("%s: rows diverge (want %d rows, got %d)", table, len(wantRows), len(gotRows))
+		}
+	}
+}
+
 // TestStreamedIngestMatchesSynchronous is the coalescing check: the
 // evaluate → commit stages store the same rows whether they run on
 // batches of one (IngestEvent, in event order) or on shard-parallel
 // 64-event micro-batches with reactions coalesced per article — for every
-// table the ingest path writes.
+// table the ingest path writes, and through either door of the queue: the
+// decoded event itself (StreamEvent) or its JSON bytes (Pipeline.Enqueue,
+// the entry dead-letter replay uses).
 func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 	w := synth.GenerateWorld(synth.Config{Seed: 51, Days: 8, RateScale: 0.3, ReactionScale: 0.3})
 	events := w.Events()
@@ -49,45 +73,48 @@ func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4, StreamBatchSize: 64})
-	if err != nil {
-		t.Fatal(err)
+	entries := []struct {
+		name    string
+		enqueue func(p *Platform, ev *synth.Event) error
+	}{
+		{"decoded", func(p *Platform, ev *synth.Event) error { return p.StreamEvent(ev, true) }},
+		{"raw", func(p *Platform, ev *synth.Event) error {
+			payload, err := ev.Encode()
+			if err != nil {
+				return err
+			}
+			return p.Pipeline.Enqueue(ev.ArticleURL, payload)
+		}},
 	}
-	defer streamP.Close()
-	for i := range events {
-		if err := streamP.StreamEvent(&events[i], true); err != nil {
-			t.Fatalf("stream ingest %d: %v", i, err)
-		}
-	}
-	streamP.Pipeline.Flush()
-
-	for _, table := range []string{ArticlesTable, SocialTable, RepliesTable, DocsTable} {
-		want := tableRows(t, syncP, table)
-		got := tableRows(t, streamP, table)
-		if len(want) == 0 {
-			t.Fatalf("%s: empty fixture", table)
-		}
-		if !reflect.DeepEqual(want, got) {
-			for i := range want {
-				if i >= len(got) || !reflect.DeepEqual(want[i], got[i]) {
-					t.Fatalf("%s row %d diverges:\nsync:     %v\nstreamed: %v", table, i, want[i], got[i])
+	for _, entry := range entries {
+		t.Run(entry.name, func(t *testing.T) {
+			streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4, StreamBatchSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer streamP.Close()
+			for i := range events {
+				if err := entry.enqueue(streamP, &events[i]); err != nil {
+					t.Fatalf("stream ingest %d: %v", i, err)
 				}
 			}
-			t.Fatalf("%s: streamed rows diverge (want %d rows, got %d)", table, len(want), len(got))
-		}
-	}
-	if ws, gs := syncP.Stats(), streamP.Stats(); ws != gs {
-		t.Errorf("ingest stats diverge: sync %+v streamed %+v", ws, gs)
-	}
-	if dls := streamP.DeadLetters(); len(dls) != 0 {
-		t.Errorf("dead letters on clean world: %+v", dls)
-	}
-	ss := streamP.StreamStats()
-	if ss.Committed != uint64(len(events)) || ss.Inflight != 0 {
-		t.Errorf("pipeline counters: %+v (want %d committed)", ss, len(events))
-	}
-	if ss.Evaluated != uint64(len(w.Articles)) {
-		t.Errorf("evaluated counter: %d want %d", ss.Evaluated, len(w.Articles))
+			streamP.Pipeline.Flush()
+
+			requireSameTables(t, syncP, streamP)
+			if ws, gs := syncP.Stats(), streamP.Stats(); ws != gs {
+				t.Errorf("ingest stats diverge: sync %+v streamed %+v", ws, gs)
+			}
+			if dls := streamP.DeadLetters(); len(dls) != 0 {
+				t.Errorf("dead letters on clean world: %+v", dls)
+			}
+			ss := streamP.StreamStats()
+			if ss.Committed != uint64(len(events)) || ss.Inflight != 0 {
+				t.Errorf("pipeline counters: %+v (want %d committed)", ss, len(events))
+			}
+			if ss.Evaluated != uint64(len(w.Articles)) {
+				t.Errorf("evaluated counter: %d want %d", ss.Evaluated, len(w.Articles))
+			}
+		})
 	}
 }
 
@@ -122,11 +149,7 @@ func TestIngestWorldMatchesBatchOfOne(t *testing.T) {
 	if n != len(events) {
 		t.Errorf("processed %d of %d events", n, len(events))
 	}
-	for _, table := range []string{ArticlesTable, SocialTable, RepliesTable, DocsTable} {
-		if want, got := tableRows(t, syncP, table), tableRows(t, streamP, table); !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: IngestWorld rows diverge (want %d rows, got %d)", table, len(want), len(got))
-		}
-	}
+	requireSameTables(t, syncP, streamP)
 	if ws, gs := syncP.Stats(), streamP.Stats(); ws != gs {
 		t.Errorf("ingest stats diverge: batch-of-one %+v IngestWorld %+v", ws, gs)
 	}
@@ -254,6 +277,160 @@ func TestMalformedEventDeadLetters(t *testing.T) {
 	if st := p.Stats(); st.ParseFailures != 0 || st.OrphanReactions != 0 {
 		t.Errorf("ingest stats: %+v", st)
 	}
+}
+
+// TestDecodedDeadLetterKeepsItsBytes pins what the dead_letters table
+// holds for an event that travelled decoded: the JSON bytes the raw entry
+// would have carried, made at dead-letter time — so the replay path (which
+// only ever sees bytes) recovers the event once its cause is fixed.
+func TestDecodedDeadLetterKeepsItsBytes(t *testing.T) {
+	w := synth.GenerateWorld(synth.Config{Seed: 57, Days: 3, RateScale: 0.2, ReactionScale: 0})
+	var posting synth.Event
+	for _, ev := range w.Events() {
+		if ev.Type == synth.EventTypePosting {
+			posting = ev
+			break
+		}
+	}
+	p, err := NewPlatform(Config{Registry: outlets.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	want, err := posting.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.StreamEvent(&posting, true); err != nil {
+		t.Fatal(err)
+	}
+	p.Pipeline.Flush()
+	dls := p.DeadLetters()
+	if len(dls) != 1 {
+		t.Fatalf("dead letters: %d, want the unknown-outlet posting", len(dls))
+	}
+	if !bytes.Equal(dls[0].Payload, want) {
+		t.Fatalf("dead-letter payload is not the event's encoding:\ngot:  %s\nwant: %s", dls[0].Payload, want)
+	}
+	if dls[0].Key != posting.ArticleURL || !strings.Contains(dls[0].Reason, "outlet") {
+		t.Errorf("dead letter: key %q reason %q", dls[0].Key, dls[0].Reason)
+	}
+	if ss := p.StreamStats(); ss.Malformed != 0 || ss.Retried != 0 {
+		t.Errorf("an unknown outlet is neither malformed nor retried: %+v", ss)
+	}
+
+	if err := p.Registry.Register(outlets.Outlet{
+		ID: posting.OutletID, Name: "late", Domain: hostOf(posting.ArticleURL), Rating: outlets.Good,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.ReplayDeadLetters(true); err != nil || n != 1 {
+		t.Fatalf("replay: n=%d err=%v", n, err)
+	}
+	if got := len(p.DeadLetters()); got != 0 {
+		t.Errorf("dead letters after replay: %d", got)
+	}
+	if p.Stats().Postings != 1 {
+		t.Errorf("replayed posting not stored: %+v", p.Stats())
+	}
+}
+
+// TestForeignEnvelopeEventDeadLetters: the queue's decoded slot is an
+// opaque any, so the processor must survive a producer that puts something
+// other than a *synth.Event in it — one malformed dead letter, no panic, no
+// retry.
+func TestForeignEnvelopeEventDeadLetters(t *testing.T) {
+	p, err := NewPlatform(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Pipeline.EnqueueSource("", "k", struct{ N int }{7}); err != nil {
+		t.Fatal(err)
+	}
+	p.Pipeline.Flush()
+	dls := p.DeadLetters()
+	if len(dls) != 1 {
+		t.Fatalf("dead letters: %d", len(dls))
+	}
+	if dls[0].Attempts != 0 || !strings.Contains(dls[0].Reason, "malformed") || len(dls[0].Payload) != 0 {
+		t.Errorf("dead letter: %+v", dls[0])
+	}
+	if ss := p.StreamStats(); ss.Retried != 0 || ss.Malformed != 1 || ss.Committed != 0 {
+		t.Errorf("stats: %+v", ss)
+	}
+}
+
+// TestStreamEventDoesNotAllocate guards the enqueue half of "decoded once,
+// moved once": without admission, handing a decoded event to the queue
+// encodes nothing, parses no URL and registers no cancellation hook. The
+// pipeline is paused so only the producer's allocations are counted, and
+// the key is already queued, so its lane pin exists.
+func TestStreamEventDoesNotAllocate(t *testing.T) {
+	p, err := NewPlatform(Config{StreamShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ev := &synth.Event{
+		Type: synth.EventTypeReaction, PostID: "r1", Kind: "like", UserID: "u1",
+		ArticleURL: "https://excellent-1.example/story", Time: synth.WindowStart,
+	}
+	p.Pipeline.Pause()
+	defer p.Pipeline.Resume()
+	if err := p.StreamEvent(ev, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := p.StreamEvent(ev, false); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("StreamEvent allocates %v times per event, want 0", n)
+	}
+}
+
+// BenchmarkStreamEventEnqueue times the producer's half of the firehose —
+// StreamEvent up to the moment the event sits on its shard — with the
+// workers paused so nothing else runs, draining off the clock whenever the
+// lane fills. Run with -benchmem: 0 allocs/op is the figure to hold.
+func BenchmarkStreamEventEnqueue(b *testing.B) {
+	const lane = 1024
+	p, err := NewPlatform(Config{StreamShards: 1, StreamQueueCapacity: lane})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	w := synth.GenerateWorld(synth.Config{Seed: 58, Days: 3, RateScale: 0.2, ReactionScale: 0})
+	posting := w.Events()[0]
+	if err := p.IngestEvent(&posting); err != nil {
+		b.Fatal(err)
+	}
+	like := &synth.Event{
+		Type: synth.EventTypeReaction, PostID: "like-1", ParentID: posting.PostID, Kind: "like",
+		UserID: "u1", ArticleURL: posting.ArticleURL, Time: posting.Time,
+	}
+	p.Pipeline.Pause()
+	// The first enqueue allocates the lane's ring and the key's lane pin.
+	if err := p.StreamEvent(like, false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%lane == lane-2 {
+			b.StopTimer()
+			p.Pipeline.Resume()
+			p.Pipeline.Flush()
+			p.Pipeline.Pause()
+			b.StartTimer()
+		}
+		if err := p.StreamEvent(like, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	p.Pipeline.Resume()
 }
 
 // TestStreamShedModeAtCapacity covers the platform-level shed-vs-block

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,7 @@ func (l lane) String() string {
 }
 
 // Pipeline is the asynchronous staged-ingestion engine: producers enqueue
-// raw keyed envelopes onto sharded bounded queues (key routing preserves
+// keyed envelopes onto sharded bounded queues (key routing preserves
 // per-key ordering, e.g. an article's posting always precedes its
 // reactions), and one worker per shard drains micro-batches through a
 // caller-supplied batch processor. Per-envelope outcomes drive the rest of
@@ -68,6 +69,10 @@ func (l lane) String() string {
 // drained under deficit-weighted round-robin; per-source token-bucket
 // admission (PipelineConfig.Admission) decides which lane a source's
 // traffic rides in, or throttles it outright.
+//
+// An envelope carries what its producer already holds — a decoded event
+// (EnqueueSource and friends) or raw bytes (Enqueue, EnqueueNotify) — and
+// the pipeline moves it without looking inside.
 //
 // Backpressure is explicit and caller-selectable: Enqueue blocks while the
 // target lane is at capacity, TryEnqueueSource sheds with ErrFull (the API
@@ -103,13 +108,21 @@ type Pipeline struct {
 	closed atomic.Bool
 }
 
-// Envelope is one raw event moving through the pipeline. Attempt counts
-// completed processing attempts (0 on first delivery).
+// Envelope is one event moving through the pipeline, in the one
+// representation its producer held: exactly one of Event and Payload is
+// set, and the pipeline converts neither. Attempt counts completed
+// processing attempts (0 on first delivery).
 type Envelope struct {
 	// Key is the routing key; envelopes sharing a key are processed in
 	// enqueue order on one shard.
 	Key string
-	// Payload is the opaque event body.
+	// Event is the decoded event of an envelope enqueued through
+	// EnqueueSource and friends, opaque to the pipeline (the batch
+	// processor knows its type). The producer gave it up at enqueue: nothing
+	// may modify what it points to afterwards.
+	Event any
+	// Payload is the raw event body of an envelope enqueued through Enqueue
+	// or EnqueueNotify.
 	Payload []byte
 	// Attempt is the number of failed processing attempts so far.
 	Attempt int
@@ -151,9 +164,9 @@ type PipelineConfig struct {
 	// within a shard, so more shards buy parallelism across keys.
 	Shards int
 	// QueueCapacity bounds each shard lane's queue (default 1024). A full
-	// lane blocks Enqueue and sheds TryEnqueue. It is a limit on an
-	// append-grown slice, not a preallocation: a generous bound costs
-	// nothing while the lane is idle.
+	// lane blocks Enqueue and sheds TryEnqueueSource. A lane is a ring of
+	// this many 80-byte slots, allocated whole the first time the lane is
+	// used.
 	QueueCapacity int
 	// MaxBatch is the micro-batch size a worker drains per processing round
 	// (default 64) — the amortisation unit for batched evaluation and
@@ -192,11 +205,50 @@ type PipelineConfig struct {
 	OnDead func(env Envelope, err error)
 }
 
-// laneQueue is one priority lane's FIFO plus its deficit-round-robin
-// credit balance.
+// laneQueue is one priority lane's FIFO — a fixed ring, so a dequeue
+// touches only the slots it takes — plus its deficit-round-robin credit
+// balance. The ring is allocated whole on the lane's first enqueue: the
+// burst lane stays empty for good unless admission is configured, and a
+// lane's worth of slots per shard is too much to hold for that.
 type laneQueue struct {
-	queue   []Envelope
-	deficit int
+	capacity int
+	ring     []Envelope // nil until first used, then capacity slots
+	head     int        // index of the oldest envelope
+	n        int        // envelopes queued
+	deficit  int
+}
+
+// full reports whether every slot is taken.
+func (q *laneQueue) full() bool { return q.n >= q.capacity }
+
+// push appends env; the caller has checked the lane is not full.
+func (q *laneQueue) push(env Envelope) {
+	if q.ring == nil {
+		q.ring = make([]Envelope, q.capacity)
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = env
+	q.n++
+}
+
+// popTo moves the take oldest envelopes onto batch. The vacated slots are
+// zeroed: a stale slot would keep its event (a posting's whole markup)
+// reachable until the ring wrapped around to it.
+func (q *laneQueue) popTo(batch []Envelope, take int) []Envelope {
+	first := min(take, len(q.ring)-q.head)
+	batch = append(batch, q.ring[q.head:q.head+first]...)
+	clear(q.ring[q.head : q.head+first])
+	batch = append(batch, q.ring[:take-first]...)
+	clear(q.ring[:take-first])
+	q.head += take
+	if q.head >= len(q.ring) {
+		q.head -= len(q.ring)
+	}
+	q.n -= take
+	return batch
 }
 
 // pshard is one worker shard: two bounded priority lanes and the retry
@@ -213,7 +265,6 @@ type pshard struct {
 	notFull  *sync.Cond
 	lanes    [numLanes]laneQueue
 	ready    []Envelope
-	capacity int
 	paused   bool
 	stopped  bool
 
@@ -230,12 +281,12 @@ func newPshard(capacity, id int) *pshard {
 	label := strconv.Itoa(id)
 	s := &pshard{
 		id:           id,
-		capacity:     capacity,
 		obsQueueWait: mQueueWait.With(label),
 		obsRetry:     mRetryBackoff.With(label),
 		obsDead:      mDeadAge.With(label),
 	}
 	for l := lane(0); l < numLanes; l++ {
+		s.lanes[l].capacity = capacity
 		s.obsShed[l] = mShed.With(label, l.String())
 	}
 	s.notEmpty = sync.NewCond(&s.mu)
@@ -288,10 +339,12 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// Enqueue routes the envelope to its key's shard, blocking while the
-// steady lane is at capacity (the backpressure-by-blocking mode).
+// Enqueue routes a raw-bytes envelope to its key's shard, blocking while
+// the steady lane is at capacity (the backpressure-by-blocking mode). It is
+// the entry for producers that hold bytes, not an event — dead-letter
+// replay above all; what the bytes mean is the batch processor's business.
 func (p *Pipeline) Enqueue(key string, payload []byte) error {
-	return p.enqueue(nil, "", key, payload, true, nil)
+	return p.enqueue(nil, "", Envelope{Key: key, Payload: payload}, true)
 }
 
 // EnqueueNotify behaves like Enqueue and additionally marks wg done when
@@ -299,30 +352,32 @@ func (p *Pipeline) Enqueue(key string, payload []byte) error {
 // after any retries) — the hook dead-letter replay uses to wait for its
 // own envelopes without flushing the whole pipeline.
 func (p *Pipeline) EnqueueNotify(key string, payload []byte, wg *sync.WaitGroup) error {
-	return p.enqueue(nil, "", key, payload, true, wg)
+	return p.enqueue(nil, "", Envelope{Key: key, Payload: payload, notify: wg}, true)
 }
 
-// EnqueueSource behaves like Enqueue but first runs the envelope through
-// per-source admission (when configured): the source's token buckets
-// decide the lane, or reject with a ThrottleError carrying a retry hint.
-func (p *Pipeline) EnqueueSource(source, key string, payload []byte) error {
-	return p.enqueue(nil, source, key, payload, true, nil)
+// EnqueueSource enqueues a decoded event in blocking mode, first running
+// it through per-source admission (when configured and source is not ""):
+// the source's token buckets decide the lane, or reject with a
+// ThrottleError carrying a retry hint. The pipeline owns event from here
+// on; the caller must not modify what it points to.
+func (p *Pipeline) EnqueueSource(source, key string, event any) error {
+	return p.enqueue(nil, source, Envelope{Key: key, Event: event}, true)
 }
 
 // EnqueueSourceCtx is EnqueueSource that stops waiting when ctx is
 // cancelled, returning the context error — the shape request handlers need
 // so an abandoned client cannot park a goroutine on a full shard forever.
-func (p *Pipeline) EnqueueSourceCtx(ctx context.Context, source, key string, payload []byte) error {
-	return p.enqueue(ctx, source, key, payload, true, nil)
+func (p *Pipeline) EnqueueSourceCtx(ctx context.Context, source, key string, event any) error {
+	return p.enqueue(ctx, source, Envelope{Key: key, Event: event}, true)
 }
 
 // TryEnqueueSource is EnqueueSource in load-shedding mode: a full lane
 // sheds with ErrFull instead of blocking.
-func (p *Pipeline) TryEnqueueSource(source, key string, payload []byte) error {
-	return p.enqueue(nil, source, key, payload, false, nil)
+func (p *Pipeline) TryEnqueueSource(source, key string, event any) error {
+	return p.enqueue(nil, source, Envelope{Key: key, Event: event}, false)
 }
 
-func (p *Pipeline) enqueue(ctx context.Context, source, key string, payload []byte, block bool, notify *sync.WaitGroup) error {
+func (p *Pipeline) enqueue(ctx context.Context, source string, env Envelope, block bool) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
@@ -337,10 +392,10 @@ func (p *Pipeline) enqueue(ctx context.Context, source, key string, payload []by
 	}
 	// A key with envelopes still queued keeps their lane: a cascade must
 	// never straddle lanes, or the weighted scheduler could reorder it.
-	l := p.sticky.acquire(key, want)
-	s := p.shards[keyHash(key)%uint32(len(p.shards))]
-	if err := p.put(s, ctx, key, payload, l, block, notify); err != nil {
-		p.sticky.release(key)
+	l := p.sticky.acquire(env.Key, want)
+	s := p.shards[keyHash(env.Key)%uint32(len(p.shards))]
+	if err := p.put(s, ctx, env, l, block); err != nil {
+		p.sticky.release(env.Key)
 		return err
 	}
 	return nil
@@ -348,20 +403,10 @@ func (p *Pipeline) enqueue(ctx context.Context, source, key string, payload []by
 
 // put inserts the envelope on shard s, blocking (or shedding) while the
 // lane is at capacity.
-func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byte, l lane, block bool, notify *sync.WaitGroup) error {
-	if ctx != nil && block {
-		// Wake the wait loop below on cancellation. Broadcasting under the
-		// shard lock pairs with the loop's ctx re-check: the waiter either
-		// sees the error before parking or is woken after.
-		stop := context.AfterFunc(ctx, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.notFull.Broadcast()
-		})
-		defer stop()
-	}
+func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, l lane, block bool) error {
+	q := &s.lanes[l]
 	s.mu.Lock()
-	for len(s.lanes[l].queue) >= s.capacity && !s.stopped {
+	if q.full() && !s.stopped {
 		if !block {
 			s.mu.Unlock()
 			s.shed[l].Add(1)
@@ -369,13 +414,10 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byt
 			p.shed.Add(1)
 			return ErrFull
 		}
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				s.mu.Unlock()
-				return cerr
-			}
+		if err := s.waitNotFullLocked(ctx, q); err != nil {
+			s.mu.Unlock()
+			return err
 		}
-		s.notFull.Wait()
 	}
 	if s.stopped {
 		s.mu.Unlock()
@@ -386,13 +428,41 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byt
 	// transient zero with work still outstanding.
 	p.inflight.Add(1)
 	p.enqueued.Add(1)
-	if notify != nil {
-		notify.Add(1)
+	if env.notify != nil {
+		env.notify.Add(1)
 	}
-	s.lanes[l].queue = append(s.lanes[l].queue, Envelope{Key: key, Payload: payload,
-		notify: notify, enqueuedNs: p.now().UnixNano()})
+	env.enqueuedNs = p.now().UnixNano()
+	q.push(env)
 	s.mu.Unlock()
 	s.notEmpty.Broadcast()
+	return nil
+}
+
+// waitNotFullLocked parks the producer until lane q has a free slot or the
+// shard stops, or — with a ctx — until ctx is cancelled, which it reports
+// as the context error. Callers hold s.mu. Only a producer that gets here
+// pays for the cancellation hook; the common enqueue never parks.
+func (s *pshard) waitNotFullLocked(ctx context.Context, q *laneQueue) error {
+	if ctx != nil {
+		// Wake the wait loop below on cancellation. Broadcasting under the
+		// shard lock pairs with the loop's ctx re-check: the waiter either
+		// sees the error before parking or is woken after. (stop never
+		// waits for the hook, so calling it with s.mu held is safe.)
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.notFull.Broadcast()
+		})
+		defer stop()
+	}
+	for q.full() && !s.stopped {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		s.notFull.Wait()
+	}
 	return nil
 }
 
@@ -400,7 +470,7 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, key string, payload []byt
 func (s *pshard) queuedLocked() int {
 	total := 0
 	for l := range s.lanes {
-		total += len(s.lanes[l].queue)
+		total += s.lanes[l].n
 	}
 	return total
 }
@@ -436,20 +506,19 @@ func (s *pshard) next(max int, quantum [numLanes]int) []Envelope {
 	batch := make([]Envelope, 0, min(max, s.queuedLocked()+len(s.ready)))
 	n := min(max, len(s.ready))
 	batch = append(batch, s.ready[:n]...)
-	s.ready = append(s.ready[:0], s.ready[n:]...)
+	s.ready = slices.Delete(s.ready, 0, n) // zeroes the vacated tail
 	fromLanes := false
 	for len(batch) < max && s.queuedLocked() > 0 {
 		for l := range s.lanes {
 			q := &s.lanes[l]
-			if len(q.queue) == 0 {
+			if q.n == 0 {
 				q.deficit = 0
 				continue
 			}
 			q.deficit += quantum[l]
-			take := min(q.deficit, len(q.queue), max-len(batch))
+			take := min(q.deficit, q.n, max-len(batch))
 			if take > 0 {
-				batch = append(batch, q.queue[:take]...)
-				q.queue = append(q.queue[:0], q.queue[take:]...)
+				batch = q.popTo(batch, take)
 				q.deficit -= take
 				fromLanes = true
 			}
@@ -773,8 +842,8 @@ func (s *pshard) stats() ShardStats {
 	s.mu.Lock()
 	st := ShardStats{
 		ID:     s.id,
-		Steady: len(s.lanes[LaneSteady].queue),
-		Burst:  len(s.lanes[LaneBurst].queue),
+		Steady: s.lanes[LaneSteady].n,
+		Burst:  s.lanes[LaneBurst].n,
 		Ready:  len(s.ready),
 	}
 	s.mu.Unlock()
