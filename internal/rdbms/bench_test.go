@@ -360,16 +360,19 @@ func BenchmarkApplyReplRecord(b *testing.B) {
 // declares — column kinds, indexes and the shape of the stored strings —
 // so the figure moves when the row or index representation does. (This
 // package cannot import core; a column added there should be added here.)
-var footprintTables = []struct {
+type footprintSpec struct {
 	name    string
 	cols    []Column
 	pk      string
 	hash    []string
 	ordered []string
 	row     func(i int) Row
-}{
+	budget  float64 // live B/row TestTableFootprintBudget allows
+}
+
+var footprintTables = []footprintSpec{
 	{
-		name: "articles", pk: "id", hash: []string{"url", "outlet_id"}, ordered: []string{"published"},
+		name: "articles", pk: "id", hash: []string{"url", "outlet_id"}, ordered: []string{"published"}, budget: 1000,
 		cols: []Column{
 			{Name: "id", Type: TString}, {Name: "outlet_id", Type: TString, NotNull: true},
 			{Name: "rating", Type: TInt, NotNull: true}, {Name: "url", Type: TString, NotNull: true},
@@ -394,7 +397,7 @@ var footprintTables = []struct {
 		},
 	},
 	{
-		name: "article_social", pk: "article_id",
+		name: "article_social", pk: "article_id", budget: 350,
 		cols: []Column{
 			{Name: "article_id", Type: TString}, {Name: "reactions", Type: TInt},
 			{Name: "replies", Type: TInt}, {Name: "reshares", Type: TInt}, {Name: "likes", Type: TInt},
@@ -405,7 +408,7 @@ var footprintTables = []struct {
 		},
 	},
 	{
-		name: "replies", pk: "id", hash: []string{"article_id"},
+		name: "replies", pk: "id", hash: []string{"article_id"}, budget: 320,
 		cols: []Column{
 			{Name: "id", Type: TString}, {Name: "article_id", Type: TString, NotNull: true},
 			{Name: "text", Type: TString}, {Name: "stance", Type: TString},
@@ -418,7 +421,7 @@ var footprintTables = []struct {
 		},
 	},
 	{
-		name: "article_docs", pk: "id",
+		name: "article_docs", pk: "id", budget: 290,
 		cols: []Column{
 			{Name: "id", Type: TString}, {Name: "url", Type: TString, NotNull: true},
 			{Name: "html", Type: TString, NotNull: true},
@@ -433,13 +436,11 @@ var footprintTables = []struct {
 	},
 }
 
-// BenchmarkTableFootprint reports the live heap one stored row costs in
-// each of the platform's four tables, indexes and string payload
-// included: HeapAlloc after a forced collection, table loaded minus table
-// absent, over the row count. It is a size, not a speed — run it with
-// -benchtime=1x; ns/op is the load time and means little.
-func BenchmarkTableFootprint(b *testing.B) {
-	const rows = 20000
+// tableFootprint loads rows rows of spec into a fresh table and returns
+// the live heap one of them costs, indexes and string payload included:
+// HeapAlloc after a forced collection, table loaded minus table absent,
+// over the row count.
+func tableFootprint(tb testing.TB, spec footprintSpec, rows int) float64 {
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC() // the first cycle may only have finished a sweep
@@ -447,35 +448,59 @@ func BenchmarkTableFootprint(b *testing.B) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
+	schema, err := NewSchema(spec.cols, spec.pk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	before := liveHeap()
+	tbl, err := NewDB().CreateTable(spec.name, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, col := range spec.hash {
+		if err := tbl.CreateIndex(col, HashIndex); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, col := range spec.ordered {
+		if err := tbl.CreateIndex(col, OrderedIndex); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := tbl.Insert(spec.row(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(tbl)
+	return float64(after-before) / float64(rows)
+}
+
+const footprintRows = 20000
+
+// BenchmarkTableFootprint reports the live heap one stored row costs in
+// each of the platform's four tables. It is a size, not a speed — run it
+// with -benchtime=1x; ns/op is the load time and means little.
+func BenchmarkTableFootprint(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		for _, spec := range footprintTables {
-			schema, err := NewSchema(spec.cols, spec.pk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			before := liveHeap()
-			tbl, err := NewDB().CreateTable(spec.name, schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, col := range spec.hash {
-				if err := tbl.CreateIndex(col, HashIndex); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, col := range spec.ordered {
-				if err := tbl.CreateIndex(col, OrderedIndex); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < rows; i++ {
-				if _, err := tbl.Insert(spec.row(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			after := liveHeap()
-			b.ReportMetric(float64(after-before)/rows, spec.name+"-B/row")
-			runtime.KeepAlive(tbl)
+			b.ReportMetric(tableFootprint(b, spec, footprintRows), spec.name+"-B/row")
+		}
+	}
+}
+
+// TestTableFootprintBudget turns the benchmark's printout into a guard:
+// bytes per stored row is the operator's capacity number, and a second copy
+// of a key in an index (PR 24 removed one: 1 148 / 413 / 473 / 349 B/row
+// before, 923 / 318 / 283 / 254 after) costs more than the 8–13 % of slack
+// these budgets leave.
+func TestTableFootprintBudget(t *testing.T) {
+	for _, spec := range footprintTables {
+		got := tableFootprint(t, spec, footprintRows)
+		t.Logf("%s: %.1f B/row live, budget %v", spec.name, got, spec.budget)
+		if got > spec.budget {
+			t.Errorf("%s is over its budget", spec.name)
 		}
 	}
 }

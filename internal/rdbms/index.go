@@ -1,8 +1,8 @@
 package rdbms
 
 import (
+	"math/bits"
 	"math/rand"
-	"slices"
 	"sync"
 )
 
@@ -29,96 +29,184 @@ type index interface {
 	kind() IndexKind
 }
 
-// hashIdx is an equality index: value hash key → set of row ids.
+// hashIdx is an equality index that stores no keys: an open-addressed
+// table of 8-byte entries, each the key's hash32 and a row id. A probe
+// compares the tag and then the indexed column of the row itself, which
+// the caller was about to read anyway — so a key lives once, in its row,
+// and the table is pointer-free (the GC never scans it).
+//
+// Entries with equal keys share a home bucket; insertion takes the first
+// empty slot along the probe sequence, deletion shifts the cluster back
+// without reordering it, and growth re-inserts each cluster from its head.
+// A key's rows therefore sit along its probe sequence in insertion order,
+// which is the order each/lookup yield and lookupOne's "first".
+//
+// The index reads rows, so a lookup needs heap[id] to hold the row whose
+// key the entry carries. Every mutation runs under the stripe write lock;
+// within it insert, remove and grow never read a row (they match on tag
+// and id alone), so only the order against lookups matters: the heap slot
+// is written before its entry is inserted.
 type hashIdx struct {
-	m map[string]idList
+	heap    *[]Row // the partition's heap; a pointer, because resets and appends replace the slice
+	col     int    // indexed column
+	entries []hashEntry
+	n       int   // live entries
+	shift   uint8 // 32 - log2(len(entries))
 }
 
-// idList is a non-empty set of row ids in insertion order. The first id
-// sits in the map slot itself, so a unique key — every primary key — costs
-// no allocation beyond the slot; only further ids spill into the slice.
-type idList struct {
-	first int
-	rest  []int
+// hashEntry is one table slot; the zero entry is empty.
+type hashEntry struct {
+	tag  uint32 // hash32 of the row's key
+	slot uint32 // row id + 1
 }
 
-func newHashIdx() *hashIdx { return &hashIdx{m: make(map[string]idList)} }
+// maxStripeRows bounds a stripe's heap so that every row id + 1 fits a
+// hashEntry (2³¹ slice headers are 51 GB — unreachable, but refused rather
+// than truncated).
+const maxStripeRows = 1<<31 - 1
+
+const minHashEntries = 8
+
+func newHashIdx(heap *[]Row, col int) *hashIdx { return &hashIdx{heap: heap, col: col} }
 
 func (h *hashIdx) kind() IndexKind { return HashIndex }
 
-func (h *hashIdx) insert(v Value, rowID int) { h.insertKey(v.hashKey(), rowID) }
+// home is the first bucket of tag's probe sequence. It takes the high bits
+// of a multiplicative mix, not the tag's low bits: inside stripe i every
+// primary key has tag % P == i, which would leave all but 1/P of a pk
+// table's home buckets unused.
+func (h *hashIdx) home(tag uint32) uint32 { return (tag * 0x9E3779B1) >> h.shift }
 
-// insertKey is insert with the hash key precomputed — the primary-key
-// path, where the partition router already paid for the key.
-func (h *hashIdx) insertKey(k string, rowID int) {
-	l, ok := h.m[k]
-	if !ok {
-		h.m[k] = idList{first: rowID}
-		return
-	}
-	if l.first == rowID || slices.Contains(l.rest, rowID) {
-		return
-	}
-	l.rest = append(l.rest, rowID)
-	h.m[k] = l
-}
+func (h *hashIdx) insert(v Value, rowID int) { h.insertTag(v.hash32(), rowID) }
 
-func (h *hashIdx) remove(v Value, rowID int) { h.removeKey(v.hashKey(), rowID) }
-
-func (h *hashIdx) removeKey(k string, rowID int) {
-	l, ok := h.m[k]
-	if !ok {
-		return
+// insertTag is insert with the key's hash32 precomputed — the primary-key
+// path, where the partition router already paid for it. Inserting a
+// (key, row id) pair the index holds is a no-op.
+func (h *hashIdx) insertTag(tag uint32, rowID int) {
+	if (h.n+1)*4 > len(h.entries)*3 {
+		h.grow()
 	}
-	switch {
-	case l.first != rowID:
-		i := slices.Index(l.rest, rowID)
-		if i < 0 {
+	e := hashEntry{tag: tag, slot: uint32(rowID) + 1}
+	mask := uint32(len(h.entries) - 1)
+	i := h.home(tag)
+	for h.entries[i].slot != 0 {
+		if h.entries[i] == e {
 			return
 		}
-		l.rest = slices.Delete(l.rest, i, i+1)
-	case len(l.rest) == 0:
-		delete(h.m, k)
+		i = (i + 1) & mask
+	}
+	h.entries[i] = e
+	h.n++
+}
+
+// grow doubles the table. The walk starts just after an empty slot, so a
+// cluster that wraps the array end is re-inserted from its head like any
+// other and equal keys keep their order.
+func (h *hashIdx) grow() {
+	old := h.entries
+	size := max(minHashEntries, 2*len(old))
+	h.entries = make([]hashEntry, size)
+	h.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	if len(old) == 0 {
 		return
-	default:
-		l.first, l.rest = l.rest[0], l.rest[1:]
 	}
-	if len(l.rest) == 0 {
-		l.rest = nil // a key back to one id holds no slice
+	start := 0
+	for old[start].slot != 0 {
+		start++
 	}
-	h.m[k] = l
+	mask := uint32(size - 1)
+	for k := 1; k <= len(old); k++ {
+		e := old[(start+k)&(len(old)-1)]
+		if e.slot == 0 {
+			continue
+		}
+		i := h.home(e.tag)
+		for h.entries[i].slot != 0 {
+			i = (i + 1) & mask
+		}
+		h.entries[i] = e
+	}
+}
+
+func (h *hashIdx) remove(v Value, rowID int) { h.removeTag(v.hash32(), rowID) }
+
+// removeTag deletes the (tag, row id) entry if present and closes the gap
+// by backward shift: every later entry of the cluster whose home bucket
+// does not lie between the gap and itself moves into the gap. No
+// tombstones, so a table that inserts and deletes for ever does not grow.
+func (h *hashIdx) removeTag(tag uint32, rowID int) {
+	if h.n == 0 {
+		return
+	}
+	e := hashEntry{tag: tag, slot: uint32(rowID) + 1}
+	mask := uint32(len(h.entries) - 1)
+	i := h.home(tag)
+	for h.entries[i] != e {
+		if h.entries[i].slot == 0 {
+			return
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; h.entries[j].slot != 0; j = (j + 1) & mask {
+		// The entry at j may fill the gap at i unless its home lies in
+		// (i, j]: it is at least as far from home as from the gap.
+		if (j-h.home(h.entries[j].tag))&mask >= (j-i)&mask {
+			h.entries[i] = h.entries[j]
+			i = j
+		}
+	}
+	h.entries[i] = hashEntry{}
+	h.n--
+}
+
+// probe walks tag's probe sequence from bucket i and returns the first
+// bucket whose row holds v, or false at the cluster's end.
+func (h *hashIdx) probe(i, tag uint32, v Value) (uint32, bool) {
+	if h.n == 0 {
+		return 0, false
+	}
+	heap := *h.heap
+	mask := uint32(len(h.entries) - 1)
+	for ; h.entries[i].slot != 0; i = (i + 1) & mask {
+		if e := h.entries[i]; e.tag == tag && heap[e.slot-1][h.col].sameKey(v) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 func (h *hashIdx) lookup(v Value) []int {
-	l, ok := h.m[v.hashKey()]
+	var out []int
+	h.each(v, func(id int) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
+}
+
+// lookupOne returns the first-inserted matching row id without allocating
+// — the primary-key fast path, where at most one row matches.
+func (h *hashIdx) lookupOne(v Value) (int, bool) { return h.lookupOneTag(v.hash32(), v) }
+
+// lookupOneTag is lookupOne with v's hash32 precomputed.
+func (h *hashIdx) lookupOneTag(tag uint32, v Value) (int, bool) {
+	i, ok := h.probe(h.home(tag), tag, v)
 	if !ok {
-		return nil
+		return 0, false
 	}
-	out := make([]int, 0, 1+len(l.rest))
-	return append(append(out, l.first), l.rest...)
-}
-
-// lookupOne returns one matching row id without allocating the id slice —
-// the primary-key fast path, where at most one row matches.
-func (h *hashIdx) lookupOne(v Value) (int, bool) {
-	return h.lookupOneKey(v.hashKey())
-}
-
-// lookupOneKey is lookupOne with the hash key precomputed.
-func (h *hashIdx) lookupOneKey(k string) (int, bool) {
-	l, ok := h.m[k]
-	return l.first, ok
+	return int(h.entries[i].slot - 1), true
 }
 
 // each invokes fn with every matching row id in insertion order, without
 // allocating; fn returns false to stop early.
-func (h *hashIdx) each(v Value, fn func(rowID int) bool) {
-	l, ok := h.m[v.hashKey()]
-	if !ok || !fn(l.first) {
-		return
-	}
-	for _, id := range l.rest {
-		if !fn(id) {
+func (h *hashIdx) each(v Value, fn func(rowID int) bool) { h.eachTag(v.hash32(), v, fn) }
+
+// eachTag is each with v's hash32 precomputed: a caller that probes every
+// stripe hashes once.
+func (h *hashIdx) eachTag(tag uint32, v Value, fn func(rowID int) bool) {
+	mask := uint32(len(h.entries) - 1)
+	for i, ok := h.probe(h.home(tag), tag, v); ok; i, ok = h.probe((i+1)&mask, tag, v) {
+		if !fn(int(h.entries[i].slot - 1)) {
 			return
 		}
 	}

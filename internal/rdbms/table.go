@@ -75,11 +75,12 @@ func newTable(name string, schema *Schema, parts int, wal *WAL) *Table {
 		idxMeta: make(map[string]IndexKind),
 	}
 	for i := range t.parts {
-		t.parts[i] = &partition{
-			pkIdx:   newHashIdx(),
+		p := &partition{
 			indexes: make(map[string]index),
 			epoch:   1, // born dirty: see partition.epoch
 		}
+		p.pkIdx = newHashIdx(&p.heap, schema.PK)
+		t.parts[i] = p
 	}
 	return t
 }
@@ -93,28 +94,12 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Partitions returns the table's lock-stripe count.
 func (t *Table) Partitions() int { return len(t.parts) }
 
-// fnvOf is an allocation-free FNV-1a over the value's hash key — the
-// partition router.
-func fnvOf(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // partFor routes a primary-key value to its partition index.
-func (t *Table) partFor(pk Value) int { return t.partForKey(pk.hashKey()) }
+func (t *Table) partFor(pk Value) int { return t.partForKey(pk.hash32()) }
 
-// partForKey routes a precomputed primary-key hash key: the hot paths
-// compute the key once and reuse it for both routing and the pk index.
-func (t *Table) partForKey(k string) int {
-	if len(t.parts) == 1 {
-		return 0
-	}
-	return int(fnvOf(k) % uint32(len(t.parts)))
-}
+// partForKey routes a precomputed primary-key hash32: the hot paths hash
+// the key once and reuse the word for both routing and the pk index.
+func (t *Table) partForKey(h uint32) int { return int(h % uint32(len(t.parts))) }
 
 // Len returns the number of live rows.
 func (t *Table) Len() int {
@@ -159,14 +144,7 @@ func (t *Table) CreateIndex(col string, kind IndexKind) error {
 		}
 	}
 	for _, p := range t.parts {
-		var idx index
-		switch kind {
-		case HashIndex:
-			idx = newHashIdx()
-		case OrderedIndex:
-			t.idxSeed++
-			idx = newSkipIdx(t.idxSeed)
-		}
+		idx := t.newIndex(p, ci, kind)
 		for slot, row := range p.heap {
 			if row != nil {
 				idx.insert(row[ci], slot)
@@ -180,6 +158,16 @@ func (t *Table) CreateIndex(col string, kind IndexKind) error {
 	}
 	t.idxMeta[col] = kind
 	return nil
+}
+
+// newIndex builds an empty shard of a secondary index on column ci for
+// partition p. Caller holds idxMu.
+func (t *Table) newIndex(p *partition, ci int, kind IndexKind) index {
+	if kind == OrderedIndex {
+		t.idxSeed++
+		return newSkipIdx(t.idxSeed)
+	}
+	return newHashIdx(&p.heap, ci)
 }
 
 // HasIndex reports whether the column has a secondary index.
@@ -223,17 +211,22 @@ func (t *Table) insertOwned(r Row) (int, error) {
 	if err := t.schema.Validate(r); err != nil {
 		return 0, err
 	}
-	k := r[t.schema.PK].hashKey()
-	p := t.parts[t.partForKey(k)]
+	h := r[t.schema.PK].hash32()
+	p := t.parts[t.partForKey(h)]
 	lockPart(p)
 	defer p.mu.Unlock()
-	return t.insertLocked(p, k, r, true)
+	return t.insertLocked(p, h, r, true)
 }
 
-func (t *Table) insertLocked(p *partition, pkKey string, r Row, logWAL bool) (int, error) {
+// insertLocked adds r to p; pkTag is the hash32 of r's primary key. Caller
+// holds p's write lock.
+func (t *Table) insertLocked(p *partition, pkTag uint32, r Row, logWAL bool) (int, error) {
 	pk := r[t.schema.PK]
-	if _, dup := p.pkIdx.lookupOneKey(pkKey); dup {
+	if _, dup := p.pkIdx.lookupOneTag(pkTag, pk); dup {
 		return 0, fmt.Errorf("pk %v: %w", pk, ErrDuplicate)
+	}
+	if len(p.free) == 0 && len(p.heap) >= maxStripeRows {
+		return 0, fmt.Errorf("rdbms: table %q: a stripe is full at %d rows", t.name, maxStripeRows)
 	}
 	// Write-ahead: the record must reach the log before the in-memory
 	// apply, so a failed append aborts the insert instead of acknowledging
@@ -252,7 +245,8 @@ func (t *Table) insertLocked(p *partition, pkKey string, r Row, logWAL bool) (in
 		slot = len(p.heap)
 		p.heap = append(p.heap, r)
 	}
-	p.pkIdx.insertKey(pkKey, slot)
+	// The heap slot is written: the indexes may now point at it.
+	p.pkIdx.insertTag(pkTag, slot)
 	for col, idx := range p.indexes {
 		ci, _ := t.schema.ColIndex(col)
 		idx.insert(r[ci], slot)
@@ -264,11 +258,11 @@ func (t *Table) insertLocked(p *partition, pkKey string, r Row, logWAL bool) (in
 
 // Get returns the row with the given primary key.
 func (t *Table) Get(pk Value) (Row, error) {
-	k := pk.hashKey()
-	p := t.parts[t.partForKey(k)]
+	h := pk.hash32()
+	p := t.parts[t.partForKey(h)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	id, ok := p.pkIdx.lookupOneKey(k)
+	id, ok := p.pkIdx.lookupOneTag(h, pk)
 	if !ok {
 		return nil, fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
@@ -280,11 +274,11 @@ func (t *Table) Get(pk Value) (Row, error) {
 // read path for real-time request serving. fn must not retain or modify the
 // row (or any value inside it) after returning.
 func (t *Table) View(pk Value, fn func(Row)) error {
-	k := pk.hashKey()
-	p := t.parts[t.partForKey(k)]
+	h := pk.hash32()
+	p := t.parts[t.partForKey(h)]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	id, ok := p.pkIdx.lookupOneKey(k)
+	id, ok := p.pkIdx.lookupOneTag(h, pk)
 	if !ok {
 		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
@@ -304,12 +298,13 @@ func (t *Table) ViewEq(col string, v Value, fn func(Row) bool) error {
 	if kind != HashIndex {
 		return fmt.Errorf("index on %q is not a hash index: %w", col, ErrTypeMismatch)
 	}
+	tag := v.hash32()
 	for _, p := range t.parts {
 		p.mu.RLock()
 		h, _ := p.indexes[col].(*hashIdx)
 		stopped := false
 		if h != nil {
-			h.each(v, func(id int) bool {
+			h.eachTag(tag, v, func(id int) bool {
 				if !fn(p.heap[id]) {
 					stopped = true
 					return false
@@ -334,14 +329,14 @@ func (t *Table) updateOwned(pk Value, r Row) error {
 	if err := t.schema.Validate(r); err != nil {
 		return err
 	}
-	k := pk.hashKey()
-	pi := t.partForKey(k)
+	h := pk.hash32()
+	pi := t.partForKey(h)
 	pj := t.partFor(r[t.schema.PK])
 	if pi == pj {
 		p := t.parts[pi]
 		lockPart(p)
 		defer p.mu.Unlock()
-		return t.updateLocked(p, k, pk, r, true)
+		return t.updateLocked(p, h, pk, r, true)
 	}
 	unlock := t.lockPair(pi, pj)
 	defer unlock()
@@ -365,10 +360,11 @@ func (t *Table) lockPair(pi, pj int) func() {
 }
 
 // updateLocked replaces the row within one partition (old and new pk hash
-// to the same stripe). Caller holds p's write lock; pkKey is pk's
-// precomputed hash key.
-func (t *Table) updateLocked(p *partition, pkKey string, pk Value, r Row, logWAL bool) error {
-	slot, ok := p.pkIdx.lookupOneKey(pkKey)
+// to the same stripe). Caller holds p's write lock; pkTag is pk's
+// precomputed hash32. Both pk lookups run before any index or the heap slot
+// is touched: the index probes rows, so it must still describe them.
+func (t *Table) updateLocked(p *partition, pkTag uint32, pk Value, r Row, logWAL bool) error {
+	slot, ok := p.pkIdx.lookupOneTag(pkTag, pk)
 	if !ok {
 		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
@@ -394,7 +390,7 @@ func (t *Table) updateLocked(p *partition, pkKey string, pk Value, r Row, logWAL
 		}
 	}
 	if !newPK.Equal(pk) {
-		p.pkIdx.removeKey(pkKey, slot)
+		p.pkIdx.removeTag(pkTag, slot)
 		p.pkIdx.insert(newPK, slot)
 	}
 	p.heap[slot] = r
@@ -430,9 +426,10 @@ func (t *Table) moveLocked(src, dst *partition, pk Value, r Row) error {
 	src.free = append(src.free, slot)
 	src.rows--
 	src.epoch++
-	if _, err := t.insertLocked(dst, newPK.hashKey(), r, false); err != nil {
+	if _, err := t.insertLocked(dst, newPK.hash32(), r, false); err != nil {
 		// Unreachable (dup checked above, no WAL append on this path);
-		// restore src to stay consistent.
+		// restore src to stay consistent — the heap slot first, then the
+		// index entries that point at it.
 		src.heap[slot] = old
 		src.free = src.free[:len(src.free)-1]
 		src.rows++
@@ -457,12 +454,12 @@ func (t *Table) moveLocked(src, dst *partition, pk Value, r Row) error {
 // partition the mutation retries under both partition locks, re-invoking fn
 // on the then-current row, so fn must be safe to call more than once.
 func (t *Table) Mutate(pk Value, fn func(Row) (Row, error)) error {
-	k := pk.hashKey()
-	pi := t.partForKey(k)
+	h := pk.hash32()
+	pi := t.partForKey(h)
 	for {
 		p := t.parts[pi]
 		lockPart(p)
-		id, ok := p.pkIdx.lookupOneKey(k)
+		id, ok := p.pkIdx.lookupOneTag(h, pk)
 		if !ok {
 			p.mu.Unlock()
 			return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
@@ -478,7 +475,7 @@ func (t *Table) Mutate(pk Value, fn func(Row) (Row, error)) error {
 		}
 		pj := t.partFor(r[t.schema.PK])
 		if pj == pi {
-			err = t.updateLocked(p, k, pk, r.Clone(), true)
+			err = t.updateLocked(p, h, pk, r.Clone(), true)
 			p.mu.Unlock()
 			return err
 		}
@@ -512,7 +509,7 @@ func (t *Table) mutateMove(pi, pj int, pk Value, fn func(Row) (Row, error)) (boo
 	}
 	target := t.partFor(r[t.schema.PK])
 	if target == pi {
-		return true, t.updateLocked(src, pk.hashKey(), pk, r.Clone(), true)
+		return true, t.updateLocked(src, pk.hash32(), pk, r.Clone(), true)
 	}
 	if target != pj {
 		return false, nil // fn steered elsewhere; retry with the right pair
@@ -522,15 +519,15 @@ func (t *Table) mutateMove(pi, pj int, pk Value, fn func(Row) (Row, error)) (boo
 
 // Delete removes the row with the given primary key.
 func (t *Table) Delete(pk Value) error {
-	k := pk.hashKey()
-	p := t.parts[t.partForKey(k)]
+	h := pk.hash32()
+	p := t.parts[t.partForKey(h)]
 	lockPart(p)
 	defer p.mu.Unlock()
-	return t.deleteLocked(p, k, pk, true)
+	return t.deleteLocked(p, h, pk, true)
 }
 
-func (t *Table) deleteLocked(p *partition, pkKey string, pk Value, logWAL bool) error {
-	slot, ok := p.pkIdx.lookupOneKey(pkKey)
+func (t *Table) deleteLocked(p *partition, pkTag uint32, pk Value, logWAL bool) error {
+	slot, ok := p.pkIdx.lookupOneTag(pkTag, pk)
 	if !ok {
 		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
@@ -541,7 +538,7 @@ func (t *Table) deleteLocked(p *partition, pkKey string, pk Value, logWAL bool) 
 		}
 	}
 	old := p.heap[slot]
-	p.pkIdx.removeKey(pkKey, slot)
+	p.pkIdx.removeTag(pkTag, slot)
 	for col, idx := range p.indexes {
 		ci, _ := t.schema.ColIndex(col)
 		idx.remove(old[ci], slot)
@@ -563,14 +560,14 @@ func (t *Table) upsertOwned(r Row) error {
 		return err
 	}
 	pk := r[t.schema.PK]
-	k := pk.hashKey()
-	p := t.parts[t.partForKey(k)]
+	h := pk.hash32()
+	p := t.parts[t.partForKey(h)]
 	lockPart(p)
 	defer p.mu.Unlock()
-	if _, ok := p.pkIdx.lookupOneKey(k); ok {
-		return t.updateLocked(p, k, pk, r, true)
+	if _, ok := p.pkIdx.lookupOneTag(h, pk); ok {
+		return t.updateLocked(p, h, pk, r, true)
 	}
-	_, err := t.insertLocked(p, k, r, true)
+	_, err := t.insertLocked(p, h, r, true)
 	return err
 }
 
@@ -602,9 +599,16 @@ func (t *Table) LookupEq(col string, v Value) ([]Row, error) {
 		return nil, fmt.Errorf("no index on %q: %w", col, ErrNotFound)
 	}
 	var out []Row
+	tag := v.hash32()
 	for _, p := range t.parts {
 		p.mu.RLock()
-		if idx, ok := p.indexes[col]; ok {
+		switch idx := p.indexes[col].(type) {
+		case *hashIdx:
+			idx.eachTag(tag, v, func(id int) bool {
+				out = append(out, p.heap[id].Clone())
+				return true
+			})
+		case *skipIdx:
 			for _, id := range idx.lookup(v) {
 				out = append(out, p.heap[id].Clone())
 			}
@@ -751,16 +755,11 @@ func (t *Table) resetPartition(pi int) {
 	p.heap = nil
 	p.free = nil
 	p.rows = 0
-	p.pkIdx = newHashIdx()
+	p.pkIdx = newHashIdx(&p.heap, t.schema.PK)
 	p.indexes = make(map[string]index, len(t.idxMeta))
 	for col, kind := range t.idxMeta {
-		switch kind {
-		case HashIndex:
-			p.indexes[col] = newHashIdx()
-		case OrderedIndex:
-			t.idxSeed++
-			p.indexes[col] = newSkipIdx(t.idxSeed)
-		}
+		ci, _ := t.schema.ColIndex(col)
+		p.indexes[col] = t.newIndex(p, ci, kind)
 	}
 	p.epoch++
 }
@@ -772,14 +771,14 @@ func (t *Table) insertIntoPartition(pi int, r Row) error {
 	if err := t.schema.Validate(r); err != nil {
 		return err
 	}
-	k := r[t.schema.PK].hashKey()
-	if got := t.partForKey(k); got != pi {
+	h := r[t.schema.PK].hash32()
+	if got := t.partForKey(h); got != pi {
 		return fmt.Errorf("row for partition %d routes to %d: %w", pi, got, ErrCorrupt)
 	}
 	p := t.parts[pi]
 	lockPart(p)
 	defer p.mu.Unlock()
-	_, err := t.insertLocked(p, k, r, false)
+	_, err := t.insertLocked(p, h, r, false)
 	return err
 }
 

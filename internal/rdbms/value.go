@@ -270,10 +270,12 @@ func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
 	}
 }
 
-// hashKey returns a map-key representation of the value for hash indexes.
-// The partition router hashes it too, and recovery verifies every stored
-// row still routes to the stripe it was written in, so these strings are
-// part of the on-disk contract.
+// hashKey returns the value's key string. It is the definition of key
+// identity and of hash32 — query grouping uses it directly; indexes and the
+// partition router use hash32 and sameKey, which agree with it without
+// building the string. Recovery verifies every stored row still routes to
+// the stripe it was written in, so these strings are part of the on-disk
+// contract.
 func (v Value) hashKey() string {
 	if v.IsNull() {
 		return "\x00null"
@@ -294,6 +296,77 @@ func (v Value) hashKey() string {
 		return "t" + strconv.FormatInt(int64(v.n), 36)
 	default:
 		return "?"
+	}
+}
+
+const fnvOffset = 2166136261
+
+// fnvOf is FNV-1a over a hash key.
+func fnvOf(s string) uint32 { return fnvAdd(fnvOffset, s) }
+
+// fnvAdd folds s into the running FNV-1a state h.
+func fnvAdd[T string | []byte](h uint32, s T) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+var (
+	hashNull    = fnvOf(Null().hashKey())
+	hashTrue    = fnvOf(Bool(true).hashKey())
+	hashFalse   = fnvOf(Bool(false).hashKey())
+	hashUnknown = fnvOf("?")
+)
+
+// hash32 equals fnvOf(v.hashKey()) bit for bit and allocates nothing. One
+// word serves as the partition router (hash32 % P) and as the hash-index
+// tag, so an operation hashes its key once.
+func (v Value) hash32() uint32 {
+	if v.IsNull() {
+		return hashNull
+	}
+	var buf [32]byte // the longest key, a float's, is 24 bytes
+	switch v.kind {
+	case TInt:
+		return fnvAdd(fnvOffset, strconv.AppendInt(append(buf[:0], 'i'), int64(v.n), 36))
+	case TFloat:
+		return fnvAdd(fnvOffset, strconv.AppendFloat(append(buf[:0], 'f'), v.Float(), 'b', -1, 64))
+	case TString:
+		return fnvAdd(fnvAdd(fnvOffset, "s"), v.s)
+	case TBool:
+		if v.n == 1 {
+			return hashTrue
+		}
+		return hashFalse
+	case TTime:
+		return fnvAdd(fnvOffset, strconv.AppendInt(append(buf[:0], 't'), int64(v.n), 36))
+	default:
+		return hashUnknown
+	}
+}
+
+// sameKey reports whether v and w are one index key, that is whether their
+// hashKeys are equal. It differs from Equal on floats: every NaN is the
+// same key (an index built on Equal could never find or remove a NaN row)
+// and +0 and -0 are two. NULL is a key; kinds never mix.
+func (v Value) sameKey(w Value) bool {
+	if v.IsNull() || w.IsNull() {
+		return v.IsNull() && w.IsNull()
+	}
+	if v.kind != w.kind {
+		return false
+	}
+	switch v.kind {
+	case TString:
+		return v.s == w.s
+	case TFloat:
+		return v.n == w.n || (math.IsNaN(v.Float()) && math.IsNaN(w.Float()))
+	case TBool:
+		return (v.n == 1) == (w.n == 1)
+	default:
+		return v.n == w.n
 	}
 }
 

@@ -3,8 +3,11 @@ package rdbms
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -188,5 +191,104 @@ func TestTimeValueEdges(t *testing.T) {
 	}
 	if got := Time(times["non-UTC"]).String(); got != "2024-03-09T08:04:05.123456789Z" {
 		t.Errorf("non-UTC time renders as %s", got)
+	}
+}
+
+// TestHash32MatchesHashKey pins hash32 to its definition: FNV-1a over the
+// hashKey string, for the edge values of every kind and a random sweep —
+// and without allocating, which is the reason it exists.
+func TestHash32MatchesHashKey(t *testing.T) {
+	vals := append(goldenRow(),
+		Int(0), Int(-1), Int(35), Int(36),
+		Float(0), Float(math.Inf(-1)), Float(math.SmallestNonzeroFloat64), Float(-math.MaxFloat64),
+		Float(math.Float64frombits(0x7ff8000000000001)), // a NaN with another payload
+		String("s"), String("\x00null"), String(strings.Repeat("long ", 100)),
+		Time(time.Unix(0, 0)), Time(time.Unix(0, math.MaxInt64)), timeNanos(math.MinInt64),
+		Value{kind: Type(9), present: true},
+	)
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 20000; i++ {
+		switch n := rng.Uint64(); i % 5 {
+		case 0:
+			vals = append(vals, Int(int64(n)>>(n%64)))
+		case 1:
+			vals = append(vals, Float(math.Float64frombits(n)))
+		case 2:
+			b := make([]byte, n%70)
+			rng.Read(b)
+			vals = append(vals, String(string(b)))
+		case 3:
+			vals = append(vals, Bool(n%2 == 0))
+		case 4:
+			vals = append(vals, timeNanos(int64(n)))
+		}
+	}
+	for _, v := range vals {
+		if got, want := v.hash32(), fnvOf(v.hashKey()); got != want {
+			t.Fatalf("%v: hash32 = %#x, fnvOf(hashKey %q) = %#x", v, got, v.hashKey(), want)
+		}
+	}
+	var sink uint32
+	if n := testing.AllocsPerRun(10, func() {
+		for _, v := range vals[:200] {
+			sink += v.hash32()
+		}
+	}); n != 0 {
+		t.Errorf("hash32 allocates %v times per 200 values (sink %d)", n, sink)
+	}
+}
+
+// TestSameKey pins index key identity to hashKey equality where it parts
+// from Equal: every NaN is one key, the two zeros are two, NULL is a key,
+// kinds never mix.
+func TestSameKey(t *testing.T) {
+	nan2 := Float(math.Float64frombits(0x7ff8000000000001))
+	negZero := Float(math.Copysign(0, -1))
+	for _, c := range []struct {
+		a, b Value
+		same bool
+	}{
+		{Float(math.NaN()), Float(math.NaN()), true},
+		{Float(math.NaN()), nan2, true},
+		{Float(math.NaN()), Float(math.Inf(1)), false},
+		{Float(0), negZero, false},
+		{negZero, negZero, true},
+		{Float(1), Float(1), true},
+		{Float(1), Int(1), false},
+		{Null(), Null(), true},
+		{Null(), Int(0), false},
+		{Null(), String(""), false},
+		{String(""), String(""), true},
+		{String("a"), String("b"), false},
+		{String("1"), Int(1), false},
+		{Int(1), Int(1), true},
+		{Int(1), Bool(true), false},
+		{Int(0), timeNanos(0), false},
+		{Bool(true), Bool(true), true},
+		{Bool(true), Bool(false), false},
+		{Time(time.Time{}), Time(time.Time{}), true},
+		{Time(time.Time{}), timeNanos(0), false},
+	} {
+		if got := c.a.sameKey(c.b); got != c.same {
+			t.Errorf("%v sameKey %v = %v, want %v", c.a, c.b, got, c.same)
+		}
+		if got := c.b.sameKey(c.a); got != c.same {
+			t.Errorf("%v sameKey %v = %v, want %v", c.b, c.a, got, c.same)
+		}
+		if byKey := c.a.hashKey() == c.b.hashKey(); byKey != c.same {
+			t.Errorf("%v, %v: the table says same = %v, hashKey says %v", c.a, c.b, c.same, byKey)
+		}
+	}
+}
+
+// TestWriteRowDoesNotAllocate guards the row encoder: it runs for every
+// cell of every row, once for the WAL and again in every checkpoint that
+// re-serialises the row's stripe.
+func TestWriteRowDoesNotAllocate(t *testing.T) {
+	row := goldenRow()
+	bw := bufio.NewWriterSize(io.Discard, 1<<16)
+	writeRow(bw, row)
+	if n := testing.AllocsPerRun(100, func() { writeRow(bw, row) }); n != 0 {
+		t.Errorf("writeRow allocates %v times per row", n)
 	}
 }

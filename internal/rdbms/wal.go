@@ -479,11 +479,13 @@ func writeRecord(w *bufio.Writer, rec walRecord) int {
 	return n
 }
 
+// writeUvarint and writeValue encode into the writer's own free space
+// (AvailableBuffer) and Write that: a local scratch array passed to Write
+// escapes and costs one heap allocation per numeric cell.
 func writeUvarint(w *bufio.Writer, v uint64) int {
-	var buf [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:k])
-	return k
+	b := binary.AppendUvarint(w.AvailableBuffer(), v)
+	w.Write(b)
+	return len(b)
 }
 
 func writeString(w *bufio.Writer, s string) int {
@@ -509,9 +511,7 @@ func writeValue(w *bufio.Writer, v Value) int {
 	n := 1
 	switch v.kind {
 	case TInt, TFloat, TTime:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v.n)
-		w.Write(buf[:])
+		w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v.n))
 		n += 8
 	case TString:
 		n += writeString(w, v.s)
