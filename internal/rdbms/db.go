@@ -204,12 +204,3 @@ func (db *DB) attachWAL(wal *WAL) {
 		t.wal = wal
 	}
 }
-
-// Begin starts a transaction. SciLens transactions are latch-based:
-// the transaction takes no locks until each operation executes, operations
-// apply immediately, and Rollback undoes them via the undo log. This gives
-// atomicity for the single-writer ingestion path, which is what the
-// platform needs (readers are never blocked for the whole transaction).
-func (db *DB) Begin() *Txn {
-	return &Txn{db: db}
-}

@@ -29,20 +29,21 @@ import (
 // follows the write rate, not the corpus size. When the delta chain
 // exceeds Options.DeltaLimit the checkpoint compacts: it writes a full
 // base generation and prunes the old chain. Open recovers manifest → base
-// → deltas → WAL segments (a legacy single-file snapshot.db is still
-// honoured when no manifest exists). WAL replay is tolerant: a torn final
-// record truncates the segment at the last good boundary instead of
-// aborting recovery — but a generation named by the manifest must exist
-// and apply completely, or Open fails loudly rather than silently
-// dropping committed data.
+// → deltas → WAL segments. WAL replay is tolerant: a torn final record
+// truncates the segment at the last good boundary instead of aborting
+// recovery — but a generation named by the manifest must exist and apply
+// completely, or Open fails loudly rather than silently dropping
+// committed data.
 
 // ErrNoDir is returned by durable operations on an in-memory database.
 var ErrNoDir = errors.New("rdbms: database has no data directory")
 
-// ErrManifest is returned by Open when the manifest references a snapshot
-// generation that is missing or unreadable. Unlike a torn WAL tail (an
-// expected crash artefact, tolerated by truncation), a broken generation
-// chain means committed data is gone; recovery must fail, not improvise.
+// ErrManifest is returned by Open when the manifest is malformed or
+// references a snapshot generation that is missing or unreadable, and when
+// a directory without a manifest holds a pre-incremental snapshot.db.
+// Unlike a torn WAL tail (an expected crash artefact, tolerated by
+// truncation), a broken generation chain means committed data is gone;
+// recovery must fail, not improvise.
 var ErrManifest = errors.New("rdbms: manifest references missing or corrupt snapshot generation")
 
 // ErrLocked is returned when another live process holds the data
@@ -50,9 +51,9 @@ var ErrManifest = errors.New("rdbms: manifest references missing or corrupt snap
 // interleave record bytes and corrupt the log.
 var ErrLocked = errors.New("rdbms: data directory locked by another process")
 
-// snapshotFile is the legacy single-file checkpoint name (pre-incremental
-// layouts); Open still restores from it when no manifest exists, and the
-// first incremental checkpoint retires it.
+// snapshotFile is the single-file checkpoint of pre-incremental layouts.
+// This engine cannot read it, so Open refuses a directory that holds one
+// and no manifest rather than open it as an empty store.
 const snapshotFile = "snapshot.db"
 
 // manifestFile names the generation chain inside a data directory.
@@ -130,10 +131,10 @@ type StorageStats struct {
 	Compactions              int  `json:"compactions"`
 	LastCheckpointFull       bool `json:"last_checkpoint_full"`
 	LastCheckpointPartitions int  `json:"last_checkpoint_partitions"`
-	// PruneFailures counts WAL segments, generation directories and
-	// legacy snapshots that a checkpoint failed to delete. Prune is
-	// best-effort: a leftover file never fails a checkpoint, but it is
-	// surfaced here so operators notice disk not being reclaimed.
+	// PruneFailures counts WAL segments and generation directories that a
+	// checkpoint failed to delete. Prune is best-effort: a leftover file
+	// never fails a checkpoint, but it is surfaced here so operators notice
+	// disk not being reclaimed.
 	PruneFailures int `json:"prune_failures"`
 	// RecoveredRecords is the number of WAL records replayed by Open;
 	// RecoveredTruncated reports whether recovery had to truncate a torn
@@ -192,7 +193,6 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var db *DB
 	fail := func(err error) (*DB, error) {
 		lock.Close()
 		return nil, err
@@ -201,35 +201,28 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	// Recover the snapshot chain: manifest → base generation → deltas in
 	// chain order. A generation the manifest references must exist and
 	// apply completely — failing loudly here beats silently dropping
-	// committed partitions. Directories without a manifest fall back to
-	// the legacy single-file snapshot.
+	// committed partitions.
 	base, deltas, walFloor, err := readManifest(fsys, dir)
 	if err != nil {
 		return fail(err)
 	}
+	db := NewDBWithOptions(Options{Partitions: o.Partitions})
 	if base > 0 {
-		db = NewDBWithOptions(Options{Partitions: o.Partitions})
 		for _, gen := range append([]int{base}, deltas...) {
 			if err := applyGenerationFile(db, fsys, filepath.Join(dir, genDirName(gen), genDataFile)); err != nil {
 				return fail(fmt.Errorf("%w: generation %d: %v", ErrManifest, gen, err))
 			}
 		}
 	} else {
-		snapPath := filepath.Join(dir, snapshotFile)
-		if f, err := fsys.OpenRead(snapPath); err == nil {
-			db, err = Restore(f)
-			f.Close()
-			if err != nil {
-				return fail(fmt.Errorf("restore %s: %w", snapPath, err))
-			}
+		// Without a manifest the store is new — unless a pre-incremental
+		// layout keeps its rows in snapshot.db, which opening as empty
+		// would silently drop.
+		legacy := filepath.Join(dir, snapshotFile)
+		if _, err := fsys.Stat(legacy); err == nil {
+			return fail(fmt.Errorf("%w: %s is a pre-incremental snapshot this version cannot read; open the directory once with an older binary and checkpoint it", ErrManifest, legacy))
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			return fail(err)
 		}
-	}
-	if db == nil {
-		db = NewDBWithOptions(Options{Partitions: o.Partitions})
-	} else if o.Partitions > 0 {
-		db.partitions = o.Partitions
 	}
 	// The generations hold exactly the recovered state: start every stripe
 	// clean so the next checkpoint's delta carries only what the WAL
@@ -367,9 +360,9 @@ const manifestMagic = "SLMANIFEST1"
 // Segments below the floor are dead — the chain already contains their
 // effects — and must be skipped at recovery even if a prune failed to
 // delete them (replaying a stale pre-chain segment over the chain would
-// resurrect deleted rows). A missing manifest yields base 0 (legacy or
-// fresh directory); a malformed one is an error — improvising a chain
-// risks silently dropping data.
+// resurrect deleted rows). A missing manifest yields base 0 (a fresh
+// directory); a malformed one is an error — improvising a chain risks
+// silently dropping data. A manifest without a wal line has floor 0.
 func readManifest(fsys vfs.FS, dir string) (base int, deltas []int, walFloor int, err error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestFile))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -416,7 +409,9 @@ func writeManifest(fsys vfs.FS, dir string, base int, deltas []int, walFloor int
 	for _, d := range deltas {
 		fmt.Fprintf(&b, "delta %d\n", d)
 	}
-	fmt.Fprintf(&b, "wal %d\n", walFloor)
+	if walFloor > 0 {
+		fmt.Fprintf(&b, "wal %d\n", walFloor)
+	}
 	tmp := filepath.Join(dir, manifestFile+".tmp")
 	f, err := fsys.Create(tmp)
 	if err != nil {
@@ -602,9 +597,9 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 	}
 
 	// 4. Prune: segments before the rotation are fully contained in the
-	// installed chain, and a compaction retires the superseded generations
-	// and any legacy snapshot. Best-effort by contract: a file that will
-	// not delete is surfaced in the stats, never a checkpoint failure.
+	// installed chain, and a compaction retires the superseded generations.
+	// Best-effort by contract: a file that will not delete is surfaced in
+	// the stats, never a checkpoint failure.
 	pruneFailures := 0
 	// A registered replication cursor holds segments from its position up:
 	// pruning past a connected follower would force a full resync, so the
@@ -640,11 +635,6 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 				if removeTree(db.fs, m) != nil {
 					pruneFailures++
 				}
-			}
-		}
-		if legacy := filepath.Join(db.dir, snapshotFile); removeFile(db.fs, legacy) != nil {
-			if _, serr := db.fs.Stat(legacy); serr == nil {
-				pruneFailures++
 			}
 		}
 	}

@@ -416,11 +416,12 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRoundTrip pins the explicit Snapshot(w)/Restore(r)
-// API against an in-memory sink.
+// TestSnapshotRestoreRoundTrip writes a full snapshot generation to an
+// in-memory sink and applies it to an empty database: rows, a partition
+// count other than the default and both index kinds come back.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	db := NewDB()
-	tbl, err := db.CreateTable("articles", articleSchema(t))
+	tbl, err := db.CreateTablePartitioned("articles", articleSchema(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,25 +431,28 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		tbl.Insert(articleRow(i, fmt.Sprintf("o%d", i%3), "t", float64(i)))
 	}
 	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
+	if _, _, _, _, err := db.writeGeneration(&buf, true); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Restore(&buf)
-	if err != nil {
+	re := NewDB()
+	if err := applyGeneration(re, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := dumpDB(t, re), dumpDB(t, db); !reflect.DeepEqual(want, got) {
 		t.Fatal("snapshot round trip diverged")
 	}
 	reTbl, _ := re.Table("articles")
-	if reTbl.Partitions() != tbl.Partitions() {
-		t.Errorf("partition count not preserved: %d vs %d", reTbl.Partitions(), tbl.Partitions())
+	if reTbl.Partitions() != 3 {
+		t.Errorf("partition count not preserved: %d vs 3", reTbl.Partitions())
 	}
 	if kind, ok := reTbl.IndexKindOf("published"); !ok || kind != OrderedIndex {
 		t.Error("ordered index lost in snapshot")
 	}
+	if kind, ok := reTbl.IndexKindOf("outlet"); !ok || kind != HashIndex {
+		t.Error("hash index lost in snapshot")
+	}
 	// Corrupt header is rejected cleanly.
-	if _, err := Restore(bytes.NewBufferString("not a snapshot")); !errors.Is(err, ErrCorrupt) {
+	if err := applyGeneration(NewDB(), bytes.NewBufferString("not a snapshot")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v", err)
 	}
 }

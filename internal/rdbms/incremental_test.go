@@ -1,11 +1,13 @@
 package rdbms
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -453,48 +455,32 @@ func TestCheckpointSurvivesManifestFailure(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotUpgrade: a pre-incremental directory (single
-// snapshot.db, no manifest) still opens, and its first checkpoint migrates
-// it onto the generation layout and retires the legacy file.
-func TestLegacySnapshotUpgrade(t *testing.T) {
+// TestLegacySnapshotRefused: a pre-incremental directory (single
+// snapshot.db, no manifest) must not open as an empty store. Open fails
+// with ErrManifest naming the file — again on a second try, so the failed
+// open released the directory lock — and leaves the file as it was.
+func TestLegacySnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
-	src := NewDB()
-	tbl, err := src.CreateTable("articles", articleSchema(t))
-	if err != nil {
+	legacy := filepath.Join(dir, snapshotFile)
+	content := []byte("SLSNAP1\n\x01any bytes at all \xff\x00")
+	if err := os.WriteFile(legacy, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 50; i++ {
-		tbl.Insert(articleRow(i, "legacy", "t", float64(i)))
+	for try := 1; try <= 2; try++ {
+		db, err := Open(dir)
+		if err == nil {
+			db.Close()
+			t.Fatalf("try %d: a legacy directory opened", try)
+		}
+		if !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), legacy) {
+			t.Fatalf("try %d: %v, want ErrManifest naming %s", try, err, legacy)
+		}
 	}
-	f, err := os.Create(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, content) {
+		t.Errorf("snapshot.db changed: %q, %v", got, err)
 	}
-	if err := src.Snapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got, want := dumpDB(t, db), dumpDB(t, src); !reflect.DeepEqual(want, got) {
-		t.Fatal("legacy restore diverged")
-	}
-	st, err := db.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Full {
-		t.Fatalf("migration checkpoint not full: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Error("legacy snapshot.db not retired")
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
-		t.Errorf("manifest missing after migration: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+		t.Errorf("a refused open wrote a manifest: %v", err)
 	}
 }
 

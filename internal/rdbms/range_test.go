@@ -1,0 +1,171 @@
+package rdbms
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"testing/quick"
+)
+
+// planTable builds a 500-row table with an ordered index on score and a
+// hash index on outlet, plus an index-free clone holding identical rows
+// (the forced-scan reference for equivalence tests).
+func planTable(t *testing.T) (indexed, bare *Table) {
+	t.Helper()
+	db := NewDB()
+	indexed, err := db.CreateTable("articles", articleSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err = db.CreateTable("articles_bare", articleSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := int64(0); i < 500; i++ {
+		outlet := "outlet-" + string(rune('a'+rng.Intn(5)))
+		row := articleRow(i, outlet, "t", rng.Float64()*100)
+		if _, err := indexed.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bare.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := indexed.CreateIndex("score", OrderedIndex); err != nil {
+		t.Fatal(err)
+	}
+	if err := indexed.CreateIndex("outlet", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	return indexed, bare
+}
+
+// rangeIDs runs Range over score in [lo, hi] (nil = open) and returns the
+// ids in the order Range produced them.
+func rangeIDs(t *testing.T, tbl *Table, lo, hi *float64) []int64 {
+	t.Helper()
+	var lv, hv *Value
+	if lo != nil {
+		v := Float(*lo)
+		lv = &v
+	}
+	if hi != nil {
+		v := Float(*hi)
+		hv = &v
+	}
+	var ids []int64
+	err := tbl.Range("score", lv, hv, func(r Row) bool {
+		ids = append(ids, r[0].Int())
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// scanIDs is the reference: a full scan of the index-free twin filtered to
+// score in [lo, hi], in ascending score order (planTable's scores are
+// distinct).
+func scanIDs(bare *Table, lo, hi *float64) []int64 {
+	var rows []Row
+	bare.Scan(func(r Row) bool {
+		s := r[3].Float()
+		if (lo == nil || s >= *lo) && (hi == nil || s <= *hi) {
+			rows = append(rows, r)
+		}
+		return true
+	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i][3].Float() < rows[j][3].Float() })
+	ids := make([]int64, len(rows))
+	for i, r := range rows {
+		ids[i] = r[0].Int()
+	}
+	return ids
+}
+
+func TestRangePlanMatchesScan(t *testing.T) {
+	tbl, bare := planTable(t)
+	var exact float64 // a stored score, so an inclusive point range holds it
+	bare.Scan(func(r Row) bool { exact = r[3].Float(); return false })
+	f := func(x float64) *float64 { return &x }
+	cases := []struct{ lo, hi *float64 }{
+		{f(25), nil},
+		{nil, f(75)},
+		{f(25), f(75)},
+		{f(30), f(30.0001)},
+		{f(99.999), nil},
+		{nil, f(0.0001)},
+		{f(exact), f(exact)},
+		{f(60), f(40)}, // empty: lo above hi
+		{nil, nil},
+	}
+	for i, c := range cases {
+		got, want := rangeIDs(t, tbl, c.lo, c.hi), scanIDs(bare, c.lo, c.hi)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d rows vs %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Errorf("case %d row %d: id %d vs %d", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func TestRangePlanPropertyEquivalence(t *testing.T) {
+	tbl, bare := planTable(t)
+	f := func(rawLo, rawHi float64, openLo, openHi bool) bool {
+		lo, hi := mod100(rawLo), mod100(rawHi)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		lp, hp := &lo, &hi
+		if openLo {
+			lp = nil
+		}
+		if openHi {
+			hp = nil
+		}
+		return len(rangeIDs(t, tbl, lp, hp)) == len(scanIDs(bare, lp, hp))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func mod100(x float64) float64 {
+	if x < 0 {
+		x = -x
+	}
+	for x > 100 {
+		x /= 10
+	}
+	return x
+}
+
+// TestRangePlanWithLimitAndOrder stops a half-open range after five rows:
+// they must be the five lowest scores at or above the bound, ascending.
+func TestRangePlanWithLimitAndOrder(t *testing.T) {
+	tbl, bare := planTable(t)
+	lo := Float(50)
+	var got []int64
+	err := tbl.Range("score", &lo, nil, func(r Row) bool {
+		got = append(got, r[0].Int())
+		return len(got) < 5
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 50.0
+	want := scanIDs(bare, &bound, nil)[:5]
+	if len(got) != 5 {
+		t.Fatalf("rows: %d", len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("row %d: id %d, want %d", i, got[i], want[i])
+		}
+	}
+}

@@ -379,6 +379,19 @@ func TestOrderedIndexRange(t *testing.T) {
 	}
 }
 
+func TestIndexKindOf(t *testing.T) {
+	tbl, _ := planTable(t)
+	if kind, ok := tbl.IndexKindOf("score"); !ok || kind != OrderedIndex {
+		t.Errorf("score: %v %v", kind, ok)
+	}
+	if kind, ok := tbl.IndexKindOf("outlet"); !ok || kind != HashIndex {
+		t.Errorf("outlet: %v %v", kind, ok)
+	}
+	if _, ok := tbl.IndexKindOf("title"); ok {
+		t.Error("title should have no index")
+	}
+}
+
 func TestOrderedIndexDuplicateValues(t *testing.T) {
 	tbl := newArticleTable(t)
 	tbl.CreateIndex("score", OrderedIndex)
@@ -428,99 +441,6 @@ func TestDBTableLifecycle(t *testing.T) {
 	}
 }
 
-// --- Transactions ---
-
-func TestTxnCommit(t *testing.T) {
-	db := NewDB()
-	db.CreateTable("articles", articleSchema(t))
-	tx := db.Begin()
-	if err := tx.Insert("articles", articleRow(1, "o", "t", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if tx.Pending() != 1 {
-		t.Errorf("pending: %d", tx.Pending())
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Table("articles")
-	if tbl.Len() != 1 {
-		t.Errorf("committed rows: %d", tbl.Len())
-	}
-	if err := tx.Insert("articles", articleRow(2, "o", "t", 0)); !errors.Is(err, ErrClosed) {
-		t.Errorf("closed txn: %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrClosed) {
-		t.Errorf("double commit: %v", err)
-	}
-}
-
-func TestTxnRollback(t *testing.T) {
-	db := NewDB()
-	db.CreateTable("articles", articleSchema(t))
-	tbl, _ := db.Table("articles")
-	tbl.Insert(articleRow(1, "o", "original", 0.5))
-	tbl.Insert(articleRow(2, "o", "victim", 0.5))
-
-	tx := db.Begin()
-	tx.Insert("articles", articleRow(3, "o", "new", 0))
-	tx.Update("articles", Int(1), articleRow(1, "o", "changed", 0.9))
-	tx.Delete("articles", Int(2))
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 2 {
-		t.Errorf("rows after rollback: %d", tbl.Len())
-	}
-	if _, err := tbl.Get(Int(3)); !errors.Is(err, ErrNotFound) {
-		t.Error("insert not rolled back")
-	}
-	got, _ := tbl.Get(Int(1))
-	if got[2].Str() != "original" {
-		t.Errorf("update not rolled back: %v", got[2])
-	}
-	if _, err := tbl.Get(Int(2)); err != nil {
-		t.Errorf("delete not rolled back: %v", err)
-	}
-}
-
-func TestTxnRollbackPKMove(t *testing.T) {
-	db := NewDB()
-	db.CreateTable("articles", articleSchema(t))
-	tbl, _ := db.Table("articles")
-	tbl.Insert(articleRow(1, "o", "t", 0.5))
-	tx := db.Begin()
-	tx.Update("articles", Int(1), articleRow(9, "o", "t", 0.5))
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Get(Int(1)); err != nil {
-		t.Errorf("pk move not rolled back: %v", err)
-	}
-	if _, err := tbl.Get(Int(9)); !errors.Is(err, ErrNotFound) {
-		t.Error("moved pk lingers")
-	}
-}
-
-func TestTxnErrorsPropagate(t *testing.T) {
-	db := NewDB()
-	db.CreateTable("articles", articleSchema(t))
-	tx := db.Begin()
-	if err := tx.Insert("missing", articleRow(1, "o", "t", 0)); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing table: %v", err)
-	}
-	if err := tx.Update("articles", Int(77), articleRow(77, "o", "t", 0)); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing row: %v", err)
-	}
-	if err := tx.Delete("articles", Int(77)); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing delete: %v", err)
-	}
-	// Failed ops left nothing to undo.
-	if tx.Pending() != 0 {
-		t.Errorf("pending: %d", tx.Pending())
-	}
-}
-
 // --- Concurrency ---
 
 func TestConcurrentInsertsAndReads(t *testing.T) {
@@ -549,149 +469,6 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 	wg.Wait()
 	if tbl.Len() != workers*perWorker {
 		t.Errorf("rows: %d want %d", tbl.Len(), workers*perWorker)
-	}
-}
-
-// --- Queries ---
-
-func populatedTable(t *testing.T) *Table {
-	t.Helper()
-	tbl := newArticleTable(t)
-	tbl.CreateIndex("outlet", HashIndex)
-	outlets := []string{"high-a", "high-b", "low-a", "low-b"}
-	for i := int64(0); i < 40; i++ {
-		tbl.Insert(articleRow(i, outlets[i%4], fmt.Sprintf("article %d", i), float64(i)/40))
-	}
-	return tbl
-}
-
-func TestQueryWhereRows(t *testing.T) {
-	tbl := populatedTable(t)
-	rows, err := tbl.Query().Where("outlet", Eq, String("high-a")).Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Errorf("rows: %d", len(rows))
-	}
-	rows, err = tbl.Query().
-		Where("outlet", Eq, String("high-a")).
-		Where("score", Ge, Float(0.5)).
-		Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r[3].Float() < 0.5 {
-			t.Errorf("predicate violated: %v", r[3])
-		}
-	}
-}
-
-func TestQueryOps(t *testing.T) {
-	tbl := populatedTable(t)
-	cases := []struct {
-		op   Op
-		val  float64
-		want func(float64) bool
-	}{
-		{Lt, 0.5, func(x float64) bool { return x < 0.5 }},
-		{Le, 0.5, func(x float64) bool { return x <= 0.5 }},
-		{Gt, 0.5, func(x float64) bool { return x > 0.5 }},
-		{Ge, 0.5, func(x float64) bool { return x >= 0.5 }},
-		{Ne, 0.0, func(x float64) bool { return x != 0.0 }},
-	}
-	for _, c := range cases {
-		rows, err := tbl.Query().Where("score", c.op, Float(c.val)).Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
-			if !c.want(r[3].Float()) {
-				t.Errorf("op %d: %v leaked through", c.op, r[3])
-			}
-		}
-	}
-}
-
-func TestQueryOrderLimit(t *testing.T) {
-	tbl := populatedTable(t)
-	rows, err := tbl.Query().OrderBy("score", true).Limit(5).Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("limit: %d", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i][3].Float() > rows[i-1][3].Float() {
-			t.Errorf("descending order violated")
-		}
-	}
-	if rows[0][3].Float() != float64(39)/40 {
-		t.Errorf("top score: %v", rows[0][3])
-	}
-}
-
-func TestQueryUnknownColumn(t *testing.T) {
-	tbl := populatedTable(t)
-	if _, err := tbl.Query().Where("nope", Eq, Int(1)).Rows(); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown where: %v", err)
-	}
-	if _, err := tbl.Query().OrderBy("nope", false).Rows(); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown order: %v", err)
-	}
-}
-
-func TestQueryCountAndGroupBy(t *testing.T) {
-	tbl := populatedTable(t)
-	n, err := tbl.Query().Where("outlet", Eq, String("low-a")).Count()
-	if err != nil || n != 10 {
-		t.Errorf("count: %d %v", n, err)
-	}
-	groups, err := tbl.Query().GroupBy("outlet", "score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 4 {
-		t.Fatalf("groups: %d", len(groups))
-	}
-	totalCount := 0
-	for _, g := range groups {
-		totalCount += g.Count
-		if g.Avg() <= 0 {
-			t.Errorf("group %v avg: %v", g.Key, g.Avg())
-		}
-	}
-	if totalCount != 40 {
-		t.Errorf("group counts: %d", totalCount)
-	}
-	// Count-only grouping.
-	groups, err = tbl.Query().GroupBy("reviewed", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Errorf("bool groups: %d", len(groups))
-	}
-	// Non-numeric sum column.
-	if _, err := tbl.Query().GroupBy("outlet", "title"); !errors.Is(err, ErrTypeMismatch) {
-		t.Errorf("non-numeric sum: %v", err)
-	}
-}
-
-func TestQueryUsesIndex(t *testing.T) {
-	// Not directly observable; verify it returns identical results with
-	// and without index.
-	tbl := newArticleTable(t)
-	for i := int64(0); i < 30; i++ {
-		tbl.Insert(articleRow(i, fmt.Sprintf("o%d", i%3), "t", 0))
-	}
-	noIdx, _ := tbl.Query().Where("outlet", Eq, String("o1")).Rows()
-	tbl.CreateIndex("outlet", HashIndex)
-	withIdx, _ := tbl.Query().Where("outlet", Eq, String("o1")).Rows()
-	if len(noIdx) != len(withIdx) {
-		t.Errorf("index changed results: %d vs %d", len(noIdx), len(withIdx))
 	}
 }
 

@@ -16,8 +16,6 @@ var (
 	ErrTypeMismatch = errors.New("rdbms: type mismatch")
 	// ErrSchema is returned for malformed schemas or rows.
 	ErrSchema = errors.New("rdbms: schema violation")
-	// ErrClosed is returned when operating on a closed transaction.
-	ErrClosed = errors.New("rdbms: transaction closed")
 	// ErrExists is returned when creating an object that already exists.
 	ErrExists = errors.New("rdbms: already exists")
 )

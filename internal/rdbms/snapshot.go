@@ -9,91 +9,6 @@ import (
 	"sort"
 )
 
-// Snapshot format: a point-in-time serialisation of every table — schema,
-// partition count, index definitions and rows. A snapshot plus the WAL
-// segments written after it reconstruct the database exactly; Checkpoint
-// writes one and prunes the log.
-
-// snapshotMagic heads every snapshot stream.
-const snapshotMagic = "SLSNAP1\n"
-
-// Snapshot serialises the whole database to w. Each table is emitted under
-// a whole-table read barrier (all its partition read locks), so every
-// table is one consistent cut and no WAL record for a table can interleave
-// with its serialisation; tables are emitted in name order. Safe to call
-// while other tables keep serving writes.
-func (db *DB) Snapshot(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	tables := db.tablesSorted()
-	writeUvarint(bw, uint64(len(tables)))
-	for _, t := range tables {
-		if err := snapshotTable(bw, t); err != nil {
-			return fmt.Errorf("snapshot %q: %w", t.name, err)
-		}
-	}
-	return bw.Flush()
-}
-
-func snapshotTable(bw *bufio.Writer, t *Table) error {
-	writeString(bw, t.name)
-	writeUvarint(bw, uint64(len(t.parts)))
-	writeUvarint(bw, uint64(len(t.schema.Cols)))
-	for _, c := range t.schema.Cols {
-		writeString(bw, c.Name)
-		bw.WriteByte(byte(c.Type))
-		nn := byte(0)
-		if c.NotNull {
-			nn = 1
-		}
-		bw.WriteByte(nn)
-	}
-	writeString(bw, t.schema.Cols[t.schema.PK].Name)
-
-	idx := t.indexCols()
-	cols := make([]string, 0, len(idx))
-	for c := range idx {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	writeUvarint(bw, uint64(len(cols)))
-	for _, c := range cols {
-		writeString(bw, c)
-		bw.WriteByte(byte(idx[c]))
-	}
-
-	// Count and rows are written inside one whole-table read barrier, so
-	// the emitted count always matches the emitted rows even under
-	// concurrent writers.
-	return t.snapshotInto(bw)
-}
-
-// Restore reads a snapshot stream and returns a freshly built database
-// (no WAL attached; Open wires one up afterwards).
-func Restore(r io.Reader) (*DB, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("snapshot header: %w", ErrCorrupt)
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("snapshot magic %q: %w", magic, ErrCorrupt)
-	}
-	db := NewDB()
-	nTables, err := binary.ReadUvarint(br)
-	if err != nil || nTables > 1<<16 {
-		return nil, fmt.Errorf("snapshot table count: %w", ErrCorrupt)
-	}
-	for i := uint64(0); i < nTables; i++ {
-		if err := restoreTable(db, br); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
 // Generation format: the incremental-checkpoint unit. A generation is a
 // partition-scoped snapshot — for each table it carries the full header
 // (schema, partition count, index definitions) plus the payload of a
@@ -168,16 +83,7 @@ func generationTable(bw *bufio.Writer, t *Table, full bool) ([]partCut, int, int
 
 	writeString(bw, t.name)
 	writeUvarint(bw, uint64(len(t.parts)))
-	writeUvarint(bw, uint64(len(t.schema.Cols)))
-	for _, c := range t.schema.Cols {
-		writeString(bw, c.Name)
-		bw.WriteByte(byte(c.Type))
-		nn := byte(0)
-		if c.NotNull {
-			nn = 1
-		}
-		bw.WriteByte(nn)
-	}
+	writeColumns(bw, t.schema.Cols)
 	writeString(bw, t.schema.Cols[t.schema.PK].Name)
 	cols := make([]string, 0, len(t.idxMeta))
 	for c := range t.idxMeta {
@@ -216,8 +122,8 @@ func generationTable(bw *bufio.Writer, t *Table, full bool) ([]partCut, int, int
 // applyGeneration replays one generation stream onto db: tables are
 // created if missing (with their recorded partition count and indexes) and
 // every stripe the generation carries replaces the stripe's previous
-// contents. Any decode failure is ErrCorrupt — a generation referenced by
-// the manifest must apply completely or recovery fails loudly.
+// contents. Any failure is ErrCorrupt — a generation referenced by the
+// manifest must apply completely or recovery fails loudly.
 func applyGeneration(db *DB, r io.Reader) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(genMagic))
@@ -236,44 +142,31 @@ func applyGeneration(db *DB, r io.Reader) error {
 	return nil
 }
 
-// readTableHeader decodes the per-table preamble shared by the legacy
-// snapshot and the generation formats: name, partition count, schema.
-// what labels decode errors ("snapshot" or "generation").
-func readTableHeader(br *bufio.Reader, what string) (name string, parts uint64, schema *Schema, err error) {
+// readTableHeader decodes a table's preamble: name, partition count,
+// schema.
+func readTableHeader(br *bufio.Reader) (name string, parts uint64, schema *Schema, err error) {
 	if name, err = readString(br); err != nil {
-		return "", 0, nil, fmt.Errorf("%s table name: %w", what, ErrCorrupt)
+		return "", 0, nil, fmt.Errorf("generation table name: %w", ErrCorrupt)
 	}
 	parts, err = binary.ReadUvarint(br)
 	if err != nil || parts == 0 || parts > MaxPartitions {
-		return name, 0, nil, fmt.Errorf("%s %q partitions: %w", what, name, ErrCorrupt)
+		return name, 0, nil, fmt.Errorf("generation %q partitions: %w", name, ErrCorrupt)
 	}
 	ncols, err := binary.ReadUvarint(br)
 	if err != nil || ncols == 0 || ncols > 1<<12 {
-		return name, 0, nil, fmt.Errorf("%s %q columns: %w", what, name, ErrCorrupt)
+		return name, 0, nil, fmt.Errorf("generation %q columns: %w", name, ErrCorrupt)
 	}
-	cols := make([]Column, ncols)
-	for i := range cols {
-		if cols[i].Name, err = readString(br); err != nil {
-			return name, 0, nil, fmt.Errorf("%s %q column: %w", what, name, ErrCorrupt)
-		}
-		ty, err := br.ReadByte()
-		if err != nil {
-			return name, 0, nil, fmt.Errorf("%s %q column type: %w", what, name, ErrCorrupt)
-		}
-		nn, err := br.ReadByte()
-		if err != nil {
-			return name, 0, nil, fmt.Errorf("%s %q column null: %w", what, name, ErrCorrupt)
-		}
-		cols[i].Type = Type(ty)
-		cols[i].NotNull = nn == 1
+	cols, err := readN(br, ncols, readColumn)
+	if err != nil {
+		return name, 0, nil, fmt.Errorf("generation %q column: %w", name, ErrCorrupt)
 	}
 	pkName, err := readString(br)
 	if err != nil {
-		return name, 0, nil, fmt.Errorf("%s %q pk: %w", what, name, ErrCorrupt)
+		return name, 0, nil, fmt.Errorf("generation %q pk: %w", name, ErrCorrupt)
 	}
 	schema, err = NewSchema(cols, pkName)
 	if err != nil {
-		return name, 0, nil, fmt.Errorf("%s %q schema: %w", what, name, err)
+		return name, 0, nil, fmt.Errorf("generation %q schema: %w: %w", name, ErrCorrupt, err)
 	}
 	return name, parts, schema, nil
 }
@@ -281,46 +174,44 @@ func readTableHeader(br *bufio.Reader, what string) (name string, parts uint64, 
 // readIndexDefs decodes the index list and declares each index on t,
 // tolerating ones that already exist (a delta chained onto a base that
 // declared them, or a recovered table).
-func readIndexDefs(br *bufio.Reader, t *Table, what, name string) error {
+func readIndexDefs(br *bufio.Reader, t *Table) error {
 	nIdx, err := binary.ReadUvarint(br)
 	if err != nil || nIdx > 1<<12 {
-		return fmt.Errorf("%s %q indexes: %w", what, name, ErrCorrupt)
+		return fmt.Errorf("generation %q indexes: %w", t.name, ErrCorrupt)
 	}
 	for i := uint64(0); i < nIdx; i++ {
 		col, err := readString(br)
 		if err != nil {
-			return fmt.Errorf("%s %q index col: %w", what, name, ErrCorrupt)
+			return fmt.Errorf("generation %q index col: %w", t.name, ErrCorrupt)
 		}
 		kind, err := br.ReadByte()
 		if err != nil {
-			return fmt.Errorf("%s %q index kind: %w", what, name, ErrCorrupt)
+			return fmt.Errorf("generation %q index kind: %w", t.name, ErrCorrupt)
 		}
 		if err := t.CreateIndex(col, IndexKind(kind)); err != nil && !errors.Is(err, ErrExists) {
-			return fmt.Errorf("%s %q index %q: %w", what, name, col, err)
+			return fmt.Errorf("generation %q index %q: %w: %w", t.name, col, ErrCorrupt, err)
 		}
 	}
 	return nil
 }
 
 func applyGenerationTable(db *DB, br *bufio.Reader) error {
-	name, parts, schema, err := readTableHeader(br, "generation")
+	name, parts, schema, err := readTableHeader(br)
 	if err != nil {
 		return err
 	}
 	t, err := db.Table(name)
-	if errors.Is(err, ErrNotFound) {
+	if err != nil {
 		if t, err = db.CreateTablePartitioned(name, schema, int(parts)); err != nil {
-			return err
+			return fmt.Errorf("generation %q: %w: %w", name, ErrCorrupt, err)
 		}
-	} else if err != nil {
-		return err
 	} else if t.Partitions() != int(parts) {
 		// A delta must agree with the base it chains onto: partition counts
 		// are fixed at table creation, so a mismatch is corruption.
 		return fmt.Errorf("generation %q partition count %d vs table %d: %w",
 			name, parts, t.Partitions(), ErrCorrupt)
 	}
-	if err := readIndexDefs(br, t, "generation", name); err != nil {
+	if err := readIndexDefs(br, t); err != nil {
 		return err
 	}
 
@@ -344,37 +235,8 @@ func applyGenerationTable(db *DB, br *bufio.Reader) error {
 				return fmt.Errorf("generation %q stripe %d row %d: %w", name, pi, j, ErrCorrupt)
 			}
 			if err := t.insertIntoPartition(int(pi), row); err != nil {
-				return fmt.Errorf("generation %q stripe %d row %d: %w", name, pi, j, err)
+				return fmt.Errorf("generation %q stripe %d row %d: %w: %w", name, pi, j, ErrCorrupt, err)
 			}
-		}
-	}
-	return nil
-}
-
-func restoreTable(db *DB, br *bufio.Reader) error {
-	name, parts, schema, err := readTableHeader(br, "snapshot")
-	if err != nil {
-		return err
-	}
-	t, err := db.CreateTablePartitioned(name, schema, int(parts))
-	if err != nil {
-		return err
-	}
-	if err := readIndexDefs(br, t, "snapshot", name); err != nil {
-		return err
-	}
-
-	nRows, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("snapshot %q row count: %w", name, ErrCorrupt)
-	}
-	for i := uint64(0); i < nRows; i++ {
-		row, err := readRow(br)
-		if err != nil {
-			return fmt.Errorf("snapshot %q row %d: %w", name, i, ErrCorrupt)
-		}
-		if _, err := t.insertOwned(row); err != nil {
-			return fmt.Errorf("snapshot %q row %d: %w", name, i, err)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package rdbms
 
 import (
-	"bufio"
 	"fmt"
 	"sync"
 )
@@ -185,17 +184,6 @@ func (t *Table) IndexKindOf(col string) (IndexKind, bool) {
 	defer t.idxMu.RUnlock()
 	kind, ok := t.idxMeta[col]
 	return kind, ok
-}
-
-// indexCols returns the indexed columns and kinds (for snapshots).
-func (t *Table) indexCols() map[string]IndexKind {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	out := make(map[string]IndexKind, len(t.idxMeta))
-	for c, k := range t.idxMeta {
-		out[c] = k
-	}
-	return out
 }
 
 // Insert adds a row; the primary key must be unique. It returns the heap
@@ -780,34 +768,4 @@ func (t *Table) insertIntoPartition(pi int, r Row) error {
 	defer p.mu.Unlock()
 	_, err := t.insertLocked(p, h, r, false)
 	return err
-}
-
-// snapshotInto emits the table's live-row count and rows under one
-// whole-table read barrier: all partition read locks are held for the
-// duration, so the emitted set is one consistent cut and no WAL record for
-// this table can be written concurrently (appends happen under partition
-// write locks).
-func (t *Table) snapshotInto(bw *bufio.Writer) error {
-	for _, p := range t.parts {
-		p.mu.RLock()
-	}
-	defer func() {
-		for _, p := range t.parts {
-			p.mu.RUnlock()
-		}
-	}()
-	n := 0
-	for _, p := range t.parts {
-		n += p.rows
-	}
-	writeUvarint(bw, uint64(n))
-	for _, p := range t.parts {
-		for _, row := range p.heap {
-			if row == nil {
-				continue
-			}
-			writeRow(bw, row)
-		}
-	}
-	return bw.Flush()
 }

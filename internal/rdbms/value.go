@@ -1,10 +1,10 @@
 // Package rdbms implements the embedded relational engine behind the
 // SciLens real-time path (paper §3.3, "Data Collection and Storage"). It
 // provides typed schemas, partitioned lock-striped heap tables, hash and
-// ordered secondary indexes, latch-based transactions with rollback, a
-// write-ahead log with replay, a durable incremental-checkpoint lifecycle
-// (Open / Checkpoint / Close), and a small typed query layer
-// (filter/project/order/aggregate).
+// ordered secondary indexes, a write-ahead log with replay, and a durable
+// incremental-checkpoint lifecycle (Open / Checkpoint / Close). Reads are
+// point lookups (Get, View), index probes (ViewEq, LookupEq), ordered
+// range scans (Range) and full scans (Scan).
 //
 // Tables are sharded into P partitions by primary-key hash: each stripe
 // has its own lock, heap and index shards, so point reads and writes on
@@ -35,10 +35,10 @@
 // parked appenders onto one fsync.
 //
 // The engine is a faithful miniature of what the platform needs from its
-// RDBMS: indexed point and range access for the interactive path,
-// transactional upserts from the streaming pipeline, and a store that
-// survives restarts without losing the corpus the training loop depends
-// on.
+// RDBMS: indexed point and range access for the interactive path, atomic
+// per-row upserts and read-modify-writes (Upsert, Mutate) from the
+// streaming pipeline, and a store that survives restarts without losing
+// the corpus the training loop depends on.
 package rdbms
 
 import (
@@ -271,11 +271,10 @@ func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
 }
 
 // hashKey returns the value's key string. It is the definition of key
-// identity and of hash32 — query grouping uses it directly; indexes and the
-// partition router use hash32 and sameKey, which agree with it without
-// building the string. Recovery verifies every stored row still routes to
-// the stripe it was written in, so these strings are part of the on-disk
-// contract.
+// identity and of hash32; indexes and the partition router use hash32 and
+// sameKey, which agree with it without building the string. Recovery
+// verifies every stored row still routes to the stripe it was written in,
+// so these strings are part of the on-disk contract.
 func (v Value) hashKey() string {
 	if v.IsNull() {
 		return "\x00null"

@@ -25,7 +25,8 @@ const (
 	walDropTable
 )
 
-// ErrCorrupt is returned when WAL replay encounters an undecodable record.
+// ErrCorrupt is returned when a WAL record cannot be decoded, or a
+// snapshot generation cannot be decoded or applied.
 var ErrCorrupt = errors.New("rdbms: corrupt WAL")
 
 // ErrWALBroken is returned by mutations after a WAL append failed to reach
@@ -459,17 +460,7 @@ func writeRecord(w *bufio.Writer, rec walRecord) int {
 		n += writeValue(w, rec.Key)
 	case walCreateTable:
 		n += writeUvarint(w, uint64(rec.Parts))
-		n += writeUvarint(w, uint64(len(rec.Cols)))
-		for _, c := range rec.Cols {
-			n += writeString(w, c.Name)
-			w.WriteByte(byte(c.Type))
-			b := byte(0)
-			if c.NotNull {
-				b = 1
-			}
-			w.WriteByte(b)
-			n += 2
-		}
+		n += writeColumns(w, rec.Cols)
 		n += writeString(w, rec.PKName)
 	case walCreateIndex:
 		n += writeString(w, rec.Col)
@@ -492,6 +483,24 @@ func writeString(w *bufio.Writer, s string) int {
 	n := writeUvarint(w, uint64(len(s)))
 	w.WriteString(s)
 	return n + len(s)
+}
+
+// writeColumns encodes a column count and each column's name, type byte
+// and NOT NULL byte — the schema part of a CREATE TABLE record and of a
+// generation's table header.
+func writeColumns(w *bufio.Writer, cols []Column) int {
+	n := writeUvarint(w, uint64(len(cols)))
+	for _, c := range cols {
+		n += writeString(w, c.Name)
+		w.WriteByte(byte(c.Type))
+		nn := byte(0)
+		if c.NotNull {
+			nn = 1
+		}
+		w.WriteByte(nn)
+		n += 2
+	}
+	return n
 }
 
 func writeRow(w *bufio.Writer, r Row) int {
@@ -573,24 +582,27 @@ func readCreateTable(r *bufio.Reader, rec *walRecord) error {
 	if err != nil || ncols > 1<<12 {
 		return ErrCorrupt
 	}
-	rec.Cols = make([]Column, ncols)
-	for i := range rec.Cols {
-		if rec.Cols[i].Name, err = readString(r); err != nil {
-			return err
-		}
-		ty, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		nn, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		rec.Cols[i].Type = Type(ty)
-		rec.Cols[i].NotNull = nn == 1
+	if rec.Cols, err = readN(r, ncols, readColumn); err != nil {
+		return err
 	}
 	rec.PKName, err = readString(r)
 	return err
+}
+
+func readColumn(r *bufio.Reader) (Column, error) {
+	name, err := readString(r)
+	if err != nil {
+		return Column{}, err
+	}
+	ty, err := r.ReadByte()
+	if err != nil {
+		return Column{}, err
+	}
+	nn, err := r.ReadByte()
+	if err != nil {
+		return Column{}, err
+	}
+	return Column{Name: name, Type: Type(ty), NotNull: nn == 1}, nil
 }
 
 func readString(r *bufio.Reader) (string, error) {
@@ -630,14 +642,50 @@ func readRow(r *bufio.Reader) (Row, error) {
 	if n > 1<<16 {
 		return nil, ErrCorrupt
 	}
-	row := make(Row, n)
-	for i := range row {
-		row[i], err = readValue(r)
-		if err != nil {
-			return nil, err
+	return readN(r, n, readValue)
+}
+
+// readPresize is the most elements readN reserves on a count's word alone.
+// Every real schema has fewer columns, so a real row or column list is
+// still decoded into one exact allocation.
+const readPresize = 32
+
+// readN decodes n elements with read. Like a string's length prefix, n is
+// a claim until the elements arrive: past readPresize the elements land in
+// chunks no larger than what has already arrived, and are copied once into
+// an exact slice when the last one has. A torn record claiming 65 536 cells
+// therefore costs what its bytes hold, and a decoded slice always has
+// len == cap (the row store keeps decoded rows as they are).
+func readN[E any](r *bufio.Reader, n uint64, read func(*bufio.Reader) (E, error)) ([]E, error) {
+	if n <= readPresize {
+		out := make([]E, n)
+		for i := range out {
+			v, err := read(r)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
 		}
+		return out, nil
 	}
-	return row, nil
+	var chunks [][]E
+	for got := 0; uint64(got) < n; {
+		chunk := make([]E, min(max(got, readPresize), int(n)-got))
+		for i := range chunk {
+			v, err := read(r)
+			if err != nil {
+				return nil, err
+			}
+			chunk[i] = v
+		}
+		chunks = append(chunks, chunk)
+		got += len(chunk)
+	}
+	out := make([]E, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, nil
 }
 
 func readValue(r *bufio.Reader) (Value, error) {

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -106,48 +109,50 @@ func TestWALNullAndAllTypes(t *testing.T) {
 	}
 }
 
+// TestWALCommitMarker: nothing writes commit markers any more, but logs
+// written by older binaries hold them, so replay must still count one —
+// strict and loose alike — and apply nothing for it. The marker names no
+// table that exists.
 func TestWALCommitMarker(t *testing.T) {
 	var buf bytes.Buffer
-	db, _ := walDB(t, &buf)
-	tx := db.Begin()
-	tx.Insert("articles", articleRow(1, "o", "t", 0))
-	tx.Commit()
+	db, tbl := walDB(t, &buf)
+	tbl.Insert(articleRow(1, "o", "t", 0))
 	flushWAL(t, db)
-	// 1 create-table + 1 insert + 1 commit marker.
-	if db.wal.Records() != 3 {
-		t.Errorf("records: %d", db.wal.Records())
+	bw := bufio.NewWriter(&buf)
+	writeRecord(bw, walRecord{Op: walCommit})
+	writeRecord(bw, walRecord{Op: walCommit, Table: "no-such-table"})
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	want := dumpDB(t, db)
+
 	db2 := NewDB()
-	db2.CreateTable("articles", articleSchema(t))
 	applied, err := Replay(db2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 3 {
+	// 1 create-table + 1 insert + 2 commit markers.
+	if applied != 4 {
 		t.Errorf("applied: %d", applied)
 	}
-}
+	if got := dumpDB(t, db2); !reflect.DeepEqual(want, got) {
+		t.Errorf("commit markers changed the replayed state: %v", got)
+	}
 
-func TestWALRollbackProducesCompensation(t *testing.T) {
-	var buf bytes.Buffer
-	db, tbl := walDB(t, &buf)
-	tbl.Insert(articleRow(1, "o", "keep", 0.5))
-	tx := db.Begin()
-	tx.Insert("articles", articleRow(2, "o", "drop", 0))
-	tx.Rollback()
-	flushWAL(t, db)
-
-	db2 := NewDB()
-	db2.CreateTable("articles", articleSchema(t))
-	if _, err := Replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, _ := db2.Table("articles")
-	if tbl2.Len() != 1 {
-		t.Errorf("rows after replaying rollback: %d", tbl2.Len())
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := tbl2.Get(Int(2)); !errors.Is(err, ErrNotFound) {
-		t.Error("rolled-back row survived replay")
+	defer re.Close()
+	if st := re.StorageStats(); st.RecoveredRecords != 4 || st.RecoveredTruncated {
+		t.Errorf("recovery: %d records, truncated %v", st.RecoveredRecords, st.RecoveredTruncated)
+	}
+	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+		t.Errorf("commit markers changed the recovered state: %v", got)
 	}
 }
 
@@ -307,6 +312,60 @@ func TestReadStringTruncatedClaimAllocatesBounded(t *testing.T) {
 	bw.Flush()
 	if _, err := readString(bufio.NewReader(&over)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("over-long claim: %v, want ErrCorrupt", err)
+	}
+}
+
+// A cell count is a claim too: a 5-byte record — op, empty table name,
+// 65 536 cells — must fail without reserving 65 536 cells (2 MiB), and so
+// must a CREATE TABLE claiming 4 096 columns. Rows that do arrive in full
+// keep len == cap past the pre-sized width.
+func TestReadRowTruncatedClaimAllocatesBounded(t *testing.T) {
+	var create bytes.Buffer
+	bw := bufio.NewWriter(&create)
+	bw.WriteByte(walCreateTable)
+	writeString(bw, "")
+	writeUvarint(bw, 1)
+	writeUvarint(bw, 1<<12)
+	bw.Flush()
+	claims := map[string][]byte{
+		"row":     {walInsert, 0, 0x80, 0x80, 0x04},
+		"columns": create.Bytes(),
+	}
+	for name, input := range claims {
+		rd := bytes.NewReader(input)
+		br := bufio.NewReaderSize(rd, 4096)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 50
+		for i := 0; i < runs; i++ {
+			rd.Reset(input)
+			br.Reset(rd)
+			if _, err := readRecord(br); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: truncated claim: %v, want ErrCorrupt", name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2048 {
+			t.Errorf("%d-byte record claiming %s allocates %d B per attempt, want <= 2048", len(input), name, per)
+		}
+	}
+
+	for _, n := range []int{0, 1, 32, 33, 101, 1000} {
+		row := make(Row, n)
+		for i := range row {
+			row[i] = Int(int64(i))
+		}
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		writeRow(bw, row)
+		bw.Flush()
+		got, err := readRow(bufio.NewReader(&buf))
+		if err != nil || !reflect.DeepEqual(got, row) {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("n=%d: decoded row has cap %d", n, cap(got))
+		}
 	}
 }
 

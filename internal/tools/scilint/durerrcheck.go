@@ -16,9 +16,9 @@ import (
 //
 // The critical set: methods of the vfs layer (Sync, SyncDir, Rename,
 // Close), os.File Sync/Close (inside the vfs implementation itself),
-// WAL append/Sync/Flush/Close, DB Checkpoint/Snapshot/Restore/Close and
-// Platform Checkpoint/Close. A *deferred* Close is exempt — that is the
-// read-path cleanup idiom; write paths Close inline before renaming.
+// WAL append/Sync/Flush/Close, and DB and Platform Checkpoint/Close. A
+// *deferred* Close is exempt — that is the read-path cleanup idiom; write
+// paths Close inline before renaming.
 type durErrCheck struct{}
 
 func (durErrCheck) Name() string { return "durerrcheck" }
@@ -31,7 +31,7 @@ var (
 	vfsCritical      = map[string]bool{"Sync": true, "SyncDir": true, "Rename": true, "Close": true}
 	osFileCritical   = map[string]bool{"Sync": true, "Close": true}
 	walCritical      = map[string]bool{"append": true, "Append": true, "Sync": true, "Flush": true, "Close": true}
-	dbCritical       = map[string]bool{"Checkpoint": true, "Snapshot": true, "Restore": true, "Close": true}
+	dbCritical       = map[string]bool{"Checkpoint": true, "Close": true}
 	platformCritical = map[string]bool{"Checkpoint": true, "Close": true}
 )
 
