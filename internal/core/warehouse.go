@@ -110,11 +110,19 @@ func (p *Platform) TrainTopicModel(pool *compute.Pool, date time.Time, cfg clust
 	if err != nil {
 		return nil, err
 	}
-	var titles []string
+	// Discover is order-sensitive and heap order depends on which pipeline
+	// shard won each insert, so titles go in article-id order.
+	type titled struct{ id, title string }
+	var rows []titled
 	articlesTable.Scan(func(r rdbms.Row) bool {
-		titles = append(titles, r[4].Str())
+		rows = append(rows, titled{r[0].Str(), r[4].Str()})
 		return true
 	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+	titles := make([]string, len(rows))
+	for i, r := range rows {
+		titles[i] = r.title
+	}
 	if len(titles) == 0 {
 		return nil, fmt.Errorf("train topics: %w", ErrNotIngested)
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/compute"
@@ -109,6 +112,52 @@ func TestTrainTopicModelFromWarehouse(t *testing.T) {
 		if a.Label == "" || a.Prob <= 0 {
 			t.Errorf("bad assignment: %+v", a)
 		}
+	}
+}
+
+// TestTrainTopicModelIndependentOfShardCount trains on the same world
+// ingested through one pipeline shard and through four. Heap order differs
+// between the two (it follows which shard won each insert); the topic tree
+// must not.
+func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
+	const days = 8
+	w := synth.GenerateWorld(synth.Config{Seed: 1, Days: days, RateScale: 0.3, ReactionScale: 0.2})
+	date := synth.WindowStart.AddDate(0, 0, days)
+	tree := func(shards int) string {
+		p, err := NewPlatform(Config{
+			Clock:        func() time.Time { return date },
+			StreamShards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.IngestWorld(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RunDailyMigration(date); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.TrainTopicModel(compute.NewPool(2, 1), date, cluster.HierarchyConfig{
+			Branch: 2, MaxDepth: 3, MinLeaf: 10, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "nodes %d leaves %d\n", rep.Nodes, rep.Leaves)
+		var walk func(n *cluster.TopicNode)
+		walk = func(n *cluster.TopicNode) {
+			fmt.Fprintf(&b, "%s %q %d\n", n.ID, rep.Tagger.Label(n.ID), len(n.Members))
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(rep.Root)
+		return b.String()
+	}
+	one, four := tree(1), tree(4)
+	if one != four {
+		t.Errorf("topic tree depends on the shard count:\n1 shard:\n%s\n4 shards:\n%s", one, four)
 	}
 }
 
