@@ -19,9 +19,8 @@ import (
 	scilens "repro"
 	"repro/internal/analytics"
 	"repro/internal/compute"
-	"repro/internal/dfs"
-	"repro/internal/migrate"
 	"repro/internal/rdbms"
+	"repro/internal/rdbms/vfs"
 	"repro/internal/socialind"
 	"repro/internal/stream"
 	"repro/internal/synth"
@@ -354,30 +353,6 @@ func BenchmarkAblationStanceLexVsModel(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMigrationBatch sweeps the daily-migration write-batch
-// size: how many bytes are buffered per write pushed through the DFS block
-// pipeline.
-func BenchmarkAblationMigrationBatch(b *testing.B) {
-	p, _ := benchFixture(b)
-	table, err := p.DB.Table("articles")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, size := range []int{512, 4 << 10, 64 << 10, 256 << 10} {
-		b.Run(fmt.Sprintf("buf-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cluster, err := dfs.NewCluster(dfs.Config{DataNodes: 4, BlockSize: 1 << 18, Replication: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := migrate.ExportBuffered(table, cluster, "warehouse/bench.jsonl", size); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamIngest runs the staged pipeline (sharded queues →
 // micro-batched evaluation → coalesced commits) across worker counts over
 // the same decoded firehose events, reporting events/s.
@@ -578,31 +553,17 @@ func BenchmarkBurstIngest(b *testing.B) {
 }
 
 // BenchmarkDailyMigration measures the full daily snapshot job over the
-// fixture's three tables.
+// fixture's three tables: one generation written through vfs into a fresh
+// in-memory date directory per iteration.
 func BenchmarkDailyMigration(b *testing.B) {
 	p, w := benchFixture(b)
-	date := w.Start.AddDate(0, 0, w.Days)
+	dir := "warehouse/" + w.Start.AddDate(0, 0, w.Days).Format("2006-01-02")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh prefix per iteration: re-exporting the same snapshot
-		// date is rejected by design.
-		job := &migrate.Job{
-			DB: p.DB, Cluster: mustCluster(b), Tables: []string{"articles", "article_social", "replies"},
-			Prefix: fmt.Sprintf("bench-%d", i),
-		}
-		if _, err := job.Run(date); err != nil {
+		if _, err := p.DB.ExportTables(vfs.NewMem(), dir, "articles", "article_social", "replies"); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func mustCluster(b *testing.B) *dfs.Cluster {
-	b.Helper()
-	c, err := dfs.NewCluster(dfs.Config{DataNodes: 4, BlockSize: 1 << 18, Replication: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
 }
 
 // BenchmarkReindexCorpus measures whole-corpus batch re-evaluation (the

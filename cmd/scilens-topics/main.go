@@ -1,6 +1,6 @@
 // Command scilens-topics runs the platform's daily maintenance cycle
-// (paper §3.3) over a synthetic corpus: the RDBMS → Distributed Storage
-// migration, the periodic model-training jobs, and the unsupervised
+// (paper §3.3) over a synthetic corpus: the RDBMS → warehouse migration
+// (held in memory here), the periodic model-training jobs, and the unsupervised
 // probabilistic hierarchical topic discovery. It then prints the
 // discovered topic tree with term labels and tags a few held-out
 // documents, demonstrating the generic→specific segmentation the paper

@@ -1,8 +1,8 @@
 // daily-operations walks the platform's §3.3 back-office day: stream the
-// firehose in, run the daily RDBMS → Distributed Storage migration, train
-// the ML models over the warehoused history on the compute pool, evaluate
-// the trained clickbait model against ground truth, and replay the
-// warehouse snapshot into historical analytics.
+// firehose in, run the daily RDBMS → warehouse migration, train the ML
+// models over the warehoused history on the compute pool, evaluate the
+// trained clickbait model against ground truth, and replay the warehouse
+// snapshot into historical analytics.
 //
 // Run with:
 //
@@ -72,11 +72,4 @@ func main() {
 	for c := scilens.Excellent; c <= scilens.VeryPoor; c++ {
 		fmt.Printf("  %-10s %5d articles\n", c, byClass[c])
 	}
-
-	// Incremental migration: export just one day's slice.
-	n, err := platform.RunIncrementalMigration(world.Start.AddDate(0, 0, 3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nincremental slice for day 3: %d articles exported\n", n)
 }

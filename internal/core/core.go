@@ -1,10 +1,10 @@
 // Package core assembles the SciLens News Platform (paper Figure 2): the
 // streaming pipeline feeds the ingestion path, which extracts articles,
 // computes indicators and stores everything in the RDBMS; a daily
-// migration job snapshots the hot store into the Distributed Storage;
-// periodic jobs train the ML models over the warehouse history on the
-// parallel compute layer; and the assessment path serves single-article
-// reports in real time.
+// migration job exports the hot store into the warehouse as one storage
+// generation per day; periodic jobs train the ML models over that history
+// on the parallel compute layer; and the assessment path serves
+// single-article reports in real time.
 package core
 
 import (
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/compute"
-	"repro/internal/dfs"
 	"repro/internal/indicators"
 	"repro/internal/obs"
 	"repro/internal/outlets"
@@ -66,8 +66,6 @@ type Platform struct {
 	Bus *stream.Bus
 	// DB is the real-time store.
 	DB *rdbms.DB
-	// Warehouse is the distributed storage.
-	Warehouse *dfs.Cluster
 	// Registry is the outlet registry.
 	Registry *outlets.Registry
 	// Engine is the indicator engine.
@@ -119,6 +117,13 @@ type Platform struct {
 	dataDir string
 	closed  atomic.Bool
 
+	// warehouseFS and warehouseDir locate the warehouse: one generation per
+	// daily export, in <warehouseDir>/<YYYY-MM-DD>/ (see RunDailyMigration).
+	// A durable platform keeps it under its data dir, an in-memory one in a
+	// vfs.Mem of its own.
+	warehouseFS  vfs.FS
+	warehouseDir string
+
 	// Storage health machine, self-healing supervisor and checkpoint
 	// scheduler (see health.go). degraded is the write-path fast gate;
 	// health and the scheduler baselines are guarded by healthMu.
@@ -155,8 +160,6 @@ type IngestStats struct {
 type Config struct {
 	// Registry is the outlet registry (default outlets.DemoShortlist()).
 	Registry *outlets.Registry
-	// WarehouseNodes is the DFS datanode count (default 4).
-	WarehouseNodes int
 	// Clock is the time source (default time.Now).
 	Clock func() time.Time
 	// TopicName is the analysed topic (default "health/covid-19").
@@ -257,14 +260,12 @@ type Config struct {
 	DeadLetterMaxAge time.Duration
 }
 
-// NewPlatform builds the platform: store schemas, warehouse cluster,
-// indicator engine and ingestion pipeline.
+// NewPlatform builds the platform: store schemas, indicator engine and
+// ingestion pipeline. It creates no warehouse directory; the first daily
+// export does.
 func NewPlatform(cfg Config) (*Platform, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = outlets.DemoShortlist()
-	}
-	if cfg.WarehouseNodes <= 0 {
-		cfg.WarehouseNodes = 4
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -311,11 +312,15 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		dlMaxCount: cfg.DeadLetterMaxCount,
 		dlMaxAge:   cfg.DeadLetterMaxAge,
 		dataDir:    cfg.DataDir,
+
+		warehouseFS:  vfs.NewMem(),
+		warehouseDir: "warehouse",
 	}
-	var err error
-	p.Warehouse, err = dfs.NewCluster(dfs.Config{DataNodes: cfg.WarehouseNodes, BlockSize: 1 << 18, Replication: 3})
-	if err != nil {
-		return nil, err
+	if cfg.DataDir != "" {
+		p.warehouseFS, p.warehouseDir = cfg.StorageFS, filepath.Join(cfg.DataDir, "warehouse")
+		if p.warehouseFS == nil {
+			p.warehouseFS = vfs.NewOS()
+		}
 	}
 	// Follower initial sync runs before createSchemas: the primary's
 	// generation chain creates the tables with the primary's partition
@@ -328,6 +333,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if err := p.createSchemas(); err != nil {
 		return nil, err
 	}
+	var err error
 	if p.articles, err = p.DB.Table(ArticlesTable); err != nil {
 		return nil, err
 	}

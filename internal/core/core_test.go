@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -218,7 +219,7 @@ func TestConsensusEndToEnd(t *testing.T) {
 }
 
 func TestDailyMigrationAndWarehouse(t *testing.T) {
-	p, w := testPlatform(t, 28, 5, 0.2)
+	p, _ := testPlatform(t, 28, 5, 0.2)
 	date := synth.WindowStart.AddDate(0, 0, 5)
 	n, err := p.RunDailyMigration(date)
 	if err != nil {
@@ -227,11 +228,25 @@ func TestDailyMigrationAndWarehouse(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing migrated")
 	}
-	files := p.Warehouse.List("warehouse/")
-	if len(files) != len(MigrationTables) {
-		t.Errorf("warehouse files: %v", files)
+	// One directory per day, holding one generation of every migrated table.
+	day := filepath.Join(p.warehouseDir, "2020-01-20")
+	if days, err := p.warehouseFS.Glob(filepath.Join(p.warehouseDir, "*")); err != nil || len(days) != 1 || days[0] != day {
+		t.Errorf("warehouse days: %v (%v), want [%s]", days, err, day)
 	}
-	_ = w
+	if _, err := p.warehouseFS.Stat(filepath.Join(day, "tables.dat")); err != nil {
+		t.Error(err)
+	}
+	want := 0
+	for _, name := range MigrationTables {
+		tbl, err := p.DB.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += tbl.Len()
+	}
+	if n != want {
+		t.Errorf("migrated %d rows, the tables hold %d", n, want)
+	}
 }
 
 func TestTrainClickbaitModelJob(t *testing.T) {

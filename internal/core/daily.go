@@ -27,7 +27,7 @@ type DailyReport struct {
 }
 
 // RunDaily executes the platform's daily maintenance cycle (paper §3.3):
-// the RDBMS → Distributed Storage migration, then the periodic model
+// the RDBMS → warehouse migration, then the periodic model
 // training jobs over the warehoused history on the compute pool. Training
 // stages whose input is empty (no replies yet, say) are skipped rather
 // than failing the cycle; the returned report records what ran.

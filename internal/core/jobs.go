@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/compute"
 	"repro/internal/contentind"
-	"repro/internal/migrate"
 	"repro/internal/outlets"
 	"repro/internal/rdbms"
 	"repro/internal/socialind"
@@ -18,11 +18,17 @@ import (
 // MigrationTables are the tables the daily migration snapshots.
 var MigrationTables = []string{ArticlesTable, SocialTable, RepliesTable}
 
-// RunDailyMigration exports the hot store into the warehouse for the given
-// snapshot date. It returns the migrated row count.
+// RunDailyMigration exports MigrationTables from the hot store into the
+// warehouse as one full generation for the given snapshot date, in
+// warehouse/<YYYY-MM-DD>/tables.dat. It returns the migrated row count; a
+// date already exported fails with rdbms.ErrExists.
 func (p *Platform) RunDailyMigration(date time.Time) (int, error) {
-	job := &migrate.Job{DB: p.DB, Cluster: p.Warehouse, Tables: MigrationTables}
-	return job.Run(date)
+	return p.DB.ExportTables(p.warehouseFS, p.warehouseDay(date), MigrationTables...)
+}
+
+// warehouseDay is the directory of one date's export.
+func (p *Platform) warehouseDay(date time.Time) string {
+	return filepath.Join(p.warehouseDir, date.UTC().Format("2006-01-02"))
 }
 
 // ArticleRowFacts converts one articles-table row plus its social

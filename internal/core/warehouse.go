@@ -8,7 +8,6 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/cluster"
 	"repro/internal/compute"
-	"repro/internal/migrate"
 	"repro/internal/rdbms"
 	"repro/internal/reviews"
 	"repro/internal/textutil"
@@ -20,38 +19,17 @@ import (
 // top of the Distributed Storage, accessing the full history of our data",
 // and the ad-hoc replay of historical snapshots into analytics.
 
-// RunIncrementalMigration exports only the articles published on `date`'s
-// day (UTC) into warehouse-inc/<date>/articles.jsonl, served by a range
-// scan over the ordered published index. Replaying the incremental files
-// of consecutive days (plus a full snapshot of the aggregate tables)
-// reconstructs the article history without re-exporting it daily.
-func (p *Platform) RunIncrementalMigration(date time.Time) (int, error) {
-	articlesTable, err := p.DB.Table(ArticlesTable)
-	if err != nil {
-		return 0, err
-	}
-	day := date.UTC().Truncate(24 * time.Hour)
-	lo := rdbms.Time(day)
-	hi := rdbms.Time(day.AddDate(0, 0, 1).Add(-time.Nanosecond))
-	path := migrate.SnapshotPath("warehouse-inc", day, ArticlesTable)
-	return migrate.ExportRange(articlesTable, p.Warehouse, path, "published", lo, hi)
-}
-
-// ReplayWarehouse imports one daily snapshot from the distributed storage
-// into a fresh in-memory database — the "ad-hoc querying on historical
-// data" path. It returns the scratch database and the imported row count.
+// ReplayWarehouse imports one daily export from the warehouse into a fresh
+// in-memory database — the "ad-hoc querying on historical data" path. It
+// returns the scratch database and the imported row count. A date never
+// exported fails with an error satisfying errors.Is(err, fs.ErrNotExist).
 func (p *Platform) ReplayWarehouse(date time.Time) (*rdbms.DB, int, error) {
-	scratch := rdbms.NewDB()
-	total := 0
-	for _, name := range MigrationTables {
-		path := migrate.SnapshotPath("warehouse", date, name)
-		n, err := migrate.Import(scratch, p.Warehouse, path)
-		if err != nil {
-			return nil, total, fmt.Errorf("replay %s: %w", path, err)
-		}
-		total += n
+	dir := p.warehouseDay(date)
+	scratch, n, err := rdbms.ImportTables(p.warehouseFS, dir)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replay %s: %w", dir, err)
 	}
-	return scratch, total, nil
+	return scratch, n, nil
 }
 
 // BuildFactsFromWarehouse derives the analytics facts from a daily

@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -10,12 +14,47 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compute"
-	"repro/internal/dfs"
-	"repro/internal/migrate"
 	"repro/internal/rdbms"
 	"repro/internal/reviews"
 	"repro/internal/synth"
 )
+
+// tableImage is everything a warehouse day must carry of one table.
+type tableImage struct {
+	Partitions int
+	Schema     *rdbms.Schema
+	Indexes    map[string]rdbms.IndexKind
+	Rows       []rdbms.Row // in primary-key order
+}
+
+// migratedImages captures the MigrationTables of db.
+func migratedImages(t *testing.T, db *rdbms.DB) map[string]tableImage {
+	t.Helper()
+	out := map[string]tableImage{}
+	for _, name := range MigrationTables {
+		tbl, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := tableImage{Partitions: tbl.Partitions(), Schema: tbl.Schema(), Indexes: map[string]rdbms.IndexKind{}}
+		for _, c := range tbl.Schema().Cols {
+			if kind, ok := tbl.IndexKindOf(c.Name); ok {
+				img.Indexes[c.Name] = kind
+			}
+		}
+		tbl.Scan(func(r rdbms.Row) bool {
+			img.Rows = append(img.Rows, r.Clone())
+			return true
+		})
+		pk := tbl.Schema().PK
+		sort.Slice(img.Rows, func(i, j int) bool {
+			c, _ := img.Rows[i][pk].Compare(img.Rows[j][pk])
+			return c < 0
+		})
+		out[name] = img
+	}
+	return out
+}
 
 func TestReplayWarehouseRoundTrip(t *testing.T) {
 	p, _ := testPlatform(t, 40, 6, 0.3)
@@ -31,19 +70,68 @@ func TestReplayWarehouseRoundTrip(t *testing.T) {
 	if imported != exported {
 		t.Errorf("imported %d of %d rows", imported, exported)
 	}
-	hot, _ := p.DB.Table(ArticlesTable)
-	replayed, err := scratch.Table(ArticlesTable)
+	if names := scratch.TableNames(); len(names) != len(MigrationTables) {
+		t.Errorf("replayed tables %v, want %v", names, MigrationTables)
+	}
+	got, want := migratedImages(t, scratch), migratedImages(t, p.DB)
+	for _, name := range MigrationTables {
+		if !reflect.DeepEqual(got[name], want[name]) {
+			t.Errorf("%s: replayed table differs from the hot store", name)
+		}
+	}
+}
+
+// TestWarehouseSurvivesRestart exports from a durable platform, closes it
+// and opens a new one on the same data dir: the day replays unchanged,
+// from <data-dir>/warehouse/<date>/tables.dat.
+func TestWarehouseSurvivesRestart(t *testing.T) {
+	const days = 4
+	dir := t.TempDir()
+	date := synth.WindowStart.AddDate(0, 0, days)
+	cfg := Config{Clock: func() time.Time { return date }, DataDir: dir}
+	p, err := NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed.Len() != hot.Len() {
-		t.Errorf("articles: %d vs %d", replayed.Len(), hot.Len())
+	w := synth.GenerateWorld(synth.Config{Seed: 58, Days: days, RateScale: 0.2, ReactionScale: 0.3})
+	if _, err := p.IngestWorld(w); err != nil {
+		t.Fatal(err)
+	}
+	exported, err := p.RunDailyMigration(date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := migratedImages(t, p.DB)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "warehouse", "2020-01-19", "tables.dat")); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	scratch, imported, err := p2.ReplayWarehouse(date)
+	if err != nil {
+		t.Fatalf("replay after restart: %v", err)
+	}
+	if imported != exported {
+		t.Errorf("imported %d of %d rows", imported, exported)
+	}
+	if got := migratedImages(t, scratch); !reflect.DeepEqual(got, want) {
+		t.Error("day replayed after a restart differs from the one exported")
+	}
+	if _, err := p2.RunDailyMigration(date); !errors.Is(err, rdbms.ErrExists) {
+		t.Errorf("re-export after restart: %v, want rdbms.ErrExists", err)
 	}
 }
 
 func TestReplayWarehouseMissingSnapshot(t *testing.T) {
 	p, _ := testPlatform(t, 41, 3, 0.2)
-	if _, _, err := p.ReplayWarehouse(synth.WindowStart); !errors.Is(err, dfs.ErrNotFound) {
+	if _, _, err := p.ReplayWarehouse(synth.WindowStart); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing snapshot: %v", err)
 	}
 }
@@ -311,50 +399,6 @@ func TestFigure4ParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("class %v day %d: %v vs %v", c, day, got, v)
 			}
 		}
-	}
-}
-
-func TestIncrementalMigrationReconstructsHistory(t *testing.T) {
-	p, w := testPlatform(t, 55, 6, 0.3)
-
-	// Export one incremental slice per day of the window.
-	total := 0
-	for day := 0; day < 6; day++ {
-		n, err := p.RunIncrementalMigration(synth.WindowStart.AddDate(0, 0, day))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	if total != len(w.Articles) {
-		t.Errorf("incremental slices cover %d of %d articles", total, len(w.Articles))
-	}
-
-	// Replaying every slice into a fresh DB reconstructs the full table.
-	scratch := rdbms.NewDB()
-	for _, path := range p.Warehouse.List("warehouse-inc/") {
-		if _, err := migrate.Import(scratch, p.Warehouse, path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replayed, err := scratch.Table(ArticlesTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, _ := p.DB.Table(ArticlesTable)
-	if replayed.Len() != hot.Len() {
-		t.Errorf("replayed %d of %d rows", replayed.Len(), hot.Len())
-	}
-}
-
-func TestIncrementalMigrationEmptyDay(t *testing.T) {
-	p, _ := testPlatform(t, 56, 3, 0.2)
-	n, err := p.RunIncrementalMigration(synth.WindowStart.AddDate(1, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("rows on empty day: %d", n)
 	}
 }
 

@@ -34,6 +34,10 @@ import (
 // recovery — but a generation named by the manifest must exist and apply
 // completely, or Open fails loudly rather than silently dropping
 // committed data.
+//
+// ExportTables writes the same format outside any chain — one full
+// generation of the chosen tables, installed like a checkpoint's — and
+// ImportTables applies one to a fresh database.
 
 // ErrNoDir is returned by durable operations on an in-memory database.
 var ErrNoDir = errors.New("rdbms: database has no data directory")
@@ -317,6 +321,102 @@ func applyGenerationFile(db *DB, fsys vfs.FS, path string) error {
 	return applyGeneration(db, f)
 }
 
+// stageGeneration writes one generation payload to <tmp>/tables.dat with
+// write and makes it durable: the file is fsynced, and so is tmp, since
+// fsyncing the file alone does not persist its name in the directory — a
+// manifest referencing a generation whose payload entry was lost to a
+// power cut would make the store unopenable once the WAL is pruned. A
+// leftover tmp from an earlier crash is replaced. The caller installs the
+// result with installGeneration, or removes tmp.
+func stageGeneration(fsys vfs.FS, tmp string, write func(io.Writer) error) (size int64, err error) {
+	_ = fsys.RemoveAll(tmp)
+	if err := fsys.MkdirAll(tmp); err != nil {
+		return 0, err
+	}
+	f, err := fsys.Create(filepath.Join(tmp, genDataFile))
+	if err != nil {
+		return 0, err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		_ = fsys.RemoveAll(tmp)
+		return 0, err
+	}
+	if info, _ := f.Stat(); info != nil {
+		size = info.Size()
+	}
+	if err := f.Close(); err != nil {
+		_ = fsys.RemoveAll(tmp)
+		return 0, err
+	}
+	_ = fsys.SyncDir(tmp)
+	return size, nil
+}
+
+// installGeneration atomically moves a staged generation directory to dir
+// and makes the new entry durable in dir's parent.
+func installGeneration(fsys vfs.FS, tmp, dir string) error {
+	if err := fsys.Rename(tmp, dir); err != nil {
+		_ = fsys.RemoveAll(tmp)
+		return err
+	}
+	_ = fsys.SyncDir(filepath.Dir(dir))
+	return nil
+}
+
+// ExportTables writes the named tables, every stripe of each, as one
+// generation to <dir>/tables.dat on fsys, installed the way a checkpoint
+// installs its generations: staged in dir.tmp, fsynced, then renamed into
+// place, so dir holds either the whole export or nothing. It fails with
+// ErrExists if dir already exists. The export is invisible to
+// checkpoints: it marks no stripe clean. It returns the rows written.
+func (db *DB) ExportTables(fsys vfs.FS, dir string, names ...string) (rows int, err error) {
+	tables := make([]*Table, 0, len(names))
+	for _, name := range names {
+		t, err := db.Table(name)
+		if err != nil {
+			return 0, err
+		}
+		tables = append(tables, t)
+	}
+	if _, err := fsys.Stat(dir); err == nil {
+		return 0, fmt.Errorf("export %s: %w", dir, ErrExists)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	tmp := dir + ".tmp"
+	if _, err := stageGeneration(fsys, tmp, func(w io.Writer) (err error) {
+		_, _, _, rows, err = writeGeneration(w, tables, true)
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	if err := installGeneration(fsys, tmp, dir); err != nil {
+		return 0, err
+	}
+	return rows, nil
+}
+
+// ImportTables reads a directory written by ExportTables into a new
+// in-memory database and returns it with its row count. A missing export
+// fails with an error satisfying errors.Is(err, fs.ErrNotExist); an
+// undecodable one with ErrCorrupt.
+func ImportTables(fsys vfs.FS, dir string) (*DB, int, error) {
+	db := NewDB()
+	if err := applyGenerationFile(db, fsys, filepath.Join(dir, genDataFile)); err != nil {
+		return nil, 0, err
+	}
+	rows := 0
+	for _, t := range db.tablesSorted() {
+		rows += t.Len()
+	}
+	return db, rows, nil
+}
+
 // genDirName formats a snapshot generation directory name; zero-padded so
 // lexicographic order is generation order.
 func genDirName(gen int) string { return fmt.Sprintf("snap-%06d", gen) }
@@ -518,34 +618,15 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 	db.snapGen = gen
 	db.statsMu.Unlock()
 	tmpDir := filepath.Join(db.dir, genDirName(gen)+".tmp")
-	_ = db.fs.RemoveAll(tmpDir)
-	if err := db.fs.MkdirAll(tmpDir); err != nil {
-		return CheckpointStats{}, err
-	}
-	sf, err := db.fs.Create(filepath.Join(tmpDir, genDataFile))
+	var cuts []genCut
+	var nTables, nParts, nRows int
+	size, err := stageGeneration(db.fs, tmpDir, func(w io.Writer) (err error) {
+		cuts, nTables, nParts, nRows, err = writeGeneration(w, db.tablesSorted(), full)
+		return err
+	})
 	if err != nil {
 		return CheckpointStats{}, err
 	}
-	cuts, nTables, nParts, nRows, err := db.writeGeneration(sf, full)
-	if err == nil {
-		err = sf.Sync()
-	}
-	if err != nil {
-		sf.Close()
-		_ = db.fs.RemoveAll(tmpDir)
-		return CheckpointStats{}, err
-	}
-	info, _ := sf.Stat()
-	if err := sf.Close(); err != nil {
-		_ = db.fs.RemoveAll(tmpDir)
-		return CheckpointStats{}, err
-	}
-	// Make the directory entry for tables.dat durable too: fsyncing the
-	// file alone does not persist its name in the generation directory,
-	// and a manifest referencing a generation whose payload entry was
-	// lost to a power cut would make the store unopenable after the WAL
-	// segments below are pruned.
-	_ = db.fs.SyncDir(tmpDir)
 
 	st := CheckpointStats{WALSegment: newSeq, Full: full}
 	compacted := full && db.snapBase != 0
@@ -557,12 +638,9 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		st.DeltaChainLen = len(db.snapDeltas)
 		st.Generation = 0
 	} else {
-		genDir := filepath.Join(db.dir, genDirName(gen))
-		if err := db.fs.Rename(tmpDir, genDir); err != nil {
-			_ = db.fs.RemoveAll(tmpDir)
+		if err := installGeneration(db.fs, tmpDir, filepath.Join(db.dir, genDirName(gen))); err != nil {
 			return CheckpointStats{}, err
 		}
-		_ = db.fs.SyncDir(db.dir)
 		base, deltas := db.snapBase, db.snapDeltas
 		if full {
 			base, deltas = gen, nil
@@ -591,9 +669,7 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		st.Tables = nTables
 		st.PartitionsWritten = nParts
 		st.Rows = nRows
-		if info != nil {
-			st.SnapshotBytes = info.Size()
-		}
+		st.SnapshotBytes = size
 	}
 
 	// 4. Prune: segments before the rotation are fully contained in the

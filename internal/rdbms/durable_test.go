@@ -431,7 +431,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		tbl.Insert(articleRow(i, fmt.Sprintf("o%d", i%3), "t", float64(i)))
 	}
 	var buf bytes.Buffer
-	if _, _, _, _, err := db.writeGeneration(&buf, true); err != nil {
+	if _, _, _, _, err := writeGeneration(&buf, db.tablesSorted(), true); err != nil {
 		t.Fatal(err)
 	}
 	re := NewDB()

@@ -21,7 +21,8 @@ import (
 // survives the matching encoder. Byte identity does not hold: uvarints
 // need not be minimal, and any NOT NULL or bool byte other than 1 reads as
 // false. Seeds live under testdata/fuzz/<name>/: the golden row, the
-// fixture store in testdata/parent-pr16 and a few hand-built edge cases.
+// fixture store in testdata/parent-pr16, a warehouse day written by
+// ExportTables and a few hand-built edge cases.
 
 // FuzzReadRecord reads WAL records until the first error. The input must
 // end at a record boundary (io.EOF) or fail with ErrCorrupt; decoding may
@@ -98,7 +99,7 @@ func FuzzApplyGeneration(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if _, _, _, _, err := db.writeGeneration(&buf, true); err != nil {
+		if _, _, _, _, err := writeGeneration(&buf, db.tablesSorted(), true); err != nil {
 			t.Fatal(err)
 		}
 		re := NewDB()

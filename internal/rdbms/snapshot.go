@@ -28,18 +28,17 @@ type genCut struct {
 	cuts  []partCut
 }
 
-// writeGeneration serialises the dirty stripes of every table (all stripes
-// when full) to w. Each table is emitted under its whole-table read
-// barrier, so its stripes form one consistent cut; the returned genCuts
-// carry the captured epochs and must be committed via markClean only after
-// the generation's manifest is durably installed. partsWritten and
+// writeGeneration serialises the dirty stripes of the given tables (all
+// stripes when full) to w. Each table is emitted under its whole-table read
+// barrier, so its stripes form one consistent cut; a checkpoint commits the
+// returned genCuts via markClean only after the generation's manifest is
+// durably installed, and an export never does. partsWritten and
 // rowsWritten count emitted stripes and rows across all tables.
-func (db *DB) writeGeneration(w io.Writer, full bool) (cuts []genCut, tablesWritten, partsWritten, rowsWritten int, err error) {
+func writeGeneration(w io.Writer, tables []*Table, full bool) (cuts []genCut, tablesWritten, partsWritten, rowsWritten int, err error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(genMagic); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	tables := db.tablesSorted()
 	// First pass: which tables have stripes to emit? A table going dirty
 	// between this pass and its barrier below simply waits for the next
 	// checkpoint — its records are in the just-rotated WAL segment.

@@ -150,6 +150,76 @@ func TestFrameLengthPrefixIsAClaim(t *testing.T) {
 	}
 }
 
+// FuzzFrameReader reads the input as a replication stream until the first
+// error. A failed next returns no part of a frame; decoding allocates at
+// most a read step (two under -race) plus a constant multiple of the input
+// length, however large the length prefixes claim to be (up to
+// maxFramePayload); and the
+// frames read re-encode through frameWriter to frames that read back with
+// the same type bytes and payloads. The seeds under
+// testdata/fuzz/FuzzFrameReader are the frames of the tests above: every
+// frame type on one wire, a payload spanning read steps, a frame cut
+// inside its payload, an over-limit prefix, a 64 MiB claim the link never
+// honours and a length prefix that overflows 64 bits.
+func FuzzFrameReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Sized up front so that collecting the frames allocates nothing
+		// while allocations are counted: every frame is at least two bytes.
+		types := make([]byte, 0, len(data)/2+1)
+		ends := make([]int, 0, len(data)/2+1)
+		payloads := make([]byte, 0, len(data))
+		fr := newFrameReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for {
+			typ, payload, err := fr.next()
+			if err != nil {
+				if typ != 0 || payload != nil {
+					t.Fatalf("frame %d: failed with %v but returned type %q and %d bytes", len(types), err, typ, len(payload))
+				}
+				break
+			}
+			types = append(types, typ)
+			payloads = append(payloads, payload...)
+			ends = append(ends, len(payloads))
+		}
+		runtime.ReadMemStats(&after)
+		// growSlack is a second read step: under -race the make inside
+		// slices.Grow is a real allocation, so each grow costs twice.
+		const growSlack = frameReadStep
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(frameReadStep+growSlack+1024+16*len(data)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d B, limit %d", len(data), got, limit)
+		}
+
+		wire := encodeFrames(t, func(fw *frameWriter) error {
+			start := 0
+			for i, typ := range types {
+				if err := fw.write(typ, payloads[start:ends[i]]); err != nil {
+					return err
+				}
+				start = ends[i]
+			}
+			return nil
+		})
+		fr = newFrameReader(bytes.NewReader(wire))
+		start := 0
+		for i, want := range types {
+			typ, payload, err := fr.next()
+			if err != nil {
+				t.Fatalf("re-encoded frame %d: %v", i, err)
+			}
+			if typ != want || !bytes.Equal(payload, payloads[start:ends[i]]) {
+				t.Fatalf("frame %d: re-encoded as type %q with %d bytes, read first as %q with %d",
+					i, typ, len(payload), want, ends[i]-start)
+			}
+			start = ends[i]
+		}
+		if _, _, err := fr.next(); err != io.EOF {
+			t.Fatalf("re-encoded stream ends with %v, want io.EOF", err)
+		}
+	})
+}
+
 // TestUnpackUvarints: exactly the wanted count decodes; a short or
 // truncated payload is an error, never a zero value.
 func TestUnpackUvarints(t *testing.T) {

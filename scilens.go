@@ -183,9 +183,9 @@ var (
 	ErrFollower = core.ErrFollower
 )
 
-// New assembles a platform: store schemas, warehouse cluster, indicator
-// engine and ingestion pipeline. The zero Config is a working default (the
-// 45-outlet demo shortlist, 4 pipeline shards, 4 warehouse nodes, real
+// New assembles a platform: store schemas, indicator engine and ingestion
+// pipeline. The zero Config is a working default (the 45-outlet demo
+// shortlist, 4 pipeline shards, an in-memory store and warehouse, real
 // clock, COVID-19 topic segment).
 func New(cfg Config) (*Platform, error) { return core.NewPlatform(cfg) }
 
