@@ -17,7 +17,6 @@ import (
 	"time"
 
 	scilens "repro"
-	"repro/internal/analytics"
 	"repro/internal/compute"
 	"repro/internal/rdbms"
 	"repro/internal/rdbms/vfs"
@@ -243,67 +242,31 @@ func BenchmarkAblationIndexVsScan(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelCompute runs the same feature-extraction job on
-// the compute layer with 1 vs. 8 workers — the "why a Spark-like layer"
-// design choice.
+// BenchmarkAblationParallelCompute runs the same tokenisation job on the
+// compute pool with 1 to 8 workers — the "why a parallel map" design
+// choice.
 func BenchmarkAblationParallelCompute(b *testing.B) {
 	_, w := benchFixture(b)
-	titles := make([]string, 0, 4096)
+	docs := make([]string, 0, 4096)
 	for _, a := range w.Articles {
-		titles = append(titles, a.RawHTML)
-	}
-	job := func(pool *compute.Pool, parts int) error {
-		ds := compute.FromSlice(titles, parts)
-		tokenised, err := compute.Map(pool, ds, func(s string) (int, error) {
-			return len(socialind.Tokens(s)), nil
-		})
-		if err != nil {
-			return err
-		}
-		_, err = compute.Reduce(pool, tokenised, 0,
-			func(acc, n int) int { return acc + n },
-			func(a, b int) int { return a + b })
-		return err
+		docs = append(docs, a.RawHTML)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := compute.NewPool(workers, 1)
+			pool := compute.NewPool(workers)
 			for i := 0; i < b.N; i++ {
-				if err := job(pool, workers); err != nil {
+				counts, err := compute.Map(pool, docs, func(s string) (int, error) {
+					return len(socialind.Tokens(s)), nil
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSequentialVsParallelAnalytics compares the Figure 4
-// job computed sequentially against the partition-parallel compute-layer
-// version over a large fact set (the daily analytics of §3.3).
-func BenchmarkAblationSequentialVsParallelAnalytics(b *testing.B) {
-	p, w := benchFixture(b)
-	facts, err := p.BuildFacts()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Replicate facts to a size where parallelism matters.
-	big := make([]analytics.ArticleFact, 0, len(facts)*16)
-	for i := 0; i < 16; i++ {
-		big = append(big, facts...)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := analytics.NewsroomActivity(big, w.Start, w.Days); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			pool := compute.NewPool(workers, 1)
-			for i := 0; i < b.N; i++ {
-				if _, err := analytics.NewsroomActivityParallel(pool, big, w.Start, w.Days); err != nil {
-					b.Fatal(err)
+				total := 0
+				for _, n := range counts {
+					total += n
+				}
+				if total == 0 {
+					b.Fatal("no tokens")
 				}
 			}
 		})
@@ -578,7 +541,7 @@ func BenchmarkReindexCorpus(b *testing.B) {
 	p, w := benchFixture(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := compute.NewPool(workers, 1)
+			pool := compute.NewPool(workers)
 			for i := 0; i < b.N; i++ {
 				rep, err := p.ReindexCorpus(pool, scilens.ReindexForce())
 				if err != nil {

@@ -44,7 +44,7 @@ func run(seed int64, days int, scale float64, depth, workers int) error {
 	}
 	fmt.Printf("corpus: %d articles over %d days\n\n", len(world.Articles), world.Days)
 
-	pool := scilens.NewComputePool(workers, 1)
+	pool := scilens.NewComputePool(workers)
 	date := world.Start.AddDate(0, 0, world.Days)
 	daily, err := platform.RunDaily(pool, date)
 	if err != nil {

@@ -80,6 +80,24 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
+// TestGoldenOutputAnyWorkers: the compute pool's width changes how the
+// jobs split their input, never what they print.
+func TestGoldenOutputAnyWorkers(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "7"} {
+		out, code := runBin(t, "-seed", "1", "-days", "4", "-scale", "0.2", "-workers", workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit status %d", workers, code)
+		}
+		if !bytes.Equal(out, golden) {
+			t.Errorf("-workers %s: output differs from testdata/seed1.golden:\n%s", workers, out)
+		}
+	}
+}
+
 func TestBadFlagExitsTwo(t *testing.T) {
 	if _, code := runBin(t, "-no-such-flag"); code != 2 {
 		t.Errorf("exit status %d, want 2", code)

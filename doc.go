@@ -7,8 +7,8 @@
 // stance) — alongside expert reviews and aggregated topic insights.
 //
 // The package is a facade over the platform's subsystems (the streaming
-// pipeline, the embedded relational store, the distributed-storage
-// simulator, the parallel compute layer, the ML models and the analytics
+// pipeline, the embedded relational store and its daily warehouse
+// generations, the bounded parallel map, the ML models and the analytics
 // jobs). Typical use:
 //
 //	platform, world, err := scilens.Bootstrap(scilens.BootstrapConfig{Seed: 1, Days: 30})
@@ -49,7 +49,7 @@
 // platform therefore retains each article's source markup in a document
 // store and exposes Platform.ReindexCorpus: a batch job that streams the
 // whole corpus through the same single-pass indicator pipeline
-// (Engine.EvaluateBatch, partition-parallel on the compute layer),
+// (Engine.EvaluateBatch, a parallel map on the compute pool),
 // rewrites the content/context/composite columns with one atomic
 // read-modify-write per row (rdbms.Table.Mutate), re-classifies the
 // stored reply stances and reconciles the social stance aggregates with

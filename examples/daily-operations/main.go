@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("ingested: %d postings, %d reactions\n\n", stats.Postings, stats.Reactions)
 
 	// Nightly cron: migration + model training (skips empty stages).
-	pool := scilens.NewComputePool(4, 1)
+	pool := scilens.NewComputePool(4)
 	date := world.Start.AddDate(0, 0, world.Days)
 	daily, err := platform.RunDaily(pool, date)
 	if err != nil {

@@ -1,14 +1,20 @@
-// Package api implements the Indicators API of paper §3.3: lightweight,
-// loosely coupled micro-services that compute and serve article quality
-// indicators to the web application in real time.
+// Package api implements the Indicators API of paper §3.3: the HTTP
+// endpoints that compute and serve article quality indicators to the web
+// application in real time.
 //
-// Three services are exposed, each with its own mux so they can be mounted
-// together in one process (the demo deployment) or served separately:
+// Server mounts every endpoint on one mux, each under a method-qualified
+// pattern, grouped as
 //
-//   - AssessmentService: single-article evaluation (paper Figure 3) — both
-//     stored articles and arbitrary user-supplied documents.
-//   - InsightsService: aggregated topic insights (Figures 4 and 5).
-//   - ReviewService: expert review submission and retrieval (§3.2).
+//   - assessment: single-article evaluation (paper Figure 3) — both
+//     stored articles and arbitrary user-supplied documents;
+//   - insights: aggregated topic insights (Figures 4 and 5);
+//   - reviews: expert review submission and retrieval (§3.2);
+//   - operations: corpus re-indexing and online checkpoints;
+//   - streaming ingestion, the live feed and the pipeline counters.
+//
+// ReplService, the primary side of the replication link, is the one
+// handler of its own: Server mounts it under /api/repl/, and a separate
+// listener can serve it alone.
 package api
 
 import (
@@ -96,25 +102,50 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// AssessmentService serves single-article assessments.
-type AssessmentService struct {
+// Server serves the Indicators API of one platform: every route is a
+// method-qualified pattern on one mux, wrapped by the telemetry
+// middleware, so every request is traced and recorded into the per-route
+// metric families (see telemetry.go).
+type Server struct {
 	platform *core.Platform
-	mux      *http.ServeMux
+	handler  http.Handler
 }
 
-// NewAssessmentService mounts the assessment endpoints.
-func NewAssessmentService(p *core.Platform) *AssessmentService {
-	s := &AssessmentService{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /api/assess", s.handleAssessStored)
-	s.mux.HandleFunc("POST /api/assess", s.handleAssessDocument)
-	s.mux.HandleFunc("POST /api/assess/batch", s.handleAssessBatch)
-	s.mux.HandleFunc("GET /api/health", s.handleHealth)
+// NewServer mounts every endpoint for the platform.
+func NewServer(p *core.Platform) *Server {
+	s, mux := &Server{platform: p}, http.NewServeMux()
+	// Assessment: single articles, stored or supplied (Figure 3).
+	mux.HandleFunc("GET /api/assess", s.handleAssessStored)
+	mux.HandleFunc("POST /api/assess", s.handleAssessDocument)
+	mux.HandleFunc("POST /api/assess/batch", s.handleAssessBatch)
+	mux.HandleFunc("GET /api/health", s.handleHealth)
+	// Insights: aggregated topic analytics (Figures 4 and 5).
+	mux.HandleFunc("GET /api/insights/activity", s.handleActivity)
+	mux.HandleFunc("GET /api/insights/engagement", s.handleEngagement)
+	mux.HandleFunc("GET /api/insights/evidence", s.handleEvidence)
+	mux.HandleFunc("GET /api/insights/consensus", s.handleConsensus)
+	mux.HandleFunc("GET /api/insights/outlets", s.handleOutletQuality)
+	// Expert reviews (§3.2).
+	mux.HandleFunc("POST /api/reviews", s.handleReviewSubmit)
+	mux.HandleFunc("GET /api/reviews", s.handleReviewList)
+	// Operations: the §3.3 maintenance loop triggered over HTTP.
+	mux.HandleFunc("POST /api/reindex", s.handleReindex)
+	mux.HandleFunc("POST /api/checkpoint", s.handleCheckpoint)
+	// Streaming ingestion (stream.go).
+	mux.HandleFunc("POST /api/ingest", s.handleIngest)
+	mux.HandleFunc("POST /api/ingest/replay", s.handleReplay)
+	mux.HandleFunc("GET /api/stream", s.handleStream)
+	mux.HandleFunc("GET /api/stats", s.handleStats)
+	// Replication stays a handler of its own: -repl-addr serves it alone.
+	mux.Handle("/api/repl/", NewReplService(p))
+	registerTelemetryRoutes(mux)
+	s.handler = observe(mux)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *AssessmentService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.handler.ServeHTTP(w, r)
 }
 
 // handleHealth reports liveness plus the storage state machine. status
@@ -122,7 +153,7 @@ func (s *AssessmentService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // "recovering" answer 503 Service Unavailable — writes are suspended, so
 // load balancers should rotate the writer role away — while the body
 // still carries the full health payload for operators.
-func (s *AssessmentService) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	stats := s.platform.Stats()
 	ss := s.platform.StreamStats()
 	st := s.platform.StorageStats()
@@ -158,7 +189,7 @@ func (s *AssessmentService) handleHealth(w http.ResponseWriter, r *http.Request)
 }
 
 // handleAssessStored evaluates an ingested article by url or id.
-func (s *AssessmentService) handleAssessStored(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAssessStored(w http.ResponseWriter, r *http.Request) {
 	url := r.URL.Query().Get("url")
 	id := r.URL.Query().Get("id")
 	var (
@@ -215,7 +246,7 @@ type assessTopicPayload struct {
 	Prob  float64 `json:"prob"`
 }
 
-func (s *AssessmentService) handleAssessDocument(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAssessDocument(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan(r.Context(), "decode")
 	var req assessRequest
 	if !decodeJSON(w, r, maxAssessBody, &req) {
@@ -270,7 +301,7 @@ type batchResponse struct {
 
 const maxBatchSize = 256
 
-func (s *AssessmentService) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeJSON(w, r, maxControlBody, &req) {
 		return
@@ -286,7 +317,7 @@ func (s *AssessmentService) handleAssessBatch(w http.ResponseWriter, r *http.Req
 	}
 	// Deduplicate, keeping first-occurrence order, then fan the store
 	// lookups out on the platform's compute pool. compute.Map preserves
-	// partition order, so the collected results line up with ids.
+	// input order, so the results line up with ids.
 	seen := make(map[string]struct{}, len(req.IDs))
 	ids := make([]string, 0, len(req.IDs))
 	for _, id := range req.IDs {
@@ -300,8 +331,7 @@ func (s *AssessmentService) handleAssessBatch(w http.ResponseWriter, r *http.Req
 		id string
 		a  *core.Assessment
 	}
-	ds := compute.FromSlice(ids, s.platform.Compute.Workers())
-	results, err := compute.Map(s.platform.Compute, ds, func(id string) (lookup, error) {
+	results, err := compute.Map(s.platform.Compute, ids, func(id string) (lookup, error) {
 		a, err := s.platform.AssessID(id)
 		if err != nil {
 			if errors.Is(err, core.ErrNotIngested) {
@@ -316,7 +346,7 @@ func (s *AssessmentService) handleAssessBatch(w http.ResponseWriter, r *http.Req
 		return
 	}
 	resp := batchResponse{Assessments: make([]*core.Assessment, 0, len(ids))}
-	for _, l := range results.Collect() {
+	for _, l := range results {
 		if l.a == nil {
 			resp.Missing = append(resp.Missing, l.id)
 			continue
@@ -326,28 +356,6 @@ func (s *AssessmentService) handleAssessBatch(w http.ResponseWriter, r *http.Req
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// InsightsService serves the aggregated topic insights.
-type InsightsService struct {
-	platform *core.Platform
-	mux      *http.ServeMux
-}
-
-// NewInsightsService mounts the insights endpoints.
-func NewInsightsService(p *core.Platform) *InsightsService {
-	s := &InsightsService{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /api/insights/activity", s.handleActivity)
-	s.mux.HandleFunc("GET /api/insights/engagement", s.handleEngagement)
-	s.mux.HandleFunc("GET /api/insights/evidence", s.handleEvidence)
-	s.mux.HandleFunc("GET /api/insights/consensus", s.handleConsensus)
-	s.mux.HandleFunc("GET /api/insights/outlets", s.handleOutletQuality)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *InsightsService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
 // activityResponse is the Figure 4 payload.
 type activityResponse struct {
 	Start  time.Time            `json:"start"`
@@ -355,7 +363,7 @@ type activityResponse struct {
 	Series map[string][]float64 `json:"series"` // class label -> daily %
 }
 
-func (s *InsightsService) handleActivity(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleActivity(w http.ResponseWriter, r *http.Request) {
 	days, err := queryInt(r, "days", synth.WindowDays)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -410,7 +418,7 @@ func densitiesPayload(ds []analytics.ClassDensity) []densityResponse {
 	return out
 }
 
-func (s *InsightsService) handleEngagement(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEngagement(w http.ResponseWriter, r *http.Request) {
 	points, err := queryInt(r, "points", 128)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -424,7 +432,7 @@ func (s *InsightsService) handleEngagement(w http.ResponseWriter, r *http.Reques
 	writeJSON(w, http.StatusOK, densitiesPayload(ds))
 }
 
-func (s *InsightsService) handleEvidence(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	points, err := queryInt(r, "points", 128)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -438,7 +446,7 @@ func (s *InsightsService) handleEvidence(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, densitiesPayload(ds))
 }
 
-func (s *InsightsService) handleConsensus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	raters, err := queryInt(r, "raters", 12)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -481,7 +489,7 @@ type outletQualityResponse struct {
 
 // handleOutletQuality serves the review-derived outlet quality
 // segmentation (§3.3: outlet quality "computed using the expert reviews").
-func (s *InsightsService) handleOutletQuality(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleOutletQuality(w http.ResponseWriter, r *http.Request) {
 	bands, err := queryInt(r, "bands", 5)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -503,25 +511,6 @@ func (s *InsightsService) handleOutletQuality(w http.ResponseWriter, r *http.Req
 	writeJSON(w, http.StatusOK, out)
 }
 
-// ReviewService serves expert review submission and retrieval.
-type ReviewService struct {
-	platform *core.Platform
-	mux      *http.ServeMux
-}
-
-// NewReviewService mounts the review endpoints.
-func NewReviewService(p *core.Platform) *ReviewService {
-	s := &ReviewService{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /api/reviews", s.handleSubmit)
-	s.mux.HandleFunc("GET /api/reviews", s.handleList)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *ReviewService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
 // reviewRequest is the POST /api/reviews body.
 type reviewRequest struct {
 	ArticleID string `json:"article_id"`
@@ -540,7 +529,7 @@ var criterionByLabel = func() map[string]reviews.Criterion {
 	return m
 }()
 
-func (s *ReviewService) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReviewSubmit(w http.ResponseWriter, r *http.Request) {
 	var req reviewRequest
 	if !decodeJSON(w, r, maxControlBody, &req) {
 		return
@@ -592,7 +581,7 @@ func (s *ReviewService) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]any{"id": id})
 }
 
-func (s *ReviewService) handleList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReviewList(w http.ResponseWriter, r *http.Request) {
 	articleID := r.URL.Query().Get("article_id")
 	if articleID == "" {
 		writeError(w, http.StatusBadRequest, errors.New("article_id query parameter required"))
@@ -614,26 +603,6 @@ func (s *ReviewService) handleList(w http.ResponseWriter, r *http.Request) {
 		"per_criterion": perCriterion,
 		"texts":         agg.Texts,
 	})
-}
-
-// AdminService serves the operational endpoints of the platform — the
-// §3.3 maintenance loop triggered over HTTP instead of by the scheduler.
-type AdminService struct {
-	platform *core.Platform
-	mux      *http.ServeMux
-}
-
-// NewAdminService mounts the admin endpoints.
-func NewAdminService(p *core.Platform) *AdminService {
-	s := &AdminService{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /api/reindex", s.handleReindex)
-	s.mux.HandleFunc("POST /api/checkpoint", s.handleCheckpoint)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *AdminService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
 }
 
 // reindexRequest is the optional POST /api/reindex body.
@@ -661,7 +630,7 @@ type reindexResponse struct {
 
 // handleReindex runs a synchronous corpus re-evaluation under the current
 // models — the batch half of the retrain → re-index maintenance loop.
-func (s *AdminService) handleReindex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 	var req reindexRequest
 	// An empty body — whatever the declared ContentLength — means
 	// "default run"; anything present must be valid.
@@ -674,7 +643,7 @@ func (s *AdminService) handleReindex(w http.ResponseWriter, r *http.Request) {
 	}
 	pool := s.platform.Compute
 	if req.Workers > 0 {
-		pool = compute.NewPool(req.Workers, 1)
+		pool = compute.NewPool(req.Workers)
 	}
 	var opts []core.ReindexOption
 	if req.Force {
@@ -721,7 +690,7 @@ type checkpointResponse struct {
 // handleCheckpoint persists the store online: WAL rotation + snapshot +
 // segment prune, while the real-time paths keep serving. Platforms without
 // a data directory answer 409 — there is nothing durable to write to.
-func (s *AdminService) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st, err := s.platform.Checkpoint()
 	if err != nil {
 		if errors.Is(err, rdbms.ErrNoDir) {
@@ -751,44 +720,6 @@ func (s *AdminService) handleCheckpoint(w http.ResponseWriter, r *http.Request) 
 		WALSegment:        st.WALSegment,
 		DurationMS:        float64(st.Duration.Microseconds()) / 1000,
 	})
-}
-
-// Server mounts the micro-services on one mux (the demo deployment),
-// wrapped by the telemetry middleware: every request is traced and
-// recorded into the per-route metric families (see telemetry.go).
-type Server struct {
-	mux     *http.ServeMux
-	handler http.Handler
-}
-
-// NewServer composes the services for the platform.
-func NewServer(p *core.Platform) *Server {
-	s := &Server{mux: http.NewServeMux()}
-	assessment := NewAssessmentService(p)
-	insights := NewInsightsService(p)
-	review := NewReviewService(p)
-	admin := NewAdminService(p)
-	ingest := NewIngestService(p)
-	s.mux.Handle("/api/assess", assessment)
-	s.mux.Handle("/api/assess/", assessment)
-	s.mux.Handle("/api/health", assessment)
-	s.mux.Handle("/api/insights/", insights)
-	s.mux.Handle("/api/reviews", review)
-	s.mux.Handle("/api/reindex", admin)
-	s.mux.Handle("/api/checkpoint", admin)
-	s.mux.Handle("/api/ingest", ingest)
-	s.mux.Handle("/api/ingest/", ingest)
-	s.mux.Handle("/api/stream", ingest)
-	s.mux.Handle("/api/stats", ingest)
-	s.mux.Handle("/api/repl/", NewReplService(p))
-	registerTelemetryRoutes(s.mux)
-	s.handler = observe(s.mux)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 // queryInt parses an optional integer query parameter. A missing parameter

@@ -289,22 +289,6 @@ func TestReviewValidationErrors(t *testing.T) {
 	}
 }
 
-func TestServicesWorkStandalone(t *testing.T) {
-	// Micro-service style: each service is an independent handler.
-	p, w, _ := apiFixture(t)
-	assessment := NewAssessmentService(p)
-	rec, _ := doJSON(t, assessment, "GET", "/api/assess?url="+w.Articles[0].URL, nil)
-	if rec.Code != http.StatusOK {
-		t.Errorf("standalone assessment: %d", rec.Code)
-	}
-	insights := NewInsightsService(p)
-	rec2 := httptest.NewRecorder()
-	insights.ServeHTTP(rec2, httptest.NewRequest("GET", "/api/insights/activity?days=10", nil))
-	if rec2.Code != http.StatusOK {
-		t.Errorf("standalone insights: %d", rec2.Code)
-	}
-}
-
 func TestQueryIntAndRatingLabels(t *testing.T) {
 	req := httptest.NewRequest("GET", "/x?n=25&bad=2x&zero=0&neg=-3&huge=99999999999999999999", nil)
 	if n, err := queryInt(req, "n", 1); err != nil || n != 25 {
@@ -695,6 +679,12 @@ func TestAdminReindexEndpoint(t *testing.T) {
 	rec, payload = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": 2})
 	if rec.Code != http.StatusOK || payload["changed"].(float64) != 0 {
 		t.Errorf("second reindex: %d %v", rec.Code, payload)
+	}
+	// A huge worker count is a bound, not an allocation: each job runs on
+	// at most as many goroutines as it has elements.
+	rec, payload = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": 1 << 40, "force": true})
+	if rec.Code != http.StatusOK || int(payload["articles"].(float64)) != len(w.Articles) {
+		t.Errorf("reindex with 2^40 workers: %d %v", rec.Code, payload)
 	}
 	// Invalid workers → 400; GET → 404/405 (not mounted).
 	rec, _ = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": -1})

@@ -1,5 +1,9 @@
 package api
 
+// The streaming ingestion subsystem over HTTP: bulk event ingestion with
+// caller-selectable backpressure, dead-letter replay, the live assessment
+// feed (SSE) and the per-stage pipeline counters.
+
 import (
 	"context"
 	"errors"
@@ -12,29 +16,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/synth"
 )
-
-// IngestService exposes the streaming ingestion subsystem over HTTP: bulk
-// event ingestion with caller-selectable backpressure, dead-letter replay,
-// the live assessment feed (SSE) and the per-stage pipeline counters.
-type IngestService struct {
-	platform *core.Platform
-	mux      *http.ServeMux
-}
-
-// NewIngestService mounts the streaming endpoints.
-func NewIngestService(p *core.Platform) *IngestService {
-	s := &IngestService{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /api/ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /api/ingest/replay", s.handleReplay)
-	s.mux.HandleFunc("GET /api/stream", s.handleStream)
-	s.mux.HandleFunc("GET /api/stats", s.handleStats)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *IngestService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
 
 // ingestRequest is the POST /api/ingest body: a bulk batch of firehose
 // events plus the backpressure mode. mode "block" (the default) parks the
@@ -66,7 +47,7 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-func (s *IngestService) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	if !decodeJSON(w, r, maxAssessBody, &req) {
 		return
@@ -153,7 +134,7 @@ type replayRequest struct {
 	Wait bool `json:"wait"`
 }
 
-func (s *IngestService) handleReplay(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var req replayRequest
 	if !decodeJSONAllowEmpty(w, r, maxControlBody, &req) {
 		return
@@ -175,7 +156,7 @@ func (s *IngestService) handleReplay(w http.ResponseWriter, r *http.Request) {
 // store. The optional ?limit=N query parameter ends the stream after N
 // events (handy for scripted consumers); otherwise the stream runs until
 // the client disconnects or the platform closes.
-func (s *IngestService) handleStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	limit, err := queryInt(r, "limit", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -221,7 +202,7 @@ func (s *IngestService) handleStream(w http.ResponseWriter, r *http.Request) {
 // subsystem's per-stage counters and the storage engine's state
 // (partitions, WAL volume, checkpoint/recovery history, dead-letter
 // evictions).
-func (s *IngestService) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.platform.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"postings":         stats.Postings,

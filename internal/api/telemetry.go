@@ -14,9 +14,9 @@ import (
 // HTTP surface telemetry: every request through the composed Server is
 // traced (trace ID returned in X-Trace-Id, retained traces served by
 // GET /api/debug/traces) and recorded into per-route metric families.
-// Routes are labeled by the matched ServeMux pattern — the innermost
-// mux's method-qualified pattern, read back after dispatch — so an
-// unbounded URL space cannot explode the label set.
+// Routes are labeled by the matched method-qualified ServeMux pattern,
+// read back after dispatch, so an unbounded URL space cannot explode the
+// label set.
 var (
 	mHTTPRequests = obs.NewCounterVec("scilens_http_requests_total",
 		"HTTP requests served, by matched route and status class.", "route", "class")
@@ -103,8 +103,10 @@ func observe(next *http.ServeMux) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		// The nested muxes set Pattern on r2 in place as they dispatch, so
-		// after ServeHTTP it holds the innermost (method-qualified) match.
+		// A mux sets Pattern on r2 in place as it dispatches; the one
+		// nested mux (ReplService under /api/repl/) overwrites the outer
+		// subtree match with its own method-qualified pattern. A 404 or a
+		// 405 leaves it empty.
 		route := r2.Pattern
 		if route == "" {
 			route = "unmatched"

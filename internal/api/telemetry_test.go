@@ -222,6 +222,64 @@ func TestFeedSubscriberStatsInAPI(t *testing.T) {
 	}
 }
 
+// routeRequests sums scilens_http_requests_total over status classes for
+// one route label.
+func routeRequests(route string) uint64 {
+	var n uint64
+	for _, class := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
+		n += mHTTPRequests.With(route, class).Value()
+	}
+	return n
+}
+
+// TestRouteLabels drives one route of each endpoint group through the one
+// mux: each request must count under its method-qualified pattern, and a
+// wrong method or an unknown path under "unmatched".
+func TestRouteLabels(t *testing.T) {
+	_, w, srv := apiFixture(t)
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "/api/assess?id=" + w.Articles[0].ID, ""},
+		{"GET", "/api/insights/activity?days=10", ""},
+		{"POST", "/api/reviews", `{"article_id":"` + w.Articles[0].ID + `"}`},
+		{"POST", "/api/checkpoint", ""},
+		{"GET", "/api/stats", ""},
+		{"GET", "/api/repl/manifest", ""},
+	} {
+		route := c.method + " " + strings.SplitN(c.path, "?", 2)[0]
+		before := routeRequests(route)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code == http.StatusNotFound || rec.Code == http.StatusMethodNotAllowed {
+			t.Errorf("%s: status %d, want the route to match", route, rec.Code)
+		}
+		if got := routeRequests(route) - before; got != 1 {
+			t.Errorf(`%s: route=%q counted %d requests, want 1`, route, route, got)
+		}
+	}
+
+	for _, c := range []struct {
+		method, path string
+		code         int
+	}{
+		{"DELETE", "/api/assess", http.StatusMethodNotAllowed},
+		{"GET", "/api/no-such-route", http.StatusNotFound},
+		{"GET", "/api/insights", http.StatusNotFound}, // bare prefix: no redirect
+	} {
+		before, beforeOwn := routeRequests("unmatched"), routeRequests(c.method+" "+c.path)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if rec.Code != c.code {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, rec.Code, c.code)
+		}
+		if got := routeRequests("unmatched") - before; got != 1 {
+			t.Errorf(`%s %s: route="unmatched" counted %d requests, want 1`, c.method, c.path, got)
+		}
+		if routeRequests(c.method+" "+c.path) != beforeOwn {
+			t.Errorf("%s %s minted a route label of its own", c.method, c.path)
+		}
+	}
+}
+
 // TestUnmatchedRouteLabel: a 404 must fold into the "unmatched" route
 // label, not mint a label per bogus URL.
 func TestUnmatchedRouteLabel(t *testing.T) {

@@ -1,18 +1,15 @@
-// Package compute simulates the Spark layer of the SciLens analytics stack
-// (paper §3.3): partitioned in-memory datasets transformed by parallel
-// map/filter/reduce stages on a worker pool, with key-based shuffles,
-// per-partition fault retry, and job statistics. Model training and the
-// daily analytics jobs run on this layer, reading their input from the
-// distributed storage.
+// Package compute is the platform's bounded parallel map — the role the
+// paper's Spark tier plays in the SciLens analytics stack (paper §3.3).
+// The periodic jobs (model training, corpus re-indexing, firehose batch
+// evaluation) run Map over their input, and the real-time engine overlaps
+// independent indicator families with Run. A Pool bounds how many tasks
+// one job runs at once; results come back in input order.
 package compute
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,337 +20,95 @@ import (
 // the pool's cumulative busy time (utilization = rate(sum) / workers).
 var (
 	mTaskQueueWait = obs.NewDurationHistogram("scilens_compute_queue_wait_seconds",
-		"Time a partition task waited for a free worker slot.")
+		"Time a task waited for a free worker slot.")
 	mTaskDuration = obs.NewDurationHistogram("scilens_compute_task_seconds",
-		"Partition task execution time (including in-task retries); the _sum is cumulative worker busy time.")
+		"Task execution time; the _sum is cumulative worker busy time.")
 )
 
-// Sentinel errors.
-var (
-	// ErrNoPartitions is returned for datasets with no partitions.
-	ErrNoPartitions = errors.New("compute: dataset has no partitions")
-	// ErrJobFailed wraps the first task error after retries are exhausted.
-	ErrJobFailed = errors.New("compute: job failed")
-)
-
-// Dataset is an immutable partitioned collection of values, the unit every
-// job operates on. Transformations return new datasets; they are eager
-// (the simulation does not need lazy DAG scheduling, only the parallel
-// execution semantics).
-type Dataset[T any] struct {
-	parts [][]T
-}
-
-// FromSlice partitions data into n roughly equal partitions (n < 1 uses
-// GOMAXPROCS). The input slice is not retained.
-func FromSlice[T any](data []T, n int) *Dataset[T] {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(data) && len(data) > 0 {
-		n = len(data)
-	}
-	if len(data) == 0 {
-		return &Dataset[T]{parts: make([][]T, 1)}
-	}
-	parts := make([][]T, n)
-	base := len(data) / n
-	rem := len(data) % n
-	idx := 0
-	for p := 0; p < n; p++ {
-		size := base
-		if p < rem {
-			size++
-		}
-		part := make([]T, size)
-		copy(part, data[idx:idx+size])
-		parts[p] = part
-		idx += size
-	}
-	return &Dataset[T]{parts: parts}
-}
-
-// FromPartitions builds a dataset from pre-built partitions (each partition
-// is retained, not copied) — the entry point for partition-per-block reads
-// from the distributed storage.
-func FromPartitions[T any](parts [][]T) *Dataset[T] {
-	if len(parts) == 0 {
-		parts = make([][]T, 1)
-	}
-	return &Dataset[T]{parts: parts}
-}
-
-// NumPartitions returns the partition count.
-func (d *Dataset[T]) NumPartitions() int { return len(d.parts) }
-
-// Count returns the total number of elements.
-func (d *Dataset[T]) Count() int {
-	total := 0
-	for _, p := range d.parts {
-		total += len(p)
-	}
-	return total
-}
-
-// Collect concatenates all partitions in order into one slice.
-func (d *Dataset[T]) Collect() []T {
-	out := make([]T, 0, d.Count())
-	for _, p := range d.parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// Pool executes partition tasks on a bounded set of workers with
-// per-partition retry. The worker bound applies per job: concurrent jobs
-// on one pool each get their own worker set, so a shared pool never
-// deadlocks on nested or parallel use. The zero Pool is not usable; use
-// NewPool.
+// Pool bounds the tasks one job runs at once. The bound applies per job:
+// concurrent jobs on one pool each get their own worker set, so a shared
+// pool never deadlocks on nested or parallel use. The zero Pool is not
+// usable; use NewPool.
 type Pool struct {
 	workers int
-	retries int
-
-	// Counters are atomics, not a mutex: pools are shared across
-	// concurrent real-time evaluations, and a stats lock would serialise
-	// the very path the pool exists to parallelise.
-	jobs    atomic.Int64
-	tasks   atomic.Int64
-	retried atomic.Int64
 }
 
-// JobStats accumulates execution counters across jobs run on a pool.
-type JobStats struct {
-	// Jobs is the number of jobs executed.
-	Jobs int
-	// Tasks is the number of partition tasks executed (including retries).
-	Tasks int
-	// Retries is the number of task re-executions after failure.
-	Retries int
-}
-
-// NewPool creates a pool with the given parallelism (< 1 → GOMAXPROCS) and
-// per-task retry budget (< 0 → 0).
-func NewPool(workers, retries int) *Pool {
+// NewPool creates a pool with the given parallelism (< 1 → GOMAXPROCS).
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if retries < 0 {
-		retries = 0
-	}
-	return &Pool{workers: workers, retries: retries}
+	return &Pool{workers: workers}
 }
 
 // Workers returns the pool parallelism.
 func (p *Pool) Workers() int { return p.workers }
 
-// Stats returns a snapshot of the accumulated counters.
-func (p *Pool) Stats() JobStats {
-	return JobStats{
-		Jobs:    int(p.jobs.Load()),
-		Tasks:   int(p.tasks.Load()),
-		Retries: int(p.retried.Load()),
-	}
-}
-
-// runTasks executes fn(i) for every partition index on the worker pool,
-// retrying failed tasks up to the retry budget. The first unrecovered
-// error aborts the job.
-func (p *Pool) runTasks(n int, fn func(i int) error) error {
+// run executes fn(i) for every i in [0, n), at most p.workers at a time,
+// and returns the error of the lowest-numbered failed task.
+func (p *Pool) run(n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
-	sem := make(chan struct{}, p.workers)
-	errCh := make(chan error, n)
+	sem := make(chan struct{}, min(p.workers, n))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
+	wg.Add(n)
+	for i := range n {
+		go func() {
 			defer wg.Done()
 			enq := time.Now()
 			sem <- struct{}{}
-			defer func() { <-sem }()
 			start := time.Now()
 			mTaskQueueWait.ObserveDuration(start.Sub(enq))
-			defer func() { mTaskDuration.ObserveDuration(time.Since(start)) }()
-			var err error
-			for attempt := 0; attempt <= p.retries; attempt++ {
-				p.tasks.Add(1)
-				if attempt > 0 {
-					p.retried.Add(1)
-				}
-				if err = fn(i); err == nil {
-					return
-				}
-			}
-			errCh <- fmt.Errorf("partition %d: %v: %w", i, err, ErrJobFailed)
-		}(i)
+			errs[i] = fn(i)
+			mTaskDuration.ObserveDuration(time.Since(start))
+			<-sem
+		}()
 	}
 	wg.Wait()
-	close(errCh)
-	p.jobs.Add(1)
-	for err := range errCh {
-		return err // first error wins
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Run executes the given tasks concurrently on the pool's bounded worker
-// set (one partition slot per task) and returns the first error. It is
-// the lightweight entry point for fixed small fan-outs — e.g. overlapping
-// independent indicator families per evaluation — where building a
-// Dataset would be pure overhead.
+// Run executes the tasks concurrently, at most p.Workers() at a time, and
+// returns the first failed task's error (by position). It is the entry
+// point for fixed small fan-outs, e.g. overlapping independent indicator
+// families within one evaluation.
 func Run(p *Pool, tasks ...func() error) error {
-	return p.runTasks(len(tasks), func(i int) error { return tasks[i]() })
+	return p.run(len(tasks), func(i int) error {
+		if err := tasks[i](); err != nil {
+			return fmt.Errorf("compute: task %d: %w", i, err)
+		}
+		return nil
+	})
 }
 
-// Map applies fn to every element in parallel (one task per partition).
-func Map[T, U any](p *Pool, d *Dataset[T], fn func(T) (U, error)) (*Dataset[U], error) {
-	out := make([][]U, len(d.parts))
-	err := p.runTasks(len(d.parts), func(i int) error {
-		part := make([]U, len(d.parts[i]))
-		for j, v := range d.parts[i] {
-			u, err := fn(v)
+// Map applies fn to every element of in and returns the results in input
+// order. It splits in into min(p.Workers(), len(in)) contiguous ranges, one
+// task each, that fill one result slice in place. A failing fn stops its
+// range; Map then returns the error of the lowest failed range, wrapped so
+// that errors.Is and errors.As see the cause.
+func Map[T, U any](p *Pool, in []T, fn func(T) (U, error)) ([]U, error) {
+	out := make([]U, len(in))
+	n := min(p.workers, len(in))
+	err := p.run(n, func(r int) error {
+		lo, hi := r*len(in)/n, (r+1)*len(in)/n
+		for j := lo; j < hi; j++ {
+			u, err := fn(in[j])
 			if err != nil {
-				return err
+				return fmt.Errorf("compute: element %d: %w", j, err)
 			}
-			part[j] = u
+			out[j] = u
 		}
-		out[i] = part
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset[U]{parts: out}, nil
-}
-
-// FlatMap applies fn to every element, concatenating the produced slices.
-func FlatMap[T, U any](p *Pool, d *Dataset[T], fn func(T) ([]U, error)) (*Dataset[U], error) {
-	out := make([][]U, len(d.parts))
-	err := p.runTasks(len(d.parts), func(i int) error {
-		var part []U
-		for _, v := range d.parts[i] {
-			us, err := fn(v)
-			if err != nil {
-				return err
-			}
-			part = append(part, us...)
-		}
-		out[i] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset[U]{parts: out}, nil
-}
-
-// Filter keeps the elements for which fn returns true.
-func Filter[T any](p *Pool, d *Dataset[T], fn func(T) (bool, error)) (*Dataset[T], error) {
-	out := make([][]T, len(d.parts))
-	err := p.runTasks(len(d.parts), func(i int) error {
-		var part []T
-		for _, v := range d.parts[i] {
-			keep, err := fn(v)
-			if err != nil {
-				return err
-			}
-			if keep {
-				part = append(part, v)
-			}
-		}
-		out[i] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset[T]{parts: out}, nil
-}
-
-// Pair is a key-value pair for shuffle operations.
-type Pair[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// ReduceByKey maps every element to a (key, value) pair, shuffles by key,
-// and merges values per key with the associative merge function. The
-// result has one Pair per distinct key, partitioned by key hash.
-func ReduceByKey[T any, K comparable, V any](
-	p *Pool, d *Dataset[T],
-	kv func(T) (K, V, error),
-	merge func(V, V) V,
-) (*Dataset[Pair[K, V]], error) {
-	// Stage 1: per-partition local combine (map side).
-	locals := make([]map[K]V, len(d.parts))
-	err := p.runTasks(len(d.parts), func(i int) error {
-		m := make(map[K]V)
-		for _, t := range d.parts[i] {
-			k, v, err := kv(t)
-			if err != nil {
-				return err
-			}
-			if cur, ok := m[k]; ok {
-				m[k] = merge(cur, v)
-			} else {
-				m[k] = v
-			}
-		}
-		locals[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Stage 2: shuffle — merge the local maps (single-threaded merge keeps
-	// determinism; key counts are small after local combining).
-	global := make(map[K]V)
-	for _, m := range locals {
-		for k, v := range m {
-			if cur, ok := global[k]; ok {
-				global[k] = merge(cur, v)
-			} else {
-				global[k] = v
-			}
-		}
-	}
-	pairs := make([]Pair[K, V], 0, len(global))
-	for k, v := range global {
-		pairs = append(pairs, Pair[K, V]{Key: k, Val: v})
-	}
-	// Deterministic output order: sort by formatted key.
-	sort.Slice(pairs, func(a, b int) bool {
-		return fmt.Sprint(pairs[a].Key) < fmt.Sprint(pairs[b].Key)
-	})
-	return FromSlice(pairs, p.workers), nil
-}
-
-// Reduce folds all elements into one value using per-partition folds then a
-// final merge. fold must be associative with zero as identity.
-func Reduce[T, A any](p *Pool, d *Dataset[T], zero A, fold func(A, T) A, merge func(A, A) A) (A, error) {
-	partials := make([]A, len(d.parts))
-	err := p.runTasks(len(d.parts), func(i int) error {
-		acc := zero
-		for _, v := range d.parts[i] {
-			acc = fold(acc, v)
-		}
-		partials[i] = acc
-		return nil
-	})
-	if err != nil {
-		var z A
-		return z, err
-	}
-	acc := zero
-	for _, part := range partials {
-		acc = merge(acc, part)
-	}
-	return acc, nil
-}
-
-// Sample returns every element for which keep returns true — a cheap
-// deterministic sampler where keep typically hashes the element.
-func Sample[T any](p *Pool, d *Dataset[T], keep func(T) bool) (*Dataset[T], error) {
-	return Filter(p, d, func(t T) (bool, error) { return keep(t), nil })
+	return out, nil
 }

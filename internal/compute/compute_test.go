@@ -2,11 +2,10 @@ package compute
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func intRange(n int) []int {
@@ -17,65 +16,15 @@ func intRange(n int) []int {
 	return out
 }
 
-func TestFromSlicePartitioning(t *testing.T) {
-	d := FromSlice(intRange(10), 3)
-	if d.NumPartitions() != 3 {
-		t.Errorf("partitions: %d", d.NumPartitions())
-	}
-	if d.Count() != 10 {
-		t.Errorf("count: %d", d.Count())
-	}
-	got := d.Collect()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken at %d: %v", i, got)
-		}
-	}
-	// More partitions than elements.
-	d = FromSlice(intRange(2), 10)
-	if d.NumPartitions() != 2 {
-		t.Errorf("clamped partitions: %d", d.NumPartitions())
-	}
-	// Empty.
-	d = FromSlice([]int{}, 4)
-	if d.Count() != 0 || d.NumPartitions() != 1 {
-		t.Errorf("empty: %d parts %d count", d.NumPartitions(), d.Count())
-	}
-	// Default partitions.
-	d = FromSlice(intRange(100), 0)
-	if d.NumPartitions() < 1 {
-		t.Error("default partitions")
-	}
-}
-
-func TestFromSliceDoesNotAliasInput(t *testing.T) {
-	in := intRange(5)
-	d := FromSlice(in, 2)
-	in[0] = 999
-	if d.Collect()[0] == 999 {
-		t.Error("dataset aliases input")
-	}
-}
-
-func TestFromPartitions(t *testing.T) {
-	d := FromPartitions([][]int{{1, 2}, {3}})
-	if d.Count() != 3 || d.NumPartitions() != 2 {
-		t.Errorf("%d %d", d.Count(), d.NumPartitions())
-	}
-	empty := FromPartitions[int](nil)
-	if empty.NumPartitions() != 1 {
-		t.Error("nil partitions")
-	}
-}
-
 func TestMap(t *testing.T) {
-	p := NewPool(4, 0)
-	d := FromSlice(intRange(100), 8)
-	out, err := Map(p, d, func(x int) (int, error) { return x * 2, nil })
+	p := NewPool(4)
+	got, err := Map(p, intRange(100), func(x int) (int, error) { return x * 2, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.Collect()
+	if len(got) != 100 {
+		t.Fatalf("len %d, want 100", len(got))
+	}
 	for i, v := range got {
 		if v != i*2 {
 			t.Fatalf("map order/value at %d: %d", i, v)
@@ -83,198 +32,30 @@ func TestMap(t *testing.T) {
 	}
 }
 
+// TestMapError: the task error reaches the caller wrapped, not formatted,
+// so errors.Is finds the cause.
 func TestMapError(t *testing.T) {
-	p := NewPool(2, 0)
-	d := FromSlice(intRange(10), 2)
-	_, err := Map(p, d, func(x int) (int, error) {
+	cause := errors.New("boom")
+	_, err := Map(NewPool(2), intRange(10), func(x int) (int, error) {
 		if x == 7 {
-			return 0, errors.New("boom")
+			return 0, cause
 		}
 		return x, nil
 	})
-	if !errors.Is(err, ErrJobFailed) {
-		t.Errorf("want ErrJobFailed, got %v", err)
+	if !errors.Is(err, cause) {
+		t.Errorf("errors.Is(err, cause) = false for %v", err)
+	}
+	if err := Run(NewPool(2), func() error { return nil }, func() error { return cause }); !errors.Is(err, cause) {
+		t.Errorf("Run: errors.Is(err, cause) = false for %v", err)
 	}
 }
 
-func TestFlatMap(t *testing.T) {
-	p := NewPool(4, 0)
-	d := FromSlice([]string{"a b", "c", ""}, 2)
-	out, err := FlatMap(p, d, func(s string) ([]string, error) {
-		if s == "" {
-			return nil, nil
-		}
-		return strings.Fields(s), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.Collect()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("flatmap: %v", got)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	p := NewPool(4, 0)
-	d := FromSlice(intRange(20), 4)
-	out, err := Filter(p, d, func(x int) (bool, error) { return x%2 == 0, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Count() != 10 {
-		t.Errorf("filtered count: %d", out.Count())
-	}
-	for _, v := range out.Collect() {
-		if v%2 != 0 {
-			t.Fatalf("odd leaked: %d", v)
-		}
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	p := NewPool(4, 0)
-	words := []string{"low", "high", "low", "mid", "low", "high"}
-	d := FromSlice(words, 3)
-	out, err := ReduceByKey(p, d,
-		func(w string) (string, int, error) { return w, 1, nil },
-		func(a, b int) int { return a + b },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	for _, pair := range out.Collect() {
-		counts[pair.Key] = pair.Val
-	}
-	if counts["low"] != 3 || counts["high"] != 2 || counts["mid"] != 1 {
-		t.Errorf("counts: %v", counts)
-	}
-}
-
-func TestReduceByKeyDeterministicOrder(t *testing.T) {
-	p := NewPool(4, 0)
-	d := FromSlice(intRange(100), 7)
-	run := func() []Pair[int, int] {
-		out, err := ReduceByKey(p, d,
-			func(x int) (int, int, error) { return x % 10, x, nil },
-			func(a, b int) int { return a + b },
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Collect()
-	}
-	a, b := run(), run()
-	if len(a) != 10 || len(b) != 10 {
-		t.Fatalf("groups: %d %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order not deterministic at %d", i)
-		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	p := NewPool(4, 0)
-	d := FromSlice(intRange(101), 8)
-	sum, err := Reduce(p, d, 0,
-		func(acc, x int) int { return acc + x },
-		func(a, b int) int { return a + b },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Errorf("sum: %d", sum)
-	}
-}
-
-func TestRetriesRecoverTransientFailures(t *testing.T) {
-	p := NewPool(2, 3)
-	d := FromSlice(intRange(4), 4)
-	var failures int32
-	out, err := Map(p, d, func(x int) (int, error) {
-		// Fail the first attempt for x==2 only.
-		if x == 2 && atomic.CompareAndSwapInt32(&failures, 0, 1) {
-			return 0, errors.New("transient")
-		}
-		return x, nil
-	})
-	if err != nil {
-		t.Fatalf("retry should recover: %v", err)
-	}
-	if out.Count() != 4 {
-		t.Errorf("count: %d", out.Count())
-	}
-	if p.Stats().Retries == 0 {
-		t.Error("retry not recorded")
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	p := NewPool(2, 2)
-	d := FromSlice(intRange(4), 2)
-	_, err := Map(p, d, func(x int) (int, error) {
-		return 0, errors.New("permanent")
-	})
-	if !errors.Is(err, ErrJobFailed) {
-		t.Errorf("want ErrJobFailed: %v", err)
-	}
-	st := p.Stats()
-	if st.Retries < 2 {
-		t.Errorf("retries: %+v", st)
-	}
-}
-
-func TestPoolDefaults(t *testing.T) {
-	p := NewPool(0, -5)
-	if p.Workers() < 1 {
-		t.Error("workers default")
-	}
-	if p.retries != 0 {
-		t.Error("retries clamp")
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	p := NewPool(2, 0)
-	d := FromSlice(intRange(10), 5)
-	Map(p, d, func(x int) (int, error) { return x, nil })
-	Map(p, d, func(x int) (int, error) { return x, nil })
-	st := p.Stats()
-	if st.Jobs != 2 {
-		t.Errorf("jobs: %d", st.Jobs)
-	}
-	if st.Tasks != 10 {
-		t.Errorf("tasks: %d", st.Tasks)
-	}
-}
-
-func TestSample(t *testing.T) {
-	p := NewPool(2, 0)
-	d := FromSlice(intRange(100), 4)
-	out, err := Sample(p, d, func(x int) bool { return x%10 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Count() != 10 {
-		t.Errorf("sample: %d", out.Count())
-	}
-}
-
+// TestMapPreservesOrderProperty: the output is index-aligned with the
+// input for lengths 0, 1, below the worker count and far above it.
 func TestMapPreservesOrderProperty(t *testing.T) {
-	p := NewPool(8, 0)
-	check := func(xs []int, parts uint8) bool {
-		n := int(parts%8) + 1
-		d := FromSlice(xs, n)
-		out, err := Map(p, d, func(x int) (int, error) { return x + 1, nil })
-		if err != nil {
-			return false
-		}
-		got := out.Collect()
-		if len(got) != len(xs) {
+	check := func(xs []int, workers uint8) bool {
+		got, err := Map(NewPool(int(workers%8)+1), xs, func(x int) (int, error) { return x + 1, nil })
+		if err != nil || len(got) != len(xs) {
 			return false
 		}
 		for i := range xs {
@@ -284,58 +65,69 @@ func TestMapPreservesOrderProperty(t *testing.T) {
 		}
 		return true
 	}
+	for _, n := range []int{0, 1, 3, 1000} {
+		if !check(intRange(n), 7) {
+			t.Errorf("length %d on 8 workers: output not index-aligned", n)
+		}
+	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestWordCountPipeline(t *testing.T) {
-	// Integration-style: the canonical wordcount through the full stack.
-	p := NewPool(4, 1)
-	docs := []string{
-		"virus vaccine virus",
-		"vaccine trial",
-		"virus outbreak news news",
+func TestPoolDefaults(t *testing.T) {
+	if p := NewPool(0); p.Workers() < 1 {
+		t.Error("workers default")
 	}
-	d := FromSlice(docs, 2)
-	words, err := FlatMap(p, d, func(s string) ([]string, error) {
-		return strings.Fields(s), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := ReduceByKey(p, words,
-		func(w string) (string, int, error) { return w, 1, nil },
-		func(a, b int) int { return a + b },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]int{}
-	for _, pr := range counts.Collect() {
-		m[pr.Key] = pr.Val
-	}
-	want := map[string]int{"virus": 3, "vaccine": 2, "trial": 1, "outbreak": 1, "news": 2}
-	for k, v := range want {
-		if m[k] != v {
-			t.Errorf("%s: got %d want %d (all=%v)", k, m[k], v, m)
-		}
+	if p := NewPool(-5); p.Workers() < 1 {
+		t.Error("negative workers default")
 	}
 }
 
-func TestReduceByKeyError(t *testing.T) {
-	p := NewPool(2, 0)
-	d := FromSlice(intRange(5), 2)
-	_, err := ReduceByKey(p, d,
-		func(x int) (int, int, error) {
-			if x == 3 {
-				return 0, 0, fmt.Errorf("kv fail")
-			}
-			return x, x, nil
-		},
-		func(a, b int) int { return a + b },
-	)
-	if !errors.Is(err, ErrJobFailed) {
-		t.Errorf("want ErrJobFailed: %v", err)
+// highWater tracks the peak number of tasks inside one job.
+type highWater struct{ cur, peak atomic.Int64 }
+
+func (h *highWater) enter() {
+	n := h.cur.Add(1)
+	for {
+		old := h.peak.Load()
+		if n <= old || h.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond) // hold the slot so overlaps happen
+}
+
+func (h *highWater) leave() { h.cur.Add(-1) }
+
+// TestConcurrencyBound: neither Map nor Run ever has more than Workers()
+// tasks in flight.
+func TestConcurrencyBound(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		p := NewPool(workers)
+
+		var m highWater
+		if _, err := Map(p, intRange(64), func(x int) (int, error) {
+			m.enter()
+			defer m.leave()
+			return x, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if peak := m.peak.Load(); peak > int64(workers) || peak < 1 {
+			t.Errorf("Map on %d workers: peak %d tasks in flight", workers, peak)
+		}
+
+		var r highWater
+		tasks := make([]func() error, 16)
+		for i := range tasks {
+			tasks[i] = func() error { r.enter(); r.leave(); return nil }
+		}
+		if err := Run(p, tasks...); err != nil {
+			t.Fatal(err)
+		}
+		if peak := r.peak.Load(); peak > int64(workers) || peak < 1 {
+			t.Errorf("Run on %d workers: peak %d tasks in flight", workers, peak)
+		}
 	}
 }

@@ -305,7 +305,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		Registry:  cfg.Registry,
 		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry}),
 		Reviews:   reviews.NewStore(),
-		Compute:   compute.NewPool(cfg.ComputeWorkers, 1),
+		Compute:   compute.NewPool(cfg.ComputeWorkers),
 		Clock:     cfg.Clock,
 		TopicName: cfg.TopicName,
 

@@ -129,21 +129,6 @@ func (p *Platform) Figure4(start time.Time, days int) (*analytics.ActivitySeries
 	return s.Smooth(7), nil
 }
 
-// Figure4Parallel is Figure4 run as a partition-parallel job on the
-// compute layer — the daily analytics shape of §3.3. Results are
-// identical to Figure4.
-func (p *Platform) Figure4Parallel(pool *compute.Pool, start time.Time, days int) (*analytics.ActivitySeries, error) {
-	facts, err := p.BuildFactsBetween(start, start.AddDate(0, 0, days))
-	if err != nil {
-		return nil, err
-	}
-	s, err := analytics.NewsroomActivityParallel(pool, facts, start, days)
-	if err != nil {
-		return nil, err
-	}
-	return s.Smooth(7), nil
-}
-
 // Figure5Engagement computes the social-reactions KDEs (Figure 5 left).
 func (p *Platform) Figure5Engagement(gridPoints int) ([]analytics.ClassDensity, error) {
 	facts, err := p.BuildFacts()
@@ -218,7 +203,7 @@ func (p *Platform) maybeReindex(pool *compute.Pool, rep *TrainReport, opts []Tra
 // TrainClickbaitModel trains the clickbait classifier over the full stored
 // article history using distant supervision: titles whose lexicon score is
 // extreme (>= 0.6 or <= 0.15) become weak labels. Feature extraction runs
-// partition-parallel on the compute pool (the paper's Spark role). The
+// in parallel on the compute pool (the paper's Spark role). The
 // trained model is attached to the engine. WithReindex additionally
 // re-evaluates the stored corpus under the new model before returning.
 func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...TrainOption) (*TrainReport, error) {
@@ -235,8 +220,7 @@ func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...T
 		return nil, fmt.Errorf("train clickbait: %w", ErrNotIngested)
 	}
 	features := p.Engine.ClickbaitFeatures()
-	ds := compute.FromSlice(titles, pool.Workers())
-	labelled, err := compute.Map(pool, ds, func(title string) (classify.Example, error) {
+	labelled, err := compute.Map(pool, titles, func(title string) (classify.Example, error) {
 		score := contentind.LexiconClickbaitScore(title)
 		ex := classify.Example{X: features.Extract(title)}
 		switch {
@@ -254,7 +238,7 @@ func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...T
 	}
 	var data []classify.Example
 	positives := 0
-	for _, ex := range labelled.Collect() {
+	for _, ex := range labelled {
 		if ex.X == nil {
 			continue
 		}
@@ -311,12 +295,11 @@ func (p *Platform) TrainStanceModel(pool *compute.Pool, opts ...TrainOption) (*T
 	if len(texts) == 0 {
 		return nil, fmt.Errorf("train stance: %w", ErrNotIngested)
 	}
-	// Tokenise and weak-label partition-parallel, then feed the (inherently
+	// Tokenise and weak-label in parallel, then feed the (inherently
 	// sequential) NB accumulator. A fresh model-less classifier is the pure
 	// lexicon labeller.
 	lexicon := socialind.NewStanceClassifier()
-	ds := compute.FromSlice(texts, pool.Workers())
-	tokenised, err := compute.Map(pool, ds, func(text string) (struct {
+	rows, err := compute.Map(pool, texts, func(text string) (struct {
 		tokens []string
 		class  string
 	}, error) {
@@ -330,7 +313,6 @@ func (p *Platform) TrainStanceModel(pool *compute.Pool, opts ...TrainOption) (*T
 	}
 	nb := classify.NewNaiveBayes(0.5)
 	positives := 0
-	rows := tokenised.Collect()
 	for _, r := range rows {
 		nb.Observe(r.tokens, r.class)
 		if r.class == "support" {

@@ -332,8 +332,7 @@ func (p *Platform) reindexReplyChunk(pool *compute.Pool, ids []string, deltas ma
 		reply
 		newStance string
 	}
-	ds := compute.FromSlice(replies, pool.Workers())
-	classified, err := compute.Map(pool, ds, func(r reply) (reclass, error) {
+	classified, err := compute.Map(pool, replies, func(r reply) (reclass, error) {
 		return reclass{reply: r, newStance: p.Engine.Stance().Classify(r.text).String()}, nil
 	})
 	if err != nil {
@@ -349,7 +348,7 @@ func (p *Platform) reindexReplyChunk(pool *compute.Pool, ids []string, deltas ma
 			return 2
 		}
 	}
-	for _, rc := range classified.Collect() {
+	for _, rc := range classified {
 		if rc.newStance == rc.stance {
 			continue // snapshot already current; cheap skip
 		}

@@ -76,7 +76,7 @@ type TopicModelReport struct {
 
 // TrainTopicModel runs the unsupervised probabilistic hierarchical topic
 // clustering of §3.3 over a warehouse snapshot: titles are tokenised
-// partition-parallel on the compute pool (the Spark role), vectorised with
+// in parallel on the compute pool (the Spark role), vectorised with
 // TF-IDF and split by divisive spherical k-means into a generic→specific
 // topic tree.
 func (p *Platform) TrainTopicModel(pool *compute.Pool, date time.Time, cfg cluster.HierarchyConfig) (*TopicModelReport, error) {
@@ -104,14 +104,12 @@ func (p *Platform) TrainTopicModel(pool *compute.Pool, date time.Time, cfg clust
 	if len(titles) == 0 {
 		return nil, fmt.Errorf("train topics: %w", ErrNotIngested)
 	}
-	ds := compute.FromSlice(titles, pool.Workers())
-	tokenised, err := compute.Map(pool, ds, func(title string) ([]string, error) {
+	docs, err := compute.Map(pool, titles, func(title string) ([]string, error) {
 		return textutil.StemAll(textutil.ContentWords(title)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	docs := tokenised.Collect()
 	root, tfidf, err := topics.Discover(docs, cfg, 2)
 	if err != nil {
 		return nil, err

@@ -174,7 +174,7 @@ func TestTrainTopicModelFromWarehouse(t *testing.T) {
 	if _, err := p.RunDailyMigration(date); err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(4, 1)
+	pool := compute.NewPool(4)
 	rep, err := p.TrainTopicModel(pool, date, cluster.HierarchyConfig{
 		Branch: 2, MaxDepth: 3, MinLeaf: 10, Seed: 1,
 	})
@@ -225,7 +225,7 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 		if _, err := p.RunDailyMigration(date); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.TrainTopicModel(compute.NewPool(2, 1), date, cluster.HierarchyConfig{
+		rep, err := p.TrainTopicModel(compute.NewPool(2), date, cluster.HierarchyConfig{
 			Branch: 2, MaxDepth: 3, MinLeaf: 10, Seed: 1,
 		})
 		if err != nil {
@@ -251,7 +251,7 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 
 func TestTrainTopicModelMissingSnapshot(t *testing.T) {
 	p, _ := testPlatform(t, 44, 3, 0.2)
-	pool := compute.NewPool(2, 0)
+	pool := compute.NewPool(2)
 	if _, err := p.TrainTopicModel(pool, synth.WindowStart, cluster.HierarchyConfig{}); err == nil {
 		t.Error("expected error for missing snapshot")
 	}
@@ -381,30 +381,9 @@ func TestBuildFactsBetweenEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestFigure4ParallelMatchesSequential(t *testing.T) {
-	p, _ := testPlatform(t, 54, 12, 0.4)
-	sequential, err := p.Figure4(synth.WindowStart, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := compute.NewPool(4, 1)
-	parallel, err := p.Figure4Parallel(pool, synth.WindowStart, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, series := range sequential.MeanSharePct {
-		for day, v := range series {
-			got := parallel.MeanSharePct[c][day]
-			if diff := got - v; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("class %v day %d: %v vs %v", c, day, got, v)
-			}
-		}
-	}
-}
-
 func TestRunDailyFullCycle(t *testing.T) {
 	p, _ := testPlatform(t, 57, 10, 0.5)
-	pool := compute.NewPool(4, 1)
+	pool := compute.NewPool(4)
 	date := synth.WindowStart.AddDate(0, 0, 10)
 	rep, err := p.RunDaily(pool, date)
 	if err != nil {
@@ -468,7 +447,7 @@ func TestRunDailyOnEmptyPlatformSkipsTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(2, 0)
+	pool := compute.NewPool(2)
 	rep, err := p.RunDaily(pool, synth.WindowStart)
 	if err != nil {
 		t.Fatal(err)

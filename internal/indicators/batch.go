@@ -9,7 +9,7 @@ import (
 // so the web application never serves indicator scores computed by a
 // retired model. The batch path reuses the exact real-time pipeline — the
 // shared textutil.Analysis single pass and the same indicator families —
-// fanned out partition-parallel on a compute.Pool, so a batch result is
+// fanned out in parallel on a compute.Pool, so a batch result is
 // bit-identical to what Evaluate would return for the same document.
 
 // BatchDoc is one stored document fed to EvaluateBatch. ID is an opaque
@@ -30,7 +30,7 @@ type BatchResult struct {
 }
 
 // EvaluateBatch evaluates the documents through the cascade-independent
-// indicator pipeline, partition-parallel on pool (nil pool evaluates
+// indicator pipeline, in parallel on pool (nil pool evaluates
 // sequentially). Results are returned in input order. The engine's report
 // cache is deliberately bypassed in both directions: a whole-corpus sweep
 // must not evict the hot real-time entries, and every document must be
@@ -51,10 +51,5 @@ func (e *Engine) EvaluateBatch(pool *compute.Pool, docs []BatchDoc) ([]BatchResu
 		}
 		return out, nil
 	}
-	ds := compute.FromSlice(docs, pool.Workers())
-	out, err := compute.Map(pool, ds, eval)
-	if err != nil {
-		return nil, err
-	}
-	return out.Collect(), nil
+	return compute.Map(pool, docs, eval)
 }

@@ -138,7 +138,7 @@ func NewEngine(cfg Config) *Engine {
 		e.cache = newReportCache(size)
 	}
 	if workers > 1 {
-		e.pool = compute.NewPool(workers, 0)
+		e.pool = compute.NewPool(workers)
 	}
 	return e
 }

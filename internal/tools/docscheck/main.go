@@ -1,7 +1,9 @@
 // Command docscheck is the CI docs-consistency gate. It fails when
 //
 //  1. an HTTP route registered in internal/api (a `mux.HandleFunc("METHOD
-//     /api/...")` call) is not documented in docs/API.md, or
+//     /api/...")` call) is not documented in docs/API.md, or a
+//     `| `METHOD /api/...` |` row of docs/API.md's route table names a
+//     route internal/api does not register, or
 //  2. a relative markdown link in docs/ (or a root markdown file) points
 //     at a file that does not exist, or
 //  3. a command-line flag registered by cmd/scilens-server or
@@ -33,6 +35,11 @@ import (
 //	s.mux.HandleFunc("GET /api/assess", ...)
 var routeRe = regexp.MustCompile(`HandleFunc\("(GET|POST|PUT|DELETE|PATCH) (/api/[^"]*)"`)
 
+// tableRouteRe matches a docs/API.md route-table row like:
+//
+//	| `GET /api/assess` | assessment of a stored article |
+var tableRouteRe = regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|DELETE|PATCH) /api/[^`]*)` \\|")
+
 // linkRe matches inline markdown links [text](target).
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
@@ -58,9 +65,16 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("docs/API.md: %w", err))
 	}
+	registered := map[string]bool{}
 	for _, route := range routes {
+		registered[route] = true
 		if !strings.Contains(string(apiDoc), route) {
 			problems = append(problems, fmt.Sprintf("route %q registered in internal/api but absent from docs/API.md", route))
+		}
+	}
+	for _, m := range tableRouteRe.FindAllStringSubmatch(string(apiDoc), -1) {
+		if !registered[m[1]] {
+			problems = append(problems, fmt.Sprintf("route %q in the docs/API.md route table but not registered in internal/api", m[1]))
 		}
 	}
 

@@ -65,9 +65,9 @@ type (
 )
 
 // NewComputePool builds a worker pool for the parallel training and
-// analytics jobs; retries is the per-partition fault-retry budget.
-func NewComputePool(workers, retries int) *ComputePool {
-	return compute.NewPool(workers, retries)
+// re-indexing jobs; workers < 1 means GOMAXPROCS.
+func NewComputePool(workers int) *ComputePool {
+	return compute.NewPool(workers)
 }
 
 // WithReindex makes a training job re-evaluate the stored corpus under the
@@ -210,8 +210,8 @@ func DemoShortlist() *Registry { return outlets.DemoShortlist() }
 // social-media reaction cascades over the demo window.
 func GenerateWorld(cfg WorldConfig) *World { return synth.GenerateWorld(cfg) }
 
-// NewHTTPServer mounts the three Indicators API micro-services (assessment,
-// insights, reviews; paper §3.3) for the platform on one handler.
+// NewHTTPServer mounts every Indicators API endpoint (paper §3.3) for the
+// platform on one handler.
 func NewHTTPServer(p *Platform) http.Handler { return api.NewServer(p) }
 
 // NewDebugHandler returns the standalone observability surface — GET

@@ -222,7 +222,7 @@ func TestDailyCycleThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := scilens.NewComputePool(4, 1)
+	pool := scilens.NewComputePool(4)
 	date := w.Start.AddDate(0, 0, w.Days)
 	rep, err := p.RunDaily(pool, date)
 	if err != nil {
