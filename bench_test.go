@@ -253,7 +253,7 @@ func BenchmarkAblationParallelCompute(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := compute.NewPool(workers)
+			pool := compute.NewPool(workers, nil)
 			for i := 0; i < b.N; i++ {
 				counts, err := compute.Map(pool, docs, func(s string) (int, error) {
 					return len(socialind.Tokens(s)), nil
@@ -541,7 +541,7 @@ func BenchmarkReindexCorpus(b *testing.B) {
 	p, w := benchFixture(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := compute.NewPool(workers)
+			pool := compute.NewPool(workers, nil)
 			for i := 0; i < b.N; i++ {
 				rep, err := p.ReindexCorpus(pool, scilens.ReindexForce())
 				if err != nil {

@@ -48,20 +48,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *debugAddr != "" {
-		dbg := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           scilens.NewDebugHandler(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			fmt.Printf("debug surface (metrics, pprof) listening on %s\n", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "scilens-ingest: debug listener:", err)
-			}
-		}()
-	}
-
 	cfg := scilens.Config{
 		StreamShards:         *shards,
 		StreamBatchSize:      *batch,
@@ -72,13 +58,13 @@ func main() {
 		CheckpointInterval:   *ckptEvery,
 		CheckpointWALBytes:   *ckptBytes,
 	}
-	if err := run(*seed, *days, *scale, *reactions, cfg); err != nil {
+	if err := run(*seed, *days, *scale, *reactions, cfg, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "scilens-ingest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, days int, scale, reactions float64, cfg scilens.Config) (err error) {
+func run(seed int64, days int, scale, reactions float64, cfg scilens.Config, debugAddr string) (err error) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: seed, Days: days, RateScale: scale, ReactionScale: reactions,
 	})
@@ -97,6 +83,19 @@ func run(seed int64, days int, scale, reactions float64, cfg scilens.Config) (er
 			err = cerr
 		}
 	}()
+	if debugAddr != "" {
+		dbg := &http.Server{
+			Addr:              debugAddr,
+			Handler:           scilens.NewDebugHandler(platform),
+			ReadHeaderTimeout: 5 * time.Second,
+		}
+		go func() {
+			fmt.Printf("debug surface (metrics, pprof) listening on %s\n", debugAddr)
+			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+				fmt.Fprintln(os.Stderr, "scilens-ingest: debug listener:", err)
+			}
+		}()
+	}
 	if st := platform.StorageStats(); st.Durable && st.Rows > 0 {
 		fmt.Printf("recovered:       %d rows from %s (%d WAL records replayed)\n",
 			st.Rows, st.Dir, st.RecoveredRecords)

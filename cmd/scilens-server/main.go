@@ -117,7 +117,7 @@ func main() {
 	if *debugAddr != "" {
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           scilens.NewDebugHandler(),
+			Handler:           scilens.NewDebugHandler(platform),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/analytics"
@@ -109,11 +110,18 @@ func writeError(w http.ResponseWriter, status int, err error) {
 type Server struct {
 	platform *core.Platform
 	handler  http.Handler
+
+	// The HTTP families on the platform registry, and the handles each
+	// matched route resolved from them (route -> *routeMetrics).
+	requests                            *obs.CounterVec
+	duration, requestBody, responseBody *obs.HistogramVec
+	routes                              sync.Map
 }
 
 // NewServer mounts every endpoint for the platform.
 func NewServer(p *core.Platform) *Server {
 	s, mux := &Server{platform: p}, http.NewServeMux()
+	s.registerHTTPFamilies(p.Metrics)
 	// Assessment: single articles, stored or supplied (Figure 3).
 	mux.HandleFunc("GET /api/assess", s.handleAssessStored)
 	mux.HandleFunc("POST /api/assess", s.handleAssessDocument)
@@ -138,8 +146,8 @@ func NewServer(p *core.Platform) *Server {
 	mux.HandleFunc("GET /api/stats", s.handleStats)
 	// Replication stays a handler of its own: -repl-addr serves it alone.
 	mux.Handle("/api/repl/", NewReplService(p))
-	registerTelemetryRoutes(mux)
-	s.handler = observe(mux)
+	registerTelemetryRoutes(mux, p.Metrics)
+	s.handler = s.observe(mux)
 	return s
 }
 
@@ -643,7 +651,7 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 	}
 	pool := s.platform.Compute
 	if req.Workers > 0 {
-		pool = compute.NewPool(req.Workers)
+		pool = compute.NewPool(req.Workers, s.platform.Metrics)
 	}
 	var opts []core.ReindexOption
 	if req.Force {

@@ -24,7 +24,7 @@ type ReplService struct {
 // NewReplService builds the replication endpoint over the platform's
 // store and live-feed bus.
 func NewReplService(p *core.Platform) *ReplService {
-	s := &ReplService{src: repl.NewSource(p.DB, p.Bus), mux: http.NewServeMux()}
+	s := &ReplService{src: repl.NewSource(p.DB, p.Bus, p.Metrics), mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /api/repl/manifest", s.src.ServeManifest)
 	s.mux.HandleFunc("GET /api/repl/generation", s.src.ServeGeneration)
 	s.mux.HandleFunc("GET /api/repl/wal", s.src.ServeWAL)

@@ -5,7 +5,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -13,23 +12,23 @@ import (
 
 // HTTP surface telemetry: every request through the composed Server is
 // traced (trace ID returned in X-Trace-Id, retained traces served by
-// GET /api/debug/traces) and recorded into per-route metric families.
-// Routes are labeled by the matched method-qualified ServeMux pattern,
-// read back after dispatch, so an unbounded URL space cannot explode the
-// label set.
-var (
-	mHTTPRequests = obs.NewCounterVec("scilens_http_requests_total",
+// GET /api/debug/traces) and recorded into per-route metric families on
+// the platform registry. Routes are labeled by the matched
+// method-qualified ServeMux pattern, read back after dispatch, so an
+// unbounded URL space cannot explode the label set.
+func (s *Server) registerHTTPFamilies(r *obs.Registry) {
+	s.requests = r.NewCounterVec("scilens_http_requests_total",
 		"HTTP requests served, by matched route and status class.", "route", "class")
-	mHTTPDuration = obs.NewDurationHistogramVec("scilens_http_request_seconds",
+	s.duration = r.NewDurationHistogramVec("scilens_http_request_seconds",
 		"HTTP request latency by matched route.", "route")
-	mHTTPRequestBody = obs.NewSizeHistogramVec("scilens_http_request_body_bytes",
+	s.requestBody = r.NewSizeHistogramVec("scilens_http_request_body_bytes",
 		"Request body size by matched route (requests with a known Content-Length).", "route")
-	mHTTPResponseBody = obs.NewSizeHistogramVec("scilens_http_response_body_bytes",
+	s.responseBody = r.NewSizeHistogramVec("scilens_http_response_body_bytes",
 		"Response body bytes written by matched route.", "route")
-)
+}
 
-// routeMetrics is one route's pre-resolved metric handles, cached in
-// routeCache so the per-request cost after the first hit is one
+// routeMetrics is one route's resolved metric handles, cached in
+// Server.routes so the per-request cost after the first hit is one
 // sync.Map load plus lock-free records.
 type routeMetrics struct {
 	dur     *obs.Histogram
@@ -38,21 +37,19 @@ type routeMetrics struct {
 	byClass [5]*obs.Counter // 1xx..5xx
 }
 
-var routeCache sync.Map // route string -> *routeMetrics
-
-func metricsForRoute(route string) *routeMetrics {
-	if m, ok := routeCache.Load(route); ok {
+func (s *Server) metricsForRoute(route string) *routeMetrics {
+	if m, ok := s.routes.Load(route); ok {
 		return m.(*routeMetrics)
 	}
 	m := &routeMetrics{
-		dur:   mHTTPDuration.With(route),
-		reqB:  mHTTPRequestBody.With(route),
-		respB: mHTTPResponseBody.With(route),
+		dur:   s.duration.With(route),
+		reqB:  s.requestBody.With(route),
+		respB: s.responseBody.With(route),
 	}
 	for i, class := range [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
-		m.byClass[i] = mHTTPRequests.With(route, class)
+		m.byClass[i] = s.requests.With(route, class)
 	}
-	actual, _ := routeCache.LoadOrStore(route, m)
+	actual, _ := s.routes.LoadOrStore(route, m)
 	return actual.(*routeMetrics)
 }
 
@@ -90,7 +87,7 @@ func (sr *statusRecorder) Flush() {
 func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // observe wraps a mux with the tracing + metrics middleware.
-func observe(next *http.ServeMux) http.Handler {
+func (s *Server) observe(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx, trace := obs.StartTrace(r.Context(), r.Method+" "+r.URL.Path)
@@ -114,7 +111,7 @@ func observe(next *http.ServeMux) http.Handler {
 		trace.SetName(route)
 		trace.Finish(status)
 
-		m := metricsForRoute(route)
+		m := s.metricsForRoute(route)
 		m.dur.ObserveDuration(time.Since(start))
 		if r.ContentLength >= 0 {
 			m.reqB.Observe(r.ContentLength)
@@ -123,15 +120,6 @@ func observe(next *http.ServeMux) http.Handler {
 		if ci := status/100 - 1; ci >= 0 && ci < len(m.byClass) {
 			m.byClass[ci].Inc()
 		}
-	})
-}
-
-// MetricsHandler serves the process-global registry in Prometheus text
-// exposition format.
-func MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.Default.WritePrometheus(w)
 	})
 }
 
@@ -187,20 +175,24 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tracesPayload{Total: obs.DefaultTracer.Total(), Traces: recs})
 }
 
-// registerTelemetryRoutes mounts the observability surface on a mux. The
+// registerTelemetryRoutes mounts the observability surface on a mux:
+// reg in Prometheus text exposition format, build info and traces. The
 // same set backs the main Server and the standalone debug listener.
-func registerTelemetryRoutes(mux *http.ServeMux) {
-	mux.Handle("GET /metrics", MetricsHandler())
+func registerTelemetryRoutes(mux *http.ServeMux, reg *obs.Registry) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	})
 	mux.HandleFunc("GET /api/version", handleVersion)
 	mux.HandleFunc("GET /api/debug/traces", handleTraces)
 }
 
 // DebugHandler is the standalone debug surface for the -debug-addr
-// listener: the telemetry routes plus net/http/pprof (pprof is only
-// served here, never on the public API listener).
-func DebugHandler() http.Handler {
+// listener: the telemetry routes over reg plus net/http/pprof (pprof is
+// only served here, never on the public API listener).
+func DebugHandler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
-	registerTelemetryRoutes(mux)
+	registerTelemetryRoutes(mux, reg)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

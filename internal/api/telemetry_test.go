@@ -163,7 +163,7 @@ func TestRequestTraceRoundTrip(t *testing.T) {
 // the main server and the standalone debug handler.
 func TestVersionEndpoint(t *testing.T) {
 	_, _, srv := apiFixture(t)
-	for _, h := range []http.Handler{srv, DebugHandler()} {
+	for _, h := range []http.Handler{srv, DebugHandler(obs.NewRegistry())} {
 		rec, payload := doJSON(t, h, "GET", "/api/version", nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("version: %d", rec.Code)
@@ -183,7 +183,7 @@ func TestVersionEndpoint(t *testing.T) {
 // TestDebugHandlerServesPprofAndMetrics pins the standalone debug
 // surface: pprof index and /metrics are both reachable.
 func TestDebugHandlerServesPprofAndMetrics(t *testing.T) {
-	h := DebugHandler()
+	h := DebugHandler(obs.NewRegistry())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != http.StatusOK {
@@ -222,12 +222,12 @@ func TestFeedSubscriberStatsInAPI(t *testing.T) {
 	}
 }
 
-// routeRequests sums scilens_http_requests_total over status classes for
-// one route label.
-func routeRequests(route string) uint64 {
+// routeRequests sums the server's scilens_http_requests_total over status
+// classes for one route label.
+func routeRequests(srv *Server, route string) uint64 {
 	var n uint64
 	for _, class := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
-		n += mHTTPRequests.With(route, class).Value()
+		n += srv.requests.With(route, class).Value()
 	}
 	return n
 }
@@ -246,13 +246,13 @@ func TestRouteLabels(t *testing.T) {
 		{"GET", "/api/repl/manifest", ""},
 	} {
 		route := c.method + " " + strings.SplitN(c.path, "?", 2)[0]
-		before := routeRequests(route)
+		before := routeRequests(srv, route)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
 		if rec.Code == http.StatusNotFound || rec.Code == http.StatusMethodNotAllowed {
 			t.Errorf("%s: status %d, want the route to match", route, rec.Code)
 		}
-		if got := routeRequests(route) - before; got != 1 {
+		if got := routeRequests(srv, route) - before; got != 1 {
 			t.Errorf(`%s: route=%q counted %d requests, want 1`, route, route, got)
 		}
 	}
@@ -265,16 +265,16 @@ func TestRouteLabels(t *testing.T) {
 		{"GET", "/api/no-such-route", http.StatusNotFound},
 		{"GET", "/api/insights", http.StatusNotFound}, // bare prefix: no redirect
 	} {
-		before, beforeOwn := routeRequests("unmatched"), routeRequests(c.method+" "+c.path)
+		before, beforeOwn := routeRequests(srv, "unmatched"), routeRequests(srv, c.method+" "+c.path)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
 		if rec.Code != c.code {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, rec.Code, c.code)
 		}
-		if got := routeRequests("unmatched") - before; got != 1 {
+		if got := routeRequests(srv, "unmatched") - before; got != 1 {
 			t.Errorf(`%s %s: route="unmatched" counted %d requests, want 1`, c.method, c.path, got)
 		}
-		if routeRequests(c.method+" "+c.path) != beforeOwn {
+		if routeRequests(srv, c.method+" "+c.path) != beforeOwn {
 			t.Errorf("%s %s minted a route label of its own", c.method, c.path)
 		}
 	}
@@ -291,9 +291,7 @@ func TestUnmatchedRouteLabel(t *testing.T) {
 			t.Fatalf("%s: %d", path, rec.Code)
 		}
 	}
-	c := obs.Default.NewCounterVec("scilens_http_requests_total",
-		"HTTP requests served, by matched route and status class.", "route", "class")
-	if c.With("unmatched", "4xx").Value() < 2 {
+	if srv.requests.With("unmatched", "4xx").Value() < 2 {
 		t.Error("unmatched requests not folded into the unmatched route label")
 	}
 }

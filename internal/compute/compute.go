@@ -15,30 +15,31 @@ import (
 	"repro/internal/obs"
 )
 
-// Worker-pool telemetry: queue wait is the time a task spent blocked on
-// a worker slot; task seconds is per-task execution time, whose _sum is
-// the pool's cumulative busy time (utilization = rate(sum) / workers).
-var (
-	mTaskQueueWait = obs.NewDurationHistogram("scilens_compute_queue_wait_seconds",
-		"Time a task waited for a free worker slot.")
-	mTaskDuration = obs.NewDurationHistogram("scilens_compute_task_seconds",
-		"Task execution time; the _sum is cumulative worker busy time.")
-)
-
 // Pool bounds the tasks one job runs at once. The bound applies per job:
 // concurrent jobs on one pool each get their own worker set, so a shared
 // pool never deadlocks on nested or parallel use. The zero Pool is not
 // usable; use NewPool.
 type Pool struct {
 	workers int
+	// queueWait is the time a task spent blocked on a worker slot; task is
+	// per-task execution time, whose _sum is the pool's cumulative busy
+	// time (utilization = rate(sum) / workers).
+	queueWait, task *obs.Histogram
 }
 
-// NewPool creates a pool with the given parallelism (< 1 → GOMAXPROCS).
-func NewPool(workers int) *Pool {
+// NewPool creates a pool with the given parallelism (< 1 → GOMAXPROCS)
+// whose telemetry lives on reg (nil: a private registry).
+func NewPool(workers int, reg *obs.Registry) *Pool {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers}
+	return &Pool{
+		workers: workers,
+		queueWait: reg.NewDurationHistogram("scilens_compute_queue_wait_seconds",
+			"Time a task waited for a free worker slot."),
+		task: reg.NewDurationHistogram("scilens_compute_task_seconds",
+			"Task execution time; the _sum is cumulative worker busy time."),
+	}
 }
 
 // Workers returns the pool parallelism.
@@ -60,9 +61,9 @@ func (p *Pool) run(n int, fn func(i int) error) error {
 			enq := time.Now()
 			sem <- struct{}{}
 			start := time.Now()
-			mTaskQueueWait.ObserveDuration(start.Sub(enq))
+			p.queueWait.ObserveDuration(start.Sub(enq))
 			errs[i] = fn(i)
-			mTaskDuration.ObserveDuration(time.Since(start))
+			p.task.ObserveDuration(time.Since(start))
 			<-sem
 		}()
 	}

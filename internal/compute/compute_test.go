@@ -17,7 +17,7 @@ func intRange(n int) []int {
 }
 
 func TestMap(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool(4, nil)
 	got, err := Map(p, intRange(100), func(x int) (int, error) { return x * 2, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestMap(t *testing.T) {
 // so errors.Is finds the cause.
 func TestMapError(t *testing.T) {
 	cause := errors.New("boom")
-	_, err := Map(NewPool(2), intRange(10), func(x int) (int, error) {
+	_, err := Map(NewPool(2, nil), intRange(10), func(x int) (int, error) {
 		if x == 7 {
 			return 0, cause
 		}
@@ -45,7 +45,7 @@ func TestMapError(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Errorf("errors.Is(err, cause) = false for %v", err)
 	}
-	if err := Run(NewPool(2), func() error { return nil }, func() error { return cause }); !errors.Is(err, cause) {
+	if err := Run(NewPool(2, nil), func() error { return nil }, func() error { return cause }); !errors.Is(err, cause) {
 		t.Errorf("Run: errors.Is(err, cause) = false for %v", err)
 	}
 }
@@ -54,7 +54,7 @@ func TestMapError(t *testing.T) {
 // input for lengths 0, 1, below the worker count and far above it.
 func TestMapPreservesOrderProperty(t *testing.T) {
 	check := func(xs []int, workers uint8) bool {
-		got, err := Map(NewPool(int(workers%8)+1), xs, func(x int) (int, error) { return x + 1, nil })
+		got, err := Map(NewPool(int(workers%8)+1, nil), xs, func(x int) (int, error) { return x + 1, nil })
 		if err != nil || len(got) != len(xs) {
 			return false
 		}
@@ -76,10 +76,10 @@ func TestMapPreservesOrderProperty(t *testing.T) {
 }
 
 func TestPoolDefaults(t *testing.T) {
-	if p := NewPool(0); p.Workers() < 1 {
+	if p := NewPool(0, nil); p.Workers() < 1 {
 		t.Error("workers default")
 	}
-	if p := NewPool(-5); p.Workers() < 1 {
+	if p := NewPool(-5, nil); p.Workers() < 1 {
 		t.Error("negative workers default")
 	}
 }
@@ -104,7 +104,7 @@ func (h *highWater) leave() { h.cur.Add(-1) }
 // tasks in flight.
 func TestConcurrencyBound(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
-		p := NewPool(workers)
+		p := NewPool(workers, nil)
 
 		var m highWater
 		if _, err := Map(p, intRange(64), func(x int) (int, error) {

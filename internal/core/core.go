@@ -78,6 +78,9 @@ type Platform struct {
 	Compute *compute.Pool
 	// Clock is the injectable time source.
 	Clock func() time.Time
+	// Metrics is the registry GET /metrics serves: every component the
+	// platform builds records on it, and the stats read it back.
+	Metrics *obs.Registry
 
 	// TopicName is the supervised topic the demo segments on.
 	TopicName string
@@ -101,8 +104,8 @@ type Platform struct {
 	// read an event's admission source, so only then is it worked out.
 	admission bool
 
-	// Per-shard stage-timing handles, pre-registered so the batch path
-	// records without a vec lookup (see streaming.go).
+	// Per-shard stage-timing handles, resolved at assembly so the batch
+	// path records without a vec lookup (see streaming.go).
 	obsEval   []*obs.Histogram
 	obsCommit []*obs.Histogram
 
@@ -277,6 +280,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		cfg.DeadLetterMaxCount = 4096
 	}
 
+	reg := obs.NewRegistry()
 	// The store: recovered from disk when a data directory is configured
 	// (snapshot restore + WAL replay with torn-tail tolerance), in-memory
 	// otherwise.
@@ -292,21 +296,23 @@ func NewPlatform(cfg Config) (*Platform, error) {
 			FsyncInterval: interval,
 			DeltaLimit:    cfg.CheckpointDeltaLimit,
 			FS:            cfg.StorageFS,
+			Metrics:       reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: open data dir: %w", err)
 		}
 	} else {
-		db = rdbms.NewDBWithOptions(rdbms.Options{Partitions: cfg.StoragePartitions})
+		db = rdbms.NewDBWithOptions(rdbms.Options{Partitions: cfg.StoragePartitions, Metrics: reg})
 	}
 
 	p := &Platform{
 		DB:        db,
 		Registry:  cfg.Registry,
-		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry}),
+		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry, Metrics: reg}),
 		Reviews:   reviews.NewStore(),
-		Compute:   compute.NewPool(cfg.ComputeWorkers),
+		Compute:   compute.NewPool(cfg.ComputeWorkers, reg),
 		Clock:     cfg.Clock,
+		Metrics:   reg,
 		TopicName: cfg.TopicName,
 
 		dlMaxCount: cfg.DeadLetterMaxCount,
@@ -383,7 +389,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return true
 	})
 	p.Engine.EnsureModelGenerationAbove(maxGen)
-	p.Bus = stream.NewBus()
+	p.Bus = stream.NewBus(reg)
 	// The pipeline keeps its wall-clock default for Now: it reads only
 	// elapsed time (queue wait, drain rate, admission refill), and
 	// cfg.Clock is the data clock, which Bootstrap pins to one instant.
@@ -394,6 +400,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		MaxAttempts:   cfg.StreamMaxAttempts,
 		Backoff:       cfg.StreamBackoff,
 		MaxBackoff:    cfg.StreamMaxBackoff,
+		Metrics:       reg,
 		Process:       p.processBatch,
 		OnDead:        p.writeDeadLetter,
 	}
@@ -405,12 +412,16 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		}
 	}
 	p.Pipeline = stream.NewPipeline(pcfg)
+	evalStage := reg.NewDurationHistogramVec("scilens_pipeline_evaluate_seconds",
+		"Batched-evaluation stage duration per pipeline shard.", "shard")
+	commitStage := reg.NewDurationHistogramVec("scilens_pipeline_commit_seconds",
+		"Store-commit stage duration (postings + coalesced reactions) per pipeline shard.", "shard")
 	p.obsEval = make([]*obs.Histogram, p.Pipeline.Shards())
 	p.obsCommit = make([]*obs.Histogram, p.Pipeline.Shards())
 	for i := range p.obsEval {
 		s := strconv.Itoa(i)
-		p.obsEval[i] = mEvalStage.With(s)
-		p.obsCommit[i] = mCommitStage.With(s)
+		p.obsEval[i] = evalStage.With(s)
+		p.obsCommit[i] = commitStage.With(s)
 	}
 	p.health.state = StorageOK
 	p.health.since = cfg.Clock()
@@ -591,8 +602,7 @@ func (p *Platform) IngestWorld(w *synth.World) (int, error) {
 // ingestOutcomes counts events that reached a final non-malformed outcome
 // — the "processed" notion IngestWorld reports.
 func (p *Platform) ingestOutcomes() uint64 {
-	st := p.Pipeline.Stats()
-	return st.Committed + st.DeadLettered - p.malformed.Load()
+	return p.Pipeline.Finished() - p.malformed.Load()
 }
 
 // isTopic reports whether the report carries the platform's supervised

@@ -251,7 +251,7 @@ func TestDailyMigrationAndWarehouse(t *testing.T) {
 
 func TestTrainClickbaitModelJob(t *testing.T) {
 	p, _ := testPlatform(t, 29, 15, 0.5)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	rep, err := p.TrainClickbaitModel(pool, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestTrainClickbaitModelJob(t *testing.T) {
 
 func TestTrainStanceModelJob(t *testing.T) {
 	p, _ := testPlatform(t, 30, 10, 0.4)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	rep, err := p.TrainStanceModel(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestTrainingOnEmptyPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainClickbaitModel(pool, 1); !errors.Is(err, ErrNotIngested) {
 		t.Errorf("clickbait on empty: %v", err)
 	}

@@ -325,7 +325,7 @@ func TestCheckpointOnlineUnderTraffic(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pool := compute.NewPool(2)
+		pool := compute.NewPool(2, nil)
 		if _, err := p.ReindexCorpus(pool, ReindexForce()); err != nil {
 			t.Errorf("reindex: %v", err)
 		}
@@ -361,7 +361,7 @@ func TestWatermarkSurvivesRestart(t *testing.T) {
 	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	// Train (generation 2) and stamp every row current.
 	if _, err := p.TrainClickbaitModel(pool, 3); err != nil {
 		t.Fatal(err)
@@ -531,7 +531,7 @@ func TestDeadLetterAgeRetention(t *testing.T) {
 func TestIncrementalReindexWatermark(t *testing.T) {
 	p, w := testPlatform(t, 65, 6, 0.3)
 	defer p.Close()
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainClickbaitModel(pool, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestEvaluateClickbaitModelAgainstGroundTruth(t *testing.T) {
 	// ground truth (which titles used a clickbait template). Distant
 	// supervision must recover the signal far above chance.
 	p, w := testPlatform(t, 60, 15, 0.5)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	if _, err := p.TrainClickbaitModel(pool, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestEvaluateClickbaitModelRequiresTraining(t *testing.T) {
 
 func TestEvaluateClickbaitModelNoLabels(t *testing.T) {
 	p, _ := testPlatform(t, 62, 5, 0.3)
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainClickbaitModel(pool, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func readStoredScores(t *testing.T, p *Platform) map[string]storedScores {
 // current models.
 func TestReindexFixesStaleAssessments(t *testing.T) {
 	p, w := testPlatform(t, 11, 10, 0.4)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 
 	before := readStoredScores(t, p)
 	if _, err := p.TrainClickbaitModel(pool, 7); err != nil {
@@ -119,7 +119,7 @@ func TestReindexFixesStaleAssessments(t *testing.T) {
 // with WithReindex leaves no stale row behind and reports the run.
 func TestTrainWithReindexOption(t *testing.T) {
 	p, w := testPlatform(t, 12, 8, 0.4)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	rep, err := p.TrainClickbaitModel(pool, 3, WithReindex())
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestTrainWithReindexOption(t *testing.T) {
 // equal a recount of the stored labels.
 func TestReindexReconcilesStanceCounts(t *testing.T) {
 	p, _ := testPlatform(t, 13, 10, 0.4)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	rep, err := p.TrainStanceModel(pool, WithReindex())
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestReindexReconcilesStanceCounts(t *testing.T) {
 // stance-count reconciliation.
 func TestReindexConcurrentWithServing(t *testing.T) {
 	p, w := testPlatform(t, 14, 8, 0.4)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	if _, err := p.TrainClickbaitModel(pool, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestReindexConcurrentWithServing(t *testing.T) {
 // and the rewrite are skipped, not errors.
 func TestReindexSkipsDeletedArticles(t *testing.T) {
 	p, w := testPlatform(t, 15, 6, 0.3)
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainClickbaitModel(pool, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestReindexSkipsDeletedArticles(t *testing.T) {
 // rewrite of an already-flipped reply is a no-op.
 func TestConcurrentReindexNoDoubleCount(t *testing.T) {
 	p, _ := testPlatform(t, 16, 10, 0.4)
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainStanceModel(pool); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestConcurrentReindexNoDoubleCount(t *testing.T) {
 // retrain would learn from the previous model's own predictions.
 func TestStanceTrainingIgnoresStoredLabels(t *testing.T) {
 	p, _ := testPlatform(t, 17, 8, 0.4)
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	want, err := p.TrainStanceModel(pool)
 	if err != nil {
 		t.Fatal(err)

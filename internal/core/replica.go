@@ -78,6 +78,7 @@ func (p *Platform) setupReplica(cfg Config) error {
 		DB:         p.DB,
 		HTTPClient: cfg.ReplHTTPClient,
 		ID:         fmt.Sprintf("f-%08x", h.Sum32()),
+		Metrics:    p.Metrics,
 	})
 	if err != nil {
 		return err

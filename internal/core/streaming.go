@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/indicators"
-	"repro/internal/obs"
 	"repro/internal/outlets"
 	"repro/internal/rdbms"
 	"repro/internal/stream"
@@ -38,15 +37,6 @@ import (
 
 // errMalformedEvent marks payloads that fail to decode (never retried).
 var errMalformedEvent = errors.New("core: malformed event payload")
-
-// Per-shard stage timings. The handles are pre-registered per shard in
-// NewPlatform so the batch path records without a vec lookup.
-var (
-	mEvalStage = obs.NewDurationHistogramVec("scilens_pipeline_evaluate_seconds",
-		"Batched-evaluation stage duration per pipeline shard.", "shard")
-	mCommitStage = obs.NewDurationHistogramVec("scilens_pipeline_commit_seconds",
-		"Store-commit stage duration (postings + coalesced reactions) per pipeline shard.", "shard")
-)
 
 // processBatch is the pipeline's Process hook: one micro-batch for one
 // shard through decode → evaluate → commit.

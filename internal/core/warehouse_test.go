@@ -174,7 +174,7 @@ func TestTrainTopicModelFromWarehouse(t *testing.T) {
 	if _, err := p.RunDailyMigration(date); err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	rep, err := p.TrainTopicModel(pool, date, cluster.HierarchyConfig{
 		Branch: 2, MaxDepth: 3, MinLeaf: 10, Seed: 1,
 	})
@@ -225,7 +225,7 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 		if _, err := p.RunDailyMigration(date); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.TrainTopicModel(compute.NewPool(2), date, cluster.HierarchyConfig{
+		rep, err := p.TrainTopicModel(compute.NewPool(2, nil), date, cluster.HierarchyConfig{
 			Branch: 2, MaxDepth: 3, MinLeaf: 10, Seed: 1,
 		})
 		if err != nil {
@@ -251,7 +251,7 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 
 func TestTrainTopicModelMissingSnapshot(t *testing.T) {
 	p, _ := testPlatform(t, 44, 3, 0.2)
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	if _, err := p.TrainTopicModel(pool, synth.WindowStart, cluster.HierarchyConfig{}); err == nil {
 		t.Error("expected error for missing snapshot")
 	}
@@ -383,7 +383,7 @@ func TestBuildFactsBetweenEmptyWindow(t *testing.T) {
 
 func TestRunDailyFullCycle(t *testing.T) {
 	p, _ := testPlatform(t, 57, 10, 0.5)
-	pool := compute.NewPool(4)
+	pool := compute.NewPool(4, nil)
 	date := synth.WindowStart.AddDate(0, 0, 10)
 	rep, err := p.RunDaily(pool, date)
 	if err != nil {
@@ -447,7 +447,7 @@ func TestRunDailyOnEmptyPlatformSkipsTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	rep, err := p.RunDaily(pool, synth.WindowStart)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestEvaluateBatchEquivalence(t *testing.T) {
 	}
 
 	reference := NewEngine(Config{CacheSize: -1})
-	for _, pool := range []*compute.Pool{nil, compute.NewPool(1), compute.NewPool(4)} {
+	for _, pool := range []*compute.Pool{nil, compute.NewPool(1, nil), compute.NewPool(4, nil)} {
 		e := NewEngine(Config{})
 		results, err := e.EvaluateBatch(pool, docs)
 		if err != nil {
@@ -70,7 +70,7 @@ func TestEvaluateBatchPartialFailure(t *testing.T) {
 		{ID: "ok2", HTML: w.Articles[1].RawHTML, URL: w.Articles[1].URL},
 	}
 	e := NewEngine(Config{})
-	results, err := e.EvaluateBatch(compute.NewPool(2), docs)
+	results, err := e.EvaluateBatch(compute.NewPool(2, nil), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEvaluateBatchPartialFailure(t *testing.T) {
 // TestEvaluateBatchEmpty: a nil/empty batch is a no-op.
 func TestEvaluateBatchEmpty(t *testing.T) {
 	e := NewEngine(Config{})
-	results, err := e.EvaluateBatch(compute.NewPool(2), nil)
+	results, err := e.EvaluateBatch(compute.NewPool(2, nil), nil)
 	if err != nil || results != nil {
 		t.Fatalf("empty batch: %v %v", results, err)
 	}
@@ -108,7 +108,7 @@ func TestEvaluateBatchUsesCurrentModels(t *testing.T) {
 		docs = append(docs, BatchDoc{ID: a.ID, HTML: a.RawHTML, URL: a.URL})
 	}
 	e := NewEngine(Config{})
-	pool := compute.NewPool(2)
+	pool := compute.NewPool(2, nil)
 	before, err := e.EvaluateBatch(pool, docs)
 	if err != nil {
 		t.Fatal(err)

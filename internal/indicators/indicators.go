@@ -31,21 +31,10 @@ import (
 	"repro/internal/topics"
 )
 
-// Engine telemetry: cache effectiveness counters plus cold/warm
-// evaluation latency. Cold observations time every pipeline run (the
-// compute is µs–ms scale, so two clock reads vanish in it); warm-hit
-// timing is sampled 1-in-64 so the ~350ns cached path is not dominated
-// by clock reads.
-var (
-	mCacheHits   = obs.NewCounter("scilens_engine_cache_hits_total", "Report-cache hits (warm evaluations served from the LRU).")
-	mCacheMisses = obs.NewCounter("scilens_engine_cache_misses_total", "Report-cache misses (cold evaluations that ran the indicator pipeline).")
-	mCacheJoins  = obs.NewCounter("scilens_engine_cache_joins_total", "Singleflight joins (requests that waited on a concurrent evaluation of the same document).")
-	mEvalCold    = obs.NewDurationHistogram("scilens_engine_eval_cold_seconds", "Cold evaluation latency: full indicator-pipeline runs (cache misses and uncached engines).")
-	mEvalWarm    = obs.NewDurationHistogram("scilens_engine_eval_warm_seconds", "Warm evaluation latency: cache-hit lookups, sampled 1-in-64.")
-
-	warmSample atomic.Uint64
-)
-
+// warmSampleMask samples warm-hit timing 1-in-64, so the ~350ns cached
+// path is not dominated by clock reads. Cold observations time every
+// pipeline run: the compute is µs–ms scale, so two clock reads vanish in
+// it.
 const warmSampleMask = 63
 
 // ErrNoArticle is returned when the document cannot be parsed.
@@ -87,6 +76,12 @@ type Engine struct {
 	pool  *compute.Pool // nil = sequential family evaluation
 	cache *reportCache  // nil = caching disabled
 
+	// Engine telemetry: cache effectiveness counters plus cold/warm
+	// evaluation latency.
+	cacheHits, cacheMisses, cacheJoins *obs.Counter
+	evalCold, evalWarm                 *obs.Histogram
+	warmSample                         atomic.Uint64
+
 	// modelGen counts model attachments: it advances every time a trained
 	// model is swapped in, so stored rows stamped with the generation they
 	// were evaluated under can be recognised as current or stale (the
@@ -110,6 +105,9 @@ type Config struct {
 	// sequential evaluation). The bound is per evaluation, not
 	// engine-wide: concurrent requests each get their own worker set.
 	Workers int
+	// Metrics is the registry the engine and its worker pool record on
+	// (nil: a private one).
+	Metrics *obs.Registry
 }
 
 // NewEngine builds an engine.
@@ -128,17 +126,24 @@ func NewEngine(cfg Config) *Engine {
 	if workers == 0 {
 		workers = 2
 	}
+	r := cfg.Metrics
 	e := &Engine{
 		content: contentind.NewAnalyzer(),
 		refs:    refind.NewClassifier(cfg.Registry),
 		stance:  socialind.NewStanceClassifier(),
 		tagger:  topics.NewTagger(cfg.Taxonomy),
+
+		cacheHits:   r.NewCounter("scilens_engine_cache_hits_total", "Report-cache hits (warm evaluations served from the LRU)."),
+		cacheMisses: r.NewCounter("scilens_engine_cache_misses_total", "Report-cache misses (cold evaluations that ran the indicator pipeline)."),
+		cacheJoins:  r.NewCounter("scilens_engine_cache_joins_total", "Singleflight joins (requests that waited on a concurrent evaluation of the same document)."),
+		evalCold:    r.NewDurationHistogram("scilens_engine_eval_cold_seconds", "Cold evaluation latency: full indicator-pipeline runs (cache misses and uncached engines)."),
+		evalWarm:    r.NewDurationHistogram("scilens_engine_eval_warm_seconds", "Warm evaluation latency: cache-hit lookups, sampled 1-in-64."),
 	}
 	if size > 0 {
 		e.cache = newReportCache(size)
 	}
 	if workers > 1 {
-		e.pool = compute.NewPool(workers)
+		e.pool = compute.NewPool(workers, r)
 	}
 	return e
 }
@@ -200,10 +205,10 @@ func (e *Engine) baseReport(doc, url string) (*Report, error) {
 	if e.cache == nil {
 		start := time.Now()
 		r, err := e.computeBase(doc, url)
-		mEvalCold.ObserveDuration(time.Since(start))
+		e.evalCold.ObserveDuration(time.Since(start))
 		return r, err
 	}
-	sampled := warmSample.Add(1)&warmSampleMask == 0
+	sampled := e.warmSample.Add(1)&warmSampleMask == 0
 	var start time.Time
 	if sampled {
 		start = time.Now()
@@ -211,19 +216,19 @@ func (e *Engine) baseReport(doc, url string) (*Report, error) {
 	r, outcome, err := e.cache.getOrCompute(keyFor(doc, url), func() (*Report, error) {
 		cstart := time.Now()
 		r, err := e.computeBase(doc, url)
-		mEvalCold.ObserveDuration(time.Since(cstart))
+		e.evalCold.ObserveDuration(time.Since(cstart))
 		return r, err
 	})
 	switch outcome {
 	case cacheHit:
-		mCacheHits.Inc()
+		e.cacheHits.Inc()
 		if sampled {
-			mEvalWarm.ObserveDuration(time.Since(start))
+			e.evalWarm.ObserveDuration(time.Since(start))
 		}
 	case cacheJoin:
-		mCacheJoins.Inc()
+		e.cacheJoins.Inc()
 	case cacheMiss:
-		mCacheMisses.Inc()
+		e.cacheMisses.Inc()
 	}
 	return r, err
 }

@@ -218,23 +218,9 @@ func (h *Histogram) write(b *bytes.Buffer, name string) {
 }
 
 // NewDurationHistogramVec registers (or returns) a labeled latency
-// histogram family (nanosecond observations, exported in seconds) on the
-// Default registry.
-func NewDurationHistogramVec(name, help string, labelNames ...string) *HistogramVec {
-	return Default.NewDurationHistogramVec(name, help, labelNames...)
-}
-
-// NewDurationHistogramVec registers (or returns) a labeled latency
 // histogram family.
 func (r *Registry) NewDurationHistogramVec(name, help string, labelNames ...string) *HistogramVec {
 	return r.newHistogramVec(name, help, durMinShift, durBuckets, 1e-9, labelNames...)
-}
-
-// NewDurationHistogram registers (or returns) an unlabeled latency
-// histogram (nanosecond observations, exported in seconds) on the
-// Default registry.
-func NewDurationHistogram(name, help string) *Histogram {
-	return Default.NewDurationHistogram(name, help)
 }
 
 // NewDurationHistogram registers (or returns) an unlabeled latency
@@ -244,22 +230,9 @@ func (r *Registry) NewDurationHistogram(name, help string) *Histogram {
 }
 
 // NewSizeHistogramVec registers (or returns) a labeled size histogram
-// family (raw count observations, e.g. byte or batch sizes) on the
-// Default registry.
-func NewSizeHistogramVec(name, help string, labelNames ...string) *HistogramVec {
-	return Default.NewSizeHistogramVec(name, help, labelNames...)
-}
-
-// NewSizeHistogramVec registers (or returns) a labeled size histogram
 // family.
 func (r *Registry) NewSizeHistogramVec(name, help string, labelNames ...string) *HistogramVec {
 	return r.newHistogramVec(name, help, sizeMinShift, sizeBuckets, 1, labelNames...)
-}
-
-// NewSizeHistogram registers (or returns) an unlabeled size histogram
-// (raw count observations, e.g. batch sizes) on the Default registry.
-func NewSizeHistogram(name, help string) *Histogram {
-	return Default.NewSizeHistogram(name, help)
 }
 
 // NewSizeHistogram registers (or returns) an unlabeled size histogram.

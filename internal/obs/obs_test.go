@@ -108,9 +108,10 @@ func TestHistogramBucketEdges(t *testing.T) {
 }
 
 // TestExpositionFormat pins the text exposition down to the byte on a
-// small fixed registry — the format half of the /metrics golden.
+// small fixed registry — the format half of the /metrics golden. It starts
+// from an empty registry: NewRegistry's go_* gauges vary run to run.
 func TestExpositionFormat(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.NewCounterVec("app_requests_total", "Requests served.", "route")
 	c.With("GET /x").Add(3)
 	g := r.NewGauge("app_depth", "Queue depth.")

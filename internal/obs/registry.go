@@ -12,10 +12,11 @@
 //   - obs imports nothing from the rest of the repository, so every
 //     layer (api, core, stream, indicators, rdbms, compute) can import
 //     it without cycles.
-//   - Metrics are process-global: families are registered once at
-//     package init of the instrumented package, and re-registering the
-//     same name returns the existing family (tests build many Platforms
-//     per process; their counts aggregate).
+//   - There is no process-global registry: each platform builds one and
+//     hands it to every component it constructs, which registers its
+//     families and resolves its handles there once, at construction.
+//     Re-registering a name returns the existing family, so components
+//     that share a registry share its families.
 //   - Record calls (Counter.Inc/Add, Gauge.Set/Add, Histogram.Observe)
 //     are atomic operations on pre-allocated state: no locks, no
 //     allocation, safe for concurrent use.
@@ -39,26 +40,34 @@ type collector interface {
 	write(b *bytes.Buffer)
 }
 
-// Registry holds metric families by name. Use Default unless a test
-// needs isolation.
+// Registry holds metric families by name. A nil *Registry is usable: its
+// constructors return working handles that belong to no registry, so a
+// component built without one counts privately and nothing scrapes it.
 type Registry struct {
 	mu   sync.Mutex
 	cols map[string]collector
 }
 
-// Default is the process-wide registry served by GET /metrics.
-var Default = NewRegistry()
-
-// NewRegistry builds an empty registry (tests; production code uses
-// Default via the package-level constructors).
+// NewRegistry builds a registry holding the go_* runtime gauges.
 func NewRegistry() *Registry {
+	r := newRegistry()
+	registerRuntime(r)
+	return r
+}
+
+// newRegistry builds an empty registry.
+func newRegistry() *Registry {
 	return &Registry{cols: map[string]collector{}}
 }
 
 // register returns the existing family for name, or installs the one
-// built by mk. A name collision across metric types panics: it is a
-// programming error caught at package init, not a runtime condition.
+// built by mk; on a nil registry it returns a fresh unregistered family.
+// A name collision across metric types panics: it is a programming error
+// caught at construction, not a runtime condition.
 func (r *Registry) register(name string, mk func() collector) collector {
+	if r == nil {
+		return mk()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.cols[name]; ok {
@@ -91,9 +100,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	_, err := w.Write(b.Bytes())
 	return err
 }
-
-// WritePrometheus renders the Default registry.
-func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
 
 // header renders the # HELP / # TYPE preamble for one family.
 func header(b *bytes.Buffer, name, help, typ string) {
@@ -162,8 +168,8 @@ func formatFloat(f float64) string {
 
 // --- counters ---
 
-// Counter is a monotonically increasing uint64. Obtain via NewCounter or
-// CounterVec.With; record with Inc/Add (allocation-free).
+// Counter is a monotonically increasing uint64. Obtain via
+// Registry.NewCounter or CounterVec.With; record with Inc/Add (allocation-free).
 type Counter struct {
 	v      atomic.Uint64
 	labels string
@@ -228,12 +234,6 @@ func (v *CounterVec) sorted() []*Counter {
 	return out
 }
 
-// NewCounterVec registers (or returns) a labeled counter family on the
-// Default registry.
-func NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return Default.NewCounterVec(name, help, labelNames...)
-}
-
 // NewCounterVec registers (or returns) a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
 	c := r.register(name, func() collector {
@@ -246,12 +246,6 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 	return v
 }
 
-// NewCounter registers (or returns) an unlabeled counter on the Default
-// registry.
-func NewCounter(name, help string) *Counter {
-	return Default.NewCounter(name, help)
-}
-
 // NewCounter registers (or returns) an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	return r.NewCounterVec(name, help).With()
@@ -259,8 +253,8 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 
 // --- gauges ---
 
-// Gauge is an integer level (queue depths, subscriber counts). Obtain
-// via NewGauge; record with Set/Add (allocation-free).
+// Gauge is an integer level (queue depths, shard counts). Obtain via
+// Registry.NewGauge; record with Set/Add (allocation-free).
 type Gauge struct {
 	v      atomic.Int64
 	labels string
@@ -317,12 +311,6 @@ func (v *GaugeVec) write(b *bytes.Buffer) {
 	}
 }
 
-// NewGaugeVec registers (or returns) a labeled gauge family on the
-// Default registry.
-func NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return Default.NewGaugeVec(name, help, labelNames...)
-}
-
 // NewGaugeVec registers (or returns) a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	c := r.register(name, func() collector {
@@ -333,12 +321,6 @@ func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVe
 		panic("obs: metric " + name + " already registered with a different type")
 	}
 	return v
-}
-
-// NewGauge registers (or returns) an unlabeled gauge on the Default
-// registry.
-func NewGauge(name, help string) *Gauge {
-	return Default.NewGauge(name, help)
 }
 
 // NewGauge registers (or returns) an unlabeled gauge.
@@ -359,13 +341,8 @@ func (g *gaugeFunc) write(b *bytes.Buffer) {
 	sample(b, g.name, "", formatFloat(g.fn()))
 }
 
-// NewGaugeFunc registers a callback gauge on the Default registry; fn is
-// invoked once per scrape. Re-registering a name keeps the first fn.
-func NewGaugeFunc(name, help string, fn func() float64) {
-	Default.NewGaugeFunc(name, help, fn)
-}
-
-// NewGaugeFunc registers a callback gauge.
+// NewGaugeFunc registers a callback gauge; fn is invoked once per scrape.
+// Re-registering a name keeps the first fn.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	c := r.register(name, func() collector {
 		return &gaugeFunc{name: name, help: help, fn: fn}

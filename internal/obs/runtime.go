@@ -29,17 +29,18 @@ func memstats() *runtime.MemStats {
 // GET /api/version and the go_process_uptime_seconds gauge.
 var ProcessStart = time.Now()
 
-func init() {
-	NewGaugeFunc("go_goroutines", "Number of live goroutines.",
+// registerRuntime adds the go_* process gauges to r.
+func registerRuntime(r *Registry) {
+	r.NewGaugeFunc("go_goroutines", "Number of live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	NewGaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
+	r.NewGaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
 		func() float64 { return float64(memstats().HeapAlloc) })
-	NewGaugeFunc("go_heap_sys_bytes", "Bytes of heap obtained from the OS.",
+	r.NewGaugeFunc("go_heap_sys_bytes", "Bytes of heap obtained from the OS.",
 		func() float64 { return float64(memstats().HeapSys) })
-	NewGaugeFunc("go_gc_cycles_total", "Completed GC cycles since process start.",
+	r.NewGaugeFunc("go_gc_cycles_total", "Completed GC cycles since process start.",
 		func() float64 { return float64(memstats().NumGC) })
-	NewGaugeFunc("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.",
+	r.NewGaugeFunc("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.",
 		func() float64 { return float64(memstats().PauseTotalNs) / 1e9 })
-	NewGaugeFunc("go_process_uptime_seconds", "Seconds since process start.",
+	r.NewGaugeFunc("go_process_uptime_seconds", "Seconds since process start.",
 		func() float64 { return time.Since(ProcessStart).Seconds() })
 }

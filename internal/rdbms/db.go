@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdbms/vfs"
 )
 
@@ -34,6 +35,9 @@ type Options struct {
 	// (default the real OS). Tests substitute vfs.Mem / vfs.Fault to
 	// exercise crash and fault paths without a disk.
 	FS vfs.FS
+	// Metrics is the registry the storage families live on (nil: a
+	// private one). A WAL passed in Options.WAL keeps its own.
+	Metrics *obs.Registry
 }
 
 // DefaultDeltaLimit is the delta-chain bound when Options do not name one:
@@ -49,6 +53,7 @@ type DB struct {
 	tables     map[string]*Table
 	wal        *WAL
 	partitions int
+	m          *metrics
 
 	// Durable state (zero when the DB is purely in-memory).
 	dir     string
@@ -94,6 +99,7 @@ func NewDBWithOptions(o Options) *DB {
 		tables:     make(map[string]*Table),
 		wal:        o.WAL,
 		partitions: o.Partitions,
+		m:          newMetrics(o.Metrics),
 	}
 }
 
@@ -129,7 +135,7 @@ func (db *DB) CreateTablePartitioned(name string, schema *Schema, parts int) (*T
 			return nil, err
 		}
 	}
-	t := newTable(name, schema, parts, db.wal)
+	t := newTable(name, schema, parts, db.wal, db.m)
 	db.tables[name] = t
 	return t, nil
 }

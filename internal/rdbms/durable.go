@@ -81,7 +81,6 @@ var (
 
 // durableStats is the checkpoint/recovery bookkeeping behind StorageStats.
 type durableStats struct {
-	checkpoints        int
 	lastCheckpoint     time.Time
 	snapshotBytes      int64
 	recoveredRecords   int
@@ -210,7 +209,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err != nil {
 		return fail(err)
 	}
-	db := NewDBWithOptions(Options{Partitions: o.Partitions})
+	db := NewDBWithOptions(Options{Partitions: o.Partitions, Metrics: o.Metrics})
 	if base > 0 {
 		for _, gen := range append([]int{base}, deltas...) {
 			if err := applyGenerationFile(db, fsys, filepath.Join(dir, genDirName(gen), genDataFile)); err != nil {
@@ -294,7 +293,7 @@ func OpenWithOptions(dir string, o Options) (*DB, error) {
 	if err != nil {
 		return fail(err)
 	}
-	db.attachWAL(NewWALFilePolicy(f, o.Fsync, o.FsyncInterval))
+	db.attachWAL(newWALFile(f, o.Fsync, o.FsyncInterval, db.m))
 	db.dir = dir
 	db.fs = fsys
 	db.lock = lock
@@ -717,14 +716,13 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 	st.PruneFailures = pruneFailures
 	st.Duration = time.Since(start) //scilint:ignore determinism checkpoint duration is operator telemetry, not replayed state
 
-	mCheckpoints.Inc()
-	mCheckpointDur.ObserveDuration(st.Duration)
+	db.m.checkpoints.Inc()
+	db.m.checkpointDur.ObserveDuration(st.Duration)
 	if st.SnapshotBytes > 0 {
-		mCheckpointBytes.Add(uint64(st.SnapshotBytes))
+		db.m.checkpointBytes.Add(uint64(st.SnapshotBytes))
 	}
 
 	db.statsMu.Lock()
-	db.stats.checkpoints++
 	db.stats.lastCheckpoint = time.Now() //scilint:ignore determinism wall-clock checkpoint stamp feeds /api/stats, not recovery
 	if st.Generation != 0 {
 		db.stats.snapshotBytes = st.SnapshotBytes
@@ -836,7 +834,7 @@ func (db *DB) StorageStats() StorageStats {
 	}
 	db.statsMu.Lock()
 	st.WALSegment = db.walSeq
-	st.Checkpoints = db.stats.checkpoints
+	st.Checkpoints = int(db.m.checkpoints.Value())
 	st.LastCheckpoint = db.stats.lastCheckpoint
 	st.SnapshotBytes = db.stats.snapshotBytes
 	// SnapshotGeneration reports the manifest's view (the chain a recovery

@@ -332,7 +332,7 @@ func TestTableProbesDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := newTable("articles", schema, DefaultPartitions, nil)
+	tbl := newTable("articles", schema, DefaultPartitions, nil, newMetrics(nil))
 	if err := tbl.CreateIndex("url", HashIndex); err != nil {
 		t.Fatal(err)
 	}

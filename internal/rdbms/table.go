@@ -25,6 +25,7 @@ type Table struct {
 	name   string
 	schema *Schema
 	wal    *WAL // optional; set by DB
+	m      *metrics
 
 	parts []*partition
 
@@ -59,7 +60,7 @@ type partition struct {
 
 // newTable builds a table with the given partition count (<= 0 means
 // DefaultPartitions; capped at MaxPartitions).
-func newTable(name string, schema *Schema, parts int, wal *WAL) *Table {
+func newTable(name string, schema *Schema, parts int, wal *WAL, m *metrics) *Table {
 	if parts <= 0 {
 		parts = DefaultPartitions
 	}
@@ -70,6 +71,7 @@ func newTable(name string, schema *Schema, parts int, wal *WAL) *Table {
 		name:    name,
 		schema:  schema,
 		wal:     wal,
+		m:       m,
 		parts:   make([]*partition, parts),
 		idxMeta: make(map[string]IndexKind),
 	}
@@ -201,7 +203,7 @@ func (t *Table) insertOwned(r Row) (int, error) {
 	}
 	h := r[t.schema.PK].hash32()
 	p := t.parts[t.partForKey(h)]
-	lockPart(p)
+	t.lockPart(p)
 	defer p.mu.Unlock()
 	return t.insertLocked(p, h, r, true)
 }
@@ -322,7 +324,7 @@ func (t *Table) updateOwned(pk Value, r Row) error {
 	pj := t.partFor(r[t.schema.PK])
 	if pi == pj {
 		p := t.parts[pi]
-		lockPart(p)
+		t.lockPart(p)
 		defer p.mu.Unlock()
 		return t.updateLocked(p, h, pk, r, true)
 	}
@@ -446,7 +448,7 @@ func (t *Table) Mutate(pk Value, fn func(Row) (Row, error)) error {
 	pi := t.partForKey(h)
 	for {
 		p := t.parts[pi]
-		lockPart(p)
+		t.lockPart(p)
 		id, ok := p.pkIdx.lookupOneTag(h, pk)
 		if !ok {
 			p.mu.Unlock()
@@ -509,7 +511,7 @@ func (t *Table) mutateMove(pi, pj int, pk Value, fn func(Row) (Row, error)) (boo
 func (t *Table) Delete(pk Value) error {
 	h := pk.hash32()
 	p := t.parts[t.partForKey(h)]
-	lockPart(p)
+	t.lockPart(p)
 	defer p.mu.Unlock()
 	return t.deleteLocked(p, h, pk, true)
 }
@@ -550,7 +552,7 @@ func (t *Table) upsertOwned(r Row) error {
 	pk := r[t.schema.PK]
 	h := pk.hash32()
 	p := t.parts[t.partForKey(h)]
-	lockPart(p)
+	t.lockPart(p)
 	defer p.mu.Unlock()
 	if _, ok := p.pkIdx.lookupOneTag(h, pk); ok {
 		return t.updateLocked(p, h, pk, r, true)
@@ -738,7 +740,7 @@ func (t *Table) resetPartition(pi int) {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	p := t.parts[pi]
-	lockPart(p)
+	t.lockPart(p)
 	defer p.mu.Unlock()
 	p.heap = nil
 	p.free = nil
@@ -764,7 +766,7 @@ func (t *Table) insertIntoPartition(pi int, r Row) error {
 		return fmt.Errorf("row for partition %d routes to %d: %w", pi, got, ErrCorrupt)
 	}
 	p := t.parts[pi]
-	lockPart(p)
+	t.lockPart(p)
 	defer p.mu.Unlock()
 	_, err := t.insertLocked(p, h, r, false)
 	return err

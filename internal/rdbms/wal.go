@@ -140,15 +140,15 @@ type WAL struct {
 	quit        chan struct{}
 	stopOnce    sync.Once
 
-	// Fsync accounting: fsyncs issued by the flusher and the records they
-	// committed — fsyncedRecords/fsyncs is the achieved group-commit batch.
-	fsyncs         uint64
-	fsyncedRecords uint64
+	// fsyncs counts the flusher's fsyncs, empty ones included; the records
+	// they committed are the sum of m.walGroupCommit.
+	fsyncs uint64
+	m      *metrics
 }
 
 // NewWAL wraps a writer (file, buffer, pipe) as a WAL sink.
 func NewWAL(w io.Writer) *WAL {
-	return &WAL{w: bufio.NewWriter(w)}
+	return &WAL{w: bufio.NewWriter(w), m: newMetrics(nil)}
 }
 
 // NewWALFile wraps an open file (an *os.File or any vfs.File) as a WAL
@@ -162,7 +162,12 @@ func NewWALFile(f vfs.File) *WAL {
 // policy. FsyncIntervalPolicy and FsyncAlways start one background flusher
 // goroutine; it exits when the WAL is closed.
 func NewWALFilePolicy(f vfs.File, policy FsyncPolicy, interval time.Duration) *WAL {
-	l := &WAL{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: policy, interval: interval}
+	return newWALFile(f, policy, interval, newMetrics(nil))
+}
+
+// newWALFile is NewWALFilePolicy recording into m.
+func newWALFile(f vfs.File, policy FsyncPolicy, interval time.Duration, m *metrics) *WAL {
+	l := &WAL{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: policy, interval: interval, m: m}
 	l.syncCond = sync.NewCond(&l.mu)
 	l.flushCond = sync.NewCond(&l.mu)
 	switch policy {
@@ -190,7 +195,7 @@ func (l *WAL) Policy() FsyncPolicy {
 func (l *WAL) FsyncStats() (fsyncs, records uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fsyncs, l.fsyncedRecords
+	return l.fsyncs, uint64(l.m.walGroupCommit.Sum())
 }
 
 // syncPending commits everything appended so far with one flush+fsync and
@@ -222,7 +227,7 @@ func (l *WAL) syncPending() {
 	l.mu.Unlock()
 	fsyncStart := time.Now() //scilint:ignore determinism fsync latency is operator telemetry, not replayed state
 	err := f.Sync()
-	mWALFsync.ObserveDuration(time.Since(fsyncStart)) //scilint:ignore determinism fsync latency is operator telemetry, not replayed state
+	l.m.walFsync.ObserveDuration(time.Since(fsyncStart)) //scilint:ignore determinism fsync latency is operator telemetry, not replayed state
 	l.mu.Lock()
 	if l.f != f {
 		return // rotated or closed mid-fsync: outcome superseded
@@ -234,8 +239,7 @@ func (l *WAL) syncPending() {
 	}
 	l.fsyncs++
 	if target > l.durable {
-		l.fsyncedRecords += uint64(target - l.durable)
-		mWALGroupCommit.Observe(int64(target - l.durable))
+		l.m.walGroupCommit.Observe(int64(target - l.durable))
 		l.durable = target
 	}
 	l.syncCond.Broadcast()
@@ -391,8 +395,8 @@ func (l *WAL) rotate(f vfs.File) (vfs.File, error) {
 // flush or fsync failure marks the WAL broken and fails this and every
 // later append until a checkpoint rotates onto a clean segment.
 func (l *WAL) append(rec walRecord) error {
-	start := time.Now()                                              //scilint:ignore determinism append latency is operator telemetry, not replayed state
-	defer func() { mWALAppend.ObserveDuration(time.Since(start)) }() //scilint:ignore determinism append latency is operator telemetry, not replayed state
+	start := time.Now()                                                 //scilint:ignore determinism append latency is operator telemetry, not replayed state
+	defer func() { l.m.walAppend.ObserveDuration(time.Since(start)) }() //scilint:ignore determinism append latency is operator telemetry, not replayed state
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken || (l.closed && l.f == nil) {

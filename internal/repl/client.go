@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdbms"
 	"repro/internal/stream"
 )
@@ -46,6 +47,9 @@ type ClientConfig struct {
 	ID string
 	// ReconnectMin/Max bound the reconnect backoff (defaults 50ms / 2s).
 	ReconnectMin, ReconnectMax time.Duration
+	// Metrics is the registry the link's families live on (nil: a private
+	// one).
+	Metrics *obs.Registry
 }
 
 // Status is a snapshot of the replication link, surfaced under
@@ -111,7 +115,10 @@ type Client struct {
 	bus        *stream.Bus
 	onFault    func(error)
 	cursorsTbl *rdbms.Table
+	m          *metrics
 
+	// st holds the link state; its four counters live in m and are filled
+	// in by Status.
 	mu  sync.Mutex
 	cur cursor
 	st  Status
@@ -150,6 +157,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		id:      id,
 		minBack: minBack,
 		maxBack: maxBack,
+		m:       newMetrics(cfg.Metrics),
 		st:      Status{Primary: strings.TrimRight(cfg.Primary, "/")},
 	}, nil
 }
@@ -160,8 +168,13 @@ func (c *Client) ID() string { return c.id }
 // Status returns a snapshot of the link state.
 func (c *Client) Status() Status {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st
+	st := c.st
+	c.mu.Unlock()
+	st.RecordsApplied = c.m.recordsApplied.Value()
+	st.BytesReceived = c.m.bytesReceived.Value()
+	st.Reconnects = c.m.reconnects.Value()
+	st.FullResyncs = c.m.fullResyncs.Value()
+	return st
 }
 
 // EnsureSynced brings the follower to a replayable position: a recovered
@@ -221,10 +234,10 @@ func (c *Client) Close() {
 // progress.
 func (c *Client) run(ctx context.Context) {
 	defer close(c.done)
-	defer mConnected.Set(0)
+	defer c.m.connected.Set(0)
 	backoff := c.minBack
 	for ctx.Err() == nil {
-		before := c.Status().BytesReceived
+		before := c.m.bytesReceived.Value()
 		err := c.streamOnce(ctx)
 		c.setConnected(false, err)
 		if ctx.Err() != nil {
@@ -238,11 +251,8 @@ func (c *Client) run(ctx context.Context) {
 				continue
 			}
 		}
-		mReconnects.Inc()
-		c.mu.Lock()
-		c.st.Reconnects++
-		c.mu.Unlock()
-		if c.Status().BytesReceived > before {
+		c.m.reconnects.Inc()
+		if c.m.bytesReceived.Value() > before {
 			backoff = c.minBack
 		}
 		timer := time.NewTimer(backoff)
@@ -364,10 +374,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 // old cursor (a later stream is refused with 409/410 and resyncs again)
 // or no cursor (EnsureSynced resyncs from scratch).
 func (c *Client) fullResync(ctx context.Context) error {
-	mFullResyncs.Inc()
-	c.mu.Lock()
-	c.st.FullResyncs++
-	c.mu.Unlock()
+	c.m.fullResyncs.Inc()
 
 	var m rdbms.ReplManifest
 	if err := c.getJSON(ctx, "/api/repl/manifest?id="+url.QueryEscape(c.id), &m); err != nil {
@@ -423,10 +430,7 @@ func (c *Client) applyGeneration(ctx context.Context, gen int) error {
 	if err := c.db.ApplyGenerationStream(n); err != nil {
 		return fmt.Errorf("repl: apply generation %d: %w", gen, err)
 	}
-	c.mu.Lock()
-	c.st.BytesReceived += uint64(n.n)
-	c.mu.Unlock()
-	mBytesReceived.Add(uint64(n.n))
+	c.m.bytesReceived.Add(uint64(n.n))
 	return nil
 }
 
@@ -499,11 +503,9 @@ func (c *Client) advance(rec []byte) {
 	c.cur.off += int64(len(rec))
 	c.cur.push(rec)
 	c.st.Segment, c.st.Offset = c.cur.seg, c.cur.off
-	c.st.RecordsApplied++
-	c.st.BytesReceived += uint64(len(rec))
 	c.mu.Unlock()
-	mRecordsApplied.Inc()
-	mBytesReceived.Add(uint64(len(rec)))
+	c.m.recordsApplied.Inc()
+	c.m.bytesReceived.Add(uint64(len(rec)))
 }
 
 func (c *Client) notePrimary(seg int, size int64) {
@@ -523,8 +525,8 @@ func (c *Client) notePrimary(seg int, size int64) {
 	}
 	lagB, lagS := c.st.LagBytes, c.st.LagSegments
 	c.mu.Unlock()
-	mLagBytes.Set(lagB)
-	mLagSegments.Set(int64(lagS))
+	c.m.lagBytes.Set(lagB)
+	c.m.lagSegments.Set(int64(lagS))
 }
 
 func (c *Client) setConnected(up bool, err error) {
@@ -535,9 +537,9 @@ func (c *Client) setConnected(up bool, err error) {
 	}
 	c.mu.Unlock()
 	if up {
-		mConnected.Set(1)
+		c.m.connected.Set(1)
 	} else {
-		mConnected.Set(0)
+		c.m.connected.Set(0)
 	}
 }
 

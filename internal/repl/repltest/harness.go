@@ -398,8 +398,8 @@ func NewLitePrimary(tb testing.TB) (*LiteNode, *Proxy) {
 	if _, err := db.CreateTablePartitioned("articles", schema, 2); err != nil {
 		tb.Fatal(err)
 	}
-	n := &LiteNode{TB: tb, Mem: mem, Fault: fault, DB: db, Bus: stream.NewBus()}
-	n.Source = repl.NewSource(db, n.Bus)
+	n := &LiteNode{TB: tb, Mem: mem, Fault: fault, DB: db, Bus: stream.NewBus(nil)}
+	n.Source = repl.NewSource(db, n.Bus, nil)
 	mux := http.NewServeMux()
 	n.Source.Routes(mux)
 	proxy := NewProxy(mux)
@@ -422,7 +422,7 @@ func (n *LiteNode) Reopen(proxy *Proxy) {
 	db, fault := openLiteDB(n.TB, n.Mem, rdbms.FsyncCheckpoint)
 	n.TB.Cleanup(func() { _ = db.Close() })
 	n.DB, n.Fault = db, fault
-	n.Source = repl.NewSource(db, n.Bus)
+	n.Source = repl.NewSource(db, n.Bus, nil)
 	mux := http.NewServeMux()
 	n.Source.Routes(mux)
 	proxy.SetBackend(mux)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdbms"
 	"repro/internal/stream"
 )
@@ -22,6 +23,7 @@ import (
 type Source struct {
 	db  *rdbms.DB
 	bus *stream.Bus
+	m   *metrics
 
 	// poll is the tail-poll cadence while a follower is caught up;
 	// heartbeatEvery bounds how stale a caught-up follower's view of the
@@ -37,11 +39,12 @@ type Source struct {
 }
 
 // NewSource serves replication for db, fanning bus events to followers.
-// bus may be nil (no feed fan-out).
-func NewSource(db *rdbms.DB, bus *stream.Bus) *Source {
+// bus may be nil (no feed fan-out); so may reg (a private registry).
+func NewSource(db *rdbms.DB, bus *stream.Bus, reg *obs.Registry) *Source {
 	return &Source{
 		db:             db,
 		bus:            bus,
+		m:              newMetrics(reg),
 		poll:           5 * time.Millisecond,
 		heartbeatEvery: 250 * time.Millisecond,
 		sessions:       make(map[string]int),
@@ -107,7 +110,7 @@ func (s *Source) ServeGeneration(w http.ResponseWriter, r *http.Request) {
 	defer func() { _ = rc.Close() }()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if n, err := io.Copy(w, rc); err == nil {
-		mBytesSent.Add(uint64(n))
+		s.m.bytesSent.Add(uint64(n))
 	}
 }
 
@@ -157,8 +160,8 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	s.db.HoldWAL(id, seg)
 	sess := s.enter(id)
 	defer s.exit(id, sess)
-	mStreams.Add(1)
-	defer mStreams.Add(-1)
+	s.m.streams.Add(1)
+	defer s.m.streams.Add(-1)
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
@@ -175,7 +178,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ship := func(rec []byte) error {
-		mBytesSent.Add(uint64(len(rec)))
+		s.m.bytesSent.Add(uint64(len(rec)))
 		return fw.write(frameRecord, rec)
 	}
 	ctx := r.Context()

@@ -99,13 +99,13 @@ type admitDecision struct {
 	retryAfter time.Duration
 }
 
-func newAdmission(cfg AdmissionConfig, now func() time.Time) *admission {
+func newAdmission(cfg AdmissionConfig, now func() time.Time, decisions *obs.CounterVec) *admission {
 	return &admission{
 		cfg:          cfg.withDefaults(),
 		now:          now,
-		obsSteady:    mAdmission.With("steady"),
-		obsBurst:     mAdmission.With("burst"),
-		obsThrottled: mAdmission.With("throttled"),
+		obsSteady:    decisions.With("steady"),
+		obsBurst:     decisions.With("burst"),
+		obsThrottled: decisions.With("throttled"),
 		sources:      make(map[string]*sourceBuckets),
 	}
 }

@@ -81,7 +81,8 @@ func TestPipelineLaneStarvation(t *testing.T) {
 func TestAdmissionBuckets(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return at }
-	a := newAdmission(AdmissionConfig{SteadyRate: 1, SteadyDepth: 2, BurstRate: 1, BurstDepth: 2}, now)
+	a := newAdmission(AdmissionConfig{SteadyRate: 1, SteadyDepth: 2, BurstRate: 1, BurstDepth: 2}, now,
+		newPipelineFamilies(nil, 1).admission)
 
 	for i := 0; i < 2; i++ {
 		if d := a.admit("src"); d.throttled || d.lane != LaneSteady {

@@ -8,18 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Live-feed telemetry. Drops were previously visible only as an
-// aggregate on /api/stats; the registry counter plus SubscriberStats
-// make lossy feeds attributable to the subscriber that cannot keep up.
-var (
-	mFeedPublished = obs.NewCounter("scilens_feed_published_total",
-		"Assessments published to the live SSE feed.")
-	mFeedDropped = obs.NewCounter("scilens_feed_dropped_total",
-		"Feed deliveries dropped because a subscriber's buffer was full.")
-	mFeedSubscribers = obs.NewGauge("scilens_feed_subscribers",
-		"Currently connected live-feed subscribers.")
-)
-
 // Bus is a lightweight in-process pub/sub fan-out: the ingestion pipeline
 // publishes each committed assessment and any number of subscribers (the
 // GET /api/stream SSE handlers) receive it on a buffered channel. Delivery
@@ -32,8 +20,11 @@ type Bus struct {
 	nextID uint64
 	closed bool
 
-	published atomic.Uint64
-	dropped   atomic.Uint64
+	// published and dropped are the feed's counters, read back by Stats;
+	// SubscriberStats attributes the drops to the subscriber that cannot
+	// keep up.
+	published *obs.Counter
+	dropped   *obs.Counter
 }
 
 // Subscription is one subscriber's feed. Receive from C; the channel is
@@ -48,9 +39,20 @@ type Subscription struct {
 	dropped atomic.Uint64
 }
 
-// NewBus creates an empty bus.
-func NewBus() *Bus {
-	return &Bus{subs: make(map[uint64]*Subscription)}
+// NewBus creates an empty bus whose feed families live on reg (nil: a
+// private registry). The subscriber gauge is a view of the subscriber
+// set, sampled at scrape time.
+func NewBus(reg *obs.Registry) *Bus {
+	b := &Bus{
+		subs: make(map[uint64]*Subscription),
+		published: reg.NewCounter("scilens_feed_published_total",
+			"Assessments published to the live SSE feed."),
+		dropped: reg.NewCounter("scilens_feed_dropped_total",
+			"Feed deliveries dropped because a subscriber's buffer was full."),
+	}
+	reg.NewGaugeFunc("scilens_feed_subscribers", "Currently connected live-feed subscribers.",
+		func() float64 { return float64(b.Subscribers()) })
+	return b
 }
 
 // Subscribe registers a subscriber with the given channel buffer
@@ -82,7 +84,6 @@ func (s *Subscription) Cancel() {
 		return
 	}
 	delete(s.bus.subs, s.id)
-	mFeedSubscribers.Add(-1)
 	close(s.ch)
 }
 
@@ -102,8 +103,7 @@ func (b *Bus) Publish(payload []byte) int {
 	if b.closed {
 		return 0
 	}
-	b.published.Add(1)
-	mFeedPublished.Inc()
+	b.published.Inc()
 	delivered := 0
 	for _, sub := range b.subs {
 		select {
@@ -111,8 +111,7 @@ func (b *Bus) Publish(payload []byte) int {
 			delivered++
 		default:
 			sub.dropped.Add(1)
-			b.dropped.Add(1)
-			mFeedDropped.Inc()
+			b.dropped.Inc()
 		}
 	}
 	return delivered
@@ -168,8 +167,8 @@ type BusStats struct {
 func (b *Bus) Stats() BusStats {
 	return BusStats{
 		Subscribers: b.Subscribers(),
-		Published:   b.published.Load(),
-		Dropped:     b.dropped.Load(),
+		Published:   b.published.Value(),
+		Dropped:     b.dropped.Value(),
 	}
 }
 
@@ -184,7 +183,6 @@ func (b *Bus) Close() {
 	b.closed = true
 	for id, sub := range b.subs {
 		delete(b.subs, id)
-		mFeedSubscribers.Add(-1)
 		close(sub.ch)
 	}
 }

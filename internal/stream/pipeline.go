@@ -12,25 +12,40 @@ import (
 	"repro/internal/obs"
 )
 
-// Pipeline stage telemetry, labeled per shard. Handles are pre-registered
-// at shard construction so the per-envelope record calls are
-// allocation-free.
-var (
-	mQueueWait = obs.NewDurationHistogramVec("scilens_pipeline_queue_wait_seconds",
-		"Time a first-delivery envelope spent queued on its shard before a worker drained it.", "shard")
-	mRetryBackoff = obs.NewDurationHistogramVec("scilens_pipeline_retry_backoff_seconds",
-		"Backoff delays scheduled for retried envelopes.", "shard")
-	mDeadAge = obs.NewDurationHistogramVec("scilens_pipeline_dead_letter_age_seconds",
-		"Envelope age (since first enqueue) at the moment of dead-lettering.", "shard")
-	mBatchSize = obs.NewSizeHistogram("scilens_pipeline_batch_records",
-		"Micro-batch sizes drained per processing round.")
-	mShardCount = obs.NewGauge("scilens_pipeline_shards",
-		"Pipeline worker-shard count, fixed at construction.")
-	mShed = obs.NewCounterVec("scilens_pipeline_shed_total",
-		"Envelopes rejected at enqueue because a shard lane was full, by shard and lane.", "shard", "lane")
-	mAdmission = obs.NewCounterVec("scilens_pipeline_admission_total",
-		"Per-source admission decisions by outcome (steady, burst, throttled).", "decision")
-)
+// pipelineFamilies is the pipeline's telemetry on one registry; Stats
+// reads it back. Per-shard children are resolved at shard construction,
+// so the per-envelope record calls are allocation-free.
+type pipelineFamilies struct {
+	queueWait, retryBackoff, deadAge *obs.HistogramVec
+	shed, admission                  *obs.CounterVec
+	batches                          *obs.Histogram
+	enqueued, committed, dead        *obs.Counter
+}
+
+func newPipelineFamilies(r *obs.Registry, shards int) pipelineFamilies {
+	r.NewGauge("scilens_pipeline_shards",
+		"Pipeline worker-shard count, fixed at construction.").Set(int64(shards))
+	return pipelineFamilies{
+		queueWait: r.NewDurationHistogramVec("scilens_pipeline_queue_wait_seconds",
+			"Time a first-delivery envelope spent queued on its shard before a worker drained it.", "shard"),
+		retryBackoff: r.NewDurationHistogramVec("scilens_pipeline_retry_backoff_seconds",
+			"Backoff delays scheduled for retried envelopes.", "shard"),
+		deadAge: r.NewDurationHistogramVec("scilens_pipeline_dead_letter_age_seconds",
+			"Envelope age (since first enqueue) at the moment of dead-lettering.", "shard"),
+		shed: r.NewCounterVec("scilens_pipeline_shed_total",
+			"Envelopes rejected at enqueue because a shard lane was full, by shard and lane.", "shard", "lane"),
+		admission: r.NewCounterVec("scilens_pipeline_admission_total",
+			"Per-source admission decisions by outcome (steady, burst, throttled).", "decision"),
+		batches: r.NewSizeHistogram("scilens_pipeline_batch_records",
+			"Micro-batch sizes drained per processing round."),
+		enqueued: r.NewCounter("scilens_pipeline_enqueued_total",
+			"Envelopes accepted onto a shard lane."),
+		committed: r.NewCounter("scilens_pipeline_committed_total",
+			"Envelopes the batch processor committed."),
+		dead: r.NewCounter("scilens_pipeline_dead_lettered_total",
+			"Envelopes handed to the dead-letter callback."),
+	}
+}
 
 // lane selects one of a shard's two priority queues. The steady lane
 // carries baseline traffic; the burst lane carries a hot source's
@@ -89,14 +104,7 @@ type Pipeline struct {
 	sticky    stickyLanes
 	admission *admission
 	rate      drainRate
-
-	enqueued  atomic.Uint64
-	shed      atomic.Uint64
-	throttled atomic.Uint64
-	commits   atomic.Uint64
-	retries   atomic.Uint64
-	dead      atomic.Uint64
-	batches   atomic.Uint64
+	m         pipelineFamilies
 
 	// inflight counts envelopes accepted but not yet at a final outcome
 	// (queued, in a batch, or waiting out a retry backoff). Flush waits for
@@ -189,6 +197,9 @@ type PipelineConfig struct {
 	// the source-aware enqueue paths (EnqueueSource and friends). Nil
 	// admits everything to the steady lane.
 	Admission *AdmissionConfig
+	// Metrics is the registry the pipeline's families live on (nil: a
+	// private one).
+	Metrics *obs.Registry
 	// Now is the injected clock used for envelope stamps, admission
 	// refill, and the drain-rate estimator (default time.Now). Only elapsed
 	// time is ever read from it, so it must advance; tests inject a
@@ -268,26 +279,25 @@ type pshard struct {
 	paused   bool
 	stopped  bool
 
-	shed [numLanes]atomic.Uint64
-
-	// Pre-registered telemetry handles for this shard's label set.
+	// Telemetry handles for this shard's label set: obsRetry counts the
+	// shard's retries and obsShed its per-lane rejections.
 	obsQueueWait *obs.Histogram
 	obsRetry     *obs.Histogram
 	obsDead      *obs.Histogram
 	obsShed      [numLanes]*obs.Counter
 }
 
-func newPshard(capacity, id int) *pshard {
+func newPshard(capacity, id int, m *pipelineFamilies) *pshard {
 	label := strconv.Itoa(id)
 	s := &pshard{
 		id:           id,
-		obsQueueWait: mQueueWait.With(label),
-		obsRetry:     mRetryBackoff.With(label),
-		obsDead:      mDeadAge.With(label),
+		obsQueueWait: m.queueWait.With(label),
+		obsRetry:     m.retryBackoff.With(label),
+		obsDead:      m.deadAge.With(label),
 	}
 	for l := lane(0); l < numLanes; l++ {
 		s.lanes[l].capacity = capacity
-		s.obsShed[l] = mShed.With(label, l.String())
+		s.obsShed[l] = m.shed.With(label, l.String())
 	}
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
@@ -323,19 +333,18 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	if cfg.Now == nil {
 		cfg.Now = time.Now //scilint:ignore determinism production default only; tests inject their clock
 	}
-	p := &Pipeline{cfg: cfg, now: cfg.Now}
+	p := &Pipeline{cfg: cfg, now: cfg.Now, m: newPipelineFamilies(cfg.Metrics, cfg.Shards)}
 	p.idleCond = sync.NewCond(&p.idleMu)
 	p.sticky.init()
 	if cfg.Admission != nil {
-		p.admission = newAdmission(*cfg.Admission, p.now)
+		p.admission = newAdmission(*cfg.Admission, p.now, p.m.admission)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s := newPshard(cfg.QueueCapacity, i)
+		s := newPshard(cfg.QueueCapacity, i, &p.m)
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
 		go p.worker(s)
 	}
-	mShardCount.Set(int64(cfg.Shards))
 	return p
 }
 
@@ -385,7 +394,6 @@ func (p *Pipeline) enqueue(ctx context.Context, source string, env Envelope, blo
 	if p.admission != nil && source != "" {
 		dec := p.admission.admit(source)
 		if dec.throttled {
-			p.throttled.Add(1)
 			return &ThrottleError{RetryAfter: dec.retryAfter}
 		}
 		want = dec.lane
@@ -409,9 +417,7 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, l lane, blo
 	if q.full() && !s.stopped {
 		if !block {
 			s.mu.Unlock()
-			s.shed[l].Add(1)
 			s.obsShed[l].Inc()
-			p.shed.Add(1)
 			return ErrFull
 		}
 		if err := s.waitNotFullLocked(ctx, q); err != nil {
@@ -427,7 +433,7 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, l lane, blo
 	// or a fast worker could retire it first and Flush would see a
 	// transient zero with work still outstanding.
 	p.inflight.Add(1)
-	p.enqueued.Add(1)
+	p.m.enqueued.Inc()
 	if env.notify != nil {
 		env.notify.Add(1)
 	}
@@ -562,8 +568,7 @@ func (p *Pipeline) worker(s *pshard) {
 		if batch == nil {
 			return
 		}
-		p.batches.Add(1)
-		mBatchSize.Observe(int64(len(batch)))
+		p.m.batches.Observe(int64(len(batch)))
 		drained := p.now().UnixNano()
 		for i := range batch {
 			env := &batch[i]
@@ -586,7 +591,7 @@ func (p *Pipeline) worker(s *pshard) {
 			}
 			switch res.Outcome {
 			case OutcomeCommitted:
-				p.commits.Add(1)
+				p.m.committed.Inc()
 				p.retire(env)
 			case OutcomeRetry:
 				env.Attempt++
@@ -594,7 +599,6 @@ func (p *Pipeline) worker(s *pshard) {
 					p.deadLetter(s, env, res.Err)
 					break
 				}
-				p.retries.Add(1)
 				env := env
 				backoff := p.backoffFor(env.Attempt)
 				s.obsRetry.ObserveDuration(backoff)
@@ -629,7 +633,7 @@ func (p *Pipeline) backoffFor(attempt int) time.Duration {
 }
 
 func (p *Pipeline) deadLetter(s *pshard, env Envelope, err error) {
-	p.dead.Add(1)
+	p.m.dead.Inc()
 	if env.enqueuedNs > 0 {
 		s.obsDead.Observe(p.now().UnixNano() - env.enqueuedNs)
 	}
@@ -737,9 +741,13 @@ type drainRate struct {
 	perSec   float64
 }
 
+// Finished counts the envelopes that reached a final outcome: committed
+// or dead-lettered.
+func (p *Pipeline) Finished() uint64 { return p.m.committed.Value() + p.m.dead.Value() }
+
 func (p *Pipeline) noteDrain() {
 	nowNs := p.now().UnixNano()
-	done := p.commits.Load() + p.dead.Load()
+	done := p.Finished()
 	r := &p.rate
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -847,8 +855,8 @@ func (s *pshard) stats() ShardStats {
 		Ready:  len(s.ready),
 	}
 	s.mu.Unlock()
-	st.ShedSteady = s.shed[LaneSteady].Load()
-	st.ShedBurst = s.shed[LaneBurst].Load()
+	st.ShedSteady = s.obsShed[LaneSteady].Value()
+	st.ShedBurst = s.obsShed[LaneBurst].Value()
 	return st
 }
 
@@ -879,30 +887,29 @@ type PipelineStats struct {
 	Admission []SourceAdmission
 }
 
-// Stats returns a snapshot of the pipeline counters.
+// Stats returns a snapshot of the pipeline counters, read from the
+// pipeline's metric handles.
 func (p *Pipeline) Stats() PipelineStats {
-	depths := make([]int, len(p.shards))
-	per := make([]ShardStats, len(p.shards))
-	for i, s := range p.shards {
-		st := s.stats()
-		per[i] = st
-		depths[i] = st.Steady + st.Burst + st.Ready
-	}
 	ps := PipelineStats{
-		Enqueued:     p.enqueued.Load(),
-		Shed:         p.shed.Load(),
-		Throttled:    p.throttled.Load(),
-		Committed:    p.commits.Load(),
-		Retried:      p.retries.Load(),
-		DeadLettered: p.dead.Load(),
-		Batches:      p.batches.Load(),
+		Enqueued:     p.m.enqueued.Value(),
+		Committed:    p.m.committed.Value(),
+		DeadLettered: p.m.dead.Value(),
+		Batches:      p.m.batches.Count(),
 		Inflight:     p.inflight.Load(),
 		Shards:       len(p.shards),
 		MaxBatch:     p.cfg.MaxBatch,
-		QueueDepths:  depths,
-		PerShard:     per,
+		QueueDepths:  make([]int, len(p.shards)),
+		PerShard:     make([]ShardStats, len(p.shards)),
+	}
+	for i, s := range p.shards {
+		st := s.stats()
+		ps.PerShard[i] = st
+		ps.QueueDepths[i] = st.Steady + st.Burst + st.Ready
+		ps.Shed += st.ShedSteady + st.ShedBurst
+		ps.Retried += s.obsRetry.Count()
 	}
 	if p.admission != nil {
+		ps.Throttled = p.admission.obsThrottled.Value()
 		ps.Admission = p.admission.stats()
 	}
 	return ps

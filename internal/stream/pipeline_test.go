@@ -336,7 +336,7 @@ func TestPipelineShortResultSliceCommits(t *testing.T) {
 }
 
 func TestBusFanOutAndSlowSubscriber(t *testing.T) {
-	b := NewBus()
+	b := NewBus(nil)
 	fast := b.Subscribe(8)
 	slow := b.Subscribe(1)
 	for i := 0; i < 4; i++ {

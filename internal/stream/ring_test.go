@@ -90,8 +90,9 @@ func TestPshardMatchesSliceModel(t *testing.T) {
 		t.Run("seed-"+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			capacity := 1 + rng.Intn(12)
-			p := &Pipeline{now: time.Now}
-			s := newPshard(capacity, 0)
+			p := &Pipeline{now: time.Now, m: newPipelineFamilies(nil, 1)}
+			s := newPshard(capacity, 0, &p.m)
+			p.shards = []*pshard{s}
 			ref := &refShard{capacity: capacity}
 			quantum := [numLanes]int{LaneSteady: 1 + rng.Intn(3), LaneBurst: 1 + rng.Intn(2)}
 			var dequeued []Envelope // retry candidates
@@ -191,7 +192,7 @@ func TestPshardMatchesSliceModel(t *testing.T) {
 			for ref.queued()+len(ref.ready) > 0 {
 				drain(1 + rng.Intn(capacity+2))
 			}
-			if got := p.shed.Load(); got != ref.shed[LaneSteady]+ref.shed[LaneBurst] {
+			if got := p.Stats().Shed; got != ref.shed[LaneSteady]+ref.shed[LaneBurst] {
 				t.Errorf("pipeline shed counter %d, model %d", got, ref.shed[LaneSteady]+ref.shed[LaneBurst])
 			}
 			for l := range s.lanes {
@@ -215,8 +216,8 @@ func TestPshardMatchesSliceModel(t *testing.T) {
 // nothing at all.
 func TestPshardNextAllocatesOnlyTheBatch(t *testing.T) {
 	const depth, batch = 1024, 64
-	p := &Pipeline{now: time.Now}
-	s := newPshard(depth, 0)
+	p := &Pipeline{now: time.Now, m: newPipelineFamilies(nil, 1)}
+	s := newPshard(depth, 0, &p.m)
 	ev := &struct{ n int }{1}
 	fill := func(n int) {
 		for i := 0; i < n; i++ {
@@ -307,8 +308,8 @@ func BenchmarkPipelineDequeue(b *testing.B) {
 	for _, depth := range []int{64, 1024} {
 		b.Run("depth-"+strconv.Itoa(depth), func(b *testing.B) {
 			const batch = 64
-			p := &Pipeline{now: time.Now}
-			s := newPshard(depth, 0)
+			p := &Pipeline{now: time.Now, m: newPipelineFamilies(nil, 1)}
+			s := newPshard(depth, 0, &p.m)
 			env := Envelope{Key: "k", Event: &struct{ n int }{1}}
 			for i := 0; i < depth; i++ {
 				if err := p.put(s, nil, env, LaneSteady, false); err != nil {

@@ -9,8 +9,8 @@
 //  3. a command-line flag registered by cmd/scilens-server or
 //     cmd/scilens-ingest is missing from the docs/OPERATIONS.md flag
 //     tables, or
-//  4. a metric family registered through the obs constructors anywhere
-//     under internal/ is missing from docs/OBSERVABILITY.md.
+//  4. a metric family registered on an obs.Registry anywhere under
+//     internal/ is missing from docs/OBSERVABILITY.md.
 //
 // Run from the repository root:
 //
@@ -46,9 +46,10 @@ var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // flagRe matches stdlib flag registrations like flag.String("addr", ...).
 var flagRe = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)\("([^"]+)"`)
 
-// metricRe matches obs metric-family registrations like
-// obs.NewCounter("scilens_..._total", ...) — on the package helpers or a
-// Registry receiver.
+// metricRe matches metric-family registrations on an obs.Registry like
+// reg.NewCounter("scilens_..._total", ...), the name on the call's own
+// line. TestMetricFamiliesMatchRegistry pins that this finds exactly the
+// families a built platform's /metrics renders.
 var metricRe = regexp.MustCompile(`\bNew(?:CounterVec|Counter|GaugeVec|GaugeFunc|Gauge|DurationHistogramVec|DurationHistogram|SizeHistogramVec|SizeHistogram)\("([a-z0-9_]+)"`)
 
 func main() {

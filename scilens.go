@@ -65,9 +65,10 @@ type (
 )
 
 // NewComputePool builds a worker pool for the parallel training and
-// re-indexing jobs; workers < 1 means GOMAXPROCS.
+// re-indexing jobs; workers < 1 means GOMAXPROCS. Its telemetry is private:
+// jobs on Platform.Compute record on the platform's registry instead.
 func NewComputePool(workers int) *ComputePool {
-	return compute.NewPool(workers)
+	return compute.NewPool(workers, nil)
 }
 
 // WithReindex makes a training job re-evaluate the stored corpus under the
@@ -214,10 +215,11 @@ func GenerateWorld(cfg WorldConfig) *World { return synth.GenerateWorld(cfg) }
 // platform on one handler.
 func NewHTTPServer(p *Platform) http.Handler { return api.NewServer(p) }
 
-// NewDebugHandler returns the standalone observability surface — GET
-// /metrics, /api/version, /api/debug/traces and net/http/pprof — for a
-// separate, non-public listener (the -debug-addr flag of both commands).
-func NewDebugHandler() http.Handler { return api.DebugHandler() }
+// NewDebugHandler returns the platform's standalone observability
+// surface — GET /metrics, /api/version, /api/debug/traces and
+// net/http/pprof — for a separate, non-public listener (the -debug-addr
+// flag of both commands).
+func NewDebugHandler(p *Platform) http.Handler { return api.DebugHandler(p.Metrics) }
 
 // NewReplHandler mounts only the replication endpoints (manifest,
 // generation and WAL streaming) for a separate listener (-repl-addr),

@@ -251,12 +251,12 @@ func TestDailyCycleThroughFacade(t *testing.T) {
 	}
 }
 
-// queueWaitSum scrapes the debug surface for the pipeline queue-wait
-// histogram's sum across shards, in seconds.
-func queueWaitSum(t *testing.T) float64 {
+// queueWaitSum scrapes the platform's debug surface for the pipeline
+// queue-wait histogram's sum across shards, in seconds.
+func queueWaitSum(t *testing.T, p *scilens.Platform) float64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	scilens.NewDebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	scilens.NewDebugHandler(p).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	total := 0.0
 	for _, line := range strings.Split(rec.Body.String(), "\n") {
 		if !strings.HasPrefix(line, "scilens_pipeline_queue_wait_seconds_sum{") {
@@ -310,7 +310,7 @@ func TestBootstrapPipelineMeasuresRealTime(t *testing.T) {
 	}
 	p.Pipeline.Flush()
 
-	before := queueWaitSum(t)
+	before := queueWaitSum(t, p)
 	p.Pipeline.Pause()
 	for i := range events[:8] {
 		payload, err := events[i].Encode()
@@ -324,7 +324,7 @@ func TestBootstrapPipelineMeasuresRealTime(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	p.Pipeline.Resume()
 	p.Pipeline.Flush()
-	if after := queueWaitSum(t); after <= before {
+	if after := queueWaitSum(t, p); after <= before {
 		t.Fatalf("queue-wait sum %v -> %v after a 5ms blocked backlog; want it to grow", before, after)
 	}
 }
