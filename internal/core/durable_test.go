@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -100,7 +100,7 @@ func TestPlatformKillAndRecover(t *testing.T) {
 	defer re.Close()
 	got := dumpPlatform(t, re)
 	for _, table := range allTables {
-		if !reflect.DeepEqual(want[table], got[table]) {
+		if !rowsIdentical(want[table], got[table]) {
 			t.Fatalf("%s diverged after recovery: want %d rows, got %d",
 				table, len(want[table]), len(got[table]))
 		}
@@ -190,7 +190,7 @@ func TestPlatformDeltaChainKillAndRecover(t *testing.T) {
 	defer re.Close()
 	got := dumpPlatform(t, re)
 	for _, table := range allTables {
-		if !reflect.DeepEqual(want[table], got[table]) {
+		if !rowsIdentical(want[table], got[table]) {
 			t.Fatalf("%s diverged after delta-chain recovery: want %d rows, got %d",
 				table, len(want[table]), len(got[table]))
 		}
@@ -249,7 +249,7 @@ func TestPlatformCloseCheckpoints(t *testing.T) {
 	if st.RecoveredRecords != 0 {
 		t.Errorf("replayed %d records despite the close checkpoint", st.RecoveredRecords)
 	}
-	if got := dumpPlatform(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpPlatform(t, re); !maps.EqualFunc(want, got, rowsIdentical) {
 		t.Fatal("close-checkpoint recovery diverged")
 	}
 	// Bootstrap-style recovery detection: the store is non-empty.
@@ -344,7 +344,7 @@ func TestCheckpointOnlineUnderTraffic(t *testing.T) {
 
 	re := durablePlatform(t, dir, days, nil)
 	defer re.Close()
-	if got := dumpPlatform(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpPlatform(t, re); !maps.EqualFunc(want, got, rowsIdentical) {
 		t.Fatal("recovery after online checkpoints diverged")
 	}
 }

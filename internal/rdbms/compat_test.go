@@ -286,7 +286,7 @@ func TestCrossVersionRecovery(t *testing.T) {
 			t.Errorf("%s: %v", id, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, w) {
+		if !got.Identical(w) {
 			t.Errorf("%s: recovered %v, want %v", id, got, w)
 		}
 		if !w[3].IsNull() {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -107,7 +106,7 @@ func TestKillAndRecover(t *testing.T) {
 	}
 	defer re.Close()
 	got := dumpDB(t, re)
-	if !reflect.DeepEqual(want, got) {
+	if !dumpsIdentical(want, got) {
 		t.Fatalf("recovered state diverged: want %d tables (%d articles), got %d tables (%d articles)",
 			len(want), len(want["articles"]), len(got), len(got["articles"]))
 	}
@@ -159,7 +158,7 @@ func TestRecoverWALOnlyNoSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("WAL-only recovery diverged")
 	}
 }
@@ -194,7 +193,7 @@ func TestTornFinalRecordTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("torn-tail recovery diverged from pre-tear state")
 	}
 	st := re.StorageStats()
@@ -304,7 +303,7 @@ func TestMutateHeavyReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("mutate-heavy replay diverged")
 	}
 }
@@ -369,7 +368,7 @@ func TestCheckpointConcurrentWithWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("online-checkpoint recovery diverged")
 	}
 	if re.StorageStats().Rows != workers*perWorker {
@@ -438,7 +437,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := applyGeneration(re, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dumpDB(t, re), dumpDB(t, db); !reflect.DeepEqual(want, got) {
+	if got, want := dumpDB(t, re), dumpDB(t, db); !dumpsIdentical(want, got) {
 		t.Fatal("snapshot round trip diverged")
 	}
 	reTbl, _ := re.Table("articles")
@@ -513,7 +512,7 @@ func TestBrokenWALFailsWritesUntilCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("post-repair recovery diverged")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -63,7 +62,7 @@ func seedPartitions(t *testing.T, tbl *Table, rows int64) map[int]int64 {
 // TestKillAndRecoverDeltaChain is the incremental-checkpoint acceptance
 // pin: a base plus a ≥3-delta chain, each delta capturing different dirty
 // partitions, plus WAL-tail writes after the last checkpoint — a crash
-// reopen must restore every table DeepEqual-identical from
+// reopen must restore every table row for row Identical from
 // manifest → base → deltas → WAL replay.
 func TestKillAndRecoverDeltaChain(t *testing.T) {
 	dir := t.TempDir()
@@ -133,7 +132,7 @@ func TestKillAndRecoverDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("delta-chain recovery diverged")
 	}
 	ss := re.StorageStats()
@@ -235,7 +234,7 @@ func TestDeltaCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("post-compaction recovery diverged")
 	}
 }
@@ -329,7 +328,7 @@ func TestCheckpointPruneFailureNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("recovery diverged after leftover segments")
 	}
 }
@@ -385,7 +384,7 @@ func TestLeftoverSegmentsNotReplayedOverChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("recovery with leftover segments diverged")
 	}
 	reTbl, _ := re.Table("articles")
@@ -450,7 +449,7 @@ func TestCheckpointSurvivesManifestFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("recovery diverged after failed manifest install")
 	}
 }
@@ -535,7 +534,7 @@ func TestFsyncAlwaysGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("group-commit crash recovery diverged")
 	}
 }
@@ -698,7 +697,7 @@ func TestFsyncAlwaysCheckpointUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Fatal("always-policy online-checkpoint recovery diverged")
 	}
 }

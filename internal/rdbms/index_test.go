@@ -191,7 +191,7 @@ func TestHashIdxAgainstModel(t *testing.T) {
 // identity, not Equal: NaN rows can be found and removed, whatever their
 // payload, and the two zeros do not share an entry list.
 func TestHashIdxKeyIdentity(t *testing.T) {
-	nan, nan2 := Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001))
+	nan, nan2 := Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000000))
 	zero, negZero := Float(0), Float(math.Copysign(0, -1))
 	m := newIdxModel(8)
 	for id, key := range []Value{nan, zero, nan2, negZero, Null(), zero, nan} {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -210,7 +209,7 @@ func TestWALTailRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tableRows(ftbl), tableRows(tbl); !reflect.DeepEqual(got, want) {
+		if got, want := tableRows(ftbl), tableRows(tbl); !rowsIdentical(got, want) {
 			t.Fatalf("pass %d: follower diverged: %d rows vs %d", pass, len(got), len(want))
 		}
 	}
@@ -400,7 +399,7 @@ func TestGenerationStreamSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tableRows(ftbl), tableRows(tbl)) {
+	if !rowsIdentical(tableRows(ftbl), tableRows(tbl)) {
 		t.Fatal("follower diverged after generation sync")
 	}
 	if ftbl.Partitions() != tbl.Partitions() {
@@ -417,7 +416,7 @@ func TestGenerationStreamSync(t *testing.T) {
 		t.Fatalf("reset left %d rows", ftbl.Len())
 	}
 	syncChain()
-	if !reflect.DeepEqual(tableRows(ftbl), tableRows(tbl)) {
+	if !rowsIdentical(tableRows(ftbl), tableRows(tbl)) {
 		t.Fatal("follower diverged after resync")
 	}
 }

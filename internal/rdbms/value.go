@@ -46,6 +46,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Type enumerates column types.
@@ -83,17 +84,30 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a dynamically typed cell. The zero Value is NULL. Strings live
-// in s; every other kind shares the word n — an int's two's complement, a
-// float's IEEE bits, a bool's 0/1, a timestamp's UTC Unix nanoseconds —
-// which is exactly what the WAL and the snapshot generations persist, so a
-// row in memory equals the row recovery or replication would rebuild.
+// Value is a dynamically typed cell, 16 bytes. The zero Value is NULL.
+//
+// The kind lives in the pointer p. NULL is p == nil. A non-empty string
+// points p at its bytes and keeps its length in n. Every other kind,
+// the empty string included, points p at its entry in kindTags and keeps
+// its payload in n — an int's two's complement, a float's IEEE bits, a
+// bool's 0/1, a timestamp's UTC Unix nanoseconds — which is exactly what
+// the WAL and the snapshot generations persist, so a row in memory holds
+// the bits recovery or replication would rebuild.
+//
+// The zero-size func field makes == on Values a compile error: two equal
+// strings may sit at different addresses. Compare Values with Equal or
+// sameKey, and rows with Row.Identical.
 type Value struct {
-	s       string
-	n       uint64
-	kind    Type
-	present bool // false => NULL
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// kindTags gives every kind one address for p to point at, no string's
+// bytes lie inside it, and the field for kind k sits at offset k. It is a
+// struct rather than an array because &kindTags.i costs the inliner less
+// than &kindTags[TInt], which keeps a four-cell Row literal inlinable.
+var kindTags struct{ i, f, s, b, t byte }
 
 // zeroTimeNanos stands in for the zero time.Time, which lies outside the
 // range Unix nanoseconds can express. It is the (wrapped) value
@@ -106,13 +120,18 @@ const zeroTimeNanos int64 = -6795364578871345152
 func Null() Value { return Value{} }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: TInt, n: uint64(v), present: true} }
+func Int(v int64) Value { return Value{p: unsafe.Pointer(&kindTags.i), n: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: TFloat, n: math.Float64bits(v), present: true} }
+func Float(v float64) Value { return Value{p: unsafe.Pointer(&kindTags.f), n: math.Float64bits(v)} }
 
-// String wraps a string.
-func String(v string) Value { return Value{kind: TString, s: v, present: true} }
+// String wraps a string. The Value shares the string's bytes.
+func String(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&kindTags.s)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool wraps a bool.
 func Bool(v bool) Value {
@@ -120,7 +139,7 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: TBool, n: n, present: true}
+	return Value{p: unsafe.Pointer(&kindTags.b), n: n}
 }
 
 // Time wraps a time.Time as UTC Unix nanoseconds: the zone and any
@@ -136,17 +155,35 @@ func Time(v time.Time) Value {
 
 // timeNanos wraps UTC Unix nanoseconds as a timestamp — the decoder's
 // constructor.
-func timeNanos(ns int64) Value { return Value{kind: TTime, n: uint64(ns), present: true} }
+func timeNanos(ns int64) Value { return Value{p: unsafe.Pointer(&kindTags.t), n: uint64(ns)} }
+
+// tagged reports whether p is nil or one of kindTags, that is whether v
+// holds no string bytes.
+func (v Value) tagged() bool {
+	return v.p == nil || uintptr(v.p)-uintptr(unsafe.Pointer(&kindTags)) < unsafe.Sizeof(kindTags)
+}
+
+// kind decodes p: a kindTags address gives its index, any other non-nil
+// address is a string's bytes, and NULL reads as the zero Type.
+func (v Value) kind() Type {
+	if v.p == nil {
+		return 0
+	}
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); d < unsafe.Sizeof(kindTags) {
+		return Type(d)
+	}
+	return TString
+}
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return !v.present }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // Kind returns the value's type; meaningless for NULL.
-func (v Value) Kind() Type { return v.kind }
+func (v Value) Kind() Type { return v.kind() }
 
 // Int returns the integer payload (0 if not an int).
 func (v Value) Int() int64 {
-	if v.kind != TInt {
+	if v.p != unsafe.Pointer(&kindTags.i) {
 		return 0
 	}
 	return int64(v.n)
@@ -154,24 +191,29 @@ func (v Value) Int() int64 {
 
 // Float returns the float payload, converting ints (0 for other kinds).
 func (v Value) Float() float64 {
-	switch v.kind {
-	case TInt:
+	switch v.p {
+	case unsafe.Pointer(&kindTags.i):
 		return float64(int64(v.n))
-	case TFloat:
+	case unsafe.Pointer(&kindTags.f):
 		return math.Float64frombits(v.n)
 	}
 	return 0
 }
 
 // Str returns the string payload ("" if not a string).
-func (v Value) Str() string { return v.s }
+func (v Value) Str() string {
+	if v.tagged() {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
 
 // Bool returns the bool payload (false if not a bool).
-func (v Value) Bool() bool { return v.kind == TBool && v.n == 1 }
+func (v Value) Bool() bool { return v.p == unsafe.Pointer(&kindTags.b) && v.n == 1 }
 
 // Time returns the time payload in UTC (zero time if not a timestamp).
 func (v Value) Time() time.Time {
-	if v.kind != TTime || int64(v.n) == zeroTimeNanos {
+	if v.p != unsafe.Pointer(&kindTags.t) || int64(v.n) == zeroTimeNanos {
 		return time.Time{}
 	}
 	return time.Unix(0, int64(v.n)).UTC()
@@ -182,20 +224,17 @@ func (v Value) String() string {
 	if v.IsNull() {
 		return "NULL"
 	}
-	switch v.kind {
+	switch v.kind() {
 	case TInt:
 		return strconv.FormatInt(v.Int(), 10)
 	case TFloat:
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.Str())
 	case TBool:
 		return strconv.FormatBool(v.Bool())
-	case TTime:
-		return v.Time().Format(time.RFC3339Nano)
-	default:
-		return "?"
 	}
+	return v.Time().Format(time.RFC3339Nano)
 }
 
 // Equal reports deep equality; NULL equals only NULL.
@@ -203,18 +242,17 @@ func (v Value) Equal(w Value) bool {
 	if v.IsNull() || w.IsNull() {
 		return v.IsNull() && w.IsNull()
 	}
-	if v.kind != w.kind {
+	k := v.kind()
+	if k != w.kind() {
 		return false
 	}
-	switch v.kind {
+	switch k {
 	case TFloat:
 		return v.Float() == w.Float() // NaN != NaN, -0 == 0
 	case TString:
-		return v.s == w.s
-	case TInt, TBool, TTime:
-		return v.n == w.n
+		return v.Str() == w.Str()
 	}
-	return false
+	return v.n == w.n
 }
 
 // Compare orders two values of the same kind: -1, 0, +1. NULL sorts before
@@ -230,33 +268,32 @@ func (v Value) Compare(w Value) (int, error) {
 			return 1, nil
 		}
 	}
-	if v.kind != w.kind {
-		return 0, fmt.Errorf("rdbms: comparing %v with %v: %w", v.kind, w.kind, ErrTypeMismatch)
+	k := v.kind()
+	if wk := w.kind(); k != wk {
+		return 0, fmt.Errorf("rdbms: comparing %v with %v: %w", k, wk, ErrTypeMismatch)
 	}
-	switch v.kind {
+	switch k {
 	case TInt:
 		return cmpOrdered(int64(v.n), int64(w.n)), nil
 	case TFloat:
 		return cmpOrdered(v.Float(), w.Float()), nil
 	case TString:
-		return cmpOrdered(v.s, w.s), nil
+		return cmpOrdered(v.Str(), w.Str()), nil
 	case TBool:
 		return cmpOrdered(v.n, w.n), nil
-	case TTime:
-		// The zero time (year 1) sorts before every representable instant,
-		// wherever its sentinel falls among them.
-		vz, wz := int64(v.n) == zeroTimeNanos, int64(w.n) == zeroTimeNanos
-		switch {
-		case vz && wz:
-			return 0, nil
-		case vz:
-			return -1, nil
-		case wz:
-			return 1, nil
-		}
-		return cmpOrdered(int64(v.n), int64(w.n)), nil
 	}
-	return 0, ErrTypeMismatch
+	// The zero time (year 1) sorts before every representable instant,
+	// wherever its sentinel falls among them.
+	vz, wz := int64(v.n) == zeroTimeNanos, int64(w.n) == zeroTimeNanos
+	switch {
+	case vz && wz:
+		return 0, nil
+	case vz:
+		return -1, nil
+	case wz:
+		return 1, nil
+	}
+	return cmpOrdered(int64(v.n), int64(w.n)), nil
 }
 
 func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
@@ -279,23 +316,20 @@ func (v Value) hashKey() string {
 	if v.IsNull() {
 		return "\x00null"
 	}
-	switch v.kind {
+	switch v.kind() {
 	case TInt:
 		return "i" + strconv.FormatInt(int64(v.n), 36)
 	case TFloat:
 		return "f" + strconv.FormatFloat(v.Float(), 'b', -1, 64)
 	case TString:
-		return "s" + v.s
+		return "s" + v.Str()
 	case TBool:
 		if v.n == 1 {
 			return "b1"
 		}
 		return "b0"
-	case TTime:
-		return "t" + strconv.FormatInt(int64(v.n), 36)
-	default:
-		return "?"
 	}
+	return "t" + strconv.FormatInt(int64(v.n), 36)
 }
 
 const fnvOffset = 2166136261
@@ -313,10 +347,9 @@ func fnvAdd[T string | []byte](h uint32, s T) uint32 {
 }
 
 var (
-	hashNull    = fnvOf(Null().hashKey())
-	hashTrue    = fnvOf(Bool(true).hashKey())
-	hashFalse   = fnvOf(Bool(false).hashKey())
-	hashUnknown = fnvOf("?")
+	hashNull  = fnvOf(Null().hashKey())
+	hashTrue  = fnvOf(Bool(true).hashKey())
+	hashFalse = fnvOf(Bool(false).hashKey())
 )
 
 // hash32 equals fnvOf(v.hashKey()) bit for bit and allocates nothing. One
@@ -327,23 +360,20 @@ func (v Value) hash32() uint32 {
 		return hashNull
 	}
 	var buf [32]byte // the longest key, a float's, is 24 bytes
-	switch v.kind {
+	switch v.kind() {
 	case TInt:
 		return fnvAdd(fnvOffset, strconv.AppendInt(append(buf[:0], 'i'), int64(v.n), 36))
 	case TFloat:
 		return fnvAdd(fnvOffset, strconv.AppendFloat(append(buf[:0], 'f'), v.Float(), 'b', -1, 64))
 	case TString:
-		return fnvAdd(fnvAdd(fnvOffset, "s"), v.s)
+		return fnvAdd(fnvAdd(fnvOffset, "s"), v.Str())
 	case TBool:
 		if v.n == 1 {
 			return hashTrue
 		}
 		return hashFalse
-	case TTime:
-		return fnvAdd(fnvOffset, strconv.AppendInt(append(buf[:0], 't'), int64(v.n), 36))
-	default:
-		return hashUnknown
 	}
+	return fnvAdd(fnvOffset, strconv.AppendInt(append(buf[:0], 't'), int64(v.n), 36))
 }
 
 // sameKey reports whether v and w are one index key, that is whether their
@@ -354,23 +384,49 @@ func (v Value) sameKey(w Value) bool {
 	if v.IsNull() || w.IsNull() {
 		return v.IsNull() && w.IsNull()
 	}
-	if v.kind != w.kind {
+	k := v.kind()
+	if k != w.kind() {
 		return false
 	}
-	switch v.kind {
+	switch k {
 	case TString:
-		return v.s == w.s
+		return v.Str() == w.Str()
 	case TFloat:
 		return v.n == w.n || (math.IsNaN(v.Float()) && math.IsNaN(w.Float()))
 	case TBool:
 		return (v.n == 1) == (w.n == 1)
-	default:
-		return v.n == w.n
 	}
+	return v.n == w.n
+}
+
+// identical reports whether v and w are the same cell bit for bit: the
+// same kind, the same payload bits, the same string bytes.
+func (v Value) identical(w Value) bool {
+	if v.tagged() || w.tagged() {
+		return v.p == w.p && v.n == w.n
+	}
+	return v.Str() == w.Str()
 }
 
 // Row is one table row: values in schema column order.
 type Row []Value
+
+// Identical reports whether r and s hold the same cells bit for bit: the
+// same kinds, the same payload bits (so -0 is not +0, and a NaN matches
+// only a NaN with its bits) and the same string bytes, wherever they sit.
+// It is the comparison for a row against its recovered, replicated or
+// re-encoded copy; reflect.DeepEqual would compare string addresses.
+func (r Row) Identical(s Row) bool {
+	if len(r) != len(s) {
+		return false
+	}
+	for i, v := range r {
+		if !v.identical(s[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Clone returns a deep copy of the row.
 func (r Row) Clone() Row {

@@ -13,12 +13,95 @@ import (
 	"unsafe"
 )
 
-// TestValueSize is the deterministic memory gate: a cell is two words of
-// string header, one payload word and two tag bytes. A field added to
+// TestValueSize is the deterministic memory gate: a cell is one pointer,
+// which also carries the kind, and one payload word. A field added to
 // Value multiplies by every cell of every stored row.
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got > 32 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	// kind() reads a Type off p's offset into kindTags.
+	for k, off := range []uintptr{
+		unsafe.Offsetof(kindTags.i), unsafe.Offsetof(kindTags.f), unsafe.Offsetof(kindTags.s),
+		unsafe.Offsetof(kindTags.b), unsafe.Offsetof(kindTags.t),
+	} {
+		if off != uintptr(k) {
+			t.Errorf("the %v tag sits at offset %d", Type(k), off)
+		}
+	}
+}
+
+// TestRowIdentical pins Row.Identical to bit identity: what the encoder
+// would write must match, and anything it would write differently must
+// not, wherever the strings sit.
+func TestRowIdentical(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	nan2 := Float(math.Float64frombits(0x7ff8000000000000))
+	built := String(string([]byte("art-000054 ü")))
+	for _, c := range []struct {
+		a, b Row
+		same bool
+	}{
+		{Row{negZero}, Row{Float(0)}, false},
+		{Row{Float(math.NaN())}, Row{nan2}, false},
+		{Row{Float(math.NaN())}, Row{Float(math.NaN())}, true},
+		{Row{Float(1)}, Row{Int(1)}, false},
+		{Row{Bool(false)}, Row{Int(0)}, false},
+		{Row{String("")}, Row{Null()}, false},
+		{Row{String("")}, Row{String(string([]byte{}))}, true},
+		{Row{Time(time.Time{})}, Row{Int(zeroTimeNanos)}, false},
+		{Row{Time(time.Time{})}, Row{timeNanos(zeroTimeNanos)}, true},
+		{Row{String("art-000054 ü")}, Row{built}, true},
+		{Row{String("art-000054 ü")}, Row{String("art-000054 u")}, false},
+		{Row{String("a")}, Row{String("ab")}, false},
+		{Row{Null()}, Row{Null()}, true},
+		{Row{Int(1), Int(2)}, Row{Int(1)}, false},
+		{nil, Row{}, true},
+	} {
+		if got := c.a.Identical(c.b); got != c.same {
+			t.Errorf("%v Identical %v = %v, want %v", c.a, c.b, got, c.same)
+		}
+		if got := c.b.Identical(c.a); got != c.same {
+			t.Errorf("%v Identical %v = %v, want %v", c.b, c.a, got, c.same)
+		}
+	}
+	if unsafe.StringData(built.Str()) == unsafe.StringData("art-000054 ü") {
+		t.Fatal("the built string shares the literal's bytes; the pair tests nothing")
+	}
+
+	golden := goldenRow()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	writeRow(bw, golden)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readRow(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Identical(golden) || !golden.Identical(back) {
+		t.Errorf("the golden row is not Identical to its WAL round trip:\n got %v\nwant %v", back, golden)
+	}
+	if reflect.DeepEqual(back, golden) {
+		t.Error("reflect.DeepEqual matches rows whose strings sit elsewhere; Identical is not needed")
+	}
+}
+
+// TestRowLiteralDoesNotAllocate guards the constructors' inlining cost. A
+// helper like benchRow, a four-cell Row literal, is inlined only while
+// Int, String and Float stay cheap; inlined, its Row lives on the caller's
+// stack, and not inlined it is one more heap allocation per row built.
+func TestRowLiteralDoesNotAllocate(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage counters raise every function's inlining cost")
+	}
+	var sink int64
+	if n := testing.AllocsPerRun(100, func() {
+		r := benchRow(sink)
+		sink += r[0].Int() + int64(len(r[1].Str())) + int64(r[3].Float())
+	}); n != 0 {
+		t.Errorf("building a four-cell Row allocates %v times (sink %d)", n, sink)
 	}
 }
 
@@ -72,7 +155,7 @@ func TestValueEdgeRoundTrips(t *testing.T) {
 			t.Errorf("Int(%d): Int() = %d, Float() = %v", i, v.Int(), v.Float())
 		}
 		wrongKindAccessorsZero(t, v.String(), v)
-		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+		if !codecRoundTrip(t, v).identical(v) {
 			t.Errorf("Int(%d) changes through the codec", i)
 		}
 	}
@@ -84,7 +167,7 @@ func TestValueEdgeRoundTrips(t *testing.T) {
 			t.Errorf("Float(%v).Float() = %v", f, v.Float())
 		}
 		wrongKindAccessorsZero(t, v.String(), v)
-		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+		if !codecRoundTrip(t, v).identical(v) {
 			t.Errorf("Float(%v) changes through the codec", f)
 		}
 	}
@@ -107,7 +190,7 @@ func TestValueEdgeRoundTrips(t *testing.T) {
 			t.Errorf("String(%q).Str() = %q", s, v.Str())
 		}
 		wrongKindAccessorsZero(t, v.String(), v)
-		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+		if !codecRoundTrip(t, v).identical(v) {
 			t.Errorf("String(%q) changes through the codec", s)
 		}
 	}
@@ -121,7 +204,7 @@ func TestValueEdgeRoundTrips(t *testing.T) {
 			t.Errorf("Bool(%v).Bool() = %v", b, v.Bool())
 		}
 		wrongKindAccessorsZero(t, v.String(), v)
-		if !reflect.DeepEqual(codecRoundTrip(t, v), v) {
+		if !codecRoundTrip(t, v).identical(v) {
 			t.Errorf("Bool(%v) changes through the codec", b)
 		}
 	}
@@ -154,7 +237,7 @@ func TestTimeValueEdges(t *testing.T) {
 		// What a recovered or replicated row holds is what memory holds:
 		// the same Value, and the same time.Time out of it, bit for bit.
 		back := codecRoundTrip(t, v)
-		if !reflect.DeepEqual(back, v) {
+		if !back.identical(v) {
 			t.Errorf("%s: %v changes through the codec", name, v)
 		}
 		if !reflect.DeepEqual(back.Time(), got) {
@@ -201,10 +284,9 @@ func TestHash32MatchesHashKey(t *testing.T) {
 	vals := append(goldenRow(),
 		Int(0), Int(-1), Int(35), Int(36),
 		Float(0), Float(math.Inf(-1)), Float(math.SmallestNonzeroFloat64), Float(-math.MaxFloat64),
-		Float(math.Float64frombits(0x7ff8000000000001)), // a NaN with another payload
+		Float(math.Float64frombits(0x7ff8000000000000)), // a NaN with another payload
 		String("s"), String("\x00null"), String(strings.Repeat("long ", 100)),
 		Time(time.Unix(0, 0)), Time(time.Unix(0, math.MaxInt64)), timeNanos(math.MinInt64),
-		Value{kind: Type(9), present: true},
 	)
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 20000; i++ {
@@ -242,7 +324,7 @@ func TestHash32MatchesHashKey(t *testing.T) {
 // from Equal: every NaN is one key, the two zeros are two, NULL is a key,
 // kinds never mix.
 func TestSameKey(t *testing.T) {
-	nan2 := Float(math.Float64frombits(0x7ff8000000000001))
+	nan2 := Float(math.Float64frombits(0x7ff8000000000000))
 	negZero := Float(math.Copysign(0, -1))
 	for _, c := range []struct {
 		a, b Value

@@ -520,14 +520,15 @@ func writeValue(w *bufio.Writer, v Value) int {
 		w.WriteByte(0xFF)
 		return 1
 	}
-	w.WriteByte(byte(v.kind))
+	k := v.kind()
+	w.WriteByte(byte(k))
 	n := 1
-	switch v.kind {
+	switch k {
 	case TInt, TFloat, TTime:
 		w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v.n))
 		n += 8
 	case TString:
-		n += writeString(w, v.s)
+		n += writeString(w, v.Str())
 	case TBool:
 		w.WriteByte(byte(v.n))
 		n++

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -135,7 +134,7 @@ func TestWALCommitMarker(t *testing.T) {
 	if applied != 4 {
 		t.Errorf("applied: %d", applied)
 	}
-	if got := dumpDB(t, db2); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, db2); !dumpsIdentical(want, got) {
 		t.Errorf("commit markers changed the replayed state: %v", got)
 	}
 
@@ -151,7 +150,7 @@ func TestWALCommitMarker(t *testing.T) {
 	if st := re.StorageStats(); st.RecoveredRecords != 4 || st.RecoveredTruncated {
 		t.Errorf("recovery: %d records, truncated %v", st.RecoveredRecords, st.RecoveredTruncated)
 	}
-	if got := dumpDB(t, re); !reflect.DeepEqual(want, got) {
+	if got := dumpDB(t, re); !dumpsIdentical(want, got) {
 		t.Errorf("commit markers changed the recovered state: %v", got)
 	}
 }
@@ -360,7 +359,7 @@ func TestReadRowTruncatedClaimAllocatesBounded(t *testing.T) {
 		writeRow(bw, row)
 		bw.Flush()
 		got, err := readRow(bufio.NewReader(&buf))
-		if err != nil || !reflect.DeepEqual(got, row) {
+		if err != nil || !got.Identical(row) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if len(got) != cap(got) {

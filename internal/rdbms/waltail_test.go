@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -385,7 +384,7 @@ func TestWALTailRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tableRows(ftbl), tableRows(tbl)) {
+	if !rowsIdentical(tableRows(ftbl), tableRows(tbl)) {
 		t.Fatal("follower diverged across rotations")
 	}
 }

@@ -15,8 +15,8 @@ import (
 // platforms live, the primary ingesting a synthetic world through the
 // pipeline while checkpoints rotate and compact its WAL, the link is cut
 // mid-frame repeatedly, and the primary's disk fails and heals once
-// mid-run. At quiesce, every table must be reflect.DeepEqual across the
-// pair.
+// mid-run. At quiesce, every table must be row for row Identical across
+// the pair.
 func TestChaosConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run is heavyweight; covered by the full run")

@@ -2,8 +2,8 @@
 // primary and a follower run in one process, linked over net/http/
 // httptest through a chaos proxy, with vfs fault injection on both
 // sides. Tests drive ingest, checkpoints, link cuts, disk faults and
-// power cuts, then pin convergence — every table reflect.DeepEqual at
-// quiesce.
+// power cuts, then pin convergence — every table row for row
+// rdbms.Row.Identical at quiesce.
 //
 // Two node weights are provided. Platform nodes (NewPair) assemble the
 // full core.Platform on each side — adaptive pipeline, API surface, SSE
@@ -286,7 +286,7 @@ func WaitConvergedPair(tb testing.TB, pair *Pair, timeout time.Duration) {
 
 // TablesEqual pins divergence: both stores must hold the same tables
 // (the follower-local cursor table excepted) with the same partition
-// layout and reflect.DeepEqual row sets.
+// layout and, sorted by primary key, rdbms.Row.Identical rows.
 func TablesEqual(tb testing.TB, primary, follower *rdbms.DB) {
 	tb.Helper()
 	pn := replicatedTables(primary)
@@ -309,9 +309,9 @@ func TablesEqual(tb testing.TB, primary, follower *rdbms.DB) {
 		}
 		pr := sortedRows(pt)
 		fr := sortedRows(ft)
-		if !reflect.DeepEqual(pr, fr) {
+		if i := firstDiff(pr, fr); i < len(pr) || i < len(fr) {
 			tb.Fatalf("table %q diverged: primary %d rows, follower %d rows (first diff at %d)",
-				name, len(pr), len(fr), firstDiff(pr, fr))
+				name, len(pr), len(fr), i)
 		}
 	}
 }
@@ -334,10 +334,10 @@ func sortedRows(t *rdbms.Table) []rdbms.Row {
 		rows = append(rows, r)
 		return true
 	})
-	// All values in one process share location pointers, so the verbose
-	// representation is a stable, type-aware sort key.
+	pk := t.Schema().PK
 	sort.Slice(rows, func(i, j int) bool {
-		return fmt.Sprintf("%#v", rows[i]) < fmt.Sprintf("%#v", rows[j])
+		c, _ := rows[i][pk].Compare(rows[j][pk])
+		return c < 0
 	})
 	return rows
 }
@@ -348,7 +348,7 @@ func firstDiff(a, b []rdbms.Row) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(a[i], b[i]) {
+		if !a[i].Identical(b[i]) {
 			return i
 		}
 	}

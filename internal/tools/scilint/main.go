@@ -2,8 +2,9 @@
 // suite. It enforces conventions the compiler cannot: every byte of rdbms
 // I/O routes through internal/rdbms/vfs, durability-critical error values
 // are never dropped, stripe locks are released on every return path,
-// recovery/replay and model-scoring code stays deterministic, and every
-// HTTP handler bounds the request body it decodes. The invariants and the
+// recovery/replay and model-scoring code stays deterministic, every HTTP
+// handler bounds the request body it decodes, and package unsafe stays in
+// the one file that owns the rdbms.Value layout. The invariants and the
 // PRs that motivated them are documented in docs/DEVELOPMENT.md.
 //
 // Run from the repository root:
@@ -39,6 +40,7 @@ var registry = []Analyzer{
 	durErrCheck{},
 	httpBody{},
 	lockHygiene{},
+	unsafeConfine{},
 	vfsDiscipline{},
 }
 

@@ -158,6 +158,13 @@ func TestHTTPBodyGolden(t *testing.T) {
 	checkFixture(t, fixtures+"/httpbody/api")
 }
 
+// TestUnsafeConfineGolden pins the unsafe allow-list to one file: value.go
+// under internal/rdbms passes, a sibling file and a value.go elsewhere are
+// flagged.
+func TestUnsafeConfineGolden(t *testing.T) {
+	checkFixture(t, fixtures+"/unsafeconfine/internal/rdbms", fixtures+"/unsafeconfine/other")
+}
+
 // TestRepoIsLintClean is the self-clean gate: the full suite over the
 // whole repository must report nothing. CI also runs this as a separate
 // `go run ./internal/tools/scilint ./...` step; the test keeps `go test

@@ -8,14 +8,14 @@ import "repro/internal/tools/scilint/testdata/src/durerrcheck/vfs"
 
 // commit exercises the vfs durability surface.
 func commit(fs vfs.FS, f vfs.File) error {
-	f.Sync()                    // want durerrcheck "discarded error from f.Sync"
-	fs.Rename("tmp", "final")   // want durerrcheck "discarded error from fs.Rename"
-	fs.SyncDir(".")             // want durerrcheck "discarded error from fs.SyncDir"
-	f.Close()                   // want durerrcheck "discarded error from f.Close"
-	go f.Sync()                 // want durerrcheck "discarded error from f.Sync"
-	defer f.Sync()              // want durerrcheck "discarded error from f.Sync"
-	defer f.Close()             // deferred Close is the read-path cleanup idiom: allowed
-	_ = f.Sync()                // blank assignment is an explicit decision: allowed
+	f.Sync()                  // want durerrcheck "discarded error from f.Sync"
+	fs.Rename("tmp", "final") // want durerrcheck "discarded error from fs.Rename"
+	fs.SyncDir(".")           // want durerrcheck "discarded error from fs.SyncDir"
+	f.Close()                 // want durerrcheck "discarded error from f.Close"
+	go f.Sync()               // want durerrcheck "discarded error from f.Sync"
+	defer f.Sync()            // want durerrcheck "discarded error from f.Sync"
+	defer f.Close()           // deferred Close is the read-path cleanup idiom: allowed
+	_ = f.Sync()              // blank assignment is an explicit decision: allowed
 	if err := f.Sync(); err != nil {
 		return err
 	}
