@@ -257,9 +257,9 @@ func Parse(doc, baseURL string) (*Article, error) {
 	// Plain-text fallback: no tags at all.
 	if len(toks) == 1 && toks[0].tag == "" {
 		lines := strings.SplitN(strings.TrimSpace(toks[0].text), "\n", 2)
-		art.Title = textutil.CollapseWhitespace(lines[0])
+		art.Title = strings.Clone(textutil.CollapseWhitespace(lines[0]))
 		if len(lines) > 1 {
-			art.Body = textutil.CollapseWhitespace(lines[1])
+			art.Body = strings.Clone(textutil.CollapseWhitespace(lines[1]))
 		}
 		if art.Title == "" && art.Body == "" {
 			return nil, ErrEmptyDocument
@@ -343,6 +343,15 @@ func Parse(doc, baseURL string) (*Article, error) {
 	art.Body = strings.Join(bodyParts, " ")
 	if art.Byline == "" {
 		art.Byline = findBylineInBody(bodyParts)
+	}
+	// Text runs are cut from doc without a copy. Copy what the article
+	// keeps of them, so that an article held by the report cache does not
+	// pin its whole document. A body joined from several parts is a fresh
+	// string already.
+	art.Title = strings.Clone(art.Title)
+	art.Byline = strings.Clone(art.Byline)
+	if len(bodyParts) == 1 {
+		art.Body = strings.Clone(art.Body)
 	}
 	if art.Title == "" && art.Body == "" {
 		return nil, ErrEmptyDocument

@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,14 +22,8 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 		if err != nil {
 			return true // rejecting is fine; panicking is not
 		}
-		for _, link := range art.Links {
-			if !strings.Contains(link, "://") {
-				t.Logf("relative link leaked: %q", link)
-				return false
-			}
-		}
-		if strings.Contains(art.Title, "\n") || strings.Contains(art.Byline, "\n") {
-			t.Logf("unnormalised field: %q %q", art.Title, art.Byline)
+		if bad := articleDefect(art); bad != "" {
+			t.Log(bad)
 			return false
 		}
 		return true
@@ -35,6 +31,57 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// articleDefect returns what breaks Parse's output invariants in art
+// (absolute links, whitespace-collapsed fields), or "".
+func articleDefect(art *Article) string {
+	for _, link := range art.Links {
+		if !strings.Contains(link, "://") {
+			return fmt.Sprintf("relative link leaked: %q", link)
+		}
+	}
+	if strings.Contains(art.Title, "\n") || strings.Contains(art.Byline, "\n") {
+		return fmt.Sprintf("unnormalised field: %q %q", art.Title, art.Byline)
+	}
+	return ""
+}
+
+// parseAllocBytesPerInputByte and parseAllocSlack bound what one Parse
+// call allocates: the tag and text tokens, one attribute map per tag
+// that has attributes, the resolved links and the joined body are each
+// linear in the input, so the bytes allocated are at most a constant
+// multiple of the input length plus a fixed overhead.
+const (
+	parseAllocBytesPerInputByte = 128
+	parseAllocSlack             = 4 << 10
+)
+
+// FuzzExtractParse runs Parse on arbitrary markup and base URLs. It must
+// never panic, its output must keep the invariants of articleDefect, and
+// the bytes it allocates stay within parseAllocBytesPerInputByte times the
+// input length plus parseAllocSlack: no input makes the tolerant parser
+// superlinear in memory. The seeds under testdata/fuzz/FuzzExtractParse
+// are synthetic articles of three outlet classes, a plain-text document,
+// a page of unclosed tags and a page with a 21 kB attribute and an 8 kB
+// link.
+func FuzzExtractParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc, baseURL string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		art, err := Parse(doc, baseURL)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc,
+			uint64(parseAllocBytesPerInputByte*(len(doc)+len(baseURL))+parseAllocSlack); got > limit {
+			t.Fatalf("parsing %d + %d bytes allocated %d B, limit %d", len(doc), len(baseURL), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if bad := articleDefect(art); bad != "" {
+			t.Fatal(bad)
+		}
+	})
 }
 
 // TestParseHostileMarkup feeds adversarial but structured documents.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const sampleDoc = `<!DOCTYPE html>
@@ -230,5 +231,32 @@ func TestHost(t *testing.T) {
 	}
 	if Host("://bad") != "" {
 		t.Error("bad url")
+	}
+}
+
+// TestParseDoesNotPinDocument: an article outlives its document in the
+// report cache, so no field may be a substring of the markup — one short
+// title would keep the whole request body alive.
+func TestParseDoesNotPinDocument(t *testing.T) {
+	docs := []string{
+		sampleDoc,
+		`<html><head><meta name="author" content="Ann Lee"></head><body><h1>Short</h1><p>One paragraph.</p></body></html>`,
+		`<p class="byline">By Bob Ray</p><p>Only part</p>`,
+		"Plain Title\nPlain body text.",
+	}
+	for _, doc := range docs {
+		art, err := Parse(doc, "https://outlet.example/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+		for name, field := range map[string]string{"title": art.Title, "byline": art.Byline, "body": art.Body} {
+			if field == "" {
+				continue
+			}
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(field))); p >= start && p < start+uintptr(len(doc)) {
+				t.Errorf("%q: %s %q points into the document", doc[:20], name, field)
+			}
+		}
 	}
 }

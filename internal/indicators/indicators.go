@@ -258,6 +258,8 @@ func (e *Engine) EvaluateArticle(art *extract.Article, cascade []socialind.Post)
 // indicator families (content, context, topics). The body analysis — the
 // dominant cost — overlaps with title analysis and reference
 // classification on the engine's worker pool for non-trivial documents.
+// Both analyses go back to the pool once topics are tagged: the report
+// keeps only numbers and topic names, nothing the analyses hold.
 func (e *Engine) evaluateBase(art *extract.Article) *Report {
 	r := &Report{Article: art}
 	var titleA, bodyA *textutil.Analysis
@@ -281,6 +283,8 @@ func (e *Engine) evaluateBase(art *extract.Article) *Report {
 	stems = titleA.AppendContentStems(stems)
 	stems = bodyA.AppendContentStems(stems)
 	r.Topics = e.tagger.TagStems(stems)
+	titleA.Release()
+	bodyA.Release()
 	r.Composite = Composite(r)
 	return r
 }

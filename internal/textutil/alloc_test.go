@@ -1,0 +1,23 @@
+// Under -race, sync.Pool drops a quarter of its Puts at random, so an
+// allocation count through the pool means nothing there.
+
+//go:build !race
+
+package textutil
+
+import "testing"
+
+// TestAnalysisReuseAllocatesOnlyStems: in steady state, analysing a
+// lower-case paragraph on a pooled analysis allocates one string, the
+// stems. Tokens, words, the distinct-word map and the stem arena are all
+// reused.
+func TestAnalysisReuseAllocatesOnlyStems(t *testing.T) {
+	const paragraph = "the researchers reported that the vaccine trial, which enrolled " +
+		"thousands of volunteers, reduced hospitalisations. independent scientists " +
+		"cautioned that the findings were preliminary and needed replication! " +
+		"the agency said it would review the data before approving the vaccine."
+	NewAnalysis(paragraph).Release()
+	if n := testing.AllocsPerRun(100, func() { NewAnalysis(paragraph).Release() }); n > 1 {
+		t.Errorf("NewAnalysis+Release of a pooled analysis allocates %v times, want at most 1", n)
+	}
+}

@@ -1,6 +1,9 @@
 package textutil
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+)
 
 // NGrams returns all contiguous n-grams of the word slice, each joined with
 // a single space. It returns nil when n < 1 or the slice is shorter than n.
@@ -77,8 +80,43 @@ func AllCapsWordCount(text string) int {
 }
 
 // CollapseWhitespace trims s and collapses internal whitespace runs to a
-// single space.
+// single space: strings.Join(strings.Fields(s), " ") in one pass, and
+// without copying when the trimmed s is already collapsed.
 func CollapseWhitespace(s string) string {
-	fields := strings.Fields(s)
-	return strings.Join(fields, " ")
+	s = strings.TrimSpace(s)
+	if isCollapsed(s) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	field, inSpace := 0, false
+	for i, r := range s {
+		switch space := unicode.IsSpace(r); {
+		case space && !inSpace:
+			b.WriteString(s[field:i])
+			inSpace = true
+		case !space && inSpace:
+			b.WriteByte(' ')
+			field, inSpace = i, false
+		}
+	}
+	b.WriteString(s[field:]) // s is trimmed: it ends inside a field
+	return b.String()
+}
+
+// isCollapsed reports whether every whitespace rune in s is a single ' '
+// between two non-space runes, given that s is trimmed.
+func isCollapsed(s string) bool {
+	prevSpace := false
+	for _, r := range s {
+		if !unicode.IsSpace(r) {
+			prevSpace = false
+			continue
+		}
+		if r != ' ' || prevSpace {
+			return false
+		}
+		prevSpace = true
+	}
+	return true
 }

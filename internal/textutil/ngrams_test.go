@@ -83,6 +83,24 @@ func TestCollapseWhitespace(t *testing.T) {
 	}
 }
 
+// FuzzCollapseWhitespace pins CollapseWhitespace to the expression it
+// replaced, byte for byte, including invalid UTF-8 and the non-ASCII
+// spaces U+0085 and U+00A0.
+func FuzzCollapseWhitespace(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "a", "a b", "  a \n b\t\tc  ", "already collapsed text",
+		"a\u0085b\u00a0c", "\u00a0lead and trail\u0085", "x\x85y \xc2\x85z", "\xff \xfe\t\xc2",
+		"\u3000ideographic\u2028line\u2029para\v\f",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CollapseWhitespace(s), strings.Join(strings.Fields(s), " "); got != want {
+			t.Fatalf("CollapseWhitespace(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
 func TestIsStopword(t *testing.T) {
 	for _, w := range []string{"the", "The", "AND", "is"} {
 		if !IsStopword(w) {

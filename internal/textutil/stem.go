@@ -9,10 +9,25 @@ import "strings"
 // The stemmer is used to collapse inflectional variants before lexicon
 // lookups and bag-of-words vectorisation.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
-	if len(w) <= 2 {
-		return string(w)
+	lower := strings.ToLower(word)
+	var buf [32]byte
+	w := appendStem(buf[:0], lower)
+	if string(w) == lower {
+		return lower
 	}
+	return string(w)
+}
+
+// appendStem appends the Porter stem of lower, which must already be
+// lower-cased, to dst and returns the extended slice. The steps run in
+// place on the appended copy.
+func appendStem(dst []byte, lower string) []byte {
+	start := len(dst)
+	dst = append(dst, lower...)
+	if len(lower) <= 2 {
+		return dst
+	}
+	w := dst[start:]
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -21,7 +36,7 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
-	return string(w)
+	return append(dst[:start], w...)
 }
 
 // isCons reports whether w[i] is a consonant under Porter's definition
@@ -94,12 +109,16 @@ func endsCVC(w []byte) bool {
 	return c != 'w' && c != 'x' && c != 'y'
 }
 
+// hasSuffix reports whether w ends with s. The rule tables are scanned in
+// order, so the last-byte test rejects most rules without a comparison.
 func hasSuffix(w []byte, s string) bool {
-	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
+	return len(w) >= len(s) && w[len(w)-1] == s[len(s)-1] &&
+		string(w[len(w)-len(s):]) == s
 }
 
 // replaceSuffix replaces suffix s with r if the stem before s has measure
-// at least minM. Reports whether a replacement happened.
+// at least minM. Reports whether a replacement happened. The replacement
+// is written over the suffix.
 func replaceSuffix(w []byte, s, r string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, s) {
 		return w, false
@@ -108,10 +127,7 @@ func replaceSuffix(w []byte, s, r string, minM int) ([]byte, bool) {
 	if measure(stem) < minM {
 		return w, false
 	}
-	out := make([]byte, 0, len(stem)+len(r))
-	out = append(out, stem...)
-	out = append(out, r...)
-	return out, true
+	return append(stem, r...), true
 }
 
 func step1a(w []byte) []byte {

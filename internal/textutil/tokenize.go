@@ -10,6 +10,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single lexical unit produced by Tokenize. The zero value is an
@@ -86,7 +87,16 @@ func (t Token) Lower() string { return lowerFast(t.Text) }
 // @mentions, #hashtags, punctuation runs and emoji. It never returns tokens
 // with empty text, and token offsets are strictly increasing.
 func Tokenize(text string) []Token {
-	tokens := make([]Token, 0, len(text)/5+4)
+	return appendTokens(make([]Token, 0, tokenEstimate(text)), text)
+}
+
+// tokenEstimate is the token capacity Tokenize reserves for text: about
+// one token per five bytes of running prose.
+func tokenEstimate(text string) int { return len(text)/5 + 4 }
+
+// appendTokens appends the tokens of text to dst, as Tokenize returns
+// them, and returns the extended slice.
+func appendTokens(tokens []Token, text string) []Token {
 	i := 0
 	n := len(text)
 	for i < n {
@@ -154,31 +164,16 @@ func WordCount(text string) int {
 }
 
 // decodeRune is a tiny wrapper so that the scanner reads ASCII fast and
-// falls back to UTF-8 decoding only for multi-byte sequences.
+// falls back to UTF-8 decoding only for multi-byte sequences. An invalid
+// byte decodes as utf8.RuneError of width 1, as in a range loop.
 func decodeRune(s string) (rune, int) {
 	if len(s) == 0 {
 		return 0, 0
 	}
-	if s[0] < 0x80 {
+	if s[0] < utf8.RuneSelf {
 		return rune(s[0]), 1
 	}
-	for _, r := range s {
-		return r, runeLen(r)
-	}
-	return 0, 1
-}
-
-func runeLen(r rune) int {
-	switch {
-	case r < 0x80:
-		return 1
-	case r < 0x800:
-		return 2
-	case r < 0x10000:
-		return 3
-	default:
-		return 4
-	}
+	return utf8.DecodeRuneInString(s)
 }
 
 func peekRune(s string) rune {
@@ -257,6 +252,9 @@ func scanPunct(text string, i int) int {
 // looksLikeURLAt reports whether a URL begins at offset i.
 func looksLikeURLAt(text string, i int) bool {
 	rest := text[i:]
+	if c := rest[0] | 0x20; c != 'h' && c != 'w' {
+		return false
+	}
 	if hasFoldPrefix(rest, "http://") || hasFoldPrefix(rest, "https://") || hasFoldPrefix(rest, "www.") {
 		return true
 	}

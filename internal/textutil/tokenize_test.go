@@ -158,6 +158,24 @@ func TestTokenizeUnicode(t *testing.T) {
 	}
 }
 
+// TestTokenizeInvalidUTF8: a stray byte decodes as one RuneError byte, as
+// in a range loop, so a truncated sequence at the end of the text cannot
+// push a token past it.
+func TestTokenizeInvalidUTF8(t *testing.T) {
+	for _, text := range []string{"\xc3", "ab\xe2\x82", "x \xff\xfe y", "caf\xc3 \xf0\x9f\x98"} {
+		prev := 0
+		for _, tok := range Tokenize(text) {
+			if tok.Start < prev || tok.End > len(text) || tok.Text != text[tok.Start:tok.End] {
+				t.Fatalf("%q: token %+v out of place", text, tok)
+			}
+			prev = tok.End
+		}
+	}
+	if got := texts(Tokenize("x \xff y")); len(got) != 3 || got[1] != "\xff" {
+		t.Errorf("stray byte tokens: %q", got)
+	}
+}
+
 func TestTokenizeOffsetsProperty(t *testing.T) {
 	// Offsets must be strictly increasing, in range, and slice back to Text.
 	check := func(s string) bool {
