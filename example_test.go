@@ -5,6 +5,7 @@ package scilens_test
 import (
 	"fmt"
 	"os"
+	"time"
 
 	scilens "repro"
 )
@@ -43,6 +44,75 @@ func ExamplePlatform_Checkpoint() {
 		panic(err)
 	}
 	// Output:
-	// checkpoint: tables=5 full=true
+	// checkpoint: tables=6 full=true
 	// storage: durable=true generation=1 fsync=interval
+}
+
+// ExamplePlatform_SubmitReview shows that expert reviews (paper §3.2) are
+// stored like every other row: three experts review one article on a
+// durable platform, the platform closes, and the reopened platform serves
+// the same weighted, time-sensitive aggregate — newer reviews weigh more
+// (30-day half-life) and the free-text reviews come newest first.
+func ExamplePlatform_SubmitReview() {
+	dir, err := os.MkdirTemp("", "scilens-example")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	now := time.Date(2020, 3, 31, 0, 0, 0, 0, time.UTC)
+	cfg := scilens.Config{DataDir: dir, Clock: func() time.Time { return now }}
+
+	platform, err := scilens.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range []struct {
+		reviewer string
+		age      time.Duration
+		scores   [scilens.NumCriteria]int
+		text     string
+	}{
+		{"dr-epidemiology", 45 * 24 * time.Hour, [...]int{4, 4, 4, 3, 4, 4, 4}, "Solid sourcing, imprecise on mechanisms."},
+		{"dr-virology", 10 * 24 * time.Hour, [...]int{5, 4, 5, 4, 5, 4, 5}, "Accurately reflects the preprint it cites."},
+		{"science-desk", 24 * time.Hour, [...]int{4, 5, 4, 4, 5, 5, 4}, ""},
+	} {
+		review := scilens.Review{
+			ArticleID: "art-000001", Reviewer: r.reviewer,
+			Scores: r.scores, Text: r.text, Time: now.Add(-r.age),
+		}
+		if _, err := platform.SubmitReview(review); err != nil {
+			panic(err)
+		}
+	}
+	if err := platform.Close(); err != nil {
+		panic(err)
+	}
+
+	reopened, err := scilens.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	defer reopened.Close()
+	agg, err := reopened.ReviewAggregate("art-000001")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%d reviews, overall %.2f / 5\n", agg.Count, agg.Overall)
+	for c := scilens.Criterion(0); c < scilens.NumCriteria; c++ {
+		fmt.Printf("  %-25s %.2f\n", c, agg.PerCriterion[c])
+	}
+	for _, text := range agg.Texts {
+		fmt.Printf("  %q\n", text)
+	}
+	// Output:
+	// 3 reviews, overall 4.39 / 5
+	//   factual-accuracy          4.37
+	//   scientific-understanding  4.46
+	//   logic-reasoning           4.37
+	//   precision-clarity         3.83
+	//   sources-quality           4.83
+	//   fairness                  4.46
+	//   clickbaitness             4.37
+	//   "Accurately reflects the preprint it cites."
+	//   "Solid sourcing, imprecise on mechanisms."
 }

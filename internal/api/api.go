@@ -550,14 +550,6 @@ func (s *Server) handleReviewSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("reviewer field required"))
 		return
 	}
-	// Reviews live outside the replicated store, but a follower accepting
-	// them would silently diverge from the primary's review set — reject
-	// like every other write surface.
-	if s.platform.IsFollower() {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w: %s", core.ErrFollower, s.platform.PrimaryURL()))
-		return
-	}
 	review := reviews.Review{
 		ArticleID: req.ArticleID,
 		Reviewer:  req.Reviewer,
@@ -577,13 +569,16 @@ func (s *Server) handleReviewSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		review.Scores[c] = score
 	}
-	id, err := s.platform.Reviews.Submit(review)
+	id, err := s.platform.SubmitReview(review)
 	if err != nil {
-		if errors.Is(err, reviews.ErrBadScore) || errors.Is(err, reviews.ErrIncomplete) {
+		switch {
+		case errors.Is(err, reviews.ErrBadScore) || errors.Is(err, reviews.ErrIncomplete):
 			writeError(w, http.StatusBadRequest, err)
-			return
+		case errors.Is(err, core.ErrDegraded) || errors.Is(err, core.ErrFollower):
+			writeError(w, http.StatusServiceUnavailable, err)
+		default:
+			writeError(w, http.StatusInternalServerError, err)
 		}
-		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"id": id})
@@ -595,7 +590,7 @@ func (s *Server) handleReviewList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("article_id query parameter required"))
 		return
 	}
-	agg, err := s.platform.Reviews.AggregateAt(articleID, s.platform.Clock())
+	agg, err := s.platform.ReviewAggregate(articleID)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

@@ -79,11 +79,18 @@ func TestDegradedModeHTTP(t *testing.T) {
 		"type": "reaction", "post_id": "deg-http", "kind": "like",
 		"user_id": "u", "article_url": w.Articles[0].URL,
 	}}}
+	reviewBody := map[string]any{
+		"article_id": w.Articles[0].ID, "reviewer": "dr-deg", "scores": map[string]int{
+			"factual-accuracy": 4, "scientific-understanding": 4, "logic-reasoning": 4,
+			"precision-clarity": 4, "sources-quality": 4, "fairness": 4, "clickbaitness": 4,
+		},
+	}
 	for _, probe := range []struct {
 		method, path string
 		body         any
 	}{
 		{"POST", "/api/ingest", ingestBody},
+		{"POST", "/api/reviews", reviewBody},
 		{"POST", "/api/ingest/replay", nil},
 		{"POST", "/api/checkpoint", nil},
 		{"POST", "/api/reindex", nil},

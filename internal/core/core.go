@@ -49,6 +49,9 @@ const (
 	// with their final failure reason; inspect with Platform.DeadLetters
 	// and re-drive with ReplayDeadLetters.
 	DeadLettersTable = "dead_letters"
+	// ReviewsTable holds the expert reviews (paper §3.2), one row per
+	// review; submit with Platform.SubmitReview.
+	ReviewsTable = "reviews"
 )
 
 // ErrNotIngested is returned when an article URL is unknown to the store.
@@ -70,8 +73,6 @@ type Platform struct {
 	Registry *outlets.Registry
 	// Engine is the indicator engine.
 	Engine *indicators.Engine
-	// Reviews is the expert-review store.
-	Reviews *reviews.Store
 	// Compute is the platform's shared worker pool (the paper's Spark
 	// role): batch assessment fan-out, corpus re-indexing and the periodic
 	// jobs run on it by default.
@@ -92,6 +93,9 @@ type Platform struct {
 	replies  *rdbms.Table
 	docs     *rdbms.Table
 	dead     *rdbms.Table
+	// reviews views the reviews table; it is written only through
+	// SubmitReview, behind the write gate.
+	reviews *reviews.Store
 
 	statsMu sync.Mutex
 	stats   IngestStats
@@ -309,7 +313,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		DB:        db,
 		Registry:  cfg.Registry,
 		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry, Metrics: reg}),
-		Reviews:   reviews.NewStore(),
 		Compute:   compute.NewPool(cfg.ComputeWorkers, reg),
 		Clock:     cfg.Clock,
 		Metrics:   reg,
@@ -355,6 +358,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if p.dead, err = p.DB.Table(DeadLettersTable); err != nil {
 		return nil, err
 	}
+	reviewsTable, err := p.DB.Table(ReviewsTable)
+	if err != nil {
+		return nil, err
+	}
+	p.reviews = reviews.NewStore(reviewsTable)
 	// Recovered dead letters keep their ids; continue the sequence after
 	// the highest one so new failures never collide with (and overwrite)
 	// recovered rows, and start the retention cursor at the lowest.
@@ -438,13 +446,14 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// ensureTable creates the table if it is missing, or returns the existing
-// one — a recovered platform (Config.DataDir) already has its tables.
-func (p *Platform) ensureTable(name string, schema *rdbms.Schema) (*rdbms.Table, error) {
+// ensureTable creates the table with parts lock stripes (<= 0 = the store
+// default) if it is missing, or returns the existing one — a recovered
+// platform (Config.DataDir) already has its tables.
+func (p *Platform) ensureTable(name string, schema *rdbms.Schema, parts int) (*rdbms.Table, error) {
 	if t, err := p.DB.Table(name); err == nil {
 		return t, nil
 	}
-	return p.DB.CreateTable(name, schema)
+	return p.DB.CreateTablePartitioned(name, schema, parts)
 }
 
 // ensureIndex declares an index, tolerating one recovered from disk.
@@ -484,7 +493,7 @@ func (p *Platform) createSchemas() error {
 	if err != nil {
 		return err
 	}
-	articlesTable, err := p.ensureTable(ArticlesTable, articleSchema)
+	articlesTable, err := p.ensureTable(ArticlesTable, articleSchema, 0)
 	if err != nil {
 		return err
 	}
@@ -511,7 +520,7 @@ func (p *Platform) createSchemas() error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.ensureTable(SocialTable, socialSchema); err != nil {
+	if _, err := p.ensureTable(SocialTable, socialSchema, 0); err != nil {
 		return err
 	}
 
@@ -524,7 +533,7 @@ func (p *Platform) createSchemas() error {
 	if err != nil {
 		return err
 	}
-	repliesTable, err := p.ensureTable(RepliesTable, replySchema)
+	repliesTable, err := p.ensureTable(RepliesTable, replySchema, 0)
 	if err != nil {
 		return err
 	}
@@ -540,7 +549,7 @@ func (p *Platform) createSchemas() error {
 	if err != nil {
 		return err
 	}
-	if _, err = p.ensureTable(DocsTable, docSchema); err != nil {
+	if _, err = p.ensureTable(DocsTable, docSchema, 0); err != nil {
 		return err
 	}
 
@@ -555,8 +564,35 @@ func (p *Platform) createSchemas() error {
 	if err != nil {
 		return err
 	}
-	_, err = p.ensureTable(DeadLettersTable, deadSchema)
-	return err
+	if _, err = p.ensureTable(DeadLettersTable, deadSchema, 0); err != nil {
+		return err
+	}
+
+	// Reviews arrive at human rate while every stored read probes this
+	// table, so it keeps one lock stripe: a miss then checks one index.
+	reviewsTable, err := p.ensureTable(ReviewsTable, reviews.Schema(), 1)
+	if err != nil {
+		return err
+	}
+	return ensureIndex(reviewsTable, "article_id", rdbms.HashIndex)
+}
+
+// SubmitReview validates and stores an expert review, returning its id.
+// Like every write it fails fast with ErrDegraded or ErrFollower, and a
+// broken WAL latches degraded mode.
+func (p *Platform) SubmitReview(r reviews.Review) (int64, error) {
+	if err := p.writeGate(); err != nil {
+		return 0, err
+	}
+	id, err := p.reviews.Submit(r)
+	p.noteStorageFault(err)
+	return id, err
+}
+
+// ReviewAggregate returns an article's expert-review aggregate as of the
+// platform clock (reviews.ErrNotFound when it has no reviews).
+func (p *Platform) ReviewAggregate(articleID string) (reviews.Aggregate, error) {
+	return p.reviews.AggregateAt(articleID, p.Clock())
 }
 
 // Stats returns a copy of the ingestion counters.

@@ -140,7 +140,7 @@ func TestAssessmentIncludesExpertReviews(t *testing.T) {
 	for c := range review.Scores {
 		review.Scores[c] = 4
 	}
-	if _, err := p.Reviews.Submit(review); err != nil {
+	if _, err := p.SubmitReview(review); err != nil {
 		t.Fatal(err)
 	}
 	a, err := p.AssessID(art.ID)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,9 @@ import (
 	"repro/internal/synth"
 )
 
-// allTables are the store tables the durability tests fingerprint.
-var allTables = []string{ArticlesTable, SocialTable, RepliesTable, DocsTable, DeadLettersTable}
+// allTables are the store tables the durability tests fingerprint, the
+// reviews table last.
+var allTables = []string{ArticlesTable, SocialTable, RepliesTable, DocsTable, DeadLettersTable, ReviewsTable}
 
 func dumpPlatform(t *testing.T, p *Platform) map[string][]rdbms.Row {
 	t.Helper()
@@ -66,8 +68,16 @@ func TestPlatformKillAndRecover(t *testing.T) {
 	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
+	// Expert reviews on both sides of the checkpoint: the first two reach
+	// the snapshot, the last only the WAL.
+	submitReviews(t, p, w.Articles[0].ID, 2)
 	// Online checkpoint mid-life.
 	if _, err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	submitReviews(t, p, w.Articles[0].ID, 1)
+	wantAgg, err := p.ReviewAggregate(w.Articles[0].ID)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint traffic, recoverable only from the WAL: re-ingest a
@@ -114,8 +124,11 @@ func TestPlatformKillAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.URL != w.Articles[0].URL {
+	if a.URL != w.Articles[0].URL || a.ExpertCount != 3 || a.ExpertOverall != wantAgg.Overall {
 		t.Errorf("recovered assessment: %+v", a)
+	}
+	if got, err := re.ReviewAggregate(w.Articles[0].ID); err != nil || !reflect.DeepEqual(got, wantAgg) {
+		t.Errorf("recovered review aggregate %+v (%v), want %+v", got, err, wantAgg)
 	}
 	// The dead-letter id sequence continues after the recovered rows: a new
 	// failure must not overwrite them.

@@ -16,7 +16,7 @@ import (
 )
 
 // MigrationTables are the tables the daily migration snapshots.
-var MigrationTables = []string{ArticlesTable, SocialTable, RepliesTable}
+var MigrationTables = []string{ArticlesTable, SocialTable, RepliesTable, ReviewsTable}
 
 // RunDailyMigration exports MigrationTables from the hot store into the
 // warehouse as one full generation for the given snapshot date, in
@@ -426,7 +426,7 @@ func (p *Platform) attachAggregates(a *Assessment) {
 		a.Deny = int(social[6].Int())
 		a.Comment = int(social[7].Int())
 	})
-	if agg, err := p.Reviews.AggregateAt(a.ArticleID, p.Clock()); err == nil {
+	if agg, err := p.ReviewAggregate(a.ArticleID); err == nil {
 		a.ExpertOverall = agg.Overall
 		a.ExpertCount = agg.Count
 	}

@@ -26,7 +26,7 @@ func tableRows(t *testing.T, p *Platform, table string) []rdbms.Row {
 		rows = append(rows, r)
 		return true
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].Str() < rows[j][0].Str() })
+	sort.Slice(rows, func(i, j int) bool { c, _ := rows[i][0].Compare(rows[j][0]); return c < 0 })
 	return rows
 }
 

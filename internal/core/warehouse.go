@@ -131,34 +131,25 @@ type OutletQuality struct {
 	OutletID string
 	// Score is the review-derived quality on the 1..5 Likert scale.
 	Score float64
-	// Reviews is the number of expert reviews backing the score.
+	// Reviews is the number of reviewed articles backing the score.
 	Reviews int
 }
 
 // OutletQualityFromReviews computes each outlet's quality from the expert
-// reviews of its articles (time-weighted, like the per-article aggregate).
-// Outlets without any reviewed article are omitted.
-func (p *Platform) OutletQualityFromReviews() ([]OutletQuality, error) {
-	articlesTable, err := p.DB.Table(ArticlesTable)
-	if err != nil {
-		return nil, err
-	}
-	byOutlet := map[string][]string{}
-	articlesTable.Scan(func(r rdbms.Row) bool {
-		byOutlet[r[1].Str()] = append(byOutlet[r[1].Str()], r[0].Str())
-		return true
+// reviews of its articles (time-weighted, like the per-article aggregate):
+// one walk of the reviews table, then one articles lookup per reviewed
+// article. Outlets without any reviewed article are omitted.
+func (p *Platform) OutletQualityFromReviews() []OutletQuality {
+	byOutlet := p.reviews.OutletQuality(p.Clock(), func(articleID string) (outlet string, ok bool) {
+		ok = p.articles.View(rdbms.String(articleID), func(r rdbms.Row) { outlet = r[1].Str() }) == nil
+		return outlet, ok
 	})
-	now := p.Clock()
-	var out []OutletQuality
-	for outletID, articleIDs := range byOutlet {
-		score, n := p.Reviews.OutletQuality(articleIDs, now)
-		if n == 0 {
-			continue
-		}
-		out = append(out, OutletQuality{OutletID: outletID, Score: score, Reviews: n})
+	out := make([]OutletQuality, 0, len(byOutlet))
+	for outletID, q := range byOutlet {
+		out = append(out, OutletQuality{OutletID: outletID, Score: q.Score, Reviews: q.Articles})
 	}
 	sortOutletQuality(out)
-	return out, nil
+	return out
 }
 
 // SegmentOutletsByReviewQuality groups review-scored outlets into `bands`
@@ -168,10 +159,7 @@ func (p *Platform) SegmentOutletsByReviewQuality(bands int) ([][]OutletQuality, 
 	if bands <= 0 {
 		bands = 5
 	}
-	scored, err := p.OutletQualityFromReviews()
-	if err != nil {
-		return nil, err
-	}
+	scored := p.OutletQualityFromReviews()
 	if len(scored) == 0 {
 		return nil, fmt.Errorf("segment outlets: no reviewed outlets: %w", reviews.ErrNotFound)
 	}

@@ -291,7 +291,7 @@ func TestOutletQualityFromReviews(t *testing.T) {
 		for c := range r.Scores {
 			r.Scores[c] = score
 		}
-		if _, err := p.Reviews.Submit(r); err != nil {
+		if _, err := p.SubmitReview(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,10 +299,7 @@ func TestOutletQualityFromReviews(t *testing.T) {
 	submit(byOutlet[outletA][1], 4)
 	submit(byOutlet[outletB][0], 2)
 
-	scored, err := p.OutletQualityFromReviews()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scored := p.OutletQualityFromReviews()
 	if len(scored) != 2 {
 		t.Fatalf("scored outlets: %+v", scored)
 	}
@@ -339,7 +336,7 @@ func TestSegmentBandsClamped(t *testing.T) {
 	for c := range r.Scores {
 		r.Scores[c] = 3
 	}
-	if _, err := p.Reviews.Submit(r); err != nil {
+	if _, err := p.SubmitReview(r); err != nil {
 		t.Fatal(err)
 	}
 	segments, err := p.SegmentOutletsByReviewQuality(10)

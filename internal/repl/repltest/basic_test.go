@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/reviews"
 	"repro/internal/synth"
 )
 
@@ -82,6 +83,10 @@ func TestPlatformPairReplication(t *testing.T) {
 	}
 	if _, err := f.ReindexCorpus(nil); !errors.Is(err, core.ErrFollower) {
 		t.Fatalf("ReindexCorpus on follower: %v", err)
+	}
+	review := reviews.Review{ArticleID: w.Articles[0].ID, Reviewer: "r", Scores: [7]int{3, 3, 3, 3, 3, 3, 3}}
+	if _, err := f.SubmitReview(review); !errors.Is(err, core.ErrFollower) {
+		t.Fatalf("SubmitReview on follower: %v", err)
 	}
 	// Read surface serves locally from the replica.
 	if _, err := f.AssessID(w.Articles[0].ID); err != nil {

@@ -4,16 +4,23 @@
 // free-text reviews, and the system displays a weighted, time-sensitive
 // average per criterion — recent reviews and more reputable reviewers
 // weigh more.
+//
+// Reviews are rows of one store table (see Schema): they are as durable,
+// replicated and exported as every other table, and the Store is only a
+// view that validates writes and aggregates reads.
 package reviews
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rdbms"
 )
 
 // Criterion is one of the seven review criteria (the list used by
@@ -68,11 +75,15 @@ func (c Criterion) String() string {
 var (
 	// ErrBadScore is returned for Likert scores outside 1..5.
 	ErrBadScore = errors.New("reviews: score outside Likert range 1..5")
-	// ErrNotFound is returned for unknown articles or reviews.
+	// ErrNotFound is returned for articles without reviews.
 	ErrNotFound = errors.New("reviews: not found")
 	// ErrIncomplete is returned when a review does not score all criteria.
 	ErrIncomplete = errors.New("reviews: all seven criteria required")
 )
+
+// halfLife is the review-weight half-life: a review this old counts half
+// as much as a fresh one.
+const halfLife = 30 * 24 * time.Hour
 
 // Review is one expert's annotation of one article.
 type Review struct {
@@ -124,55 +135,61 @@ type Aggregate struct {
 	Texts []string
 }
 
-// Store keeps reviews and computes aggregates. Safe for concurrent use.
-type Store struct {
-	// HalfLife is the review-weight half-life: a review this old counts
-	// half as much as a fresh one. Defaults to 30 days.
-	HalfLife time.Duration
+// Columns of the review table, in Schema order: the seven scores follow
+// time in Criterion order.
+const (
+	colID = iota
+	colArticle
+	colReviewer
+	colTime
+	colScores
+	colWeight = colScores + NumCriteria
+	colText   = colWeight + 1
+)
 
-	mu      sync.RWMutex
-	nextID  int64
-	byID    map[int64]*Review
-	byArt   map[string][]int64
-	byRater map[string][]int64
-
-	// aggCache memoises AggregateAt results: the real-time assessment
-	// path re-aggregates the same article constantly, usually against a
-	// pinned clock. Entries are validated against version (bumped on
-	// every Submit) and the exact query time.
-	version  atomic.Uint64
-	aggMu    sync.Mutex
-	aggCache map[string]aggCacheEntry
-}
-
-// aggCacheEntry is one memoised aggregate (or not-found result).
-type aggCacheEntry struct {
-	version uint64
-	at      time.Time
-	agg     Aggregate
-	err     error
-}
-
-// aggCacheLimit bounds the memo; live deployments query with a moving
-// clock, so stale entries are displaced rather than accumulated.
-const aggCacheLimit = 4096
-
-// errNoReviews is the allocation-free not-found result for unreviewed
-// articles on the assessment hot path.
-var errNoReviews = fmt.Errorf("article has no reviews: %w", ErrNotFound)
-
-// NewStore returns an empty store with the default 30-day half-life.
-func NewStore() *Store {
-	return &Store{
-		HalfLife: 30 * 24 * time.Hour,
-		byID:     make(map[int64]*Review),
-		byArt:    make(map[string][]int64),
-		byRater:  make(map[string][]int64),
-		aggCache: make(map[string]aggCacheEntry),
+// Schema is the review table's layout: int primary key id, article_id,
+// reviewer, time, one int column per criterion, weight and text. Every
+// read goes through article_id, so its owner must hash-index it.
+func Schema() *rdbms.Schema {
+	cols := []rdbms.Column{
+		{Name: "id", Type: rdbms.TInt},
+		{Name: "article_id", Type: rdbms.TString, NotNull: true},
+		{Name: "reviewer", Type: rdbms.TString, NotNull: true},
+		{Name: "time", Type: rdbms.TTime, NotNull: true},
 	}
+	for c := Criterion(0); c < NumCriteria; c++ {
+		cols = append(cols, rdbms.Column{Name: c.String(), Type: rdbms.TInt, NotNull: true})
+	}
+	cols = append(cols,
+		rdbms.Column{Name: "weight", Type: rdbms.TFloat, NotNull: true},
+		rdbms.Column{Name: "text", Type: rdbms.TString})
+	s, err := rdbms.NewSchema(cols, "id")
+	if err != nil {
+		panic(err) // the column list above is fixed
+	}
+	return s
 }
 
-// Submit validates and stores a review, returning its assigned ID.
+// Store is the review view over one table laid out as Schema. Safe for
+// concurrent use.
+type Store struct {
+	t      *rdbms.Table
+	lastID atomic.Int64
+}
+
+// NewStore views t. New ids continue past the highest stored one, so a
+// recovered or replicated table never sees an id reused.
+func NewStore(t *rdbms.Table) *Store {
+	s := &Store{t: t}
+	t.Scan(func(r rdbms.Row) bool {
+		s.lastID.Store(max(s.lastID.Load(), r[colID].Int()))
+		return true
+	})
+	return s
+}
+
+// Submit validates a review and inserts it, returning its assigned ID. On
+// a durable table the insert is write-ahead logged.
 func (s *Store) Submit(r Review) (int64, error) {
 	if err := r.Validate(); err != nil {
 		return 0, err
@@ -183,132 +200,96 @@ func (s *Store) Submit(r Review) (int64, error) {
 	if r.ReviewerWeight <= 0 {
 		r.ReviewerWeight = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	r.ID = s.nextID
-	cp := r
-	s.byID[r.ID] = &cp
-	s.byArt[r.ArticleID] = append(s.byArt[r.ArticleID], r.ID)
-	s.byRater[r.Reviewer] = append(s.byRater[r.Reviewer], r.ID)
-	s.version.Add(1) // invalidate memoised aggregates
-	return r.ID, nil
-}
-
-// Get returns a review by ID.
-func (s *Store) Get(id int64) (Review, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.byID[id]
-	if !ok {
-		return Review{}, fmt.Errorf("review %d: %w", id, ErrNotFound)
+	id := s.lastID.Add(1)
+	row := make(rdbms.Row, colText+1)
+	row[colID] = rdbms.Int(id)
+	row[colArticle] = rdbms.String(r.ArticleID)
+	row[colReviewer] = rdbms.String(r.Reviewer)
+	row[colTime] = rdbms.Time(r.Time)
+	for c, score := range r.Scores {
+		row[colScores+c] = rdbms.Int(int64(score))
 	}
-	return *r, nil
+	row[colWeight] = rdbms.Float(r.ReviewerWeight)
+	row[colText] = rdbms.String(r.Text)
+	if _, err := s.t.Insert(row); err != nil {
+		return 0, err
+	}
+	return id, nil
 }
 
-// ForArticle returns an article's reviews, oldest first.
+// reviewOf decodes one stored row.
+func reviewOf(row rdbms.Row) Review {
+	r := Review{
+		ID:             row[colID].Int(),
+		ArticleID:      row[colArticle].Str(),
+		Reviewer:       row[colReviewer].Str(),
+		Time:           row[colTime].Time(),
+		ReviewerWeight: row[colWeight].Float(),
+		Text:           row[colText].Str(),
+	}
+	for c := range r.Scores {
+		r.Scores[c] = int(row[colScores+c].Int())
+	}
+	return r
+}
+
+// ForArticle returns an article's reviews ordered by (time, id), oldest
+// first.
 func (s *Store) ForArticle(articleID string) []Review {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.byArt[articleID]
-	out := make([]Review, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *s.byID[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	var out []Review
+	// ViewEq fails only without the article_id hash index Schema requires.
+	_ = s.t.ViewEq("article_id", rdbms.String(articleID), func(row rdbms.Row) bool {
+		out = append(out, reviewOf(row))
+		return true
+	})
+	slices.SortFunc(out, byTimeThenID)
 	return out
 }
 
-// ByReviewer returns a reviewer's reviews, oldest first.
-func (s *Store) ByReviewer(reviewer string) []Review {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.byRater[reviewer]
-	out := make([]Review, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *s.byID[id])
+// byTimeThenID orders reviews oldest first, the lower id first among
+// equal times.
+func byTimeThenID(a, b Review) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
+	return cmp.Compare(a.ID, b.ID)
 }
 
-// Count returns the total number of stored reviews.
-func (s *Store) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byID)
-}
-
-// aggCacheTolerance is how far a memoised aggregate's compute time may
-// drift from the query time and still be served. One second of extra
-// review age changes a weight by a factor of 2^(-1s/30d) ≈ 1-3e-7 —
-// far below display precision — while letting the memo hit under a live
-// time.Now clock, not only under pinned test clocks.
-const aggCacheTolerance = time.Second
+// errNoReviews is the allocation-free not-found result for unreviewed
+// articles on the assessment hot path.
+var errNoReviews = fmt.Errorf("article has no reviews: %w", ErrNotFound)
 
 // AggregateAt computes the weighted, time-sensitive aggregate for an
 // article as of time now. Review weight = ReviewerWeight *
-// 2^(-age/HalfLife); future-dated reviews count as fresh. Results are
-// memoised per article, validated against the store version (bumped on
-// every Submit) and the query time (within aggCacheTolerance): the
-// assessment hot path re-aggregates the same articles on every request.
+// 2^(-age/halfLife); future-dated reviews count as fresh. The reviews are
+// folded in (time, id) order, so the result is a function of the rows
+// alone: the same on a primary, its followers and after recovery.
 func (s *Store) AggregateAt(articleID string, now time.Time) (Aggregate, error) {
-	// Fast path for unreviewed articles — the overwhelmingly common case
-	// on live traffic — without touching the memo lock or allocating a
-	// per-call error.
-	s.mu.RLock()
-	unreviewed := len(s.byArt[articleID]) == 0
-	s.mu.RUnlock()
-	if unreviewed {
-		return Aggregate{}, errNoReviews
-	}
-	version := s.version.Load()
-	s.aggMu.Lock()
-	if e, ok := s.aggCache[articleID]; ok && e.version == version {
-		if d := now.Sub(e.at); d >= -aggCacheTolerance && d <= aggCacheTolerance {
-			s.aggMu.Unlock()
-			return e.agg, e.err
-		}
-	}
-	s.aggMu.Unlock()
-	agg, err := s.aggregateAtSlow(articleID, now)
-	s.aggMu.Lock()
-	if len(s.aggCache) >= aggCacheLimit {
-		// Displace an arbitrary entry; the memo is a bounded working set,
-		// not an authoritative store.
-		for k := range s.aggCache {
-			delete(s.aggCache, k)
-			break
-		}
-	}
-	s.aggCache[articleID] = aggCacheEntry{version: version, at: now, agg: agg, err: err}
-	s.aggMu.Unlock()
-	return agg, err
-}
-
-func (s *Store) aggregateAtSlow(articleID string, now time.Time) (Aggregate, error) {
 	reviews := s.ForArticle(articleID)
 	if len(reviews) == 0 {
-		// Same error shape as the unreviewed fast path: callers see one
-		// not-found form regardless of which path produced it.
 		return Aggregate{}, errNoReviews
 	}
+	return aggregate(reviews, now), nil
+}
+
+// aggregate folds reviews, ordered by (time, id), into their aggregate.
+func aggregate(reviews []Review, now time.Time) Aggregate {
 	var agg Aggregate
 	agg.Count = len(reviews)
 	var weightSum float64
 	var weighted [NumCriteria]float64
-	for _, r := range reviews {
-		age := now.Sub(r.Time)
-		if age < 0 {
-			age = 0
+	// Newest first for the texts, the higher id first among equal times.
+	for i := len(reviews) - 1; i >= 0; i-- {
+		if reviews[i].Text != "" {
+			agg.Texts = append(agg.Texts, reviews[i].Text)
 		}
-		w := r.ReviewerWeight * math.Exp2(-age.Hours()/s.HalfLife.Hours())
+	}
+	for _, r := range reviews {
+		age := max(now.Sub(r.Time), 0)
+		w := r.ReviewerWeight * math.Exp2(-age.Hours()/halfLife.Hours())
 		weightSum += w
 		for c, score := range r.Scores {
 			weighted[c] += w * float64(score)
-		}
-		if r.Text != "" {
-			agg.Texts = append(agg.Texts, r.Text)
 		}
 	}
 	if weightSum == 0 {
@@ -320,30 +301,48 @@ func (s *Store) aggregateAtSlow(articleID string, now time.Time) (Aggregate, err
 		total += agg.PerCriterion[c]
 	}
 	agg.Overall = total / NumCriteria
-	// Newest first for the texts.
-	for i, j := 0, len(agg.Texts)-1; i < j; i, j = i+1, j-1 {
-		agg.Texts[i], agg.Texts[j] = agg.Texts[j], agg.Texts[i]
-	}
-	return agg, nil
+	return agg
 }
 
-// OutletQuality averages the Overall aggregate over an outlet's reviewed
-// articles — the expert-review path for outlet quality ranking (paper
-// §3.3: "the quality of an outlet is either computed using the expert
-// reviews or imported from external sources").
-func (s *Store) OutletQuality(articleIDs []string, now time.Time) (float64, int) {
-	var sum float64
-	var n int
-	for _, id := range articleIDs {
-		agg, err := s.AggregateAt(id, now)
-		if err != nil {
+// Quality is an outlet's review-derived quality: the mean Overall
+// aggregate over its reviewed articles.
+type Quality struct {
+	// Score is the mean Overall aggregate, on the 1..5 Likert scale.
+	Score float64
+	// Articles is the number of reviewed articles behind Score.
+	Articles int
+}
+
+// OutletQuality scores outlets from their articles' reviews — the
+// expert-review path for outlet quality ranking (paper §3.3: "the quality
+// of an outlet is either computed using the expert reviews or imported
+// from external sources"). It walks the table once, grouping rows by
+// article; outletOf maps each reviewed article to its outlet, and an
+// article it reports false for is left out. Articles are folded in id
+// order, so the scores do not depend on the table's row order.
+func (s *Store) OutletQuality(now time.Time, outletOf func(articleID string) (string, bool)) map[string]Quality {
+	byArticle := map[string][]Review{}
+	s.t.Scan(func(row rdbms.Row) bool {
+		r := reviewOf(row)
+		byArticle[r.ArticleID] = append(byArticle[r.ArticleID], r)
+		return true
+	})
+	out := map[string]Quality{}
+	for _, id := range slices.Sorted(maps.Keys(byArticle)) {
+		outlet, ok := outletOf(id)
+		if !ok {
 			continue
 		}
-		sum += agg.Overall
-		n++
+		rs := byArticle[id]
+		slices.SortFunc(rs, byTimeThenID)
+		q := out[outlet]
+		q.Score += aggregate(rs, now).Overall
+		q.Articles++
+		out[outlet] = q
 	}
-	if n == 0 {
-		return 0, 0
+	for outlet, q := range out {
+		q.Score /= float64(q.Articles)
+		out[outlet] = q
 	}
-	return sum / float64(n), n
+	return out
 }

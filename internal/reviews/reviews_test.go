@@ -4,12 +4,35 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rdbms"
 )
 
 var day0 = time.Date(2020, 1, 15, 0, 0, 0, 0, time.UTC)
+
+// newTable declares the review table on an in-memory database the way
+// the platform does: one lock stripe, article_id hash-indexed.
+func newTable(t *testing.T) *rdbms.Table {
+	t.Helper()
+	tbl, err := rdbms.NewDB().CreateTablePartitioned("reviews", Schema(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("article_id", rdbms.HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// newStore is a Store over a fresh newTable.
+func newStore(t *testing.T) *Store {
+	t.Helper()
+	return NewStore(newTable(t))
+}
 
 func validReview(article, reviewer string, score int, at time.Time) Review {
 	r := Review{ArticleID: article, Reviewer: reviewer, Time: at}
@@ -20,28 +43,24 @@ func validReview(article, reviewer string, score int, at time.Time) Review {
 }
 
 func TestSubmitAndGet(t *testing.T) {
-	s := NewStore()
+	tbl := newTable(t)
+	s := NewStore(tbl)
 	id, err := s.Submit(validReview("a1", "dr-smith", 4, day0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ArticleID != "a1" || got.Scores[0] != 4 || got.ReviewerWeight != 1 {
+	got := s.ForArticle("a1")
+	if len(got) != 1 || got[0].ID != id || got[0].ArticleID != "a1" || got[0].Reviewer != "dr-smith" ||
+		got[0].Scores[0] != 4 || got[0].ReviewerWeight != 1 || !got[0].Time.Equal(day0) {
 		t.Errorf("got %+v", got)
 	}
-	if _, err := s.Get(999); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing: %v", err)
-	}
-	if s.Count() != 1 {
-		t.Errorf("count: %d", s.Count())
+	if tbl.Len() != 1 {
+		t.Errorf("count: %d", tbl.Len())
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	bad := validReview("a1", "r", 4, day0)
 	bad.Scores[3] = 6
 	if _, err := s.Submit(bad); !errors.Is(err, ErrBadScore) {
@@ -70,7 +89,7 @@ func TestReviewMean(t *testing.T) {
 }
 
 func TestAggregateSimpleAverage(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Submit(validReview("a1", "r1", 4, day0))
 	s.Submit(validReview("a1", "r2", 2, day0))
 	agg, err := s.AggregateAt("a1", day0)
@@ -92,7 +111,7 @@ func TestAggregateSimpleAverage(t *testing.T) {
 }
 
 func TestAggregateTimeDecay(t *testing.T) {
-	s := NewStore() // 30-day half-life
+	s := newStore(t) // 30-day half-life
 	s.Submit(validReview("a1", "old", 5, day0))
 	s.Submit(validReview("a1", "new", 1, day0.AddDate(0, 0, 30)))
 	// At day 30: old review has weight 0.5, new has 1 → (5*0.5 + 1*1)/1.5.
@@ -112,7 +131,7 @@ func TestAggregateTimeDecay(t *testing.T) {
 }
 
 func TestAggregateReviewerWeight(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	heavy := validReview("a1", "prof", 5, day0)
 	heavy.ReviewerWeight = 3
 	s.Submit(heavy)
@@ -125,7 +144,7 @@ func TestAggregateReviewerWeight(t *testing.T) {
 }
 
 func TestAggregateFutureReviewCountsFresh(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Submit(validReview("a1", "r", 4, day0.AddDate(0, 0, 10)))
 	agg, err := s.AggregateAt("a1", day0)
 	if err != nil {
@@ -137,14 +156,14 @@ func TestAggregateFutureReviewCountsFresh(t *testing.T) {
 }
 
 func TestAggregateMissingArticle(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	if _, err := s.AggregateAt("ghost", day0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing: %v", err)
 	}
 }
 
 func TestFreeTextNewestFirst(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	r1 := validReview("a1", "r1", 3, day0)
 	r1.Text = "older text"
 	r2 := validReview("a1", "r2", 3, day0.AddDate(0, 0, 1))
@@ -158,7 +177,7 @@ func TestFreeTextNewestFirst(t *testing.T) {
 }
 
 func TestForArticleAndByReviewerOrdering(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Submit(validReview("a1", "r1", 3, day0.AddDate(0, 0, 2)))
 	s.Submit(validReview("a1", "r2", 3, day0))
 	s.Submit(validReview("a2", "r1", 3, day0.AddDate(0, 0, 1)))
@@ -166,29 +185,28 @@ func TestForArticleAndByReviewerOrdering(t *testing.T) {
 	if len(arts) != 2 || !arts[0].Time.Before(arts[1].Time) {
 		t.Errorf("article ordering: %+v", arts)
 	}
-	mine := s.ByReviewer("r1")
-	if len(mine) != 2 || !mine[0].Time.Before(mine[1].Time) {
-		t.Errorf("reviewer ordering: %+v", mine)
-	}
 	if got := s.ForArticle("ghost"); len(got) != 0 {
 		t.Errorf("ghost article: %v", got)
 	}
 }
 
 func TestOutletQuality(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Submit(validReview("a1", "r", 5, day0))
 	s.Submit(validReview("a2", "r", 3, day0))
-	q, n := s.OutletQuality([]string{"a1", "a2", "unreviewed"}, day0)
-	if n != 2 {
-		t.Errorf("n: %d", n)
+	// a1 and a2 belong to outlet o; b-only articles to nobody.
+	outletOf := func(articleID string) (string, bool) { return "o", articleID != "b1" }
+	s.Submit(validReview("b1", "r", 1, day0))
+	q := s.OutletQuality(day0, outletOf)["o"]
+	if q.Articles != 2 {
+		t.Errorf("n: %d", q.Articles)
 	}
-	if math.Abs(q-4) > 1e-9 {
-		t.Errorf("quality: %v", q)
+	if math.Abs(q.Score-4) > 1e-9 {
+		t.Errorf("quality: %v", q.Score)
 	}
-	q, n = s.OutletQuality(nil, day0)
-	if q != 0 || n != 0 {
-		t.Error("empty outlet")
+	none := func(string) (string, bool) { return "", false }
+	if got := s.OutletQuality(day0, none); len(got) != 0 {
+		t.Errorf("empty outlet: %v", got)
 	}
 }
 
@@ -207,7 +225,7 @@ func TestCriterionString(t *testing.T) {
 }
 
 func TestConcurrentSubmissions(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -223,8 +241,8 @@ func TestConcurrentSubmissions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Count() != 400 {
-		t.Errorf("count: %d", s.Count())
+	if s.t.Len() != 400 {
+		t.Errorf("count: %d", s.t.Len())
 	}
 	agg, err := s.AggregateAt("a0", day0)
 	if err != nil {
@@ -232,5 +250,64 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 	if agg.Count != 80 {
 		t.Errorf("aggregate count: %d", agg.Count)
+	}
+}
+
+// TestAggregateOrderAtOneInstant: a bootstrapped server pins its clock, so
+// every review can carry the same Time. The aggregate is still a function
+// of the rows — bit-identical whatever order the table holds them in —
+// and the texts come newest first with ties going to the higher id.
+func TestAggregateOrderAtOneInstant(t *testing.T) {
+	src := newTable(t)
+	s := NewStore(src)
+	for i := range 20 {
+		r := validReview("a1", fmt.Sprintf("r%d", i), 1+i%5, day0)
+		r.Scores[2] = 5 - i%5
+		r.ReviewerWeight = 0.1 + 0.37*float64(i)
+		r.Text = fmt.Sprintf("text %d", i)
+		if _, err := s.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := s.AggregateAt("a1", day0.AddDate(0, 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range want.Texts {
+		if text != fmt.Sprintf("text %d", 19-i) {
+			t.Fatalf("texts not newest-id first: %q", want.Texts)
+		}
+	}
+	// The same rows inserted in reverse id order.
+	var rows []rdbms.Row
+	src.Scan(func(r rdbms.Row) bool { rows = append(rows, r); return true })
+	dst := newTable(t)
+	for i := len(rows) - 1; i >= 0; i-- {
+		if _, err := dst.Insert(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := NewStore(dst).AggregateAt("a1", day0.AddDate(0, 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("aggregate depends on row order:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestNewStoreContinuesIDs: a store over a table that already holds
+// reviews — recovered or replicated — assigns ids past the highest one.
+func TestNewStoreContinuesIDs(t *testing.T) {
+	tbl := newTable(t)
+	s := NewStore(tbl)
+	for i := range 3 {
+		if _, err := s.Submit(validReview("a1", "r", 1+i, day0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := NewStore(tbl).Submit(validReview("a1", "r", 4, day0))
+	if err != nil || id != 4 {
+		t.Errorf("id after reopen: %d (%v), want 4", id, err)
 	}
 }

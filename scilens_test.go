@@ -108,7 +108,7 @@ func TestExpertReviewFlow(t *testing.T) {
 		review.Scores[c] = 5
 	}
 	review.Scores[scilens.Clickbaitness] = 3
-	if _, err := p.Reviews.Submit(review); err != nil {
+	if _, err := p.SubmitReview(review); err != nil {
 		t.Fatal(err)
 	}
 	a, err := p.AssessID(art.ID)
