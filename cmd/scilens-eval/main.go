@@ -9,7 +9,8 @@
 //	scilens-eval [-fig 3|4|5|c1|c2|all] [-seed N] [-days N] [-scale F] [-reactions F]
 //
 // The corpus is deterministic for a fixed seed, so every run of the same
-// configuration prints byte-identical series.
+// configuration prints byte-identical output on stdout. Wall-clock figures
+// (the ingest time and claim C1's rate) go to stderr.
 package main
 
 import (
@@ -57,8 +58,8 @@ func run(fig string, seed int64, days int, scale, reactions float64, points, rat
 	}
 	ingestWall := time.Since(start)
 	events := len(world.Events())
-	fmt.Printf("corpus: %d articles, %d events ingested in %v\n\n",
-		len(world.Articles), events, ingestWall.Round(time.Millisecond))
+	fmt.Printf("corpus: %d articles, %d events\n\n", len(world.Articles), events)
+	fmt.Fprintf(os.Stderr, "ingested in %v\n", ingestWall.Round(time.Millisecond))
 
 	want := func(name string) bool { return fig == "all" || fig == name }
 
@@ -229,14 +230,15 @@ func sparkline(ys []float64) string {
 }
 
 // printClaimC1 reports ingestion throughput against the paper's "daily
-// thousands of news articles" operating point.
+// thousands of news articles" operating point. The event count goes to
+// stdout; the measured time and rate, which differ run to run, to stderr.
 func printClaimC1(events int, wall time.Duration) {
 	perSec := float64(events) / wall.Seconds()
 	fmt.Println("=== Claim C1 — \"runs operationally handling daily thousands of news articles\" ===")
 	fmt.Printf("events ingested:        %d\n", events)
-	fmt.Printf("wall time:              %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("throughput:             %.0f events/s\n", perSec)
-	fmt.Printf("daily capacity:         %.2e events/day (paper operating point: thousands of articles/day)\n",
+	fmt.Fprintf(os.Stderr, "wall time:              %v\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "throughput:             %.0f events/s\n", perSec)
+	fmt.Fprintf(os.Stderr, "daily capacity:         %.2e events/day (paper operating point: thousands of articles/day)\n",
 		perSec*86400)
 	fmt.Println()
 }

@@ -32,13 +32,12 @@
 // produces lower-cased tokens, Porter stems, syllable counts, sentence
 // boundaries and stop-word flags, and every indicator family — readability
 // formulas, subjectivity and clickbait lexicon scoring, topic tagging —
-// consumes that one analysis instead of re-scanning the text. Independent
-// families (the body analysis on one side; title analysis plus reference
-// classification on the other) overlap on a bounded compute.Pool worker
-// set. On top, the engine keeps a sharded LRU report cache keyed by
-// document content hash with singleflight de-duplication, so repeated and
-// concurrent evaluations of the same article — the POST /api/assess hot
-// path — run the pipeline once. The stored-assessment path reads rows in
+// consumes that one analysis instead of re-scanning the text. One
+// document is evaluated on one goroutine; batch jobs spread documents over
+// a bounded compute.Pool worker set. On top, the engine keeps a sharded
+// LRU report cache keyed by document content hash with singleflight
+// de-duplication, so repeated and concurrent evaluations of the same
+// article — the POST /api/assess hot path — run the pipeline once. The stored-assessment path reads rows in
 // place (rdbms.Table.View) and memoises expert-review aggregates.
 //
 // # Batch re-indexing after model retraining

@@ -93,8 +93,6 @@ func TestStatsMetricsParity(t *testing.T) {
 		Clock:               func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
 		StreamShards:        1,
 		StreamQueueCapacity: 1,
-		StreamBackoff:       time.Millisecond,
-		StreamMaxBackoff:    2 * time.Millisecond,
 		AdmissionRate:       1, // steady depth 2, burst depth 4
 	})
 	if err != nil {

@@ -15,18 +15,11 @@ import (
 	"repro/internal/synth"
 )
 
-// streamFixture builds an empty platform (no pre-ingested world) with fast
-// retry timings, so dead-lettering is quick in tests.
+// streamFixture builds an empty platform (no pre-ingested world).
 func streamFixture(t *testing.T, cfg core.Config) (*core.Platform, *Server) {
 	t.Helper()
 	if cfg.Clock == nil {
 		cfg.Clock = func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) }
-	}
-	if cfg.StreamMaxAttempts == 0 {
-		cfg.StreamMaxAttempts = 2
-	}
-	if cfg.StreamBackoff == 0 {
-		cfg.StreamBackoff = time.Millisecond
 	}
 	p, err := core.NewPlatform(cfg)
 	if err != nil {

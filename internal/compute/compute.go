@@ -1,9 +1,8 @@
 // Package compute is the platform's bounded parallel map — the role the
 // paper's Spark tier plays in the SciLens analytics stack (paper §3.3).
 // The periodic jobs (model training, corpus re-indexing, firehose batch
-// evaluation) run Map over their input, and the real-time engine overlaps
-// independent indicator families with Run. A Pool bounds how many tasks
-// one job runs at once; results come back in input order.
+// evaluation) run Map over their input. A Pool bounds how many tasks one
+// job runs at once; results come back in input order.
 package compute
 
 import (
@@ -21,9 +20,10 @@ import (
 // usable; use NewPool.
 type Pool struct {
 	workers int
-	// queueWait is the time a task spent blocked on a worker slot; task is
-	// per-task execution time, whose _sum is the pool's cumulative busy
-	// time (utilization = rate(sum) / workers).
+	// queueWait is the time from a job's start to a task's first
+	// instruction (scheduler delay: the task's goroutine waiting for a
+	// CPU); task is per-task execution time, whose _sum is the pool's
+	// cumulative busy time (utilization = rate(sum) / workers).
 	queueWait, task *obs.Histogram
 }
 
@@ -36,7 +36,7 @@ func NewPool(workers int, reg *obs.Registry) *Pool {
 	return &Pool{
 		workers: workers,
 		queueWait: reg.NewDurationHistogram("scilens_compute_queue_wait_seconds",
-			"Time a task waited for a free worker slot."),
+			"Time a task waited from its job's start until it ran."),
 		task: reg.NewDurationHistogram("scilens_compute_task_seconds",
 			"Task execution time; the _sum is cumulative worker busy time."),
 	}
@@ -44,50 +44,6 @@ func NewPool(workers int, reg *obs.Registry) *Pool {
 
 // Workers returns the pool parallelism.
 func (p *Pool) Workers() int { return p.workers }
-
-// run executes fn(i) for every i in [0, n), at most p.workers at a time,
-// and returns the error of the lowest-numbered failed task.
-func (p *Pool) run(n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	sem := make(chan struct{}, min(p.workers, n))
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			enq := time.Now()
-			sem <- struct{}{}
-			start := time.Now()
-			p.queueWait.ObserveDuration(start.Sub(enq))
-			errs[i] = fn(i)
-			p.task.ObserveDuration(time.Since(start))
-			<-sem
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run executes the tasks concurrently, at most p.Workers() at a time, and
-// returns the first failed task's error (by position). It is the entry
-// point for fixed small fan-outs, e.g. overlapping independent indicator
-// families within one evaluation.
-func Run(p *Pool, tasks ...func() error) error {
-	return p.run(len(tasks), func(i int) error {
-		if err := tasks[i](); err != nil {
-			return fmt.Errorf("compute: task %d: %w", i, err)
-		}
-		return nil
-	})
-}
 
 // Map applies fn to every element of in and returns the results in input
 // order. It splits in into min(p.Workers(), len(in)) contiguous ranges, one
@@ -97,19 +53,31 @@ func Run(p *Pool, tasks ...func() error) error {
 func Map[T, U any](p *Pool, in []T, fn func(T) (U, error)) ([]U, error) {
 	out := make([]U, len(in))
 	n := min(p.workers, len(in))
-	err := p.run(n, func(r int) error {
-		lo, hi := r*len(in)/n, (r+1)*len(in)/n
-		for j := lo; j < hi; j++ {
-			u, err := fn(in[j])
-			if err != nil {
-				return fmt.Errorf("compute: element %d: %w", j, err)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	enq := time.Now()
+	for r := range n {
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			p.queueWait.ObserveDuration(start.Sub(enq))
+			defer func() { p.task.ObserveDuration(time.Since(start)) }()
+			for j := r * len(in) / n; j < (r+1)*len(in)/n; j++ {
+				u, err := fn(in[j])
+				if err != nil {
+					errs[r] = fmt.Errorf("compute: element %d: %w", j, err)
+					return
+				}
+				out[j] = u
 			}
-			out[j] = u
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

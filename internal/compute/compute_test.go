@@ -45,9 +45,6 @@ func TestMapError(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Errorf("errors.Is(err, cause) = false for %v", err)
 	}
-	if err := Run(NewPool(2, nil), func() error { return nil }, func() error { return cause }); !errors.Is(err, cause) {
-		t.Errorf("Run: errors.Is(err, cause) = false for %v", err)
-	}
 }
 
 // TestMapPreservesOrderProperty: the output is index-aligned with the
@@ -100,8 +97,7 @@ func (h *highWater) enter() {
 
 func (h *highWater) leave() { h.cur.Add(-1) }
 
-// TestConcurrencyBound: neither Map nor Run ever has more than Workers()
-// tasks in flight.
+// TestConcurrencyBound: Map never has more than Workers() tasks in flight.
 func TestConcurrencyBound(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		p := NewPool(workers, nil)
@@ -116,18 +112,6 @@ func TestConcurrencyBound(t *testing.T) {
 		}
 		if peak := m.peak.Load(); peak > int64(workers) || peak < 1 {
 			t.Errorf("Map on %d workers: peak %d tasks in flight", workers, peak)
-		}
-
-		var r highWater
-		tasks := make([]func() error, 16)
-		for i := range tasks {
-			tasks[i] = func() error { r.enter(); r.leave(); return nil }
-		}
-		if err := Run(p, tasks...); err != nil {
-			t.Fatal(err)
-		}
-		if peak := r.peak.Load(); peak > int64(workers) || peak < 1 {
-			t.Errorf("Run on %d workers: peak %d tasks in flight", workers, peak)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"net/url"
 	"path/filepath"
 	"strconv"
@@ -54,6 +53,13 @@ const (
 	ReviewsTable = "reviews"
 )
 
+// topicName is the supervised topic the demo's figures segment on.
+const topicName = "health/covid-19"
+
+// deadLetterMaxCount bounds the dead_letters table: when an insert pushes
+// the backlog above it, the oldest rows are evicted.
+const deadLetterMaxCount = 4096
+
 // ErrNotIngested is returned when an article URL is unknown to the store.
 var ErrNotIngested = errors.New("core: article not ingested")
 
@@ -83,9 +89,6 @@ type Platform struct {
 	// platform builds records on it, and the stats read it back.
 	Metrics *obs.Registry
 
-	// TopicName is the supervised topic the demo segments on.
-	TopicName string
-
 	// Table handles resolved once at assembly time: the ingestion and
 	// assessment hot paths must not pay a registry lookup per event.
 	articles *rdbms.Table
@@ -113,9 +116,9 @@ type Platform struct {
 	obsEval   []*obs.Histogram
 	obsCommit []*obs.Histogram
 
-	// Dead-letter retention (see streaming.go).
+	// Dead-letter retention (see streaming.go): dlMaxCount is
+	// deadLetterMaxCount, lowered by tests.
 	dlMaxCount int
-	dlMaxAge   time.Duration
 	dlMu       sync.Mutex    // serialises retention sweeps; guards dlOldest
 	dlOldest   uint64        // eviction cursor: no live row has a smaller seq
 	dlEvicted  atomic.Uint64 // rows evicted by the retention policy
@@ -169,11 +172,6 @@ type Config struct {
 	Registry *outlets.Registry
 	// Clock is the time source (default time.Now).
 	Clock func() time.Time
-	// TopicName is the analysed topic (default "health/covid-19").
-	TopicName string
-	// ComputeWorkers bounds the platform's shared compute pool
-	// (default GOMAXPROCS).
-	ComputeWorkers int
 
 	// StreamShards is the ingestion pipeline's queue/worker count
 	// (default 4). Events shard by article URL hash, so per-article
@@ -184,17 +182,6 @@ type Config struct {
 	// StreamEvent(ev, false). It is the lever for absorbing bursts; a
 	// shard lane in use holds a ring of this many 80-byte slots.
 	StreamQueueCapacity int
-	// StreamBatchSize is the micro-batch size per processing round
-	// (default 64), the amortisation unit for batched evaluation and
-	// batched store commits.
-	StreamBatchSize int
-	// StreamMaxAttempts is the per-event attempt budget before
-	// dead-lettering (default 3).
-	StreamMaxAttempts int
-	// StreamBackoff is the first retry delay (default 5ms), doubling per
-	// attempt up to StreamMaxBackoff (default 250ms).
-	StreamBackoff    time.Duration
-	StreamMaxBackoff time.Duration
 	// AdmissionRate, when positive, enables per-source token-bucket
 	// admission on the HTTP ingest path: each source (the event's outlet
 	// host) is admitted to the steady lane at this rate (events/sec),
@@ -254,17 +241,6 @@ type Config struct {
 	// locally, and every write entry point returns ErrFollower. Requires
 	// DataDir (the replica and its cursor persist there).
 	ReplicaOf string
-	// ReplHTTPClient overrides the follower's HTTP client for reaching
-	// the primary (tests inject httptest transports and link faults).
-	ReplHTTPClient *http.Client
-
-	// DeadLetterMaxCount bounds the dead_letters table; when an insert
-	// pushes the backlog above the bound, the oldest rows are evicted
-	// (default 4096; negative disables the size bound).
-	DeadLetterMaxCount int
-	// DeadLetterMaxAge evicts dead letters older than this on every
-	// dead-letter write (default 0 = no age bound).
-	DeadLetterMaxAge time.Duration
 }
 
 // NewPlatform builds the platform: store schemas, indicator engine and
@@ -276,12 +252,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.TopicName == "" {
-		cfg.TopicName = "health/covid-19"
-	}
-	if cfg.DeadLetterMaxCount == 0 {
-		cfg.DeadLetterMaxCount = 4096
 	}
 
 	reg := obs.NewRegistry()
@@ -310,16 +280,14 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 
 	p := &Platform{
-		DB:        db,
-		Registry:  cfg.Registry,
-		Engine:    indicators.NewEngine(indicators.Config{Registry: cfg.Registry, Metrics: reg}),
-		Compute:   compute.NewPool(cfg.ComputeWorkers, reg),
-		Clock:     cfg.Clock,
-		Metrics:   reg,
-		TopicName: cfg.TopicName,
+		DB:       db,
+		Registry: cfg.Registry,
+		Engine:   indicators.NewEngine(indicators.Config{Registry: cfg.Registry, Metrics: reg}),
+		Compute:  compute.NewPool(0, reg),
+		Clock:    cfg.Clock,
+		Metrics:  reg,
 
-		dlMaxCount: cfg.DeadLetterMaxCount,
-		dlMaxAge:   cfg.DeadLetterMaxAge,
+		dlMaxCount: deadLetterMaxCount,
 		dataDir:    cfg.DataDir,
 
 		warehouseFS:  vfs.NewMem(),
@@ -404,10 +372,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	pcfg := stream.PipelineConfig{
 		Shards:        cfg.StreamShards,
 		QueueCapacity: cfg.StreamQueueCapacity,
-		MaxBatch:      cfg.StreamBatchSize,
-		MaxAttempts:   cfg.StreamMaxAttempts,
-		Backoff:       cfg.StreamBackoff,
-		MaxBackoff:    cfg.StreamMaxBackoff,
 		Metrics:       reg,
 		Process:       p.processBatch,
 		OnDead:        p.writeDeadLetter,
@@ -641,11 +605,11 @@ func (p *Platform) ingestOutcomes() uint64 {
 	return p.Pipeline.Finished() - p.malformed.Load()
 }
 
-// isTopic reports whether the report carries the platform's supervised
-// topic.
-func (p *Platform) isTopic(report *indicators.Report) bool {
+// isTopic reports whether the report carries the supervised topic the
+// platform's figures segment on.
+func isTopic(report *indicators.Report) bool {
 	for _, a := range report.Topics {
-		if a.Topic == p.TopicName {
+		if a.Topic == topicName {
 			return true
 		}
 	}
@@ -671,7 +635,6 @@ func (p *Platform) applyPosting(ev *synth.Event, report *indicators.Report, gen 
 	if id == "" {
 		id = ev.PostID
 	}
-	isTopic := p.isTopic(report)
 	row := rdbms.Row{
 		rdbms.String(id),
 		rdbms.String(outlet.ID),
@@ -688,7 +651,7 @@ func (p *Platform) applyPosting(ev *synth.Event, report *indicators.Report, gen 
 		rdbms.Int(int64(report.Context.ScientificCount)),
 		rdbms.Float(report.Context.ScientificRatio),
 		rdbms.Bool(len(report.Context.References) > 0),
-		rdbms.Bool(isTopic),
+		rdbms.Bool(isTopic(report)),
 		rdbms.Float(report.Composite),
 		rdbms.Int(int64(gen)),
 	}

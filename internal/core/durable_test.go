@@ -425,14 +425,12 @@ func TestWatermarkSurvivesRestart(t *testing.T) {
 // gaps behind; the eviction cursor must walk over them without stalling
 // or over-evicting.
 func TestDeadLetterRetentionAfterReplayGaps(t *testing.T) {
-	p, err := NewPlatform(Config{
-		Clock:              func() time.Time { return synth.WindowStart },
-		DeadLetterMaxCount: 3,
-	})
+	p, err := NewPlatform(Config{Clock: func() time.Time { return synth.WindowStart }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.dlMaxCount = 3
 	poison := func(i int) {
 		p.Pipeline.Enqueue("poison", []byte(fmt.Sprintf("garbage-%d", i)))
 	}
@@ -462,14 +460,12 @@ func TestDeadLetterRetentionAfterReplayGaps(t *testing.T) {
 // TestDeadLetterSizeRetention: the dead_letters table is bounded; the
 // oldest rows are evicted first and the eviction counter reports it.
 func TestDeadLetterSizeRetention(t *testing.T) {
-	p, err := NewPlatform(Config{
-		Clock:              func() time.Time { return synth.WindowStart },
-		DeadLetterMaxCount: 3,
-	})
+	p, err := NewPlatform(Config{Clock: func() time.Time { return synth.WindowStart }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.dlMaxCount = 3
 	// One shard key: the failures dead-letter in enqueue order, making the
 	// oldest-first eviction deterministic.
 	for i := 0; i < 10; i++ {
@@ -495,46 +491,6 @@ func TestDeadLetterSizeRetention(t *testing.T) {
 	}
 	if ss.DeadLetterBacklog != 3 {
 		t.Errorf("backlog counter: %d", ss.DeadLetterBacklog)
-	}
-}
-
-// TestDeadLetterAgeRetention: rows older than the age bound are evicted on
-// the next dead-letter write.
-func TestDeadLetterAgeRetention(t *testing.T) {
-	now := synth.WindowStart
-	var mu sync.Mutex
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	p, err := NewPlatform(Config{
-		Clock:              clock,
-		DeadLetterMaxAge:   time.Hour,
-		DeadLetterMaxCount: -1, // size bound off: isolate the age policy
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 4; i++ {
-		p.Pipeline.Enqueue(fmt.Sprintf("old%d", i), []byte("old-garbage"))
-	}
-	p.Pipeline.Flush()
-	if got := len(p.DeadLetters()); got != 4 {
-		t.Fatalf("old backlog: %d", got)
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	mu.Unlock()
-	p.Pipeline.Enqueue("fresh", []byte("fresh-garbage"))
-	p.Pipeline.Flush()
-	dls := p.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Payload) != "fresh-garbage" {
-		t.Fatalf("age retention kept: %+v", dls)
-	}
-	if ev := p.StreamStats().DeadLetterEvicted; ev != 4 {
-		t.Errorf("evicted: %d want 4", ev)
 	}
 }
 

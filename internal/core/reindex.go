@@ -196,13 +196,6 @@ func (p *Platform) reindexArticleChunk(pool *compute.Pool, gen uint64, docs []in
 			continue
 		}
 		report := res.Report
-		isTopic := false
-		for _, a := range report.Topics {
-			if a.Topic == p.TopicName {
-				isTopic = true
-				break
-			}
-		}
 		// Identity and provenance columns (id, outlet, rating, url,
 		// published) are kept from the stored row; everything derived from
 		// the document is rewritten.
@@ -217,7 +210,7 @@ func (p *Platform) reindexArticleChunk(pool *compute.Pool, gen uint64, docs []in
 			{colClickbait + 6, rdbms.Int(int64(report.Context.ScientificCount))},
 			{colClickbait + 7, rdbms.Float(report.Context.ScientificRatio)},
 			{colClickbait + 8, rdbms.Bool(len(report.Context.References) > 0)},
-			{colClickbait + 9, rdbms.Bool(isTopic)},
+			{colClickbait + 9, rdbms.Bool(isTopic(report))},
 			{colComposite, rdbms.Float(report.Composite)},
 		}
 		indicatorsChanged := false

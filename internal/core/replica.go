@@ -74,11 +74,10 @@ func (p *Platform) setupReplica(cfg Config) error {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(cfg.DataDir))
 	client, err := repl.NewClient(repl.ClientConfig{
-		Primary:    cfg.ReplicaOf,
-		DB:         p.DB,
-		HTTPClient: cfg.ReplHTTPClient,
-		ID:         fmt.Sprintf("f-%08x", h.Sum32()),
-		Metrics:    p.Metrics,
+		Primary: cfg.ReplicaOf,
+		DB:      p.DB,
+		ID:      fmt.Sprintf("f-%08x", h.Sum32()),
+		Metrics: p.Metrics,
 	})
 	if err != nil {
 		return err

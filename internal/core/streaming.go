@@ -270,7 +270,7 @@ func (p *Platform) publishAssessment(ev *synth.Event, report *indicators.Report)
 		ReadingGrade: report.Content.ReadingGrade,
 		SciRatio:     report.Context.ScientificRatio,
 		Composite:    report.Composite,
-		IsTopic:      p.isTopic(report),
+		IsTopic:      isTopic(report),
 	}
 	payload, err := json.Marshal(la)
 	if err != nil {
@@ -370,52 +370,25 @@ func (p *Platform) writeDeadLetter(env stream.Envelope, cause error) {
 }
 
 // enforceDeadLetterBounds applies the dead-letter retention policy in the
-// pipeline's commit path: rows older than the age bound go first, then the
-// oldest rows beyond the size bound. Ids are a monotonic sequence, so the
-// oldest live row is found by advancing a cursor from the smallest known
-// seq — amortised O(1) per dead letter ever written, never a table scan.
-// Sweeps serialise on dlMu (which also guards the cursor); gaps left by
-// ReplayDeadLetters' deletes are skipped as the cursor walks over them.
+// pipeline's commit path: the oldest rows beyond the size bound go. Ids
+// are a monotonic sequence, so the oldest live row is found by advancing a
+// cursor from the smallest known seq — amortised O(1) per dead letter ever
+// written, never a table scan. Sweeps serialise on dlMu (which also guards
+// the cursor); gaps left by ReplayDeadLetters' deletes are skipped as the
+// cursor walks over them.
 func (p *Platform) enforceDeadLetterBounds() {
-	maxCount, maxAge := p.dlMaxCount, p.dlMaxAge
-	if maxCount <= 0 && maxAge <= 0 {
+	if p.dead.Len() <= p.dlMaxCount {
 		return
-	}
-	if maxAge <= 0 && p.dead.Len() <= maxCount {
-		return // cheap pre-check: size bound not hit, no age bound
 	}
 	p.dlMu.Lock()
 	defer p.dlMu.Unlock()
 	newest := p.dlSeq.Load()
-	if maxAge > 0 {
-		cutoff := p.Clock().Add(-maxAge)
-		for p.dlOldest <= newest {
-			id := rdbms.String(fmt.Sprintf("dl-%012d", p.dlOldest))
-			expired := false
-			err := p.dead.View(id, func(r rdbms.Row) {
-				expired = r[5].Time().Before(cutoff)
-			})
-			if err != nil { // gap: replayed or already evicted
-				p.dlOldest++
-				continue
-			}
-			if !expired {
-				break // rows only get newer from here
-			}
-			if p.dead.Delete(id) == nil {
-				p.dlEvicted.Add(1)
-			}
-			p.dlOldest++
+	for p.dead.Len() > p.dlMaxCount && p.dlOldest <= newest {
+		id := rdbms.String(fmt.Sprintf("dl-%012d", p.dlOldest))
+		if p.dead.Delete(id) == nil {
+			p.dlEvicted.Add(1)
 		}
-	}
-	if maxCount > 0 {
-		for p.dead.Len() > maxCount && p.dlOldest <= newest {
-			id := rdbms.String(fmt.Sprintf("dl-%012d", p.dlOldest))
-			if p.dead.Delete(id) == nil {
-				p.dlEvicted.Add(1)
-			}
-			p.dlOldest++
-		}
+		p.dlOldest++
 	}
 }
 

@@ -92,7 +92,7 @@ func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 	}
 	for _, entry := range entries {
 		t.Run(entry.name, func(t *testing.T) {
-			streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4, StreamBatchSize: 64})
+			streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,11 +169,7 @@ func TestIngestWorldMatchesBatchOfOne(t *testing.T) {
 func TestDeadLetterReplayRoundTrip(t *testing.T) {
 	w := synth.GenerateWorld(synth.Config{Seed: 53, Days: 4, RateScale: 0.2, ReactionScale: 0.4})
 	events := w.Events()
-	p, err := NewPlatform(Config{
-		Clock:             func() time.Time { return synth.WindowStart.AddDate(0, 0, 4) },
-		StreamMaxAttempts: 2,
-		StreamBackoff:     time.Millisecond,
-	})
+	p, err := NewPlatform(Config{Clock: func() time.Time { return synth.WindowStart.AddDate(0, 0, 4) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +201,7 @@ func TestDeadLetterReplayRoundTrip(t *testing.T) {
 		if !strings.Contains(dl.Reason, "not ingested") {
 			t.Fatalf("dead-letter reason: %q", dl.Reason)
 		}
-		if dl.Attempts != 2 {
+		if dl.Attempts != 3 {
 			t.Errorf("dead-letter attempts: %d", dl.Attempts)
 		}
 	}

@@ -76,34 +76,3 @@ func TestAnalyzeDocMatchesAnalyze(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelMatchesSequential: the worker-pool fan-out must not change
-// any report value versus a sequential engine.
-func TestParallelMatchesSequential(t *testing.T) {
-	par := NewEngine(Config{CacheSize: -1, Workers: 4})
-	seq := NewEngine(Config{CacheSize: -1, Workers: -1})
-	w := synth.GenerateWorld(synth.Config{Seed: 21, Days: 6, RateScale: 0.4})
-	n := 60
-	if len(w.Articles) < n {
-		n = len(w.Articles)
-	}
-	for _, a := range w.Articles[:n] {
-		rp, err := par.Evaluate(a.RawHTML, a.URL, w.Cascades[a.ID])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := seq.Evaluate(a.RawHTML, a.URL, w.Cascades[a.ID])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.Content != rs.Content || rp.Composite != rs.Composite {
-			t.Fatalf("%s: parallel %+v != sequential %+v", a.URL, rp.Content, rs.Content)
-		}
-		if !reflect.DeepEqual(rp.Topics, rs.Topics) {
-			t.Fatalf("%s: topics diverge", a.URL)
-		}
-		if !reflect.DeepEqual(rp.Context, rs.Context) {
-			t.Fatalf("%s: context diverges", a.URL)
-		}
-	}
-}

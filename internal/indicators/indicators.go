@@ -8,10 +8,11 @@
 // The engine is built for the real-time evaluation path (§3.3): each
 // article's title and body go through one shared textutil.Analysis pass
 // (tokens, stems, syllables, sentence boundaries, stop-word flags) that
-// all indicator families consume, independent families run concurrently on
-// a bounded compute.Pool worker set, and a sharded LRU cache keyed by
-// document content hash — with singleflight de-duplication — makes
-// repeated and concurrent evaluations of the same article cheap.
+// all indicator families consume, and a sharded LRU cache keyed by document
+// content hash — with singleflight de-duplication — makes repeated and
+// concurrent evaluations of the same article cheap. One document is
+// evaluated on one goroutine; batches spread documents over the caller's
+// compute.Pool (see EvaluateBatch).
 package indicators
 
 import (
@@ -20,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/compute"
 	"repro/internal/contentind"
 	"repro/internal/extract"
 	"repro/internal/obs"
@@ -59,12 +59,6 @@ type Report struct {
 	Composite float64
 }
 
-// parallelBodyThreshold is the body size (bytes) below which the engine
-// evaluates sequentially: for tiny documents the fan-out overhead exceeds
-// the win from overlapping the analysis pass with reference
-// classification.
-const parallelBodyThreshold = 512
-
 // Engine computes indicator reports. Create with NewEngine; attach trained
 // models with SetClickbaitModel / SetStanceModel. Safe for concurrent use.
 type Engine struct {
@@ -73,8 +67,7 @@ type Engine struct {
 	stance  *socialind.StanceClassifier
 	tagger  *topics.Tagger
 
-	pool  *compute.Pool // nil = sequential family evaluation
-	cache *reportCache  // nil = caching disabled
+	cache *reportCache // nil = caching disabled
 
 	// Engine telemetry: cache effectiveness counters plus cold/warm
 	// evaluation latency.
@@ -94,19 +87,10 @@ type Config struct {
 	// Registry resolves outlet domains for reference classification
 	// (default: outlets.DemoShortlist()).
 	Registry *outlets.Registry
-	// Taxonomy is the supervised topic taxonomy (default:
-	// topics.DefaultTaxonomy()).
-	Taxonomy *topics.Taxonomy
 	// CacheSize bounds the report cache, keyed by document content hash
 	// (default 1024; negative disables caching).
 	CacheSize int
-	// Workers bounds the workers used per evaluation to overlap
-	// independent indicator families (default 2; 1 or negative forces
-	// sequential evaluation). The bound is per evaluation, not
-	// engine-wide: concurrent requests each get their own worker set.
-	Workers int
-	// Metrics is the registry the engine and its worker pool record on
-	// (nil: a private one).
+	// Metrics is the registry the engine records on (nil: a private one).
 	Metrics *obs.Registry
 }
 
@@ -115,23 +99,16 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Registry == nil {
 		cfg.Registry = outlets.DemoShortlist()
 	}
-	if cfg.Taxonomy == nil {
-		cfg.Taxonomy = topics.DefaultTaxonomy()
-	}
 	size := cfg.CacheSize
 	if size == 0 {
 		size = 1024
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 2
 	}
 	r := cfg.Metrics
 	e := &Engine{
 		content: contentind.NewAnalyzer(),
 		refs:    refind.NewClassifier(cfg.Registry),
 		stance:  socialind.NewStanceClassifier(),
-		tagger:  topics.NewTagger(cfg.Taxonomy),
+		tagger:  topics.NewTagger(topics.DefaultTaxonomy()),
 
 		cacheHits:   r.NewCounter("scilens_engine_cache_hits_total", "Report-cache hits (warm evaluations served from the LRU)."),
 		cacheMisses: r.NewCounter("scilens_engine_cache_misses_total", "Report-cache misses (cold evaluations that ran the indicator pipeline)."),
@@ -141,9 +118,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if size > 0 {
 		e.cache = newReportCache(size)
-	}
-	if workers > 1 {
-		e.pool = compute.NewPool(workers, r)
 	}
 	return e
 }
@@ -255,29 +229,14 @@ func (e *Engine) EvaluateArticle(art *extract.Article, cascade []socialind.Post)
 }
 
 // evaluateBase runs the shared analysis pass and the cascade-independent
-// indicator families (content, context, topics). The body analysis — the
-// dominant cost — overlaps with title analysis and reference
-// classification on the engine's worker pool for non-trivial documents.
+// indicator families (content, context, topics) on the calling goroutine.
 // Both analyses go back to the pool once topics are tagged: the report
 // keeps only numbers and topic names, nothing the analyses hold.
 func (e *Engine) evaluateBase(art *extract.Article) *Report {
 	r := &Report{Article: art}
-	var titleA, bodyA *textutil.Analysis
-	if e.pool != nil && len(art.Body) >= parallelBodyThreshold {
-		// The tasks are infallible; Run is used purely for its bounded
-		// parallel execution.
-		_ = compute.Run(e.pool,
-			func() error { bodyA = textutil.NewAnalysis(art.Body); return nil },
-			func() error {
-				titleA = textutil.NewAnalysis(art.Title)
-				r.Context = e.refs.Analyze(art)
-				return nil
-			})
-	} else {
-		bodyA = textutil.NewAnalysis(art.Body)
-		titleA = textutil.NewAnalysis(art.Title)
-		r.Context = e.refs.Analyze(art)
-	}
+	bodyA := textutil.NewAnalysis(art.Body)
+	titleA := textutil.NewAnalysis(art.Title)
+	r.Context = e.refs.Analyze(art)
 	r.Content = e.content.AnalyzeDoc(art, titleA, bodyA)
 	stems := make([]string, 0, titleA.ContentWordCount()+bodyA.ContentWordCount())
 	stems = titleA.AppendContentStems(stems)

@@ -342,18 +342,6 @@ func (m *Mem) PowerCut() {
 	m.locks = make(map[string]bool)
 }
 
-// DurableLen reports the durable content size of path (-1 if the path
-// would not survive a power cut) — a test probe.
-func (m *Mem) DurableLen(path string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ino, ok := m.durNS[filepath.Clean(path)]
-	if !ok {
-		return -1
-	}
-	return len(ino.durable)
-}
-
 type memHandle struct {
 	m      *Mem
 	path   string

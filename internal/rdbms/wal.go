@@ -118,9 +118,10 @@ type walRecord struct {
 
 // WAL is a write-ahead log: every table mutation is appended as a binary
 // record before the call returns. Replay restores a database from the log.
-// The WAL is safe for concurrent appends. File-backed WALs (NewWALFile)
-// flush each record to the OS as it is appended, so a process crash loses
-// at most the record being written — the torn tail that recovery truncates.
+// The WAL is safe for concurrent appends. File-backed WALs
+// (NewWALFilePolicy) flush each record to the OS as it is appended, so a
+// process crash loses at most the record being written — the torn tail that
+// recovery truncates.
 type WAL struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
@@ -149,13 +150,6 @@ type WAL struct {
 // NewWAL wraps a writer (file, buffer, pipe) as a WAL sink.
 func NewWAL(w io.Writer) *WAL {
 	return &WAL{w: bufio.NewWriter(w), m: newMetrics(nil)}
-}
-
-// NewWALFile wraps an open file (an *os.File or any vfs.File) as a WAL
-// sink with per-record flushing and the default checkpoint-only fsync
-// policy.
-func NewWALFile(f vfs.File) *WAL {
-	return NewWALFilePolicy(f, FsyncCheckpoint, 0)
 }
 
 // NewWALFilePolicy wraps an open file as a WAL sink with an explicit fsync

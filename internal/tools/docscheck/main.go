@@ -6,9 +6,10 @@
 //     route internal/api does not register, or
 //  2. a relative markdown link in docs/ (or a root markdown file) points
 //     at a file that does not exist, or
-//  3. a command-line flag registered by cmd/scilens-server or
-//     cmd/scilens-ingest is missing from the docs/OPERATIONS.md flag
-//     tables, or
+//  3. a command-line flag registered by cmd/scilens-server is missing
+//     from the docs/OPERATIONS.md flag tables, or a flag-table row of
+//     docs/OPERATIONS.md names a flag cmd/scilens-server does not
+//     register, or
 //  4. a metric family registered on an obs.Registry anywhere under
 //     internal/ is missing from docs/OBSERVABILITY.md.
 //
@@ -46,6 +47,15 @@ var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // flagRe matches stdlib flag registrations like flag.String("addr", ...).
 var flagRe = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)\("([^"]+)"`)
 
+// flagRowRe matches the first cell of a docs/OPERATIONS.md flag-table row
+// like
+//
+//	| `-seed` / `-days` | — | synthetic world shape |
+var flagRowRe = regexp.MustCompile("(?m)^\\| (`-[^|]*)\\|")
+
+// docFlagRe matches one backticked `-flag` inside a flag-table cell.
+var docFlagRe = regexp.MustCompile("`-([a-z0-9-]+)`")
+
 // metricRe matches metric-family registrations on an obs.Registry like
 // reg.NewCounter("scilens_..._total", ...), the name on the call's own
 // line. TestMetricFamiliesMatchRegistry pins that this finds exactly the
@@ -79,23 +89,18 @@ func main() {
 		}
 	}
 
-	flags, err := collectFlags("cmd/scilens-server", "cmd/scilens-ingest")
+	flags, err := collectFlags("cmd/scilens-server")
 	if err != nil {
 		fatal(err)
 	}
 	if len(flags) == 0 {
-		fatal(fmt.Errorf("no flag registrations found under cmd/ — is docscheck running from the repo root?"))
+		fatal(fmt.Errorf("no flag registrations found under cmd/scilens-server — is docscheck running from the repo root?"))
 	}
 	opsDoc, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
 	if err != nil {
 		fatal(fmt.Errorf("docs/OPERATIONS.md: %w", err))
 	}
-	for _, f := range flags {
-		// Flags appear in the OPERATIONS.md tables as backticked `-name`.
-		if !strings.Contains(string(opsDoc), "`-"+f+"`") {
-			problems = append(problems, fmt.Sprintf("flag -%s registered under cmd/ but absent from the docs/OPERATIONS.md flag tables", f))
-		}
-	}
+	problems = append(problems, checkFlags(flags, string(opsDoc))...)
 
 	metrics, err := collectMetrics("internal")
 	if err != nil {
@@ -163,26 +168,24 @@ func collectRoutes(dir string) ([]string, error) {
 	return routes, nil
 }
 
-// collectFlags scans each command directory's Go sources for stdlib flag
-// registrations and returns the sorted union of flag names.
-func collectFlags(dirs ...string) ([]string, error) {
+// collectFlags scans the command directory's Go sources for stdlib flag
+// registrations and returns the sorted flag names.
+func collectFlags(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	set := map[string]bool{}
-	for _, dir := range dirs {
-		entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range flagRe.FindAllStringSubmatch(string(src), -1) {
-				set[m[1]] = true
-			}
+		for _, m := range flagRe.FindAllStringSubmatch(string(src), -1) {
+			set[m[1]] = true
 		}
 	}
 	flags := make([]string, 0, len(set))
@@ -191,6 +194,29 @@ func collectFlags(dirs ...string) ([]string, error) {
 	}
 	sort.Strings(flags)
 	return flags, nil
+}
+
+// checkFlags checks both directions between the registered flags and the
+// docs/OPERATIONS.md flag tables: every flag appears in the doc as a
+// backticked `-name`, and every backticked `-name` in a flag-table row's
+// first cell is registered.
+func checkFlags(flags []string, opsDoc string) []string {
+	var problems []string
+	registered := map[string]bool{}
+	for _, f := range flags {
+		registered[f] = true
+		if !strings.Contains(opsDoc, "`-"+f+"`") {
+			problems = append(problems, fmt.Sprintf("flag -%s registered in cmd/scilens-server but absent from the docs/OPERATIONS.md flag tables", f))
+		}
+	}
+	for _, row := range flagRowRe.FindAllStringSubmatch(opsDoc, -1) {
+		for _, m := range docFlagRe.FindAllStringSubmatch(row[1], -1) {
+			if !registered[m[1]] {
+				problems = append(problems, fmt.Sprintf("flag -%s in a docs/OPERATIONS.md flag-table row but not registered in cmd/scilens-server", m[1]))
+			}
+		}
+	}
+	return problems
 }
 
 // collectMetrics walks the internal tree for obs metric registrations,

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -41,5 +42,38 @@ func TestMetricFamiliesMatchRegistry(t *testing.T) {
 	if !slices.Equal(scanned, rendered) {
 		t.Fatalf("docscheck scans %d families, /metrics renders %d:\nscanned  %v\nrendered %v",
 			len(scanned), len(rendered), scanned, rendered)
+	}
+}
+
+// TestFlagTablesTwoWay: the flag check fails in both directions. On the
+// shipped docs it is clean. A flag-table row naming a flag scilens-server
+// does not register fails (-shards belonged to a deleted binary), and so
+// does a registered flag the tables never mention.
+func TestFlagTablesTwoWay(t *testing.T) {
+	root := filepath.Join("..", "..", "..")
+	flags, err := collectFlags(filepath.Join(root, "cmd", "scilens-server"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := string(raw)
+	if got := checkFlags(flags, ops); len(got) != 0 {
+		t.Fatalf("shipped docs: %q", got)
+	}
+
+	const addrRow = "| `-addr` |"
+	if !strings.Contains(ops, addrRow) {
+		t.Fatalf("docs/OPERATIONS.md has no %q row to insert before", addrRow)
+	}
+	stale := strings.Replace(ops, addrRow, "| `-shards` | 4 | pipeline shard/worker count |\n"+addrRow, 1)
+	if got := checkFlags(flags, stale); len(got) != 1 || !strings.Contains(got[0], "-shards ") {
+		t.Errorf("stale -shards row: problems %q, want one naming -shards", got)
+	}
+
+	if got := checkFlags(append(slices.Clone(flags), "undocumented"), ops); len(got) != 1 || !strings.Contains(got[0], "-undocumented ") {
+		t.Errorf("undocumented flag: problems %q, want one naming -undocumented", got)
 	}
 }

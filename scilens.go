@@ -48,8 +48,6 @@ type (
 	TopicModelReport = core.TopicModelReport
 	// ModelEvalReport scores a trained model against ground truth.
 	ModelEvalReport = core.ModelEvalReport
-	// OutletQualityScore is one outlet's review-derived quality estimate.
-	OutletQualityScore = core.OutletQuality
 	// ComputePool is the worker pool the parallel jobs run on (the
 	// paper's Spark role).
 	ComputePool = compute.Pool
