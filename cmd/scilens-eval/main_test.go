@@ -54,6 +54,10 @@ func runBin(t *testing.T, args ...string) ([]byte, int) {
 
 // TestStdoutByteIdentical: every artifact, claim C1 included, prints the
 // same bytes on stdout for one seed; the wall-clock figures go to stderr.
+// Both runs must also equal testdata/seed1.golden, the record of what the
+// repository reproduces. To re-record it after an intended change:
+//
+//	go run ./cmd/scilens-eval -days 6 -scale 0.1 -raters 4 > cmd/scilens-eval/testdata/seed1.golden
 func TestStdoutByteIdentical(t *testing.T) {
 	args := []string{"-days", "6", "-scale", "0.1", "-raters", "4"}
 	first, code := runBin(t, args...)
@@ -66,6 +70,13 @@ func TestStdoutByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("two runs of one seed differ:\n%s\n---\n%s", first, second)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, golden) {
+		t.Errorf("stdout differs from testdata/seed1.golden:\n%s", first)
 	}
 	for _, header := range []string{"Figure 3", "Figure 4", "Figure 5 (left)", "Figure 5 (right)", "Claim C1", "Claim C2"} {
 		if !bytes.Contains(first, []byte("=== "+header)) {
