@@ -17,6 +17,7 @@ import (
 	"time"
 
 	scilens "repro"
+	"repro/internal/classify"
 	"repro/internal/compute"
 	"repro/internal/rdbms"
 	"repro/internal/rdbms/vfs"
@@ -217,9 +218,13 @@ func BenchmarkAblationIndexVsScan(b *testing.B) {
 	}
 	b.Run("indexed-lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := table.LookupEq("url", rdbms.String(urls[i%len(urls)]))
-			if err != nil || len(rows) != 1 {
-				b.Fatalf("lookup: %v (%d rows)", err, len(rows))
+			rows := 0
+			err := table.ViewEq("url", rdbms.String(urls[i%len(urls)]), func(rdbms.Row) bool {
+				rows++
+				return true
+			})
+			if err != nil || rows != 1 {
+				b.Fatalf("lookup: %v (%d rows)", err, rows)
 			}
 		}
 	})
@@ -300,7 +305,10 @@ func BenchmarkAblationStanceLexVsModel(b *testing.B) {
 	for i, r := range replies {
 		labels[i] = lex.Classify(r)
 	}
-	nb := socialind.TrainStanceModel(replies, labels)
+	nb := classify.NewNaiveBayes(0.5)
+	for i, r := range replies {
+		nb.Observe(socialind.Tokens(r), labels[i].String())
+	}
 	blended := socialind.NewStanceClassifier()
 	blended.SetModel(nb)
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/compute"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/outlets"
 	"repro/internal/rdbms"
 	"repro/internal/reviews"
 	"repro/internal/synth"
@@ -744,13 +743,4 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 		return 0, fmt.Errorf("parameter %s=%d: must be non-negative", key, n)
 	}
 	return n, nil
-}
-
-// RatingLabels exposes the class labels for clients.
-func RatingLabels() []string {
-	out := make([]string, 0, outlets.NumClasses)
-	for c := outlets.Excellent; c <= outlets.VeryPoor; c++ {
-		out = append(out, c.String())
-	}
-	return out
 }

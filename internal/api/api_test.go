@@ -289,7 +289,7 @@ func TestReviewValidationErrors(t *testing.T) {
 	}
 }
 
-func TestQueryIntAndRatingLabels(t *testing.T) {
+func TestQueryInt(t *testing.T) {
 	req := httptest.NewRequest("GET", "/x?n=25&bad=2x&zero=0&neg=-3&huge=99999999999999999999", nil)
 	if n, err := queryInt(req, "n", 1); err != nil || n != 25 {
 		t.Errorf("parse: %d %v", n, err)
@@ -311,10 +311,6 @@ func TestQueryIntAndRatingLabels(t *testing.T) {
 	}
 	if n, err := queryInt(req, "missing", 3); err != nil || n != 3 {
 		t.Errorf("missing default: %d %v", n, err)
-	}
-	labels := RatingLabels()
-	if len(labels) != 5 || labels[0] != "excellent" || labels[4] != "very-poor" {
-		t.Errorf("labels: %v", labels)
 	}
 }
 
@@ -345,7 +341,10 @@ func TestInsightsOutletQuality(t *testing.T) {
 	}
 
 	// Review articles from two outlets at different quality levels.
-	byOutlet := w.ArticlesByOutlet()
+	byOutlet := map[string][]string{}
+	for _, a := range w.Articles {
+		byOutlet[a.OutletID] = append(byOutlet[a.OutletID], a.ID)
+	}
 	reviewed := 0
 	score := 5
 	for _, articleIDs := range byOutlet {
@@ -465,9 +464,9 @@ func TestAssessBatchValidation(t *testing.T) {
 // TestConcurrentAssessDocumentSingleflight hammers POST /api/assess with
 // the same never-seen document from many goroutines: the engine's
 // content-hash cache plus singleflight must give every request the same
-// result, and the document must end up cached exactly once.
+// result, and the document must be evaluated exactly once.
 func TestConcurrentAssessDocumentSingleflight(t *testing.T) {
-	p, _, srv := apiFixture(t)
+	_, _, srv := apiFixture(t)
 	doc := `<html><head><title>Fresh study examines quarantine data</title></head><body>
 <p>Epidemiologists tracked coronavirus transmission across hospital wards,
 citing surveillance data. <a href="https://nature.com/articles/y">(source)</a></p>
@@ -478,7 +477,8 @@ citing surveillance data. <a href="https://nature.com/articles/y">(source)</a></
 		t.Fatal(err)
 	}
 
-	before := p.Engine.CacheLen()
+	const misses = "scilens_engine_cache_misses_total"
+	before := scrape(t, srv)[misses]
 	const clients = 16
 	var wg sync.WaitGroup
 	composites := make([]float64, clients)
@@ -510,8 +510,8 @@ citing surveillance data. <a href="https://nature.com/articles/y">(source)</a></
 			t.Fatalf("client %d diverged: %v vs %v", c, composites[c], composites[0])
 		}
 	}
-	if got := p.Engine.CacheLen(); got != before+1 {
-		t.Errorf("cache grew by %d entries, want 1", got-before)
+	if got := scrape(t, srv)[misses] - before; got != 1 {
+		t.Errorf("the document was evaluated %v times, want 1", got)
 	}
 }
 

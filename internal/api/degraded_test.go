@@ -49,7 +49,7 @@ func TestDegradedModeHTTP(t *testing.T) {
 	if _, err := p.Checkpoint(); err == nil {
 		t.Fatal("checkpoint succeeded with writes broken")
 	}
-	if !p.Degraded() {
+	if p.StorageHealth().State == core.StorageOK {
 		t.Fatal("platform not degraded")
 	}
 
@@ -105,10 +105,10 @@ func TestDegradedModeHTTP(t *testing.T) {
 	// surface reopens.
 	fault.ClearWrites()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Degraded() && time.Now().Before(deadline) {
+	for p.StorageHealth().State != core.StorageOK && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if p.Degraded() {
+	if p.StorageHealth().State != core.StorageOK {
 		t.Fatal("platform did not self-heal")
 	}
 	rec, payload = doJSON(t, srv, "GET", "/api/health", nil)

@@ -91,16 +91,6 @@ func TestLogRegDeterministic(t *testing.T) {
 	}
 }
 
-func TestLogRegPredictAll(t *testing.T) {
-	train := synthLinear(50, 4, 0.2, 8)
-	m, _ := TrainLogReg(train, LogRegConfig{Dim: 4, Seed: 9})
-	xs := []mlcore.SparseVector{train[0].X, train[1].X}
-	out := m.PredictAll(xs)
-	if len(out) != 2 {
-		t.Fatalf("batch size: %d", len(out))
-	}
-}
-
 func TestSigmoidClamps(t *testing.T) {
 	if sigmoid(1000) != 1 || sigmoid(-1000) != 0 {
 		t.Error("sigmoid should clamp extremes")
@@ -135,26 +125,8 @@ func TestNaiveBayesUntrained(t *testing.T) {
 	if c, p := nb.Predict([]string{"x"}); c != "" || p != 0 {
 		t.Errorf("untrained: %q %v", c, p)
 	}
-	if nb.Probabilities([]string{"x"}) != nil {
-		t.Error("untrained probabilities should be nil")
-	}
 	if nb.Alpha != 1 {
 		t.Errorf("alpha default: %v", nb.Alpha)
-	}
-}
-
-func TestNaiveBayesUnknownTokens(t *testing.T) {
-	nb := NewNaiveBayes(1)
-	nb.Observe([]string{"a"}, "x")
-	nb.Observe([]string{"b"}, "y")
-	// Entirely unknown tokens: must not panic, probabilities sum to 1.
-	probs := nb.Probabilities([]string{"zzz", "qqq"})
-	sum := 0.0
-	for _, p := range probs {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum: %v", sum)
 	}
 }
 
@@ -175,68 +147,12 @@ func TestNaiveBayesClassesAndVocab(t *testing.T) {
 	nb := NewNaiveBayes(1)
 	nb.Observe([]string{"a", "b"}, "x")
 	nb.Observe([]string{"b", "c"}, "y")
-	cs := nb.Classes()
+	cs := nb.classes
 	if len(cs) != 2 || cs[0] != "x" || cs[1] != "y" {
 		t.Errorf("classes: %v", cs)
 	}
-	if nb.VocabSize() != 3 {
-		t.Errorf("vocab: %d", nb.VocabSize())
-	}
-}
-
-func TestNaiveBayesTopTokens(t *testing.T) {
-	nb := NewNaiveBayes(1)
-	nb.Observe([]string{"a", "a", "b"}, "x")
-	top := nb.TopTokens("x", 1)
-	if len(top) != 1 || top[0] != "a" {
-		t.Errorf("top tokens: %v", top)
-	}
-	if nb.TopTokens("nope", 5) != nil {
-		t.Error("unknown class should be nil")
-	}
-	if got := nb.TopTokens("x", 99); len(got) != 2 {
-		t.Errorf("clamped top: %v", got)
-	}
-}
-
-func TestPerceptronSeparable(t *testing.T) {
-	train := synthLinear(400, 10, 0.2, 10)
-	test := synthLinear(100, 10, 0.2, 11)
-	p, err := TrainPerceptron(train, 10, 10, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(p.Predict, test); acc < 0.85 {
-		t.Errorf("perceptron accuracy: %v", acc)
-	}
-}
-
-func TestPerceptronErrors(t *testing.T) {
-	if _, err := TrainPerceptron(nil, 4, 5, 0); err != ErrNoData {
-		t.Errorf("empty: %v", err)
-	}
-	data := []Example{{X: mlcore.SparseVector{0: 1}, Y: true}}
-	if _, err := TrainPerceptron(data, 0, 5, 0); err != ErrDimension {
-		t.Errorf("dim: %v", err)
-	}
-}
-
-func TestPerceptronLazyFinalize(t *testing.T) {
-	p := NewPerceptron(2)
-	p.Observe(mlcore.SparseVector{0: 1}, true)
-	p.Observe(mlcore.SparseVector{1: 1}, false)
-	// Predict without explicit Finalize must not panic.
-	_ = p.Predict(mlcore.SparseVector{0: 1})
-	if p.W == nil {
-		t.Error("lazy finalize did not run")
-	}
-}
-
-func TestPerceptronEmptyFinalize(t *testing.T) {
-	p := NewPerceptron(3)
-	p.Finalize()
-	if len(p.W) != 3 || p.B != 0 {
-		t.Error("empty finalize")
+	if len(nb.vocab) != 3 {
+		t.Errorf("vocab: %d", len(nb.vocab))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package classify implements the supervised classifiers used by the
 // SciLens indicator models: L2-regularised logistic regression trained by
-// SGD, multinomial naive Bayes, and an averaged perceptron. All operate on
-// mlcore.SparseVector features, so any vectoriser in the project can feed
-// them.
+// SGD (the clickbait model) and multinomial naive Bayes (the stance
+// model). The regression reads mlcore.SparseVector features, so any
+// vectoriser in the project can feed it.
 package classify
 
 import (
@@ -126,15 +126,6 @@ func (m *LogReg) Prob(x mlcore.SparseVector) float64 {
 
 // Predict returns the hard label at threshold 0.5.
 func (m *LogReg) Predict(x mlcore.SparseVector) bool { return m.Prob(x) >= 0.5 }
-
-// PredictAll maps Predict over a batch.
-func (m *LogReg) PredictAll(xs []mlcore.SparseVector) []bool {
-	out := make([]bool, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
 
 func sigmoid(z float64) float64 {
 	// Clamp to avoid overflow in Exp for extreme scores.

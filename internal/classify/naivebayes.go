@@ -1,9 +1,6 @@
 package classify
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // NaiveBayes is a multinomial naive Bayes text classifier over string
 // class labels and string tokens, with Laplace (add-alpha) smoothing.
@@ -53,16 +50,8 @@ func (nb *NaiveBayes) Observe(tokens []string, class string) {
 	}
 }
 
-// Classes returns the known class labels in observation order.
-func (nb *NaiveBayes) Classes() []string {
-	return append([]string(nil), nb.classes...)
-}
-
-// VocabSize returns the number of distinct tokens seen.
-func (nb *NaiveBayes) VocabSize() int { return len(nb.vocab) }
-
 // LogPosteriors returns the unnormalised log posterior for each class in
-// Classes() order. Unknown tokens are smoothed; an untrained model returns
+// observation order. Unknown tokens are smoothed; an untrained model returns
 // nil.
 func (nb *NaiveBayes) LogPosteriors(tokens []string) []float64 {
 	if nb.totalDocs == 0 {
@@ -102,60 +91,4 @@ func (nb *NaiveBayes) Predict(tokens []string) (string, float64) {
 		z += math.Exp(lp - maxLp)
 	}
 	return nb.classes[best], 1 / z
-}
-
-// Probabilities returns a class → probability map (normalised).
-func (nb *NaiveBayes) Probabilities(tokens []string) map[string]float64 {
-	lps := nb.LogPosteriors(tokens)
-	if lps == nil {
-		return nil
-	}
-	maxLp := lps[0]
-	for _, lp := range lps[1:] {
-		if lp > maxLp {
-			maxLp = lp
-		}
-	}
-	var z float64
-	exps := make([]float64, len(lps))
-	for i, lp := range lps {
-		exps[i] = math.Exp(lp - maxLp)
-		z += exps[i]
-	}
-	out := make(map[string]float64, len(lps))
-	for i, c := range nb.classes {
-		out[c] = exps[i] / z
-	}
-	return out
-}
-
-// TopTokens returns the n highest-probability tokens for a class, for
-// model inspection. Unknown class returns nil.
-func (nb *NaiveBayes) TopTokens(class string, n int) []string {
-	ci, ok := nb.classIdx[class]
-	if !ok {
-		return nil
-	}
-	type kv struct {
-		tok string
-		c   float64
-	}
-	pairs := make([]kv, 0, len(nb.tokenCounts[ci]))
-	for tok, c := range nb.tokenCounts[ci] {
-		pairs = append(pairs, kv{tok, c})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].c != pairs[j].c {
-			return pairs[i].c > pairs[j].c
-		}
-		return pairs[i].tok < pairs[j].tok
-	})
-	if n > len(pairs) {
-		n = len(pairs)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = pairs[i].tok
-	}
-	return out
 }

@@ -42,11 +42,8 @@ func NewPool(workers int, reg *obs.Registry) *Pool {
 	}
 }
 
-// Workers returns the pool parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map applies fn to every element of in and returns the results in input
-// order. It splits in into min(p.Workers(), len(in)) contiguous ranges, one
+// order. It splits in into min(workers, len(in)) contiguous ranges, one
 // task each, that fill one result slice in place. A failing fn stops its
 // range; Map then returns the error of the lowest failed range, wrapped so
 // that errors.Is and errors.As see the cause.

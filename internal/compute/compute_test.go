@@ -73,10 +73,10 @@ func TestMapPreservesOrderProperty(t *testing.T) {
 }
 
 func TestPoolDefaults(t *testing.T) {
-	if p := NewPool(0, nil); p.Workers() < 1 {
+	if p := NewPool(0, nil); p.workers < 1 {
 		t.Error("workers default")
 	}
-	if p := NewPool(-5, nil); p.Workers() < 1 {
+	if p := NewPool(-5, nil); p.workers < 1 {
 		t.Error("negative workers default")
 	}
 }
@@ -97,7 +97,7 @@ func (h *highWater) enter() {
 
 func (h *highWater) leave() { h.cur.Add(-1) }
 
-// TestConcurrencyBound: Map never has more than Workers() tasks in flight.
+// TestConcurrencyBound: Map never has more than workers tasks in flight.
 func TestConcurrencyBound(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		p := NewPool(workers, nil)

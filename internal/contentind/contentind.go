@@ -61,21 +61,8 @@ func (a *Analyzer) SetClickbaitModel(m *classify.LogReg) { a.model.Store(m) }
 // Features returns the analyzer's title feature extractor (for training).
 func (a *Analyzer) Features() *FeatureExtractor { return a.features }
 
-// Analyze computes all content indicators for an article.
-func (a *Analyzer) Analyze(art *extract.Article) Indicators {
-	ind := Indicators{
-		Clickbait:    a.ClickbaitScore(art.Title),
-		Subjectivity: SubjectivityScore(art.Body),
-		Readability:  readability.Score(art.Body),
-		HasByline:    art.HasByline(),
-	}
-	ind.ReadingGrade = readability.GradeConsensus(ind.Readability)
-	return ind
-}
-
-// AnalyzeDoc computes the content indicators from shared single-pass
-// analyses of the title and body — equivalent to Analyze but without
-// re-tokenising or re-stemming either text.
+// AnalyzeDoc computes all content indicators for an article from shared
+// single-pass analyses of its title and body.
 func (a *Analyzer) AnalyzeDoc(art *extract.Article, title, body *textutil.Analysis) Indicators {
 	ind := Indicators{
 		Clickbait:    a.ClickbaitScoreDoc(title),
@@ -95,19 +82,6 @@ func (a *Analyzer) ClickbaitScoreDoc(title *textutil.Analysis) float64 {
 		return lex
 	}
 	p := m.Prob(a.features.ExtractDoc(title))
-	return (p + lex) / 2
-}
-
-// ClickbaitScore scores a headline in [0, 1]. With a model attached the
-// score is the mean of the model probability and the lexicon score;
-// otherwise the lexicon score alone.
-func (a *Analyzer) ClickbaitScore(title string) float64 {
-	lex := LexiconClickbaitScore(title)
-	m := a.model.Load()
-	if m == nil {
-		return lex
-	}
-	p := m.Prob(a.features.Extract(title))
 	return (p + lex) / 2
 }
 
@@ -204,6 +178,8 @@ func squashClickbait(phrases, forwards, cueWords, exclaims, questions, numbers, 
 // SubjectivityScore scores body text in [0, 1] using the subjectivity
 // lexicon: strong clues weigh 2, weak clues 1, boosters 0.5, normalised by
 // word count against an empirical ceiling.
+//
+//scilint:ignore testonlyapi reference for SubjectivityScoreDoc in TestSharedAnalysisEquivalence
 func SubjectivityScore(body string) float64 {
 	words := textutil.Words(body)
 	if len(words) == 0 {
@@ -262,22 +238,6 @@ func SubjectivityScoreDoc(a *textutil.Analysis) float64 {
 		score = 1
 	}
 	return score
-}
-
-// HedgeDensity returns hedge words per word of body text — an auxiliary
-// indicator used by the evidence analyses.
-func HedgeDensity(body string) float64 {
-	words := textutil.Words(body)
-	if len(words) == 0 {
-		return 0
-	}
-	n := 0
-	for _, w := range words {
-		if lexicon.IsHedge(w) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(words))
 }
 
 // FeatureExtractor maps headlines to sparse feature vectors for the
@@ -405,17 +365,4 @@ func (f *FeatureExtractor) ExtractDoc(a *textutil.Analysis) mlcore.SparseVector 
 	v[style+featForwardRefs] = float64(lexicon.ForwardReferenceHitsLower(a.LowerText()))
 	v[style+featCueWords] = float64(cueWords)
 	return v
-}
-
-// TrainClickbaitModel fits a logistic-regression clickbait classifier from
-// labelled headlines using the extractor's feature space.
-func TrainClickbaitModel(f *FeatureExtractor, titles []string, labels []bool, seed int64) (*classify.LogReg, error) {
-	data := make([]classify.Example, len(titles))
-	for i, title := range titles {
-		data[i] = classify.Example{X: f.Extract(title), Y: labels[i]}
-	}
-	return classify.TrainLogReg(data, classify.LogRegConfig{
-		Dim:  f.Dim(),
-		Seed: seed,
-	})
 }

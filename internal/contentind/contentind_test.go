@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/extract"
+	"repro/internal/textutil"
 )
 
 var clickbaitTitles = []string{
@@ -77,17 +79,6 @@ func TestSubjectivityScore(t *testing.T) {
 	}
 }
 
-func TestHedgeDensity(t *testing.T) {
-	hedged := "Results may suggest the treatment could possibly help, researchers estimate."
-	flat := "The treatment cured the disease in all patients."
-	if HedgeDensity(hedged) <= HedgeDensity(flat) {
-		t.Error("hedged text should have higher density")
-	}
-	if HedgeDensity("") != 0 {
-		t.Error("empty")
-	}
-}
-
 func TestAnalyzeEndToEnd(t *testing.T) {
 	a := NewAnalyzer()
 	art := &extract.Article{
@@ -95,7 +86,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		Body:   "This amazing and incredible discovery is absolutely wonderful. Shocking critics hate it.",
 		Byline: "Jane Doe",
 	}
-	ind := a.Analyze(art)
+	ind := a.AnalyzeDoc(art, textutil.NewAnalysis(art.Title), textutil.NewAnalysis(art.Body))
 	if ind.Clickbait < 0.5 {
 		t.Errorf("clickbait: %v", ind.Clickbait)
 	}
@@ -146,7 +137,11 @@ func TestTrainedModelImprovesOrMatchesLexicon(t *testing.T) {
 		}
 	}
 	f := NewFeatureExtractor()
-	model, err := TrainClickbaitModel(f, titles, labels, 7)
+	data := make([]classify.Example, len(titles))
+	for i, title := range titles {
+		data[i] = classify.Example{X: f.Extract(title), Y: labels[i]}
+	}
+	model, err := classify.TrainLogReg(data, classify.LogRegConfig{Dim: f.Dim(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +150,7 @@ func TestTrainedModelImprovesOrMatchesLexicon(t *testing.T) {
 
 	correct := 0
 	for i, title := range titles {
-		pred := a.ClickbaitScore(title) >= 0.5
+		pred := a.ClickbaitScoreDoc(textutil.NewAnalysis(title)) >= 0.5
 		if pred == labels[i] {
 			correct++
 		}
@@ -168,7 +163,7 @@ func TestTrainedModelImprovesOrMatchesLexicon(t *testing.T) {
 
 func TestAnalyzerWithoutModelStillWorks(t *testing.T) {
 	a := NewAnalyzer()
-	if s := a.ClickbaitScore("Plain headline about budget policy"); s > 0.3 {
+	if s := a.ClickbaitScoreDoc(textutil.NewAnalysis("Plain headline about budget policy")); s > 0.3 {
 		t.Errorf("plain headline: %v", s)
 	}
 }

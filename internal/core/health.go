@@ -161,9 +161,6 @@ func (p *Platform) StorageHealth() StorageHealth {
 	}
 }
 
-// Degraded reports whether the platform is in degraded read-only mode.
-func (p *Platform) Degraded() bool { return p.degraded.Load() }
-
 // noteStorageFault inspects an error from a store write path and latches
 // degraded mode when it is the broken-WAL sentinel. Ordinary ingest
 // failures (unknown outlet, unparseable document, orphan reaction) pass
@@ -190,11 +187,13 @@ func (p *Platform) enterDegraded(cause error) {
 		p.health.state = StorageDegraded
 		p.health.since = p.Clock()
 		p.health.faults++
+		// The gate flips with the state, so StorageHealth never reports a
+		// state the write path does not enforce.
+		p.degraded.Store(true)
 	}
 	p.health.lastFault = cause.Error()
 	p.healthMu.Unlock()
 	if first {
-		p.degraded.Store(true)
 		p.Pipeline.Pause()
 		p.kickRecovery()
 	}
@@ -210,10 +209,10 @@ func (p *Platform) markRecovered() {
 		p.health.state = StorageOK
 		p.health.since = p.Clock()
 		p.health.recoveries++
+		p.degraded.Store(false)
 	}
 	p.healthMu.Unlock()
 	if healed {
-		p.degraded.Store(false)
 		p.Pipeline.Resume()
 	}
 }

@@ -81,7 +81,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	if err := p.IngestEvent(&ev); !errors.Is(err, rdbms.ErrWALBroken) {
 		t.Fatalf("write under fault: %v", err)
 	}
-	if !p.Degraded() {
+	if p.StorageHealth().State == StorageOK {
 		t.Fatal("storage fault did not latch degraded mode")
 	}
 
@@ -122,7 +122,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	// Clear the fault: the next supervised checkpoint rotates the WAL,
 	// clears the broken latch and reopens writes — no operator involved.
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return !p.Degraded() })
+	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	h := p.StorageHealth()
 	if h.State != StorageOK || h.Recoveries == 0 {
 		t.Fatalf("healed health: %+v", h)
@@ -158,11 +158,11 @@ func TestDegradedSurvivesRestart(t *testing.T) {
 		UserID: "u", ArticleURL: w.Articles[0].URL, Time: time.Now(),
 	}
 	_ = p.IngestEvent(&ev)
-	if !p.Degraded() {
+	if p.StorageHealth().State == StorageOK {
 		t.Fatal("not degraded")
 	}
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return !p.Degraded() })
+	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestCheckpointFailureDegrades(t *testing.T) {
 	if _, err := p.Checkpoint(); err == nil {
 		t.Fatal("checkpoint succeeded with writes broken")
 	}
-	if !p.Degraded() {
+	if p.StorageHealth().State == StorageOK {
 		t.Fatal("failed checkpoint did not degrade the platform")
 	}
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return !p.Degraded() })
+	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	if p.StorageHealth().Recoveries == 0 {
 		t.Fatal("recovery not counted")
 	}
@@ -260,7 +260,7 @@ func TestInMemoryPlatformNeverDegrades(t *testing.T) {
 	}
 	defer p.Close()
 	p.noteStorageFault(fmt.Errorf("wrapped: %w", rdbms.ErrWALBroken))
-	if p.Degraded() {
+	if p.StorageHealth().State != StorageOK {
 		t.Fatal("in-memory platform degraded")
 	}
 	h := p.StorageHealth()

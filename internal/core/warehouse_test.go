@@ -274,7 +274,10 @@ func TestOutletQualityFromReviews(t *testing.T) {
 
 	// Review two articles of one outlet high and one article of another
 	// outlet low.
-	byOutlet := w.ArticlesByOutlet()
+	byOutlet := map[string][]string{}
+	for _, a := range w.Articles {
+		byOutlet[a.OutletID] = append(byOutlet[a.OutletID], a.ID)
+	}
 	var outletA, outletB string
 	for id, arts := range byOutlet {
 		if len(arts) >= 2 && outletA == "" {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/synth"
 )
 
-// evaluateArticleAllocs is what EvaluateArticle allocates on the article
+// evaluateArticleAllocs is what evaluateBase allocates on the article
 // of TestEvaluateArticleAllocations with pooled text analyses, on one
 // goroutine (32 while the body analysis ran on a second one, 99 when every
 // evaluation built its analyses from scratch).
@@ -35,9 +35,9 @@ func TestEvaluateArticleAllocations(t *testing.T) {
 		}
 	}
 	e := NewEngine(Config{CacheSize: -1})
-	e.EvaluateArticle(art, nil)
+	e.evaluateBase(art)
 	limit := float64(evaluateArticleAllocs + evaluateArticleAllocs/20)
-	if n := testing.AllocsPerRun(100, func() { e.EvaluateArticle(art, nil) }); n > limit {
-		t.Errorf("EvaluateArticle allocates %v times, limit %v", n, limit)
+	if n := testing.AllocsPerRun(100, func() { e.evaluateBase(art) }); n > limit {
+		t.Errorf("evaluateBase allocates %v times, limit %v", n, limit)
 	}
 }

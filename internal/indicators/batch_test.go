@@ -54,8 +54,8 @@ func TestEvaluateBatchEquivalence(t *testing.T) {
 			}
 		}
 		// The batch must not populate (or depend on) the report cache.
-		if e.CacheLen() != 0 {
-			t.Errorf("batch polluted the report cache: %d entries", e.CacheLen())
+		if cacheLen(e) != 0 {
+			t.Errorf("batch polluted the report cache: %d entries", cacheLen(e))
 		}
 	}
 }

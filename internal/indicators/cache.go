@@ -160,18 +160,6 @@ func (c *reportCache) getOrCompute(key cacheKey, compute func() (*Report, error)
 // owner panicked mid-evaluation.
 var errEvaluationAborted = errors.New("indicators: evaluation aborted")
 
-// len returns the total number of cached entries.
-func (c *reportCache) len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.entries)
-		s.mu.Unlock()
-	}
-	return total
-}
-
 // flush invalidates everything: the generation bump prevents in-flight
 // evaluations started against the old models from repopulating the cache,
 // and the inflight maps are replaced so requests arriving after the flush

@@ -8,6 +8,26 @@ import (
 	"time"
 )
 
+// len returns the total number of cached entries.
+func (c *reportCache) len() int {
+	total := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		total += len(s.entries)
+		s.mu.Unlock()
+	}
+	return total
+}
+
+// cacheLen returns the number of reports e's cache holds.
+func cacheLen(e *Engine) int {
+	if e.cache == nil {
+		return 0
+	}
+	return e.cache.len()
+}
+
 // countingDoc builds a distinct well-formed article document.
 func countingDoc(i int) string {
 	return fmt.Sprintf(`<html><head><title>Study %d examines transmission</title></head><body>
@@ -50,8 +70,8 @@ func TestSingleflightConcurrency(t *testing.T) {
 			t.Fatalf("goroutine %d received a different report pointer: evaluation ran more than once", g)
 		}
 	}
-	if e.CacheLen() != 1 {
-		t.Errorf("cache len after concurrent evaluation: %d", e.CacheLen())
+	if cacheLen(e) != 1 {
+		t.Errorf("cache len after concurrent evaluation: %d", cacheLen(e))
 	}
 }
 
@@ -110,8 +130,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 		reports[i] = r
 	}
-	if e.CacheLen() != 4 {
-		t.Fatalf("cache len at capacity: %d", e.CacheLen())
+	if cacheLen(e) != 4 {
+		t.Fatalf("cache len at capacity: %d", cacheLen(e))
 	}
 	// Touch entry 0 so entry 1 is the LRU victim.
 	if r, _ := e.Evaluate(countingDoc(0), urls[0], nil); r != reports[0] {
@@ -124,8 +144,8 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.CacheLen() != 4 {
-		t.Fatalf("cache len after eviction: %d", e.CacheLen())
+	if cacheLen(e) != 4 {
+		t.Fatalf("cache len after eviction: %d", cacheLen(e))
 	}
 	if r, _ := e.Evaluate(countingDoc(0), urls[0], nil); r != reports[0] {
 		t.Error("recently used entry 0 was evicted")
@@ -151,8 +171,8 @@ func TestCacheBypass(t *testing.T) {
 	if r1 == r2 {
 		t.Error("CacheSize -1 must bypass the cache (same pointer returned)")
 	}
-	if e.CacheLen() != 0 {
-		t.Errorf("disabled cache stored %d entries", e.CacheLen())
+	if cacheLen(e) != 0 {
+		t.Errorf("disabled cache stored %d entries", cacheLen(e))
 	}
 }
 
@@ -174,8 +194,8 @@ func TestCacheKeyIncludesURL(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("different URLs must not share a cache entry")
 	}
-	if e.CacheLen() != 2 {
-		t.Errorf("cache len: %d, want 2", e.CacheLen())
+	if cacheLen(e) != 2 {
+		t.Errorf("cache len: %d, want 2", cacheLen(e))
 	}
 }
 
@@ -214,11 +234,11 @@ func TestCacheFlushOnModelChange(t *testing.T) {
 	if _, err := e.Evaluate(countingDoc(3), "https://a.example/m", nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.CacheLen() == 0 {
+	if cacheLen(e) == 0 {
 		t.Fatal("expected a cached entry")
 	}
 	e.SetStanceModel(nil)
-	if e.CacheLen() != 0 {
+	if cacheLen(e) != 0 {
 		t.Error("cache not flushed on model change")
 	}
 
@@ -252,8 +272,8 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if _, err := e.Evaluate("", "https://a.example/e", nil); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if e.CacheLen() != 0 {
-		t.Errorf("error result cached: len %d", e.CacheLen())
+	if cacheLen(e) != 0 {
+		t.Errorf("error result cached: len %d", cacheLen(e))
 	}
 }
 
@@ -267,7 +287,7 @@ func TestShardedCacheCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.CacheLen(); n > 64 {
+	if n := cacheLen(e); n > 64 {
 		t.Errorf("sharded cache exceeded capacity: %d > 64", n)
 	}
 	// A fresh evaluation still round-trips through the cache.

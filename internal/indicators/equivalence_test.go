@@ -32,13 +32,13 @@ func TestSharedAnalysisEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := e.EvaluateArticle(art, nil)
+		got := e.evaluateBase(art)
 
 		// Reference values via the sequential per-family paths.
 		wantClickbait := contentind.LexiconClickbaitScore(art.Title)
 		wantSubjectivity := contentind.SubjectivityScore(art.Body)
-		wantReadability := readability.Score(art.Body)
-		wantTopics := e.Tagger().Tag(art.Title + " " + art.Body)
+		wantReadability := readability.Compute(readability.Analyze(art.Body))
+		wantTopics := e.tagger.TagStems(textutil.StemAll(textutil.ContentWords(art.Title + " " + art.Body)))
 
 		if got.Content.Clickbait != wantClickbait {
 			t.Fatalf("%s: clickbait %v != sequential %v", a.URL, got.Content.Clickbait, wantClickbait)

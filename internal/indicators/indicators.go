@@ -141,9 +141,6 @@ func (e *Engine) SetStanceModel(nb *classify.NaiveBayes) {
 	e.flushCache()
 }
 
-// Tagger returns the engine's topic tagger.
-func (e *Engine) Tagger() *topics.Tagger { return e.tagger }
-
 // Stance returns the engine's stance classifier (for cascade-only paths).
 func (e *Engine) Stance() *socialind.StanceClassifier { return e.stance }
 
@@ -217,17 +214,6 @@ func (e *Engine) computeBase(doc, url string) (*Report, error) {
 	return e.evaluateBase(art), nil
 }
 
-// EvaluateArticle computes the report for an already-extracted article.
-// It always evaluates (no caching): use Evaluate for the cached real-time
-// path.
-func (e *Engine) EvaluateArticle(art *extract.Article, cascade []socialind.Post) *Report {
-	r := e.evaluateBase(art)
-	if len(cascade) > 0 {
-		return e.withCascade(r, cascade)
-	}
-	return r
-}
-
 // evaluateBase runs the shared analysis pass and the cascade-independent
 // indicator families (content, context, topics) on the calling goroutine.
 // Both analyses go back to the pool once topics are tagged: the report
@@ -279,14 +265,6 @@ func boolScore(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// CacheLen returns the number of cached reports.
-func (e *Engine) CacheLen() int {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.len()
 }
 
 // ModelGeneration returns the engine's current model generation. It starts

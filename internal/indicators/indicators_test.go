@@ -108,14 +108,14 @@ func TestCacheBehaviour(t *testing.T) {
 	if r1 != r2 {
 		t.Error("cache miss on identical URL")
 	}
-	if e.CacheLen() != 1 {
-		t.Errorf("cache len: %d", e.CacheLen())
+	if cacheLen(e) != 1 {
+		t.Errorf("cache len: %d", cacheLen(e))
 	}
 	// Eviction at capacity.
 	e.Evaluate(goodDoc, "https://a.example/2", nil)
 	e.Evaluate(goodDoc, "https://a.example/3", nil)
-	if e.CacheLen() != 2 {
-		t.Errorf("cache len after eviction: %d", e.CacheLen())
+	if cacheLen(e) != 2 {
+		t.Errorf("cache len after eviction: %d", cacheLen(e))
 	}
 	// Cascade evaluations never serve stale social data from the cache.
 	rc, _ := e.Evaluate(goodDoc, "https://a.example/1", supportCascade(3))
@@ -132,7 +132,7 @@ func TestCacheBehaviour(t *testing.T) {
 	}
 	// Model change flushes.
 	e.SetStanceModel(nil)
-	if e.CacheLen() != 0 {
+	if cacheLen(e) != 0 {
 		t.Error("cache not flushed on model change")
 	}
 }
@@ -140,7 +140,7 @@ func TestCacheBehaviour(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	e := NewEngine(Config{CacheSize: -1})
 	e.Evaluate(goodDoc, "https://a.example/1", nil)
-	if e.CacheLen() != 0 {
+	if cacheLen(e) != 0 {
 		t.Error("disabled cache stored")
 	}
 }

@@ -78,33 +78,6 @@ func Silverman(sample []float64) float64 {
 	return 0.9 * spread * math.Pow(n, -0.2)
 }
 
-// Scott computes Scott's bandwidth h = sigma * n^(-1/5), with the same
-// degenerate-sample fallback as Silverman.
-func Scott(sample []float64) float64 {
-	n := float64(len(sample))
-	if n == 0 {
-		return 1
-	}
-	mean := 0.0
-	for _, x := range sample {
-		mean += x
-	}
-	mean /= n
-	variance := 0.0
-	for _, x := range sample {
-		d := x - mean
-		variance += d * d
-	}
-	sigma := math.Sqrt(variance / n)
-	if sigma <= 0 {
-		sigma = math.Abs(mean) * 0.1
-		if sigma == 0 {
-			sigma = 1
-		}
-	}
-	return sigma * math.Pow(n, -0.2)
-}
-
 // Density returns the estimated density at x.
 func (k *KDE) Density(x float64) float64 {
 	h := k.Bandwidth
@@ -146,38 +119,6 @@ func (k *KDE) Evaluate(min, max float64, points int) Grid {
 		g.Y[i] = k.Density(x)
 	}
 	return g
-}
-
-// Support returns a padded data range suitable for plotting: the sample
-// range extended by 3 bandwidths each side.
-func (k *KDE) Support() (min, max float64) {
-	pad := 3 * k.Bandwidth
-	return k.sorted[0] - pad, k.sorted[len(k.sorted)-1] + pad
-}
-
-// Integrate estimates the integral of the density over [min, max] with the
-// trapezoid rule on the given number of points, useful for normalisation
-// checks.
-func (k *KDE) Integrate(min, max float64, points int) float64 {
-	g := k.Evaluate(min, max, points)
-	total := 0.0
-	for i := 1; i < len(g.X); i++ {
-		total += (g.Y[i] + g.Y[i-1]) / 2 * (g.X[i] - g.X[i-1])
-	}
-	return total
-}
-
-// Mode returns the grid point with the highest density over the support.
-func (k *KDE) Mode(points int) float64 {
-	min, max := k.Support()
-	g := k.Evaluate(min, max, points)
-	best := 0
-	for i, y := range g.Y {
-		if y > g.Y[best] {
-			best = i
-		}
-	}
-	return g.X[best]
 }
 
 // quantileSorted returns the q-quantile of a sorted sample via linear

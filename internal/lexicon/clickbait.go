@@ -126,9 +126,3 @@ func ForwardReferenceHitsLower(h string) int {
 	}
 	return hits
 }
-
-// ClickbaitLexiconSize returns (phrases, words, forwardRefs) inventory
-// sizes, for diagnostics.
-func ClickbaitLexiconSize() (phrases, words, forwardRefs int) {
-	return len(clickbaitPhrases), len(clickbaitWords), len(forwardReferences)
-}

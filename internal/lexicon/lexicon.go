@@ -107,37 +107,12 @@ func SubjectivityByStem(stem string) (SubjectivityEntry, bool) {
 	return SubjectivityEntry{}, false
 }
 
-// SubjectivityLexiconSize returns the number of entries in each tier
-// (strong, weak). Exposed for diagnostics and tests.
-func SubjectivityLexiconSize() (strong, weak int) {
-	return len(strongSubjective), len(weakSubjective)
-}
-
-// hedges are uncertainty markers. Articles grounded in evidence hedge
-// moderately; clickbait rarely hedges, conspiratorial content over-hedges.
-var hedges = map[string]struct{}{
-	"mai": {}, "might": {}, "could": {}, "suggest": {}, "indic": {},
-	"appear": {}, "seem": {}, "perhap": {}, "possibl": {}, "possibli": {},
-	"probabl": {}, "estim": {}, "approxim": {}, "roughli": {},
-	"around": {}, "potenti": {}, "preliminari": {}, "uncertain": {},
-	"tentat": {},
-}
-
 // boosters are certainty amplifiers, a weak clickbait/low-quality signal
 // when dense.
 var boosters = map[string]struct{}{
 	"definit": {}, "absolut": {}, "certainli": {}, "undoubt": {},
 	"alwai": {}, "never": {}, "everi": {}, "total": {}, "complet": {},
 	"guarante": {}, "prove": {}, "proven": {}, "100": {}, "literal": {},
-}
-
-// IsHedge reports whether the word (stemmed) is an uncertainty hedge.
-func IsHedge(word string) bool { return IsHedgeStem(textutil.Stem(word)) }
-
-// IsHedgeStem is IsHedge for an already-stemmed word.
-func IsHedgeStem(stem string) bool {
-	_, ok := hedges[stem]
-	return ok
 }
 
 // IsBooster reports whether the word (stemmed) is a certainty booster.

@@ -138,11 +138,3 @@ func ClassifyScientificDomain(host string) ScientificDomainClass {
 	}
 	return SciNone
 }
-
-// IsScientificDomain reports whether host is any class of scientific source.
-func IsScientificDomain(host string) bool {
-	return ClassifyScientificDomain(host) != SciNone
-}
-
-// ScientificDomainCount returns the registry size, for diagnostics.
-func ScientificDomainCount() int { return len(scientificDomains) }

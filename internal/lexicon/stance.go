@@ -57,8 +57,3 @@ func IsQuestionCue(word string) bool {
 	_, ok := questionCues[stemLower(word)]
 	return ok
 }
-
-// StanceLexiconSize returns (support, deny, question) inventory sizes.
-func StanceLexiconSize() (support, deny, question int) {
-	return len(supportCues), len(denyCues), len(questionCues)
-}

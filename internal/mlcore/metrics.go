@@ -3,7 +3,6 @@ package mlcore
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -71,61 +70,6 @@ func (m ConfusionMatrix) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// AUC computes the area under the ROC curve from scores and binary labels
-// using the rank statistic (ties get average rank). Returns 0.5 when one
-// class is absent.
-func AUC(scores []float64, labels []bool) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, ErrLengthMismatch
-	}
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	// Average ranks over ties.
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && scores[idx[j+1]] == scores[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	var pos, sumPos float64
-	for i, l := range labels {
-		if l {
-			pos++
-			sumPos += ranks[i]
-		}
-	}
-	neg := float64(n) - pos
-	if pos == 0 || neg == 0 {
-		return 0.5, nil
-	}
-	return (sumPos - pos*(pos+1)/2) / (pos * neg), nil
-}
-
-// TrainTestSplit shuffles indices 0..n-1 with the given rng and splits them
-// so that test receives ceil(n*testFrac) items. testFrac is clamped to
-// [0, 1].
-func TrainTestSplit(n int, testFrac float64, rng *rand.Rand) (train, test []int) {
-	if testFrac < 0 {
-		testFrac = 0
-	}
-	if testFrac > 1 {
-		testFrac = 1
-	}
-	idx := rng.Perm(n)
-	cut := int(math.Ceil(float64(n) * testFrac))
-	return idx[cut:], idx[:cut]
-}
-
 // Mean returns the arithmetic mean, 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -154,20 +98,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Median returns the median, 0 for empty input. The input is not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation.
 func Quantile(xs []float64, q float64) float64 {

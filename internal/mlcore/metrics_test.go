@@ -1,11 +1,6 @@
 package mlcore
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestConfusionAndDerivedMetrics(t *testing.T) {
 	pred := []bool{true, true, false, false, true}
@@ -44,89 +39,6 @@ func TestMetricsUndefinedCases(t *testing.T) {
 	}
 }
 
-func TestAUCPerfectAndRandom(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.3, 0.1}
-	labels := []bool{true, true, false, false}
-	auc, err := AUC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(auc, 1.0) {
-		t.Errorf("perfect AUC: %v", auc)
-	}
-	// Inverted scores: AUC 0.
-	auc, _ = AUC([]float64{0.1, 0.2, 0.8, 0.9}, labels)
-	if !almostEq(auc, 0) {
-		t.Errorf("inverted AUC: %v", auc)
-	}
-	// One-class degenerate: 0.5.
-	auc, _ = AUC([]float64{0.1, 0.2}, []bool{true, true})
-	if !almostEq(auc, 0.5) {
-		t.Errorf("one-class AUC: %v", auc)
-	}
-}
-
-func TestAUCTies(t *testing.T) {
-	// All scores equal: AUC must be 0.5 by average-rank convention.
-	auc, err := AUC([]float64{0.5, 0.5, 0.5, 0.5}, []bool{true, false, true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(auc, 0.5) {
-		t.Errorf("tied AUC: %v", auc)
-	}
-}
-
-func TestAUCRangeProperty(t *testing.T) {
-	check := func(scores []float64, seed int64) bool {
-		for _, s := range scores {
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				return true
-			}
-		}
-		rng := rand.New(rand.NewSource(seed))
-		labels := make([]bool, len(scores))
-		for i := range labels {
-			labels[i] = rng.Intn(2) == 0
-		}
-		auc, err := AUC(scores, labels)
-		if err != nil {
-			return false
-		}
-		return auc >= 0 && auc <= 1
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTrainTestSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	train, test := TrainTestSplit(10, 0.3, rng)
-	if len(test) != 3 || len(train) != 7 {
-		t.Fatalf("split sizes: train=%d test=%d", len(train), len(test))
-	}
-	seen := make(map[int]bool)
-	for _, i := range append(append([]int{}, train...), test...) {
-		if seen[i] {
-			t.Fatalf("index %d appears twice", i)
-		}
-		seen[i] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("indices lost: %d", len(seen))
-	}
-	// Clamping.
-	train, test = TrainTestSplit(4, 1.5, rng)
-	if len(train) != 0 || len(test) != 4 {
-		t.Error("clamp high")
-	}
-	train, test = TrainTestSplit(4, -1, rng)
-	if len(train) != 4 || len(test) != 0 {
-		t.Error("clamp low")
-	}
-}
-
 func TestMeanVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almostEq(Mean(xs), 5) {
@@ -144,13 +56,13 @@ func TestMeanVarianceStd(t *testing.T) {
 }
 
 func TestMedianQuantile(t *testing.T) {
-	if !almostEq(Median([]float64{3, 1, 2}), 2) {
+	if !almostEq(Quantile([]float64{3, 1, 2}, 0.5), 2) {
 		t.Error("odd median")
 	}
-	if !almostEq(Median([]float64{4, 1, 2, 3}), 2.5) {
+	if !almostEq(Quantile([]float64{4, 1, 2, 3}, 0.5), 2.5) {
 		t.Error("even median")
 	}
-	if Median(nil) != 0 {
+	if Quantile(nil, 0.5) != 0 {
 		t.Error("empty median")
 	}
 	xs := []float64{1, 2, 3, 4, 5}
@@ -165,7 +77,7 @@ func TestMedianQuantile(t *testing.T) {
 	}
 	// Input must not be mutated.
 	ys := []float64{3, 1, 2}
-	Median(ys)
+	Quantile(ys, 0.5)
 	if ys[0] != 3 {
 		t.Error("median mutated input")
 	}

@@ -42,9 +42,6 @@ func (v *Vocabulary) Term(i int) string {
 	return v.terms[i]
 }
 
-// Size returns the number of terms.
-func (v *Vocabulary) Size() int { return len(v.terms) }
-
 // TFIDF is a fitted TF-IDF vectoriser: it holds the vocabulary and the
 // per-term inverse document frequencies.
 type TFIDF struct {
@@ -54,7 +51,6 @@ type TFIDF struct {
 	IDF []float64
 	// MinDF is the minimum document frequency a term needed to be kept.
 	MinDF int
-	docs  int
 }
 
 // FitTFIDF builds a vectoriser from tokenised documents. Terms occurring in
@@ -84,7 +80,7 @@ func FitTFIDF(docs [][]string, minDF int) *TFIDF {
 	}
 	sort.Strings(kept)
 
-	t := &TFIDF{Vocab: NewVocabulary(), MinDF: minDF, docs: len(docs)}
+	t := &TFIDF{Vocab: NewVocabulary(), MinDF: minDF}
 	t.IDF = make([]float64, 0, len(kept))
 	for _, term := range kept {
 		t.Vocab.Add(term)
@@ -118,9 +114,6 @@ func (t *TFIDF) TransformAll(docs [][]string) []SparseVector {
 	}
 	return out
 }
-
-// NumDocs returns the number of documents the vectoriser was fitted on.
-func (t *TFIDF) NumDocs() int { return t.docs }
 
 // HashFeatures maps terms into a fixed-size feature space via FNV-1a
 // feature hashing (the "hashing trick"); dim must be positive. Collisions

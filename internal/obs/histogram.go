@@ -112,43 +112,6 @@ func (h *Histogram) bucketCounts() []uint64 {
 // bound returns the raw upper bound of finite bucket i.
 func (h *Histogram) bound(i int) int64 { return 1 << (h.minShift + uint(i)) }
 
-// Quantile extracts an approximate quantile (0 < q < 1) in scaled units
-// (seconds for duration histograms), interpolating linearly inside the
-// selected bucket. It returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := h.bucketCounts()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank > next {
-			cum = next
-			continue
-		}
-		var lo int64
-		if i > 0 {
-			lo = h.bound(i - 1)
-		}
-		hi := h.bound(i)
-		if i == h.nb { // +Inf bucket: report its lower bound
-			return float64(h.bound(h.nb-1)) * h.scale
-		}
-		frac := (rank - cum) / float64(c)
-		return (float64(lo) + frac*float64(hi-lo)) * h.scale
-	}
-	return float64(h.bound(h.nb-1)) * h.scale
-}
-
 // HistogramVec is a labeled histogram family. With pre-registers a child
 // for one label-value set; hold the returned *Histogram for
 // allocation-free hot-path recording.

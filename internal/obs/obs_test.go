@@ -80,15 +80,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	if got := h.Sum(); got != wantSum {
 		t.Fatalf("sum = %d, want %d", got, wantSum)
 	}
-	// The observations are uniform over [1µs, ~81µs]; p50 must land near
-	// 41µs within log-bucket resolution.
-	p50 := h.Quantile(0.50)
-	if p50 < 20e-6 || p50 > 80e-6 {
-		t.Fatalf("p50 = %v, want ~4.1e-5 within log-bucket resolution", p50)
-	}
-	if p95 := h.Quantile(0.95); p95 < p50 {
-		t.Fatalf("p95 %v < p50 %v", p95, p50)
-	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
@@ -225,13 +216,6 @@ func TestTraceSpansAndContext(t *testing.T) {
 	nilTrace.SetName("x")
 	nilTrace.Finish(0)
 	StartSpan(context.Background(), "no trace").End()
-}
-
-func TestQuantileEmpty(t *testing.T) {
-	h := NewRegistry().NewDurationHistogram("empty_seconds", "help")
-	if q := h.Quantile(0.99); q != 0 {
-		t.Fatalf("quantile of empty histogram = %v, want 0", q)
-	}
 }
 
 // Benchmarks back the CI metrics-overhead smoke: record calls must be

@@ -1,7 +1,7 @@
 // Package obs is the platform's zero-dependency observability layer: a
 // metrics registry (counters, gauges, lock-striped log-bucketed
-// histograms with quantile extraction, labeled families with
-// pre-registered handles so hot-path record calls are allocation-free)
+// histograms, labeled families with pre-registered handles so hot-path
+// record calls are allocation-free)
 // plus a lightweight span tracer (per-request trace IDs threaded through
 // context.Context, completed traces retained in a bounded ring with the
 // slowest-N kept aside). The registry exports Prometheus text exposition

@@ -62,10 +62,6 @@ func (r RatingClass) String() string {
 	}
 }
 
-// IsHighQuality groups {Excellent, Good} as "high-quality" for the
-// two-way comparisons in Figures 4-5.
-func (r RatingClass) IsHighQuality() bool { return r <= Good }
-
 // Outlet describes one news source.
 type Outlet struct {
 	// ID is the stable outlet identifier (slug).
@@ -152,24 +148,6 @@ func (r *Registry) All() []Outlet {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ByRating returns the outlets of one rating class, sorted by ID.
-func (r *Registry) ByRating(c RatingClass) []Outlet {
-	var out []Outlet
-	for _, o := range r.All() {
-		if o.Rating == c {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// Len returns the number of registered outlets.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
 }
 
 // DemoShortlist builds the 45-outlet COVID-19 demo registry: nine outlets

@@ -73,22 +73,17 @@ func TestRatingClassStrings(t *testing.T) {
 	}
 }
 
-func TestIsHighQuality(t *testing.T) {
-	if !Excellent.IsHighQuality() || !Good.IsHighQuality() {
-		t.Error("excellent/good should be high quality")
-	}
-	if Mixed.IsHighQuality() || Poor.IsHighQuality() || VeryPoor.IsHighQuality() {
-		t.Error("mixed/poor/very-poor should not be high quality")
-	}
-}
-
 func TestDemoShortlist(t *testing.T) {
 	r := DemoShortlist()
-	if r.Len() != 45 {
-		t.Fatalf("shortlist size: %d, want 45 (paper §4)", r.Len())
+	if n := len(r.All()); n != 45 {
+		t.Fatalf("shortlist size: %d, want 45 (paper §4)", n)
+	}
+	byRating := map[RatingClass]int{}
+	for _, o := range r.All() {
+		byRating[o.Rating]++
 	}
 	for c := Excellent; c <= VeryPoor; c++ {
-		if got := len(r.ByRating(c)); got != 9 {
+		if got := byRating[c]; got != 9 {
 			t.Errorf("class %v: %d outlets, want 9", c, got)
 		}
 	}

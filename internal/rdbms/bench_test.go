@@ -293,7 +293,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		run(b, NewDB())
 	})
 	b.Run("durable", func(b *testing.B) {
-		db, err := Open(b.TempDir())
+		db, err := OpenWithOptions(b.TempDir(), Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func buildCompatDir(t testing.TB, dir string) map[string]Row {
 			t.Fatal(err)
 		}
 	}
-	db, err := Open(dir)
+	db, err := OpenWithOptions(dir, Options{})
 	check(err)
 	tbl, err := db.CreateTable("every", compatSchema(t))
 	check(err)
@@ -215,7 +215,7 @@ func buildCompatDir(t testing.TB, dir string) map[string]Row {
 	}
 	moved := compatRow(20)
 	moved[0] = String("row-moved")
-	check(tbl.Update(String("row-0020"), moved))
+	check(update(tbl, String("row-0020"), moved))
 	delete(want, "row-0020")
 	want["row-moved"] = moved
 	check(tbl.Mutate(String("row-0021"), func(r Row) (Row, error) {
@@ -267,7 +267,7 @@ func TestCrossVersionRecovery(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS(compatFixture)); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(dir)
+	db, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("open parent-written directory: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestCrossVersionRecovery(t *testing.T) {
 		}
 	}
 	for g, n := range groups {
-		rows, err := tbl.LookupEq("s", String(g))
+		rows, err := lookupEq(tbl, "s", String(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,9 +103,6 @@ func NewDBWithOptions(o Options) *DB {
 	}
 }
 
-// NewDBWithWAL creates a database whose mutations are appended to wal.
-func NewDBWithWAL(wal *WAL) *DB { return NewDBWithOptions(Options{WAL: wal}) }
-
 // CreateTable adds a table with the given schema and the database's
 // default partition count.
 func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {

@@ -30,7 +30,7 @@ func TestDropTableKillRecover(t *testing.T) {
 	}
 
 	db.Abandon() // crash: recovery = chain (with social) + WAL (with the drop)
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDropTableForcesCompaction(t *testing.T) {
 		t.Fatalf("post-drop checkpoint not a delta: full=%v err=%v", st.Full, err)
 	}
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestDropTableForcesCompaction(t *testing.T) {
 	}
 }
 
-// TestReplayDropTable covers the strict (in-memory) replay path.
+// TestReplayDropTable: a drop-table record replayed after the create
+// removes the table again.
 func TestReplayDropTable(t *testing.T) {
 	var buf bytes.Buffer
-	wal := NewWAL(&buf)
-	db := NewDBWithWAL(wal)
+	db := newBufDB(&buf)
 	if _, err := db.CreateTable("articles", articleSchema(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,9 @@ func TestReplayDropTable(t *testing.T) {
 	if err := db.DropTable("social"); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	re := NewDB()
-	if _, err := Replay(re, &buf); err != nil {
+	if _, err := replay(re, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := re.Table("articles"); err != nil {

@@ -174,10 +174,6 @@ type CheckpointStats struct {
 	WALSegment int
 }
 
-// Open opens (or creates) a durable database in dir, recovering state from
-// the last snapshot plus WAL replay.
-func Open(dir string) (*DB, error) { return OpenWithOptions(dir, Options{}) }
-
 // OpenWithOptions is Open with explicit database options. The partition
 // option applies to tables created after the open; recovered tables keep
 // the partition count recorded in the snapshot/WAL.
@@ -778,9 +774,7 @@ func (l *WAL) closeFile() error {
 		}
 		if err == nil && serr == nil && !l.broken && l.records > l.durable {
 			l.durable = l.records
-			if l.syncCond != nil {
-				l.syncCond.Broadcast()
-			}
+			l.syncCond.Broadcast()
 		}
 		if cerr := l.f.Close(); err == nil {
 			err = cerr
@@ -793,8 +787,8 @@ func (l *WAL) closeFile() error {
 // Abandon simulates a process crash for tests and crash drills: it drops
 // the WAL file handle and the data-directory lock WITHOUT flushing or
 // syncing, exactly as the kernel would when the process dies. The DB
-// value must not be used afterwards; a subsequent Open(dir) recovers from
-// whatever reached the OS.
+// value must not be used afterwards; a later OpenWithOptions on the
+// directory recovers from whatever reached the OS.
 func (db *DB) Abandon() {
 	if db.wal != nil {
 		db.wal.mu.Lock()
@@ -921,7 +915,7 @@ func replaySegment(db *DB, fsys vfs.FS, path string) (applied int, trunc bool, e
 			}
 			return applied, true, nil
 		}
-		if aerr := applyRecord(db, rec, true); aerr != nil {
+		if aerr := applyRecord(db, rec); aerr != nil {
 			f.Close()
 			return applied, false, aerr
 		}

@@ -16,7 +16,7 @@ import (
 // indexes declared (idempotent across reopens: recovery replays DDL).
 func openTestDB(t *testing.T, dir string) (*DB, *Table) {
 	t.Helper()
-	db, err := Open(dir)
+	db, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +35,13 @@ func openTestDB(t *testing.T, dir string) (*DB, *Table) {
 		t.Fatal(err)
 	}
 	return db, tbl
+}
+
+// walBroken reports whether db's WAL refuses appends after a failed one.
+func walBroken(db *DB) bool {
+	db.wal.mu.Lock()
+	defer db.wal.mu.Unlock()
+	return db.wal.broken
 }
 
 // dumpDB captures the logical content of every table, sorted by pk.
@@ -94,13 +101,13 @@ func TestKillAndRecover(t *testing.T) {
 	for i := int64(1); i < 50; i += 2 {
 		tbl.Delete(Int(i))
 	}
-	tbl.Update(Int(100), articleRow(5100, "moved", "pk-move", 1)) // cross-partition move in the WAL
+	update(tbl, Int(100), articleRow(5100, "moved", "pk-move", 1)) // cross-partition move in the WAL
 	want := dumpDB(t, db)
 
 	// Crash: no Close, no final checkpoint. Per-record flushing means the
 	// OS has every record; reopen from disk.
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestKillAndRecover(t *testing.T) {
 	}
 	// Indexes were rebuilt and work.
 	reTbl, _ := re.Table("articles")
-	if rows, err := reTbl.LookupEq("outlet", String("moved")); err != nil || len(rows) != 1 {
+	if rows, err := lookupEq(reTbl, "outlet", String("moved")); err != nil || len(rows) != 1 {
 		t.Fatalf("recovered index: %d %v", len(rows), err)
 	}
 	// The recovered DB accepts and persists new writes.
@@ -153,7 +160,7 @@ func TestRecoverWALOnlyNoSnapshot(t *testing.T) {
 		t.Fatal("unexpected snapshot before first checkpoint")
 	}
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +195,7 @@ func TestTornFinalRecordTruncates(t *testing.T) {
 	f.Write([]byte{walInsert, 200, 'x', 'y'})
 	f.Close()
 
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +239,7 @@ func TestMidStreamCorruptionTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +305,7 @@ func TestMutateHeavyReplay(t *testing.T) {
 	}
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +370,7 @@ func TestCheckpointConcurrentWithWrites(t *testing.T) {
 	want := dumpDB(t, db)
 	db.Abandon()
 
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +495,7 @@ func TestBrokenWALFailsWritesUntilCheckpoint(t *testing.T) {
 	if tbl.Len() != 10 {
 		t.Fatalf("rows after refused writes: %d", tbl.Len())
 	}
-	if db.wal.Err() == nil {
+	if !walBroken(db) {
 		t.Error("broken WAL not reported by Err")
 	}
 
@@ -497,7 +504,7 @@ func TestBrokenWALFailsWritesUntilCheckpoint(t *testing.T) {
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatalf("repair checkpoint: %v", err)
 	}
-	if db.wal.Err() != nil {
+	if walBroken(db) {
 		t.Error("WAL still broken after checkpoint")
 	}
 	if _, err := tbl.Insert(articleRow(100, "o", "recovered", 0)); err != nil {
@@ -507,7 +514,7 @@ func TestBrokenWALFailsWritesUntilCheckpoint(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("close after repair: %v", err)
 	}
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +526,7 @@ func TestBrokenWALFailsWritesUntilCheckpoint(t *testing.T) {
 
 // TestOpenErrors covers the in-memory guard rails.
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open(""); !errors.Is(err, ErrNoDir) {
+	if _, err := OpenWithOptions("", Options{}); !errors.Is(err, ErrNoDir) {
 		t.Errorf("empty dir: %v", err)
 	}
 	db := NewDB()
@@ -538,13 +545,13 @@ func TestOpenRefusesSharedDir(t *testing.T) {
 	dir := t.TempDir()
 	db, tbl := openTestDB(t, dir)
 	tbl.Insert(articleRow(1, "o", "t", 0))
-	if _, err := Open(dir); !errors.Is(err, ErrLocked) {
+	if _, err := OpenWithOptions(dir, Options{}); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second open: %v", err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("open after close: %v", err)
 	}

@@ -19,19 +19,19 @@ func exampleSchema() *rdbms.Schema {
 	return schema
 }
 
-// ExampleOpen_recovery demonstrates the durable lifecycle: a database
+// ExampleOpenWithOptions_recovery demonstrates the durable lifecycle: a database
 // opened in a directory survives the process. The first checkpoint writes
 // a base snapshot generation; rows written afterwards live only in the
-// WAL — and the second Open recovers both, replaying
+// WAL — and the second open recovers both, replaying
 // manifest → base generation → WAL segments.
-func ExampleOpen_recovery() {
+func ExampleOpenWithOptions_recovery() {
 	dir, err := os.MkdirTemp("", "rdbms-example")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := rdbms.Open(dir)
+	db, err := rdbms.OpenWithOptions(dir, rdbms.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +46,7 @@ func ExampleOpen_recovery() {
 	tbl.Insert(rdbms.Row{rdbms.Int(2), rdbms.String("only in the WAL")})
 	db.Close() // releases the directory; Close does not checkpoint
 
-	re, err := rdbms.Open(dir) // recovers snapshot chain + WAL replay
+	re, err := rdbms.OpenWithOptions(dir, rdbms.Options{}) // recovers snapshot chain + WAL replay
 	if err != nil {
 		panic(err)
 	}
@@ -77,7 +77,7 @@ func ExampleDB_Checkpoint() {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := rdbms.Open(dir)
+	db, err := rdbms.OpenWithOptions(dir, rdbms.Options{})
 	if err != nil {
 		panic(err)
 	}

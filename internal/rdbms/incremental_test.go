@@ -127,7 +127,7 @@ func TestKillAndRecoverDeltaChain(t *testing.T) {
 	want := dumpDB(t, db)
 
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestKillAndRecoverDeltaChain(t *testing.T) {
 	}
 	// Recovered indexes work and the recovered store accepts writes.
 	reTbl, _ := re.Table("articles")
-	if rows, err := reTbl.LookupEq("outlet", String("new")); err != nil || len(rows) != 2 {
+	if rows, err := lookupEq(reTbl, "outlet", String("new")); err != nil || len(rows) != 2 {
 		t.Fatalf("recovered index: %d %v", len(rows), err)
 	}
 	if _, err := reTbl.Insert(articleRow(9100, "post", "after", 0)); err != nil {
@@ -163,7 +163,7 @@ func TestRecoveredChainStaysIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDeltaCompaction(t *testing.T) {
 	// And the compacted store recovers.
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestOpenMissingDeltaFails(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, genDirName(st.Generation))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrManifest) {
+	if _, err := OpenWithOptions(dir, Options{}); !errors.Is(err, ErrManifest) {
 		t.Fatalf("open with missing delta: %v", err)
 	}
 	// A corrupt generation payload must fail the same way.
@@ -277,7 +277,7 @@ func TestOpenMissingDeltaFails(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir2, genDirName(st2.Generation), genDataFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir2); !errors.Is(err, ErrManifest) {
+	if _, err := OpenWithOptions(dir2, Options{}); !errors.Is(err, ErrManifest) {
 		t.Fatalf("open with corrupt generation: %v", err)
 	}
 }
@@ -323,7 +323,7 @@ func TestCheckpointPruneFailureNonFatal(t *testing.T) {
 	}
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestLeftoverSegmentsNotReplayedOverChain(t *testing.T) {
 	// 6: loose replay over the chain would resurrect/revert them.
 	db.Abandon()
 	removeFile = oldRemove
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestCheckpointSurvivesManifestFailure(t *testing.T) {
 	}
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestLegacySnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for try := 1; try <= 2; try++ {
-		db, err := Open(dir)
+		db, err := OpenWithOptions(dir, Options{})
 		if err == nil {
 			db.Close()
 			t.Fatalf("try %d: a legacy directory opened", try)
@@ -529,7 +529,7 @@ func TestFsyncAlwaysGroupCommit(t *testing.T) {
 	}
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestCloseCommitsParkedGroupWriters(t *testing.T) {
 	}
 	wg.Wait()
 
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +692,7 @@ func TestFsyncAlwaysCheckpointUnderLoad(t *testing.T) {
 	}
 	want := dumpDB(t, db)
 	db.Abandon()
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

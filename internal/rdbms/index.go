@@ -22,11 +22,6 @@ const (
 type index interface {
 	insert(v Value, rowID int)
 	remove(v Value, rowID int)
-	lookup(v Value) []int
-	// scanRange calls fn for each (value, rowID) with lo <= value <= hi,
-	// ascending; nil bounds are open. Only ordered indexes support it.
-	scanRange(lo, hi *Value, fn func(v Value, rowID int) bool) error
-	kind() IndexKind
 }
 
 // hashIdx is an equality index that stores no keys: an open-addressed
@@ -68,8 +63,6 @@ const maxStripeRows = 1<<31 - 1
 const minHashEntries = 8
 
 func newHashIdx(heap *[]Row, col int) *hashIdx { return &hashIdx{heap: heap, col: col} }
-
-func (h *hashIdx) kind() IndexKind { return HashIndex }
 
 // home is the first bucket of tag's probe sequence. It takes the high bits
 // of a multiplicative mix, not the tag's low bits: inside stripe i every
@@ -175,15 +168,6 @@ func (h *hashIdx) probe(i, tag uint32, v Value) (uint32, bool) {
 	return 0, false
 }
 
-func (h *hashIdx) lookup(v Value) []int {
-	var out []int
-	h.each(v, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
 // lookupOne returns the first-inserted matching row id without allocating
 // — the primary-key fast path, where at most one row matches.
 func (h *hashIdx) lookupOne(v Value) (int, bool) { return h.lookupOneTag(v.hash32(), v) }
@@ -212,10 +196,6 @@ func (h *hashIdx) eachTag(tag uint32, v Value, fn func(rowID int) bool) {
 	}
 }
 
-func (h *hashIdx) scanRange(lo, hi *Value, fn func(Value, int) bool) error {
-	return ErrTypeMismatch // hash indexes cannot range-scan
-}
-
 // skipNode is one node of the skip list backing OrderedIndex. Duplicate
 // values are allowed; each (value, rowID) pair is one node.
 type skipNode struct {
@@ -233,7 +213,6 @@ type skipIdx struct {
 	level int
 	rng   *rand.Rand
 	mu    sync.Mutex // protects rng only; structural locks live in Table
-	size  int
 }
 
 func newSkipIdx(seed int64) *skipIdx {
@@ -243,8 +222,6 @@ func newSkipIdx(seed int64) *skipIdx {
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
-
-func (s *skipIdx) kind() IndexKind { return OrderedIndex }
 
 // less orders by (value, rowID).
 func less(av Value, aID int, bv Value, bID int) bool {
@@ -291,7 +268,6 @@ func (s *skipIdx) insert(v Value, rowID int) {
 		node.next[i] = update[i].next[i]
 		update[i].next[i] = node
 	}
-	s.size++
 }
 
 func (s *skipIdx) remove(v Value, rowID int) {
@@ -315,27 +291,6 @@ func (s *skipIdx) remove(v Value, rowID int) {
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
-	s.size--
-}
-
-func (s *skipIdx) lookup(v Value) []int {
-	var out []int
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && less(x.next[i].val, -1<<62, v, -1<<62) {
-			x = x.next[i]
-		}
-	}
-	for x = x.next[0]; x != nil; x = x.next[0] {
-		c, err := x.val.Compare(v)
-		if err != nil || c > 0 {
-			break
-		}
-		if c == 0 {
-			out = append(out, x.rowID)
-		}
-	}
-	return out
 }
 
 // seek returns the first node whose value is >= lo (every node when lo is
@@ -352,33 +307,3 @@ func (s *skipIdx) seek(lo *Value) *skipNode {
 	}
 	return x.next[0]
 }
-
-func (s *skipIdx) scanRange(lo, hi *Value, fn func(Value, int) bool) error {
-	x := s.head
-	if lo != nil {
-		for i := s.level - 1; i >= 0; i-- {
-			for x.next[i] != nil && less(x.next[i].val, -1<<62, *lo, -1<<62) {
-				x = x.next[i]
-			}
-		}
-	}
-	for x = x.next[0]; x != nil; x = x.next[0] {
-		if lo != nil {
-			if c, err := x.val.Compare(*lo); err == nil && c < 0 {
-				continue
-			}
-		}
-		if hi != nil {
-			if c, err := x.val.Compare(*hi); err == nil && c > 0 {
-				break
-			}
-		}
-		if !fn(x.val, x.rowID) {
-			break
-		}
-	}
-	return nil
-}
-
-// Len returns the number of entries in the skip list.
-func (s *skipIdx) Len() int { return s.size }

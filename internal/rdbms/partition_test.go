@@ -60,7 +60,7 @@ func TestPartitionedEquivalence(t *testing.T) {
 			}
 		}
 		for i := int64(0); i < 200; i += 3 {
-			if err := tbl.Update(Int(i), articleRow(i, fmt.Sprintf("outlet-%d", i%5), "updated", float64(i%11))); err != nil {
+			if err := update(tbl, Int(i), articleRow(i, fmt.Sprintf("outlet-%d", i%5), "updated", float64(i%11))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestPartitionedEquivalence(t *testing.T) {
 		// PK moves, including ones that change partition.
 		for i := int64(7); i < 50; i += 7 {
 			moved := articleRow(i+1000, "moved", "m", 1)
-			if err := tbl.Update(Int(i), moved); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := update(tbl, Int(i), moved); err != nil && !errors.Is(err, ErrNotFound) {
 				t.Fatal(err)
 			}
 		}
@@ -108,11 +108,11 @@ func TestPartitionedEquivalence(t *testing.T) {
 				t.Fatalf("partitioned table diverged from single-lock table:\nwant %d rows\ngot  %d rows", len(want), len(got))
 			}
 			// Secondary-index lookups match too.
-			wantIdx, err := base.LookupEq("outlet", String("upserted"))
+			wantIdx, err := lookupEq(base, "outlet", String("upserted"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotIdx, err := tbl.LookupEq("outlet", String("upserted"))
+			gotIdx, err := lookupEq(tbl, "outlet", String("upserted"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestCrossPartitionPKMove(t *testing.T) {
 	}
 	// Update-based moves: every key moves to key+1000 (many cross stripes).
 	for i := int64(0); i < 64; i++ {
-		if err := tbl.Update(Int(i), articleRow(i+1000, "o", "moved", float64(i))); err != nil {
+		if err := update(tbl, Int(i), articleRow(i+1000, "o", "moved", float64(i))); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestCrossPartitionPKMove(t *testing.T) {
 		}
 	}
 	// Secondary index stayed consistent across the moves.
-	rows, err := tbl.LookupEq("outlet", String("o"))
+	rows, err := lookupEq(tbl, "outlet", String("o"))
 	if err != nil || len(rows) != 64 {
 		t.Fatalf("index after moves: %d %v", len(rows), err)
 	}
@@ -227,7 +227,7 @@ func TestCrossPartitionPKMove(t *testing.T) {
 		t.Fatalf("mutate move: %v %v", r, err)
 	}
 	// Moving onto an existing key fails whichever stripe it lives in.
-	if err := tbl.Update(Int(4242), articleRow(1001, "o", "clash", 0)); !errors.Is(err, ErrDuplicate) {
+	if err := update(tbl, Int(4242), articleRow(1001, "o", "clash", 0)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("cross-partition clash: %v", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestConcurrentStripedWrites(t *testing.T) {
 				}
 				if i%10 == 0 {
 					tbl.Get(Int(id))
-					tbl.LookupEq("outlet", String("outlet-0"))
+					lookupEq(tbl, "outlet", String("outlet-0"))
 					tbl.Scan(func(Row) bool { return false })
 				}
 			}

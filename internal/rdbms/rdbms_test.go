@@ -32,6 +32,27 @@ func articleRow(id int64, outlet, title string, score float64) Row {
 	}
 }
 
+// update replaces the row stored under pk with r through Mutate, the
+// table's one update entry.
+func update(tbl *Table, pk Value, r Row) error {
+	return tbl.Mutate(pk, func(Row) (Row, error) { return r, nil })
+}
+
+// lookupEq gathers copies of the rows whose indexed column equals v
+// through the table's read paths: ViewEq over a hash index, Range from v
+// to v over an ordered one.
+func lookupEq(tbl *Table, col string, v Value) ([]Row, error) {
+	out := []Row{}
+	collect := func(r Row) bool {
+		out = append(out, r.Clone())
+		return true
+	}
+	if kind, ok := tbl.IndexKindOf(col); ok && kind == OrderedIndex {
+		return out, tbl.Range(col, &v, &v, collect)
+	}
+	return out, tbl.ViewEq(col, v, collect)
+}
+
 func newArticleTable(t *testing.T) *Table {
 	t.Helper()
 	db := NewDB()
@@ -163,7 +184,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	}
 	// Update.
 	upd := articleRow(1, "outlet-a", "New Title", 0.9)
-	if err := tbl.Update(Int(1), upd); err != nil {
+	if err := update(tbl, Int(1), upd); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = tbl.Get(Int(1))
@@ -224,7 +245,7 @@ func TestUpdatePKMove(t *testing.T) {
 	tbl.Insert(articleRow(2, "o", "other", 0.5))
 	// Move pk 1 -> 3.
 	moved := articleRow(3, "o", "t", 0.5)
-	if err := tbl.Update(Int(1), moved); err != nil {
+	if err := update(tbl, Int(1), moved); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Get(Int(1)); !errors.Is(err, ErrNotFound) {
@@ -235,7 +256,7 @@ func TestUpdatePKMove(t *testing.T) {
 	}
 	// Move onto an existing pk must fail.
 	clash := articleRow(2, "o", "x", 0.5)
-	if err := tbl.Update(Int(3), clash); !errors.Is(err, ErrDuplicate) {
+	if err := update(tbl, Int(3), clash); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("pk clash: %v", err)
 	}
 }
@@ -270,7 +291,7 @@ func TestHashIndexLookup(t *testing.T) {
 	if err := tbl.CreateIndex("outlet", HashIndex); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tbl.LookupEq("outlet", String("high"))
+	rows, err := lookupEq(tbl, "outlet", String("high"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +300,17 @@ func TestHashIndexLookup(t *testing.T) {
 	}
 	// Index follows updates and deletes.
 	tbl.Delete(Int(2))
-	rows, _ = tbl.LookupEq("outlet", String("high"))
+	rows, _ = lookupEq(tbl, "outlet", String("high"))
 	if len(rows) != 4 {
 		t.Errorf("after delete: %d", len(rows))
 	}
 	upd := articleRow(4, "low", "t", 0)
-	tbl.Update(Int(4), upd)
-	rows, _ = tbl.LookupEq("outlet", String("high"))
+	update(tbl, Int(4), upd)
+	rows, _ = lookupEq(tbl, "outlet", String("high"))
 	if len(rows) != 3 {
 		t.Errorf("after update: %d", len(rows))
 	}
-	rows, _ = tbl.LookupEq("outlet", String("low"))
+	rows, _ = lookupEq(tbl, "outlet", String("low"))
 	if len(rows) != 6 {
 		t.Errorf("low rows: %d", len(rows))
 	}
@@ -304,7 +325,7 @@ func TestCreateIndexErrors(t *testing.T) {
 	if err := tbl.CreateIndex("outlet", OrderedIndex); !errors.Is(err, ErrExists) {
 		t.Errorf("dup index: %v", err)
 	}
-	if _, err := tbl.LookupEq("title", String("x")); !errors.Is(err, ErrNotFound) {
+	if _, err := lookupEq(tbl, "title", String("x")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unindexed lookup: %v", err)
 	}
 }
@@ -398,7 +419,7 @@ func TestOrderedIndexDuplicateValues(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		tbl.Insert(articleRow(i, "o", "t", float64(i%4)))
 	}
-	rows, err := tbl.LookupEq("score", Float(2))
+	rows, err := lookupEq(tbl, "score", Float(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +428,7 @@ func TestOrderedIndexDuplicateValues(t *testing.T) {
 	}
 	// Delete one of them; lookup shrinks.
 	tbl.Delete(rows[0][0])
-	rows, _ = tbl.LookupEq("score", Float(2))
+	rows, _ = lookupEq(tbl, "score", Float(2))
 	if len(rows) != 4 {
 		t.Errorf("after delete: %d", len(rows))
 	}
@@ -461,7 +482,7 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 				}
 				if i%10 == 0 {
 					tbl.Scan(func(Row) bool { return false })
-					tbl.LookupEq("outlet", String("outlet-0"))
+					lookupEq(tbl, "outlet", String("outlet-0"))
 				}
 			}
 		}(w)

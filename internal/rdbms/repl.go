@@ -352,7 +352,7 @@ func (db *DB) ApplyReplRecord(rec []byte) error {
 	if !whole {
 		return fmt.Errorf("replicated record has trailing bytes: %w", ErrCorrupt)
 	}
-	return applyRecord(db, r, true)
+	return applyRecord(db, r)
 }
 
 // ApplyGenerationStream replays a snapshot-generation byte stream (as

@@ -183,7 +183,7 @@ func TestWALTailRoundTrip(t *testing.T) {
 	mem := vfs.NewMem()
 	db, tbl := replFixture(t, mem, Options{})
 	mustInsert(t, tbl, 0, 25)
-	if err := tbl.Update(Int(3), Row{Int(3), String("updated")}); err != nil {
+	if err := update(tbl, Int(3), Row{Int(3), String("updated")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Delete(Int(7)); err != nil {

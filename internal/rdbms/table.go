@@ -171,14 +171,6 @@ func (t *Table) newIndex(p *partition, ci int, kind IndexKind) index {
 	return newHashIdx(&p.heap, ci)
 }
 
-// HasIndex reports whether the column has a secondary index.
-func (t *Table) HasIndex(col string) bool {
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	_, ok := t.idxMeta[col]
-	return ok
-}
-
 // IndexKindOf reports the kind of the secondary index on col, and whether
 // one exists.
 func (t *Table) IndexKindOf(col string) (IndexKind, bool) {
@@ -195,8 +187,8 @@ func (t *Table) Insert(r Row) (int, error) { return t.insertOwned(r.Clone()) }
 
 // insertOwned is Insert for a row nobody else holds — one the WAL,
 // generation or replication decoder has just allocated — which the table
-// keeps as is instead of copying. The same goes for updateOwned,
-// upsertOwned and every *Locked helper below: r is the table's from here.
+// keeps as is instead of copying. The same goes for upsertOwned and
+// every *Locked helper below: r is the table's from here.
 func (t *Table) insertOwned(r Row) (int, error) {
 	if err := t.schema.Validate(r); err != nil {
 		return 0, err
@@ -308,29 +300,6 @@ func (t *Table) ViewEq(col string, v Value, fn func(Row) bool) error {
 		}
 	}
 	return nil
-}
-
-// Update replaces the row with the given primary key. The new row keeps
-// the same primary key value or moves to a new, unused one (possibly in a
-// different partition). The table stores a copy: the caller keeps r.
-func (t *Table) Update(pk Value, r Row) error { return t.updateOwned(pk, r.Clone()) }
-
-func (t *Table) updateOwned(pk Value, r Row) error {
-	if err := t.schema.Validate(r); err != nil {
-		return err
-	}
-	h := pk.hash32()
-	pi := t.partForKey(h)
-	pj := t.partFor(r[t.schema.PK])
-	if pi == pj {
-		p := t.parts[pi]
-		t.lockPart(p)
-		defer p.mu.Unlock()
-		return t.updateLocked(p, h, pk, r, true)
-	}
-	unlock := t.lockPair(pi, pj)
-	defer unlock()
-	return t.moveLocked(t.parts[pi], t.parts[pj], pk, r)
 }
 
 // lockPair write-locks two distinct partitions in index order (the global
@@ -579,36 +548,6 @@ func (t *Table) Scan(fn func(Row) bool) {
 		}
 		p.mu.RUnlock()
 	}
-}
-
-// LookupEq returns all rows whose indexed column equals v, gathered from
-// every partition's index shard. The column must have a secondary index
-// (either kind); otherwise ErrNotFound.
-func (t *Table) LookupEq(col string, v Value) ([]Row, error) {
-	if !t.HasIndex(col) {
-		return nil, fmt.Errorf("no index on %q: %w", col, ErrNotFound)
-	}
-	var out []Row
-	tag := v.hash32()
-	for _, p := range t.parts {
-		p.mu.RLock()
-		switch idx := p.indexes[col].(type) {
-		case *hashIdx:
-			idx.eachTag(tag, v, func(id int) bool {
-				out = append(out, p.heap[id].Clone())
-				return true
-			})
-		case *skipIdx:
-			for _, id := range idx.lookup(v) {
-				out = append(out, p.heap[id].Clone())
-			}
-		}
-		p.mu.RUnlock()
-	}
-	if out == nil {
-		out = []Row{}
-	}
-	return out, nil
 }
 
 // Range calls fn for every row whose indexed column lies in [lo, hi]

@@ -2,17 +2,17 @@
 // SciLens real-time path (paper §3.3, "Data Collection and Storage"). It
 // provides typed schemas, partitioned lock-striped heap tables, hash and
 // ordered secondary indexes, a write-ahead log with replay, and a durable
-// incremental-checkpoint lifecycle (Open / Checkpoint / Close). Reads are
-// point lookups (Get, View), index probes (ViewEq, LookupEq), ordered
+// incremental-checkpoint lifecycle (OpenWithOptions / Checkpoint / Close).
+// Reads are point lookups (Get, View), hash-index probes (ViewEq), ordered
 // range scans (Range) and full scans (Scan).
 //
 // Tables are sharded into P partitions by primary-key hash: each stripe
 // has its own lock, heap and index shards, so point reads and writes on
 // different keys proceed in parallel; ordered range scans merge the
 // per-partition skip lists back into one ascending stream under a
-// whole-table read barrier. Durability is opt-in via Open(dir): every
-// mutation (and DDL statement) appends to the current WAL segment before
-// the call returns.
+// whole-table read barrier. Durability is opt-in via OpenWithOptions:
+// every mutation (and DDL statement) appends to the current WAL segment
+// before the call returns.
 //
 // Checkpoints are incremental. Every partition carries a dirty epoch,
 // bumped on each mutation landing in that stripe; Checkpoint serialises
@@ -24,8 +24,8 @@
 // and retires the superseded generations. Recovery applies
 // manifest → base → deltas → WAL segments; WAL replay tolerates a torn
 // tail (truncated at the last good record boundary), but a generation the
-// manifest references must exist and apply completely or Open fails with
-// ErrManifest — committed data is never silently dropped.
+// manifest references must exist and apply completely or OpenWithOptions
+// fails with ErrManifest — committed data is never silently dropped.
 //
 // When the WAL fsyncs is a policy (Options.Fsync): FsyncCheckpoint (the
 // default) fsyncs only at checkpoint/rotation/close, FsyncIntervalPolicy

@@ -15,6 +15,8 @@ var ErrPowerCut = errors.New("vfs: simulated power cut")
 
 // ENOSPC is a ready-made disk-full error for BreakWrites/FailOp, shaped
 // like the real thing (a *fs.PathError wrapping syscall.ENOSPC).
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 var ENOSPC error = &fs.PathError{Op: "write", Path: "fault", Err: syscall.ENOSPC}
 
 // ErrTornWrite is returned by a write torn by TearWrite, after half the
@@ -53,6 +55,8 @@ func NewFault(fsys FS) *Fault { return &Fault{fs: fsys} }
 
 // CrashAtBoundary arms a power cut at the k-th (1-based) sync/rename
 // boundary; 0 disarms.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) CrashAtBoundary(k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -61,6 +65,8 @@ func (f *Fault) CrashAtBoundary(k int) {
 
 // FailOp arms a single-shot failure of the n-th (1-based, from creation)
 // operation.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) FailOp(n int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -69,6 +75,8 @@ func (f *Fault) FailOp(n int, err error) {
 
 // BreakWrites latches a failure onto every write-class operation until
 // ClearWrites.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) BreakWrites(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -76,6 +84,8 @@ func (f *Fault) BreakWrites(err error) {
 }
 
 // ClearWrites lifts a BreakWrites latch.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) ClearWrites() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -83,6 +93,8 @@ func (f *Fault) ClearWrites() {
 }
 
 // TearWrite makes the next File.Write apply half its payload then fail.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) TearWrite() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -90,6 +102,8 @@ func (f *Fault) TearWrite() {
 }
 
 // Ops reports the operations counted so far.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) Ops() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -98,6 +112,8 @@ func (f *Fault) Ops() int {
 
 // Boundaries reports the sync/rename boundaries counted so far — run a
 // workload once with no faults armed to size a crash matrix.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) Boundaries() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -105,6 +121,8 @@ func (f *Fault) Boundaries() int {
 }
 
 // Crashed reports whether an armed power cut has fired.
+//
+//scilint:ignore testonlyapi fault injector: the crash matrices and degraded-mode tests drive it
 func (f *Fault) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -116,16 +116,16 @@ type walRecord struct {
 	Kind   IndexKind
 }
 
-// WAL is a write-ahead log: every table mutation is appended as a binary
-// record before the call returns. Replay restores a database from the log.
-// The WAL is safe for concurrent appends. File-backed WALs
-// (NewWALFilePolicy) flush each record to the OS as it is appended, so a
-// process crash loses at most the record being written — the torn tail that
-// recovery truncates.
+// WAL is a write-ahead log over one segment file at a time: every table
+// mutation is appended as a binary record before the call returns, and
+// recovery replays the segments onto the last checkpoint. The WAL is safe
+// for concurrent appends. Each record is flushed to the OS as it is
+// appended, so a process crash loses at most the record being written —
+// the torn tail that recovery truncates.
 type WAL struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
-	f       vfs.File // nil for plain writers
+	f       vfs.File // nil once closed or abandoned
 	records int
 	bytes   int64
 	broken  bool // an append failed: the tail may be torn, refuse appends
@@ -147,19 +147,9 @@ type WAL struct {
 	m      *metrics
 }
 
-// NewWAL wraps a writer (file, buffer, pipe) as a WAL sink.
-func NewWAL(w io.Writer) *WAL {
-	return &WAL{w: bufio.NewWriter(w), m: newMetrics(nil)}
-}
-
-// NewWALFilePolicy wraps an open file as a WAL sink with an explicit fsync
-// policy. FsyncIntervalPolicy and FsyncAlways start one background flusher
-// goroutine; it exits when the WAL is closed.
-func NewWALFilePolicy(f vfs.File, policy FsyncPolicy, interval time.Duration) *WAL {
-	return newWALFile(f, policy, interval, newMetrics(nil))
-}
-
-// newWALFile is NewWALFilePolicy recording into m.
+// newWALFile wraps an open segment file as a WAL with the given fsync
+// policy, recording into m. FsyncIntervalPolicy and FsyncAlways start one
+// background flusher goroutine; it exits when the WAL is closed.
 func newWALFile(f vfs.File, policy FsyncPolicy, interval time.Duration, m *metrics) *WAL {
 	l := &WAL{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: policy, interval: interval, m: m}
 	l.syncCond = sync.NewCond(&l.mu)
@@ -288,12 +278,8 @@ func (l *WAL) stopFlusher() {
 			close(l.quit)
 		}
 	})
-	if l.flushCond != nil {
-		l.flushCond.Broadcast()
-	}
-	if l.syncCond != nil {
-		l.syncCond.Broadcast()
-	}
+	l.flushCond.Broadcast()
+	l.syncCond.Broadcast()
 }
 
 // Records returns the number of records appended so far.
@@ -308,36 +294,6 @@ func (l *WAL) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// Err reports whether the WAL is in the broken state (an append failed).
-func (l *WAL) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.broken {
-		return ErrWALBroken
-	}
-	return nil
-}
-
-// Flush drains the internal buffer to the sink.
-func (l *WAL) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Flush()
-}
-
-// Sync flushes the buffer and, for file-backed WALs, fsyncs the file.
-func (l *WAL) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if l.f != nil {
-		return l.f.Sync()
-	}
-	return nil
 }
 
 // rotate atomically redirects subsequent appends to f, returning the
@@ -373,16 +329,14 @@ func (l *WAL) rotate(f vfs.File) (vfs.File, error) {
 	// or was abandoned with the torn tail: the new segment starts with
 	// nothing pending.
 	l.durable = l.records
-	if l.syncCond != nil {
-		l.syncCond.Broadcast()
-	}
+	l.syncCond.Broadcast()
 	return old, nil
 }
 
-// append encodes one record and, for file-backed WALs, makes it durable
-// per the fsync policy before returning — write-ahead: callers log first
-// and apply the in-memory mutation only on success, so an acknowledged
-// write is always recoverable. Under FsyncCheckpoint and
+// append encodes one record and makes it durable per the fsync policy
+// before returning — write-ahead: callers log first and apply the
+// in-memory mutation only on success, so an acknowledged write is always
+// recoverable. Under FsyncCheckpoint and
 // FsyncIntervalPolicy the record is flushed to the OS (the disk fsync
 // happens at checkpoint or on the flusher cadence); under FsyncAlways the
 // append parks until the flusher's next group fsync covers its record. A
@@ -393,7 +347,7 @@ func (l *WAL) append(rec walRecord) error {
 	defer func() { l.m.walAppend.ObserveDuration(time.Since(start)) }() //scilint:ignore determinism append latency is operator telemetry, not replayed state
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken || (l.closed && l.f == nil) {
+	if l.broken || l.closed {
 		// Closed WALs refuse appends: acknowledging a write the released
 		// segment file can never hold would trade durability for silence.
 		return ErrWALBroken
@@ -401,9 +355,6 @@ func (l *WAL) append(rec walRecord) error {
 	n := writeRecord(l.w, rec)
 	l.records++
 	l.bytes += int64(n)
-	if l.f == nil {
-		return nil
-	}
 	if l.policy == FsyncAlways {
 		// Group commit: park on the committed-record watermark. The
 		// flusher batches every appender parked here onto one fsync. The
@@ -729,16 +680,15 @@ func readValue(r *bufio.Reader) (Value, error) {
 	}
 }
 
-// applyRecord applies one decoded record to db. In strict mode data
-// records must apply cleanly (duplicate inserts, missing updates and
-// missing deletes are errors). In loose mode — recovery replay on top of a
-// snapshot that may already contain some of the log's effects — records
-// apply with last-writer-wins semantics: inserts upsert, updates delete
-// the old key (if present) and upsert the new row, deletes of absent rows
-// and drops of absent tables are no-ops, and re-created tables/indexes are
-// skipped. The record's row is handed to the table, not copied: callers
-// pass records they have just decoded and do not use rec.Row afterwards.
-func applyRecord(db *DB, rec walRecord, loose bool) error {
+// applyRecord applies one decoded record to db with recovery semantics:
+// replay runs on top of a snapshot that may already contain some of the
+// log's effects, so records apply last-writer-wins — inserts upsert,
+// updates delete the old key (if present) and upsert the new row, deletes
+// of absent rows and drops of absent tables are no-ops, and re-created
+// tables/indexes are skipped. The record's row is handed to the table, not
+// copied: callers pass records they have just decoded and do not use
+// rec.Row afterwards.
+func applyRecord(db *DB, rec walRecord) error {
 	switch rec.Op {
 	case walCommit:
 		return nil
@@ -768,7 +718,7 @@ func applyRecord(db *DB, rec walRecord, loose bool) error {
 		return nil
 	case walDropTable:
 		if err := db.DropTable(rec.Table); err != nil {
-			if loose && errors.Is(err, ErrNotFound) {
+			if errors.Is(err, ErrNotFound) {
 				return nil // snapshot chain never carried it
 			}
 			return err
@@ -781,48 +731,18 @@ func applyRecord(db *DB, rec walRecord, loose bool) error {
 	}
 	switch rec.Op {
 	case walInsert:
-		if loose {
-			return t.upsertOwned(rec.Row)
-		}
-		_, err = t.insertOwned(rec.Row)
+		return t.upsertOwned(rec.Row)
 	case walUpdate:
-		if loose {
-			if !rec.Key.Equal(rec.Row[t.schema.PK]) {
-				if derr := t.Delete(rec.Key); derr != nil && !errors.Is(derr, ErrNotFound) {
-					return derr
-				}
+		if !rec.Key.Equal(rec.Row[t.schema.PK]) {
+			if err := t.Delete(rec.Key); err != nil && !errors.Is(err, ErrNotFound) {
+				return err
 			}
-			return t.upsertOwned(rec.Row)
 		}
-		err = t.updateOwned(rec.Key, rec.Row)
+		return t.upsertOwned(rec.Row)
 	case walDelete:
-		err = t.Delete(rec.Key)
-		if loose && errors.Is(err, ErrNotFound) {
-			err = nil
+		if err := t.Delete(rec.Key); err != nil && !errors.Is(err, ErrNotFound) {
+			return err
 		}
 	}
-	return err
-}
-
-// Replay applies a serialised WAL to db in strict mode: DDL records
-// recreate tables and indexes (skipped when they already exist), data
-// records must apply cleanly, and the first undecodable record aborts with
-// ErrCorrupt. It returns the number of records applied. Recovery from disk
-// uses the tolerant variant inside Open instead.
-func Replay(db *DB, r io.Reader) (int, error) {
-	br := bufio.NewReader(r)
-	applied := 0
-	for {
-		rec, err := readRecord(br)
-		if err == io.EOF {
-			return applied, nil
-		}
-		if err != nil {
-			return applied, err
-		}
-		if err := applyRecord(db, rec, false); err != nil {
-			return applied, fmt.Errorf("replay %d: %w", applied, err)
-		}
-		applied++
-	}
+	return nil
 }

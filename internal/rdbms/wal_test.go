@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,10 +16,25 @@ import (
 	"time"
 )
 
+// bufFile is a segment file whose bytes land in a bytes.Buffer, so a test
+// reads back exactly what the WAL wrote.
+type bufFile struct{ *bytes.Buffer }
+
+func (bufFile) ReadAt([]byte, int64) (int, error) { return 0, io.EOF }
+func (bufFile) Close() error                      { return nil }
+func (bufFile) Sync() error                       { return nil }
+func (bufFile) Stat() (fs.FileInfo, error)        { return nil, errors.ErrUnsupported }
+
+// newBufDB returns a database whose WAL appends to one segment held in buf,
+// under the checkpoint fsync policy: each record reaches buf as it is
+// appended.
+func newBufDB(buf *bytes.Buffer) *DB {
+	return NewDBWithOptions(Options{WAL: newWALFile(bufFile{buf}, FsyncCheckpoint, 0, newMetrics(nil))})
+}
+
 func walDB(t *testing.T, buf *bytes.Buffer) (*DB, *Table) {
 	t.Helper()
-	wal := NewWAL(buf)
-	db := NewDBWithWAL(wal)
+	db := newBufDB(buf)
 	tbl, err := db.CreateTable("articles", articleSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -24,10 +42,26 @@ func walDB(t *testing.T, buf *bytes.Buffer) (*DB, *Table) {
 	return db, tbl
 }
 
-func flushWAL(t *testing.T, db *DB) {
-	t.Helper()
-	if err := db.wal.Flush(); err != nil {
-		t.Fatal(err)
+// replay decodes a serialised WAL record by record and applies each to db
+// as recovery does, stopping at the first record that fails to decode or
+// to apply. It returns the number of records applied. Unlike recovery it
+// reports a torn or corrupt record instead of truncating at it, so the
+// tests see the decoder's verdict.
+func replay(db *DB, r io.Reader) (int, error) {
+	br := bufio.NewReader(r)
+	applied := 0
+	for {
+		rec, err := readRecord(br)
+		if err == io.EOF {
+			return applied, nil
+		}
+		if err != nil {
+			return applied, err
+		}
+		if err := applyRecord(db, rec); err != nil {
+			return applied, fmt.Errorf("replay %d: %w", applied, err)
+		}
+		applied++
 	}
 }
 
@@ -36,10 +70,9 @@ func TestWALRoundTrip(t *testing.T) {
 	db, tbl := walDB(t, &buf)
 	tbl.Insert(articleRow(1, "outlet-a", "first", 0.25))
 	tbl.Insert(articleRow(2, "outlet-b", "second", 0.5))
-	tbl.Update(Int(2), articleRow(2, "outlet-b", "second-v2", 0.75))
+	update(tbl, Int(2), articleRow(2, "outlet-b", "second-v2", 0.75))
 	tbl.Insert(articleRow(3, "outlet-c", "third", 0.9))
 	tbl.Delete(Int(1))
-	flushWAL(t, db)
 
 	// 1 create-table DDL record + 5 data records.
 	if db.wal.Records() != 6 {
@@ -51,7 +84,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 	// Replay into a fresh, empty DB: the DDL record recreates the table.
 	db2 := NewDB()
-	applied, err := Replay(db2, bytes.NewReader(buf.Bytes()))
+	applied, err := replay(db2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +109,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALNullAndAllTypes(t *testing.T) {
 	var buf bytes.Buffer
-	db, tbl := walDB(t, &buf)
+	_, tbl := walDB(t, &buf)
 	row := Row{
 		Int(7), String("outlet"), Null(), Float(1.5),
 		Time(time.Date(2020, 3, 15, 12, 30, 0, 123456789, time.UTC)),
@@ -85,11 +118,10 @@ func TestWALNullAndAllTypes(t *testing.T) {
 	if _, err := tbl.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	flushWAL(t, db)
 
 	db2 := NewDB()
 	db2.CreateTable("articles", articleSchema(t))
-	if _, err := Replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	tbl2, _ := db2.Table("articles")
@@ -116,7 +148,6 @@ func TestWALCommitMarker(t *testing.T) {
 	var buf bytes.Buffer
 	db, tbl := walDB(t, &buf)
 	tbl.Insert(articleRow(1, "o", "t", 0))
-	flushWAL(t, db)
 	bw := bufio.NewWriter(&buf)
 	writeRecord(bw, walRecord{Op: walCommit})
 	writeRecord(bw, walRecord{Op: walCommit, Table: "no-such-table"})
@@ -126,7 +157,7 @@ func TestWALCommitMarker(t *testing.T) {
 	want := dumpDB(t, db)
 
 	db2 := NewDB()
-	applied, err := Replay(db2, bytes.NewReader(buf.Bytes()))
+	applied, err := replay(db2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +173,7 @@ func TestWALCommitMarker(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir)
+	re, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +190,17 @@ func TestWALCorruptInput(t *testing.T) {
 	db := NewDB()
 	db.CreateTable("articles", articleSchema(t))
 	// Bad op byte.
-	if _, err := Replay(db, bytes.NewReader([]byte{0x77, 0x01, 'x'})); !errors.Is(err, ErrCorrupt) {
+	if _, err := replay(db, bytes.NewReader([]byte{0x77, 0x01, 'x'})); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad op: %v", err)
 	}
 	// Truncated record: op + partial table name length.
 	var buf bytes.Buffer
-	dbw, tbl := walDB(t, &buf)
+	_, tbl := walDB(t, &buf)
 	tbl.Insert(articleRow(1, "o", "t", 0))
-	flushWAL(t, dbw)
 	trunc := buf.Bytes()[:buf.Len()-3]
 	db2 := NewDB()
 	db2.CreateTable("articles", articleSchema(t))
-	if _, err := Replay(db2, bytes.NewReader(trunc)); err == nil {
+	if _, err := replay(db2, bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated WAL should fail")
 	}
 }
@@ -185,14 +215,14 @@ func TestWALUnknownTableOnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := NewDB() // no tables
-	if _, err := Replay(empty, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrNotFound) {
+	if _, err := replay(empty, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing table: %v", err)
 	}
 }
 
 func TestWALDDLReplayRebuildsTableAndIndexes(t *testing.T) {
 	var buf bytes.Buffer
-	db, tbl := walDB(t, &buf)
+	_, tbl := walDB(t, &buf)
 	if err := tbl.CreateIndex("outlet", HashIndex); err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +232,9 @@ func TestWALDDLReplayRebuildsTableAndIndexes(t *testing.T) {
 	for i := int64(1); i <= 8; i++ {
 		tbl.Insert(articleRow(i, "o", "t", float64(i)))
 	}
-	flushWAL(t, db)
 
 	db2 := NewDB()
-	if _, err := Replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	tbl2, err := db2.Table("articles")
@@ -234,7 +263,7 @@ func TestWALDDLReplayRebuildsTableAndIndexes(t *testing.T) {
 func TestValueEncodingRoundTripProperty(t *testing.T) {
 	check := func(i int64, f float64, s string, b bool, nanos int64) bool {
 		var buf bytes.Buffer
-		db := NewDBWithWAL(NewWAL(&buf))
+		db := newBufDB(&buf)
 		schema, _ := NewSchema([]Column{
 			{Name: "id", Type: TInt},
 			{Name: "f", Type: TFloat},
@@ -247,10 +276,9 @@ func TestValueEncodingRoundTripProperty(t *testing.T) {
 		if _, err := tbl.Insert(row); err != nil {
 			return false
 		}
-		db.wal.Flush()
 		db2 := NewDB()
 		db2.CreateTable("t", schema)
-		if _, err := Replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := replay(db2, bytes.NewReader(buf.Bytes())); err != nil {
 			return false
 		}
 		tbl2, _ := db2.Table("t")

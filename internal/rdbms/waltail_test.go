@@ -46,7 +46,7 @@ func tailStream(t testing.TB) (stream []byte, recs [][]byte) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Update(Int(3), Row{Int(3), String("updated")}); err != nil {
+	if err := update(tbl, Int(3), Row{Int(3), String("updated")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Delete(Int(7)); err != nil {

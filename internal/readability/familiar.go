@@ -73,6 +73,3 @@ func familiarParts(lower, stem string, syllables int, stop bool) bool {
 	_, ok := familiarStems[stem]
 	return ok
 }
-
-// FamiliarListSize returns the stem-set size, for diagnostics.
-func FamiliarListSize() int { return len(familiarStems) }

@@ -29,6 +29,8 @@ type Stats struct {
 }
 
 // Analyze computes the statistics for text in a single tokenisation pass.
+//
+//scilint:ignore testonlyapi reference for AnalyzeDoc in TestAnalyzeDocMatchesAnalyze and TestSharedAnalysisEquivalence
 func Analyze(text string) Stats {
 	var s Stats
 	toks := textutil.Tokenize(text)
@@ -139,9 +141,6 @@ func Compute(s Stats) Scores {
 	}
 	return sc
 }
-
-// Score is the convenience entry point: Analyze + Compute.
-func Score(text string) Scores { return Compute(Analyze(text)) }
 
 // GradeConsensus returns the median of the grade-level metrics
 // (Flesch–Kincaid, Gunning-Fog, SMOG, Coleman–Liau, ARI), a robust single

@@ -46,8 +46,8 @@ func TestAnalyzeEmpty(t *testing.T) {
 }
 
 func TestSimpleEasierThanComplex(t *testing.T) {
-	simple := Score(simpleText)
-	complexSc := Score(complexText)
+	simple := Compute(Analyze(simpleText))
+	complexSc := Compute(Analyze(complexText))
 
 	if simple.FleschReadingEase <= complexSc.FleschReadingEase {
 		t.Errorf("Flesch ease: simple %.1f should exceed complex %.1f",
@@ -75,7 +75,7 @@ func TestSimpleEasierThanComplex(t *testing.T) {
 }
 
 func TestFleschRangeForSimpleProse(t *testing.T) {
-	sc := Score(simpleText)
+	sc := Compute(Analyze(simpleText))
 	if sc.FleschReadingEase < 80 || sc.FleschReadingEase > 120 {
 		t.Errorf("simple prose Flesch ease out of range: %.1f", sc.FleschReadingEase)
 	}
@@ -138,7 +138,7 @@ func TestGradeConsensusIsMedian(t *testing.T) {
 func TestScoresFiniteProperty(t *testing.T) {
 	check := func(words []string) bool {
 		text := strings.Join(words, " ")
-		sc := Score(text)
+		sc := Compute(Analyze(text))
 		vals := []float64{
 			sc.FleschReadingEase, sc.FleschKincaidGrade, sc.GunningFog,
 			sc.SMOG, sc.ColemanLiau, sc.ARI, sc.DaleChall,
@@ -171,7 +171,7 @@ func TestIsFamiliarWord(t *testing.T) {
 }
 
 func TestFamiliarListSize(t *testing.T) {
-	if n := FamiliarListSize(); n < 100 {
+	if n := len(familiarStems); n < 100 {
 		t.Errorf("familiar list too small: %d", n)
 	}
 }

@@ -162,9 +162,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}, nil
 }
 
-// ID returns the follower identity used for primary-side holds.
-func (c *Client) ID() string { return c.id }
-
 // Status returns a snapshot of the link state.
 func (c *Client) Status() Status {
 	c.mu.Lock()
@@ -465,18 +462,29 @@ func (c *Client) ensureCursorTable() error {
 // the cursor (they re-apply idempotently on reconnect) but can never
 // leave a cursor pointing past data that was lost.
 func (c *Client) saveCursor() error {
-	cur := c.cursorSnapshot()
-	return c.cursorsTbl.Upsert(rdbms.Row{
+	return c.cursorsTbl.Upsert(cursorRow(c.cursorSnapshot()))
+}
+
+// cursorRow is the cursor table's row for cur; decodeCursor reads it back.
+func cursorRow(cur cursor) rdbms.Row {
+	return rdbms.Row{
 		rdbms.String("cursor"),
 		rdbms.Int(int64(cur.seg)),
 		rdbms.Int(cur.off),
 		rdbms.String(hex.EncodeToString(cur.window())),
-	})
+	}
 }
 
+// decodeCursor reads a cursor row back. A row no follower could have
+// written — a negative segment or offset, a tail that is not hex or is
+// longer than the window — is an error, not a position to resume from.
 func decodeCursor(row rdbms.Row) (cursor, error) {
 	if len(row) != 4 {
 		return cursor{}, fmt.Errorf("repl: malformed cursor row (%d columns)", len(row))
+	}
+	seg, off := row[1].Int(), row[2].Int()
+	if seg < 0 || off < 0 {
+		return cursor{}, fmt.Errorf("repl: malformed cursor position (segment %d, offset %d)", seg, off)
 	}
 	tail, err := hex.DecodeString(row[3].Str())
 	if err != nil {
@@ -485,7 +493,7 @@ func decodeCursor(row rdbms.Row) (cursor, error) {
 	if len(tail) > replTailWindow {
 		return cursor{}, fmt.Errorf("repl: malformed cursor tail: %d bytes", len(tail))
 	}
-	cur := cursor{seg: int(row[1].Int()), off: row[2].Int()}
+	cur := cursor{seg: int(seg), off: off}
 	cur.push(tail)
 	return cur, nil
 }

@@ -50,12 +50,46 @@ func TestDecodeCursor(t *testing.T) {
 		t.Fatalf("decoded %+v, %v", cur, err)
 	}
 	for name, bad := range map[string]rdbms.Row{
-		"short row": row[:3],
-		"not hex":   {row[0], row[1], row[2], rdbms.String("zz")},
-		"too long":  {row[0], row[1], row[2], rdbms.String(hex.EncodeToString(make([]byte, replTailWindow+1)))},
+		"short row":        row[:3],
+		"not hex":          {row[0], row[1], row[2], rdbms.String("zz")},
+		"too long":         {row[0], row[1], row[2], rdbms.String(hex.EncodeToString(make([]byte, replTailWindow+1)))},
+		"negative segment": {row[0], rdbms.Int(-1), row[2], row[3]},
+		"negative offset":  {row[0], row[1], rdbms.Int(-1), row[3]},
 	} {
 		if _, err := decodeCursor(bad); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzDecodeCursor feeds decodeCursor every cursor row the table's schema
+// admits. It must never panic; a negative segment or offset, a tail that
+// is not hex and a tail longer than replTailWindow are errors; any other
+// row decodes to exactly its position and tail, and saveCursor's encoding
+// of the decoded cursor decodes back to it. The seeds under
+// testdata/fuzz/FuzzDecodeCursor are a stored cursor, an empty and a
+// full window, upper-case hex, odd-length and non-hex tails, a window one
+// byte too long, and a negative segment and offset.
+func FuzzDecodeCursor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seg, off int64, tail string) {
+		cur, err := decodeCursor(rdbms.Row{rdbms.String("cursor"), rdbms.Int(seg), rdbms.Int(off), rdbms.String(tail)})
+		raw, hexErr := hex.DecodeString(tail)
+		if seg < 0 || off < 0 || hexErr != nil || len(raw) > replTailWindow {
+			if err == nil {
+				t.Fatalf("accepted segment %d, offset %d, tail %q", seg, off, tail)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("refused segment %d, offset %d, tail %q: %v", seg, off, tail, err)
+		}
+		if int64(cur.seg) != seg || cur.off != off || !bytes.Equal(cur.window(), raw) {
+			t.Fatalf("decoded %d/%d/%x from %d/%d/%q", cur.seg, cur.off, cur.window(), seg, off, tail)
+		}
+		back, err := decodeCursor(cursorRow(cur))
+		if err != nil || back.seg != cur.seg || back.off != cur.off || !bytes.Equal(back.window(), cur.window()) {
+			t.Fatalf("saved cursor %d/%d/%x read back as %d/%d/%x, %v",
+				cur.seg, cur.off, cur.window(), back.seg, back.off, back.window(), err)
+		}
+	})
 }

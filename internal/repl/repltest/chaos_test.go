@@ -99,7 +99,7 @@ func waitHealthy(t testing.TB, p *core.Platform, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if !p.Degraded() {
+		if p.StorageHealth().State == core.StorageOK {
 			return
 		}
 		time.Sleep(25 * time.Millisecond)

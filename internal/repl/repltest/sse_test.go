@@ -49,9 +49,11 @@ func TestSSEEquivalence(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	if psub.Dropped() != 0 || fsub.Dropped() != 0 {
+	pDropped := pair.Primary.Platform.Bus.Stats().Dropped
+	fDropped := pair.Follower.Platform.Bus.Stats().Dropped
+	if pDropped != 0 || fDropped != 0 {
 		t.Fatalf("subscriber drops (primary %d, follower %d) void the comparison",
-			psub.Dropped(), fsub.Dropped())
+			pDropped, fDropped)
 	}
 	if len(followerSeq) != len(primarySeq) {
 		t.Fatalf("follower saw %d feed events, primary %d", len(followerSeq), len(primarySeq))

@@ -113,15 +113,6 @@ func (r *Review) Validate() error {
 	return nil
 }
 
-// Mean returns the unweighted mean over the seven criteria.
-func (r *Review) Mean() float64 {
-	sum := 0
-	for _, s := range r.Scores {
-		sum += s
-	}
-	return float64(sum) / NumCriteria
-}
-
 // Aggregate is the weighted, time-sensitive summary of an article's
 // reviews (paper §3.2).
 type Aggregate struct {

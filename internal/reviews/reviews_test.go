@@ -78,16 +78,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestReviewMean(t *testing.T) {
-	r := validReview("a", "r", 3, day0)
-	r.Scores[0] = 5
-	r.Scores[1] = 1
-	want := float64(5+1+3*5) / 7
-	if math.Abs(r.Mean()-want) > 1e-9 {
-		t.Errorf("mean: %v want %v", r.Mean(), want)
-	}
-}
-
 func TestAggregateSimpleAverage(t *testing.T) {
 	s := newStore(t)
 	s.Submit(validReview("a1", "r1", 4, day0))

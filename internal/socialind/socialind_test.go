@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/classify"
 )
 
 func cascadeFixture() []Post {
@@ -125,14 +127,11 @@ func TestStanceMixAndAnalyze(t *testing.T) {
 
 func TestStanceMixRatios(t *testing.T) {
 	m := StanceMix{Support: 3, Deny: 1, Comment: 1}
-	if math.Abs(m.SupportRatio()-0.6) > 1e-9 {
-		t.Errorf("support ratio: %v", m.SupportRatio())
-	}
-	if math.Abs(m.DenyRatio()-0.2) > 1e-9 {
-		t.Errorf("deny ratio: %v", m.DenyRatio())
+	if math.Abs(m.NetStance()-0.4) > 1e-9 {
+		t.Errorf("net stance: %v", m.NetStance())
 	}
 	var empty StanceMix
-	if empty.SupportRatio() != 0 || empty.DenyRatio() != 0 || empty.NetStance() != 0 {
+	if empty.NetStance() != 0 {
 		t.Error("empty mix ratios")
 	}
 }
@@ -172,7 +171,10 @@ func TestTrainedStanceModel(t *testing.T) {
 			labels = append(labels, Comment)
 		}
 	}
-	nb := TrainStanceModel(texts, labels)
+	nb := classify.NewNaiveBayes(0.5)
+	for i, text := range texts {
+		nb.Observe(Tokens(text), labels[i].String())
+	}
 	c := NewStanceClassifier()
 	c.SetModel(nb)
 	correct := 0

@@ -117,22 +117,6 @@ type StanceMix struct {
 // Total returns the number of classified replies.
 func (m StanceMix) Total() int { return m.Support + m.Deny + m.Comment }
 
-// SupportRatio returns Support / Total (0 for no replies).
-func (m StanceMix) SupportRatio() float64 {
-	if m.Total() == 0 {
-		return 0
-	}
-	return float64(m.Support) / float64(m.Total())
-}
-
-// DenyRatio returns Deny / Total (0 for no replies).
-func (m StanceMix) DenyRatio() float64 {
-	if m.Total() == 0 {
-		return 0
-	}
-	return float64(m.Deny) / float64(m.Total())
-}
-
 // NetStance maps the mix onto [-1, 1]: +1 all supportive, -1 all denying.
 func (m StanceMix) NetStance() float64 {
 	if m.Total() == 0 {
@@ -178,13 +162,4 @@ func (c *StanceClassifier) Analyze(cascade []Post) Indicators {
 		Popularity: PopularityScore(reach),
 		Stances:    c.AnalyzeStances(cascade),
 	}
-}
-
-// TrainStanceModel fits a naive Bayes stance model from labelled replies.
-func TrainStanceModel(texts []string, labels []Stance) *classify.NaiveBayes {
-	nb := classify.NewNaiveBayes(0.5)
-	for i, text := range texts {
-		nb.Observe(Tokens(text), labels[i].String())
-	}
-	return nb
 }

@@ -27,6 +27,8 @@ func (e *ThrottleError) Error() string {
 }
 
 // Is makes errors.Is(err, ErrThrottled) match any ThrottleError.
+//
+//scilint:ignore testonlyapi errors.Is calls it through an interface declared inside errors.Is
 func (e *ThrottleError) Is(target error) bool { return target == ErrThrottled }
 
 // AdmissionConfig configures per-source token-bucket admission. Each

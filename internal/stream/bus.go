@@ -87,14 +87,6 @@ func (s *Subscription) Cancel() {
 	close(s.ch)
 }
 
-// Dropped returns how many messages this subscriber missed because its
-// buffer was full.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// ID returns the bus-assigned subscriber ID (stable for the lifetime of
-// the subscription; surfaced by SubscriberStats).
-func (s *Subscription) ID() uint64 { return s.id }
-
 // Publish fans the payload out to every subscriber without blocking and
 // returns the delivered count. Subscribers must not modify the payload.
 func (b *Bus) Publish(payload []byte) int {

@@ -357,8 +357,14 @@ func TestBusFanOutAndSlowSubscriber(t *testing.T) {
 	if got := <-slow.C; string(got) != "m0" {
 		t.Errorf("slow subscriber head: %s", got)
 	}
-	if slow.Dropped() != 3 {
-		t.Errorf("slow dropped: %d", slow.Dropped())
+	var slowStats SubscriberStats
+	for _, ss := range b.SubscriberStats() {
+		if ss.ID == slow.id {
+			slowStats = ss
+		}
+	}
+	if slowStats.Dropped != 3 {
+		t.Errorf("slow dropped: %d", slowStats.Dropped)
 	}
 	st := b.Stats()
 	if st.Published != 4 || st.Dropped != 3 || st.Subscribers != 2 {

@@ -92,32 +92,3 @@ func DecodeEvent(payload []byte) (Event, error) {
 	}
 	return e, nil
 }
-
-// ParseKind maps a Kind label back to socialind.PostKind.
-func ParseKind(label string) socialind.PostKind {
-	switch label {
-	case "original":
-		return socialind.Original
-	case "reply":
-		return socialind.Reply
-	case "reshare":
-		return socialind.Reshare
-	case "like":
-		return socialind.Like
-	default:
-		return socialind.Reply
-	}
-}
-
-// Post converts the event back into a socialind.Post.
-func (e *Event) Post() socialind.Post {
-	return socialind.Post{
-		ID:         e.PostID,
-		ParentID:   e.ParentID,
-		Kind:       ParseKind(e.Kind),
-		UserID:     e.UserID,
-		Text:       e.Text,
-		Time:       e.Time,
-		ArticleURL: e.ArticleURL,
-	}
-}

@@ -170,7 +170,7 @@ func TestCascadeStanceShares(t *testing.T) {
 		if mix.Total() < 3 {
 			continue
 		}
-		denyRatio[a.Rating] = append(denyRatio[a.Rating], mix.DenyRatio())
+		denyRatio[a.Rating] = append(denyRatio[a.Rating], float64(mix.Deny)/float64(mix.Total()))
 	}
 	mean := func(xs []float64) float64 {
 		s := 0.0
@@ -234,18 +234,6 @@ func TestEventsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventPostConversion(t *testing.T) {
-	e := Event{PostID: "p1", ParentID: "p0", Kind: "reply", UserID: "u", Text: "t"}
-	p := e.Post()
-	if p.Kind != socialind.Reply || p.ID != "p1" || p.ParentID != "p0" {
-		t.Errorf("post: %+v", p)
-	}
-	if ParseKind("original") != socialind.Original || ParseKind("like") != socialind.Like ||
-		ParseKind("reshare") != socialind.Reshare || ParseKind("garbage") != socialind.Reply {
-		t.Error("kind parsing")
-	}
-}
-
 func TestGenBodyAndTitleProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, topic := range append([]Topic{TopicCovid}, BackgroundTopics...) {
@@ -261,24 +249,6 @@ func TestGenBodyAndTitleProperties(t *testing.T) {
 		if len(strings.Split(body, ". ")) < 4 {
 			t.Fatalf("body too short for %s: %q", topic, body)
 		}
-	}
-}
-
-func TestWorldHelpers(t *testing.T) {
-	w := smallWorld(t, 7)
-	covid := w.CovidArticles()
-	for _, a := range covid {
-		if a.Topic != TopicCovid {
-			t.Fatal("non-covid article in CovidArticles")
-		}
-	}
-	byOutlet := w.ArticlesByOutlet()
-	total := 0
-	for _, ids := range byOutlet {
-		total += len(ids)
-	}
-	if total != len(w.Articles) {
-		t.Errorf("grouping lost articles: %d vs %d", total, len(w.Articles))
 	}
 }
 

@@ -341,24 +341,3 @@ func poisson(rng *rand.Rand, lambda float64) int {
 func lognormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(rng.NormFloat64()*sigma + mu)
 }
-
-// CovidArticles returns the articles ground-truth-labelled with the
-// emerging topic.
-func (w *World) CovidArticles() []Article {
-	var out []Article
-	for _, a := range w.Articles {
-		if a.Topic == TopicCovid {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ArticlesByOutlet groups article IDs per outlet.
-func (w *World) ArticlesByOutlet() map[string][]string {
-	out := make(map[string][]string)
-	for _, a := range w.Articles {
-		out[a.OutletID] = append(out[a.OutletID], a.ID)
-	}
-	return out
-}

@@ -78,8 +78,8 @@ func TestSentenceCountMatchesSentences(t *testing.T) {
 		"Dr. Smith arrived. He spoke at 3.14 rad.\n\nNew paragraph here",
 	}
 	for _, text := range texts {
-		if got, want := SentenceCount(text), len(Sentences(text)); got != want {
-			t.Errorf("%q: count %d != len(Sentences) %d", text, got, want)
+		if got, want := SentenceCount(text), len(sentences(text)); got != want {
+			t.Errorf("%q: count %d != len(sentences) %d", text, got, want)
 		}
 	}
 }

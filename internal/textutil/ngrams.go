@@ -21,20 +21,6 @@ func NGrams(words []string, n int) []string {
 // Bigrams is shorthand for NGrams(words, 2).
 func Bigrams(words []string) []string { return NGrams(words, 2) }
 
-// CharNGrams returns all n-grams over the runes of s. Used for
-// robust (misspelling-tolerant) features in the stance classifier.
-func CharNGrams(s string, n int) []string {
-	runes := []rune(s)
-	if n < 1 || len(runes) < n {
-		return nil
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
-}
-
 // CapitalizedRatio returns the fraction of word tokens that start with an
 // upper-case letter. Headlines in ALL CAPS or Title Case score high; the
 // clickbait detector uses this.

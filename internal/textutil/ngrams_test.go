@@ -31,22 +31,6 @@ func TestBigrams(t *testing.T) {
 	}
 }
 
-func TestCharNGrams(t *testing.T) {
-	got := CharNGrams("abcd", 3)
-	want := []string{"abc", "bcd"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("got %v want %v", got, want)
-	}
-	// Unicode safety.
-	got = CharNGrams("héllo", 2)
-	if got[0] != "hé" {
-		t.Errorf("unicode bigram: %q", got[0])
-	}
-	if CharNGrams("ab", 3) != nil {
-		t.Error("short string should be nil")
-	}
-}
-
 func TestCapitalizedRatio(t *testing.T) {
 	if r := CapitalizedRatio("You Will Never Guess"); r != 1.0 {
 		t.Errorf("all caps-initial: got %v", r)

@@ -5,15 +5,6 @@ import (
 	"unicode"
 )
 
-// Sentence is a contiguous span of the input that the segmenter considers a
-// sentence.
-type Sentence struct {
-	// Text is the trimmed sentence text.
-	Text string
-	// Start and End are byte offsets of the (untrimmed) span in the input.
-	Start, End int
-}
-
 // commonAbbreviations are title and reference abbreviations that end with a
 // period but do not terminate a sentence. Lower-cased, without the trailing
 // period.
@@ -28,22 +19,12 @@ var commonAbbreviations = map[string]bool{
 	"nov": true, "dec": true, "approx": true, "est": true, "gov": true,
 }
 
-// Sentences segments text into sentences. The segmenter understands
-// terminal punctuation (. ! ?), ellipses, common abbreviations, decimal
-// numbers and closing quotes/parentheses after the terminator. Newlines
-// followed by a blank line (paragraph breaks) also terminate sentences,
-// which matters for headline-style article bodies.
-func Sentences(text string) []Sentence {
-	var out []Sentence
-	scanSentences(text, func(trimmed string, start, end int) {
-		out = append(out, Sentence{Text: trimmed, Start: start, End: end})
-	})
-	return out
-}
-
-// scanSentences runs the segmentation loop, invoking emit for every
-// non-empty sentence span. It is the allocation-free core shared by
-// Sentences and SentenceCount.
+// scanSentences segments text into sentences, invoking emit for every
+// non-empty sentence span. The segmenter understands terminal punctuation
+// (. ! ?), ellipses, common abbreviations, decimal numbers and closing
+// quotes/parentheses after the terminator. Newlines followed by a blank
+// line (paragraph breaks) also terminate sentences, which matters for
+// headline-style article bodies.
 func scanSentences(text string, emit func(trimmed string, start, end int)) {
 	start := 0
 	i := 0

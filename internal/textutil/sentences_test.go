@@ -6,7 +6,26 @@ import (
 	"unicode/utf8"
 )
 
-func sentenceTexts(ss []Sentence) []string {
+// sentence is a contiguous span of the input that the segmenter considers a
+// sentence.
+type sentence struct {
+	// Text is the trimmed sentence text.
+	Text string
+	// Start and End are byte offsets of the (untrimmed) span in the input.
+	Start, End int
+}
+
+// sentences collects the spans scanSentences finds: the reference
+// SentenceCount is compared with, and the view the segmenter tests read.
+func sentences(text string) []sentence {
+	var out []sentence
+	scanSentences(text, func(trimmed string, start, end int) {
+		out = append(out, sentence{Text: trimmed, Start: start, End: end})
+	})
+	return out
+}
+
+func sentenceTexts(ss []sentence) []string {
 	out := make([]string, len(ss))
 	for i, s := range ss {
 		out[i] = s.Text
@@ -15,7 +34,7 @@ func sentenceTexts(ss []Sentence) []string {
 }
 
 func TestSentencesBasic(t *testing.T) {
-	got := Sentences("The study was small. Results are promising! Will it replicate?")
+	got := sentences("The study was small. Results are promising! Will it replicate?")
 	want := []string{
 		"The study was small.",
 		"Results are promising!",
@@ -32,7 +51,7 @@ func TestSentencesBasic(t *testing.T) {
 }
 
 func TestSentencesAbbreviations(t *testing.T) {
-	got := Sentences("Dr. Smith et al. published the trial. It was large.")
+	got := sentences("Dr. Smith et al. published the trial. It was large.")
 	if len(got) != 2 {
 		t.Fatalf("abbreviations split wrongly: %v", sentenceTexts(got))
 	}
@@ -42,21 +61,21 @@ func TestSentencesAbbreviations(t *testing.T) {
 }
 
 func TestSentencesDecimals(t *testing.T) {
-	got := Sentences("The rate rose by 3.5 percent. Officials disagreed.")
+	got := sentences("The rate rose by 3.5 percent. Officials disagreed.")
 	if len(got) != 2 {
 		t.Fatalf("decimal split wrongly: %v", sentenceTexts(got))
 	}
 }
 
 func TestSentencesEllipsisAndQuotes(t *testing.T) {
-	got := Sentences(`He said "it works." She disagreed...`)
+	got := sentences(`He said "it works." She disagreed...`)
 	if len(got) != 2 {
 		t.Fatalf("got %v", sentenceTexts(got))
 	}
 }
 
 func TestSentencesParagraphBreak(t *testing.T) {
-	got := Sentences("Headline without period\n\nBody starts here. And continues.")
+	got := sentences("Headline without period\n\nBody starts here. And continues.")
 	if len(got) != 3 {
 		t.Fatalf("paragraph break: got %v", sentenceTexts(got))
 	}
@@ -66,7 +85,7 @@ func TestSentencesParagraphBreak(t *testing.T) {
 }
 
 func TestSentencesTrailingFragment(t *testing.T) {
-	got := Sentences("Complete sentence. Trailing fragment without period")
+	got := sentences("Complete sentence. Trailing fragment without period")
 	if len(got) != 2 {
 		t.Fatalf("got %v", sentenceTexts(got))
 	}
@@ -76,10 +95,10 @@ func TestSentencesTrailingFragment(t *testing.T) {
 }
 
 func TestSentencesEmpty(t *testing.T) {
-	if got := Sentences(""); len(got) != 0 {
+	if got := sentences(""); len(got) != 0 {
 		t.Errorf("empty: %v", got)
 	}
-	if got := Sentences(" \n \n "); len(got) != 0 {
+	if got := sentences(" \n \n "); len(got) != 0 {
 		t.Errorf("blank: %v", got)
 	}
 }
@@ -87,7 +106,7 @@ func TestSentencesEmpty(t *testing.T) {
 func TestSentencesLowercaseContinuation(t *testing.T) {
 	// A period followed by a lower-case word is not a boundary (common in
 	// sloppy abbreviations).
-	got := Sentences("The ver. two release shipped.")
+	got := sentences("The ver. two release shipped.")
 	if len(got) != 1 {
 		t.Fatalf("got %v", sentenceTexts(got))
 	}
@@ -104,7 +123,7 @@ func TestSentencesSpansProperty(t *testing.T) {
 		if !utf8.ValidString(s) {
 			return true
 		}
-		ss := Sentences(s)
+		ss := sentences(s)
 		prevEnd := 0
 		for _, sent := range ss {
 			if sent.Start < prevEnd || sent.End < sent.Start || sent.End > len(s) {

@@ -91,26 +91,3 @@ func isVowel(c byte) bool {
 	}
 	return false
 }
-
-// TotalSyllables sums syllable estimates over all word tokens in text.
-func TotalSyllables(text string) int {
-	total := 0
-	for _, t := range Tokenize(text) {
-		if t.Kind == KindWord {
-			total += SyllableCount(t.Text)
-		}
-	}
-	return total
-}
-
-// PolysyllableCount returns the number of word tokens in text with at least
-// three syllables ("complex words" for SMOG and Gunning-Fog).
-func PolysyllableCount(text string) int {
-	count := 0
-	for _, t := range Tokenize(text) {
-		if t.Kind == KindWord && SyllableCount(t.Text) >= 3 {
-			count++
-		}
-	}
-	return count
-}

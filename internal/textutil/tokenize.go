@@ -71,12 +71,6 @@ func (k TokenKind) String() string {
 	}
 }
 
-// IsWordLike reports whether the token carries lexical content (words and
-// numbers), as opposed to punctuation, URLs or symbols.
-func (t Token) IsWordLike() bool {
-	return t.Kind == KindWord || t.Kind == KindNumber
-}
-
 // Lower returns the lower-cased surface form of the token. Tokens that are
 // already lower-case ASCII — most word tokens in running text — are
 // returned as-is without allocating.
@@ -150,17 +144,6 @@ func Words(text string) []string {
 		}
 	}
 	return out
-}
-
-// WordCount returns the number of word tokens in text.
-func WordCount(text string) int {
-	count := 0
-	for _, t := range Tokenize(text) {
-		if t.Kind == KindWord {
-			count++
-		}
-	}
-	return count
 }
 
 // decodeRune is a tiny wrapper so that the scanner reads ASCII fast and

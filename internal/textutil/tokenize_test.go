@@ -209,10 +209,10 @@ func TestWordsLowercases(t *testing.T) {
 }
 
 func TestWordCount(t *testing.T) {
-	if n := WordCount("three little words!"); n != 3 {
+	if n := len(Words("three little words!")); n != 3 {
 		t.Errorf("got %d want 3", n)
 	}
-	if n := WordCount("https://a.com 42"); n != 0 {
+	if n := len(Words("https://a.com 42")); n != 0 {
 		t.Errorf("URL+number should not count as words: got %d", n)
 	}
 }
@@ -227,17 +227,5 @@ func TestTokenKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("kind %d: got %q want %q", k, k.String(), want)
 		}
-	}
-}
-
-func TestIsWordLike(t *testing.T) {
-	if !(Token{Kind: KindWord}).IsWordLike() {
-		t.Error("word should be word-like")
-	}
-	if !(Token{Kind: KindNumber}).IsWordLike() {
-		t.Error("number should be word-like")
-	}
-	if (Token{Kind: KindURL}).IsWordLike() {
-		t.Error("url should not be word-like")
 	}
 }

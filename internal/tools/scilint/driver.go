@@ -31,7 +31,12 @@ type Pass struct {
 	Info  *types.Info
 
 	report func(pos token.Pos, rule, msg string)
+	ld     *loader
 }
+
+// module returns the whole-module facts (every object a non-test file
+// refers to, every interface loaded code declares or names).
+func (p *Pass) module() *moduleFacts { return p.ld.moduleFacts() }
 
 // Reportf records one finding at pos under the given rule.
 func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
@@ -51,16 +56,28 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// runAnalyzers loads every target directory and runs the selected
-// analyzers over each, returning the unsuppressed findings sorted by
-// position.
+// runAnalyzers loads the whole module and every target directory, then
+// runs the selected analyzers over each target, returning the
+// unsuppressed findings sorted by position. The whole module loads
+// whatever the targets are, so an analyzer that judges a package by its
+// callers (testonlyapi) sees every caller.
 func runAnalyzers(ld *loader, dirs []string, selected []Analyzer) ([]Finding, error) {
-	var findings []Finding
-	for _, dir := range dirs {
+	all, err := expandPatterns([]string{ld.root + "/..."})
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*pkgInfo
+	for i, dir := range append(all, dirs...) {
 		pi, err := ld.Load(dir)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", dir, err)
 		}
+		if i >= len(all) {
+			pkgs = append(pkgs, pi)
+		}
+	}
+	var findings []Finding
+	for _, pi := range pkgs {
 		findings = append(findings, analyzePackage(ld, pi, selected)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -91,6 +108,7 @@ func analyzePackage(ld *loader, pi *pkgInfo, selected []Analyzer) []Finding {
 		Files: pi.files,
 		Pkg:   pi.pkg,
 		Info:  pi.info,
+		ld:    ld,
 	}
 	pass.report = func(pos token.Pos, rule, msg string) {
 		p := ld.fset.Position(pos)

@@ -28,6 +28,11 @@ type loader struct {
 	pkgs    map[string]*pkgInfo
 	loading map[string]bool
 
+	// facts memoises moduleFacts over the factsPkgs packages it was
+	// built from.
+	facts     *moduleFacts
+	factsPkgs int
+
 	// Warnings collects non-fatal type-check diagnostics. The repo must
 	// compile (tier-1 gate) so these indicate a loader limitation, not a
 	// code problem; analyzers run on whatever type info exists.

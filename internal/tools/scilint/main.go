@@ -3,8 +3,9 @@
 // I/O routes through internal/rdbms/vfs, durability-critical error values
 // are never dropped, stripe locks are released on every return path,
 // recovery/replay and model-scoring code stays deterministic, every HTTP
-// handler bounds the request body it decodes, and package unsafe stays in
-// the one file that owns the rdbms.Value layout. The invariants and the
+// handler bounds the request body it decodes, package unsafe stays in the
+// one file that owns the rdbms.Value layout, and every exported name
+// under internal/ has a caller outside the tests. The invariants and the
 // PRs that motivated them are documented in docs/DEVELOPMENT.md.
 //
 // Run from the repository root:
@@ -40,6 +41,7 @@ var registry = []Analyzer{
 	durErrCheck{},
 	httpBody{},
 	lockHygiene{},
+	testOnlyAPI{},
 	unsafeConfine{},
 	vfsDiscipline{},
 }

@@ -233,3 +233,26 @@ func g() {}
 		}
 	}
 }
+
+// TestTestOnlyAPIGolden pins the rule on a fixture tree: lib is under
+// internal/ and cmd/tool is its production code; libtest (test support by
+// name) and pkg/other (outside internal/) are exempt.
+func TestTestOnlyAPIGolden(t *testing.T) {
+	base := fixtures + "/testonlyapi"
+	checkFixture(t, base+"/internal/lib", base+"/internal/libtest", base+"/cmd/tool", base+"/pkg/other")
+}
+
+// TestTestOnlyAPISeesWholeModule: the use set comes from the whole module
+// whatever the targets are. stream.Pipeline.Enqueue's one non-test caller
+// lives in bench/, a module of its own under the root, so analyzing
+// internal/stream alone must still find it.
+func TestTestOnlyAPISeesWholeModule(t *testing.T) {
+	ld, _ := sharedLoader(t)
+	findings, err := runAnalyzers(ld, []string{"internal/stream"}, []Analyzer{testOnlyAPI{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("internal/stream analyzed alone: %s", f)
+	}
+}

@@ -105,13 +105,3 @@ func (h *HierarchyTagger) Tag(text string) []DiscoveredAssignment {
 	})
 	return out
 }
-
-// DiscoverTagger runs Discover and wraps the result in a HierarchyTagger —
-// the one-call path from a token corpus to a usable unsupervised tagger.
-func DiscoverTagger(docs [][]string, cfg cluster.HierarchyConfig, minDF int) (*HierarchyTagger, error) {
-	root, tfidf, err := Discover(docs, cfg, minDF)
-	if err != nil {
-		return nil, err
-	}
-	return NewHierarchyTagger(root, tfidf), nil
-}

@@ -35,9 +35,19 @@ func hierarchyCorpus(n int, seed int64) ([][]string, []int) {
 	return docs, themes
 }
 
+// discoverTagger runs Discover and wraps the result in a HierarchyTagger,
+// as the warehouse's topic-model job does.
+func discoverTagger(docs [][]string, cfg cluster.HierarchyConfig, minDF int) (*HierarchyTagger, error) {
+	root, tfidf, err := Discover(docs, cfg, minDF)
+	if err != nil {
+		return nil, err
+	}
+	return NewHierarchyTagger(root, tfidf), nil
+}
+
 func TestDiscoverTaggerSeparatesThemes(t *testing.T) {
 	docs, _ := hierarchyCorpus(200, 1)
-	tagger, err := DiscoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 2, MinLeaf: 10, Seed: 1}, 2)
+	tagger, err := discoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 2, MinLeaf: 10, Seed: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func containsAny(s string, subs []string) bool {
 
 func TestHierarchyTaggerProbabilitiesOrderedAndBounded(t *testing.T) {
 	docs, _ := hierarchyCorpus(200, 2)
-	tagger, err := DiscoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 3, MinLeaf: 8, Seed: 2}, 2)
+	tagger, err := discoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 3, MinLeaf: 8, Seed: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestHierarchyTaggerProbabilitiesOrderedAndBounded(t *testing.T) {
 
 func TestHierarchyTaggerUnknownVocabulary(t *testing.T) {
 	docs, _ := hierarchyCorpus(100, 3)
-	tagger, err := DiscoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 2, MinLeaf: 10, Seed: 3}, 2)
+	tagger, err := discoverTagger(docs, cluster.HierarchyConfig{Branch: 2, MaxDepth: 2, MinLeaf: 10, Seed: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func TestHierarchyTaggerLabels(t *testing.T) {
 }
 
 func TestDiscoverTaggerEmptyCorpus(t *testing.T) {
-	if _, err := DiscoverTagger(nil, cluster.HierarchyConfig{}, 1); err == nil {
+	if _, err := discoverTagger(nil, cluster.HierarchyConfig{}, 1); err == nil {
 		t.Error("empty corpus should fail")
 	}
 }

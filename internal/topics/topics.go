@@ -61,9 +61,6 @@ func NewTaxonomy(list []NamedTopic) (*Taxonomy, error) {
 	return t, nil
 }
 
-// Topics returns the topic list.
-func (t *Taxonomy) Topics() []NamedTopic { return append([]NamedTopic(nil), t.topics...) }
-
 // DefaultTaxonomy is the demo taxonomy: four generic topics plus the
 // COVID-19 refinement under health, mirroring the paper's Health →
 // COVID-19 example.
@@ -145,14 +142,6 @@ func (g *Tagger) scores(stems []string) []float64 {
 	return out
 }
 
-// Tag assigns topics to a document. Probabilities come from a softmax over
-// overlap scores (temperature Tau); topics above Threshold are returned,
-// parents added transitively with at least their child's probability.
-// Results are sorted by probability descending, ties by name.
-func (g *Tagger) Tag(text string) []Assignment {
-	return g.TagStems(textutil.StemAll(textutil.ContentWords(text)))
-}
-
 // TagStems assigns topics to a document given its preprocessed content-word
 // stems (stop words removed, Porter-stemmed) — the entry point for callers
 // holding a shared textutil.Analysis, which produces exactly that stream.
@@ -209,16 +198,6 @@ func (g *Tagger) TagStems(stems []string) []Assignment {
 		return out[i].Topic < out[j].Topic
 	})
 	return out
-}
-
-// HasTopic reports whether Tag assigns the named topic to the text.
-func (g *Tagger) HasTopic(text, topic string) bool {
-	for _, a := range g.Tag(text) {
-		if a.Topic == topic {
-			return true
-		}
-	}
-	return false
 }
 
 // Discover builds an unsupervised topic hierarchy over tokenised documents
