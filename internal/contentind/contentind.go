@@ -127,21 +127,12 @@ func LexiconClickbaitScoreDoc(a *textutil.Analysis) float64 {
 	if a.Text == "" {
 		return 0
 	}
-	words := 0
-	cueWords := 0
 	exclaims := 0
 	questions := 0
 	numbers := 0
-	wi := 0
 	for i := range a.Tokens {
 		t := &a.Tokens[i]
 		switch t.Kind {
-		case textutil.KindWord:
-			words++
-			if lexicon.IsClickbaitStem(a.Words[wi].Stem) {
-				cueWords++
-			}
-			wi++
 		case textutil.KindNumber:
 			numbers++
 		case textutil.KindPunct:
@@ -156,7 +147,19 @@ func LexiconClickbaitScoreDoc(a *textutil.Analysis) float64 {
 	h := a.LowerText()
 	phrases := lexicon.ClickbaitPhraseHitsLower(h)
 	forwards := lexicon.ForwardReferenceHitsLower(h)
-	return squashClickbait(phrases, forwards, cueWords, exclaims, questions, numbers, words, a.AllCapsWords)
+	return squashClickbait(phrases, forwards, cueWordCount(a), exclaims, questions, numbers, len(a.Words), a.AllCapsWords)
+}
+
+// cueWordCount is the number of words in a whose stem is a clickbait cue,
+// summed over distinct forms.
+func cueWordCount(a *textutil.Analysis) int {
+	n := 0
+	for i := range a.Forms {
+		if lexicon.IsClickbaitStem(a.Forms[i].Stem) {
+			n += a.Forms[i].Count
+		}
+	}
+	return n
 }
 
 // squashClickbait blends the cue counts into the final [0, 1] score.
@@ -210,27 +213,28 @@ func SubjectivityScore(body string) float64 {
 }
 
 // SubjectivityScoreDoc is SubjectivityScore over a shared body analysis:
-// the lexicon is probed with the precomputed stems, so no word is stemmed
-// (or stemmed twice for the booster fallback) per call.
+// the lexicon is probed once per distinct form with its precomputed stem,
+// and each clue weighs its form's count. Every weight is a multiple of
+// 0.5 and every count an integer, so the sum is exact and equals the
+// word-by-word one bit for bit.
 func SubjectivityScoreDoc(a *textutil.Analysis) float64 {
 	n := len(a.Words)
 	if n == 0 {
 		return 0
 	}
 	weighted := 0.0
-	for i := range a.Words {
-		stem := a.Words[i].Stem
-		if e, ok := lexicon.SubjectivityByStem(stem); ok {
+	for i := range a.Forms {
+		f := &a.Forms[i]
+		w := 0.0
+		if e, ok := lexicon.SubjectivityByStem(f.Stem); ok {
+			w = 1
 			if e.Strong {
-				weighted += 2
-			} else {
-				weighted += 1
+				w = 2
 			}
-			continue
+		} else if lexicon.IsBoosterStem(f.Stem) {
+			w = 0.5
 		}
-		if lexicon.IsBoosterStem(stem) {
-			weighted += 0.5
-		}
+		weighted += w * float64(f.Count)
 	}
 	density := weighted / float64(n)
 	score := density / 0.12
@@ -325,17 +329,11 @@ func (f *FeatureExtractor) ExtractDoc(a *textutil.Analysis) mlcore.SparseVector 
 
 	exclaims, questions, numbers := 0, 0, 0
 	wordLen := 0
-	cueWords := 0
-	wi := 0
 	for i := range a.Tokens {
 		t := &a.Tokens[i]
 		switch t.Kind {
 		case textutil.KindWord:
 			wordLen += len(t.Text)
-			if lexicon.IsClickbaitStem(a.Words[wi].Stem) {
-				cueWords++
-			}
-			wi++
 		case textutil.KindNumber:
 			numbers++
 		case textutil.KindPunct:
@@ -363,6 +361,6 @@ func (f *FeatureExtractor) ExtractDoc(a *textutil.Analysis) mlcore.SparseVector 
 	v[style+featNumbers] = float64(numbers)
 	v[style+featPhraseHits] = float64(lexicon.ClickbaitPhraseHitsLower(a.LowerText()))
 	v[style+featForwardRefs] = float64(lexicon.ForwardReferenceHitsLower(a.LowerText()))
-	v[style+featCueWords] = float64(cueWords)
+	v[style+featCueWords] = float64(cueWordCount(a))
 	return v
 }

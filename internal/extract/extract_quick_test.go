@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,13 +68,20 @@ const (
 // link.
 func FuzzExtractParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc, baseURL string) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		// The fuzzing engine allocates on goroutines of its own while a
+		// parse runs, and one ReadMemStats pair counts that too; the bound
+		// is for the parse itself, so it takes the cheapest of three more.
 		art, err := Parse(doc, baseURL)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc,
-			uint64(parseAllocBytesPerInputByte*(len(doc)+len(baseURL))+parseAllocSlack); got > limit {
-			t.Fatalf("parsing %d + %d bytes allocated %d B, limit %d", len(doc), len(baseURL), got, limit)
+		allocated := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _ = Parse(doc, baseURL)
+			runtime.ReadMemStats(&after)
+			allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(parseAllocBytesPerInputByte*(len(doc)+len(baseURL)) + parseAllocSlack); allocated > limit {
+			t.Fatalf("parsing %d + %d bytes allocated %d B, limit %d", len(doc), len(baseURL), allocated, limit)
 		}
 		if err != nil {
 			return

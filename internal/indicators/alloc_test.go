@@ -14,9 +14,11 @@ import (
 
 // evaluateArticleAllocs is what evaluateBase allocates on the article
 // of TestEvaluateArticleAllocations with pooled text analyses, on one
-// goroutine (32 while the body analysis ran on a second one, 99 when every
-// evaluation built its analyses from scratch).
-const evaluateArticleAllocs = 21
+// goroutine, once the form table holds the article's words (21 while
+// every analysis built a string of its stems and the tagger a slice of
+// them, 32 while the body analysis ran on a second goroutine, 99 when
+// every evaluation built its analyses from scratch).
+const evaluateArticleAllocs = 13
 
 // TestEvaluateArticleAllocations guards the cold evaluation's garbage: the
 // body and title analyses come from the pool and go back to it, so an

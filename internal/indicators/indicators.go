@@ -224,10 +224,7 @@ func (e *Engine) evaluateBase(art *extract.Article) *Report {
 	titleA := textutil.NewAnalysis(art.Title)
 	r.Context = e.refs.Analyze(art)
 	r.Content = e.content.AnalyzeDoc(art, titleA, bodyA)
-	stems := make([]string, 0, titleA.ContentWordCount()+bodyA.ContentWordCount())
-	stems = titleA.AppendContentStems(stems)
-	stems = bodyA.AppendContentStems(stems)
-	r.Topics = e.tagger.TagStems(stems)
+	r.Topics = e.tagger.TagDoc(titleA, bodyA)
 	titleA.Release()
 	bodyA.Release()
 	r.Composite = Composite(r)

@@ -62,19 +62,20 @@ func Analyze(text string) Stats {
 
 // AnalyzeDoc computes the same statistics as Analyze from a shared
 // single-pass document analysis, without re-tokenising, re-stemming or
-// re-counting syllables.
+// re-counting syllables: each distinct form counts once, weighted by the
+// number of words that have it.
 func AnalyzeDoc(a *textutil.Analysis) Stats {
 	var s Stats
 	s.Words = len(a.Words)
 	s.Letters = a.Letters
-	for i := range a.Words {
-		w := &a.Words[i]
-		s.Syllables += w.Syllables
-		if w.Syllables >= 3 {
-			s.Polysyllables++
+	for i := range a.Forms {
+		f := &a.Forms[i]
+		s.Syllables += f.Syllables * f.Count
+		if f.Syllables >= 3 {
+			s.Polysyllables += f.Count
 		}
-		if !familiarParts(w.Lower, w.Stem, w.Syllables, w.Stop) {
-			s.DifficultWords++
+		if !familiarParts(f.Lower, f.Stem, f.Syllables, f.Stop) {
+			s.DifficultWords += f.Count
 		}
 	}
 	s.Sentences = a.SentenceCount

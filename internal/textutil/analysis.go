@@ -6,9 +6,9 @@ import (
 )
 
 // WordInfo is the per-word product of the shared analysis pass: the
-// lower-cased surface form, the Porter stem, the syllable estimate and the
-// stop-word flag, plus the index of the originating token in
-// Analysis.Tokens.
+// lower-cased surface form, the Porter stem and the stop-word flag, plus
+// the index of the originating token in Analysis.Tokens. Syllable counts
+// are per form (Analysis.Forms).
 type WordInfo struct {
 	// TokenIndex is the index of this word's token in Analysis.Tokens.
 	TokenIndex int
@@ -16,11 +16,30 @@ type WordInfo struct {
 	Lower string
 	// Stem is the Porter stem of Lower.
 	Stem string
-	// Syllables is the syllable estimate for the word.
-	Syllables int
 	// Stop reports whether the word is an English stop word.
 	Stop bool
 }
+
+// Form is one distinct lower-cased word form of an analysed text: its
+// stem, syllable estimate and stop-word flag, once per form, and the
+// number of word tokens that have it. A family that only sums over words
+// sums over forms, weighting each by Count.
+type Form struct {
+	// Lower is the lower-cased surface form.
+	Lower string
+	// Stem is the Porter stem of Lower.
+	Stem string
+	// Syllables is the syllable estimate for the form.
+	Syllables int
+	// Stop reports whether the form is an English stop word.
+	Stop bool
+	// Count is the number of word tokens with this form.
+	Count int
+}
+
+// arenaStem records that the stem of Forms[form] is arena[start:end]
+// once the word loop ends.
+type arenaStem struct{ form, start, end int32 }
 
 // Analysis is the single-pass document profile every indicator family
 // consumes. One tokenisation pass produces the token stream, lower-cased
@@ -44,6 +63,9 @@ type Analysis struct {
 	Tokens []Token
 	// Words holds one entry per word token, in document order.
 	Words []WordInfo
+	// Forms holds one entry per distinct lower-cased word form, in order
+	// of first occurrence; their Counts sum to len(Words).
+	Forms []Form
 	// SentenceCount is the number of sentences in Text.
 	SentenceCount int
 	// Letters is the number of ASCII letters inside word tokens (the
@@ -60,22 +82,11 @@ type Analysis struct {
 	hasLowered bool
 
 	// Scratch of the word loop, kept across pooled uses.
-	seen     map[string]int32 // lower-cased form -> index in distinct
-	distinct []wordData       // one entry per distinct lower-cased form
-	ids      []int32          // per word, its index in distinct
-	arena    []byte           // the stems of distinct, back to back
+	seen     map[string]int32 // lower-cased form -> index in Forms
+	ids      []int32          // per word, its index in Forms
+	arena    []byte           // the stems the form table does not hold, back to back
+	spans    []arenaStem      // where in arena each of those stems is
 	lowerBuf []byte           // lower-casing scratch for lookups
-}
-
-// wordData is the memoised per-unique-word computation: documents repeat
-// words constantly, so each distinct lower-cased form is stemmed, syllable
-// counted and stop-word checked exactly once per analysis. Its stem is
-// arena[start:end] until the word loop ends.
-type wordData struct {
-	lower      string
-	start, end int32
-	syll       int32
-	stop       bool
 }
 
 // maxPooledTokens is the largest token capacity Release returns to the
@@ -106,10 +117,8 @@ func NewAnalysis(text string) *Analysis {
 		a.Words = make([]WordInfo, 0, nw)
 		a.ids = make([]int32, 0, nw)
 		// Documents repeat words: in news prose a third to a half of
-		// them are distinct, and their stems fill under a third of the
-		// text.
-		a.distinct = make([]wordData, 0, nw/2+4)
-		a.arena = make([]byte, 0, len(text)/3)
+		// them are distinct.
+		a.Forms = make([]Form, 0, nw/2+4)
 	}
 	if a.seen == nil {
 		a.seen = make(map[string]int32, nw)
@@ -134,55 +143,81 @@ func NewAnalysis(text string) *Analysis {
 		if c := t.Text[0]; c >= 'A' && c <= 'Z' {
 			a.CapitalizedWords++
 		}
-		id := a.wordID(t.Text)
-		d := &a.distinct[id]
+		id := a.formID(t.Text)
+		f := &a.Forms[id]
+		f.Count++
 		a.Words = append(a.Words, WordInfo{
 			TokenIndex: i,
-			Lower:      d.lower,
-			Syllables:  int(d.syll),
-			Stop:       d.stop,
+			Lower:      f.Lower,
+			Stem:       f.Stem,
+			Stop:       f.Stop,
 		})
 		a.ids = append(a.ids, id)
 	}
-	// Every stem is a substring of one string: one allocation per
-	// analysis rather than one per distinct word.
-	stems := string(a.arena)
-	for i := range a.Words {
-		d := &a.distinct[a.ids[i]]
-		a.Words[i].Stem = stems[d.start:d.end]
+	if len(a.spans) > 0 {
+		// The stems the form table does not hold are substrings of one
+		// string: one allocation per analysis rather than one per form.
+		stems := string(a.arena)
+		for _, sp := range a.spans {
+			a.Forms[sp.form].Stem = stems[sp.start:sp.end]
+		}
+		for i := range a.Words {
+			a.Words[i].Stem = a.Forms[a.ids[i]].Stem
+		}
 	}
 	a.SentenceCount = SentenceCount(text)
 	return a
 }
 
-// wordID returns the index in a.distinct of word's lower-cased form,
-// stemming it into the arena on its first occurrence.
-func (a *Analysis) wordID(word string) int32 {
+// formID returns the index in a.Forms of word's lower-cased form, adding
+// the form on its first occurrence: from the form table when it holds the
+// form or admits it, else stemmed into the arena.
+func (a *Analysis) formID(word string) int32 {
 	var lower string
+	var e *formEntry
 	if hasUpperASCIIOnly(word) {
 		// A capitalised word repeats ("The", "Smith"): look it up by its
-		// lower-cased bytes and build the string only for a new form.
+		// lower-cased bytes and build the string only for a form the
+		// table does not hold.
 		a.lowerBuf = appendLowerASCII(a.lowerBuf[:0], word)
 		if id, ok := a.seen[string(a.lowerBuf)]; ok {
 			return id
 		}
-		lower = string(a.lowerBuf)
+		if len(a.lowerBuf) <= maxFormLen {
+			// The table holds no longer form, and converting one for the
+			// lookup would allocate.
+			e = forms.lookup(string(a.lowerBuf))
+		}
+		if e != nil {
+			lower = e.form
+		} else {
+			lower = string(a.lowerBuf)
+		}
 	} else {
 		lower = lowerFast(word)
 		if id, ok := a.seen[lower]; ok {
 			return id
 		}
+		e = forms.lookup(lower)
 	}
-	start := len(a.arena)
-	a.arena = appendStem(a.arena, lower)
-	id := int32(len(a.distinct))
-	a.distinct = append(a.distinct, wordData{
-		lower: lower,
-		start: int32(start),
-		end:   int32(len(a.arena)),
-		syll:  int32(SyllableCountLower(lower)),
-		stop:  IsStopwordLower(lower),
-	})
+	if e == nil {
+		e = forms.admit(lower)
+	}
+	id := int32(len(a.Forms))
+	switch {
+	case e != nil:
+		a.Forms = append(a.Forms, Form{Lower: lower, Stem: e.stem, Syllables: int(e.syll), Stop: e.stop})
+	case len(lower) < minFormLen:
+		// A word of one or two letters is its own stem.
+		a.Forms = append(a.Forms, Form{Lower: lower, Stem: lower,
+			Syllables: SyllableCountLower(lower), Stop: IsStopwordLower(lower)})
+	default:
+		start := len(a.arena)
+		a.arena = appendStem(a.arena, lower)
+		a.spans = append(a.spans, arenaStem{id, int32(start), int32(len(a.arena))})
+		a.Forms = append(a.Forms, Form{Lower: lower,
+			Syllables: SyllableCountLower(lower), Stop: IsStopwordLower(lower)})
+	}
 	a.seen[lower] = id
 	return id
 }
@@ -198,15 +233,16 @@ func (a *Analysis) Release() {
 	}
 	clear(a.Tokens)
 	clear(a.Words)
-	clear(a.distinct)
+	clear(a.Forms)
 	clear(a.seen)
 	*a = Analysis{
 		Tokens:   a.Tokens[:0],
 		Words:    a.Words[:0],
+		Forms:    a.Forms[:0],
 		seen:     a.seen,
-		distinct: a.distinct[:0],
 		ids:      a.ids[:0],
 		arena:    a.arena[:0],
+		spans:    a.spans[:0],
 		lowerBuf: a.lowerBuf[:0],
 	}
 	analysisPool.Put(a)

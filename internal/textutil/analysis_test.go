@@ -28,11 +28,8 @@ func TestNewAnalysisMatchesIndividualPasses(t *testing.T) {
 			if w.Lower != words[i] {
 				t.Errorf("%q word %d: lower %q != %q", text, i, w.Lower, words[i])
 			}
-			if w.Stem != Stem(words[i]) {
-				t.Errorf("%q word %d: stem %q != %q", text, i, w.Stem, Stem(words[i]))
-			}
-			if w.Syllables != SyllableCount(words[i]) {
-				t.Errorf("%q word %d: syllables %d != %d", text, i, w.Syllables, SyllableCount(words[i]))
+			if w.Stem != porterStem(words[i]) {
+				t.Errorf("%q word %d: stem %q != %q", text, i, w.Stem, porterStem(words[i]))
 			}
 			if w.Stop != IsStopword(words[i]) {
 				t.Errorf("%q word %d: stop %v != %v", text, i, w.Stop, IsStopword(words[i]))
@@ -154,12 +151,30 @@ func checkIndividualPasses(t *testing.T, a *Analysis, text string) {
 		want := WordInfo{
 			TokenIndex: wordToks[i],
 			Lower:      words[i],
-			Stem:       Stem(words[i]),
-			Syllables:  SyllableCount(words[i]),
+			Stem:       porterStem(words[i]),
 			Stop:       IsStopword(words[i]),
 		}
 		if w != want {
 			t.Fatalf("%q word %d: %+v, want %+v", text, i, w, want)
+		}
+	}
+	// The distinct forms, in order of first occurrence, with their counts.
+	var forms []Form
+	index := map[string]int{}
+	for _, w := range words {
+		if j, ok := index[w]; ok {
+			forms[j].Count++
+			continue
+		}
+		index[w] = len(forms)
+		forms = append(forms, Form{Lower: w, Stem: porterStem(w), Syllables: SyllableCount(w), Stop: IsStopword(w), Count: 1})
+	}
+	if len(a.Forms) != len(forms) {
+		t.Fatalf("%q: %d forms, want %d", text, len(a.Forms), len(forms))
+	}
+	for j, f := range a.Forms {
+		if f != forms[j] {
+			t.Fatalf("%q form %d: %+v, want %+v", text, j, f, forms[j])
 		}
 	}
 	if a.SentenceCount != SentenceCount(text) || a.AllCapsWords != AllCapsWordCount(text) ||
@@ -208,10 +223,10 @@ func TestReleaseClearsDocument(t *testing.T) {
 	a := NewAnalysis("Scientists REPORTED that the Trial succeeded. The trial ran.")
 	a.LowerText()
 	a.Release()
-	if a.Text != "" || a.lowered != "" || a.SentenceCount != 0 || a.Letters != 0 || len(a.seen) != 0 {
+	if a.Text != "" || a.lowered != "" || a.SentenceCount != 0 || a.Letters != 0 || len(a.seen) != 0 || len(a.Forms) != 0 {
 		t.Fatalf("released analysis still holds %+v", a)
 	}
-	if cap(a.Tokens) == 0 || cap(a.Words) == 0 || cap(a.distinct) == 0 {
+	if cap(a.Tokens) == 0 || cap(a.Words) == 0 || cap(a.Forms) == 0 {
 		t.Fatal("Release dropped the scratch it should keep")
 	}
 	for _, tok := range a.Tokens[:cap(a.Tokens)] {
@@ -224,9 +239,9 @@ func TestReleaseClearsDocument(t *testing.T) {
 			t.Fatalf("released word %+v", w)
 		}
 	}
-	for _, d := range a.distinct[:cap(a.distinct)] {
-		if d != (wordData{}) {
-			t.Fatalf("released word data %+v", d)
+	for _, f := range a.Forms[:cap(a.Forms)] {
+		if f != (Form{}) {
+			t.Fatalf("released form %+v", f)
 		}
 	}
 }

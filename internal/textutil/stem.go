@@ -7,9 +7,16 @@ import "strings"
 // than three letters are returned unchanged (lower-cased).
 //
 // The stemmer is used to collapse inflectional variants before lexicon
-// lookups and bag-of-words vectorisation.
+// lookups and bag-of-words vectorisation. A form the process-wide form
+// table holds, or admits now, is stemmed once per process.
 func Stem(word string) string {
 	lower := strings.ToLower(word)
+	if e := forms.lookup(lower); e != nil {
+		return e.stem
+	}
+	if e := forms.admit(lower); e != nil {
+		return e.stem
+	}
 	var buf [32]byte
 	w := appendStem(buf[:0], lower)
 	if string(w) == lower {
@@ -180,7 +187,32 @@ func step1c(w []byte) []byte {
 	return w
 }
 
-var step2Rules = []struct{ suffix, repl string }{
+// rule rewrites a word ending in suffix to end in repl.
+type rule struct{ suffix, repl string }
+
+// ruleSet holds a step's rules by the last letter of their suffix, each
+// group in the step's order, so a step tries only the rules that can
+// match: the first rule that applies is the same as over the whole list.
+type ruleSet [26][]rule
+
+func newRuleSet(rules ...rule) *ruleSet {
+	var s ruleSet
+	for _, r := range rules {
+		c := r.suffix[len(r.suffix)-1] - 'a'
+		s[c] = append(s[c], r)
+	}
+	return &s
+}
+
+// candidates returns the rules whose suffix ends in w's last letter.
+func (s *ruleSet) candidates(w []byte) []rule {
+	if len(w) == 0 || w[len(w)-1]-'a' >= 26 {
+		return nil
+	}
+	return s[w[len(w)-1]-'a']
+}
+
+var step2List = []rule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
 	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
 	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
@@ -188,40 +220,50 @@ var step2Rules = []struct{ suffix, repl string }{
 	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
 }
 
+var step2Rules = newRuleSet(step2List...)
+
 func step2(w []byte) []byte {
-	for _, rule := range step2Rules {
-		if out, ok := replaceSuffix(w, rule.suffix, rule.repl, 1); ok {
+	for _, r := range step2Rules.candidates(w) {
+		if out, ok := replaceSuffix(w, r.suffix, r.repl, 1); ok {
 			return out
 		}
 	}
 	return w
 }
 
-var step3Rules = []struct{ suffix, repl string }{
+var step3List = []rule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
 }
 
+var step3Rules = newRuleSet(step3List...)
+
 func step3(w []byte) []byte {
-	for _, rule := range step3Rules {
-		if out, ok := replaceSuffix(w, rule.suffix, rule.repl, 1); ok {
+	for _, r := range step3Rules.candidates(w) {
+		if out, ok := replaceSuffix(w, r.suffix, r.repl, 1); ok {
 			return out
 		}
 	}
 	return w
 }
 
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+// step4List's suffixes are removed outright, so its rules have no
+// replacement.
+var step4List = []rule{
+	{"al", ""}, {"ance", ""}, {"ence", ""}, {"er", ""}, {"ic", ""},
+	{"able", ""}, {"ible", ""}, {"ant", ""}, {"ement", ""},
+	{"ment", ""}, {"ent", ""}, {"ou", ""}, {"ism", ""}, {"ate", ""},
+	{"iti", ""}, {"ous", ""}, {"ive", ""}, {"ize", ""},
 }
 
+var step4Rules = newRuleSet(step4List...)
+
 func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
-		if !hasSuffix(w, s) {
+	for _, r := range step4Rules.candidates(w) {
+		if !hasSuffix(w, r.suffix) {
 			continue
 		}
-		stem := w[:len(w)-len(s)]
+		stem := w[:len(w)-len(r.suffix)]
 		if measure(stem) <= 1 {
 			return w
 		}

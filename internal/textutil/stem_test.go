@@ -1,9 +1,15 @@
 package textutil
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// porterStem is the table-free reference stemmer: appendStem alone over
+// the lower-cased word, with no form table in the way.
+func porterStem(word string) string { return string(appendStem(nil, strings.ToLower(word))) }
 
 func TestStemKnownPairs(t *testing.T) {
 	cases := []struct{ in, want string }{
@@ -81,9 +87,20 @@ func TestStemKnownPairs(t *testing.T) {
 		{"controll", "control"},
 		{"roll", "roll"},
 	}
+	// Each word is stemmed twice: the first Stem admits it into an empty
+	// form table, the second is served from the table.
+	resetFormTable()
 	for _, c := range cases {
-		if got := Stem(c.in); got != c.want {
-			t.Errorf("Stem(%q) = %q, want %q", c.in, got, c.want)
+		if got := porterStem(c.in); got != c.want {
+			t.Errorf("appendStem(%q) = %q, want %q", c.in, got, c.want)
+		}
+		for pass := range 2 {
+			if got := Stem(c.in); got != c.want {
+				t.Errorf("Stem(%q) pass %d = %q, want %q", c.in, pass, got, c.want)
+			}
+		}
+		if e := forms.lookup(c.in); e == nil || e.stem != c.want {
+			t.Errorf("form table holds %+v for %q, want stem %q", e, c.in, c.want)
 		}
 	}
 }
@@ -141,5 +158,39 @@ func TestStemAll(t *testing.T) {
 	got := StemAll([]string{"running", "jumps"})
 	if got[0] != "run" || got[1] != "jump" {
 		t.Errorf("StemAll: got %v", got)
+	}
+}
+
+// TestRuleSetsKeepListOrder: steps 2–4 try only the rules whose suffix
+// ends in the word's last letter, and for every word those are the rules
+// of the whole list that match it, in list order — so the first rule
+// that applies is the one a scan of the list finds.
+func TestRuleSetsKeepListOrder(t *testing.T) {
+	lists := [][]rule{step2List, step3List, step4List}
+	sets := []*ruleSet{step2Rules, step3Rules, step4Rules}
+	matching := func(rules []rule, w []byte) []rule {
+		var out []rule
+		for _, r := range rules {
+			if hasSuffix(w, r.suffix) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	endings := []string{"", "ion", "y", "s", "'", "\u00fc"}
+	for _, list := range lists {
+		for _, r := range list {
+			endings = append(endings, r.suffix)
+		}
+	}
+	for i, list := range lists {
+		for _, base := range []string{"", "x", "rel", "formal", "sensib"} {
+			for _, end := range endings {
+				w := []byte(base + end)
+				if got, want := matching(sets[i].candidates(w), w), matching(list, w); !slices.Equal(got, want) {
+					t.Errorf("step %d, %q: rules %v, want %v", i+2, w, got, want)
+				}
+			}
+		}
 	}
 }

@@ -62,10 +62,10 @@ func TestSyllableCountAlwaysPositive(t *testing.T) {
 func syllables(text string) (total, poly int) {
 	a := NewAnalysis(text)
 	defer a.Release()
-	for _, w := range a.Words {
-		total += w.Syllables
-		if w.Syllables >= 3 {
-			poly++
+	for _, f := range a.Forms {
+		total += f.Syllables * f.Count
+		if f.Syllables >= 3 {
+			poly += f.Count
 		}
 	}
 	return total, poly

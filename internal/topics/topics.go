@@ -18,7 +18,9 @@ package topics
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cluster"
@@ -39,10 +41,15 @@ type NamedTopic struct {
 	Seeds []string
 }
 
+// maxTopics is the most topics a taxonomy holds: one bit each in a
+// seed's topic mask.
+const maxTopics = 64
+
 // Taxonomy is a set of named topics forming a forest.
 type Taxonomy struct {
-	topics  []NamedTopic
-	seedSet []map[string]struct{} // stemmed seeds per topic
+	topics []NamedTopic
+	// seeds maps a stemmed seed to the topics it seeds: bit i is topic i.
+	seeds map[string]uint64
 }
 
 // NewTaxonomy validates and compiles a taxonomy.
@@ -50,13 +57,14 @@ func NewTaxonomy(list []NamedTopic) (*Taxonomy, error) {
 	if len(list) == 0 {
 		return nil, ErrNoTopics
 	}
-	t := &Taxonomy{topics: append([]NamedTopic(nil), list...)}
-	for _, topic := range t.topics {
-		set := make(map[string]struct{}, len(topic.Seeds))
+	if len(list) > maxTopics {
+		return nil, fmt.Errorf("topics: %d topics, at most %d", len(list), maxTopics)
+	}
+	t := &Taxonomy{topics: append([]NamedTopic(nil), list...), seeds: make(map[string]uint64)}
+	for i, topic := range t.topics {
 		for _, s := range topic.Seeds {
-			set[textutil.Stem(s)] = struct{}{}
+			t.seeds[textutil.Stem(s)] |= 1 << i
 		}
-		t.seedSet = append(t.seedSet, set)
 	}
 	return t, nil
 }
@@ -123,30 +131,49 @@ func NewTagger(tax *Taxonomy) *Tagger {
 	return &Tagger{Threshold: 0.15, Tau: 0.08, tax: tax}
 }
 
-// scores computes the seed-overlap score per topic: matched seed stems per
-// document token, smoothed.
-func (g *Tagger) scores(stems []string) []float64 {
-	out := make([]float64, len(g.tax.topics))
-	if len(stems) == 0 {
-		return out
+// seedHits adds count to hits[i] for every topic i that stem seeds.
+func (g *Tagger) seedHits(hits *[maxTopics]int, stem string, count int) {
+	for m := g.tax.seeds[stem]; m != 0; m &= m - 1 {
+		hits[bits.TrailingZeros64(m)] += count
 	}
-	for i, set := range g.tax.seedSet {
-		hits := 0
-		for _, s := range stems {
-			if _, ok := set[s]; ok {
-				hits++
-			}
-		}
-		out[i] = float64(hits) / float64(len(stems))
-	}
-	return out
 }
 
 // TagStems assigns topics to a document given its preprocessed content-word
-// stems (stop words removed, Porter-stemmed) — the entry point for callers
-// holding a shared textutil.Analysis, which produces exactly that stream.
+// stems (stop words removed, Porter-stemmed), one per word.
 func (g *Tagger) TagStems(stems []string) []Assignment {
-	raw := g.scores(stems)
+	var hits [maxTopics]int
+	for _, s := range stems {
+		g.seedHits(&hits, s, 1)
+	}
+	return g.assign(&hits, len(stems))
+}
+
+// TagDoc assigns topics to a document from the shared analyses of its
+// title and body: what TagStems gives for their content-word stems,
+// counted once per distinct form.
+func (g *Tagger) TagDoc(title, body *textutil.Analysis) []Assignment {
+	var hits [maxTopics]int
+	words := 0
+	for _, a := range [2]*textutil.Analysis{title, body} {
+		for i := range a.Forms {
+			if f := &a.Forms[i]; !f.Stop {
+				words += f.Count
+				g.seedHits(&hits, f.Stem, f.Count)
+			}
+		}
+	}
+	return g.assign(&hits, words)
+}
+
+// assign turns seed hits into topic assignments. A topic's seed-overlap
+// score is its hits per content word of the document.
+func (g *Tagger) assign(hits *[maxTopics]int, words int) []Assignment {
+	raw := make([]float64, len(g.tax.topics))
+	if words > 0 {
+		for i := range raw {
+			raw[i] = float64(hits[i]) / float64(words)
+		}
+	}
 	// Softmax including an implicit "none" topic with score 0 so documents
 	// with no seed hits at all spread probability onto nothing.
 	maxScore := 0.0

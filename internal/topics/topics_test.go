@@ -2,7 +2,9 @@ package topics
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -42,6 +44,37 @@ func TestNewTaxonomyValidation(t *testing.T) {
 	}
 	if len(tax.topics) != 1 {
 		t.Error("topics lost")
+	}
+}
+
+func TestNewTaxonomyTopicLimit(t *testing.T) {
+	list := make([]NamedTopic, maxTopics+1)
+	for i := range list {
+		list[i] = NamedTopic{Name: fmt.Sprint("t", i), Seeds: []string{fmt.Sprint("seed", i)}}
+	}
+	if _, err := NewTaxonomy(list); err == nil {
+		t.Fatalf("a taxonomy of %d topics compiled", len(list))
+	}
+	if _, err := NewTaxonomy(list[:maxTopics]); err != nil {
+		t.Fatalf("%d topics: %v", maxTopics, err)
+	}
+}
+
+// TestTagDocMatchesTagStems: counting seed hits once per distinct form of
+// the title and body analyses assigns what counting them once per
+// content word does, probabilities bit for bit.
+func TestTagDocMatchesTagStems(t *testing.T) {
+	g := tagger(t)
+	w := synth.GenerateWorld(synth.Config{Seed: 9, Days: 4, RateScale: 0.3})
+	for _, a := range w.Articles {
+		title, body := textutil.NewAnalysis(a.Title), textutil.NewAnalysis(a.RawHTML)
+		got := g.TagDoc(title, body)
+		want := tag(g, a.Title+" "+a.RawHTML)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: TagDoc %v, TagStems %v", a.ID, got, want)
+		}
+		title.Release()
+		body.Release()
 	}
 }
 
