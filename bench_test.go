@@ -64,24 +64,6 @@ func BenchmarkFigure3SingleAssessment(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3ColdEvaluation measures evaluating an arbitrary document
-// through the full indicator engine with the cache bypassed (the POST
-// /api/assess path for never-seen articles).
-func BenchmarkFigure3ColdEvaluation(b *testing.B) {
-	_, w := benchFixture(b)
-	engine := scilens.NewEngine(scilens.EngineConfig{CacheSize: -1})
-	docs := make([]string, 0, 256)
-	for _, a := range w.Articles[:min(256, len(w.Articles))] {
-		docs = append(docs, a.RawHTML)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Evaluate(docs[i%len(docs)], "", nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigure3WarmEvaluation measures the cached document-evaluation
 // path: repeated POST /api/assess requests for already-seen documents are
 // served from the engine's content-hash report cache.
@@ -325,42 +307,32 @@ func BenchmarkAblationStanceLexVsModel(b *testing.B) {
 }
 
 // BenchmarkStreamIngest runs the staged pipeline (sharded queues →
-// micro-batched evaluation → coalesced commits) across worker counts over
-// the same decoded firehose events, reporting events/s.
+// micro-batched evaluation → coalesced commits) over decoded firehose
+// events at the platform's fixed shape (4 shards × 1 024 slots), reporting
+// events/s.
 func BenchmarkStreamIngest(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 4, Days: 8, RateScale: 0.4, ReactionScale: 0.3,
 	})
 	events := world.Events()
-	perSec := func(b *testing.B) {
-		b.ReportMetric(float64(len(events))/(b.Elapsed().Seconds()/float64(b.N)), "events/s")
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("streamed-%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := scilens.New(scilens.Config{
-					StreamShards:        shards,
-					StreamQueueCapacity: 4096,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := range events {
-					if err := p.StreamEvent(&events[j], true); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.Pipeline.Flush()
-				if st := p.StreamStats(); st.DeadLettered != 0 {
-					b.Fatalf("dead letters: %+v", st)
-				}
-				p.Close()
+	for i := 0; i < b.N; i++ {
+		p, err := scilens.New(scilens.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range events {
+			if err := p.StreamEvent(&events[j], true); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			perSec(b)
-		})
+		}
+		p.Pipeline.Flush()
+		if st := p.StreamStats(); st.DeadLettered != 0 {
+			b.Fatalf("dead letters: %+v", st)
+		}
+		p.Close()
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(events))/(b.Elapsed().Seconds()/float64(b.N)), "events/s")
 }
 
 // burstBlocks packs a world's reaction events into a flash-crowd
@@ -404,17 +376,16 @@ func burstBlocks(events []synth.Event, storms, stormTarget int) (blocks [][]int,
 }
 
 // BenchmarkBurstIngest measures shedding under a flash-crowd reaction
-// profile at deliberately modest per-shard queue capacity. Each
-// iteration pre-loads every article posting (block mode), then drives
-// the reaction feed in shed mode (StreamEvent(ev, false): a full shard drops the
-// event instead of parking the producer): the steady background paces
+// profile. Each iteration pre-loads every article posting (block mode),
+// then drives the reaction feed in shed mode (StreamEvent(ev, false): a
+// full shard drops the event instead of parking the producer): the
+// steady background paces
 // in short waves, and periodically a storm block — the hottest
 // articles' cascades back to back — arrives at line rate. The headline
-// metric is the shed percentage of the reaction feed. The A/B is the
-// queue bound, the one lever for absorbing bursts: a storm overflows the
-// 4x256 aggregate queue, while 4x1024 holds it until the workers drain
-// the backlog between storms. Some dead letters are expected: shedding
-// part of a reply tree orphans its descendants.
+// metric is the shed percentage of the reaction feed: the platform's
+// 4 × 1 024 queue holds a storm until the workers drain the backlog
+// between storms. Some dead letters are expected: shedding part of a
+// reply tree orphans its descendants.
 func BenchmarkBurstIngest(b *testing.B) {
 	world := scilens.GenerateWorld(scilens.WorldConfig{
 		Seed: 6, Days: 10, RateScale: 0.6, ReactionScale: 0.5,
@@ -447,80 +418,66 @@ func BenchmarkBurstIngest(b *testing.B) {
 	background = remap(background)
 	bgRun := len(background) / (len(blocks) + 1)
 
-	run := func(b *testing.B, cfg scilens.Config) {
-		var offered, shed, committed uint64
-		for i := 0; i < b.N; i++ {
-			p, err := scilens.New(cfg)
-			if err != nil {
+	var offered, shed, committed uint64
+	for i := 0; i < b.N; i++ {
+		p, err := scilens.New(scilens.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Pre-load the articles so storms are pure reaction pressure,
+		// not orphaned cascades whose posting was shed.
+		for _, idx := range postings {
+			if err := p.StreamEvent(&events[idx], true); err != nil {
 				b.Fatal(err)
 			}
-			// Pre-load the articles so storms are pure reaction pressure,
-			// not orphaned cascades whose posting was shed.
-			for _, idx := range postings {
-				if err := p.StreamEvent(&events[idx], true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p.Pipeline.Flush()
-			try := func(idx int) {
-				err := p.StreamEvent(&events[idx], false)
-				if err != nil && !errors.Is(err, stream.ErrFull) {
-					b.Fatal(err)
-				}
-			}
-			// feedBg paces the steady feed: short producer waves with brief
-			// gaps that also hand the (possibly single) core to the workers.
-			feedBg := func(seg []int) {
-				for w := 0; w < len(seg); w += 64 {
-					end := w + 64
-					if end > len(seg) {
-						end = len(seg)
-					}
-					for _, idx := range seg[w:end] {
-						try(idx)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-			pos := 0
-			for _, blk := range blocks {
-				end := pos + bgRun
-				if end > len(background) {
-					end = len(background)
-				}
-				feedBg(background[pos:end])
-				pos = end
-				for _, idx := range blk {
-					try(idx) // the storm arrives at line rate
-				}
-			}
-			feedBg(background[pos:])
-			p.Pipeline.Flush()
-			st := p.StreamStats()
-			offered += uint64(len(background))
-			for _, blk := range blocks {
-				offered += uint64(len(blk))
-			}
-			shed += st.Shed
-			committed += st.Committed
-			p.Close()
 		}
-		b.StopTimer()
-		b.ReportMetric(100*float64(shed)/float64(offered), "shed_pct")
-		b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "committed/s")
+		p.Pipeline.Flush()
+		try := func(idx int) {
+			err := p.StreamEvent(&events[idx], false)
+			if err != nil && !errors.Is(err, stream.ErrFull) {
+				b.Fatal(err)
+			}
+		}
+		// feedBg paces the steady feed: short producer waves with brief
+		// gaps that also hand the (possibly single) core to the workers.
+		feedBg := func(seg []int) {
+			for w := 0; w < len(seg); w += 64 {
+				end := w + 64
+				if end > len(seg) {
+					end = len(seg)
+				}
+				for _, idx := range seg[w:end] {
+					try(idx)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		pos := 0
+		for _, blk := range blocks {
+			end := pos + bgRun
+			if end > len(background) {
+				end = len(background)
+			}
+			feedBg(background[pos:end])
+			pos = end
+			for _, idx := range blk {
+				try(idx) // the storm arrives at line rate
+			}
+		}
+		feedBg(background[pos:])
+		p.Pipeline.Flush()
+		st := p.StreamStats()
+		offered += uint64(len(background))
+		for _, blk := range blocks {
+			offered += uint64(len(blk))
+		}
+		shed += st.Shed
+		committed += st.Committed
+		p.Close()
 	}
-	b.Run("static-4", func(b *testing.B) {
-		run(b, scilens.Config{
-			StreamShards:        4,
-			StreamQueueCapacity: 256,
-		})
-	})
-	b.Run("static-4-cap1024", func(b *testing.B) {
-		run(b, scilens.Config{
-			StreamShards:        4,
-			StreamQueueCapacity: 1024,
-		})
-	})
+	b.StopTimer()
+	b.ReportMetric(100*float64(shed)/float64(offered), "shed_pct")
+	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "committed/s")
 }
 
 // BenchmarkDailyMigration measures the full daily snapshot job over the

@@ -54,27 +54,18 @@ func (r ConsensusResult) AccuracyGain() float64 {
 type ConsensusConfig struct {
 	// Raters is the simulated non-expert pool size (default 12).
 	Raters int
-	// PrivateNoise is the std of each rater's idiosyncratic reading of an
-	// article on the 1..5 scale (default 1.0).
-	PrivateNoise float64
-	// IndicatorWeight is how strongly raters with indicator access anchor
-	// on the shared automated score (0..1, default 0.6).
-	IndicatorWeight float64
 	// Seed drives the simulation.
 	Seed int64
 }
 
-func (c *ConsensusConfig) setDefaults() {
-	if c.Raters <= 0 {
-		c.Raters = 12
-	}
-	if c.PrivateNoise <= 0 {
-		c.PrivateNoise = 1.0
-	}
-	if c.IndicatorWeight <= 0 || c.IndicatorWeight > 1 {
-		c.IndicatorWeight = 0.6
-	}
-}
+const (
+	// privateNoise is the std of each rater's idiosyncratic reading of an
+	// article on the 1..5 scale.
+	privateNoise = 1.0
+	// indicatorWeight is how strongly raters with indicator access anchor
+	// on the shared automated score (0..1).
+	indicatorWeight = 0.6
+)
 
 // groundTruthQuality maps the external outlet ranking onto the 1..5
 // quality scale (Excellent → 5 .. VeryPoor → 1), the experiment's gold
@@ -129,7 +120,9 @@ func ConsensusExperiment(facts []ArticleFact, cfg ConsensusConfig) (ConsensusRes
 	if len(facts) == 0 {
 		return ConsensusResult{}, ErrNoData
 	}
-	cfg.setDefaults()
+	if cfg.Raters <= 0 {
+		cfg.Raters = 12
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	anchor := calibrateAnchor(facts)
 
@@ -145,9 +138,9 @@ func ConsensusExperiment(facts []ArticleFact, cfg ConsensusConfig) (ConsensusRes
 		truths[i] = groundTruthQuality(f.Rating)
 		shared := anchor(f.Composite)
 		for r := 0; r < cfg.Raters; r++ {
-			private := clamp15(truths[i] + rng.NormFloat64()*cfg.PrivateNoise)
+			private := clamp15(truths[i] + rng.NormFloat64()*privateNoise)
 			estWithout[r][i] = private
-			estWith[r][i] = clamp15((1-cfg.IndicatorWeight)*private + cfg.IndicatorWeight*shared)
+			estWith[r][i] = clamp15((1-indicatorWeight)*private + indicatorWeight*shared)
 		}
 	}
 

@@ -17,11 +17,9 @@ func degradedFixture(t *testing.T) (*core.Platform, *vfs.Fault, *synth.World, *S
 	t.Helper()
 	fault := vfs.NewFault(vfs.NewMem())
 	p, err := core.NewPlatform(core.Config{
-		DataDir:            "data",
-		StorageFS:          fault,
-		WALFsyncPolicy:     "always",
-		RecoveryBackoff:    2 * time.Millisecond,
-		RecoveryMaxBackoff: 20 * time.Millisecond,
+		DataDir:        "data",
+		StorageFS:      fault,
+		WALFsyncPolicy: "always",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +99,11 @@ func TestDegradedModeHTTP(t *testing.T) {
 		}
 	}
 
-	// Self-healing: clear the fault, wait for the supervisor, and the
+	// Self-healing: clear the fault, wait for the supervisor (its retry
+	// delay starts at 100ms and doubles per failed attempt), and the
 	// surface reopens.
 	fault.ClearWrites()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for p.StorageHealth().State != core.StorageOK && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -90,10 +90,8 @@ func TestFeedSubscribersMetricMatchesStats(t *testing.T) {
 // counter kept beside a family fails here until it reads the family.
 func TestStatsMetricsParity(t *testing.T) {
 	p, err := core.NewPlatform(core.Config{
-		Clock:               func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
-		StreamShards:        1,
-		StreamQueueCapacity: 1,
-		AdmissionRate:       1, // steady depth 2, burst depth 4
+		Clock:         func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
+		AdmissionRate: 1, // steady depth 2, burst depth 4
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +121,17 @@ func TestStatsMetricsParity(t *testing.T) {
 	feed := p.Bus.Subscribe(1) // never read: the second publish drops
 	defer feed.Cancel()
 
-	// Shed: with the worker paused, a second event finds the one-slot
-	// steady lane full.
+	// Shed: with the workers paused, one article's posting and its likes
+	// fill its shard's steady lane, and the next like finds it full.
 	p.Pipeline.Pause()
-	if err := p.Pipeline.TryEnqueueSource("", postings[0].ArticleURL, postings[0]); err != nil {
-		t.Fatal(err)
+	burst := oneArticleBurst(*postings[0], laneSlots(p)+1)
+	for i := range burst[:len(burst)-1] {
+		if err := p.Pipeline.TryEnqueueSource("", burst[i].ArticleURL, &burst[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Pipeline.TryEnqueueSource("", postings[1].ArticleURL, postings[1]); !errors.Is(err, stream.ErrFull) {
+	last := &burst[len(burst)-1]
+	if err := p.Pipeline.TryEnqueueSource("", last.ArticleURL, last); !errors.Is(err, stream.ErrFull) {
 		t.Fatalf("enqueue onto a full lane: %v, want ErrFull", err)
 	}
 	// Throttle: one source spends its steady and burst buckets.

@@ -35,6 +35,33 @@ func worldEvents(seed int64) []synth.Event {
 	return w.Events()
 }
 
+// firstPosting returns the first posting of worldEvents(seed).
+func firstPosting(seed int64) synth.Event {
+	for _, ev := range worldEvents(seed) {
+		if ev.Type == synth.EventTypePosting {
+			return ev
+		}
+	}
+	panic("world without postings")
+}
+
+// oneArticleBurst returns posting followed by n-1 likes of it. Every
+// event shards by the one article URL, so with the pipeline paused the
+// first events fill that shard's steady lane and the rest shed.
+func oneArticleBurst(posting synth.Event, n int) []synth.Event {
+	events := []synth.Event{posting}
+	for i := 1; i < n; i++ {
+		events = append(events, synth.Event{
+			Type: synth.EventTypeReaction, PostID: fmt.Sprintf("like-%d", i), ParentID: posting.PostID,
+			Kind: "like", UserID: "u", ArticleURL: posting.ArticleURL, Time: posting.Time,
+		})
+	}
+	return events
+}
+
+// laneSlots is one shard lane's queue bound.
+func laneSlots(p *core.Platform) int { return p.Pipeline.Capacity() / p.Pipeline.Shards() }
+
 func TestBulkIngestEndpoint(t *testing.T) {
 	p, srv := streamFixture(t, core.Config{})
 	events := worldEvents(41)
@@ -79,11 +106,12 @@ func TestBulkIngestEndpoint(t *testing.T) {
 }
 
 func TestBulkIngestShedModeAnswers429(t *testing.T) {
-	// One single-slot shard with paused workers makes the 429 path
-	// deterministic: the first event fills the queue, the second sheds.
-	p, srv := streamFixture(t, core.Config{StreamShards: 1, StreamQueueCapacity: 1})
+	// One article's events on paused workers make the 429 path
+	// deterministic: they fill its shard's lane, and the next one sheds.
+	p, srv := streamFixture(t, core.Config{})
 	p.Pipeline.Pause()
-	events := worldEvents(42)[:4]
+	lane := laneSlots(p)
+	events := oneArticleBurst(firstPosting(42), lane+3)
 	rec, payload := doJSON(t, srv, "POST", "/api/ingest", map[string]any{
 		"events": events, "mode": "shed",
 	})
@@ -92,8 +120,8 @@ func TestBulkIngestShedModeAnswers429(t *testing.T) {
 	}
 	accepted := int(payload["accepted"].(float64))
 	dropped := int(payload["dropped"].(float64))
-	if accepted != 1 || dropped != len(events)-1 {
-		t.Errorf("split: accepted=%d dropped=%d", accepted, dropped)
+	if accepted != lane || dropped != 3 {
+		t.Errorf("split: accepted=%d dropped=%d, want %d and 3", accepted, dropped, lane)
 	}
 	if p.StreamStats().Shed == 0 {
 		t.Errorf("shed counter: %+v", p.StreamStats())
@@ -103,7 +131,7 @@ func TestBulkIngestShedModeAnswers429(t *testing.T) {
 }
 
 func TestHealthReportsQueueDepth(t *testing.T) {
-	p, srv := streamFixture(t, core.Config{StreamShards: 2, StreamQueueCapacity: 64})
+	p, srv := streamFixture(t, core.Config{})
 	p.Pipeline.Pause()
 	events := worldEvents(43)[:8]
 	rec, _ := doJSON(t, srv, "POST", "/api/ingest", map[string]any{"events": events})
@@ -365,9 +393,9 @@ func TestStreamSSEDeliversCommittedAssessments(t *testing.T) {
 // 429 path: a shed response tells the producer when to come back, derived
 // from the pipeline's drain-rate estimate (floor: one second).
 func TestShedResponseCarriesRetryAfter(t *testing.T) {
-	p, srv := streamFixture(t, core.Config{StreamShards: 1, StreamQueueCapacity: 1})
+	p, srv := streamFixture(t, core.Config{})
 	p.Pipeline.Pause()
-	events := worldEvents(45)[:3]
+	events := oneArticleBurst(firstPosting(45), laneSlots(p)+1)
 	rec, _ := doJSON(t, srv, "POST", "/api/ingest", map[string]any{
 		"events": events, "mode": "shed",
 	})
@@ -435,11 +463,11 @@ func TestThrottledSourceAnswers429WithRetryAfter(t *testing.T) {
 }
 
 // TestStatsReportAdaptiveShape pins the pipeline's static shape on
-// GET /api/stats — configured shard count and batch size, the per-shard
+// GET /api/stats — its 4 shards and 64-event batches, the per-shard
 // breakdown with lane shed counters — and that the fields which reported
 // a moving shard set (reshards, resharding, draining) are gone.
 func TestStatsReportAdaptiveShape(t *testing.T) {
-	p, srv := streamFixture(t, core.Config{StreamShards: 2})
+	p, srv := streamFixture(t, core.Config{})
 	events := worldEvents(46)[:6]
 	rec, _ := doJSON(t, srv, "POST", "/api/ingest", map[string]any{"events": events})
 	if rec.Code != http.StatusAccepted {
@@ -451,8 +479,8 @@ func TestStatsReportAdaptiveShape(t *testing.T) {
 		t.Fatalf("stats: %d", rec.Code)
 	}
 	pipeline := payload["pipeline"].(map[string]any)
-	if int(pipeline["shards"].(float64)) != 2 {
-		t.Errorf("shards: %v", pipeline["shards"])
+	if int(pipeline["shards"].(float64)) != 4 {
+		t.Errorf("shards: %v, want 4", pipeline["shards"])
 	}
 	if int(pipeline["batch_max"].(float64)) != 64 {
 		t.Errorf("batch_max: %v, want the default 64", pipeline["batch_max"])
@@ -463,7 +491,7 @@ func TestStatsReportAdaptiveShape(t *testing.T) {
 		}
 	}
 	shardStats, ok := pipeline["shard_stats"].([]any)
-	if !ok || len(shardStats) != 2 {
+	if !ok || len(shardStats) != 4 {
 		t.Fatalf("shard_stats: %v", pipeline["shard_stats"])
 	}
 	first := shardStats[0].(map[string]any)

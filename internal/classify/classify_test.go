@@ -159,7 +159,7 @@ func TestNaiveBayesClassesAndVocab(t *testing.T) {
 func TestLogRegBeatsChanceOnNoisy(t *testing.T) {
 	train := synthLinear(600, 20, 0.8, 13)
 	test := synthLinear(200, 20, 0.8, 14)
-	m, err := TrainLogReg(train, LogRegConfig{Dim: 20, Seed: 15, Epochs: 30})
+	m, err := TrainLogReg(train, LogRegConfig{Dim: 20, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,33 +32,18 @@ type Example struct {
 type LogRegConfig struct {
 	// Dim is the feature-space dimensionality (max index + 1).
 	Dim int
-	// Epochs is the number of SGD passes (default 20).
-	Epochs int
-	// LearningRate is the initial step size (default 0.1); it decays as
-	// lr/(1+t*decay).
-	LearningRate float64
-	// Decay is the learning-rate decay constant (default 0.01).
-	Decay float64
-	// L2 is the L2 regularisation strength (default 1e-4).
-	L2 float64
 	// Seed seeds the shuffling RNG.
 	Seed int64
 }
 
-func (c *LogRegConfig) setDefaults() {
-	if c.Epochs <= 0 {
-		c.Epochs = 20
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.01
-	}
-	if c.L2 < 0 {
-		c.L2 = 1e-4
-	}
-}
+// SGD schedule: logRegEpochs passes over the data, the step size
+// starting at logRegRate and decaying as rate/(1+t*logRegDecay). There
+// is no regularisation term.
+const (
+	logRegEpochs = 20
+	logRegRate   = 0.1
+	logRegDecay  = 0.01
+)
 
 // LogReg is a trained binary logistic-regression model.
 type LogReg struct {
@@ -74,7 +59,6 @@ func TrainLogReg(data []Example, cfg LogRegConfig) (*LogReg, error) {
 	if len(data) == 0 {
 		return nil, ErrNoData
 	}
-	cfg.setDefaults()
 	if cfg.Dim <= 0 {
 		return nil, ErrDimension
 	}
@@ -98,11 +82,11 @@ func TrainLogReg(data []Example, cfg LogRegConfig) (*LogReg, error) {
 		sortedIdx[i] = data[i].X.Indices()
 	}
 	t := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < logRegEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
 			ex := data[idx]
-			lr := cfg.LearningRate / (1 + float64(t)*cfg.Decay)
+			lr := logRegRate / (1 + float64(t)*logRegDecay)
 			t++
 			p := sigmoid(ex.X.DotDenseAt(sortedIdx[idx], m.W) + m.B)
 			y := 0.0
@@ -111,7 +95,7 @@ func TrainLogReg(data []Example, cfg LogRegConfig) (*LogReg, error) {
 			}
 			g := p - y // dLoss/dz
 			for i, x := range ex.X {
-				m.W[i] -= lr * (g*x + cfg.L2*m.W[i])
+				m.W[i] -= lr * (g * x)
 			}
 			m.B -= lr * g
 		}

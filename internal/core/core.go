@@ -168,20 +168,9 @@ type IngestStats struct {
 
 // Config configures NewPlatform.
 type Config struct {
-	// Registry is the outlet registry (default outlets.DemoShortlist()).
-	Registry *outlets.Registry
 	// Clock is the time source (default time.Now).
 	Clock func() time.Time
 
-	// StreamShards is the ingestion pipeline's queue/worker count
-	// (default 4). Events shard by article URL hash, so per-article
-	// posting→reaction ordering holds within a shard.
-	StreamShards int
-	// StreamQueueCapacity bounds each pipeline shard's queue (default
-	// 1024): full shards block Platform.StreamEvent(ev, true) and shed
-	// StreamEvent(ev, false). It is the lever for absorbing bursts; a
-	// shard lane in use holds a ring of this many 80-byte slots.
-	StreamQueueCapacity int
 	// AdmissionRate, when positive, enables per-source token-bucket
 	// admission on the HTTP ingest path: each source (the event's outlet
 	// host) is admitted to the steady lane at this rate (events/sec),
@@ -224,11 +213,6 @@ type Config struct {
 	// grown by this many bytes since the last checkpoint (default 0 = no
 	// byte trigger). Either trigger alone enables the scheduler.
 	CheckpointWALBytes int64
-	// RecoveryBackoff is the degraded-mode supervisor's first retry delay
-	// (default 100ms), doubling per failed recovery checkpoint up to
-	// RecoveryMaxBackoff (default 5s), with jitter.
-	RecoveryBackoff    time.Duration
-	RecoveryMaxBackoff time.Duration
 	// StorageFS injects the filesystem the durable store runs on (default
 	// the real OS). Fault-injection tests substitute vfs.NewMem /
 	// vfs.NewFault to break I/O deterministically; ignored in-memory.
@@ -241,15 +225,21 @@ type Config struct {
 	// locally, and every write entry point returns ErrFollower. Requires
 	// DataDir (the replica and its cursor persist there).
 	ReplicaOf string
+
+	// Only this package's tests set the fields below; zero means the
+	// production value. streamShards and streamQueueCapacity shape the
+	// ingestion pipeline (stream.NewPipeline's 4 shards × 1 024 slots);
+	// recoveryBackoff and recoveryMaxBackoff bound the degraded-mode
+	// supervisor's retry delay (defaultRecoveryBackoff doubling to
+	// defaultRecoveryMaxBackoff).
+	streamShards, streamQueueCapacity   int
+	recoveryBackoff, recoveryMaxBackoff time.Duration
 }
 
 // NewPlatform builds the platform: store schemas, indicator engine and
 // ingestion pipeline. It creates no warehouse directory; the first daily
 // export does.
 func NewPlatform(cfg Config) (*Platform, error) {
-	if cfg.Registry == nil {
-		cfg.Registry = outlets.DemoShortlist()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -279,10 +269,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		db = rdbms.NewDBWithOptions(rdbms.Options{Partitions: cfg.StoragePartitions, Metrics: reg})
 	}
 
+	registry := outlets.DemoShortlist()
 	p := &Platform{
 		DB:       db,
-		Registry: cfg.Registry,
-		Engine:   indicators.NewEngine(indicators.Config{Registry: cfg.Registry, Metrics: reg}),
+		Registry: registry,
+		Engine:   indicators.NewEngine(indicators.Config{Registry: registry, Metrics: reg}),
 		Compute:  compute.NewPool(0, reg),
 		Clock:    cfg.Clock,
 		Metrics:  reg,
@@ -370,8 +361,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	// elapsed time (queue wait, drain rate, admission refill), and
 	// cfg.Clock is the data clock, which Bootstrap pins to one instant.
 	pcfg := stream.PipelineConfig{
-		Shards:        cfg.StreamShards,
-		QueueCapacity: cfg.StreamQueueCapacity,
+		Shards:        cfg.streamShards,
+		QueueCapacity: cfg.streamQueueCapacity,
 		Metrics:       reg,
 		Process:       p.processBatch,
 		OnDead:        p.writeDeadLetter,
@@ -626,9 +617,10 @@ func (p *Platform) applyPosting(ev *synth.Event, report *indicators.Report, gen 
 	if err != nil {
 		// Fall back to domain resolution for outlets not carried in the
 		// envelope.
-		outlet, err = p.Registry.ByDomain(hostOf(ev.ArticleURL))
-		if err != nil {
-			return fmt.Errorf("posting %s outlet: %w", ev.PostID, err)
+		host := hostOf(ev.ArticleURL)
+		var ok bool
+		if outlet, ok = p.Registry.ByDomain(host); !ok {
+			return fmt.Errorf("posting %s: no outlet %q or domain %q: %w", ev.PostID, ev.OutletID, host, outlets.ErrNotFound)
 		}
 	}
 	id := ev.ArticleID

@@ -36,7 +36,7 @@ func TestIngestWorldOverlapped(t *testing.T) {
 	w := synth.GenerateWorld(synth.Config{Seed: 31, Days: 10, RateScale: 0.4, ReactionScale: 0.3})
 	p, err := NewPlatform(Config{
 		Clock:               func() time.Time { return synth.WindowStart.AddDate(0, 0, 10) },
-		StreamQueueCapacity: 16,
+		streamQueueCapacity: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -297,7 +297,7 @@ func TestCheckpointOnlineUnderTraffic(t *testing.T) {
 	const days = 6
 	w := synth.GenerateWorld(synth.Config{Seed: 64, Days: days, RateScale: 0.3, ReactionScale: 0.3})
 	events := w.Events()
-	p := durablePlatform(t, dir, days, func(c *Config) { c.StreamShards = 4 })
+	p := durablePlatform(t, dir, days, nil)
 
 	// Seed half the world synchronously so readers and the reindex have
 	// rows to chew on.

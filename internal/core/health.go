@@ -22,6 +22,7 @@ package core
 // (a checkpoint's read barriers would stall a backlogged pipeline).
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"sync"
@@ -258,9 +259,10 @@ func (p *Platform) noteCheckpointSuccess() {
 	p.healthMu.Unlock()
 }
 
-// Supervisor defaults: first retry after RecoveryBackoff, doubling to
-// RecoveryMaxBackoff; the byte-bound trigger polls WAL growth at
-// schedBytePoll when no (shorter) interval is configured.
+// Supervisor timing: the first recovery retry after
+// defaultRecoveryBackoff, doubling to defaultRecoveryMaxBackoff (tests
+// shorten both through Config); the byte-bound trigger polls WAL growth
+// at schedBytePoll when no (shorter) interval is configured.
 const (
 	defaultRecoveryBackoff    = 100 * time.Millisecond
 	defaultRecoveryMaxBackoff = 5 * time.Second
@@ -268,29 +270,16 @@ const (
 )
 
 // startStorageSupervisor configures and launches the self-healing /
-// checkpoint-scheduling goroutine. Durable platforms only.
+// checkpoint-scheduling goroutine. Durable platforms only; p.Pipeline is
+// already built.
 func (p *Platform) startStorageSupervisor(cfg Config) {
-	p.recoveryBackoff = cfg.RecoveryBackoff
-	if p.recoveryBackoff <= 0 {
-		p.recoveryBackoff = defaultRecoveryBackoff
-	}
-	p.recoveryMaxBackoff = cfg.RecoveryMaxBackoff
-	if p.recoveryMaxBackoff < p.recoveryBackoff {
-		p.recoveryMaxBackoff = max(defaultRecoveryMaxBackoff, p.recoveryBackoff)
-	}
+	p.recoveryBackoff = cmp.Or(cfg.recoveryBackoff, defaultRecoveryBackoff)
+	p.recoveryMaxBackoff = max(cmp.Or(cfg.recoveryMaxBackoff, defaultRecoveryMaxBackoff), p.recoveryBackoff)
 	p.schedInterval = cfg.CheckpointInterval
 	p.schedWALBytes = cfg.CheckpointWALBytes
-	shards := cfg.StreamShards
-	if shards <= 0 {
-		shards = 4
-	}
-	qcap := cfg.StreamQueueCapacity
-	if qcap <= 0 {
-		qcap = 1024
-	}
 	// Sustained-load watermark: a due checkpoint defers while more than
 	// half the pipeline's total queue capacity is waiting.
-	p.schedLoadLimit = shards * qcap / 2
+	p.schedLoadLimit = p.Pipeline.Capacity() / 2
 	p.health.sched.lastRun = p.Clock()
 	p.sup = &supervisor{
 		stop: make(chan struct{}),

@@ -34,8 +34,8 @@ func faultedPlatform(t *testing.T, mutate func(*Config)) (*Platform, *vfs.Mem, *
 		DataDir:            "data",
 		StorageFS:          fault,
 		WALFsyncPolicy:     "always",
-		RecoveryBackoff:    2 * time.Millisecond,
-		RecoveryMaxBackoff: 20 * time.Millisecond,
+		recoveryBackoff:    2 * time.Millisecond,
+		recoveryMaxBackoff: 20 * time.Millisecond,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -248,6 +248,29 @@ func TestCheckpointSchedulerWALBytes(t *testing.T) {
 	st := p.StorageHealth().Scheduler
 	if st.Runs == 0 || st.LastRun.IsZero() {
 		t.Fatalf("scheduler stats: %+v", st)
+	}
+}
+
+// TestSchedLoadLimitFollowsPipeline: the scheduler's sustained-load
+// watermark is half the queue capacity of the pipeline the platform
+// built, at the production shape and at a shrunken one.
+func TestSchedLoadLimitFollowsPipeline(t *testing.T) {
+	for _, c := range []struct{ shards, capacity, limit int }{
+		{0, 0, 4 * 1024 / 2},
+		{2, 8, 8},
+	} {
+		p, err := NewPlatform(Config{
+			DataDir: "data", StorageFS: vfs.NewMem(),
+			streamShards: c.shards, streamQueueCapacity: c.capacity,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.schedLoadLimit; got != c.limit || got != p.Pipeline.Capacity()/2 {
+			t.Errorf("shape %d×%d: schedLoadLimit %d, want %d (pipeline capacity %d)",
+				c.shards, c.capacity, got, c.limit, p.Pipeline.Capacity())
+		}
+		p.Close()
 	}
 }
 

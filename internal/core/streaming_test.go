@@ -92,7 +92,7 @@ func TestStreamedIngestMatchesSynchronous(t *testing.T) {
 	}
 	for _, entry := range entries {
 		t.Run(entry.name, func(t *testing.T) {
-			streamP, err := NewPlatform(Config{Clock: clock, StreamShards: 4})
+			streamP, err := NewPlatform(Config{Clock: clock})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestIngestWorldMatchesBatchOfOne(t *testing.T) {
 		}
 	}
 
-	streamP, err := NewPlatform(Config{Clock: clock, StreamQueueCapacity: 64})
+	streamP, err := NewPlatform(Config{Clock: clock, streamQueueCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,10 @@ func TestDecodedDeadLetterKeepsItsBytes(t *testing.T) {
 			break
 		}
 	}
-	p, err := NewPlatform(Config{Registry: outlets.NewRegistry()})
+	// An outlet the registry does not know yet: the posting dead-letters
+	// until it is registered.
+	posting.OutletID, posting.ArticleURL = "late-1", "https://late-1.example/story"
+	p, err := NewPlatform(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +370,7 @@ func TestForeignEnvelopeEventDeadLetters(t *testing.T) {
 // pipeline is paused so only the producer's allocations are counted, and
 // the key is already queued, so its lane pin exists.
 func TestStreamEventDoesNotAllocate(t *testing.T) {
-	p, err := NewPlatform(Config{StreamShards: 1})
+	p, err := NewPlatform(Config{streamShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +399,7 @@ func TestStreamEventDoesNotAllocate(t *testing.T) {
 // lane fills. Run with -benchmem: 0 allocs/op is the figure to hold.
 func BenchmarkStreamEventEnqueue(b *testing.B) {
 	const lane = 1024
-	p, err := NewPlatform(Config{StreamShards: 1, StreamQueueCapacity: lane})
+	p, err := NewPlatform(Config{streamShards: 1, streamQueueCapacity: lane})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,7 +440,7 @@ func BenchmarkStreamEventEnqueue(b *testing.B) {
 // split: with workers paused and shards at capacity, non-blocking ingest
 // sheds with stream.ErrFull while blocking ingest waits for the drain.
 func TestStreamShedModeAtCapacity(t *testing.T) {
-	p, err := NewPlatform(Config{StreamShards: 1, StreamQueueCapacity: 2})
+	p, err := NewPlatform(Config{streamShards: 1, streamQueueCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 	tree := func(shards int) string {
 		p, err := NewPlatform(Config{
 			Clock:        func() time.Time { return date },
-			StreamShards: shards,
+			streamShards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func TestEvaluateBatchEquivalence(t *testing.T) {
 		docs = append(docs, BatchDoc{ID: a.ID, HTML: a.RawHTML, URL: a.URL})
 	}
 
-	reference := NewEngine(Config{CacheSize: -1})
+	reference := NewEngine(Config{cacheSize: -1})
 	for _, pool := range []*compute.Pool{nil, compute.NewPool(1, nil), compute.NewPool(4, nil)} {
 		e := NewEngine(Config{})
 		results, err := e.EvaluateBatch(pool, docs)

@@ -41,7 +41,7 @@ detail across hospital wards.</p></body></html>`, i, i)
 // caller must receive the identical cached *Report. Run under -race this
 // also exercises the cache's locking.
 func TestSingleflightConcurrency(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 64})
+	e := NewEngine(Config{cacheSize: 64})
 	const goroutines = 32
 	doc := countingDoc(1)
 
@@ -119,7 +119,7 @@ func TestSingleflightSharesOneComputation(t *testing.T) {
 // behaviour: the bound holds, recently used entries survive, the coldest
 // entry is evicted.
 func TestCacheEviction(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 4})
+	e := NewEngine(Config{cacheSize: 4})
 	urls := make([]string, 6)
 	reports := make([]*Report, 6)
 	for i := 0; i < 4; i++ {
@@ -155,10 +155,10 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheBypass verifies CacheSize: -1 disables caching entirely: no
+// TestCacheBypass verifies cacheSize -1 disables caching entirely: no
 // entries are stored and repeated evaluations recompute.
 func TestCacheBypass(t *testing.T) {
-	e := NewEngine(Config{CacheSize: -1})
+	e := NewEngine(Config{cacheSize: -1})
 	doc := countingDoc(7)
 	r1, err := e.Evaluate(doc, "https://a.example/bypass", nil)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestCacheBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1 == r2 {
-		t.Error("CacheSize -1 must bypass the cache (same pointer returned)")
+		t.Error("cacheSize -1 must bypass the cache (same pointer returned)")
 	}
 	if cacheLen(e) != 0 {
 		t.Errorf("disabled cache stored %d entries", cacheLen(e))
@@ -180,7 +180,7 @@ func TestCacheBypass(t *testing.T) {
 // URLs must be cached separately — link resolution and internal/external
 // reference classification depend on the article URL.
 func TestCacheKeyIncludesURL(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 16})
+	e := NewEngine(Config{cacheSize: 16})
 	doc := `<html><head><title>Relative links</title></head><body>
 <p>Body text with a relative reference. <a href="/other">ref</a></p></body></html>`
 	r1, err := e.Evaluate(doc, "https://excellent-1.example/a", nil)
@@ -203,7 +203,7 @@ func TestCacheKeyIncludesURL(t *testing.T) {
 // cascade-independent base but must return a fresh report carrying the
 // social indicators, leaving the cached base untouched.
 func TestCacheServesCascadeBase(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 16})
+	e := NewEngine(Config{cacheSize: 16})
 	doc := countingDoc(9)
 	base, err := e.Evaluate(doc, "https://a.example/casc", nil)
 	if err != nil {
@@ -230,7 +230,7 @@ func TestCacheServesCascadeBase(t *testing.T) {
 // TestCacheFlushOnModelChange: attaching a model must invalidate cached
 // reports, including results of evaluations still in flight at flush time.
 func TestCacheFlushOnModelChange(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 16})
+	e := NewEngine(Config{cacheSize: 16})
 	if _, err := e.Evaluate(countingDoc(3), "https://a.example/m", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCacheFlushOnModelChange(t *testing.T) {
 
 // TestCacheErrorNotCached: parse failures must not poison the cache.
 func TestCacheErrorNotCached(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 16})
+	e := NewEngine(Config{cacheSize: 16})
 	if _, err := e.Evaluate("", "https://a.example/e", nil); err == nil {
 		t.Fatal("expected parse error")
 	}
@@ -280,7 +280,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestShardedCacheCapacity: large caches shard; the total bound must still
 // hold approximately (per-shard LRU) and lookups stay correct.
 func TestShardedCacheCapacity(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 64})
+	e := NewEngine(Config{cacheSize: 64})
 	for i := 0; i < 200; i++ {
 		url := fmt.Sprintf("https://a.example/s/%d", i)
 		if _, err := e.Evaluate(countingDoc(i), url, nil); err != nil {

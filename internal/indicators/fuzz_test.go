@@ -145,7 +145,7 @@ func evaluate(e *Engine, doc, url string, cascade []socialind.Post) outcome {
 // with capitalised, non-ASCII and invalid UTF-8 words, a document with no
 // article and a long document of unseen words.
 func FuzzEvaluatePaths(f *testing.F) {
-	uncached := NewEngine(Config{CacheSize: -1})
+	uncached := NewEngine(Config{cacheSize: -1})
 	pool1, pool2 := compute.NewPool(1, nil), compute.NewPool(2, nil)
 	f.Fuzz(func(t *testing.T, markup []byte, url string, c uint8) {
 		doc := string(markup)
@@ -208,7 +208,7 @@ func FuzzEvaluatePaths(f *testing.F) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			beside := NewEngine(Config{CacheSize: -1})
+			beside := NewEngine(Config{cacheSize: -1})
 			for {
 				select {
 				case <-stop:

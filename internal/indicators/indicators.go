@@ -87,21 +87,26 @@ type Config struct {
 	// Registry resolves outlet domains for reference classification
 	// (default: outlets.DemoShortlist()).
 	Registry *outlets.Registry
-	// CacheSize bounds the report cache, keyed by document content hash
-	// (default 1024; negative disables caching).
-	CacheSize int
 	// Metrics is the registry the engine records on (nil: a private one).
 	Metrics *obs.Registry
+
+	// cacheSize bounds the report cache, keyed by document content hash
+	// (0: defaultCacheSize; negative disables caching). Only this
+	// package's tests and benchmarks set it.
+	cacheSize int
 }
+
+// defaultCacheSize is the report cache's bound in entries.
+const defaultCacheSize = 1024
 
 // NewEngine builds an engine.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Registry == nil {
 		cfg.Registry = outlets.DemoShortlist()
 	}
-	size := cfg.CacheSize
+	size := cfg.cacheSize
 	if size == 0 {
-		size = 1024
+		size = defaultCacheSize
 	}
 	r := cfg.Metrics
 	e := &Engine{

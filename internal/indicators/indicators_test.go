@@ -102,7 +102,7 @@ func TestEvaluateParseError(t *testing.T) {
 }
 
 func TestCacheBehaviour(t *testing.T) {
-	e := NewEngine(Config{CacheSize: 2})
+	e := NewEngine(Config{cacheSize: 2})
 	r1, _ := e.Evaluate(goodDoc, "https://a.example/1", nil)
 	r2, _ := e.Evaluate(goodDoc, "https://a.example/1", nil)
 	if r1 != r2 {
@@ -138,7 +138,7 @@ func TestCacheBehaviour(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	e := NewEngine(Config{CacheSize: -1})
+	e := NewEngine(Config{cacheSize: -1})
 	e.Evaluate(goodDoc, "https://a.example/1", nil)
 	if cacheLen(e) != 0 {
 		t.Error("disabled cache stored")
@@ -187,4 +187,23 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BenchmarkFigure3ColdEvaluation measures evaluating an arbitrary document
+// through the full indicator engine with the cache bypassed (the POST
+// /api/assess path for never-seen articles), over the first 256 articles
+// of a 20-day world.
+func BenchmarkFigure3ColdEvaluation(b *testing.B) {
+	w := synth.GenerateWorld(synth.Config{Seed: 1, Days: 20, RateScale: 0.5, ReactionScale: 0.3})
+	engine := NewEngine(Config{cacheSize: -1})
+	docs := make([]string, 0, 256)
+	for _, a := range w.Articles[:min(256, len(w.Articles))] {
+		docs = append(docs, a.RawHTML)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Evaluate(docs[i%len(docs)], "", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

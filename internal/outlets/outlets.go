@@ -119,15 +119,16 @@ func (r *Registry) ByID(id string) (Outlet, error) {
 }
 
 // ByDomain resolves a host name to its outlet; subdomains match
-// ("edition.cnn-like.example" matches "cnn-like.example").
-func (r *Registry) ByDomain(host string) (Outlet, error) {
+// ("edition.cnn-like.example" matches "cnn-like.example"). ok is false
+// when no registered outlet serves the host.
+func (r *Registry) ByDomain(host string) (o Outlet, ok bool) {
 	h := strings.ToLower(strings.TrimPrefix(strings.TrimSuffix(host, "."), "www."))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	probe := h
 	for {
 		if o, ok := r.byDomain[probe]; ok {
-			return *o, nil
+			return *o, true
 		}
 		dot := strings.IndexByte(probe, '.')
 		if dot < 0 {
@@ -135,7 +136,7 @@ func (r *Registry) ByDomain(host string) (Outlet, error) {
 		}
 		probe = probe[dot+1:]
 	}
-	return Outlet{}, fmt.Errorf("domain %q: %w", host, ErrNotFound)
+	return Outlet{}, false
 }
 
 // All returns every outlet, sorted by ID.

@@ -41,12 +41,12 @@ func TestByDomainSubdomains(t *testing.T) {
 		"WWW.OUTLET.EXAMPLE",
 	}
 	for _, host := range cases {
-		if _, err := r.ByDomain(host); err != nil {
-			t.Errorf("ByDomain(%q): %v", host, err)
+		if o, ok := r.ByDomain(host); !ok || o.ID != "x" {
+			t.Errorf("ByDomain(%q) = %+v, %v", host, o, ok)
 		}
 	}
-	if _, err := r.ByDomain("other.example"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown domain: %v", err)
+	if o, ok := r.ByDomain("other.example"); ok {
+		t.Errorf("unknown domain resolved to %+v", o)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestDemoShortlist(t *testing.T) {
 		if _, err := r.ByID(o.ID); err != nil {
 			t.Errorf("by id %s: %v", o.ID, err)
 		}
-		if _, err := r.ByDomain(o.Domain); err != nil {
-			t.Errorf("by domain %s: %v", o.Domain, err)
+		if _, ok := r.ByDomain(o.Domain); !ok {
+			t.Errorf("by domain %s: not found", o.Domain)
 		}
 		if o.SocialHandle == "" {
 			t.Errorf("outlet %s missing social handle", o.ID)

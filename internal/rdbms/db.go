@@ -17,8 +17,6 @@ type Options struct {
 	// (default DefaultPartitions; 1 degenerates to the historic
 	// single-lock table).
 	Partitions int
-	// WAL, when set, receives every table mutation and DDL statement.
-	WAL *WAL
 	// Fsync selects when durable databases fsync the WAL (default
 	// FsyncCheckpoint: only at checkpoint, rotation and close). See
 	// FsyncPolicy for the interval and group-commit variants.
@@ -36,7 +34,7 @@ type Options struct {
 	// exercise crash and fault paths without a disk.
 	FS vfs.FS
 	// Metrics is the registry the storage families live on (nil: a
-	// private one). A WAL passed in Options.WAL keeps its own.
+	// private one).
 	Metrics *obs.Registry
 }
 
@@ -97,7 +95,6 @@ func NewDBWithOptions(o Options) *DB {
 	}
 	return &DB{
 		tables:     make(map[string]*Table),
-		wal:        o.WAL,
 		partitions: o.Partitions,
 		m:          newMetrics(o.Metrics),
 	}

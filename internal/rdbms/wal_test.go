@@ -29,7 +29,9 @@ func (bufFile) Stat() (fs.FileInfo, error)        { return nil, errors.ErrUnsupp
 // under the checkpoint fsync policy: each record reaches buf as it is
 // appended.
 func newBufDB(buf *bytes.Buffer) *DB {
-	return NewDBWithOptions(Options{WAL: newWALFile(bufFile{buf}, FsyncCheckpoint, 0, newMetrics(nil))})
+	db := NewDB()
+	db.wal = newWALFile(bufFile{buf}, FsyncCheckpoint, 0, newMetrics(nil))
+	return db
 }
 
 func walDB(t *testing.T, buf *bytes.Buffer) (*DB, *Table) {

@@ -90,9 +90,19 @@ func NewClassifier(registry *outlets.Registry) *Classifier {
 	return &Classifier{registry: registry}
 }
 
-// ClassifyURL classifies one link from an article published on
-// articleHost.
-func (c *Classifier) ClassifyURL(rawURL, articleHost string) Reference {
+// outletID returns the ID of the registered outlet serving host, or ""
+// when none does (or the classifier has no registry).
+func (c *Classifier) outletID(host string) string {
+	if c.registry == nil {
+		return ""
+	}
+	o, _ := c.registry.ByDomain(host)
+	return o.ID
+}
+
+// classifyURL classifies one link from an article published on
+// articleHost by the outlet articleOutlet ("" when none is registered).
+func (c *Classifier) classifyURL(rawURL, articleHost, articleOutlet string) Reference {
 	host := extract.Host(rawURL)
 	ref := Reference{URL: rawURL, Host: host}
 	if sci := lexicon.ClassifyScientificDomain(host); sci != lexicon.SciNone {
@@ -105,15 +115,10 @@ func (c *Classifier) ClassifyURL(rawURL, articleHost string) Reference {
 		return ref
 	}
 	ref.Class = External
-	if c.registry != nil {
-		if o, err := c.registry.ByDomain(host); err == nil {
-			ref.TargetOutlet = o.ID
-			// A link to another registered outlet's domain is still
-			// external unless it is the same outlet as the article.
-			if ao, err := c.registry.ByDomain(articleHost); err == nil && ao.ID == o.ID {
-				ref.Class = Internal
-			}
-		}
+	if ref.TargetOutlet = c.outletID(host); ref.TargetOutlet != "" && ref.TargetOutlet == articleOutlet {
+		// A link to another registered outlet's domain is still external
+		// unless it is the same outlet as the article.
+		ref.Class = Internal
 	}
 	return ref
 }
@@ -121,9 +126,10 @@ func (c *Classifier) ClassifyURL(rawURL, articleHost string) Reference {
 // Analyze classifies every link of the article and summarises them.
 func (c *Classifier) Analyze(art *extract.Article) Indicators {
 	articleHost := extract.Host(art.URL)
+	articleOutlet := c.outletID(articleHost)
 	ind := Indicators{}
 	for _, link := range art.Links {
-		ref := c.ClassifyURL(link, articleHost)
+		ref := c.classifyURL(link, articleHost, articleOutlet)
 		ind.References = append(ind.References, ref)
 		switch ref.Class {
 		case Internal:

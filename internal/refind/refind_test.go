@@ -14,6 +14,12 @@ func classifier(t *testing.T) *Classifier {
 	return NewClassifier(outlets.DemoShortlist())
 }
 
+// classifyOne classifies one link the way Analyze does for an article
+// published on articleHost.
+func (c *Classifier) classifyOne(rawURL, articleHost string) Reference {
+	return c.classifyURL(rawURL, articleHost, c.outletID(articleHost))
+}
+
 func TestClassifyURLClasses(t *testing.T) {
 	c := classifier(t)
 	articleHost := "excellent-1.example"
@@ -31,21 +37,21 @@ func TestClassifyURLClasses(t *testing.T) {
 		{"https://physics.mit.edu/paper", Scientific},
 	}
 	for _, tc := range cases {
-		ref := c.ClassifyURL(tc.url, articleHost)
+		ref := c.classifyOne(tc.url, articleHost)
 		if ref.Class != tc.want {
-			t.Errorf("ClassifyURL(%q) = %v, want %v", tc.url, ref.Class, tc.want)
+			t.Errorf("classifyOne(%q) = %v, want %v", tc.url, ref.Class, tc.want)
 		}
 	}
 }
 
 func TestClassifyURLOutletResolution(t *testing.T) {
 	c := classifier(t)
-	ref := c.ClassifyURL("https://good-3.example/story", "excellent-1.example")
+	ref := c.classifyOne("https://good-3.example/story", "excellent-1.example")
 	if ref.Class != External || ref.TargetOutlet != "good-3" {
 		t.Errorf("cross-outlet: %+v", ref)
 	}
 	// Subdomain of the article's own outlet.
-	ref = c.ClassifyURL("https://blogs.excellent-1.example/story", "excellent-1.example")
+	ref = c.classifyOne("https://blogs.excellent-1.example/story", "excellent-1.example")
 	if ref.Class != Internal {
 		t.Errorf("subdomain internal: %+v", ref)
 	}
@@ -53,15 +59,15 @@ func TestClassifyURLOutletResolution(t *testing.T) {
 
 func TestScientificSubclass(t *testing.T) {
 	c := classifier(t)
-	ref := c.ClassifyURL("https://nature.com/x", "a.example")
+	ref := c.classifyOne("https://nature.com/x", "a.example")
 	if ref.SciClass != lexicon.SciJournal {
 		t.Errorf("journal subclass: %v", ref.SciClass)
 	}
-	ref = c.ClassifyURL("https://arxiv.org/x", "a.example")
+	ref = c.classifyOne("https://arxiv.org/x", "a.example")
 	if ref.SciClass != lexicon.SciRepository {
 		t.Errorf("repository subclass: %v", ref.SciClass)
 	}
-	ref = c.ClassifyURL("https://other.example/x", "a.example")
+	ref = c.classifyOne("https://other.example/x", "a.example")
 	if ref.SciClass != lexicon.SciNone {
 		t.Errorf("non-scientific subclass: %v", ref.SciClass)
 	}
@@ -117,7 +123,7 @@ func TestSourceStrengthSaturates(t *testing.T) {
 
 func TestNilRegistry(t *testing.T) {
 	c := NewClassifier(nil)
-	ref := c.ClassifyURL("https://good-3.example/story", "excellent-1.example")
+	ref := c.classifyOne("https://good-3.example/story", "excellent-1.example")
 	if ref.Class != External || ref.TargetOutlet != "" {
 		t.Errorf("nil registry: %+v", ref)
 	}

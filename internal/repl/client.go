@@ -33,20 +33,22 @@ var errResync = errors.New("repl: primary demands a full resync")
 // costs re-application after a crash, never correctness.
 const cursorFlushEvery = 64
 
+// The reconnect backoff starts at reconnectMin and doubles up to
+// reconnectMax while the primary is unreachable.
+const (
+	reconnectMin = 50 * time.Millisecond
+	reconnectMax = 2 * time.Second
+)
+
 // ClientConfig configures a follower's replication client.
 type ClientConfig struct {
 	// Primary is the primary's base URL (e.g. http://primary:8080).
 	Primary string
 	// DB is the follower's own store the stream replays into.
 	DB *rdbms.DB
-	// HTTPClient overrides http.DefaultClient (tests inject the
-	// httptest transport or a fault-wrapping RoundTripper).
-	HTTPClient *http.Client
 	// ID is the follower's stable identity; it owns the primary-side
 	// prune holds. Defaults to "follower".
 	ID string
-	// ReconnectMin/Max bound the reconnect backoff (defaults 50ms / 2s).
-	ReconnectMin, ReconnectMax time.Duration
 	// Metrics is the registry the link's families live on (nil: a private
 	// one).
 	Metrics *obs.Registry
@@ -108,10 +110,7 @@ func (c *cursor) push(rec []byte) {
 type Client struct {
 	primary    string
 	db         *rdbms.DB
-	hc         *http.Client
 	id         string
-	minBack    time.Duration
-	maxBack    time.Duration
 	bus        *stream.Bus
 	onFault    func(error)
 	cursorsTbl *rdbms.Table
@@ -135,28 +134,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("repl: follower DB required")
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	id := cfg.ID
 	if id == "" {
 		id = "follower"
 	}
-	minBack, maxBack := cfg.ReconnectMin, cfg.ReconnectMax
-	if minBack <= 0 {
-		minBack = 50 * time.Millisecond
-	}
-	if maxBack <= 0 {
-		maxBack = 2 * time.Second
-	}
 	return &Client{
 		primary: strings.TrimRight(cfg.Primary, "/"),
 		db:      cfg.DB,
-		hc:      hc,
 		id:      id,
-		minBack: minBack,
-		maxBack: maxBack,
 		m:       newMetrics(cfg.Metrics),
 		st:      Status{Primary: strings.TrimRight(cfg.Primary, "/")},
 	}, nil
@@ -232,7 +217,7 @@ func (c *Client) Close() {
 func (c *Client) run(ctx context.Context) {
 	defer close(c.done)
 	defer c.m.connected.Set(0)
-	backoff := c.minBack
+	backoff := reconnectMin
 	for ctx.Err() == nil {
 		before := c.m.bytesReceived.Value()
 		err := c.streamOnce(ctx)
@@ -244,13 +229,13 @@ func (c *Client) run(ctx context.Context) {
 			if rerr := c.fullResync(ctx); rerr != nil {
 				c.noteError(rerr)
 			} else {
-				backoff = c.minBack
+				backoff = reconnectMin
 				continue
 			}
 		}
 		c.m.reconnects.Inc()
 		if c.m.bytesReceived.Value() > before {
-			backoff = c.minBack
+			backoff = reconnectMin
 		}
 		timer := time.NewTimer(backoff)
 		select {
@@ -259,8 +244,8 @@ func (c *Client) run(ctx context.Context) {
 			return
 		case <-timer.C:
 		}
-		if backoff *= 2; backoff > c.maxBack {
-			backoff = c.maxBack
+		if backoff *= 2; backoff > reconnectMax {
+			backoff = reconnectMax
 		}
 	}
 }
@@ -279,7 +264,7 @@ func (c *Client) streamOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -398,7 +383,7 @@ func (c *Client) getJSON(ctx context.Context, path string, into any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -415,7 +400,7 @@ func (c *Client) applyGeneration(ctx context.Context, gen int) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -45,28 +45,22 @@ type AdmissionConfig struct {
 	// SteadyRate is the sustained per-source rate (events/sec) admitted
 	// to the steady lane (default 100).
 	SteadyRate float64
-	// SteadyDepth is the steady bucket's capacity — the burst a quiet
-	// source may spend at once (default 2×SteadyRate).
-	SteadyDepth float64
 	// BurstRate is the additional per-source rate admitted to the burst
 	// lane once the steady bucket is empty (default SteadyRate).
 	BurstRate float64
-	// BurstDepth is the burst bucket's capacity (default 4×BurstRate).
-	BurstDepth float64
 }
+
+// A source's steady bucket holds steadyDepthSecs seconds of its steady
+// rate — the burst a quiet source may spend at once — and its burst
+// bucket burstDepthSecs seconds of its burst rate.
+const steadyDepthSecs, burstDepthSecs = 2, 4
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.SteadyRate <= 0 {
 		c.SteadyRate = 100
 	}
-	if c.SteadyDepth <= 0 {
-		c.SteadyDepth = 2 * c.SteadyRate
-	}
 	if c.BurstRate <= 0 {
 		c.BurstRate = c.SteadyRate
-	}
-	if c.BurstDepth <= 0 {
-		c.BurstDepth = 4 * c.BurstRate
 	}
 	return c
 }
@@ -119,13 +113,14 @@ func (a *admission) admit(source string) admitDecision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	b := a.sources[source]
+	steadyDepth, burstDepth := steadyDepthSecs*a.cfg.SteadyRate, burstDepthSecs*a.cfg.BurstRate
 	if b == nil {
-		b = &sourceBuckets{steady: a.cfg.SteadyDepth, burst: a.cfg.BurstDepth, lastNs: nowNs}
+		b = &sourceBuckets{steady: steadyDepth, burst: burstDepth, lastNs: nowNs}
 		a.sources[source] = b
 	}
 	if dt := float64(nowNs-b.lastNs) / float64(time.Second); dt > 0 {
-		b.steady = min(b.steady+dt*a.cfg.SteadyRate, a.cfg.SteadyDepth)
-		b.burst = min(b.burst+dt*a.cfg.BurstRate, a.cfg.BurstDepth)
+		b.steady = min(b.steady+dt*a.cfg.SteadyRate, steadyDepth)
+		b.burst = min(b.burst+dt*a.cfg.BurstRate, burstDepth)
 	}
 	b.lastNs = nowNs
 	switch {

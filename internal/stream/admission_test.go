@@ -23,11 +23,10 @@ func TestPipelineLaneStarvation(t *testing.T) {
 	p := NewPipeline(PipelineConfig{
 		Shards:        1,
 		QueueCapacity: 2048,
-		MaxBatch:      8,
-		Now:           fixedClock(),
+		now:           fixedClock(),
 		// A near-zero steady budget pushes the hot source's whole feed
-		// into the burst lane; the huge burst depth keeps it admitted.
-		Admission: &AdmissionConfig{SteadyRate: 1e-9, SteadyDepth: 1e-9, BurstRate: 1e-9, BurstDepth: 5000},
+		// into the burst lane; a burst depth of 5 000 keeps it admitted.
+		Admission: &AdmissionConfig{SteadyRate: 1e-9, BurstRate: 1250},
 		Process: func(shard int, batch []Envelope) []Result {
 			orderMu.Lock()
 			for _, env := range batch {
@@ -81,7 +80,8 @@ func TestPipelineLaneStarvation(t *testing.T) {
 func TestAdmissionBuckets(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return at }
-	a := newAdmission(AdmissionConfig{SteadyRate: 1, SteadyDepth: 2, BurstRate: 1, BurstDepth: 2}, now,
+	// Depths: 2 steady tokens (2 s at 1/s), 2 burst tokens (4 s at 0.5/s).
+	a := newAdmission(AdmissionConfig{SteadyRate: 1, BurstRate: 0.5}, now,
 		newPipelineFamilies(nil, 1).admission)
 
 	for i := 0; i < 2; i++ {
@@ -123,8 +123,8 @@ func TestAdmissionBuckets(t *testing.T) {
 func TestPipelineThrottledEnqueue(t *testing.T) {
 	p := NewPipeline(PipelineConfig{
 		Shards:    1,
-		Now:       fixedClock(),
-		Admission: &AdmissionConfig{SteadyRate: 1, SteadyDepth: 1, BurstRate: 1, BurstDepth: 1},
+		now:       fixedClock(),
+		Admission: &AdmissionConfig{SteadyRate: 0.5, BurstRate: 0.25}, // one token each
 		Process:   func(int, []Envelope) []Result { return nil },
 	})
 	defer p.Close()
@@ -155,7 +155,7 @@ func TestPipelinePerShardShed(t *testing.T) {
 	p := NewPipeline(PipelineConfig{
 		Shards:        1,
 		QueueCapacity: 2,
-		Now:           fixedClock(),
+		now:           fixedClock(),
 		Process:       func(int, []Envelope) []Result { return nil },
 	})
 	defer p.Close()

@@ -151,7 +151,7 @@ const (
 	// OutcomeCommitted marks the envelope fully processed.
 	OutcomeCommitted Outcome = iota
 	// OutcomeRetry schedules the envelope for re-processing after a capped
-	// exponential backoff; once MaxAttempts is exhausted it dead-letters.
+	// exponential backoff; once the attempt budget is spent it dead-letters.
 	OutcomeRetry
 	// OutcomeDead dead-letters the envelope immediately (permanent
 	// failures: malformed payloads, unparseable documents).
@@ -176,23 +176,6 @@ type PipelineConfig struct {
 	// this many 80-byte slots, allocated whole the first time the lane is
 	// used.
 	QueueCapacity int
-	// MaxBatch is the micro-batch size a worker drains per processing round
-	// (default 64) — the amortisation unit for batched evaluation and
-	// batched store commits.
-	MaxBatch int
-	// MaxAttempts is the per-envelope attempt budget before dead-lettering
-	// (default 3).
-	MaxAttempts int
-	// Backoff is the first retry delay (default 5ms); each further attempt
-	// doubles it up to MaxBackoff (default 250ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// SteadyWeight and BurstWeight are the deficit-round-robin dequeue
-	// quanta of the two priority lanes (default 2 and 1): per scheduling
-	// pass a backlogged steady lane is granted SteadyWeight envelopes for
-	// every BurstWeight granted to a backlogged burst lane.
-	SteadyWeight int
-	BurstWeight  int
 	// Admission, when set, enables per-source token-bucket admission on
 	// the source-aware enqueue paths (EnqueueSource and friends). Nil
 	// admits everything to the steady lane.
@@ -200,11 +183,6 @@ type PipelineConfig struct {
 	// Metrics is the registry the pipeline's families live on (nil: a
 	// private one).
 	Metrics *obs.Registry
-	// Now is the injected clock used for envelope stamps, admission
-	// refill, and the drain-rate estimator (default time.Now). Only elapsed
-	// time is ever read from it, so it must advance; tests inject a
-	// deterministic one.
-	Now func() time.Time
 	// Process handles one micro-batch for one shard and returns one Result
 	// per envelope, index-aligned (a short result slice treats the missing
 	// tail as committed). It runs concurrently across shards and must be
@@ -214,7 +192,30 @@ type PipelineConfig struct {
 	// final failure reason (the platform writes it to the dead_letters
 	// table).
 	OnDead func(env Envelope, err error)
+
+	// now is the clock for envelope stamps, admission refill and the
+	// drain-rate estimator (nil: time.Now; only elapsed time is read from
+	// it, so it must advance). Only this package's tests set it.
+	now func() time.Time
 }
+
+const (
+	// maxBatch is the micro-batch size a worker drains per round — the
+	// amortisation unit for batched evaluation and batched store commits.
+	maxBatch = 64
+	// maxAttempts is the per-envelope attempt budget before
+	// dead-lettering; a retry waits retryBackoff, doubling per attempt
+	// up to maxRetryBackoff.
+	maxAttempts     = 3
+	retryBackoff    = 5 * time.Millisecond
+	maxRetryBackoff = 250 * time.Millisecond
+	// steadyWeight and burstWeight are the deficit-round-robin dequeue
+	// quanta of the two priority lanes: per scheduling pass a backlogged
+	// steady lane is granted steadyWeight envelopes for every burstWeight
+	// granted to a backlogged burst lane.
+	steadyWeight = 2
+	burstWeight  = 1
+)
 
 // laneQueue is one priority lane's FIFO — a fixed ring, so a dequeue
 // touches only the slots it takes — plus its deficit-round-robin credit
@@ -312,28 +313,10 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 1024
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
+	if cfg.now == nil {
+		cfg.now = time.Now //scilint:ignore determinism production default only; tests inject their clock
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 5 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 250 * time.Millisecond
-	}
-	if cfg.SteadyWeight <= 0 {
-		cfg.SteadyWeight = 2
-	}
-	if cfg.BurstWeight <= 0 {
-		cfg.BurstWeight = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now //scilint:ignore determinism production default only; tests inject their clock
-	}
-	p := &Pipeline{cfg: cfg, now: cfg.Now, m: newPipelineFamilies(cfg.Metrics, cfg.Shards)}
+	p := &Pipeline{cfg: cfg, now: cfg.now, m: newPipelineFamilies(cfg.Metrics, cfg.Shards)}
 	p.idleCond = sync.NewCond(&p.idleMu)
 	p.sticky.init()
 	if cfg.Admission != nil {
@@ -562,9 +545,9 @@ func (s *pshard) depth() int {
 
 func (p *Pipeline) worker(s *pshard) {
 	defer p.wg.Done()
-	quantum := [numLanes]int{LaneSteady: p.cfg.SteadyWeight, LaneBurst: p.cfg.BurstWeight}
+	quantum := [numLanes]int{LaneSteady: steadyWeight, LaneBurst: burstWeight}
 	for {
-		batch := s.next(p.cfg.MaxBatch, quantum)
+		batch := s.next(maxBatch, quantum)
 		if batch == nil {
 			return
 		}
@@ -595,7 +578,7 @@ func (p *Pipeline) worker(s *pshard) {
 				p.retire(env)
 			case OutcomeRetry:
 				env.Attempt++
-				if env.Attempt >= p.cfg.MaxAttempts {
+				if env.Attempt >= maxAttempts {
 					p.deadLetter(s, env, res.Err)
 					break
 				}
@@ -612,20 +595,20 @@ func (p *Pipeline) worker(s *pshard) {
 }
 
 // backoffFor doubles the base delay per completed attempt, capped at
-// MaxBackoff, then jitters over the upper half of the result: a batch of
+// maxRetryBackoff, then jitters over the upper half of the result: a batch of
 // envelopes failing together (one stalled dependency fails a whole
 // micro-batch at once) spreads its retries out instead of re-arriving as
 // the same synchronized herd every round.
 func (p *Pipeline) backoffFor(attempt int) time.Duration {
-	d := p.cfg.Backoff
+	d := retryBackoff
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= p.cfg.MaxBackoff {
-			d = p.cfg.MaxBackoff
+		if d >= maxRetryBackoff {
+			d = maxRetryBackoff
 			break
 		}
 	}
-	d = min(d, p.cfg.MaxBackoff)
+	d = min(d, maxRetryBackoff)
 	if d <= 1 {
 		return d
 	}
@@ -711,6 +694,9 @@ func (p *Pipeline) Depth() int {
 
 // Shards returns the shard count.
 func (p *Pipeline) Shards() int { return len(p.shards) }
+
+// Capacity returns the steady-lane queue bound summed over the shards.
+func (p *Pipeline) Capacity() int { return len(p.shards) * p.cfg.QueueCapacity }
 
 // RetryAfter estimates how long a shed producer should wait before
 // retrying: the queued backlog over the recent drain rate, clamped to
@@ -897,7 +883,7 @@ func (p *Pipeline) Stats() PipelineStats {
 		Batches:      p.m.batches.Count(),
 		Inflight:     p.inflight.Load(),
 		Shards:       len(p.shards),
-		MaxBatch:     p.cfg.MaxBatch,
+		MaxBatch:     maxBatch,
 		QueueDepths:  make([]int, len(p.shards)),
 		PerShard:     make([]ShardStats, len(p.shards)),
 	}

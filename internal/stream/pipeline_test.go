@@ -48,7 +48,7 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			proc := newCollectProcessor(nil)
 			var wrongShard atomic.Int64
-			p := NewPipeline(PipelineConfig{Shards: shards, MaxBatch: 8, Process: func(shard int, batch []Envelope) []Result {
+			p := NewPipeline(PipelineConfig{Shards: shards, Process: func(shard int, batch []Envelope) []Result {
 				for _, env := range batch {
 					if shard != int(keyHash(env.Key)%uint32(shards)) {
 						wrongShard.Add(1)
@@ -106,7 +106,7 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 
 func TestPipelineShedVsBlock(t *testing.T) {
 	proc := newCollectProcessor(nil)
-	p := NewPipeline(PipelineConfig{Shards: 1, QueueCapacity: 4, MaxBatch: 4, Process: proc.process})
+	p := NewPipeline(PipelineConfig{Shards: 1, QueueCapacity: 4, Process: proc.process})
 	defer p.Close()
 
 	// Paused workers make the capacity bound observable deterministically.
@@ -155,7 +155,7 @@ func TestPipelineRetryThenDeadLetter(t *testing.T) {
 		return Result{Outcome: OutcomeRetry, Err: failure}
 	})
 	p := NewPipeline(PipelineConfig{
-		Shards: 1, MaxAttempts: 3, Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
+		Shards:  1,
 		Process: proc.process,
 		OnDead: func(env Envelope, err error) {
 			deadEnv, deadErr = env, err
@@ -199,7 +199,7 @@ func TestPipelineRetrySucceedsBeforeBudget(t *testing.T) {
 		return Result{Outcome: OutcomeCommitted}
 	})
 	p := NewPipeline(PipelineConfig{
-		Shards: 1, MaxAttempts: 5, Backoff: time.Millisecond,
+		Shards:  1,
 		Process: proc.process,
 		OnDead:  func(Envelope, error) { t.Error("dead-lettered a recoverable envelope") },
 	})
@@ -251,7 +251,7 @@ func TestPipelineEnqueueNotifyWaitsFinalOutcome(t *testing.T) {
 	// final outcome, not after the first failed attempt.
 	var calls atomic.Int64
 	p := NewPipeline(PipelineConfig{
-		Shards: 1, MaxAttempts: 5, Backoff: time.Millisecond,
+		Shards: 1,
 		Process: func(_ int, batch []Envelope) []Result {
 			results := make([]Result, len(batch))
 			for i := range batch {
@@ -293,29 +293,30 @@ func TestPipelineCloseRejectsAndDrains(t *testing.T) {
 
 func TestPipelineMicroBatching(t *testing.T) {
 	proc := newCollectProcessor(nil)
-	p := NewPipeline(PipelineConfig{Shards: 1, MaxBatch: 16, Process: proc.process})
+	p := NewPipeline(PipelineConfig{Shards: 1, Process: proc.process})
 	defer p.Close()
 	p.Pause()
-	for i := 0; i < 40; i++ {
+	const backlog = 2*maxBatch + 8
+	for i := 0; i < backlog; i++ {
 		if err := p.Enqueue("k", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := p.Depth(); d != 40 {
+	if d := p.Depth(); d != backlog {
 		t.Fatalf("depth while paused: %d", d)
 	}
 	p.Resume()
 	p.Flush()
 	proc.mu.Lock()
 	defer proc.mu.Unlock()
-	// A paused backlog of 40 with MaxBatch 16 must drain in ≥1 multi-event
-	// batches, none exceeding the bound.
-	if len(proc.batches) >= 40 {
-		t.Errorf("no batching: %d batches for 40 events", len(proc.batches))
+	// A paused backlog must drain in multi-event batches, none exceeding
+	// the bound.
+	if len(proc.batches) >= backlog {
+		t.Errorf("no batching: %d batches for %d events", len(proc.batches), backlog)
 	}
 	for _, batch := range proc.batches {
-		if len(batch) > 16 {
-			t.Errorf("batch exceeds MaxBatch: %d", len(batch))
+		if len(batch) > maxBatch {
+			t.Errorf("batch exceeds maxBatch: %d", len(batch))
 		}
 	}
 }

@@ -245,7 +245,7 @@ func TestPshardNextAllocatesOnlyTheBatch(t *testing.T) {
 // one of them returns, accepted or with its context's error.
 func TestPipelineCtxCancelWhileParkedAmongMany(t *testing.T) {
 	proc := newCollectProcessor(nil)
-	p := NewPipeline(PipelineConfig{Shards: 1, QueueCapacity: 2, MaxBatch: 2, Process: proc.process})
+	p := NewPipeline(PipelineConfig{Shards: 1, QueueCapacity: 2, Process: proc.process})
 	defer p.Close()
 	p.Pause()
 	for i := 0; i < 2; i++ {

@@ -54,8 +54,6 @@ type World struct {
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical worlds.
 	Seed int64
-	// Registry is the outlet registry (default: outlets.DemoShortlist()).
-	Registry *outlets.Registry
 	// Start is the first day (default WindowStart).
 	Start time.Time
 	// Days is the window length (default WindowDays).
@@ -68,9 +66,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.Registry == nil {
-		c.Registry = outlets.DemoShortlist()
-	}
 	if c.Start.IsZero() {
 		c.Start = WindowStart
 	}
@@ -99,17 +94,18 @@ var blogDomains = []string{
 	"forum-threads.example", "video-clips.example",
 }
 
-// GenerateWorld builds the deterministic synthetic world.
+// GenerateWorld builds the deterministic synthetic world over the demo
+// outlet shortlist.
 func GenerateWorld(cfg Config) *World {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{
-		Registry: cfg.Registry,
+		Registry: outlets.DemoShortlist(),
 		Cascades: make(map[string][]socialind.Post),
 		Start:    cfg.Start,
 		Days:     cfg.Days,
 	}
-	all := cfg.Registry.All() // sorted by ID: deterministic iteration
+	all := w.Registry.All() // sorted by ID: deterministic iteration
 	seq := 0
 	for day := 0; day < cfg.Days; day++ {
 		for _, outlet := range all {

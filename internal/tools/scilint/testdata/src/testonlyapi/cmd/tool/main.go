@@ -19,4 +19,16 @@ func main() {
 	var r runner = lib.T{}
 	r.Run()
 	fmt.Println(lib.Used(), lib.Limit, lib.Box[int]{}.Get(), lib.Map("x"))
+
+	// One write of each kind to a field of lib.Config.
+	cfg := lib.Config{Keyed: 1}
+	cfg.Assigned = 2
+	cfg.Summed += 3
+	cfg.Counted++
+	cfg.Indexed["k"] = 4
+	addr := &cfg.Addressed
+	*addr = 5
+	cfg.Locked.Inc()
+	cfg.Observe(6)
+	fmt.Println(lib.Pair{7, 8}, cfg)
 }

@@ -23,10 +23,7 @@ const Limit = 3
 type Orphan struct{} // want testonlyapi "exported type Orphan"
 
 // T carries methods of every verdict.
-type T struct {
-	// Field is exported and unread; fields are not reported.
-	Field int
-}
+type T struct{}
 
 // String satisfies fmt.Stringer, an interface of the standard library.
 func (T) String() string { return "t" }
@@ -51,6 +48,50 @@ func Map[V any](v V) V { return v }
 //
 //scilint:ignore testonlyapi fixture: a suppressed finding stays quiet
 func Drill() {}
+
+// Config carries one exported field per kind of write: cmd/tool writes
+// each of the first seven one way, Observe keeps Peak a running max, and
+// nothing outside lib_test.go writes Filled, Hook or TestSet.
+type Config struct {
+	Keyed      int
+	Assigned   int
+	Summed     int
+	Counted    int
+	Indexed    map[string]int
+	Addressed  int
+	Locked     Counter
+	Peak       int    // a running max in Observe is a write
+	Decoded    string `json:"decoded"` // encoding/json writes it: exempt
+	Filled     int    // want testonlyapi "exported field Filled has no writer outside _test.go files"
+	Hook       func() // want testonlyapi "exported field Hook has"
+	TestSet    int    // want testonlyapi "exported field TestSet has"
+	unexported int
+}
+
+// Pair is written by a positional literal in cmd/tool.
+type Pair struct{ A, B int }
+
+// Counter's pointer method makes cfg.Locked.Inc() take &cfg.Locked.
+type Counter struct{ n int }
+
+// Inc is called on a Config field by cmd/tool.
+func (c *Counter) Inc() { c.n++ }
+
+// Observe fills Filled and Hook with their defaults — assignments under an
+// if that compares the same field with a constant or nil, which are not
+// writes — and keeps Peak a running max, which is.
+func (c *Config) Observe(d int) {
+	if c.Filled <= 0 || c.Filled > 100 {
+		c.Filled = 64
+	}
+	if c.Hook == nil {
+		c.Hook = func() {}
+	}
+	if d > c.Peak {
+		c.Peak = d
+	}
+	c.unexported = d
+}
 
 // helper is unexported: never reported.
 func helper() int { return 0 }

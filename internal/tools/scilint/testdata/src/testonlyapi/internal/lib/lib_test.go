@@ -9,4 +9,7 @@ func TestOnlyIsCalledHere(t *testing.T) {
 	}
 	T{}.Stop()
 	Drill()
+	if (Config{TestSet: 1}).TestSet != 1 {
+		t.Fatal("fixture field")
+	}
 }

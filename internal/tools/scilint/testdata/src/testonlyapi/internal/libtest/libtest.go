@@ -4,3 +4,6 @@ package libtest
 
 // Harness has no caller.
 func Harness() {}
+
+// Rig's field has no writer; libtest is exempt.
+type Rig struct{ Knob int }

@@ -4,3 +4,6 @@ package other
 
 // Exported has no caller.
 func Exported() {}
+
+// Options' field has no writer; pkg/other is outside internal/.
+type Options struct{ Knob int }

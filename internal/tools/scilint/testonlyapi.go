@@ -1,7 +1,10 @@
 package main
 
 import (
+	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -11,14 +14,23 @@ import (
 // module refers to is an entry point only tests take: it is either dead
 // code with a test attached, or a second path to behaviour that ships
 // through another name, so the tests check something production never
-// runs. The
-// use set is always the whole module (bench/ included), whatever
-// packages are being analyzed, so `scilint ./internal/rdbms` gives the
-// verdict `scilint ./...` gives.
+// runs. The use set is always the whole module (bench/ included),
+// whatever packages are being analyzed, so `scilint ./internal/rdbms`
+// gives the verdict `scilint ./...` gives.
+//
+// An exported struct field needs a writer in some non-test file: a keyed
+// or positional composite literal, an assignment (=, op=, ++, --) to x.f
+// or x.f[k], &x.f, or a call of a pointer method on x.f. A default fill
+// is not a write: an assignment inside the body of an if whose condition
+// compares that same field with a constant or nil (`if c.N <= 0 { c.N =
+// 64 }`) is the callee choosing a value nobody else chose. A field only
+// tests set is a knob production never turns: it becomes a constant, or
+// an unexported hook the package's tests set.
 //
 // Exempt: packages whose name ends in "test" (test support by design),
-// and methods through which their type satisfies an interface that loaded
-// code declares or names (fmt.Stringer, http.Handler, error, ...). What
+// methods through which their type satisfies an interface that loaded
+// code declares or names (fmt.Stringer, http.Handler, error, ...), and
+// fields with a json tag (encoding/json writes them by reflection). What
 // the loader cannot see — an interface written inline in the standard
 // library, a fault injector only tests drive — takes a
 // //scilint:ignore testonlyapi <reason> directive.
@@ -54,6 +66,10 @@ func (t testOnlyAPI) Run(p *Pass) {
 				what = "function"
 			}
 		case *types.Var:
+			if o.IsField() && !o.Embedded() && !facts.written[o] {
+				p.Reportf(id.Pos(), t.Name(),
+					"exported field %s has no writer outside _test.go files (a default fill is not one): make it a constant, or an unexported field the package's tests set", id.Name)
+			}
 			if o.IsField() || o.Parent() != p.Pkg.Scope() {
 				continue
 			}
@@ -99,12 +115,13 @@ func inInternalZone(path string) bool {
 }
 
 // moduleFacts is the whole-module view testonlyapi judges by: every
-// object a non-test file of a loaded module package refers to, and the
-// interface types that loaded code declares or names, indexed by method
-// name.
+// object a non-test file of a loaded module package refers to, every
+// struct field such a file writes, and the interface types that loaded
+// code declares or names, indexed by method name.
 type moduleFacts struct {
-	used   map[types.Object]bool
-	ifaces map[string][]*types.Interface
+	used    map[types.Object]bool
+	written map[*types.Var]bool
+	ifaces  map[string][]*types.Interface
 }
 
 // satisfiesInterface reports whether the method named name of the
@@ -131,7 +148,7 @@ func (l *loader) moduleFacts() *moduleFacts {
 	if l.facts != nil && l.factsPkgs == len(l.pkgs) {
 		return l.facts
 	}
-	f := &moduleFacts{used: map[types.Object]bool{}, ifaces: map[string][]*types.Interface{}}
+	f := &moduleFacts{used: map[types.Object]bool{}, written: map[*types.Var]bool{}, ifaces: map[string][]*types.Interface{}}
 	seen := map[*types.Interface]bool{}
 	addIface := func(t types.Type) {
 		iface, ok := t.Underlying().(*types.Interface)
@@ -171,9 +188,144 @@ func (l *loader) moduleFacts() *moduleFacts {
 			}
 		}
 		visit(pi.pkg)
+		w := fieldWrites{info: pi.info, written: f.written}
+		for _, file := range pi.files {
+			ast.Walk(w, file)
+		}
 	}
 	l.facts, l.factsPkgs = f, len(l.pkgs)
 	return f
+}
+
+// fieldWrites is the ast.Visitor that records the struct fields a file
+// writes. fills holds the fields the enclosing ifs' conditions compare
+// with a constant or nil: assigning one of them in such an if's body is a
+// default fill, not a write.
+type fieldWrites struct {
+	info    *types.Info
+	written map[*types.Var]bool
+	fills   []*types.Var
+}
+
+func (w fieldWrites) Visit(n ast.Node) ast.Visitor {
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		for _, part := range []ast.Node{n.Init, n.Cond, n.Else} {
+			if part != nil {
+				ast.Walk(w, part)
+			}
+		}
+		body := w
+		body.fills = append(slices.Clip(w.fills), w.constCompared(n.Cond)...)
+		ast.Walk(body, n.Body)
+		return nil
+	case *ast.Field:
+		// encoding/json writes a json-tagged field by reflection.
+		if n.Tag != nil && strings.Contains(n.Tag.Value, "json:") {
+			for _, id := range n.Names {
+				if v, ok := w.info.Defs[id].(*types.Var); ok {
+					w.written[v] = true
+				}
+			}
+		}
+	case *ast.CompositeLit:
+		t := w.info.TypeOf(n)
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, _ := t.Underlying().(*types.Struct)
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				w.mark(kv.Key)
+			} else if st != nil && i < st.NumFields() {
+				w.written[st.Field(i).Origin()] = true
+			}
+		}
+	case *ast.AssignStmt:
+		w.assign(n.Lhs...)
+	case *ast.IncDecStmt:
+		w.assign(n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			w.mark(n.X)
+		}
+	case *ast.CallExpr:
+		// x.f.M() with M on *T and f of type T takes &x.f.
+		if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+			if s := w.info.Selections[sel]; s != nil && s.Kind() == types.MethodVal &&
+				isPointer(s.Obj().Type().(*types.Signature).Recv().Type()) && !isPointer(w.info.TypeOf(sel.X)) {
+				w.mark(sel.X)
+			}
+		}
+	}
+	return w
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// assign records assignments to lhs that are not default fills.
+func (w fieldWrites) assign(lhs ...ast.Expr) {
+	for _, e := range lhs {
+		if v := w.field(e); v != nil && !slices.Contains(w.fills, v) {
+			w.written[v] = true
+		}
+	}
+}
+
+// mark records e's field, whatever encloses it.
+func (w fieldWrites) mark(e ast.Expr) {
+	if v := w.field(e); v != nil {
+		w.written[v] = true
+	}
+}
+
+// field resolves x.f, x.f[k], *x.f, a composite literal's key f and
+// their parenthesised forms to the field f they store into, or nil.
+func (w fieldWrites) field(e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			if v, ok := w.info.Uses[x].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+			return nil
+		case *ast.SelectorExpr:
+			if s := w.info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj().(*types.Var).Origin()
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+}
+
+// constCompared lists the fields that cond compares with a constant or
+// nil, through && and || and parentheses.
+func (w fieldWrites) constCompared(cond ast.Expr) []*types.Var {
+	var out []*types.Var
+	ast.Inspect(cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || b.Op == token.LAND || b.Op == token.LOR {
+			return true
+		}
+		for _, pair := range [2][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+			if tv := w.info.Types[pair[1]]; tv.Value != nil || tv.IsNil() {
+				if v := w.field(pair[0]); v != nil {
+					out = append(out, v)
+				}
+			}
+		}
+		return false
+	})
+	return out
 }
 
 // origin maps a use of an instantiated generic function, method or field

@@ -17,11 +17,13 @@
 package topics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mlcore"
@@ -48,11 +50,14 @@ const maxTopics = 64
 // Taxonomy is a set of named topics forming a forest.
 type Taxonomy struct {
 	topics []NamedTopic
+	// parent is the index of each topic's parent, -1 for a root.
+	parent []int
 	// seeds maps a stemmed seed to the topics it seeds: bit i is topic i.
 	seeds map[string]uint64
 }
 
-// NewTaxonomy validates and compiles a taxonomy.
+// NewTaxonomy validates and compiles a taxonomy. A topic's parent is
+// listed before it.
 func NewTaxonomy(list []NamedTopic) (*Taxonomy, error) {
 	if len(list) == 0 {
 		return nil, ErrNoTopics
@@ -60,8 +65,22 @@ func NewTaxonomy(list []NamedTopic) (*Taxonomy, error) {
 	if len(list) > maxTopics {
 		return nil, fmt.Errorf("topics: %d topics, at most %d", len(list), maxTopics)
 	}
-	t := &Taxonomy{topics: append([]NamedTopic(nil), list...), seeds: make(map[string]uint64)}
+	t := &Taxonomy{
+		topics: append([]NamedTopic(nil), list...),
+		parent: make([]int, len(list)),
+		seeds:  make(map[string]uint64),
+	}
+	index := make(map[string]int, len(list))
 	for i, topic := range t.topics {
+		t.parent[i] = -1
+		if topic.Parent != "" {
+			p, ok := index[topic.Parent]
+			if !ok {
+				return nil, fmt.Errorf("topics: %q: parent %q is not listed before it", topic.Name, topic.Parent)
+			}
+			t.parent[i] = p
+		}
+		index[topic.Name] = i
 		for _, s := range topic.Seeds {
 			t.seeds[textutil.Stem(s)] |= 1 << i
 		}
@@ -168,61 +187,50 @@ func (g *Tagger) TagDoc(title, body *textutil.Analysis) []Assignment {
 // assign turns seed hits into topic assignments. A topic's seed-overlap
 // score is its hits per content word of the document.
 func (g *Tagger) assign(hits *[maxTopics]int, words int) []Assignment {
-	raw := make([]float64, len(g.tax.topics))
+	topics := g.tax.topics
+	var raw, exps, probs [maxTopics]float64
+	maxScore := 0.0
 	if words > 0 {
-		for i := range raw {
+		for i := range topics {
 			raw[i] = float64(hits[i]) / float64(words)
+			maxScore = max(maxScore, raw[i])
 		}
 	}
 	// Softmax including an implicit "none" topic with score 0 so documents
 	// with no seed hits at all spread probability onto nothing.
-	maxScore := 0.0
-	for _, s := range raw {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
 	if maxScore == 0 {
 		return nil
 	}
 	var z float64
-	exps := make([]float64, len(raw))
-	for i, s := range raw {
-		exps[i] = math.Exp((s - maxScore) / g.Tau)
+	for i := range topics {
+		exps[i] = math.Exp((raw[i] - maxScore) / g.Tau)
 		z += exps[i]
 	}
 	z += math.Exp((0 - maxScore) / g.Tau) // the "none" mass
 
-	probs := make(map[string]float64)
-	for i, topic := range g.tax.topics {
-		p := exps[i] / z
-		if raw[i] > 0 && p >= g.Threshold {
-			probs[topic.Name] = p
-		}
-	}
-	// Propagate to parents.
-	byName := make(map[string]NamedTopic, len(g.tax.topics))
-	for _, tp := range g.tax.topics {
-		byName[tp.Name] = tp
-	}
-	for name, p := range probs {
-		cur := byName[name].Parent
-		for cur != "" {
-			if probs[cur] < p {
-				probs[cur] = p
+	// An assigned topic lends its probability to its ancestors.
+	n := 0
+	for i := range topics {
+		if p := exps[i] / z; raw[i] > 0 && p >= g.Threshold {
+			for j := i; j >= 0; j = g.tax.parent[j] {
+				if probs[j] == 0 {
+					n++
+				}
+				probs[j] = max(probs[j], p)
 			}
-			cur = byName[cur].Parent
 		}
 	}
-	out := make([]Assignment, 0, len(probs))
-	for name, p := range probs {
-		out = append(out, Assignment{Topic: name, Prob: p})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
+	out := make([]Assignment, 0, n)
+	for i, p := range probs[:len(topics)] {
+		if p > 0 {
+			out = append(out, Assignment{Topic: topics[i].Name, Prob: p})
 		}
-		return out[i].Topic < out[j].Topic
+	}
+	slices.SortFunc(out, func(a, b Assignment) int {
+		if a.Prob != b.Prob {
+			return cmp.Compare(b.Prob, a.Prob)
+		}
+		return strings.Compare(a.Topic, b.Topic)
 	})
 	return out
 }

@@ -45,6 +45,35 @@ func TestNewTaxonomyValidation(t *testing.T) {
 	if len(tax.topics) != 1 {
 		t.Error("topics lost")
 	}
+	for name, list := range map[string][]NamedTopic{
+		"unknown parent":   {{Name: "a/b", Parent: "a"}},
+		"parent after kid": {{Name: "a/b", Parent: "a"}, {Name: "a"}},
+		"parent is itself": {{Name: "a", Parent: "a"}},
+	} {
+		if _, err := NewTaxonomy(list); err == nil {
+			t.Errorf("%s: compiled", name)
+		}
+	}
+}
+
+// TestTagDocAllocations: tagging a document allocates only the
+// assignments it returns; parents are resolved once, in NewTaxonomy.
+func TestTagDocAllocations(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage counters change what the compiler inlines and keeps on the stack")
+	}
+	g := tagger(t)
+	title := textutil.NewAnalysis("Doctors track the coronavirus outbreak")
+	body := textutil.NewAnalysis(`Epidemiologists tracked coronavirus transmission as quarantine
+	measures expanded; lawmakers debated the election bill while markets watched inflation.`)
+	defer title.Release()
+	defer body.Release()
+	if tags := g.TagDoc(title, body); len(tags) < 2 {
+		t.Fatalf("fixture assigns %v, want a topic and its parent", tags)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.TagDoc(title, body) }); n != 1 {
+		t.Errorf("TagDoc allocates %v times per document, want 1 (the result)", n)
+	}
 }
 
 func TestNewTaxonomyTopicLimit(t *testing.T) {

@@ -261,7 +261,6 @@ func Bootstrap(cfg BootstrapConfig) (*Platform, *World, error) {
 	}
 	world := GenerateWorld(WorldConfig{
 		Seed:          cfg.Seed,
-		Registry:      cfg.Platform.Registry,
 		Days:          cfg.Days,
 		RateScale:     cfg.RateScale,
 		ReactionScale: cfg.ReactionScale,
