@@ -50,10 +50,6 @@ func NewAnalyzer() *Analyzer {
 	return &Analyzer{features: NewFeatureExtractor()}
 }
 
-// ClickbaitModel returns the attached clickbait model, or nil when the
-// analyzer is lexicon-only.
-func (a *Analyzer) ClickbaitModel() *classify.LogReg { return a.model.Load() }
-
 // SetClickbaitModel attaches a trained clickbait classifier whose features
 // come from the analyzer's FeatureExtractor.
 func (a *Analyzer) SetClickbaitModel(m *classify.LogReg) { a.model.Store(m) }
@@ -247,10 +243,10 @@ func SubjectivityScoreDoc(a *textutil.Analysis) float64 {
 // FeatureExtractor maps headlines to sparse feature vectors for the
 // clickbait classifier. The feature space is fixed-dimension: hashed word
 // unigrams/bigrams plus a dense block of stylometric features.
-type FeatureExtractor struct {
-	// HashDim is the dimensionality of the hashed-text block.
-	HashDim int
-}
+type FeatureExtractor struct{}
+
+// hashDim is the dimensionality of the hashed-text block.
+const hashDim = 1 << 12
 
 // Stylometric feature slots (appended after the hashed block).
 const (
@@ -267,19 +263,18 @@ const (
 	numStyleFeatures
 )
 
-// NewFeatureExtractor returns an extractor with the default 2^12 hashed
-// dimensions.
-func NewFeatureExtractor() *FeatureExtractor { return &FeatureExtractor{HashDim: 1 << 12} }
+// NewFeatureExtractor returns an extractor.
+func NewFeatureExtractor() *FeatureExtractor { return &FeatureExtractor{} }
 
 // Dim returns the total feature dimensionality.
-func (f *FeatureExtractor) Dim() int { return f.HashDim + numStyleFeatures }
+func (f *FeatureExtractor) Dim() int { return hashDim + numStyleFeatures }
 
 // Extract builds the feature vector for a headline.
 func (f *FeatureExtractor) Extract(title string) mlcore.SparseVector {
 	words := textutil.Words(title)
 	terms := append([]string{}, words...)
 	terms = append(terms, textutil.Bigrams(words)...)
-	v := mlcore.HashFeatures(terms, f.HashDim)
+	v := mlcore.HashFeatures(terms, hashDim)
 
 	toks := textutil.Tokenize(title)
 	exclaims, questions, numbers := 0, 0, 0
@@ -303,7 +298,7 @@ func (f *FeatureExtractor) Extract(title string) mlcore.SparseVector {
 			}
 		}
 	}
-	style := f.HashDim
+	style := hashDim
 	if n := len(words); n > 0 {
 		v[style+featWordCount] = float64(n) / 20
 		v[style+featAvgWordLen] = float64(wordLen) / float64(n) / 10
@@ -325,7 +320,7 @@ func (f *FeatureExtractor) ExtractDoc(a *textutil.Analysis) mlcore.SparseVector 
 	words := a.WordStrings()
 	terms := append([]string{}, words...)
 	terms = append(terms, textutil.Bigrams(words)...)
-	v := mlcore.HashFeatures(terms, f.HashDim)
+	v := mlcore.HashFeatures(terms, hashDim)
 
 	exclaims, questions, numbers := 0, 0, 0
 	wordLen := 0
@@ -345,7 +340,7 @@ func (f *FeatureExtractor) ExtractDoc(a *textutil.Analysis) mlcore.SparseVector 
 			}
 		}
 	}
-	style := f.HashDim
+	style := hashDim
 	if n := len(words); n > 0 {
 		v[style+featWordCount] = float64(n) / 20
 		v[style+featAvgWordLen] = float64(wordLen) / float64(n) / 10

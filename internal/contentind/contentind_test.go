@@ -109,13 +109,13 @@ func TestFeatureExtractorShape(t *testing.T) {
 			t.Fatalf("feature index %d out of range %d", idx, f.Dim())
 		}
 	}
-	if v[f.HashDim+featPhraseHits] == 0 {
+	if v[hashDim+featPhraseHits] == 0 {
 		t.Error("phrase hits feature not set")
 	}
-	if v[f.HashDim+featExclaims] == 0 {
+	if v[hashDim+featExclaims] == 0 {
 		t.Error("exclaim feature not set")
 	}
-	if v[f.HashDim+featNumbers] == 0 {
+	if v[hashDim+featNumbers] == 0 {
 		t.Error("number feature not set")
 	}
 }

@@ -26,6 +26,10 @@ type DailyReport struct {
 	Reindex *ReindexReport
 }
 
+// TopicMaxDepth is the depth limit of the topic tree RunDaily discovers:
+// generic topics at depth 1, at most two levels of sub-topics below them.
+const TopicMaxDepth = 3
+
 // RunDaily executes the platform's daily maintenance cycle (paper §3.3):
 // the RDBMS → warehouse migration, then the periodic model
 // training jobs over the warehoused history on the compute pool. Training
@@ -49,7 +53,7 @@ func (p *Platform) RunDaily(pool *compute.Pool, date time.Time) (*DailyReport, e
 		return rep, fmt.Errorf("stance training: %w", err)
 	}
 	rep.Topics, err = p.TrainTopicModel(pool, date, cluster.HierarchyConfig{
-		Branch: 2, MaxDepth: 3, MinLeaf: 16, Seed: date.Unix(),
+		Branch: 2, MaxDepth: TopicMaxDepth, MinLeaf: 16, Seed: date.Unix(),
 	})
 	if err != nil && !errors.Is(err, ErrNotIngested) {
 		return rep, fmt.Errorf("topic training: %w", err)

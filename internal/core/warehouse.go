@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/analytics"
 	"repro/internal/cluster"
 	"repro/internal/compute"
 	"repro/internal/rdbms"
@@ -30,35 +29,6 @@ func (p *Platform) ReplayWarehouse(date time.Time) (*rdbms.DB, int, error) {
 		return nil, 0, fmt.Errorf("replay %s: %w", dir, err)
 	}
 	return scratch, n, nil
-}
-
-// BuildFactsFromWarehouse derives the analytics facts from a daily
-// warehouse snapshot instead of the hot store, so historical analytics run
-// without touching the real-time path.
-func (p *Platform) BuildFactsFromWarehouse(date time.Time) ([]analytics.ArticleFact, error) {
-	scratch, _, err := p.ReplayWarehouse(date)
-	if err != nil {
-		return nil, err
-	}
-	articlesTable, err := scratch.Table(ArticlesTable)
-	if err != nil {
-		return nil, err
-	}
-	socialTable, err := scratch.Table(SocialTable)
-	if err != nil {
-		return nil, err
-	}
-	var facts []analytics.ArticleFact
-	articlesTable.Scan(func(r rdbms.Row) bool {
-		social, err := socialTable.Get(r[0])
-		if err != nil {
-			social = nil
-		}
-		facts = append(facts, factFromRows(r, social))
-		return true
-	})
-	sortFacts(facts)
-	return facts, nil
 }
 
 // TopicModelReport summarises a topic-discovery training run.

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/cluster"
 	"repro/internal/compute"
+	"repro/internal/indicators"
 	"repro/internal/rdbms"
 	"repro/internal/reviews"
 	"repro/internal/synth"
@@ -147,6 +149,35 @@ func TestReplayWarehouseMissingSnapshot(t *testing.T) {
 	}
 }
 
+// factsFromWarehouse derives the analytics facts from a daily warehouse
+// export, as BuildFacts derives them from the hot store.
+func factsFromWarehouse(t *testing.T, p *Platform, date time.Time) []analytics.ArticleFact {
+	t.Helper()
+	scratch, _, err := p.ReplayWarehouse(date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	articlesTable, err := scratch.Table(ArticlesTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	socialTable, err := scratch.Table(SocialTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var facts []analytics.ArticleFact
+	articlesTable.Scan(func(r rdbms.Row) bool {
+		social, err := socialTable.Get(r[0])
+		if err != nil {
+			social = nil
+		}
+		facts = append(facts, factFromRows(r, social))
+		return true
+	})
+	sortFacts(facts)
+	return facts
+}
+
 func TestWarehouseFactsMatchHotStore(t *testing.T) {
 	p, _ := testPlatform(t, 42, 6, 0.3)
 	date := synth.WindowStart.AddDate(0, 0, 6)
@@ -157,10 +188,7 @@ func TestWarehouseFactsMatchHotStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := p.BuildFactsFromWarehouse(date)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := factsFromWarehouse(t, p, date)
 	if len(hot) != len(cold) {
 		t.Fatalf("fact counts: %d vs %d", len(hot), len(cold))
 	}
@@ -242,21 +270,67 @@ func TestTrainTopicModelIndependentOfShardCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "nodes %d leaves %d\n", rep.Nodes, rep.Leaves)
-		var walk func(n *cluster.TopicNode)
-		walk = func(n *cluster.TopicNode) {
-			fmt.Fprintf(&b, "%s %q %d\n", n.ID, rep.Tagger.Label(n.ID), len(n.Members))
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(rep.Root)
-		return b.String()
+		return topicTree(rep)
 	}
 	one, four := tree(1), tree(4)
 	if one != four {
 		t.Errorf("topic tree depends on the shard count:\n1 shard:\n%s\n4 shards:\n%s", one, four)
+	}
+}
+
+// topicTree renders a topic model: its counts, then every node's ID,
+// label and members.
+func topicTree(rep *TopicModelReport) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "documents %d nodes %d leaves %d\n", rep.Documents, rep.Nodes, rep.Leaves)
+	var walk func(n *cluster.TopicNode)
+	walk = func(n *cluster.TopicNode) {
+		fmt.Fprintf(&b, "%s %q %v\n", n.ID, rep.Tagger.Label(n.ID), n.Members)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(rep.Root)
+	return b.String()
+}
+
+// TestRunDailyIndependentOfPoolWidth runs the daily cycle over one world
+// on a compute pool of one worker and of seven. The pool splits every
+// job's input differently; the report — migrated rows, both training
+// runs, the re-index counts, the topic tree with its labels and what it
+// tags — must not change.
+func TestRunDailyIndependentOfPoolWidth(t *testing.T) {
+	const days = 6
+	w := synth.GenerateWorld(synth.Config{Seed: 3, Days: days, RateScale: 0.3, ReactionScale: 0.3})
+	date := synth.WindowStart.AddDate(0, 0, days)
+	report := func(workers int) string {
+		p, err := NewPlatform(Config{Clock: func() time.Time { return date }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.IngestWorld(w); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.RunDaily(compute.NewPool(workers, nil), date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Clickbait == nil || rep.Stance == nil || rep.Topics == nil || rep.Reindex == nil {
+			t.Fatalf("%d workers: a stage was skipped: %+v", workers, rep)
+		}
+		ri := rep.Reindex
+		var b strings.Builder
+		fmt.Fprintf(&b, "date %s migrated %d\n", rep.Date.Format(time.DateOnly), rep.MigratedRows)
+		fmt.Fprintf(&b, "clickbait %+v\nstance %+v\n", *rep.Clickbait, *rep.Stance)
+		fmt.Fprintf(&b, "reindex articles %d changed %d failed %d skipped %d replies %d stance changed %d\n",
+			ri.Articles, ri.Changed, ri.Failed, ri.Skipped, ri.Replies, ri.StanceChanged)
+		b.WriteString(topicTree(rep.Topics))
+		fmt.Fprintf(&b, "tags %+v\n", rep.Topics.Tagger.Tag("new covid-19 vaccine trial reports measured results"))
+		return b.String()
+	}
+	one, seven := report(1), report(7)
+	if one != seven {
+		t.Errorf("daily report depends on the pool width:\n1 worker:\n%s\n7 workers:\n%s", one, seven)
 	}
 }
 
@@ -412,10 +486,6 @@ func TestRunDailyFullCycle(t *testing.T) {
 	if rep.Topics == nil || rep.Topics.Leaves < 2 {
 		t.Errorf("topic stage: %+v", rep.Topics)
 	}
-	// The trained models are live on the serving path.
-	if p.Engine.ClickbaitModel() == nil {
-		t.Error("clickbait model not attached after daily cycle")
-	}
 	// The cycle re-indexed the corpus, so the store serves no
 	// retired-model scores.
 	if rep.Reindex == nil || rep.Reindex.Articles == 0 {
@@ -435,6 +505,15 @@ func TestRunDailyFullCycle(t *testing.T) {
 	}
 	if art[6].Float() != fresh.Content.Clickbait {
 		t.Error("stored clickbait stale after RunDaily")
+	}
+	// The trained clickbait model is live on the serving path: an
+	// untrained engine scores the same title by the lexicon alone.
+	untrained, err := indicators.NewEngine(indicators.Config{}).Evaluate(doc[2].Str(), doc[1].Str(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if untrained.Content.Clickbait == fresh.Content.Clickbait {
+		t.Error("clickbait model not attached after daily cycle")
 	}
 }
 

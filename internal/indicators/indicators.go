@@ -136,10 +136,6 @@ func (e *Engine) SetClickbaitModel(m *classify.LogReg) {
 // ClickbaitFeatures exposes the content feature extractor for training.
 func (e *Engine) ClickbaitFeatures() *contentind.FeatureExtractor { return e.content.Features() }
 
-// ClickbaitModel returns the trained clickbait model attached to the
-// engine, or nil before the first training run.
-func (e *Engine) ClickbaitModel() *classify.LogReg { return e.content.ClickbaitModel() }
-
 // SetStanceModel attaches a trained stance model.
 func (e *Engine) SetStanceModel(nb *classify.NaiveBayes) {
 	e.stance.SetModel(nb)

@@ -2,43 +2,6 @@ package mlcore
 
 import "testing"
 
-func TestConfusionAndDerivedMetrics(t *testing.T) {
-	pred := []bool{true, true, false, false, true}
-	gold := []bool{true, false, false, true, true}
-	m, err := Confusion(pred, gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TP != 2 || m.FP != 1 || m.TN != 1 || m.FN != 1 {
-		t.Fatalf("confusion: %+v", m)
-	}
-	if !almostEq(m.Accuracy(), 0.6) {
-		t.Errorf("accuracy: %v", m.Accuracy())
-	}
-	if !almostEq(m.Precision(), 2.0/3) {
-		t.Errorf("precision: %v", m.Precision())
-	}
-	if !almostEq(m.Recall(), 2.0/3) {
-		t.Errorf("recall: %v", m.Recall())
-	}
-	if !almostEq(m.F1(), 2.0/3) {
-		t.Errorf("f1: %v", m.F1())
-	}
-}
-
-func TestConfusionLengthMismatch(t *testing.T) {
-	if _, err := Confusion([]bool{true}, nil); err != ErrLengthMismatch {
-		t.Errorf("want ErrLengthMismatch, got %v", err)
-	}
-}
-
-func TestMetricsUndefinedCases(t *testing.T) {
-	var m ConfusionMatrix
-	if m.Accuracy() != 0 || m.Precision() != 0 || m.Recall() != 0 || m.F1() != 0 {
-		t.Error("empty matrix metrics should be 0")
-	}
-}
-
 func TestMeanVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almostEq(Mean(xs), 5) {

@@ -10,7 +10,9 @@
 //     from the docs/OPERATIONS.md flag tables, or a flag-table row of
 //     docs/OPERATIONS.md names a flag cmd/scilens-server does not
 //     register, or
-//  4. a metric family registered on an obs.Registry anywhere under
+//  4. the docs/OPERATIONS.md "Binaries" table does not list exactly the
+//     command directories under cmd/, or
+//  5. a metric family registered on an obs.Registry anywhere under
 //     internal/ is missing from docs/OBSERVABILITY.md.
 //
 // Run from the repository root:
@@ -27,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -55,6 +58,12 @@ var flagRowRe = regexp.MustCompile("(?m)^\\| (`-[^|]*)\\|")
 
 // docFlagRe matches one backticked `-flag` inside a flag-table cell.
 var docFlagRe = regexp.MustCompile("`-([a-z0-9-]+)`")
+
+// binaryRowRe matches a row of the docs/OPERATIONS.md "Binaries" table
+// like
+//
+//	| `scilens-server` | full platform + Indicators API over HTTP |
+var binaryRowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
 
 // metricRe matches metric-family registrations on an obs.Registry like
 // reg.NewCounter("scilens_..._total", ...), the name on the call's own
@@ -102,6 +111,12 @@ func main() {
 	}
 	problems = append(problems, checkFlags(flags, string(opsDoc))...)
 
+	cmds, err := collectCommands("cmd")
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, checkBinaries(cmds, string(opsDoc))...)
+
 	metrics, err := collectMetrics("internal")
 	if err != nil {
 		fatal(err)
@@ -138,7 +153,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d routes documented, %d flags documented, %d metrics documented, %d markdown files link-checked\n", len(routes), len(flags), len(metrics), len(mds))
+	fmt.Printf("docscheck: %d routes documented, %d flags documented, %d binaries documented, %d metrics documented, %d markdown files link-checked\n", len(routes), len(flags), len(cmds), len(metrics), len(mds))
 }
 
 // collectRoutes scans the package's Go sources for route registrations.
@@ -214,6 +229,51 @@ func checkFlags(flags []string, opsDoc string) []string {
 			if !registered[m[1]] {
 				problems = append(problems, fmt.Sprintf("flag -%s in a docs/OPERATIONS.md flag-table row but not registered in cmd/scilens-server", m[1]))
 			}
+		}
+	}
+	return problems
+}
+
+// collectCommands lists the command directories under dir, sorted.
+func collectCommands(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var cmds []string
+	for _, e := range entries {
+		if e.IsDir() {
+			cmds = append(cmds, e.Name())
+		}
+	}
+	return cmds, nil
+}
+
+// checkBinaries checks both directions between the command directories
+// and the rows of the docs/OPERATIONS.md "Binaries" table, the section
+// from its heading to the next one: every command has a row, and every
+// row names a command.
+func checkBinaries(cmds []string, opsDoc string) []string {
+	const heading = "\n## Binaries\n"
+	start := strings.Index(opsDoc, heading)
+	if start < 0 {
+		return []string{"docs/OPERATIONS.md has no \"## Binaries\" section"}
+	}
+	table := opsDoc[start+len(heading):]
+	if end := strings.Index(table, "\n## "); end >= 0 {
+		table = table[:end]
+	}
+	documented := map[string]bool{}
+	var problems []string
+	for _, m := range binaryRowRe.FindAllStringSubmatch(table, -1) {
+		documented[m[1]] = true
+		if !slices.Contains(cmds, m[1]) {
+			problems = append(problems, fmt.Sprintf("binary %s in the docs/OPERATIONS.md Binaries table but no cmd/%s directory", m[1], m[1]))
+		}
+	}
+	for _, c := range cmds {
+		if !documented[c] {
+			problems = append(problems, fmt.Sprintf("command cmd/%s absent from the docs/OPERATIONS.md Binaries table", c))
 		}
 	}
 	return problems

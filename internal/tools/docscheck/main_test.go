@@ -77,3 +77,36 @@ func TestFlagTablesTwoWay(t *testing.T) {
 		t.Errorf("undocumented flag: problems %q, want one naming -undocumented", got)
 	}
 }
+
+// TestBinariesTableTwoWay: the Binaries table lists exactly the command
+// directories. On the shipped docs it is clean. A row for a command
+// that is gone fails (scilens-topics was folded into scilens-eval), and
+// so does a command the table never mentions.
+func TestBinariesTableTwoWay(t *testing.T) {
+	root := filepath.Join("..", "..", "..")
+	cmds, err := collectCommands(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := string(raw)
+	if got := checkBinaries(cmds, ops); len(got) != 0 {
+		t.Fatalf("shipped docs: %q", got)
+	}
+
+	const evalRow = "| `scilens-eval` |"
+	if !strings.Contains(ops, evalRow) {
+		t.Fatalf("docs/OPERATIONS.md has no %q row to insert after", evalRow)
+	}
+	stale := strings.Replace(ops, evalRow, "| `scilens-topics` | topic-model training harness |\n"+evalRow, 1)
+	if got := checkBinaries(cmds, stale); len(got) != 1 || !strings.Contains(got[0], "scilens-topics ") {
+		t.Errorf("stale scilens-topics row: problems %q, want one naming scilens-topics", got)
+	}
+
+	if got := checkBinaries(append(slices.Clone(cmds), "scilens-undocumented"), ops); len(got) != 1 || !strings.Contains(got[0], "cmd/scilens-undocumented ") {
+		t.Errorf("undocumented command: problems %q, want one naming cmd/scilens-undocumented", got)
+	}
+}

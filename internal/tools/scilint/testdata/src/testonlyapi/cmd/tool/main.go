@@ -31,4 +31,8 @@ func main() {
 	cfg.Locked.Inc()
 	cfg.Observe(6)
 	fmt.Println(lib.Pair{7, 8}, cfg)
+	fmt.Println(lib.NewTuning(9), NewScaled(), lib.Rows())
 }
+
+// NewScaled stores a constant into a field of another package: a write.
+func NewScaled() lib.Tuning { return lib.Tuning{Scale: 10} }

@@ -93,5 +93,28 @@ func (c *Config) Observe(d int) {
 	c.unexported = d
 }
 
+// Tuning is built by NewTuning. Rate is only ever the constant its own
+// package's constructor stores, so nothing writes it; the constructor
+// stores Size from its caller, and Scale is a constant that a New*
+// function of cmd/tool stores: both are writes.
+type Tuning struct {
+	Rate  float64 // want testonlyapi "exported field Rate has no writer"
+	Size  int
+	Scale int
+}
+
+// NewTuning fixes Rate and takes Size from the caller.
+func NewTuning(size int) *Tuning { return &Tuning{Rate: 0.5, Size: size} }
+
+// Row is one entry of a data table.
+type Row struct {
+	Name   string
+	Weight int
+}
+
+// Rows is a data table: constants in a literal outside a New* function
+// are writes, keyed or positional.
+func Rows() []Row { return []Row{{Name: "a", Weight: 1}, {"b", 2}} }
+
 // helper is unexported: never reported.
 func helper() int { return 0 }

@@ -23,9 +23,12 @@ import (
 // or x.f[k], &x.f, or a call of a pointer method on x.f. A default fill
 // is not a write: an assignment inside the body of an if whose condition
 // compares that same field with a constant or nil (`if c.N <= 0 { c.N =
-// 64 }`) is the callee choosing a value nobody else chose. A field only
-// tests set is a knob production never turns: it becomes a constant, or
-// an unexported hook the package's tests set.
+// 64 }`) is the callee choosing a value nobody else chose. Neither is a
+// constant that a New* function's composite literal stores into a field
+// of its own package (`&Tagger{Tau: 0.08}` in NewTagger): the constructor
+// fixes a value nobody can choose. A field only tests set is a knob
+// production never turns: it becomes a constant, or an unexported hook
+// the package's tests set.
 //
 // Exempt: packages whose name ends in "test" (test support by design),
 // methods through which their type satisfies an interface that loaded
@@ -188,7 +191,7 @@ func (l *loader) moduleFacts() *moduleFacts {
 			}
 		}
 		visit(pi.pkg)
-		w := fieldWrites{info: pi.info, written: f.written}
+		w := fieldWrites{info: pi.info, pkg: pi.pkg, written: f.written}
 		for _, file := range pi.files {
 			ast.Walk(w, file)
 		}
@@ -197,18 +200,26 @@ func (l *loader) moduleFacts() *moduleFacts {
 	return f
 }
 
-// fieldWrites is the ast.Visitor that records the struct fields a file
-// writes. fills holds the fields the enclosing ifs' conditions compare
-// with a constant or nil: assigning one of them in such an if's body is a
-// default fill, not a write.
+// fieldWrites is the ast.Visitor that records the struct fields a file of
+// package pkg writes. fills holds the fields the enclosing ifs' conditions
+// compare with a constant or nil: assigning one of them in such an if's
+// body is a default fill, not a write. ctor is set inside the body of a
+// New* function: there a literal's constant element for a field of pkg is
+// the constructor's fixed value, not a write.
 type fieldWrites struct {
 	info    *types.Info
+	pkg     *types.Package
 	written map[*types.Var]bool
 	fills   []*types.Var
+	ctor    bool
 }
 
 func (w fieldWrites) Visit(n ast.Node) ast.Visitor {
 	switch n := n.(type) {
+	case *ast.FuncDecl:
+		body := w
+		body.ctor = n.Recv == nil && strings.HasPrefix(n.Name.Name, "New")
+		return body
 	case *ast.IfStmt:
 		for _, part := range []ast.Node{n.Init, n.Cond, n.Else} {
 			if part != nil {
@@ -235,10 +246,14 @@ func (w fieldWrites) Visit(n ast.Node) ast.Visitor {
 		}
 		st, _ := t.Underlying().(*types.Struct)
 		for i, elt := range n.Elts {
+			var f *types.Var
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				w.mark(kv.Key)
+				f, elt = w.field(kv.Key), kv.Value
 			} else if st != nil && i < st.NumFields() {
-				w.written[st.Field(i).Origin()] = true
+				f = st.Field(i).Origin()
+			}
+			if f != nil && !(w.ctor && f.Pkg() == w.pkg && w.info.Types[elt].Value != nil) {
+				w.written[f] = true
 			}
 		}
 	case *ast.AssignStmt:

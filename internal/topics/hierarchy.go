@@ -16,24 +16,25 @@ import (
 // "probabilistic hierarchical clustering ... assigns one or more topics"
 // behaviour of paper §3.3 for segments that have no seeded taxonomy yet.
 type HierarchyTagger struct {
-	root  *cluster.TopicNode
-	tfidf *mlcore.TFIDF
-	// Tau is the assignment softmax temperature (default 0.15).
-	Tau float64
-	// MinProb drops assignments below this probability (default 0.2).
-	MinProb float64
-	// LabelTerms is how many top terms form a node label (default 3).
-	LabelTerms int
-
+	root   *cluster.TopicNode
+	tfidf  *mlcore.TFIDF
 	labels map[string]string // node ID -> label
 }
+
+const (
+	// assignTau is the assignment softmax temperature.
+	assignTau = 0.15
+	// assignMinProb drops assignments below this probability.
+	assignMinProb = 0.2
+	// labelTerms is how many top terms form a node label.
+	labelTerms = 3
+)
 
 // NewHierarchyTagger builds a tagger from a discovered hierarchy and the
 // TF-IDF model it was trained in (both returned by Discover).
 func NewHierarchyTagger(root *cluster.TopicNode, tfidf *mlcore.TFIDF) *HierarchyTagger {
 	h := &HierarchyTagger{
 		root: root, tfidf: tfidf,
-		Tau: 0.15, MinProb: 0.2, LabelTerms: 3,
 		labels: make(map[string]string),
 	}
 	h.labelTree(root)
@@ -46,7 +47,7 @@ func (h *HierarchyTagger) labelTree(n *cluster.TopicNode) {
 	if n.Depth == 0 {
 		h.labels[n.ID] = "all"
 	} else {
-		terms := n.TopTerms(h.LabelTerms)
+		terms := n.TopTerms(labelTerms)
 		parts := make([]string, 0, len(terms))
 		for _, ti := range terms {
 			parts = append(parts, h.tfidf.Vocab.Term(ti))
@@ -84,7 +85,7 @@ func (h *HierarchyTagger) Tag(text string) []DiscoveredAssignment {
 	if len(v) == 0 {
 		return nil
 	}
-	raw := cluster.Assign(h.root, v, h.Tau, h.MinProb)
+	raw := cluster.Assign(h.root, v, assignTau, assignMinProb)
 	out := make([]DiscoveredAssignment, 0, len(raw))
 	for _, a := range raw {
 		if a.Node.Depth == 0 {

@@ -136,18 +136,19 @@ type Assignment struct {
 
 // Tagger assigns taxonomy topics to documents.
 type Tagger struct {
-	// Threshold is the minimum probability for assignment (default 0.15).
-	Threshold float64
-	// Tau is the softmax temperature over seed-overlap scores (default
-	// 0.08).
-	Tau float64
-
 	tax *Taxonomy
 }
 
+const (
+	// tagThreshold is the minimum probability for assignment.
+	tagThreshold = 0.15
+	// tagTau is the softmax temperature over seed-overlap scores.
+	tagTau = 0.08
+)
+
 // NewTagger builds a tagger over the taxonomy.
 func NewTagger(tax *Taxonomy) *Tagger {
-	return &Tagger{Threshold: 0.15, Tau: 0.08, tax: tax}
+	return &Tagger{tax: tax}
 }
 
 // seedHits adds count to hits[i] for every topic i that stem seeds.
@@ -203,15 +204,15 @@ func (g *Tagger) assign(hits *[maxTopics]int, words int) []Assignment {
 	}
 	var z float64
 	for i := range topics {
-		exps[i] = math.Exp((raw[i] - maxScore) / g.Tau)
+		exps[i] = math.Exp((raw[i] - maxScore) / tagTau)
 		z += exps[i]
 	}
-	z += math.Exp((0 - maxScore) / g.Tau) // the "none" mass
+	z += math.Exp((0 - maxScore) / tagTau) // the "none" mass
 
 	// An assigned topic lends its probability to its ancestors.
 	n := 0
 	for i := range topics {
-		if p := exps[i] / z; raw[i] > 0 && p >= g.Threshold {
+		if p := exps[i] / z; raw[i] > 0 && p >= tagThreshold {
 			for j := i; j >= 0; j = g.tax.parent[j] {
 				if probs[j] == 0 {
 					n++

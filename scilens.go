@@ -46,8 +46,6 @@ type (
 	DailyReport = core.DailyReport
 	// TopicModelReport summarises a topic-discovery training run.
 	TopicModelReport = core.TopicModelReport
-	// ModelEvalReport scores a trained model against ground truth.
-	ModelEvalReport = core.ModelEvalReport
 	// ComputePool is the worker pool the parallel jobs run on (the
 	// paper's Spark role).
 	ComputePool = compute.Pool
@@ -169,6 +167,9 @@ var (
 
 // WindowDays is the demo collection window length (60).
 const WindowDays = synth.WindowDays
+
+// TopicMaxDepth is the depth limit of the topic tree RunDaily discovers.
+const TopicMaxDepth = core.TopicMaxDepth
 
 // Sentinel errors.
 var (

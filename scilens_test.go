@@ -217,40 +217,6 @@ func ExampleEvaluateDocument() {
 	// scientific refs: 1
 }
 
-func TestDailyCycleThroughFacade(t *testing.T) {
-	p, w, err := scilens.Bootstrap(scilens.BootstrapConfig{Seed: 13, Days: 8, RateScale: 0.3, ReactionScale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := scilens.NewComputePool(4)
-	date := w.Start.AddDate(0, 0, w.Days)
-	rep, err := p.RunDaily(pool, date)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MigratedRows == 0 || rep.Clickbait == nil || rep.Stance == nil || rep.Topics == nil {
-		t.Errorf("incomplete daily cycle: %+v", rep)
-	}
-	facts, err := p.BuildFactsFromWarehouse(date)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(facts) != len(w.Articles) {
-		t.Errorf("warehouse facts: %d of %d", len(facts), len(w.Articles))
-	}
-	gold := map[string]bool{}
-	for _, a := range w.Articles {
-		gold[a.ID] = a.Clickbait
-	}
-	eval, err := p.EvaluateClickbaitModel(gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eval.Labelled != len(w.Articles) || eval.F1 <= 0 {
-		t.Errorf("model eval: %+v", eval)
-	}
-}
-
 // queueWaitSum scrapes the platform's debug surface for the pipeline
 // queue-wait histogram's sum across shards, in seconds.
 func queueWaitSum(t *testing.T, p *scilens.Platform) float64 {
