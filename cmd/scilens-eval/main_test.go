@@ -132,3 +132,15 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestTopicsBadFlagExitsTwo: the daily maintenance cycle's invocation
+// with an unknown flag exits 2 and prints nothing on stdout.
+func TestTopicsBadFlagExitsTwo(t *testing.T) {
+	out, code := runBin(t, "-fig", "topics", "-no-such-flag")
+	if code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+	if len(out) != 0 {
+		t.Errorf("printed on stdout:\n%s", out)
+	}
+}
