@@ -11,7 +11,7 @@
 // Usage:
 //
 //	scilens-server [-addr :8080] [-seed N] [-days N] [-scale F]
-//	               [-admit-rate F] [-admit-burst F]
+//	               [-admit-rate F]
 //	               [-data-dir DIR] [-partitions N]
 //	               [-fsync checkpoint|interval[:dur]|always] [-delta-limit N]
 //	               [-checkpoint-interval DUR] [-checkpoint-wal-bytes N]
@@ -59,7 +59,6 @@ func main() {
 		scale      = flag.Float64("scale", 0.5, "outlet posting-rate scale")
 		reactions  = flag.Float64("reactions", 0.3, "social cascade size scale")
 		admitRate  = flag.Float64("admit-rate", 0, "per-source steady admission rate for POST /api/ingest, events/s (0 = admission off)")
-		admitBurst = flag.Float64("admit-burst", 0, "per-source burst-lane admission rate, events/s (0 = same as -admit-rate)")
 		dataDir    = flag.String("data-dir", "", "durable store directory (empty = in-memory)")
 		partitions = flag.Int("partitions", 0, "table lock-stripe count (0 = default)")
 		fsync      = flag.String("fsync", "checkpoint", "WAL fsync policy: checkpoint, interval[:dur] or always")
@@ -78,7 +77,6 @@ func main() {
 		Seed: seed64(*seed), Days: *days, RateScale: *scale, ReactionScale: *reactions,
 		Platform: scilens.Config{
 			AdmissionRate:        *admitRate,
-			AdmissionBurst:       *admitBurst,
 			DataDir:              *dataDir,
 			StoragePartitions:    *partitions,
 			WALFsyncPolicy:       *fsync,

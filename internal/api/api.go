@@ -322,43 +322,25 @@ func (s *Server) handleAssessBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch too large: %d > %d", len(req.IDs), maxBatchSize))
 		return
 	}
-	// Deduplicate, keeping first-occurrence order, then fan the store
-	// lookups out on the platform's compute pool. compute.Map preserves
-	// input order, so the results line up with ids.
+	// Deduplicate, keeping first-occurrence order. Each lookup is a stored
+	// read, so the batch runs them in order on this goroutine.
 	seen := make(map[string]struct{}, len(req.IDs))
-	ids := make([]string, 0, len(req.IDs))
+	resp := batchResponse{Assessments: make([]*core.Assessment, 0, len(req.IDs))}
 	for _, id := range req.IDs {
 		if _, dup := seen[id]; dup {
 			continue
 		}
 		seen[id] = struct{}{}
-		ids = append(ids, id)
-	}
-	type lookup struct {
-		id string
-		a  *core.Assessment
-	}
-	results, err := compute.Map(s.platform.Compute, ids, func(id string) (lookup, error) {
 		a, err := s.platform.AssessID(id)
-		if err != nil {
-			if errors.Is(err, core.ErrNotIngested) {
-				return lookup{id: id}, nil // reported in Missing
-			}
-			return lookup{}, err
+		switch {
+		case errors.Is(err, core.ErrNotIngested):
+			resp.Missing = append(resp.Missing, id)
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		default:
+			resp.Assessments = append(resp.Assessments, a)
 		}
-		return lookup{id: id, a: a}, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := batchResponse{Assessments: make([]*core.Assessment, 0, len(ids))}
-	for _, l := range results {
-		if l.a == nil {
-			resp.Missing = append(resp.Missing, l.id)
-			continue
-		}
-		resp.Assessments = append(resp.Assessments, l.a)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -149,7 +150,7 @@ func TestStatsMetricsParity(t *testing.T) {
 	p.Pipeline.Flush()
 	// Retry and dead letter: a reaction to an article never ingested
 	// retries until its attempts run out.
-	if err := p.Pipeline.EnqueueSource("", orphan.ArticleURL, orphan); err != nil {
+	if err := p.Pipeline.EnqueueSource(context.Background(), "", orphan.ArticleURL, orphan); err != nil {
 		t.Fatal(err)
 	}
 	p.Pipeline.Flush()

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/url"
@@ -178,8 +179,6 @@ type Config struct {
 	// is throttled with a 429 + Retry-After past both budgets. IngestWorld
 	// and dead-letter replay are trusted paths and bypass admission.
 	AdmissionRate float64
-	// AdmissionBurst is the burst-lane rate (default AdmissionRate).
-	AdmissionBurst float64
 
 	// DataDir is the durable home of the real-time store. When set,
 	// NewPlatform recovers the previous state (snapshot + WAL replay) from
@@ -360,21 +359,15 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	// The pipeline keeps its wall-clock default for Now: it reads only
 	// elapsed time (queue wait, drain rate, admission refill), and
 	// cfg.Clock is the data clock, which Bootstrap pins to one instant.
-	pcfg := stream.PipelineConfig{
+	p.admission = cfg.AdmissionRate > 0
+	p.Pipeline = stream.NewPipeline(stream.PipelineConfig{
 		Shards:        cfg.streamShards,
 		QueueCapacity: cfg.streamQueueCapacity,
+		AdmissionRate: cfg.AdmissionRate,
 		Metrics:       reg,
 		Process:       p.processBatch,
 		OnDead:        p.writeDeadLetter,
-	}
-	if cfg.AdmissionRate > 0 {
-		p.admission = true
-		pcfg.Admission = &stream.AdmissionConfig{
-			SteadyRate: cfg.AdmissionRate,
-			BurstRate:  cfg.AdmissionBurst,
-		}
-	}
-	p.Pipeline = stream.NewPipeline(pcfg)
+	})
 	evalStage := reg.NewDurationHistogramVec("scilens_pipeline_evaluate_seconds",
 		"Batched-evaluation stage duration per pipeline shard.", "shard")
 	commitStage := reg.NewDurationHistogramVec("scilens_pipeline_commit_seconds",
@@ -582,7 +575,7 @@ func (p *Platform) IngestWorld(w *synth.World) (int, error) {
 	events := w.Events()
 	var err error
 	for i := range events {
-		if err = p.Pipeline.EnqueueSource("", events[i].ArticleURL, &events[i]); err != nil {
+		if err = p.Pipeline.EnqueueSource(context.Background(), "", events[i].ArticleURL, &events[i]); err != nil {
 			break
 		}
 	}

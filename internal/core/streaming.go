@@ -292,7 +292,7 @@ func (p *Platform) StreamEvent(ev *synth.Event, block bool) error {
 		return err
 	}
 	if block {
-		return p.Pipeline.EnqueueSource(p.eventSource(ev), ev.ArticleURL, ev)
+		return p.Pipeline.EnqueueSource(context.Background(), p.eventSource(ev), ev.ArticleURL, ev)
 	}
 	return p.Pipeline.TryEnqueueSource(p.eventSource(ev), ev.ArticleURL, ev)
 }
@@ -306,7 +306,7 @@ func (p *Platform) StreamEventCtx(ctx context.Context, ev *synth.Event) error {
 	if err := p.writeGate(); err != nil {
 		return err
 	}
-	return p.Pipeline.EnqueueSourceCtx(ctx, p.eventSource(ev), ev.ArticleURL, ev)
+	return p.Pipeline.EnqueueSource(ctx, p.eventSource(ev), ev.ArticleURL, ev)
 }
 
 // eventSource is the admission identity of one firehose event: the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -348,7 +350,7 @@ func TestForeignEnvelopeEventDeadLetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Pipeline.EnqueueSource("", "k", struct{ N int }{7}); err != nil {
+	if err := p.Pipeline.EnqueueSource(context.Background(), "", "k", struct{ N int }{7}); err != nil {
 		t.Fatal(err)
 	}
 	p.Pipeline.Flush()
@@ -366,30 +368,56 @@ func TestForeignEnvelopeEventDeadLetters(t *testing.T) {
 
 // TestStreamEventDoesNotAllocate guards the enqueue half of "decoded once,
 // moved once": without admission, handing a decoded event to the queue
-// encodes nothing, parses no URL and registers no cancellation hook. The
+// encodes nothing, parses no URL, registers no cancellation hook and pins
+// no lane, whether its key is already queued or never seen before. The
 // pipeline is paused so only the producer's allocations are counted, and
-// the key is already queued, so its lane pin exists.
+// one event is enqueued first to allocate the lane's ring.
 func TestStreamEventDoesNotAllocate(t *testing.T) {
-	p, err := NewPlatform(Config{streamShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ev := &synth.Event{
-		Type: synth.EventTypeReaction, PostID: "r1", Kind: "like", UserID: "u1",
-		ArticleURL: "https://excellent-1.example/story", Time: synth.WindowStart,
-	}
-	p.Pipeline.Pause()
-	defer p.Pipeline.Resume()
-	if err := p.StreamEvent(ev, false); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := p.StreamEvent(ev, false); err != nil {
-			t.Fatal(err)
+	const runs = 200 // AllocsPerRun calls the function runs+1 times
+	reaction := func(i int) *synth.Event {
+		return &synth.Event{
+			Type: synth.EventTypeReaction, PostID: "r1", Kind: "like", UserID: "u1",
+			ArticleURL: fmt.Sprintf("https://excellent-1.example/story-%d", i), Time: synth.WindowStart,
 		}
-	}); n != 0 {
-		t.Errorf("StreamEvent allocates %v times per event, want 0", n)
+	}
+	for _, tc := range []struct {
+		name   string
+		events func() []*synth.Event
+	}{
+		{"queued-key", func() []*synth.Event {
+			ev := reaction(0)
+			return slices.Repeat([]*synth.Event{ev}, runs+2)
+		}},
+		{"new-key", func() []*synth.Event {
+			evs := make([]*synth.Event, runs+2)
+			for i := range evs {
+				evs[i] = reaction(i)
+			}
+			return evs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPlatform(Config{streamShards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			evs := tc.events()
+			p.Pipeline.Pause()
+			defer p.Pipeline.Resume()
+			if err := p.StreamEvent(evs[0], false); err != nil {
+				t.Fatal(err)
+			}
+			next := 1
+			if n := testing.AllocsPerRun(runs, func() {
+				if err := p.StreamEvent(evs[next], false); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}); n != 0 {
+				t.Errorf("StreamEvent allocates %v times per event, want 0", n)
+			}
+		})
 	}
 }
 
@@ -414,7 +442,7 @@ func BenchmarkStreamEventEnqueue(b *testing.B) {
 		UserID: "u1", ArticleURL: posting.ArticleURL, Time: posting.Time,
 	}
 	p.Pipeline.Pause()
-	// The first enqueue allocates the lane's ring and the key's lane pin.
+	// The first enqueue allocates the lane's ring.
 	if err := p.StreamEvent(like, false); err != nil {
 		b.Fatal(err)
 	}

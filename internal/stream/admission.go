@@ -31,45 +31,25 @@ func (e *ThrottleError) Error() string {
 //scilint:ignore testonlyapi errors.Is calls it through an interface declared inside errors.Is
 func (e *ThrottleError) Is(target error) bool { return target == ErrThrottled }
 
-// AdmissionConfig configures per-source token-bucket admission. Each
-// source refills two buckets against the injected clock: the steady
-// bucket admits SteadyRate events/sec into the steady lane; once it runs
-// dry the burst bucket admits BurstRate more into the lower-weight burst
-// lane; past both the source is throttled. A viral story therefore
-// degrades itself in stages — first to the burst lane, then to 429s —
-// while every other source's steady admission is untouched.
-//
-// Sources are outlet hosts, a bounded registry, so the per-source state
-// map is bounded too.
-type AdmissionConfig struct {
-	// SteadyRate is the sustained per-source rate (events/sec) admitted
-	// to the steady lane (default 100).
-	SteadyRate float64
-	// BurstRate is the additional per-source rate admitted to the burst
-	// lane once the steady bucket is empty (default SteadyRate).
-	BurstRate float64
-}
-
-// A source's steady bucket holds steadyDepthSecs seconds of its steady
-// rate — the burst a quiet source may spend at once — and its burst
-// bucket burstDepthSecs seconds of its burst rate.
+// A source's steady bucket holds steadyDepthSecs seconds of the
+// admission rate — the burst a quiet source may spend at once — and its
+// burst bucket burstDepthSecs seconds of it.
 const steadyDepthSecs, burstDepthSecs = 2, 4
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.SteadyRate <= 0 {
-		c.SteadyRate = 100
-	}
-	if c.BurstRate <= 0 {
-		c.BurstRate = c.SteadyRate
-	}
-	return c
-}
-
 // admission is the per-source token-bucket state shared by the
-// source-aware enqueue paths.
+// source-aware enqueue paths. Each source refills two buckets at rate
+// events/sec against the injected clock: the steady bucket admits into
+// the steady lane; once it runs dry the burst bucket admits into the
+// lower-weight burst lane; past both the source is throttled. A viral
+// story therefore degrades itself in stages — first to the burst lane,
+// then to 429s — while every other source's steady admission is
+// untouched.
+//
+// Sources are the hosts of the enqueued article URLs; the per-source
+// state map keeps one entry per host it has seen and evicts none.
 type admission struct {
-	cfg AdmissionConfig
-	now func() time.Time
+	rate float64
+	now  func() time.Time
 
 	obsSteady    *obs.Counter
 	obsBurst     *obs.Counter
@@ -95,9 +75,9 @@ type admitDecision struct {
 	retryAfter time.Duration
 }
 
-func newAdmission(cfg AdmissionConfig, now func() time.Time, decisions *obs.CounterVec) *admission {
+func newAdmission(rate float64, now func() time.Time, decisions *obs.CounterVec) *admission {
 	return &admission{
-		cfg:          cfg.withDefaults(),
+		rate:         rate,
 		now:          now,
 		obsSteady:    decisions.With("steady"),
 		obsBurst:     decisions.With("burst"),
@@ -113,14 +93,14 @@ func (a *admission) admit(source string) admitDecision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	b := a.sources[source]
-	steadyDepth, burstDepth := steadyDepthSecs*a.cfg.SteadyRate, burstDepthSecs*a.cfg.BurstRate
+	steadyDepth, burstDepth := steadyDepthSecs*a.rate, burstDepthSecs*a.rate
 	if b == nil {
 		b = &sourceBuckets{steady: steadyDepth, burst: burstDepth, lastNs: nowNs}
 		a.sources[source] = b
 	}
 	if dt := float64(nowNs-b.lastNs) / float64(time.Second); dt > 0 {
-		b.steady = min(b.steady+dt*a.cfg.SteadyRate, steadyDepth)
-		b.burst = min(b.burst+dt*a.cfg.BurstRate, burstDepth)
+		b.steady = min(b.steady+dt*a.rate, steadyDepth)
+		b.burst = min(b.burst+dt*a.rate, burstDepth)
 	}
 	b.lastNs = nowNs
 	switch {
@@ -137,10 +117,7 @@ func (a *admission) admit(source string) admitDecision {
 	default:
 		b.throttled++
 		a.obsThrottled.Inc()
-		wait := (1 - b.steady) / a.cfg.SteadyRate
-		if w := (1 - b.burst) / a.cfg.BurstRate; w < wait {
-			wait = w
-		}
+		wait := (1 - max(b.steady, b.burst)) / a.rate
 		return admitDecision{throttled: true, retryAfter: time.Duration(wait * float64(time.Second))}
 	}
 }

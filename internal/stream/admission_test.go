@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,13 +21,12 @@ func TestPipelineLaneStarvation(t *testing.T) {
 	proc := newCollectProcessor(nil)
 	var order []string
 	var orderMu sync.Mutex
+	const rate = 250 // steady depth 500, burst depth 1 000
 	p := NewPipeline(PipelineConfig{
 		Shards:        1,
 		QueueCapacity: 2048,
 		now:           fixedClock(),
-		// A near-zero steady budget pushes the hot source's whole feed
-		// into the burst lane; a burst depth of 5 000 keeps it admitted.
-		Admission: &AdmissionConfig{SteadyRate: 1e-9, BurstRate: 1250},
+		AdmissionRate: rate,
 		Process: func(shard int, batch []Envelope) []Result {
 			orderMu.Lock()
 			for _, env := range batch {
@@ -38,10 +38,22 @@ func TestPipelineLaneStarvation(t *testing.T) {
 	})
 	defer p.Close()
 
+	// The hot source spends its steady tokens first; the frozen clock
+	// never refills them, so its whole feed below rides the burst lane.
+	for i := 0; i < steadyDepthSecs*rate; i++ {
+		if err := p.EnqueueSource(context.Background(), "hot.example.com", fmt.Sprintf("warm-%d", i), []byte("w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Flush()
+	orderMu.Lock()
+	order = nil
+	orderMu.Unlock()
+
 	p.Pause()
 	const burstN, steadyN = 900, 100
 	for i := 0; i < burstN; i++ {
-		if err := p.EnqueueSource("hot.example.com", fmt.Sprintf("burst-%d", i), []byte("b")); err != nil {
+		if err := p.EnqueueSource(context.Background(), "hot.example.com", fmt.Sprintf("burst-%d", i), []byte("b")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,16 +92,15 @@ func TestPipelineLaneStarvation(t *testing.T) {
 func TestAdmissionBuckets(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return at }
-	// Depths: 2 steady tokens (2 s at 1/s), 2 burst tokens (4 s at 0.5/s).
-	a := newAdmission(AdmissionConfig{SteadyRate: 1, BurstRate: 0.5}, now,
-		newPipelineFamilies(nil, 1).admission)
+	// Depths: 2 steady tokens (2 s at 1/s), 4 burst tokens (4 s at 1/s).
+	a := newAdmission(1, now, newPipelineFamilies(nil, 1).admission)
 
 	for i := 0; i < 2; i++ {
 		if d := a.admit("src"); d.throttled || d.lane != LaneSteady {
 			t.Fatalf("admit %d: %+v, want steady", i, d)
 		}
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		if d := a.admit("src"); d.throttled || d.lane != LaneBurst {
 			t.Fatalf("overflow admit %d: %+v, want burst", i, d)
 		}
@@ -115,29 +126,28 @@ func TestAdmissionBuckets(t *testing.T) {
 	if len(stats) != 2 || stats[0].Source != "other" || stats[1].Source != "src" {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if s := stats[1]; s.Steady != 3 || s.Burst != 2 || s.Throttled != 1 {
+	if s := stats[1]; s.Steady != 3 || s.Burst != 4 || s.Throttled != 1 {
 		t.Fatalf("src counters = %+v", s)
 	}
 }
 
 func TestPipelineThrottledEnqueue(t *testing.T) {
 	p := NewPipeline(PipelineConfig{
-		Shards:    1,
-		now:       fixedClock(),
-		Admission: &AdmissionConfig{SteadyRate: 0.5, BurstRate: 0.25}, // one token each
-		Process:   func(int, []Envelope) []Result { return nil },
+		Shards:        1,
+		now:           fixedClock(),
+		AdmissionRate: 0.5, // one steady token, two burst tokens
+		Process:       func(int, []Envelope) []Result { return nil },
 	})
 	defer p.Close()
 
-	if err := p.EnqueueSource("src", "k1", []byte("x")); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"k1", "k2", "k3"} {
+		if err := p.EnqueueSource(context.Background(), "src", key, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.EnqueueSource("src", "k2", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	err := p.EnqueueSource("src", "k3", []byte("x"))
+	err := p.EnqueueSource(context.Background(), "src", "k4", []byte("x"))
 	if !errors.Is(err, ErrThrottled) {
-		t.Fatalf("third enqueue = %v, want ErrThrottled", err)
+		t.Fatalf("fourth enqueue = %v, want ErrThrottled", err)
 	}
 	var te *ThrottleError
 	if !errors.As(err, &te) || te.RetryAfter <= 0 {
@@ -145,8 +155,76 @@ func TestPipelineThrottledEnqueue(t *testing.T) {
 	}
 	p.Flush()
 	st := p.Stats()
-	if st.Throttled != 1 || st.Enqueued != 2 {
-		t.Fatalf("throttled=%d enqueued=%d, want 1/2", st.Throttled, st.Enqueued)
+	if st.Throttled != 1 || st.Enqueued != 3 {
+		t.Fatalf("throttled=%d enqueued=%d, want 1/3", st.Throttled, st.Enqueued)
+	}
+}
+
+// TestPipelineAdmissionKeepsKeyOrder: admission moves a source to the
+// burst lane once its steady tokens are spent, but a key with envelopes
+// still queued on the steady lane keeps riding it. Were the later
+// envelopes to take the burst lane, the weighted scheduler's first pass
+// would dispatch one of them ahead of the key's steady envelopes queued
+// behind the fillers.
+func TestPipelineAdmissionKeepsKeyOrder(t *testing.T) {
+	at := time.Unix(1_700_000_000, 0)
+	var mu sync.Mutex
+	var got []int
+	p := NewPipeline(PipelineConfig{
+		Shards:        1,
+		now:           func() time.Time { return at },
+		AdmissionRate: 1, // steady depth 2, burst depth 4
+		Process: func(_ int, batch []Envelope) []Result {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, env := range batch {
+				if env.Key == "story" {
+					got = append(got, env.Event.(int))
+				}
+			}
+			return nil
+		},
+	})
+	defer p.Close()
+	p.Pause()
+
+	const fillers, perKey = 200, 6
+	for i := 0; i < fillers; i++ {
+		if err := p.Enqueue(fmt.Sprintf("filler-%d", i), []byte("f")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Envelopes 0-1 are admitted steady and 2-4 burst; a second later the
+	// refilled steady bucket admits 5 steady again.
+	for i := 0; i < perKey; i++ {
+		if i == perKey-1 {
+			at = at.Add(time.Second)
+		}
+		if err := p.EnqueueSource(context.Background(), "hot.example.com", "story", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src := p.Stats().Admission; len(src) != 1 || src[0].Steady != 3 || src[0].Burst != 3 {
+		t.Fatalf("admission decisions %+v, want 3 steady and 3 burst", src)
+	}
+	if st := p.Stats().PerShard[0]; st.Steady != fillers+perKey || st.Burst != 0 {
+		t.Fatalf("lane split %+v, want %d steady / 0 burst", st, fillers+perKey)
+	}
+	p.Resume()
+	p.Flush()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != perKey {
+		t.Fatalf("processed %d of the key's %d envelopes", len(got), perKey)
+	}
+	for i, n := range got {
+		if n != i {
+			t.Fatalf("key processed in order %v, want enqueue order", got)
+		}
+	}
+	if len(p.shards[0].pins) != 0 {
+		t.Errorf("pins left after the drain: %v", p.shards[0].pins)
 	}
 }
 

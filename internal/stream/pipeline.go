@@ -82,8 +82,9 @@ func (l lane) String() string {
 // The shard set is fixed at construction and a key's shard is its hash
 // modulo the shard count. Each shard runs two priority lanes
 // drained under deficit-weighted round-robin; per-source token-bucket
-// admission (PipelineConfig.Admission) decides which lane a source's
-// traffic rides in, or throttles it outright.
+// admission (PipelineConfig.AdmissionRate) decides which lane a source's
+// traffic rides in, or throttles it outright. Without admission every
+// envelope rides the steady lane.
 //
 // An envelope carries what its producer already holds — a decoded event
 // (EnqueueSource and friends) or raw bytes (Enqueue, EnqueueNotify) — and
@@ -101,7 +102,6 @@ type Pipeline struct {
 
 	shards []*pshard
 
-	sticky    stickyLanes
 	admission *admission
 	rate      drainRate
 	m         pipelineFamilies
@@ -176,10 +176,11 @@ type PipelineConfig struct {
 	// this many 80-byte slots, allocated whole the first time the lane is
 	// used.
 	QueueCapacity int
-	// Admission, when set, enables per-source token-bucket admission on
-	// the source-aware enqueue paths (EnqueueSource and friends). Nil
-	// admits everything to the steady lane.
-	Admission *AdmissionConfig
+	// AdmissionRate, when positive, enables per-source token-bucket
+	// admission at this many events/sec on the source-aware enqueue paths
+	// (EnqueueSource and TryEnqueueSource). 0 admits everything to the
+	// steady lane.
+	AdmissionRate float64
 	// Metrics is the registry the pipeline's families live on (nil: a
 	// private one).
 	Metrics *obs.Registry
@@ -267,6 +268,12 @@ func (q *laneQueue) popTo(batch []Envelope, take int) []Envelope {
 // re-injection buffer. ready holds envelopes whose backoff elapsed; they
 // bypass the capacity bound (their slot was accounted for when first
 // enqueued) and are drained ahead of the lanes.
+//
+// pins exists only under admission. It pins a key to one lane while any
+// of its envelopes are queued there or a producer of it is parked on
+// that lane: admission may classify a cascade's later events differently
+// (the source's steady bucket refilled, say), but letting one key span
+// both lanes would let the weighted scheduler reorder it.
 type pshard struct {
 	// id is the shard's index; the batch processor and the telemetry
 	// labels receive it.
@@ -277,6 +284,7 @@ type pshard struct {
 	notFull  *sync.Cond
 	lanes    [numLanes]laneQueue
 	ready    []Envelope
+	pins     map[string]lanePin // nil without admission
 	paused   bool
 	stopped  bool
 
@@ -286,6 +294,13 @@ type pshard struct {
 	obsRetry     *obs.Histogram
 	obsDead      *obs.Histogram
 	obsShed      [numLanes]*obs.Counter
+}
+
+// lanePin is a key's lane and the number of its envelopes queued or
+// parked there.
+type lanePin struct {
+	l lane
+	n int
 }
 
 func newPshard(capacity, id int, m *pipelineFamilies) *pshard {
@@ -318,12 +333,14 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	}
 	p := &Pipeline{cfg: cfg, now: cfg.now, m: newPipelineFamilies(cfg.Metrics, cfg.Shards)}
 	p.idleCond = sync.NewCond(&p.idleMu)
-	p.sticky.init()
-	if cfg.Admission != nil {
-		p.admission = newAdmission(*cfg.Admission, p.now, p.m.admission)
+	if cfg.AdmissionRate > 0 {
+		p.admission = newAdmission(cfg.AdmissionRate, p.now, p.m.admission)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := newPshard(cfg.QueueCapacity, i, &p.m)
+		if p.admission != nil {
+			s.pins = make(map[string]lanePin)
+		}
 		p.shards = append(p.shards, s)
 		p.wg.Add(1)
 		go p.worker(s)
@@ -336,7 +353,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 // the entry for producers that hold bytes, not an event — dead-letter
 // replay above all; what the bytes mean is the batch processor's business.
 func (p *Pipeline) Enqueue(key string, payload []byte) error {
-	return p.enqueue(nil, "", Envelope{Key: key, Payload: payload}, true)
+	return p.enqueue(context.Background(), "", Envelope{Key: key, Payload: payload}, true)
 }
 
 // EnqueueNotify behaves like Enqueue and additionally marks wg done when
@@ -344,29 +361,25 @@ func (p *Pipeline) Enqueue(key string, payload []byte) error {
 // after any retries) — the hook dead-letter replay uses to wait for its
 // own envelopes without flushing the whole pipeline.
 func (p *Pipeline) EnqueueNotify(key string, payload []byte, wg *sync.WaitGroup) error {
-	return p.enqueue(nil, "", Envelope{Key: key, Payload: payload, notify: wg}, true)
+	return p.enqueue(context.Background(), "", Envelope{Key: key, Payload: payload, notify: wg}, true)
 }
 
 // EnqueueSource enqueues a decoded event in blocking mode, first running
 // it through per-source admission (when configured and source is not ""):
 // the source's token buckets decide the lane, or reject with a
-// ThrottleError carrying a retry hint. The pipeline owns event from here
-// on; the caller must not modify what it points to.
-func (p *Pipeline) EnqueueSource(source, key string, event any) error {
-	return p.enqueue(nil, source, Envelope{Key: key, Event: event}, true)
-}
-
-// EnqueueSourceCtx is EnqueueSource that stops waiting when ctx is
-// cancelled, returning the context error — the shape request handlers need
-// so an abandoned client cannot park a goroutine on a full shard forever.
-func (p *Pipeline) EnqueueSourceCtx(ctx context.Context, source, key string, event any) error {
+// ThrottleError carrying a retry hint. While the lane is full it waits,
+// until ctx is cancelled, which it reports as the context error — so an
+// abandoned HTTP client cannot park a goroutine on a full shard forever.
+// The pipeline owns event from here on; the caller must not modify what
+// it points to.
+func (p *Pipeline) EnqueueSource(ctx context.Context, source, key string, event any) error {
 	return p.enqueue(ctx, source, Envelope{Key: key, Event: event}, true)
 }
 
 // TryEnqueueSource is EnqueueSource in load-shedding mode: a full lane
 // sheds with ErrFull instead of blocking.
 func (p *Pipeline) TryEnqueueSource(source, key string, event any) error {
-	return p.enqueue(nil, source, Envelope{Key: key, Event: event}, false)
+	return p.enqueue(context.Background(), source, Envelope{Key: key, Event: event}, false)
 }
 
 func (p *Pipeline) enqueue(ctx context.Context, source string, env Envelope, block bool) error {
@@ -381,36 +394,34 @@ func (p *Pipeline) enqueue(ctx context.Context, source string, env Envelope, blo
 		}
 		want = dec.lane
 	}
-	// A key with envelopes still queued keeps their lane: a cascade must
-	// never straddle lanes, or the weighted scheduler could reorder it.
-	l := p.sticky.acquire(env.Key, want)
 	s := p.shards[keyHash(env.Key)%uint32(len(p.shards))]
-	if err := p.put(s, ctx, env, l, block); err != nil {
-		p.sticky.release(env.Key)
-		return err
-	}
-	return nil
+	return p.put(s, ctx, env, want, block)
 }
 
 // put inserts the envelope on shard s, blocking (or shedding) while the
-// lane is at capacity.
-func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, l lane, block bool) error {
-	q := &s.lanes[l]
+// lane is at capacity. The lane is want unless the key is pinned to the
+// other one; a parked producer holds its key's pin while it waits, so it
+// cannot wake into a lane its key has left.
+func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, want lane, block bool) error {
 	s.mu.Lock()
+	l := s.pinLocked(env.Key, want)
+	q := &s.lanes[l]
+	var err error
 	if q.full() && !s.stopped {
-		if !block {
-			s.mu.Unlock()
+		if block {
+			err = s.waitNotFullLocked(ctx, q)
+		} else {
+			err = ErrFull
 			s.obsShed[l].Inc()
-			return ErrFull
-		}
-		if err := s.waitNotFullLocked(ctx, q); err != nil {
-			s.mu.Unlock()
-			return err
 		}
 	}
-	if s.stopped {
+	if err == nil && s.stopped {
+		err = ErrClosed
+	}
+	if err != nil {
+		s.unpinLocked(env.Key)
 		s.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	// Count the envelope in-flight before it becomes visible to a worker,
 	// or a fast worker could retire it first and Flush would see a
@@ -427,12 +438,43 @@ func (p *Pipeline) put(s *pshard, ctx context.Context, env Envelope, l lane, blo
 	return nil
 }
 
+// pinLocked returns the lane key's envelope rides: the lane the key is
+// pinned to, else want, which it pins. Without admission it is want and
+// no map is touched. Callers hold s.mu.
+func (s *pshard) pinLocked(key string, want lane) lane {
+	if s.pins == nil {
+		return want
+	}
+	pin, ok := s.pins[key]
+	if !ok {
+		pin.l = want
+	}
+	pin.n++
+	s.pins[key] = pin
+	return pin.l
+}
+
+// unpinLocked drops one envelope from key's pin; the last unpins the key.
+// Callers hold s.mu.
+func (s *pshard) unpinLocked(key string) {
+	if s.pins == nil {
+		return
+	}
+	if pin := s.pins[key]; pin.n > 1 {
+		pin.n--
+		s.pins[key] = pin
+	} else {
+		delete(s.pins, key)
+	}
+}
+
 // waitNotFullLocked parks the producer until lane q has a free slot or the
-// shard stops, or — with a ctx — until ctx is cancelled, which it reports
-// as the context error. Callers hold s.mu. Only a producer that gets here
-// pays for the cancellation hook; the common enqueue never parks.
+// shard stops, or until ctx is cancelled, which it reports as the context
+// error. Callers hold s.mu. Only a producer that gets here with a
+// cancellable ctx pays for the cancellation hook; the common enqueue never
+// parks.
 func (s *pshard) waitNotFullLocked(ctx context.Context, q *laneQueue) error {
-	if ctx != nil {
+	if ctx.Done() != nil {
 		// Wake the wait loop below on cancellation. Broadcasting under the
 		// shard lock pairs with the loop's ctx re-check: the waiter either
 		// sees the error before parking or is woken after. (stop never
@@ -445,10 +487,8 @@ func (s *pshard) waitNotFullLocked(ctx context.Context, q *laneQueue) error {
 		defer stop()
 	}
 	for q.full() && !s.stopped {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		s.notFull.Wait()
 	}
@@ -479,7 +519,9 @@ func (s *pshard) requeueReady(env Envelope) {
 // lanes under deficit-weighted round-robin. Each pass grants every
 // backlogged lane its quantum, so a saturated burst lane cannot starve
 // the steady feed — and an empty lane's deficit resets rather than
-// banking credit it would later dump as a latency spike.
+// banking credit it would later dump as a latency spike. An envelope
+// leaving its lane drops its key's pin; every lane envelope is a first
+// delivery (retries come back through ready, unpinned).
 func (s *pshard) next(max int, quantum [numLanes]int) []Envelope {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -510,6 +552,11 @@ func (s *pshard) next(max int, quantum [numLanes]int) []Envelope {
 				batch = q.popTo(batch, take)
 				q.deficit -= take
 				fromLanes = true
+				if s.pins != nil {
+					for _, env := range batch[len(batch)-take:] {
+						s.unpinLocked(env.Key)
+					}
+				}
 			}
 			if len(batch) >= max {
 				break
@@ -554,16 +601,10 @@ func (p *Pipeline) worker(s *pshard) {
 		p.m.batches.Observe(int64(len(batch)))
 		drained := p.now().UnixNano()
 		for i := range batch {
-			env := &batch[i]
-			if env.Attempt == 0 {
-				// First dispatch: the envelope leaves its lane, so the key's
-				// sticky lane pin drops with it. Retried envelopes (Attempt >
-				// 0) arrive via the ready buffer; their wait is the scheduled
-				// backoff, recorded separately.
-				p.sticky.release(env.Key)
-				if env.enqueuedNs > 0 {
-					s.obsQueueWait.Observe(drained - env.enqueuedNs)
-				}
+			// Retried envelopes (Attempt > 0) arrive via the ready buffer;
+			// their wait is the scheduled backoff, recorded separately.
+			if env := &batch[i]; env.Attempt == 0 && env.enqueuedNs > 0 {
+				s.obsQueueWait.Observe(drained - env.enqueuedNs)
 			}
 		}
 		results := p.cfg.Process(s.id, batch)
@@ -760,61 +801,6 @@ func (r *drainRate) estimate() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.perSec
-}
-
-// stickyLanes pins a key to one lane while any of its envelopes are
-// queued: admission may classify a cascade's later events differently
-// (the source's steady bucket refilled, say), but letting one key span
-// both lanes would let the weighted scheduler reorder it. Pins are
-// striped 16 ways to keep the enqueue path from serialising on one lock.
-type stickyLanes struct {
-	stripes [16]stickyStripe
-}
-
-type stickyStripe struct {
-	mu sync.Mutex
-	m  map[string]*stickyPin
-}
-
-type stickyPin struct {
-	l lane
-	n int
-}
-
-func (t *stickyLanes) init() {
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[string]*stickyPin)
-	}
-}
-
-func (t *stickyLanes) stripe(key string) *stickyStripe {
-	return &t.stripes[keyHash(key)&uint32(len(t.stripes)-1)]
-}
-
-// acquire pins key to want — or to its existing lane if already pinned —
-// and bumps the pin count.
-func (t *stickyLanes) acquire(key string, want lane) lane {
-	st := t.stripe(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if pin := st.m[key]; pin != nil {
-		pin.n++
-		return pin.l
-	}
-	st.m[key] = &stickyPin{l: want, n: 1}
-	return want
-}
-
-// release drops one pin; the last release unpins the key.
-func (t *stickyLanes) release(key string) {
-	st := t.stripe(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if pin := st.m[key]; pin != nil {
-		if pin.n--; pin.n <= 0 {
-			delete(st.m, key)
-		}
-	}
 }
 
 // ShardStats is one shard's queue and shed breakdown.

@@ -223,10 +223,10 @@ func TestPipelineEnqueueCtxCancelUnblocks(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	unblocked := make(chan error, 1)
-	go func() { unblocked <- p.EnqueueSourceCtx(ctx, "", "k", []byte("parked")) }()
+	go func() { unblocked <- p.EnqueueSource(ctx, "", "k", []byte("parked")) }()
 	select {
 	case err := <-unblocked:
-		t.Fatalf("EnqueueSourceCtx returned on a full paused queue: %v", err)
+		t.Fatalf("EnqueueSource returned on a full paused queue: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	cancel()
@@ -236,7 +236,7 @@ func TestPipelineEnqueueCtxCancelUnblocks(t *testing.T) {
 			t.Fatalf("cancelled enqueue: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("EnqueueSourceCtx never unblocked on cancellation")
+		t.Fatal("EnqueueSource never unblocked on cancellation")
 	}
 	// The cancelled envelope was never accepted: draining commits one.
 	p.Resume()

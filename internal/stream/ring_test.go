@@ -126,14 +126,14 @@ func TestPshardMatchesSliceModel(t *testing.T) {
 					l := lane(rng.Intn(int(numLanes)))
 					env := newEnvelope()
 					if !ref.full(l) {
-						if err := p.put(s, nil, env, l, rng.Intn(2) == 0); err != nil {
+						if err := p.put(s, context.Background(), env, l, rng.Intn(2) == 0); err != nil {
 							t.Fatalf("put on a lane with room: %v", err)
 						}
 						ref.put(env, l)
 						continue
 					}
 					if rng.Intn(2) == 0 { // shed mode on a full lane
-						if err := p.put(s, nil, env, l, false); !errors.Is(err, ErrFull) {
+						if err := p.put(s, context.Background(), env, l, false); !errors.Is(err, ErrFull) {
 							t.Fatalf("shed-mode put on a full lane: %v", err)
 						}
 						ref.shed[l]++
@@ -146,7 +146,7 @@ func TestPshardMatchesSliceModel(t *testing.T) {
 						paused = false
 					}
 					done := make(chan error, 1)
-					go func() { done <- p.put(s, nil, env, l, true) }()
+					go func() { done <- p.put(s, context.Background(), env, l, true) }()
 					for ref.full(l) {
 						select {
 						case err := <-done:
@@ -221,7 +221,7 @@ func TestPshardNextAllocatesOnlyTheBatch(t *testing.T) {
 	ev := &struct{ n int }{1}
 	fill := func(n int) {
 		for i := 0; i < n; i++ {
-			if err := p.put(s, nil, Envelope{Key: "k", Event: ev}, LaneSteady, false); err != nil {
+			if err := p.put(s, context.Background(), Envelope{Key: "k", Event: ev}, LaneSteady, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,7 +257,7 @@ func TestPipelineCtxCancelWhileParkedAmongMany(t *testing.T) {
 	// A context already cancelled: a full lane refuses at once.
 	gone, cancelGone := context.WithCancel(context.Background())
 	cancelGone()
-	if err := p.EnqueueSourceCtx(gone, "", "k", 0); !errors.Is(err, context.Canceled) {
+	if err := p.EnqueueSource(gone, "", "k", 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context on a full lane: %v", err)
 	}
 
@@ -272,7 +272,7 @@ func TestPipelineCtxCancelWhileParkedAmongMany(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = p.EnqueueSourceCtx(ctx, "", "k", i)
+			errs[i] = p.EnqueueSource(ctx, "", "k", i)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond) // let most of them park; the rest register even later
@@ -312,7 +312,7 @@ func BenchmarkPipelineDequeue(b *testing.B) {
 			s := newPshard(depth, 0, &p.m)
 			env := Envelope{Key: "k", Event: &struct{ n int }{1}}
 			for i := 0; i < depth; i++ {
-				if err := p.put(s, nil, env, LaneSteady, false); err != nil {
+				if err := p.put(s, context.Background(), env, LaneSteady, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -322,7 +322,7 @@ func BenchmarkPipelineDequeue(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				got := s.next(batch, quantum)
 				for range got {
-					if err := p.put(s, nil, env, LaneSteady, false); err != nil {
+					if err := p.put(s, context.Background(), env, LaneSteady, false); err != nil {
 						b.Fatal(err)
 					}
 				}
