@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/compute"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rdbms"
@@ -591,9 +590,6 @@ func (s *Server) handleReviewList(w http.ResponseWriter, r *http.Request) {
 
 // reindexRequest is the optional POST /api/reindex body.
 type reindexRequest struct {
-	// Workers overrides the compute-pool parallelism for this run
-	// (0 = the platform's shared pool).
-	Workers int `json:"workers"`
 	// Force re-evaluates every row, ignoring the model-generation
 	// watermark that normally skips rows already current under the live
 	// models.
@@ -621,19 +617,11 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONAllowEmpty(w, r, maxControlBody, &req) {
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, errors.New("workers must be non-negative"))
-		return
-	}
-	pool := s.platform.Compute
-	if req.Workers > 0 {
-		pool = compute.NewPool(req.Workers, s.platform.Metrics)
-	}
 	var opts []core.ReindexOption
 	if req.Force {
 		opts = append(opts, core.ReindexForce())
 	}
-	rep, err := s.platform.ReindexCorpus(pool, opts...)
+	rep, err := s.platform.ReindexCorpus(s.platform.Compute, opts...)
 	if err != nil {
 		if errors.Is(err, core.ErrDegraded) || errors.Is(err, core.ErrFollower) {
 			writeError(w, http.StatusServiceUnavailable, err)

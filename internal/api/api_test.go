@@ -675,21 +675,10 @@ func TestAdminReindexEndpoint(t *testing.T) {
 	if assessment.Clickbait != fresh.Content.Clickbait {
 		t.Error("stored assessment still stale after POST /api/reindex")
 	}
-	// Workers override: explicit parallelism, same outcome (idempotent now).
-	rec, payload = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": 2})
-	if rec.Code != http.StatusOK || payload["changed"].(float64) != 0 {
-		t.Errorf("second reindex: %d %v", rec.Code, payload)
-	}
-	// A huge worker count is a bound, not an allocation: each job runs on
-	// at most as many goroutines as it has elements.
-	rec, payload = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": 1 << 40, "force": true})
+	// Force re-evaluates every row, current or not.
+	rec, payload = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"force": true})
 	if rec.Code != http.StatusOK || int(payload["articles"].(float64)) != len(w.Articles) {
-		t.Errorf("reindex with 2^40 workers: %d %v", rec.Code, payload)
-	}
-	// Invalid workers → 400; GET → 404/405 (not mounted).
-	rec, _ = doJSON(t, srv, "POST", "/api/reindex", map[string]any{"workers": -1})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("negative workers: %d", rec.Code)
+		t.Errorf("forced reindex: %d %v", rec.Code, payload)
 	}
 }
 

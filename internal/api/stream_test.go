@@ -425,7 +425,7 @@ func TestThrottledSourceAnswers429WithRetryAfter(t *testing.T) {
 	for i := range events {
 		events[i] = synth.Event{
 			Type: synth.EventTypePosting, PostID: fmt.Sprintf("hot-%d", i),
-			OutletID: "hot", ArticleURL: "https://hot.example.com/story",
+			OutletID: "good-1", ArticleURL: "https://good-1.example/story",
 			ArticleID: "hot-story", ArticleHTML: "<html><body><p>breaking</p></body></html>",
 		}
 	}
@@ -454,7 +454,7 @@ func TestThrottledSourceAnswers429WithRetryAfter(t *testing.T) {
 		// rejection is counted.
 		t.Errorf("throttled counter = %d, want 1", ss.Throttled)
 	}
-	if len(ss.Admission) != 1 || ss.Admission[0].Source != "hot.example.com" {
+	if len(ss.Admission) != 1 || ss.Admission[0].Source != "good-1.example" {
 		t.Fatalf("admission stats: %+v", ss.Admission)
 	}
 	if a := ss.Admission[0]; a.Steady != 1 || a.Burst != 2 || a.Throttled != 1 {

@@ -108,21 +108,45 @@ func TestReviewsSurviveRestart(t *testing.T) {
 // stored has no reviews table. It opens, gains an empty one declared like
 // a fresh platform's, and every other table comes back unchanged.
 func TestReviewsTableCreatedOnUpgrade(t *testing.T) {
-	dir := t.TempDir()
 	const days = 3
 	w := synth.GenerateWorld(synth.Config{Seed: 65, Days: days, RateScale: 0.2, ReactionScale: 0.2})
-	p := durablePlatform(t, dir, days, nil)
+	p := durablePlatform(t, t.TempDir(), days, nil)
+	defer p.Close()
 	if _, err := p.IngestWorld(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DB.DropTable(ReviewsTable); err != nil {
+	// The pre-reviews data dir: every other table of p, as declared
+	// (schema, stripe count, indexes) and with its rows, in a fresh store.
+	dir := t.TempDir()
+	old, err := rdbms.OpenWithOptions(dir, rdbms.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]rdbms.Row{}
 	for _, table := range allTables[:len(allTables)-1] {
+		from, err := p.DB.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to, err := old.CreateTablePartitioned(table, from.Schema(), from.Partitions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range from.Schema().Cols {
+			if kind, ok := from.IndexKindOf(c.Name); ok {
+				if err := to.CreateIndex(c.Name, kind); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		want[table] = tableRows(t, p, table)
+		for _, r := range want[table] {
+			if _, err := to.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := p.Close(); err != nil {
+	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -309,20 +309,27 @@ func (p *Platform) StreamEventCtx(ctx context.Context, ev *synth.Event) error {
 	return p.Pipeline.EnqueueSource(ctx, p.eventSource(ev), ev.ArticleURL, ev)
 }
 
+// unregisteredSource is the one admission source every event whose
+// article host is not a registered outlet shares. It is not empty: the
+// empty source skips admission.
+const unregisteredSource = "unregistered"
+
 // eventSource is the admission identity of one firehose event: the
-// article's host (the outlet's domain), falling back to the outlet id for
-// events whose URL does not parse. Reactions inherit their article's
-// source, which is exactly right — a viral cascade is that article's
-// burst, not the reacting users'. Without admission nothing reads the
-// source, so the URL is not parsed for it.
+// registered outlet its article's host belongs to, by the outlet's domain.
+// The URL and the outlet id are both untrusted input, so any other event —
+// unknown host, unparseable URL — lands in the one unregisteredSource, and
+// admission keeps at most one bucket pair per registered outlet plus one.
+// Reactions inherit their article's source, which is exactly right — a
+// viral cascade is that article's burst, not the reacting users'. Without
+// admission nothing reads the source, so the URL is not parsed for it.
 func (p *Platform) eventSource(ev *synth.Event) string {
 	if !p.admission {
 		return ""
 	}
-	if h := hostOf(ev.ArticleURL); h != "" {
-		return h
+	if o, ok := p.Registry.ByDomain(hostOf(ev.ArticleURL)); ok {
+		return o.Domain
 	}
-	return ev.OutletID
+	return unregisteredSource
 }
 
 // countFailure feeds the platform failure counters for one event's final

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/outlets"
 	"repro/internal/rdbms"
+	"repro/internal/stream"
 	"repro/internal/synth"
 )
 
@@ -363,6 +366,46 @@ func TestForeignEnvelopeEventDeadLetters(t *testing.T) {
 	}
 	if ss := p.StreamStats(); ss.Retried != 0 || ss.Malformed != 1 || ss.Committed != 0 {
 		t.Errorf("stats: %+v", ss)
+	}
+}
+
+// TestAdmissionSourcesAreBounded: admission keys its buckets by registered
+// outlet, so a firehose of unknown hosts — and events whose URL does not
+// parse, whatever outlet id they claim — share one source instead of
+// growing the map by one entry per host.
+func TestAdmissionSourcesAreBounded(t *testing.T) {
+	p, err := NewPlatform(Config{
+		Clock:         func() time.Time { return synth.WindowStart },
+		AdmissionRate: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Pipeline.Pause()
+	defer p.Pipeline.Resume()
+	event := func(url, outlet string) *synth.Event {
+		return &synth.Event{Type: synth.EventTypeReaction, PostID: "r", Kind: "like", UserID: "u",
+			OutletID: outlet, ArticleURL: url, Time: synth.WindowStart}
+	}
+	send := func(ev *synth.Event) {
+		err := p.StreamEvent(ev, false)
+		if err != nil && !errors.Is(err, stream.ErrThrottled) && !errors.Is(err, stream.ErrFull) {
+			t.Fatal(err)
+		}
+	}
+	for i := range 5000 {
+		send(event(fmt.Sprintf("https://host-%d.example.net/story", i), fmt.Sprintf("outlet-%d", i)))
+	}
+	send(event("::not a url", "claimed-outlet"))
+	send(event("https://www.good-1.example/story", ""))
+	send(event("https://good-1.example/other", ""))
+	got := map[string]uint64{}
+	for _, a := range p.StreamStats().Admission {
+		got[a.Source] = a.Steady + a.Burst + a.Throttled
+	}
+	if want := map[string]uint64{unregisteredSource: 5001, "good-1.example": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("admission sources (events seen): %v, want %v", got, want)
 	}
 }
 

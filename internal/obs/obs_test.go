@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -236,13 +237,19 @@ func BenchmarkRecordHistogram(b *testing.B) {
 	}
 }
 
+// BenchmarkRecordHistogramParallel observes from every goroutine at once.
+// Each goroutine walks its own value sequence: Observe picks its stripe by
+// hashing the value, so goroutines sharing one sequence would land on the
+// same stripe at the same time and measure one stripe, not the striping.
 func BenchmarkRecordHistogramParallel(b *testing.B) {
 	h := NewRegistry().NewDurationHistogram("bench_par_seconds", "help")
+	var goroutines atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		i := 0
+		base := goroutines.Add(1) << 20
+		i := int64(0)
 		for pb.Next() {
-			h.Observe(int64(i)&0xfffff + 1000)
+			h.Observe(base + i&0xfffff + 1000)
 			i++
 		}
 	})

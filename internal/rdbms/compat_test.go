@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -158,7 +159,11 @@ func compatRow(i int) Row {
 // buildCompatDir runs a fixed single-threaded script against a fresh data
 // directory: a base generation, a delta generation and a WAL tail, with
 // inserts, updates, a pk move, Mutate, deletes and the edge values of
-// every kind. It returns the rows the directory must recover to.
+// every kind. It returns the rows the directory must recover to. A table
+// never re-keys a row, so the pk move — an update record whose key differs
+// from its row's, as the code that wrote the fixture logged it — is
+// appended to the log directly; the in-memory table never sees it, and
+// Close writes no generation that could.
 func buildCompatDir(t testing.TB, dir string) map[string]Row {
 	t.Helper()
 	check := func(err error) {
@@ -215,7 +220,7 @@ func buildCompatDir(t testing.TB, dir string) map[string]Row {
 	}
 	moved := compatRow(20)
 	moved[0] = String("row-moved")
-	check(update(tbl, String("row-0020"), moved))
+	check(tbl.wal.append(walRecord{Op: walUpdate, Table: tbl.Name(), Key: String("row-0020"), Row: moved}))
 	delete(want, "row-0020")
 	want["row-moved"] = moved
 	check(tbl.Mutate(String("row-0021"), func(r Row) (Row, error) {
@@ -341,6 +346,125 @@ func TestOnDiskBytesUnchanged(t *testing.T) {
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: %d bytes written differ from the fixture's %d", rel, len(a), len(b))
+		}
+	}
+}
+
+// TestLegacyDropTableRecordRefused: a log written by a version that could
+// drop tables may hold a drop-table record. It still decodes — a decode
+// error would read as a torn tail, truncate the segment and silently lose
+// every later record — but Open refuses to apply it, names it, and leaves
+// the segment as it found it.
+func TestLegacyDropTableRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, tbl := openTestDB(t, dir)
+	social, err := db.CreateTable("social", mustSchema(t, "article_id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if _, err := social.Insert(Row{String(fmt.Sprintf("a-%d", i)), Int(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.wal.append(walRecord{Op: walDropTable, Table: "social"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if _, err := tbl.Insert(articleRow(i, "o", "after the drop", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, dir)
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenWithOptions(dir, Options{})
+	if err == nil {
+		re.Close()
+		t.Fatal("a log holding a drop-table record opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "drop-table record") || !strings.Contains(msg, `"social"`) {
+		t.Errorf("open error does not name the record: %v", err)
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused open rewrote the segment: %d bytes -> %d", len(before), len(after))
+	}
+}
+
+// TestDropTableKillRecover: a drop-table record in the WAL after a
+// checkpoint that captured the table — the log of a crash right after a
+// drop, as older versions wrote it — makes recovery fail loudly instead
+// of resurrecting the table from the chain or silently dropping it.
+func TestDropTableKillRecover(t *testing.T) {
+	dir := t.TempDir()
+	db, tbl := openTestDB(t, dir)
+	social, err := db.CreateTable("social", mustSchema(t, "article_id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 20; i++ {
+		if _, err := tbl.Insert(articleRow(i, "o", "keep", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := social.Insert(Row{String(fmt.Sprintf("a-%d", i)), Int(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The chain now carries both tables; the drop exists only in the WAL.
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.wal.append(walRecord{Op: walDropTable, Table: "social"}); err != nil {
+		t.Fatal(err)
+	}
+
+	db.Abandon() // crash: recovery = chain (with social) + WAL (with the drop)
+	re, err := OpenWithOptions(dir, Options{})
+	if err == nil {
+		re.Close()
+		t.Fatal("recovery over a drop-table record opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "drop-table record") || !strings.Contains(msg, `"social"`) {
+		t.Errorf("open error does not name the record: %v", err)
+	}
+}
+
+// TestReplayDropTable: replaying a drop-table record after the create
+// stops with an error naming the record, and the table stays.
+func TestReplayDropTable(t *testing.T) {
+	var buf bytes.Buffer
+	db := newBufDB(&buf)
+	if _, err := db.CreateTable("articles", articleSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable("social", mustSchema(t, "article_id")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.wal.append(walRecord{Op: walDropTable, Table: "social"}); err != nil {
+		t.Fatal(err)
+	}
+
+	re := NewDB()
+	applied, err := replay(re, &buf)
+	if err == nil || !strings.Contains(err.Error(), "drop-table record") || !strings.Contains(err.Error(), `"social"`) {
+		t.Fatalf("replay of a drop-table record: %v", err)
+	}
+	if applied != 2 {
+		t.Errorf("applied %d records before the drop, want 2", applied)
+	}
+	for _, name := range []string{"articles", "social"} {
+		if _, err := re.Table(name); err != nil {
+			t.Errorf("table %s after refused drop: %v", name, err)
 		}
 	}
 }

@@ -69,15 +69,6 @@ type DB struct {
 	snapDeltas []int // delta generation numbers, chain order
 	snapGen    int   // highest generation number ever allocated
 
-	// Drop bookkeeping (guarded by statsMu): dropEpoch counts DropTable
-	// calls, handledDropEpoch the drops captured by a FULL generation.
-	// While they differ, a delta checkpoint could let the WAL floor pass
-	// the drop record while chained generations still carry the dropped
-	// table — recovery would resurrect it — so checkpoints compact until
-	// the drop is folded into a base.
-	dropEpoch        int
-	handledDropEpoch int
-
 	// Replication holds (guarded by replMu): per-follower pins that stop
 	// the checkpoint prune from deleting WAL segments or snapshot
 	// generations a registered replication cursor still needs (repl.go).
@@ -143,27 +134,6 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("table %q: %w", name, ErrNotFound)
 	}
 	return t, nil
-}
-
-// DropTable removes the named table. The drop is WAL-logged write-ahead
-// like every other DDL statement, so a recovery replaying the log does not
-// resurrect the table.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("table %q: %w", name, ErrNotFound)
-	}
-	if db.wal != nil {
-		if err := db.wal.append(walRecord{Op: walDropTable, Table: name}); err != nil {
-			return err
-		}
-	}
-	delete(db.tables, name)
-	db.statsMu.Lock()
-	db.dropEpoch++
-	db.statsMu.Unlock()
-	return nil
 }
 
 // TableNames returns the table names (unordered).

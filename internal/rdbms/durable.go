@@ -590,16 +590,6 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 	_ = db.fs.SyncDir(db.dir)
 
 	full := db.snapBase == 0 || db.deltaLimit < 0 || len(db.snapDeltas) >= db.deltaLimit
-	// A dropped table not yet folded into a base generation forces a
-	// compaction: a delta would let the WAL floor pass the drop record
-	// while an older chained generation still carries the table, and the
-	// next recovery would resurrect it.
-	db.statsMu.Lock()
-	dropsSeen := db.dropEpoch
-	if dropsSeen > db.handledDropEpoch {
-		full = true
-	}
-	db.statsMu.Unlock()
 
 	// 2. Serialise the generation to a temp directory, fsync, then
 	// 3. atomically install: rename the directory, then commit by
@@ -655,9 +645,6 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		}
 		db.statsMu.Lock()
 		db.snapBase, db.snapDeltas = base, deltas
-		if full && dropsSeen > db.handledDropEpoch {
-			db.handledDropEpoch = dropsSeen
-		}
 		db.statsMu.Unlock()
 		st.Generation = gen
 		st.DeltaChainLen = len(deltas)

@@ -101,7 +101,13 @@ func TestKillAndRecover(t *testing.T) {
 	for i := int64(1); i < 50; i += 2 {
 		tbl.Delete(Int(i))
 	}
-	update(tbl, Int(100), articleRow(5100, "moved", "pk-move", 1)) // cross-partition move in the WAL
+	// A re-key in the WAL: delete + insert, across partitions.
+	if err := tbl.Delete(Int(100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Insert(articleRow(5100, "moved", "re-keyed", 1)); err != nil {
+		t.Fatal(err)
+	}
 	want := dumpDB(t, db)
 
 	// Crash: no Close, no final checkpoint. Per-record flushing means the

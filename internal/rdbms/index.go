@@ -168,11 +168,9 @@ func (h *hashIdx) probe(i, tag uint32, v Value) (uint32, bool) {
 	return 0, false
 }
 
-// lookupOne returns the first-inserted matching row id without allocating
-// — the primary-key fast path, where at most one row matches.
-func (h *hashIdx) lookupOne(v Value) (int, bool) { return h.lookupOneTag(v.hash32(), v) }
-
-// lookupOneTag is lookupOne with v's hash32 precomputed.
+// lookupOneTag returns the first-inserted row id matching v, whose hash32
+// is tag, without allocating — the primary-key fast path, where at most
+// one row matches.
 func (h *hashIdx) lookupOneTag(tag uint32, v Value) (int, bool) {
 	i, ok := h.probe(h.home(tag), tag, v)
 	if !ok {

@@ -67,6 +67,9 @@ func (m *idxModel) remove(id int, key Value) {
 	m.live--
 }
 
+// lookupOne is lookupOneTag hashing v itself.
+func (h *hashIdx) lookupOne(v Value) (int, bool) { return h.lookupOneTag(v.hash32(), v) }
+
 // rowIDs collects the row ids h yields for key, in probe order.
 func rowIDs(h *hashIdx, key Value) []int {
 	var ids []int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -35,6 +36,9 @@ func rowsIdentical(a, b []Row) bool { return slices.EqualFunc(a, b, Row.Identica
 // dumpsIdentical compares two dumpDB results table by table.
 func dumpsIdentical(a, b map[string][]Row) bool { return maps.EqualFunc(a, b, rowsIdentical) }
 
+// partFor routes a primary-key value to its partition index.
+func (t *Table) partFor(pk Value) int { return t.partForKey(pk.hash32()) }
+
 func partitionedArticleTable(t *testing.T, parts int) *Table {
 	t.Helper()
 	db := NewDBWithOptions(Options{Partitions: parts})
@@ -46,7 +50,7 @@ func partitionedArticleTable(t *testing.T, parts int) *Table {
 }
 
 // TestPartitionedEquivalence drives the same mixed workload — inserts,
-// updates, upserts, mutates, deletes, pk moves — through a single-lock
+// updates, upserts, mutates, deletes, re-keys — through a single-lock
 // table (P=1) and partitioned tables, and requires logically identical
 // contents and query results. This is the pin for the lock-striping
 // refactor: partitioning must be invisible through the API.
@@ -83,10 +87,14 @@ func TestPartitionedEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// PK moves, including ones that change partition.
+		// Re-keys as delete + insert, many of them across partitions.
 		for i := int64(7); i < 50; i += 7 {
-			moved := articleRow(i+1000, "moved", "m", 1)
-			if err := update(tbl, Int(i), moved); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := tbl.Delete(Int(i)); errors.Is(err, ErrNotFound) {
+				continue
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.Insert(articleRow(i+1000, "moved", "m", 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,55 +188,174 @@ func TestMergedRangeAscendingAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestCrossPartitionPKMove exercises Update and Mutate moves whose new key
-// hashes to a different stripe.
+// TestCrossPartitionPKMove: updates whose new key hashes to another
+// stripe are refused like any key change, and leave every row and the
+// secondary index where they were.
 func TestCrossPartitionPKMove(t *testing.T) {
 	tbl := partitionedArticleTable(t, 8)
-	tbl.CreateIndex("outlet", HashIndex)
-	for i := int64(0); i < 64; i++ {
-		tbl.Insert(articleRow(i, "o", "t", float64(i)))
-	}
-	// Update-based moves: every key moves to key+1000 (many cross stripes).
-	for i := int64(0); i < 64; i++ {
-		if err := update(tbl, Int(i), articleRow(i+1000, "o", "moved", float64(i))); err != nil {
-			t.Fatalf("move %d: %v", i, err)
-		}
-	}
-	if tbl.Len() != 64 {
-		t.Fatalf("len after moves: %d", tbl.Len())
-	}
-	for i := int64(0); i < 64; i++ {
-		if _, err := tbl.Get(Int(i)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("old pk %d lingers", i)
-		}
-		r, err := tbl.Get(Int(i + 1000))
-		if err != nil || r[2].Str() != "moved" {
-			t.Fatalf("new pk %d: %v %v", i+1000, r, err)
-		}
-	}
-	// Secondary index stayed consistent across the moves.
-	rows, err := lookupEq(tbl, "outlet", String("o"))
-	if err != nil || len(rows) != 64 {
-		t.Fatalf("index after moves: %d %v", len(rows), err)
-	}
-	// Mutate-based move.
-	if err := tbl.Mutate(Int(1000), func(r Row) (Row, error) {
-		r[0] = Int(4242)
-		r[2] = String("mutate-moved")
-		return r, nil
-	}); err != nil {
+	if err := tbl.CreateIndex("outlet", HashIndex); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Get(Int(1000)); !errors.Is(err, ErrNotFound) {
-		t.Fatal("mutate move left old pk")
+	for i := int64(0); i < 64; i++ {
+		if _, err := tbl.Insert(articleRow(i, "o", "t", float64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r, err := tbl.Get(Int(4242))
-	if err != nil || r[2].Str() != "mutate-moved" {
-		t.Fatalf("mutate move: %v %v", r, err)
+	before := dumpRows(t, tbl)
+	cross := 0
+	for i := int64(0); i < 64; i++ {
+		if tbl.partFor(Int(i)) != tbl.partFor(Int(i+1000)) {
+			cross++
+		}
+		if err := update(tbl, Int(i), articleRow(i+1000, "o", "moved", float64(i))); !errors.Is(err, ErrSchema) {
+			t.Fatalf("move %d: %v, want ErrSchema", i, err)
+		}
 	}
-	// Moving onto an existing key fails whichever stripe it lives in.
-	if err := update(tbl, Int(4242), articleRow(1001, "o", "clash", 0)); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("cross-partition clash: %v", err)
+	if cross == 0 {
+		t.Fatal("fixture: no move crosses stripes")
+	}
+	// Moving onto an existing key in another stripe is refused the same way.
+	for i := int64(1); i < 64; i++ {
+		if tbl.partFor(Int(i)) != tbl.partFor(Int(0)) {
+			if err := update(tbl, Int(0), articleRow(i, "o", "clash", 0)); !errors.Is(err, ErrSchema) {
+				t.Fatalf("cross-partition clash 0 -> %d: %v", i, err)
+			}
+			break
+		}
+	}
+	if !rowsIdentical(before, dumpRows(t, tbl)) {
+		t.Fatal("refused moves changed the table")
+	}
+	rows, err := lookupEq(tbl, "outlet", String("o"))
+	if err != nil || len(rows) != 64 {
+		t.Fatalf("index after refused moves: %d %v", len(rows), err)
+	}
+}
+
+// TestMutateRefusesKeyChange: a row keeps its primary key. A Mutate whose
+// fn returns another key — fresh or taken, in the row's stripe or in
+// another — is refused with ErrSchema after one call of fn, and leaves the
+// row, both kinds of secondary index and the WAL as they were.
+func TestMutateRefusesKeyChange(t *testing.T) {
+	for _, parts := range []int{1, 8} {
+		db, err := OpenWithOptions(t.TempDir(), Options{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("articles", articleSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateIndex("outlet", HashIndex); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateIndex("score", OrderedIndex); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(1); i <= 40; i++ {
+			if _, err := tbl.Insert(articleRow(i, fmt.Sprintf("o%d", i), "t", float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Target keys: the first taken (2..40) and the first fresh
+		// (100..999) key in the row's own stripe and, at P > 1, in another.
+		home := tbl.partFor(Int(1))
+		targets := map[string]int64{}
+		for _, keys := range []struct {
+			kind     string
+			from, to int64
+		}{{"taken", 2, 40}, {"fresh", 100, 999}} {
+			for k := keys.from; k <= keys.to; k++ {
+				name := keys.kind + "/same-stripe"
+				if tbl.partFor(Int(k)) != home {
+					name = keys.kind + "/cross-stripe"
+				}
+				if _, seen := targets[name]; !seen {
+					targets[name] = k
+				}
+			}
+		}
+		if len(targets) != 2*min(parts, 2) {
+			t.Fatalf("P=%d: found targets %v", parts, targets)
+		}
+		before := dumpRows(t, tbl)
+		walBytes := db.StorageStats().WALBytes
+		for _, name := range slices.Sorted(maps.Keys(targets)) {
+			k := targets[name]
+			t.Run(fmt.Sprintf("P=%d/%s", parts, name), func(t *testing.T) {
+				calls := 0
+				err := tbl.Mutate(Int(1), func(r Row) (Row, error) {
+					calls++
+					r[0] = Int(k)
+					r[1] = String("rekeyed")
+					r[3] = Float(-1)
+					return r, nil
+				})
+				if !errors.Is(err, ErrSchema) {
+					t.Fatalf("key change 1 -> %d: %v, want ErrSchema", k, err)
+				}
+				if calls != 1 {
+					t.Errorf("fn ran %d times, want 1", calls)
+				}
+				if !rowsIdentical(before, dumpRows(t, tbl)) {
+					t.Error("refused mutate changed the table")
+				}
+				if got := db.StorageStats().WALBytes; got != walBytes {
+					t.Errorf("refused mutate logged %d WAL bytes", got-walBytes)
+				}
+				if rows, err := lookupEq(tbl, "outlet", String("o1")); err != nil || len(rows) != 1 || !rows[0].Identical(before[0]) {
+					t.Errorf("hash index outlet=o1: %v %v", rows, err)
+				}
+				if rows, _ := lookupEq(tbl, "outlet", String("rekeyed")); len(rows) != 0 {
+					t.Errorf("hash index outlet=rekeyed: %v", rows)
+				}
+				if rows, err := lookupEq(tbl, "score", Float(1)); err != nil || len(rows) != 1 || !rows[0].Identical(before[0]) {
+					t.Errorf("ordered index score=1: %v %v", rows, err)
+				}
+				if rows, _ := lookupEq(tbl, "score", Float(-1)); len(rows) != 0 {
+					t.Errorf("ordered index score=-1: %v", rows)
+				}
+			})
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Identity is the hash indexes': -0 is another key than 0, and NaN
+	// is its own key, although Value.Equal says the opposite of both. So
+	// a key 0 -> -0 is a key change, and a hash-indexed column moving
+	// 0 -> -0 moves its index entry.
+	s, err := NewSchema([]Column{{Name: "k", Type: TFloat}, {Name: "v", Type: TFloat}}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := NewDB().CreateTable("floats", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("v", HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	nan, negZero := Float(math.NaN()), Float(math.Copysign(0, -1))
+	for _, k := range []Value{Float(0), nan} {
+		if _, err := tbl.Insert(Row{k, Float(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Mutate(Float(0), func(r Row) (Row, error) { r[0] = negZero; return r, nil }); !errors.Is(err, ErrSchema) {
+		t.Errorf("key 0 -> -0: %v, want ErrSchema", err)
+	}
+	if err := tbl.Mutate(nan, func(r Row) (Row, error) { r[1] = negZero; return r, nil }); err != nil {
+		t.Errorf("NaN-keyed row: %v", err)
+	}
+	if r, err := tbl.Get(nan); err != nil || !r[1].sameKey(negZero) {
+		t.Errorf("NaN-keyed row after mutate: %v %v", r, err)
+	}
+	for _, v := range []Value{Float(0), negZero} {
+		if rows, err := lookupEq(tbl, "v", v); err != nil || len(rows) != 1 {
+			t.Errorf("hash index v=%v: %d rows (%v), want 1", v, len(rows), err)
+		}
 	}
 }
 

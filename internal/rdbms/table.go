@@ -95,11 +95,9 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Partitions returns the table's lock-stripe count.
 func (t *Table) Partitions() int { return len(t.parts) }
 
-// partFor routes a primary-key value to its partition index.
-func (t *Table) partFor(pk Value) int { return t.partForKey(pk.hash32()) }
-
-// partForKey routes a precomputed primary-key hash32: the hot paths hash
-// the key once and reuse the word for both routing and the pk index.
+// partForKey routes a primary key, by its hash32, to its partition index:
+// the hot paths hash the key once and reuse the word for both routing and
+// the pk index.
 func (t *Table) partForKey(h uint32) int { return int(h % uint32(len(t.parts))) }
 
 // Len returns the number of live rows.
@@ -302,103 +300,28 @@ func (t *Table) ViewEq(col string, v Value, fn func(Row) bool) error {
 	return nil
 }
 
-// lockPair write-locks two distinct partitions in index order (the global
-// lock order, so concurrent cross-partition moves cannot deadlock) and
-// returns the unlock function.
-func (t *Table) lockPair(pi, pj int) func() {
-	lo, hi := pi, pj
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	t.parts[lo].mu.Lock()
-	t.parts[hi].mu.Lock()
-	return func() {
-		t.parts[hi].mu.Unlock()
-		t.parts[lo].mu.Unlock()
-	}
-}
-
-// updateLocked replaces the row within one partition (old and new pk hash
-// to the same stripe). Caller holds p's write lock; pkTag is pk's
-// precomputed hash32. Both pk lookups run before any index or the heap slot
-// is touched: the index probes rows, so it must still describe them.
-func (t *Table) updateLocked(p *partition, pkTag uint32, pk Value, r Row, logWAL bool) error {
-	slot, ok := p.pkIdx.lookupOneTag(pkTag, pk)
-	if !ok {
-		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
-	}
-	newPK := r[t.schema.PK]
-	if !newPK.Equal(pk) {
-		if _, dup := p.pkIdx.lookupOne(newPK); dup {
-			return fmt.Errorf("pk %v: %w", newPK, ErrDuplicate)
-		}
-	}
+// updateLocked replaces the row in heap slot slot of p with r, which
+// carries the same primary key (a row keeps its key, see Mutate). Caller
+// holds p's write lock. The pk index probes rows by key, so it still
+// describes the slot; only the secondary indexes whose column changed —
+// by the hash index's identity, under which -0 is not 0 — are touched.
+func (t *Table) updateLocked(p *partition, slot int, pk Value, r Row) error {
 	old := p.heap[slot]
 	// Write-ahead: log before touching indexes or the heap.
-	if logWAL && t.wal != nil {
-		if err := t.wal.append(walRecord{Op: walUpdate, Table: t.name, Key: pk, Row: r}); err != nil {
-			return err
-		}
-	}
-	// Refresh secondary indexes for changed columns.
-	for col, idx := range p.indexes {
-		ci, _ := t.schema.ColIndex(col)
-		if !old[ci].Equal(r[ci]) {
-			idx.remove(old[ci], slot)
-			idx.insert(r[ci], slot)
-		}
-	}
-	if !newPK.Equal(pk) {
-		p.pkIdx.removeTag(pkTag, slot)
-		p.pkIdx.insert(newPK, slot)
-	}
-	p.heap[slot] = r
-	p.epoch++
-	return nil
-}
-
-// moveLocked applies a pk-moving update whose new key hashes to a
-// different partition: delete from src, insert into dst, one WAL update
-// record. Caller holds both write locks.
-func (t *Table) moveLocked(src, dst *partition, pk Value, r Row) error {
-	slot, ok := src.pkIdx.lookupOne(pk)
-	if !ok {
-		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
-	}
-	newPK := r[t.schema.PK]
-	if _, dup := dst.pkIdx.lookupOne(newPK); dup {
-		return fmt.Errorf("pk %v: %w", newPK, ErrDuplicate)
-	}
-	// Write-ahead: log the move before mutating either stripe.
 	if t.wal != nil {
 		if err := t.wal.append(walRecord{Op: walUpdate, Table: t.name, Key: pk, Row: r}); err != nil {
 			return err
 		}
 	}
-	old := src.heap[slot]
-	src.pkIdx.remove(pk, slot)
-	for col, idx := range src.indexes {
+	for col, idx := range p.indexes {
 		ci, _ := t.schema.ColIndex(col)
-		idx.remove(old[ci], slot)
-	}
-	src.heap[slot] = nil
-	src.free = append(src.free, slot)
-	src.rows--
-	src.epoch++
-	if _, err := t.insertLocked(dst, newPK.hash32(), r, false); err != nil {
-		// Unreachable (dup checked above, no WAL append on this path);
-		// restore src to stay consistent — the heap slot first, then the
-		// index entries that point at it.
-		src.heap[slot] = old
-		src.free = src.free[:len(src.free)-1]
-		src.rows++
-		src.pkIdx.insert(pk, slot)
-		for col, idx := range src.indexes {
-			ci, _ := t.schema.ColIndex(col)
-			idx.insert(old[ci], slot)
+		if !old[ci].sameKey(r[ci]) {
+			idx.remove(old[ci], slot)
+			idx.insert(r[ci], slot)
 		}
-		return err
 	}
+	p.heap[slot] = r
+	p.epoch++
 	return nil
 }
 
@@ -406,74 +329,33 @@ func (t *Table) moveLocked(src, dst *partition, pk Value, r Row) error {
 // the read, the transformation and the write happen under one acquisition
 // of the row's partition write lock, so no concurrent writer can interleave
 // between them (the lost-update hazard of a separate Get + Update pair). fn
-// receives a clone of the stored row and returns the replacement — it may
-// modify and return its argument. Returning an error aborts the mutation
-// without writing; the error is returned unwrapped so callers can signal
-// "no change needed" cheaply. If fn moves the primary key to a different
-// partition the mutation retries under both partition locks, re-invoking fn
-// on the then-current row, so fn must be safe to call more than once.
+// runs exactly once, on a clone of the stored row, and returns the
+// replacement — it may modify and return its argument. Returning an error
+// aborts the mutation without writing; the error is returned unwrapped so
+// callers can signal "no change needed" cheaply. A row keeps its primary
+// key: a replacement under any other key (by the pk index's identity, so
+// -0 is not 0) is refused with an error wrapping ErrSchema, and nothing is
+// written. To re-key a row, Delete it and Insert the new one.
 func (t *Table) Mutate(pk Value, fn func(Row) (Row, error)) error {
 	h := pk.hash32()
-	pi := t.partForKey(h)
-	for {
-		p := t.parts[pi]
-		t.lockPart(p)
-		id, ok := p.pkIdx.lookupOneTag(h, pk)
-		if !ok {
-			p.mu.Unlock()
-			return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
-		}
-		r, err := fn(p.heap[id].Clone())
-		if err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		if err := t.schema.Validate(r); err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		pj := t.partFor(r[t.schema.PK])
-		if pj == pi {
-			err = t.updateLocked(p, h, pk, r.Clone(), true)
-			p.mu.Unlock()
-			return err
-		}
-		// Rare: fn moved the key across stripes. Drop the single lock and
-		// retry under both, re-running fn on the then-current row.
-		p.mu.Unlock()
-		done, err := t.mutateMove(pi, pj, pk, fn)
-		if done {
-			return err
-		}
-	}
-}
-
-// mutateMove is the cross-partition Mutate path: both locks held, fn
-// re-run. It reports done=false when fn's target partition changed again
-// between lock acquisitions (the caller loops).
-func (t *Table) mutateMove(pi, pj int, pk Value, fn func(Row) (Row, error)) (bool, error) {
-	unlock := t.lockPair(pi, pj)
-	defer unlock()
-	src := t.parts[pi]
-	id, ok := src.pkIdx.lookupOne(pk)
+	p := t.parts[t.partForKey(h)]
+	t.lockPart(p)
+	defer p.mu.Unlock()
+	slot, ok := p.pkIdx.lookupOneTag(h, pk)
 	if !ok {
-		return true, fmt.Errorf("pk %v: %w", pk, ErrNotFound)
+		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
-	r, err := fn(src.heap[id].Clone())
+	r, err := fn(p.heap[slot].Clone())
 	if err != nil {
-		return true, err
+		return err
 	}
 	if err := t.schema.Validate(r); err != nil {
-		return true, err
+		return err
 	}
-	target := t.partFor(r[t.schema.PK])
-	if target == pi {
-		return true, t.updateLocked(src, pk.hash32(), pk, r.Clone(), true)
+	if newPK := r[t.schema.PK]; !newPK.sameKey(pk) {
+		return fmt.Errorf("mutate of pk %v returned pk %v, a row keeps its key: %w", pk, newPK, ErrSchema)
 	}
-	if target != pj {
-		return false, nil // fn steered elsewhere; retry with the right pair
-	}
-	return true, t.moveLocked(src, t.parts[pj], pk, r.Clone())
+	return t.updateLocked(p, slot, pk, r.Clone())
 }
 
 // Delete removes the row with the given primary key.
@@ -482,22 +364,18 @@ func (t *Table) Delete(pk Value) error {
 	p := t.parts[t.partForKey(h)]
 	t.lockPart(p)
 	defer p.mu.Unlock()
-	return t.deleteLocked(p, h, pk, true)
-}
-
-func (t *Table) deleteLocked(p *partition, pkTag uint32, pk Value, logWAL bool) error {
-	slot, ok := p.pkIdx.lookupOneTag(pkTag, pk)
+	slot, ok := p.pkIdx.lookupOneTag(h, pk)
 	if !ok {
 		return fmt.Errorf("pk %v: %w", pk, ErrNotFound)
 	}
 	// Write-ahead: log before removing the row.
-	if logWAL && t.wal != nil {
+	if t.wal != nil {
 		if err := t.wal.append(walRecord{Op: walDelete, Table: t.name, Key: pk}); err != nil {
 			return err
 		}
 	}
 	old := p.heap[slot]
-	p.pkIdx.removeTag(pkTag, slot)
+	p.pkIdx.removeTag(h, slot)
 	for col, idx := range p.indexes {
 		ci, _ := t.schema.ColIndex(col)
 		idx.remove(old[ci], slot)
@@ -523,8 +401,8 @@ func (t *Table) upsertOwned(r Row) error {
 	p := t.parts[t.partForKey(h)]
 	t.lockPart(p)
 	defer p.mu.Unlock()
-	if _, ok := p.pkIdx.lookupOneTag(h, pk); ok {
-		return t.updateLocked(p, h, pk, r, true)
+	if slot, ok := p.pkIdx.lookupOneTag(h, pk); ok {
+		return t.updateLocked(p, slot, pk, r)
 	}
 	_, err := t.insertLocked(p, h, r, true)
 	return err

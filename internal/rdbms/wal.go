@@ -22,6 +22,8 @@ const (
 	walCommit
 	walCreateTable
 	walCreateIndex
+	// walDropTable is decoded but never written: tables are not dropped
+	// any more, and applyRecord refuses the record.
 	walDropTable
 )
 
@@ -96,12 +98,13 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, time.Duration, error) {
 	}
 }
 
-// walRecord is one log record. Insert carries Row; Update carries Key (the
-// old pk) and Row; Delete carries Key; Commit carries nothing. CreateTable
-// carries the schema columns, pk name and partition count; CreateIndex
-// carries the column and kind; DropTable carries only the table name — the
-// WAL logs DDL as well as data, so a log alone (no snapshot yet) can
-// rebuild a database from scratch.
+// walRecord is one log record. Insert carries Row; Update carries Key and
+// Row (Key is the row's own pk; logs from versions that could re-key a row
+// may hold the old one); Delete carries Key; Commit carries nothing.
+// CreateTable carries the schema columns, pk name and partition count;
+// CreateIndex carries the column and kind; DropTable carries only the
+// table name — the WAL logs DDL as well as data, so a log alone (no
+// snapshot yet) can rebuild a database from scratch.
 type walRecord struct {
 	Op    byte
 	Table string
@@ -683,11 +686,13 @@ func readValue(r *bufio.Reader) (Value, error) {
 // applyRecord applies one decoded record to db with recovery semantics:
 // replay runs on top of a snapshot that may already contain some of the
 // log's effects, so records apply last-writer-wins — inserts upsert,
-// updates delete the old key (if present) and upsert the new row, deletes
-// of absent rows and drops of absent tables are no-ops, and re-created
-// tables/indexes are skipped. The record's row is handed to the table, not
-// copied: callers pass records they have just decoded and do not use
-// rec.Row afterwards.
+// updates delete the old key if an old log names one (and it is present)
+// and upsert the new row, deletes of absent rows are no-ops, and
+// re-created tables/indexes are skipped. A drop-table record, which only
+// older versions wrote, is refused: recovery and replication fail loudly
+// rather than keep a table its writer had dropped. The record's row is
+// handed to the table, not copied: callers pass records they have just
+// decoded and do not use rec.Row afterwards.
 func applyRecord(db *DB, rec walRecord) error {
 	switch rec.Op {
 	case walCommit:
@@ -717,13 +722,7 @@ func applyRecord(db *DB, rec walRecord) error {
 		}
 		return nil
 	case walDropTable:
-		if err := db.DropTable(rec.Table); err != nil {
-			if errors.Is(err, ErrNotFound) {
-				return nil // snapshot chain never carried it
-			}
-			return err
-		}
-		return nil
+		return fmt.Errorf("replay: drop-table record (op %d) for table %q: tables can no longer be dropped", rec.Op, rec.Table)
 	}
 	t, err := db.Table(rec.Table)
 	if err != nil {

@@ -45,8 +45,9 @@ const steadyDepthSecs, burstDepthSecs = 2, 4
 // then to 429s — while every other source's steady admission is
 // untouched.
 //
-// Sources are the hosts of the enqueued article URLs; the per-source
-// state map keeps one entry per host it has seen and evicts none.
+// The per-source state map keeps one entry per source it has seen and
+// evicts none, so callers name sources from a bounded set: core uses the
+// registered outlets plus one shared source for every other host.
 type admission struct {
 	rate float64
 	now  func() time.Time
