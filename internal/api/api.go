@@ -196,8 +196,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleAssessStored evaluates an ingested article by url or id.
 func (s *Server) handleAssessStored(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
-	id := r.URL.Query().Get("id")
+	q := r.URL.Query()
+	url, id := q.Get("url"), q.Get("id")
 	var (
 		a   *core.Assessment
 		err error

@@ -13,6 +13,7 @@ package extract
 import (
 	"errors"
 	"net/url"
+	"slices"
 	"strings"
 
 	"repro/internal/textutil"
@@ -39,96 +40,93 @@ type Article struct {
 // content quality indicators in paper §3.1).
 func (a *Article) HasByline() bool { return a.Byline != "" }
 
-// token types for the scanner.
-type htmlToken struct {
+// token is one tag or text run of a document. Its strings are spans of
+// the document: nothing is copied, and nothing is decoded until Parse
+// uses it.
+type token struct {
 	tag     string // lower-case tag name, "" for text
-	text    string // text content for text tokens
-	attrs   map[string]string
+	attrs   string // a start tag's attribute text
+	text    string // a text run holding more than whitespace, entities not decoded
 	closing bool
 }
 
-// scanHTML tokenises markup into tags and text runs.
-func scanHTML(doc string) []htmlToken {
-	var toks []htmlToken
-	i := 0
-	n := len(doc)
-	for i < n {
-		if doc[i] == '<' {
-			// Comment?
-			if strings.HasPrefix(doc[i:], "<!--") {
-				end := strings.Index(doc[i+4:], "-->")
-				if end < 0 {
-					break
-				}
-				i += 4 + end + 3
-				continue
-			}
-			end := strings.IndexByte(doc[i:], '>')
+// scanner walks a document one token at a time. It skips comments,
+// doctypes, processing instructions and script/style payloads; an
+// unterminated comment, tag or payload ends the document.
+type scanner struct {
+	doc string
+	i   int
+}
+
+// next returns the next token, or false at the end of the document.
+func (s *scanner) next() (token, bool) {
+	doc := s.doc
+	for s.i < len(doc) {
+		i := s.i
+		if doc[i] != '<' {
+			end := strings.IndexByte(doc[i:], '<')
 			if end < 0 {
-				// Trailing junk.
-				break
+				end = len(doc) - i
 			}
-			raw := doc[i+1 : i+end]
-			i += end + 1
-			tok := parseTag(raw)
-			if tok.tag == "" {
-				continue
-			}
-			toks = append(toks, tok)
-			// Skip script/style payloads entirely.
-			if !tok.closing && (tok.tag == "script" || tok.tag == "style") {
-				idx := indexFold(doc[i:], "</"+tok.tag)
-				if idx < 0 {
-					break
-				}
-				i += idx
+			s.i = i + end
+			if text := doc[i:s.i]; strings.TrimSpace(text) != "" {
+				return token{text: text}, true
 			}
 			continue
 		}
-		next := strings.IndexByte(doc[i:], '<')
-		var text string
-		if next < 0 {
-			text = doc[i:]
-			i = n
-		} else {
-			text = doc[i : i+next]
-			i += next
+		if strings.HasPrefix(doc[i:], "<!--") {
+			end := strings.Index(doc[i+4:], "-->")
+			if end < 0 {
+				break
+			}
+			s.i = i + 4 + end + 3
+			continue
 		}
-		if strings.TrimSpace(text) != "" {
-			toks = append(toks, htmlToken{text: decodeEntities(text)})
+		end := strings.IndexByte(doc[i:], '>')
+		if end < 0 {
+			break // trailing junk
 		}
+		s.i = i + end + 1
+		tok := parseTag(doc[i+1 : i+end])
+		if tok.tag == "" {
+			continue
+		}
+		if !tok.closing && (tok.tag == "script" || tok.tag == "style") {
+			if skip := indexFold(doc[s.i:], "</"+tok.tag); skip < 0 {
+				s.i = len(doc)
+			} else {
+				s.i += skip
+			}
+		}
+		return tok, true
 	}
-	return toks
+	s.i = len(doc)
+	return token{}, false
 }
 
-// parseTag parses the inside of <...>: name plus attributes.
-func parseTag(raw string) htmlToken {
+// parseTag parses the inside of <...>: name plus attribute text. An
+// empty tag, a doctype or a processing instruction has no name.
+func parseTag(raw string) token {
 	raw = strings.TrimSpace(strings.TrimSuffix(raw, "/"))
 	if raw == "" {
-		return htmlToken{}
+		return token{}
 	}
-	tok := htmlToken{}
+	var tok token
 	if raw[0] == '/' {
 		tok.closing = true
 		raw = strings.TrimSpace(raw[1:])
 	}
 	if raw == "" || raw[0] == '!' || raw[0] == '?' {
-		return htmlToken{} // doctype / processing instruction
+		return token{} // doctype / processing instruction
 	}
 	// Tag name: up to whitespace.
-	nameEnd := len(raw)
-	for j := 0; j < len(raw); j++ {
-		if raw[j] == ' ' || raw[j] == '\t' || raw[j] == '\n' || raw[j] == '\r' {
-			nameEnd = j
-			break
-		}
+	nameEnd := strings.IndexAny(raw, " \t\n\r")
+	if nameEnd < 0 {
+		nameEnd = len(raw)
 	}
 	tok.tag = strings.ToLower(raw[:nameEnd])
-	// Closing tags carry no attributes, and most opening tags in news
-	// markup have none either: skip the attribute-map allocation unless
-	// there is something to parse.
-	if rest := strings.TrimSpace(raw[nameEnd:]); !tok.closing && rest != "" {
-		tok.attrs = parseAttrs(rest)
+	if !tok.closing { // closing tags carry no attributes
+		tok.attrs = strings.TrimSpace(raw[nameEnd:])
 	}
 	return tok
 }
@@ -166,9 +164,13 @@ func foldEqualASCII(a, b string) bool {
 	return true
 }
 
-// parseAttrs parses key="value" pairs (single, double or no quotes).
-func parseAttrs(s string) map[string]string {
-	attrs := make(map[string]string)
+// attr returns the value of the attribute key (lower-case) in a tag's
+// attribute text s, entities decoded, or "" when there is none. Values
+// are single-, double- or un-quoted; a bare attribute has the value "",
+// and of repeated attributes the last one counts. Only the returned value
+// is decoded.
+func attr(s, key string) string {
+	val := ""
 	i := 0
 	n := len(s)
 	for i < n {
@@ -184,8 +186,8 @@ func parseAttrs(s string) map[string]string {
 		for i < n && s[i] != '=' && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' {
 			i++
 		}
-		key := strings.ToLower(s[start:i])
-		if key == "" {
+		k := strings.ToLower(s[start:i])
+		if k == "" {
 			i++
 			continue
 		}
@@ -194,7 +196,9 @@ func parseAttrs(s string) map[string]string {
 			i++
 		}
 		if i >= n || s[i] != '=' {
-			attrs[key] = "" // bare attribute
+			if k == key {
+				val = "" // bare attribute
+			}
 			continue
 		}
 		i++ // consume '='
@@ -202,10 +206,12 @@ func parseAttrs(s string) map[string]string {
 			i++
 		}
 		if i >= n {
-			attrs[key] = ""
+			if k == key {
+				val = ""
+			}
 			break
 		}
-		var val string
+		var v string
 		switch s[i] {
 		case '"', '\'':
 			q := s[i]
@@ -214,7 +220,7 @@ func parseAttrs(s string) map[string]string {
 			for i < n && s[i] != q {
 				i++
 			}
-			val = s[vstart:i]
+			v = s[vstart:i]
 			if i < n {
 				i++ // closing quote
 			}
@@ -223,11 +229,13 @@ func parseAttrs(s string) map[string]string {
 			for i < n && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' {
 				i++
 			}
-			val = s[vstart:i]
+			v = s[vstart:i]
 		}
-		attrs[key] = decodeEntities(val)
+		if k == key {
+			val = v
+		}
 	}
-	return attrs
+	return decodeEntities(val)
 }
 
 // decodeEntities handles the entities that occur in news markup.
@@ -244,36 +252,45 @@ func decodeEntities(s string) string {
 	return entityReplacer.Replace(s)
 }
 
+// textOf is a text run as the article shows it: entities decoded,
+// whitespace collapsed.
+func textOf(run string) string {
+	return textutil.CollapseWhitespace(decodeEntities(run))
+}
+
 // Parse extracts the structured article from markup. baseURL resolves
 // relative links; pass the article URL. Plain text (no tags) is accepted:
 // the first line becomes the title and the rest the body.
+//
+// Parse is one pass over the document: tags, attribute values and text
+// runs are spans of doc, and only what the article keeps is decoded.
+// Everything the article holds is a fresh string, never a span of doc,
+// so an article held by the report cache does not pin its document.
 func Parse(doc, baseURL string) (*Article, error) {
-	art := &Article{URL: baseURL}
-	toks := scanHTML(doc)
-	if len(toks) == 0 {
-		return nil, ErrEmptyDocument
-	}
-
-	// Plain-text fallback: no tags at all.
-	if len(toks) == 1 && toks[0].tag == "" {
-		lines := strings.SplitN(strings.TrimSpace(toks[0].text), "\n", 2)
-		art.Title = strings.Clone(textutil.CollapseWhitespace(lines[0]))
-		if len(lines) > 1 {
-			art.Body = strings.Clone(textutil.CollapseWhitespace(lines[1]))
+	var (
+		title, h1, byline       string
+		inTitle, inH1, inByline bool
+		depthSkip               int // inside nav/header/footer/aside
+		tokens                  int
+		lead                    string // a leading text run, held back: the whole document if no token follows
+		linkBuf                 [16]string
+		partBuf                 [32]string
+	)
+	links, bodyParts := linkBuf[:0], partBuf[:0]
+	res := resolver{baseURL: baseURL}
+	sc := scanner{doc: doc}
+	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
+		tokens++
+		if tokens == 1 && tok.tag == "" {
+			lead = tok.text
+			continue
 		}
-		if art.Title == "" && art.Body == "" {
-			return nil, ErrEmptyDocument
+		if lead != "" { // another token follows: the lead opens the body
+			if text := textOf(lead); text != "" {
+				bodyParts = append(bodyParts, text)
+			}
+			lead = ""
 		}
-		return art, nil
-	}
-
-	base, _ := url.Parse(baseURL)
-	var bodyParts []string
-	var inTitle, inH1, inByline bool
-	var h1 string
-	depthSkip := 0 // inside nav/header/footer/aside
-
-	for _, tok := range toks {
 		if tok.tag != "" {
 			switch tok.tag {
 			case "title":
@@ -282,16 +299,17 @@ func Parse(doc, baseURL string) (*Article, error) {
 				inH1 = !tok.closing
 			case "meta":
 				if !tok.closing {
-					name := tok.attrs["name"]
-					if (name == "author" || name == "byline") && tok.attrs["content"] != "" {
-						art.Byline = textutil.CollapseWhitespace(tok.attrs["content"])
+					if name := attr(tok.attrs, "name"); name == "author" || name == "byline" {
+						if content := attr(tok.attrs, "content"); content != "" {
+							byline = textutil.CollapseWhitespace(content)
+						}
 					}
 				}
 			case "a":
 				if !tok.closing {
-					if href := tok.attrs["href"]; href != "" {
-						if abs := resolveLink(base, href); abs != "" {
-							art.Links = append(art.Links, abs)
+					if href := attr(tok.attrs, "href"); href != "" {
+						if abs := res.resolve(href); abs != "" {
+							links = append(links, abs)
 						}
 					}
 				}
@@ -304,7 +322,7 @@ func Parse(doc, baseURL string) (*Article, error) {
 					depthSkip++
 				}
 			case "p", "span", "div":
-				if !tok.closing && strings.Contains(strings.ToLower(tok.attrs["class"]), "byline") {
+				if !tok.closing && strings.Contains(strings.ToLower(attr(tok.attrs, "class")), "byline") {
 					inByline = true
 				} else if tok.closing {
 					inByline = false
@@ -312,68 +330,96 @@ func Parse(doc, baseURL string) (*Article, error) {
 			}
 			continue
 		}
-		// Text token.
-		text := textutil.CollapseWhitespace(tok.text)
-		if text == "" {
-			continue
-		}
+		// Text token: decoded only where the article keeps it.
 		switch {
 		case inTitle:
-			if art.Title == "" {
-				art.Title = text
+			if title == "" {
+				title = textOf(tok.text)
 			}
 		case inH1:
 			if h1 == "" {
-				h1 = text
+				h1 = textOf(tok.text)
 			}
 		case inByline:
-			if art.Byline == "" {
-				art.Byline = stripByPrefix(text)
+			if byline == "" {
+				byline = stripByPrefix(textOf(tok.text))
 			}
 		case depthSkip > 0:
 			// Navigation chrome: ignore.
 		default:
-			bodyParts = append(bodyParts, text)
+			if text := textOf(tok.text); text != "" {
+				bodyParts = append(bodyParts, text)
+			}
 		}
 	}
-
-	if art.Title == "" {
-		art.Title = h1
-	}
-	art.Body = strings.Join(bodyParts, " ")
-	if art.Byline == "" {
-		art.Byline = findBylineInBody(bodyParts)
-	}
-	// Text runs are cut from doc without a copy. Copy what the article
-	// keeps of them, so that an article held by the report cache does not
-	// pin its whole document. A body joined from several parts is a fresh
-	// string already.
-	art.Title = strings.Clone(art.Title)
-	art.Byline = strings.Clone(art.Byline)
-	if len(bodyParts) == 1 {
-		art.Body = strings.Clone(art.Body)
-	}
-	if art.Title == "" && art.Body == "" {
+	if tokens == 0 {
 		return nil, ErrEmptyDocument
+	}
+	if lead != "" {
+		return parsePlainText(decodeEntities(lead), baseURL)
+	}
+
+	if title == "" {
+		title = h1
+	}
+	if byline == "" {
+		byline = findBylineInBody(bodyParts)
+	}
+	body := strings.Join(bodyParts, " ")
+	if title == "" && body == "" {
+		return nil, ErrEmptyDocument
+	}
+	if len(bodyParts) == 1 {
+		body = strings.Clone(body) // a body joined from several parts is fresh already
+	}
+	art := &Article{URL: baseURL, Title: strings.Clone(title), Byline: strings.Clone(byline), Body: body}
+	if len(links) > 0 {
+		art.Links = slices.Clone(links)
 	}
 	return art, nil
 }
 
-// resolveLink makes href absolute against base and keeps only http(s)
-// references to other documents: fragment-only links point back into the
-// same page and would count as self-references downstream, so they are
-// dropped.
-func resolveLink(base *url.URL, href string) string {
+// parsePlainText is Parse of a document that is one text run: the first
+// line is the title and the rest the body.
+func parsePlainText(text, baseURL string) (*Article, error) {
+	title, body, _ := strings.Cut(strings.TrimSpace(text), "\n")
+	title, body = textutil.CollapseWhitespace(title), textutil.CollapseWhitespace(body)
+	if title == "" && body == "" {
+		return nil, ErrEmptyDocument
+	}
+	return &Article{URL: baseURL, Title: strings.Clone(title), Body: strings.Clone(body)}, nil
+}
+
+// resolver makes links absolute against the article URL, which it parses
+// only when a link first needs it.
+type resolver struct {
+	baseURL string
+	base    *url.URL
+	parsed  bool
+}
+
+// resolve makes href absolute and keeps only http(s) references to other
+// documents: fragment-only links point back into the same page and would
+// count as self-references downstream, so they are dropped. The link it
+// returns is a fresh string, never a span of the document.
+func (r *resolver) resolve(href string) string {
 	trimmed := strings.TrimSpace(href)
 	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 		return ""
+	}
+	if _, ok := canonicalHost(trimmed); ok {
+		return strings.Clone(trimmed) // what net/url would make of it
 	}
 	u, err := url.Parse(trimmed)
 	if err != nil {
 		return ""
 	}
-	if base != nil {
-		u = base.ResolveReference(u)
+	if !r.parsed {
+		r.base, _ = url.Parse(r.baseURL)
+		r.parsed = true
+	}
+	if r.base != nil {
+		u = r.base.ResolveReference(u)
 	}
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return ""
@@ -385,10 +431,45 @@ func resolveLink(base *url.URL, href string) string {
 	return u.String()
 }
 
+const (
+	canonicalHostBytes = "abcdefghijklmnopqrstuvwxyz0123456789.-"
+	canonicalPathBytes = canonicalHostBytes + "ABCDEFGHIJKLMNOPQRSTUVWXYZ_~/"
+)
+
+// canonicalHost returns the host of link when link is an absolute http(s)
+// URL that url.Parse, ResolveReference and String give back unchanged: a
+// lower-case scheme, a non-empty host of [a-z0-9.-], a path of
+// [A-Za-z0-9-._~/] in which no segment starts with a dot (so none is "."
+// or ".."), and no port, userinfo, query, fragment or escape. For any
+// other link it returns false.
+func canonicalHost(link string) (string, bool) {
+	rest, ok := strings.CutPrefix(link, "https://")
+	if !ok {
+		if rest, ok = strings.CutPrefix(link, "http://"); !ok {
+			return "", false
+		}
+	}
+	end := strings.IndexByte(rest, '/')
+	if end < 0 {
+		end = len(rest)
+	}
+	host, path := rest[:end], rest[end:]
+	if host == "" || strings.Trim(host, canonicalHostBytes) != "" ||
+		strings.Trim(path, canonicalPathBytes) != "" || strings.Contains(path, "/.") {
+		return "", false
+	}
+	return host, true
+}
+
+// hasByPrefix reports whether strings.ToLower(s) starts with "by ": only
+// ASCII bytes lower-case to 'b', 'y' and ' '.
+func hasByPrefix(s string) bool {
+	return len(s) >= 3 && foldEqualASCII(s[:3], "by ")
+}
+
 // stripByPrefix removes a leading "By " from a byline.
 func stripByPrefix(s string) string {
-	lower := strings.ToLower(s)
-	if strings.HasPrefix(lower, "by ") {
+	if hasByPrefix(s) {
 		return strings.TrimSpace(s[3:])
 	}
 	return s
@@ -402,8 +483,7 @@ func findBylineInBody(parts []string) string {
 		limit = len(parts)
 	}
 	for _, p := range parts[:limit] {
-		lower := strings.ToLower(p)
-		if !strings.HasPrefix(lower, "by ") {
+		if !hasByPrefix(p) {
 			continue
 		}
 		candidate := strings.TrimSpace(p[3:])
@@ -429,6 +509,9 @@ func findBylineInBody(parts []string) string {
 
 // Host returns the lower-cased host of a URL, "" when unparseable.
 func Host(rawURL string) string {
+	if host, ok := canonicalHost(rawURL); ok {
+		return host
+	}
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return ""

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -236,12 +237,13 @@ func TestHost(t *testing.T) {
 
 // TestParseDoesNotPinDocument: an article outlives its document in the
 // report cache, so no field may be a substring of the markup — one short
-// title would keep the whole request body alive.
+// title or link would keep the whole request body alive.
 func TestParseDoesNotPinDocument(t *testing.T) {
 	docs := []string{
 		sampleDoc,
 		`<html><head><meta name="author" content="Ann Lee"></head><body><h1>Short</h1><p>One paragraph.</p></body></html>`,
 		`<p class="byline">By Bob Ray</p><p>Only part</p>`,
+		`<p>Links <a href="https://nature.com/x">canonical</a> <a href=" https://who.int/y ">trimmed</a> <a href="/rel">relative</a></p>`,
 		"Plain Title\nPlain body text.",
 	}
 	for _, doc := range docs {
@@ -249,8 +251,12 @@ func TestParseDoesNotPinDocument(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fields := map[string]string{"title": art.Title, "byline": art.Byline, "body": art.Body}
+		for i, link := range art.Links {
+			fields[fmt.Sprintf("link %d", i)] = link
+		}
 		start := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
-		for name, field := range map[string]string{"title": art.Title, "byline": art.Byline, "body": art.Body} {
+		for name, field := range fields {
 			if field == "" {
 				continue
 			}
@@ -258,5 +264,41 @@ func TestParseDoesNotPinDocument(t *testing.T) {
 				t.Errorf("%q: %s %q points into the document", doc[:20], name, field)
 			}
 		}
+	}
+}
+
+// synthDoc is a document as the synthetic corpus writes one: a meta and
+// a class byline, three cited links and a link-free closing paragraph.
+const synthDoc = `<html>
+<head>
+<title>Experts weigh evidence on the markets</title>
+<meta name="author" content="Maria Rossi">
+</head>
+<body>
+<h1>Experts weigh evidence on the markets</h1>
+<p class="byline">By Maria Rossi</p>
+<p>Investors forecast market volatility, citing jobs data. <a href="https://bmj.com/item/39332">(source)</a></p>
+<p>Regulators flagged unemployment data, citing jobs data. <a href="https://mixed-9.example/archive/99666">(source)</a></p>
+<p>Economists revised trade balances, citing quantitative data. <a href="https://mixed-7.example/story/68851">(source)</a></p>
+<p>Regulators forecast inflation figures, citing trade data.</p>
+</body>
+</html>`
+
+// TestParseAllocations pins Parse to the allocations of the article it
+// returns: the struct, the Links slice, one string per link, the title,
+// the byline and the body. Tags, attributes and text runs are spans of
+// the document, and canonical links skip net/url.
+func TestParseAllocations(t *testing.T) {
+	const url = "https://mixed-9.example/2020/01/15/art-000069"
+	art, err := Parse(synthDoc, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Links) != 3 || art.Byline != "Maria Rossi" || art.Title == "" || art.Body == "" {
+		t.Fatalf("unexpected article %#v", art)
+	}
+	want := float64(2 + len(art.Links) + 3)
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(synthDoc, url) }); n != want {
+		t.Errorf("Parse allocates %v times, want %v", n, want)
 	}
 }

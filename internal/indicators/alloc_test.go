@@ -14,12 +14,13 @@ import (
 
 // evaluateArticleAllocs is what evaluateBase allocates on the article
 // of TestEvaluateArticleAllocations with pooled text analyses, on one
-// goroutine, once the form table holds the article's words (13 while the
-// topic tagger built slices and maps per document, 21 while every
-// analysis built a string of its stems and the tagger a slice of them,
-// 32 while the body analysis ran on a second goroutine, 99 when every
-// evaluation built its analyses from scratch).
-const evaluateArticleAllocs = 10
+// goroutine, once the form table holds the article's words (10 while
+// refind parsed every link with net/url and split every host on dots,
+// 13 while the topic tagger built slices and maps per document, 21 while
+// every analysis built a string of its stems and the tagger a slice of
+// them, 32 while the body analysis ran on a second goroutine, 99 when
+// every evaluation built its analyses from scratch).
+const evaluateArticleAllocs = 5
 
 // TestEvaluateArticleAllocations guards the cold evaluation's garbage: the
 // body and title analyses come from the pool and go back to it, so an

@@ -277,8 +277,10 @@ func (s *skipIdx) remove(v Value, rowID int) {
 		}
 		update[i] = x
 	}
+	// The pk index's key identity, not Equal: a NaN entry equals nothing
+	// and would never leave the list.
 	target := x.next[0]
-	if target == nil || target.rowID != rowID || !target.val.Equal(v) {
+	if target == nil || target.rowID != rowID || !target.val.sameKey(v) {
 		return
 	}
 	for i := 0; i < s.level; i++ {

@@ -1,7 +1,9 @@
 package rdbms
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,6 +168,49 @@ func TestRangePlanWithLimitAndOrder(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("row %d: id %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOrderedIndexRemovesNaN: an ordered float column holding NaN keeps
+// one entry per row. NaN sorts before every number, and removal matches
+// an entry by row id and key identity, so a row moving off NaN or
+// deleted leaves no stale node for Range to yield.
+func TestOrderedIndexRemovesNaN(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		tbl := partitionedArticleTable(t, parts)
+		if err := tbl.CreateIndex("score", OrderedIndex); err != nil {
+			t.Fatal(err)
+		}
+		for id, score := range map[int64]float64{1: math.NaN(), 2: 3, 3: math.NaN()} {
+			if _, err := tbl.Insert(articleRow(id, "o", "t", score)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo := 1.0
+		if got := rangeIDs(t, tbl, &lo, nil); !slices.Equal(got, []int64{2}) {
+			t.Errorf("P=%d: Range(score >= 1) = %v, want [2]", parts, got)
+		}
+		if got := rangeIDs(t, tbl, nil, nil); len(got) != 3 || got[2] != 2 {
+			t.Errorf("P=%d: Range = %v, want NaN rows 1 and 3 before 2", parts, got)
+		}
+		if err := tbl.Mutate(Int(1), func(r Row) (Row, error) { r[3] = Float(5); return r, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := rangeIDs(t, tbl, nil, nil); !slices.Equal(got, []int64{3, 2, 1}) {
+			t.Errorf("P=%d: after NaN -> 5, Range = %v, want [3 2 1]", parts, got)
+		}
+		for _, id := range []int64{1, 3} {
+			if err := tbl.Delete(Int(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rows []Row
+		if err := tbl.Range("score", nil, nil, func(r Row) bool { rows = append(rows, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || len(rows[0]) == 0 || rows[0][0].Int() != 2 {
+			t.Errorf("P=%d: after deleting 1 and 3, Range = %v, want row 2 only", parts, rows)
 		}
 	}
 }

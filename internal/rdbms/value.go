@@ -42,6 +42,7 @@
 package rdbms
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -256,7 +257,9 @@ func (v Value) Equal(w Value) bool {
 }
 
 // Compare orders two values of the same kind: -1, 0, +1. NULL sorts before
-// everything. Comparing mismatched kinds returns an error.
+// everything. Floats are totally ordered as cmp.Compare orders them: NaN
+// sorts before every number and -0 ties with 0, so an ordered index can
+// hold any float. Comparing mismatched kinds returns an error.
 func (v Value) Compare(w Value) (int, error) {
 	if v.IsNull() || w.IsNull() {
 		switch {
@@ -274,13 +277,13 @@ func (v Value) Compare(w Value) (int, error) {
 	}
 	switch k {
 	case TInt:
-		return cmpOrdered(int64(v.n), int64(w.n)), nil
+		return cmp.Compare(int64(v.n), int64(w.n)), nil
 	case TFloat:
-		return cmpOrdered(v.Float(), w.Float()), nil
+		return cmp.Compare(v.Float(), w.Float()), nil
 	case TString:
-		return cmpOrdered(v.Str(), w.Str()), nil
+		return cmp.Compare(v.Str(), w.Str()), nil
 	case TBool:
-		return cmpOrdered(v.n, w.n), nil
+		return cmp.Compare(v.n, w.n), nil
 	}
 	// The zero time (year 1) sorts before every representable instant,
 	// wherever its sentinel falls among them.
@@ -293,18 +296,7 @@ func (v Value) Compare(w Value) (int, error) {
 	case wz:
 		return 1, nil
 	}
-	return cmpOrdered(int64(v.n), int64(w.n)), nil
-}
-
-func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(int64(v.n), int64(w.n)), nil
 }
 
 // hashKey returns the value's key string. It is the definition of key

@@ -168,9 +168,9 @@ func sameRegistrableDomain(a, b string) bool {
 // synthetic corpus and common news domains).
 func registrable(host string) string {
 	host = strings.TrimSuffix(strings.ToLower(host), ".")
-	parts := strings.Split(host, ".")
-	if len(parts) <= 2 {
+	last := strings.LastIndexByte(host, '.')
+	if last < 0 {
 		return host
 	}
-	return strings.Join(parts[len(parts)-2:], ".")
+	return host[strings.LastIndexByte(host[:last], '.')+1:]
 }

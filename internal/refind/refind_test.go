@@ -2,6 +2,7 @@ package refind
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/extract"
@@ -155,6 +156,18 @@ func TestRegistrableDomain(t *testing.T) {
 	for _, c := range cases {
 		if got := sameRegistrableDomain(c.a, c.b); got != c.want {
 			t.Errorf("same(%q,%q) = %v", c.a, c.b, got)
+		}
+	}
+	// registrable keeps the last two dot-separated labels, as splitting
+	// on "." and joining the last two did, empty labels included.
+	for _, host := range []string{"", ".", "..", "a", "a.b", "A.B.C.", "x.y.z", "a..b", ".b", "b.", "...c", "w.x.y.z."} {
+		h := strings.TrimSuffix(strings.ToLower(host), ".")
+		want := h
+		if parts := strings.Split(h, "."); len(parts) > 2 {
+			want = strings.Join(parts[len(parts)-2:], ".")
+		}
+		if got := registrable(host); got != want {
+			t.Errorf("registrable(%q) = %q, want %q", host, got, want)
 		}
 	}
 }
