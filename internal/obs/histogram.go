@@ -3,9 +3,7 @@ package obs
 import (
 	"bytes"
 	"math/bits"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -19,16 +17,18 @@ import (
 // Observe is allocation-free: it picks one of a small fixed set of
 // stripes by hashing the observed value (spreading concurrent writers
 // across cache lines) and performs three atomic adds. Stripes are merged
-// at read time (exposition, Quantile, Count, Sum).
+// at read time (exposition, Count, Sum).
 type Histogram struct {
-	labels   string
 	minShift uint
 	nb       int // finite bucket count; index nb is the +Inf bucket
 	scale    float64
 	stripes  [histStripes]histStripe
 }
 
-const histStripes = 4 // power of two
+const (
+	histStripeBits = 2 // Observe picks a stripe by this many top bits of a hash
+	histStripes    = 1 << histStripeBits
+)
 
 type histStripe struct {
 	count   atomic.Uint64
@@ -51,8 +51,8 @@ const (
 	sizeBuckets  = 16
 )
 
-func newHistogram(labels string, minShift uint, nb int, scale float64) *Histogram {
-	h := &Histogram{labels: labels, minShift: minShift, nb: nb, scale: scale}
+func newHistogram(minShift uint, nb int, scale float64) *Histogram {
+	h := &Histogram{minShift: minShift, nb: nb, scale: scale}
 	for i := range h.stripes {
 		h.stripes[i].buckets = make([]atomic.Uint64, nb+1)
 	}
@@ -71,7 +71,7 @@ func (h *Histogram) Observe(v int64) {
 			idx = h.nb
 		}
 	}
-	st := &h.stripes[(uint64(v)*0x9E3779B97F4A7C15)>>(64-2)]
+	st := &h.stripes[(uint64(v)*0x9E3779B97F4A7C15)>>(64-histStripeBits)]
 	st.buckets[idx].Add(1)
 	st.count.Add(1)
 	st.sum.Add(v)
@@ -115,53 +115,10 @@ func (h *Histogram) bound(i int) int64 { return 1 << (h.minShift + uint(i)) }
 // HistogramVec is a labeled histogram family. With pre-registers a child
 // for one label-value set; hold the returned *Histogram for
 // allocation-free hot-path recording.
-type HistogramVec struct {
-	name, help string
-	labelNames []string
-	minShift   uint
-	nb         int
-	scale      float64
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-}
-
-func (v *HistogramVec) metricName() string { return v.name }
-
-// With returns the child histogram for the given label values, creating
-// it on first use. Call at setup time, not on the hot path.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	labels := renderLabels(v.labelNames, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[labels]
-	if !ok {
-		h = newHistogram(labels, v.minShift, v.nb, v.scale)
-		v.children[labels] = h
-	}
-	return h
-}
-
-func (v *HistogramVec) write(b *bytes.Buffer) {
-	header(b, v.name, v.help, "histogram")
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	hs := make([]*Histogram, 0, len(keys))
-	sort.Strings(keys)
-	for _, k := range keys {
-		hs = append(hs, v.children[k])
-	}
-	v.mu.Unlock()
-	for _, h := range hs {
-		h.write(b, v.name)
-	}
-}
+type HistogramVec = family[Histogram]
 
 // write renders one child's _bucket / _sum / _count series.
-func (h *Histogram) write(b *bytes.Buffer, name string) {
+func (h *Histogram) write(b *bytes.Buffer, name, labels string) {
 	counts := h.bucketCounts()
 	var cum uint64
 	for i, c := range counts {
@@ -170,14 +127,14 @@ func (h *Histogram) write(b *bytes.Buffer, name string) {
 		if i < h.nb {
 			le = formatFloat(float64(h.bound(i)) * h.scale)
 		}
-		labels := `le="` + le + `"`
-		if h.labels != "" {
-			labels = h.labels + "," + labels
+		bl := `le="` + le + `"`
+		if labels != "" {
+			bl = labels + "," + bl
 		}
-		sample(b, name+"_bucket", labels, strconv.FormatUint(cum, 10))
+		sample(b, name+"_bucket", bl, strconv.FormatUint(cum, 10))
 	}
-	sample(b, name+"_sum", h.labels, formatFloat(float64(h.Sum())*h.scale))
-	sample(b, name+"_count", h.labels, strconv.FormatUint(cum, 10))
+	sample(b, name+"_sum", labels, formatFloat(float64(h.Sum())*h.scale))
+	sample(b, name+"_count", labels, strconv.FormatUint(cum, 10))
 }
 
 // NewDurationHistogramVec registers (or returns) a labeled latency
@@ -203,17 +160,7 @@ func (r *Registry) NewSizeHistogram(name, help string) *Histogram {
 	return r.newHistogramVec(name, help, sizeMinShift, sizeBuckets, 1).With()
 }
 
-func (r *Registry) newHistogramVec(name, help string, minShift uint, nb int, scale float64, names ...string) *HistogramVec {
-	c := r.register(name, func() collector {
-		return &HistogramVec{
-			name: name, help: help, labelNames: names,
-			minShift: minShift, nb: nb, scale: scale,
-			children: map[string]*Histogram{},
-		}
-	})
-	v, ok := c.(*HistogramVec)
-	if !ok {
-		panic("obs: metric " + name + " already registered with a different type")
-	}
-	return v
+func (r *Registry) newHistogramVec(name, help string, minShift uint, nb int, scale float64, labelNames ...string) *HistogramVec {
+	return registerFamily(r, name, help, "histogram", labelNames,
+		func() *Histogram { return newHistogram(minShift, nb, scale) }, (*Histogram).write)
 }

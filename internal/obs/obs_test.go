@@ -112,6 +112,13 @@ func TestExpositionFormat(t *testing.T) {
 	h.Observe(1)
 	h.Observe(2)
 	h.Observe(100)
+	hv := r.newHistogramVec("app_routed", "Routed sizes.", 0, 1, 1, "route")
+	hv.With("b").Observe(5)
+	hv.With("a").Observe(1)
+	cv := r.NewCounterVec("app_errors_total", "Errors seen.", "code", "msg")
+	cv.With("500", "say \"hi\"\\\n").Inc()
+	cv.With("404", "gone").Add(2)
+	r.NewGaugeFunc("app_ratio", "A constant ratio.", func() float64 { return 0.25 })
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -127,9 +134,26 @@ app_batch_count 3
 # HELP app_depth Queue depth.
 # TYPE app_depth gauge
 app_depth -2
+# HELP app_errors_total Errors seen.
+# TYPE app_errors_total counter
+app_errors_total{code="404",msg="gone"} 2
+app_errors_total{code="500",msg="say \"hi\"\\\n"} 1
+# HELP app_ratio A constant ratio.
+# TYPE app_ratio gauge
+app_ratio 0.25
 # HELP app_requests_total Requests served.
 # TYPE app_requests_total counter
 app_requests_total{route="GET /x"} 3
+# HELP app_routed Routed sizes.
+# TYPE app_routed histogram
+app_routed_bucket{route="a",le="1"} 1
+app_routed_bucket{route="a",le="+Inf"} 1
+app_routed_sum{route="a"} 1
+app_routed_count{route="a"} 1
+app_routed_bucket{route="b",le="1"} 0
+app_routed_bucket{route="b",le="+Inf"} 1
+app_routed_sum{route="b"} 5
+app_routed_count{route="b"} 1
 `
 	if sb.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)

@@ -1,7 +1,8 @@
 // Package obs is the platform's zero-dependency observability layer: a
-// metrics registry (counters, gauges, lock-striped log-bucketed
-// histograms, labeled families with pre-registered handles so hot-path
-// record calls are allocation-free)
+// metrics registry (counters, gauges and lock-striped log-bucketed
+// histograms; counters and histograms also come as labeled families,
+// CounterVec and HistogramVec, whose children are pre-registered handles
+// so hot-path record calls are allocation-free)
 // plus a lightweight span tracer (per-request trace IDs threaded through
 // context.Context, completed traces retained in a bounded ring with the
 // slowest-N kept aside). The registry exports Prometheus text exposition
@@ -26,7 +27,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,7 +38,6 @@ import (
 // collector is one metric family: it renders its # HELP / # TYPE header
 // and every child sample into the exposition buffer.
 type collector interface {
-	metricName() string
 	write(b *bytes.Buffer)
 }
 
@@ -64,14 +65,18 @@ func newRegistry() *Registry {
 // built by mk; on a nil registry it returns a fresh unregistered family.
 // A name collision across metric types panics: it is a programming error
 // caught at construction, not a runtime condition.
-func (r *Registry) register(name string, mk func() collector) collector {
+func register[C collector](r *Registry, name string, mk func() C) C {
 	if r == nil {
 		return mk()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.cols[name]; ok {
-		return c
+		v, ok := c.(C)
+		if !ok {
+			panic("obs: metric " + name + " already registered with a different type")
+		}
+		return v
 	}
 	c := mk()
 	r.cols[name] = c
@@ -82,15 +87,7 @@ func (r *Registry) register(name string, mk func() collector) collector {
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.cols))
-	for n := range r.cols {
-		names = append(names, n)
-	}
-	cols := make([]collector, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		cols = append(cols, r.cols[n])
-	}
+	_, cols := byKey(r.cols)
 	r.mu.Unlock()
 
 	var b bytes.Buffer
@@ -99,6 +96,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := w.Write(b.Bytes())
 	return err
+}
+
+// byKey returns m's keys in order and its values in the same order.
+func byKey[V any](m map[string]V) ([]string, []V) {
+	keys := slices.Sorted(maps.Keys(m))
+	vs := make([]V, len(keys))
+	for i, k := range keys {
+		vs[i] = m[k]
+	}
+	return keys, vs
 }
 
 // header renders the # HELP / # TYPE preamble for one family.
@@ -166,13 +173,70 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
+// --- labeled families ---
+
+// family is one metric family holding a child of type T per label-value
+// set. CounterVec and HistogramVec are its labeled forms; an unlabeled
+// counter, gauge or histogram is the one child of a family without label
+// names.
+type family[T any] struct {
+	name, help, typ string
+	labelNames      []string
+	newChild        func() *T
+	writeChild      func(c *T, b *bytes.Buffer, name, labels string)
+
+	mu       sync.Mutex
+	children map[string]*T // by rendered labels
+}
+
+// CounterVec is a labeled counter family. With pre-registers a child for
+// one label-value set; hold the returned *Counter for allocation-free
+// hot-path recording.
+type CounterVec = family[Counter]
+
+// registerFamily registers (or returns) the family name of child type T.
+func registerFamily[T any](r *Registry, name, help, typ string, labelNames []string,
+	newChild func() *T, writeChild func(c *T, b *bytes.Buffer, name, labels string)) *family[T] {
+	return register(r, name, func() *family[T] {
+		return &family[T]{
+			name: name, help: help, typ: typ, labelNames: labelNames,
+			newChild: newChild, writeChild: writeChild,
+			children: map[string]*T{},
+		}
+	})
+}
+
+// With returns the child for the given label values, creating it on
+// first use. Call at setup time, not on the hot path.
+func (f *family[T]) With(values ...string) *T {
+	labels := renderLabels(f.labelNames, values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.children[labels]
+	if !ok {
+		c = f.newChild()
+		f.children[labels] = c
+	}
+	return c
+}
+
+// write renders the header and then every child in label order.
+func (f *family[T]) write(b *bytes.Buffer) {
+	header(b, f.name, f.help, f.typ)
+	f.mu.Lock()
+	keys, cs := byKey(f.children)
+	f.mu.Unlock()
+	for i, c := range cs {
+		f.writeChild(c, b, f.name, keys[i])
+	}
+}
+
 // --- counters ---
 
 // Counter is a monotonically increasing uint64. Obtain via
 // Registry.NewCounter or CounterVec.With; record with Inc/Add (allocation-free).
 type Counter struct {
-	v      atomic.Uint64
-	labels string
+	v atomic.Uint64
 }
 
 // Inc adds one and returns the new value (callers use the return for
@@ -185,65 +249,14 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// CounterVec is a labeled counter family. With pre-registers a child for
-// one label-value set; hold the returned *Counter for allocation-free
-// hot-path recording.
-type CounterVec struct {
-	name, help string
-	labelNames []string
-
-	mu       sync.Mutex
-	children map[string]*Counter
-}
-
-func (v *CounterVec) metricName() string { return v.name }
-
-// With returns the child counter for the given label values, creating it
-// on first use. Call at setup time, not on the hot path.
-func (v *CounterVec) With(values ...string) *Counter {
-	labels := renderLabels(v.labelNames, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[labels]
-	if !ok {
-		c = &Counter{labels: labels}
-		v.children[labels] = c
-	}
-	return c
-}
-
-func (v *CounterVec) write(b *bytes.Buffer) {
-	header(b, v.name, v.help, "counter")
-	for _, c := range v.sorted() {
-		sample(b, v.name, c.labels, strconv.FormatUint(c.Value(), 10))
-	}
-}
-
-func (v *CounterVec) sorted() []*Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Counter, len(keys))
-	for i, k := range keys {
-		out[i] = v.children[k]
-	}
-	return out
+func (c *Counter) write(b *bytes.Buffer, name, labels string) {
+	sample(b, name, labels, strconv.FormatUint(c.Value(), 10))
 }
 
 // NewCounterVec registers (or returns) a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	c := r.register(name, func() collector {
-		return &CounterVec{name: name, help: help, labelNames: labelNames, children: map[string]*Counter{}}
-	})
-	v, ok := c.(*CounterVec)
-	if !ok {
-		panic("obs: metric " + name + " already registered with a different type")
-	}
-	return v
+	return registerFamily(r, name, help, "counter", labelNames,
+		func() *Counter { return new(Counter) }, (*Counter).write)
 }
 
 // NewCounter registers (or returns) an unlabeled counter.
@@ -256,8 +269,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // Gauge is an integer level (queue depths, shard counts). Obtain via
 // Registry.NewGauge; record with Set/Add (allocation-free).
 type Gauge struct {
-	v      atomic.Int64
-	labels string
+	v atomic.Int64
 }
 
 // Set replaces the value.
@@ -269,63 +281,14 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct {
-	name, help string
-	labelNames []string
-
-	mu       sync.Mutex
-	children map[string]*Gauge
-}
-
-func (v *GaugeVec) metricName() string { return v.name }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	labels := renderLabels(v.labelNames, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[labels]
-	if !ok {
-		g = &Gauge{labels: labels}
-		v.children[labels] = g
-	}
-	return g
-}
-
-func (v *GaugeVec) write(b *bytes.Buffer) {
-	header(b, v.name, v.help, "gauge")
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	gs := make([]*Gauge, len(keys))
-	for i, k := range keys {
-		gs[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	for _, g := range gs {
-		sample(b, v.name, g.labels, strconv.FormatInt(g.Value(), 10))
-	}
-}
-
-// NewGaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	c := r.register(name, func() collector {
-		return &GaugeVec{name: name, help: help, labelNames: labelNames, children: map[string]*Gauge{}}
-	})
-	v, ok := c.(*GaugeVec)
-	if !ok {
-		panic("obs: metric " + name + " already registered with a different type")
-	}
-	return v
+func (g *Gauge) write(b *bytes.Buffer, name, labels string) {
+	sample(b, name, labels, strconv.FormatInt(g.Value(), 10))
 }
 
 // NewGauge registers (or returns) an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.NewGaugeVec(name, help).With()
+	return registerFamily(r, name, help, "gauge", nil,
+		func() *Gauge { return new(Gauge) }, (*Gauge).write).With()
 }
 
 // gaugeFunc is a callback gauge sampled at scrape time (runtime stats).
@@ -333,8 +296,6 @@ type gaugeFunc struct {
 	name, help string
 	fn         func() float64
 }
-
-func (g *gaugeFunc) metricName() string { return g.name }
 
 func (g *gaugeFunc) write(b *bytes.Buffer) {
 	header(b, g.name, g.help, "gauge")
@@ -344,10 +305,7 @@ func (g *gaugeFunc) write(b *bytes.Buffer) {
 // NewGaugeFunc registers a callback gauge; fn is invoked once per scrape.
 // Re-registering a name keeps the first fn.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	c := r.register(name, func() collector {
+	register(r, name, func() *gaugeFunc {
 		return &gaugeFunc{name: name, help: help, fn: fn}
 	})
-	if _, ok := c.(*gaugeFunc); !ok {
-		panic("obs: metric " + name + " already registered with a different type")
-	}
 }

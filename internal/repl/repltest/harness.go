@@ -257,31 +257,35 @@ func NewPair(tb testing.TB, mutatePrimary, mutateFollower func(*core.Config)) *P
 
 // WaitConverged blocks until the follower's applied position equals the
 // quiesced primary's current WAL position — every shipped record is
-// applied — then fails the test on timeout. The primary must not be
-// writing concurrently with the final check.
-func WaitConverged(tb testing.TB, primaryDB *rdbms.DB, status func() *repl.Status, timeout time.Duration) {
+// applied. It fails the test only after the follower's (Segment, Offset)
+// has not advanced for stall, however slow a loaded machine makes it.
+// The primary must not be writing concurrently with the final check.
+func WaitConverged(tb testing.TB, primaryDB *rdbms.DB, status func() *repl.Status, stall time.Duration) {
 	tb.Helper()
-	deadline := time.Now().Add(timeout)
 	var last *repl.Status
-	for time.Now().Before(deadline) {
+	seg, off := -1, int64(-1)
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(10 * time.Millisecond) {
 		pseg := primaryDB.CurrentWALSegment()
 		psize, err := primaryDB.WALSegmentSize(pseg)
-		if err == nil {
-			last = status()
-			if last != nil && last.Connected && last.Segment == pseg && last.Offset == psize {
-				return
-			}
+		if err != nil {
+			continue
 		}
-		time.Sleep(10 * time.Millisecond)
+		last = status()
+		if last != nil && last.Connected && last.Segment == pseg && last.Offset == psize {
+			return
+		}
+		if last != nil && (last.Segment > seg || last.Segment == seg && last.Offset > off) {
+			moved, seg, off = time.Now(), last.Segment, last.Offset
+		}
 	}
-	tb.Fatalf("repltest: follower did not converge within %v (primary seg=%d, last status=%+v)",
-		timeout, primaryDB.CurrentWALSegment(), last)
+	tb.Fatalf("repltest: follower did not converge, no progress for %v (primary seg=%d, last status=%+v)",
+		stall, primaryDB.CurrentWALSegment(), last)
 }
 
 // WaitConvergedPair is WaitConverged for a platform Pair.
-func WaitConvergedPair(tb testing.TB, pair *Pair, timeout time.Duration) {
+func WaitConvergedPair(tb testing.TB, pair *Pair, stall time.Duration) {
 	tb.Helper()
-	WaitConverged(tb, pair.Primary.Platform.DB, pair.Follower.Platform.ReplicationStatus, timeout)
+	WaitConverged(tb, pair.Primary.Platform.DB, pair.Follower.Platform.ReplicationStatus, stall)
 }
 
 // TablesEqual pins divergence: both stores must hold the same tables
@@ -488,11 +492,11 @@ func (n *LiteNode) Crash() {
 }
 
 // WaitCaughtUp blocks until the lite follower has applied everything the
-// (quiesced) primary holds.
-func WaitCaughtUp(tb testing.TB, primary, follower *LiteNode, timeout time.Duration) {
+// (quiesced) primary holds; it fails after stall without progress.
+func WaitCaughtUp(tb testing.TB, primary, follower *LiteNode, stall time.Duration) {
 	tb.Helper()
 	WaitConverged(tb, primary.DB, func() *repl.Status {
 		st := follower.Client.Status()
 		return &st
-	}, timeout)
+	}, stall)
 }

@@ -83,12 +83,14 @@ func drainFeed(c <-chan []byte) [][]byte {
 }
 
 // waitPipelineDrained blocks until the adaptive pipeline has nothing in
-// flight and its queues are empty, stable across two polls.
-func waitPipelineDrained(t testing.TB, p *core.Platform, timeout time.Duration) {
+// flight and its queues are empty, stable across two polls. It fails only
+// after stall without progress: no event committed, dead-lettered or
+// retried, and the queue no shallower than at the poll before.
+func waitPipelineDrained(t testing.TB, p *core.Platform, stall time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	stable := 0
-	for time.Now().Before(deadline) {
+	stable, depth := 0, 0
+	var done uint64
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(50 * time.Millisecond) {
 		st := p.StreamStats()
 		idle := st.Inflight == 0 && st.QueueDepth == 0
 		if idle {
@@ -98,7 +100,11 @@ func waitPipelineDrained(t testing.TB, p *core.Platform, timeout time.Duration) 
 		} else {
 			stable = 0
 		}
-		time.Sleep(50 * time.Millisecond)
+		n := st.Committed + st.DeadLettered + st.Retried
+		if n > done || st.QueueDepth < depth {
+			moved = time.Now()
+		}
+		done, depth = n, st.QueueDepth
 	}
-	t.Fatalf("pipeline did not drain within %v: %+v", timeout, p.StreamStats())
+	t.Fatalf("pipeline did not drain, no progress for %v: %+v", stall, p.StreamStats())
 }

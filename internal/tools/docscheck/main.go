@@ -69,7 +69,7 @@ var binaryRowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
 // reg.NewCounter("scilens_..._total", ...), the name on the call's own
 // line. TestMetricFamiliesMatchRegistry pins that this finds exactly the
 // families a built platform's /metrics renders.
-var metricRe = regexp.MustCompile(`\bNew(?:CounterVec|Counter|GaugeVec|GaugeFunc|Gauge|DurationHistogramVec|DurationHistogram|SizeHistogramVec|SizeHistogram)\("([a-z0-9_]+)"`)
+var metricRe = regexp.MustCompile(`\bNew(?:CounterVec|Counter|GaugeFunc|Gauge|DurationHistogramVec|DurationHistogram|SizeHistogramVec|SizeHistogram)\("([a-z0-9_]+)"`)
 
 func main() {
 	var problems []string
