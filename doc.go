@@ -96,8 +96,8 @@
 // in-memory platform that touches no disk. Stored article rows carry a
 // model-generation watermark, so ReindexCorpus after a retrain only
 // re-evaluates rows that are actually stale (ReindexForce overrides); the
-// dead_letters table is bounded by age/size retention with oldest-first
-// eviction.
+// dead_letters table is bounded to its newest 4 096 rows with
+// oldest-first eviction.
 //
 // # Incremental checkpoints and fsync policies
 //

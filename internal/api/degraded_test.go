@@ -35,6 +35,24 @@ func degradedFixture(t *testing.T) (*core.Platform, *vfs.Fault, *synth.World, *S
 	return p, fault, w, NewServer(p)
 }
 
+// waitHealth polls p's StorageHealth until cond holds. It fails the test
+// only after the health has not changed for stall: a loaded machine may
+// slow the supervisor down, but a stuck one stops moving.
+func waitHealth(t *testing.T, p *core.Platform, stall time.Duration, what string, cond func(core.StorageHealth) bool) {
+	t.Helper()
+	last := p.StorageHealth()
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(2 * time.Millisecond) {
+		h := p.StorageHealth()
+		if cond(h) {
+			return
+		}
+		if h != last {
+			moved, last = time.Now(), h
+		}
+	}
+	t.Fatalf("no progress towards %s for %v: %+v", what, stall, last)
+}
+
 // TestDegradedModeHTTP pins the API contract of degraded read-only mode:
 // /api/health answers 503 with the state in the body, reads keep
 // serving 200, every write endpoint answers 503, and after self-healing
@@ -103,13 +121,9 @@ func TestDegradedModeHTTP(t *testing.T) {
 	// delay starts at 100ms and doubles per failed attempt), and the
 	// surface reopens.
 	fault.ClearWrites()
-	deadline := time.Now().Add(10 * time.Second)
-	for p.StorageHealth().State != core.StorageOK && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.StorageHealth().State != core.StorageOK {
-		t.Fatal("platform did not self-heal")
-	}
+	waitHealth(t, p, 10*time.Second, "self-healing", func(h core.StorageHealth) bool {
+		return h.State == core.StorageOK
+	})
 	rec, payload = doJSON(t, srv, "GET", "/api/health", nil)
 	if rec.Code != http.StatusOK || payload["status"] != core.StorageOK {
 		t.Fatalf("health after healing: %d %v", rec.Code, payload["status"])
@@ -141,10 +155,9 @@ func TestHealthEndpointSchedulerStats(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	srv := NewServer(p)
-	deadline := time.Now().Add(5 * time.Second)
-	for p.StorageHealth().Scheduler.Runs == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitHealth(t, p, 5*time.Second, "a scheduled checkpoint", func(h core.StorageHealth) bool {
+		return h.Scheduler.Runs > 0
+	})
 	rec, payload := doJSON(t, srv, "GET", "/api/health", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("health: %d %s", rec.Code, rec.Body)

@@ -158,7 +158,7 @@ var storageHealthFields = []string{
 // (core.StorageSchedulerStats).
 var storageSchedulerFields = []string{
 	"enabled", "interval", "wal_byte_limit", "runs", "interval_runs",
-	"byte_runs", "skipped", "failures", "last_run", "last_error",
+	"byte_runs", "skipped", "failures", "last_error",
 }
 
 // TestStorageStatsJSONShape is the golden-field pin: the exact key set of

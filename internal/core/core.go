@@ -84,7 +84,7 @@ type Platform struct {
 	// role): batch assessment fan-out, corpus re-indexing and the periodic
 	// jobs run on it by default.
 	Compute *compute.Pool
-	// Clock is the injectable time source.
+	// Clock is the data clock (Config.Clock).
 	Clock func() time.Time
 	// Metrics is the registry GET /metrics serves: every component the
 	// platform builds records on it, and the stats read it back.
@@ -137,10 +137,12 @@ type Platform struct {
 
 	// Storage health machine, self-healing supervisor and checkpoint
 	// scheduler (see health.go). degraded is the write-path fast gate;
-	// health and the scheduler baselines are guarded by healthMu.
+	// health and walBase, the store's WAL byte count when the last
+	// checkpoint completed, are guarded by healthMu.
 	degraded atomic.Bool
 	healthMu sync.Mutex
-	health   storageHealth
+	health   StorageHealth
+	walBase  int64
 	sup      *supervisor
 
 	recoveryBackoff    time.Duration
@@ -169,7 +171,12 @@ type IngestStats struct {
 
 // Config configures NewPlatform.
 type Config struct {
-	// Clock is the time source (default time.Now).
+	// Clock is the data clock (default time.Now): the "now" that review
+	// decay, review timestamps and outlet quality are computed at.
+	// Bootstrap pins it to the end of the synthetic window. Elapsed and
+	// operational times — checkpoint scheduling, storage health,
+	// dead-letter stamps, the pipeline's queue waits — read the wall
+	// clock instead.
 	Clock func() time.Time
 
 	// AdmissionRate, when positive, enables per-source token-bucket
@@ -379,8 +386,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		p.obsEval[i] = evalStage.With(s)
 		p.obsCommit[i] = commitStage.With(s)
 	}
-	p.health.state = StorageOK
-	p.health.since = cfg.Clock()
+	p.health = StorageHealth{State: StorageOK, Since: time.Now()}
+	p.health.Scheduler.Interval = time.Duration(0).String()
 	if cfg.DataDir != "" {
 		p.startStorageSupervisor(cfg)
 	}
@@ -411,6 +418,41 @@ func ensureIndex(t *rdbms.Table, col string, kind rdbms.IndexKind) error {
 	}
 	return nil
 }
+
+// articles-table column indices, in createSchemas' order.
+const (
+	colID = iota
+	colOutlet
+	colRating
+	colURL
+	colTitle
+	colPublished
+	colClickbait
+	colSubjectivity
+	colReadingGrade
+	colHasByline
+	colInternalRefs
+	colExternalRefs
+	colSciRefs
+	colSciRatio
+	colHasRefs
+	colIsTopic
+	colComposite
+	colModelGen
+	articleCols
+)
+
+// article_social column indices, in createSchemas' order. The three
+// stance counters are adjacent, support first.
+const (
+	socialReactions = 1 + iota
+	socialReplies
+	socialReshares
+	socialLikes
+	socialSupport
+	socialDeny
+	socialComment
+)
 
 // createSchemas declares the hot-store tables and indexes. Idempotent:
 // tables and indexes already present (recovered from a data directory) are
@@ -600,6 +642,28 @@ func isTopic(report *indicators.Report) bool {
 	return false
 }
 
+// derivedCols is the articles columns that the document's report
+// determines: title, content and context indicators, topic flag and
+// composite. applyPosting and the reindex both write these through it.
+// The identity columns (id, outlet, rating, url, published) and the
+// model_gen watermark come from elsewhere.
+func derivedCols(report *indicators.Report) [12]colUpdate {
+	return [...]colUpdate{
+		{colTitle, rdbms.String(report.Article.Title)},
+		{colClickbait, rdbms.Float(report.Content.Clickbait)},
+		{colSubjectivity, rdbms.Float(report.Content.Subjectivity)},
+		{colReadingGrade, rdbms.Float(report.Content.ReadingGrade)},
+		{colHasByline, rdbms.Bool(report.Content.HasByline)},
+		{colInternalRefs, rdbms.Int(int64(report.Context.InternalCount))},
+		{colExternalRefs, rdbms.Int(int64(report.Context.ExternalCount))},
+		{colSciRefs, rdbms.Int(int64(report.Context.ScientificCount))},
+		{colSciRatio, rdbms.Float(report.Context.ScientificRatio)},
+		{colHasRefs, rdbms.Bool(len(report.Context.References) > 0)},
+		{colIsTopic, rdbms.Bool(isTopic(report))},
+		{colComposite, rdbms.Float(report.Composite)},
+	}
+}
+
 // applyPosting stores one posting given its evaluated report. gen is the
 // model generation the report was evaluated under (read by the caller before
 // evaluating): stamping the commit-time generation instead would let a
@@ -620,25 +684,15 @@ func (p *Platform) applyPosting(ev *synth.Event, report *indicators.Report, gen 
 	if id == "" {
 		id = ev.PostID
 	}
-	row := rdbms.Row{
-		rdbms.String(id),
-		rdbms.String(outlet.ID),
-		rdbms.Int(int64(outlet.Rating)),
-		rdbms.String(ev.ArticleURL),
-		rdbms.String(report.Article.Title),
-		rdbms.Time(ev.Time),
-		rdbms.Float(report.Content.Clickbait),
-		rdbms.Float(report.Content.Subjectivity),
-		rdbms.Float(report.Content.ReadingGrade),
-		rdbms.Bool(report.Content.HasByline),
-		rdbms.Int(int64(report.Context.InternalCount)),
-		rdbms.Int(int64(report.Context.ExternalCount)),
-		rdbms.Int(int64(report.Context.ScientificCount)),
-		rdbms.Float(report.Context.ScientificRatio),
-		rdbms.Bool(len(report.Context.References) > 0),
-		rdbms.Bool(isTopic(report)),
-		rdbms.Float(report.Composite),
-		rdbms.Int(int64(gen)),
+	row := make(rdbms.Row, articleCols)
+	row[colID] = rdbms.String(id)
+	row[colOutlet] = rdbms.String(outlet.ID)
+	row[colRating] = rdbms.Int(int64(outlet.Rating))
+	row[colURL] = rdbms.String(ev.ArticleURL)
+	row[colPublished] = rdbms.Time(ev.Time)
+	row[colModelGen] = rdbms.Int(int64(gen))
+	for _, u := range derivedCols(report) {
+		row[u.idx] = u.val
 	}
 	if err := p.articles.Upsert(row); err != nil {
 		return err
@@ -683,29 +737,32 @@ type reactionEffect struct {
 
 // reactionEffect classifies one reaction event.
 func (p *Platform) reactionEffect(ev *synth.Event, articleID string) reactionEffect {
-	eff := reactionEffect{bumps: []int{1}} // reactions
+	eff := reactionEffect{bumps: []int{socialReactions}}
 	switch ev.Kind {
 	case "reply":
-		eff.bumps = append(eff.bumps, 2)
 		stance := p.Engine.Stance().Classify(ev.Text)
-		switch stance.String() {
-		case "support":
-			eff.bumps = append(eff.bumps, 5)
-		case "deny":
-			eff.bumps = append(eff.bumps, 6)
-		default:
-			eff.bumps = append(eff.bumps, 7)
-		}
+		eff.bumps = append(eff.bumps, socialReplies, stanceCol(stance.String()))
 		eff.reply = rdbms.Row{
 			rdbms.String(ev.PostID), rdbms.String(articleID),
 			rdbms.String(ev.Text), rdbms.String(stance.String()),
 		}
 	case "reshare":
-		eff.bumps = append(eff.bumps, 3)
+		eff.bumps = append(eff.bumps, socialReshares)
 	case "like":
-		eff.bumps = append(eff.bumps, 4)
+		eff.bumps = append(eff.bumps, socialLikes)
 	}
 	return eff
+}
+
+// stanceCol maps a reply's stance label to its article_social counter.
+func stanceCol(stance string) int {
+	switch stance {
+	case "support":
+		return socialSupport
+	case "deny":
+		return socialDeny
+	}
+	return socialComment
 }
 
 // deadLetterSeq parses the numeric sequence out of a dead-letter id

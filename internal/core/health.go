@@ -9,22 +9,25 @@ package core
 // from memory, the streaming pipeline pauses (accepted events wait on
 // their shards instead of burning retry budgets against a broken log),
 // and every write entry point fails fast with ErrDegraded (the API layer
-// maps it to 503). A supervisor goroutine then retries Checkpoint with
-// capped exponential backoff plus jitter — a successful checkpoint
-// rotates the WAL onto a fresh segment, which clears the broken latch —
-// and on success resumes the pipeline and reopens writes automatically.
+// maps it to 503). A supervisor goroutine then retries the checkpoint
+// with capped exponential backoff — a successful checkpoint rotates the
+// WAL onto a fresh segment, which clears the broken latch — and on
+// success resumes the pipeline and reopens writes automatically.
 //
 // The same goroutine doubles as the self-driving checkpoint scheduler:
 // with Config.CheckpointInterval and/or Config.CheckpointWALBytes set, a
-// durable platform checkpoints itself every interval or once the WAL has
-// grown past the byte bound, backing off while degraded (the recovery
-// path owns checkpointing then) or while the ingest queues are saturated
-// (a checkpoint's read barriers would stall a backlogged pipeline).
+// durable platform checkpoints itself once the interval has passed on the
+// wall clock since the store's last checkpoint, or once the WAL has grown
+// past the byte bound, backing off while degraded (the recovery path owns
+// checkpointing then) or while the ingest queues are saturated (a
+// checkpoint's read barriers would stall a backlogged pipeline).
+//
+// Every time here is wall time: Config.Clock is the data clock, which
+// Bootstrap pins to one instant.
 
 import (
 	"cmp"
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -49,42 +52,15 @@ const (
 	StorageRecovering = "recovering"
 )
 
-// storageHealth is the supervisor's mutable state, guarded by healthMu.
-// The degraded atomic.Bool on Platform is the write-path fast gate; this
-// struct is the slow-path bookkeeping behind it.
-type storageHealth struct {
-	state     string
-	since     time.Time
-	lastFault string
-	// faults counts degradation incidents (transitions into degraded, not
-	// individual failed operations); attempts counts supervisor recovery
-	// checkpoints; recoveries counts returns to ok.
-	faults     uint64
-	attempts   uint64
-	recoveries uint64
-	sched      schedulerState
-}
-
-// schedulerState is the checkpoint scheduler's bookkeeping (healthMu).
-type schedulerState struct {
-	runs         uint64
-	intervalRuns uint64
-	byteRuns     uint64
-	skipped      uint64
-	failures     uint64
-	lastRun      time.Time
-	lastErr      string
-	// baseBytes is the store's cumulative WAL byte count at the last
-	// successful checkpoint; growth beyond CheckpointWALBytes triggers.
-	baseBytes int64
-}
-
 // supervisor owns the self-healing/scheduling goroutine's channels.
 type supervisor struct {
 	stop chan struct{}
 	kick chan struct{}
 	done chan struct{}
 	once sync.Once
+	// started is the interval trigger's baseline until the store has
+	// checkpointed once.
+	started time.Time
 }
 
 // StorageSchedulerStats is the observable checkpoint-scheduler snapshot.
@@ -103,10 +79,10 @@ type StorageSchedulerStats struct {
 	// (each also degrades the platform — see LastError).
 	Skipped  uint64 `json:"skipped"`
 	Failures uint64 `json:"failures"`
-	// LastRun is the last successful checkpoint (scheduled, manual or
-	// recovery); LastError the most recent scheduler failure ("" if none).
-	LastRun   time.Time `json:"last_run"`
-	LastError string    `json:"last_error"`
+	// LastError is the most recent scheduler failure ("" if none). The
+	// last successful checkpoint is the store's own
+	// rdbms.StorageStats.LastCheckpoint.
+	LastError string `json:"last_error"`
 }
 
 // StorageHealth is the observable storage state machine: ok / degraded /
@@ -115,7 +91,7 @@ type StorageSchedulerStats struct {
 // and GET /api/health.
 type StorageHealth struct {
 	State string `json:"state"`
-	// Since is when the current state was entered.
+	// Since is when the current state was entered (wall clock).
 	Since time.Time `json:"since"`
 	// LastFault is the most recent storage fault ("" if none ever).
 	LastFault string `json:"last_fault"`
@@ -137,29 +113,19 @@ func (p *Platform) StorageHealth() StorageHealth {
 	// outside healthMu to keep the lock graph flat.
 	replStatus := p.ReplicationStatus()
 	p.healthMu.Lock()
-	defer p.healthMu.Unlock()
-	h := &p.health
-	return StorageHealth{
-		Replication:      replStatus,
-		State:            h.state,
-		Since:            h.since,
-		LastFault:        h.lastFault,
-		Faults:           h.faults,
-		RecoveryAttempts: h.attempts,
-		Recoveries:       h.recoveries,
-		Scheduler: StorageSchedulerStats{
-			Enabled:      p.schedInterval > 0 || p.schedWALBytes > 0,
-			Interval:     p.schedInterval.String(),
-			WALByteLimit: p.schedWALBytes,
-			Runs:         h.sched.runs,
-			IntervalRuns: h.sched.intervalRuns,
-			ByteRuns:     h.sched.byteRuns,
-			Skipped:      h.sched.skipped,
-			Failures:     h.sched.failures,
-			LastRun:      h.sched.lastRun,
-			LastError:    h.sched.lastErr,
-		},
-	}
+	h := p.health
+	p.healthMu.Unlock()
+	h.Replication = replStatus
+	return h
+}
+
+// setState moves the state machine; healthMu held. The write gate flips
+// with the state, so StorageHealth never reports a state the write path
+// does not enforce.
+func (p *Platform) setState(state string) {
+	p.health.State = state
+	p.health.Since = time.Now()
+	p.degraded.Store(state != StorageOK)
 }
 
 // noteStorageFault inspects an error from a store write path and latches
@@ -176,45 +142,26 @@ func (p *Platform) noteStorageFault(err error) {
 // enterDegraded flips the platform into degraded read-only mode: the
 // write gate closes, the ingestion pipeline pauses (queued events park on
 // their shards instead of retrying against the broken store), and the
-// supervisor is kicked to start the recovery loop. Idempotent — repeated
-// faults while already degraded only refresh lastFault.
+// supervisor is kicked to start the recovery loop. A failed recovery
+// attempt drops back from recovering to degraded; repeated faults while
+// already degraded only refresh LastFault.
 func (p *Platform) enterDegraded(cause error) {
 	if p.dataDir == "" {
 		return // in-memory store: no WAL, nothing to heal
 	}
 	p.healthMu.Lock()
-	first := p.health.state == StorageOK
+	first := p.health.State == StorageOK
 	if first {
-		p.health.state = StorageDegraded
-		p.health.since = p.Clock()
-		p.health.faults++
-		// The gate flips with the state, so StorageHealth never reports a
-		// state the write path does not enforce.
-		p.degraded.Store(true)
+		p.health.Faults++
 	}
-	p.health.lastFault = cause.Error()
+	if p.health.State != StorageDegraded {
+		p.setState(StorageDegraded)
+	}
+	p.health.LastFault = cause.Error()
 	p.healthMu.Unlock()
 	if first {
 		p.Pipeline.Pause()
 		p.kickRecovery()
-	}
-}
-
-// markRecovered reopens writes after a successful checkpoint: the write
-// gate lifts and the pipeline resumes draining whatever accumulated while
-// degraded. A no-op when the platform was healthy all along.
-func (p *Platform) markRecovered() {
-	p.healthMu.Lock()
-	healed := p.health.state != StorageOK
-	if healed {
-		p.health.state = StorageOK
-		p.health.since = p.Clock()
-		p.health.recoveries++
-		p.degraded.Store(false)
-	}
-	p.healthMu.Unlock()
-	if healed {
-		p.Pipeline.Resume()
 	}
 }
 
@@ -231,11 +178,19 @@ func (p *Platform) kickRecovery() {
 	}
 }
 
-// runCheckpoint is the shared checkpoint executor behind the manual
-// Platform.Checkpoint, the scheduler and the recovery loop: any failure
-// on a durable store degrades the platform, any success resets the
-// scheduler's baselines and (if degraded) heals it.
+// runCheckpoint is the one checkpoint executor behind the manual
+// Platform.Checkpoint, the scheduler and the recovery loop. On a degraded
+// platform the attempt is a recovery: the state shows "recovering" while
+// it runs. Any failure on a durable store degrades the platform; any
+// success resets the byte trigger's baseline and, if degraded, reopens
+// writes and resumes the pipeline.
 func (p *Platform) runCheckpoint() (rdbms.CheckpointStats, error) {
+	p.healthMu.Lock()
+	if p.health.State != StorageOK {
+		p.setState(StorageRecovering)
+		p.health.RecoveryAttempts++
+	}
+	p.healthMu.Unlock()
 	st, err := p.DB.Checkpoint()
 	if err != nil {
 		if !errors.Is(err, rdbms.ErrNoDir) {
@@ -243,20 +198,19 @@ func (p *Platform) runCheckpoint() (rdbms.CheckpointStats, error) {
 		}
 		return st, err
 	}
-	p.noteCheckpointSuccess()
-	p.markRecovered()
-	return st, nil
-}
-
-// noteCheckpointSuccess resets the scheduler's trigger baselines after
-// any successful checkpoint, whoever ran it: a manual checkpoint a second
-// before a scheduled one makes the scheduled one pointless.
-func (p *Platform) noteCheckpointSuccess() {
 	walBytes := p.DB.StorageStats().WALBytes
 	p.healthMu.Lock()
-	p.health.sched.lastRun = p.Clock()
-	p.health.sched.baseBytes = walBytes
+	p.walBase = walBytes
+	healed := p.health.State != StorageOK
+	if healed {
+		p.setState(StorageOK)
+		p.health.Recoveries++
+	}
 	p.healthMu.Unlock()
+	if healed {
+		p.Pipeline.Resume()
+	}
+	return st, nil
 }
 
 // Supervisor timing: the first recovery retry after
@@ -277,14 +231,17 @@ func (p *Platform) startStorageSupervisor(cfg Config) {
 	p.recoveryMaxBackoff = max(cmp.Or(cfg.recoveryMaxBackoff, defaultRecoveryMaxBackoff), p.recoveryBackoff)
 	p.schedInterval = cfg.CheckpointInterval
 	p.schedWALBytes = cfg.CheckpointWALBytes
+	p.health.Scheduler.Enabled = p.schedInterval > 0 || p.schedWALBytes > 0
+	p.health.Scheduler.Interval = p.schedInterval.String()
+	p.health.Scheduler.WALByteLimit = p.schedWALBytes
 	// Sustained-load watermark: a due checkpoint defers while more than
 	// half the pipeline's total queue capacity is waiting.
 	p.schedLoadLimit = p.Pipeline.Capacity() / 2
-	p.health.sched.lastRun = p.Clock()
 	p.sup = &supervisor{
-		stop: make(chan struct{}),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		stop:    make(chan struct{}),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		started: time.Now(),
 	}
 	go p.storageLoop()
 }
@@ -301,16 +258,14 @@ func (p *Platform) stopStorageSupervisor() {
 
 // storageLoop is the supervisor goroutine: while healthy it runs the
 // checkpoint scheduler; while degraded it retries recovery checkpoints
-// with capped exponential backoff plus jitter (full jitter on the upper
-// half, so a fleet recovering from one shared outage does not hammer the
-// disk in lockstep).
+// with capped exponential backoff.
 func (p *Platform) storageLoop() {
 	defer close(p.sup.done)
 	backoff := p.recoveryBackoff
 	for {
 		var wake <-chan time.Time
 		if p.degraded.Load() {
-			wake = time.After(jitter(backoff))
+			wake = time.After(backoff)
 		} else if tick := p.schedTick(); tick > 0 {
 			wake = time.After(tick)
 		}
@@ -320,45 +275,14 @@ func (p *Platform) storageLoop() {
 		case <-p.sup.kick:
 		case <-wake:
 		}
-		if p.degraded.Load() {
-			if p.tryRecover() {
-				backoff = p.recoveryBackoff
-			} else {
-				backoff = min(backoff*2, p.recoveryMaxBackoff)
-			}
+		if !p.degraded.Load() {
+			p.maybeScheduledCheckpoint()
+		} else if _, err := p.runCheckpoint(); err != nil {
+			backoff = min(backoff*2, p.recoveryMaxBackoff)
 			continue
 		}
 		backoff = p.recoveryBackoff
-		p.maybeScheduledCheckpoint()
 	}
-}
-
-// jitter spreads a backoff over [d/2, d].
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// tryRecover attempts one recovery checkpoint, reporting success. The
-// state shows "recovering" for the duration of the attempt.
-func (p *Platform) tryRecover() bool {
-	p.healthMu.Lock()
-	p.health.state = StorageRecovering
-	p.health.since = p.Clock()
-	p.health.attempts++
-	p.healthMu.Unlock()
-	if _, err := p.DB.Checkpoint(); err != nil {
-		p.healthMu.Lock()
-		p.health.state = StorageDegraded
-		p.health.lastFault = err.Error()
-		p.healthMu.Unlock()
-		return false
-	}
-	p.noteCheckpointSuccess()
-	p.markRecovered()
-	return true
 }
 
 // schedTick is the scheduler's poll cadence: the configured interval,
@@ -375,44 +299,45 @@ func (p *Platform) schedTick() time.Duration {
 // maybeScheduledCheckpoint evaluates the scheduler triggers and runs a
 // checkpoint when one is due — unless the ingest queues are saturated, in
 // which case the run is deferred (and counted) rather than stacking a
-// store-wide read barrier onto a backlogged pipeline.
+// store-wide read barrier onto a backlogged pipeline. The interval runs
+// from the store's last checkpoint, whoever ran it, so a manual
+// checkpoint a second before a scheduled one postpones it.
 func (p *Platform) maybeScheduledCheckpoint() {
 	if p.schedInterval <= 0 && p.schedWALBytes <= 0 {
 		return
 	}
-	now := p.Clock()
-	walBytes := p.DB.StorageStats().WALBytes
-	p.healthMu.Lock()
-	trigger := ""
-	switch {
-	case p.schedInterval > 0 && now.Sub(p.health.sched.lastRun) >= p.schedInterval:
-		trigger = "interval"
-	case p.schedWALBytes > 0 && walBytes-p.health.sched.baseBytes >= p.schedWALBytes:
-		trigger = "bytes"
+	st := p.DB.StorageStats()
+	last := st.LastCheckpoint
+	if last.IsZero() {
+		last = p.sup.started
 	}
+	p.healthMu.Lock()
+	grown := st.WALBytes - p.walBase
 	p.healthMu.Unlock()
-	if trigger == "" {
+	sched := &p.health.Scheduler
+	var trigger *uint64
+	switch {
+	case p.schedInterval > 0 && time.Since(last) >= p.schedInterval:
+		trigger = &sched.IntervalRuns
+	case p.schedWALBytes > 0 && grown >= p.schedWALBytes:
+		trigger = &sched.ByteRuns
+	default:
 		return
 	}
 	if p.Pipeline.Depth() > p.schedLoadLimit {
 		p.healthMu.Lock()
-		p.health.sched.skipped++
+		sched.Skipped++
 		p.healthMu.Unlock()
 		return
 	}
-	if _, err := p.runCheckpoint(); err != nil {
-		p.healthMu.Lock()
-		p.health.sched.failures++
-		p.health.sched.lastErr = err.Error()
-		p.healthMu.Unlock()
-		return
-	}
+	_, err := p.runCheckpoint()
 	p.healthMu.Lock()
-	p.health.sched.runs++
-	if trigger == "interval" {
-		p.health.sched.intervalRuns++
+	if err != nil {
+		sched.Failures++
+		sched.LastError = err.Error()
 	} else {
-		p.health.sched.byteRuns++
+		sched.Runs++
+		*trigger++
 	}
 	p.healthMu.Unlock()
 }

@@ -11,17 +11,21 @@ import (
 	"repro/internal/synth"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+// waitFor polls cond until it holds. It fails the test only after p's
+// StorageHealth has not changed for stall: a loaded machine may slow the
+// supervisor down, but a stuck one stops moving.
+func waitFor(t *testing.T, p *Platform, stall time.Duration, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	last := p.StorageHealth()
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(2 * time.Millisecond) {
 		if cond() {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		if h := p.StorageHealth(); h != last {
+			moved, last = time.Now(), h
+		}
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("no progress towards %s for %v: %+v", what, stall, last)
 }
 
 // faultedPlatform builds a durable platform on an in-memory filesystem
@@ -110,7 +114,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	}
 
 	// The supervisor keeps retrying (and failing) while the fault holds.
-	waitFor(t, 2*time.Second, "recovery attempts", func() bool {
+	waitFor(t, p, 2*time.Second, "recovery attempts", func() bool {
 		return p.StorageHealth().RecoveryAttempts >= 2
 	})
 	if h := p.StorageHealth(); h.State == StorageOK {
@@ -122,7 +126,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	// Clear the fault: the next supervised checkpoint rotates the WAL,
 	// clears the broken latch and reopens writes — no operator involved.
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	h := p.StorageHealth()
 	if h.State != StorageOK || h.Recoveries == 0 {
 		t.Fatalf("healed health: %+v", h)
@@ -130,6 +134,17 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	if err := p.IngestEvent(&ev); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
+	// The pipeline paused with the fault resumes with the heal: a streamed
+	// event commits.
+	committed := p.StreamStats().Committed
+	streamed := ev
+	streamed.PostID = "deg-1s"
+	if err := p.StreamEvent(&streamed, false); err != nil {
+		t.Fatalf("stream after recovery: %v", err)
+	}
+	waitFor(t, p, 2*time.Second, "a streamed event to commit after recovery", func() bool {
+		return p.StreamStats().Committed > committed
+	})
 
 	// Nothing acknowledged before the fault was lost along the way.
 	if got := p.Stats().Postings; got != prePostings {
@@ -162,7 +177,7 @@ func TestDegradedSurvivesRestart(t *testing.T) {
 		t.Fatal("not degraded")
 	}
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,32 +212,76 @@ func TestCheckpointFailureDegrades(t *testing.T) {
 		t.Fatal("failed checkpoint did not degrade the platform")
 	}
 	fault.ClearWrites()
-	waitFor(t, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
 	if p.StorageHealth().Recoveries == 0 {
 		t.Fatal("recovery not counted")
 	}
 }
 
-// TestCheckpointSchedulerInterval: with an interval configured, a durable
-// platform checkpoints itself without any operator call.
-func TestCheckpointSchedulerInterval(t *testing.T) {
-	p, err := NewPlatform(Config{
-		DataDir:            t.TempDir(),
-		CheckpointInterval: 10 * time.Millisecond,
+// TestManualCheckpointKicksRecovery: POST /api/checkpoint while degraded
+// answers ErrDegraded but wakes the supervisor, so an operator who freed
+// the disk does not wait out the backoff.
+func TestManualCheckpointKicksRecovery(t *testing.T) {
+	p, _, fault, _ := faultedPlatform(t, func(c *Config) {
+		c.recoveryBackoff = time.Hour
+		c.recoveryMaxBackoff = time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer p.Close()
-	h := p.StorageHealth()
-	if !h.Scheduler.Enabled {
-		t.Fatal("scheduler not enabled")
+	fault.BreakWrites(vfs.ENOSPC)
+	if _, err := p.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with writes broken")
 	}
-	waitFor(t, 5*time.Second, "interval-triggered checkpoints", func() bool {
-		return p.StorageHealth().Scheduler.IntervalRuns >= 2
+	// The fault's own kick runs one attempt at once; it fails, and the
+	// next one is an hour away.
+	waitFor(t, p, 2*time.Second, "the first recovery attempt", func() bool {
+		h := p.StorageHealth()
+		return h.RecoveryAttempts == 1 && h.State == StorageDegraded
 	})
-	if p.StorageStats().Checkpoints < 2 {
-		t.Fatalf("storage saw %d checkpoints", p.StorageStats().Checkpoints)
+	fault.ClearWrites()
+	if _, err := p.Checkpoint(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Checkpoint while degraded: %v", err)
+	}
+	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+}
+
+// TestCheckpointSchedulerInterval: with an interval configured, a durable
+// platform checkpoints itself without any operator call. The interval
+// runs on the wall clock, so a data clock pinned to one instant, as
+// Bootstrap pins it, does not stop it.
+func TestCheckpointSchedulerInterval(t *testing.T) {
+	pinned := synth.WindowStart.AddDate(0, 0, 15)
+	for _, c := range []struct {
+		name  string
+		clock func() time.Time
+	}{
+		{"wall clock", nil},
+		{"pinned data clock", func() time.Time { return pinned }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Now()
+			p, err := NewPlatform(Config{
+				Clock:              c.clock,
+				DataDir:            t.TempDir(),
+				CheckpointInterval: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			h := p.StorageHealth()
+			if !h.Scheduler.Enabled {
+				t.Fatal("scheduler not enabled")
+			}
+			waitFor(t, p, 5*time.Second, "interval-triggered checkpoints", func() bool {
+				return p.StorageHealth().Scheduler.IntervalRuns >= 2
+			})
+			if p.StorageStats().Checkpoints < 2 {
+				t.Fatalf("storage saw %d checkpoints", p.StorageStats().Checkpoints)
+			}
+			if since := p.StorageHealth().Since; since.Before(start) || since.After(time.Now()) {
+				t.Fatalf("health since %v, outside the test's run from %v", since, start)
+			}
+		})
 	}
 }
 
@@ -232,6 +291,9 @@ func TestCheckpointSchedulerWALBytes(t *testing.T) {
 	p, err := NewPlatform(Config{
 		DataDir:            t.TempDir(),
 		CheckpointWALBytes: 1, // any append at all is over the bound
+		// The interval runs from the supervisor's start until the first
+		// checkpoint, so the byte trigger's 50 ms polls never find it due.
+		CheckpointInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,12 +304,17 @@ func TestCheckpointSchedulerWALBytes(t *testing.T) {
 	if err := p.IngestEvent(&events[0]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "byte-triggered checkpoint", func() bool {
+	waitFor(t, p, 5*time.Second, "byte-triggered checkpoint", func() bool {
 		return p.StorageHealth().Scheduler.ByteRuns >= 1
 	})
 	st := p.StorageHealth().Scheduler
-	if st.Runs == 0 || st.LastRun.IsZero() {
+	if st.Runs == 0 || st.IntervalRuns != 0 || p.StorageStats().LastCheckpoint.IsZero() {
 		t.Fatalf("scheduler stats: %+v", st)
+	}
+	// Re-armed: with no append since, four more polls find nothing due.
+	time.Sleep(4 * schedBytePoll)
+	if again := p.StorageHealth().Scheduler; again.ByteRuns != st.ByteRuns {
+		t.Fatalf("byte trigger fired again without WAL growth: %d → %d runs", st.ByteRuns, again.ByteRuns)
 	}
 }
 

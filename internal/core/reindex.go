@@ -54,15 +54,8 @@ type colUpdate struct {
 	val rdbms.Value
 }
 
-// articles-table column indices rewritten by the reindex job.
+// replies-table column indices read and rewritten by the reindex job.
 const (
-	colTitle        = 4
-	colClickbait    = 6
-	colComposite    = 16
-	colModelGen     = 17
-	socialSupport   = 5
-	socialDeny      = 6
-	socialComment   = 7
 	replyArticleCol = 1
 	replyTextCol    = 2
 	replyStanceCol  = 3
@@ -199,20 +192,7 @@ func (p *Platform) reindexArticleChunk(pool *compute.Pool, gen uint64, docs []in
 		// Identity and provenance columns (id, outlet, rating, url,
 		// published) are kept from the stored row; everything derived from
 		// the document is rewritten.
-		updates := []colUpdate{
-			{colTitle, rdbms.String(report.Article.Title)},
-			{colClickbait, rdbms.Float(report.Content.Clickbait)},
-			{colClickbait + 1, rdbms.Float(report.Content.Subjectivity)},
-			{colClickbait + 2, rdbms.Float(report.Content.ReadingGrade)},
-			{colClickbait + 3, rdbms.Bool(report.Content.HasByline)},
-			{colClickbait + 4, rdbms.Int(int64(report.Context.InternalCount))},
-			{colClickbait + 5, rdbms.Int(int64(report.Context.ExternalCount))},
-			{colClickbait + 6, rdbms.Int(int64(report.Context.ScientificCount))},
-			{colClickbait + 7, rdbms.Float(report.Context.ScientificRatio)},
-			{colClickbait + 8, rdbms.Bool(len(report.Context.References) > 0)},
-			{colClickbait + 9, rdbms.Bool(isTopic(report))},
-			{colComposite, rdbms.Float(report.Composite)},
-		}
+		updates := derivedCols(report)
 		indicatorsChanged := false
 		err := p.articles.Mutate(rdbms.String(res.ID), func(old rdbms.Row) (rdbms.Row, error) {
 			indicatorsChanged = false
@@ -274,7 +254,7 @@ func (p *Platform) reindexReplies(pool *compute.Pool, rep *ReindexReport) error 
 	// later chunk aborts the run.
 	for start := 0; start < len(ids); start += reindexChunkSize {
 		end := min(start+reindexChunkSize, len(ids))
-		deltas := make(map[string]*[3]int) // support, deny, comment
+		deltas := make(map[string]*[3]int) // by stanceCol - socialSupport
 		if err := p.reindexReplyChunk(pool, ids[start:end], deltas, rep); err != nil {
 			return err
 		}
@@ -290,8 +270,9 @@ func (p *Platform) reindexReplies(pool *compute.Pool, rep *ReindexReport) error 
 func (p *Platform) applyStanceDeltas(deltas map[string]*[3]int) error {
 	for articleID, d := range deltas {
 		err := p.social.Mutate(rdbms.String(articleID), func(agg rdbms.Row) (rdbms.Row, error) {
-			for i, col := range [3]int{socialSupport, socialDeny, socialComment} {
-				agg[col] = rdbms.Int(agg[col].Int() + int64(d[i]))
+			for i, n := range d {
+				col := socialSupport + i
+				agg[col] = rdbms.Int(agg[col].Int() + int64(n))
 			}
 			return agg, nil
 		})
@@ -331,16 +312,6 @@ func (p *Platform) reindexReplyChunk(pool *compute.Pool, ids []string, deltas ma
 	if err != nil {
 		return err
 	}
-	bucket := func(stance string) int {
-		switch stance {
-		case "support":
-			return 0
-		case "deny":
-			return 1
-		default:
-			return 2
-		}
-	}
 	for _, rc := range classified {
 		if rc.newStance == rc.stance {
 			continue // snapshot already current; cheap skip
@@ -366,8 +337,8 @@ func (p *Platform) reindexReplyChunk(pool *compute.Pool, ids []string, deltas ma
 			d = &[3]int{}
 			deltas[rc.articleID] = d
 		}
-		d[bucket(replaced)]--
-		d[bucket(rc.newStance)]++
+		d[stanceCol(replaced)-socialSupport]--
+		d[stanceCol(rc.newStance)-socialSupport]++
 	}
 	return nil
 }

@@ -84,24 +84,40 @@ func TestReindexFixesStaleAssessments(t *testing.T) {
 		t.Errorf("reindex failures: %d", rep.Failed)
 	}
 
-	// Stored assessments are now model-current: identical to a fresh
-	// Evaluate of the same document (the acceptance invariant).
+	// Stored rows are now model-current: every column derived from the
+	// document equals a fresh Evaluate of it (the acceptance invariant).
+	// Columns are found by schema name, not by the writer's indices.
+	schema := p.articles.Schema()
 	for _, a := range w.Articles {
 		fresh, err := p.Engine.Evaluate(a.RawHTML, a.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assessment, err := p.AssessID(a.ID)
+		row, err := p.articles.Get(rdbms.String(a.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if assessment.Clickbait != fresh.Content.Clickbait ||
-			assessment.Subjectivity != fresh.Content.Subjectivity ||
-			assessment.ReadingGrade != fresh.Content.ReadingGrade ||
-			assessment.SciRatio != fresh.Context.ScientificRatio ||
-			assessment.Composite != fresh.Composite {
-			t.Fatalf("article %s still stale after reindex: %+v vs fresh %+v",
-				a.ID, assessment, fresh.Content)
+		for name, want := range map[string]rdbms.Value{
+			"title":         rdbms.String(fresh.Article.Title),
+			"clickbait":     rdbms.Float(fresh.Content.Clickbait),
+			"subjectivity":  rdbms.Float(fresh.Content.Subjectivity),
+			"reading_grade": rdbms.Float(fresh.Content.ReadingGrade),
+			"has_byline":    rdbms.Bool(fresh.Content.HasByline),
+			"internal_refs": rdbms.Int(int64(fresh.Context.InternalCount)),
+			"external_refs": rdbms.Int(int64(fresh.Context.ExternalCount)),
+			"sci_refs":      rdbms.Int(int64(fresh.Context.ScientificCount)),
+			"sci_ratio":     rdbms.Float(fresh.Context.ScientificRatio),
+			"has_refs":      rdbms.Bool(len(fresh.Context.References) > 0),
+			"is_topic":      rdbms.Bool(isTopic(fresh)),
+			"composite":     rdbms.Float(fresh.Composite),
+		} {
+			col, err := schema.ColIndex(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !row[col].Equal(want) {
+				t.Fatalf("article %s: %s = %v after reindex, fresh evaluation %v", a.ID, name, row[col], want)
+			}
 		}
 	}
 

@@ -367,7 +367,7 @@ func (p *Platform) writeDeadLetter(env stream.Envelope, cause error) {
 		rdbms.String(string(payload)),
 		rdbms.String(reason),
 		rdbms.Int(int64(env.Attempt)),
-		rdbms.Time(p.Clock()),
+		rdbms.Time(time.Now()),
 	}); err != nil {
 		// Best-effort by contract, but a broken WAL here must still latch
 		// degraded mode — it means every write is failing.
@@ -497,7 +497,7 @@ type StreamStats struct {
 	Malformed uint64 `json:"malformed"`
 	// DeadLetterBacklog is the current dead_letters table size;
 	// DeadLetterEvicted counts rows removed by the retention policy
-	// (age/size bounds, oldest first).
+	// (the 4 096-row bound, oldest first).
 	DeadLetterBacklog int    `json:"dead_letter_backlog"`
 	DeadLetterEvicted uint64 `json:"dead_letter_evicted"`
 	// Live-feed counters.

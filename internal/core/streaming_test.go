@@ -255,23 +255,29 @@ func TestDeadLetterReplayRoundTrip(t *testing.T) {
 }
 
 // TestMalformedEventDeadLetters pins the decode stage's permanent-failure
-// path: no retries, one dead letter with the parse reason.
+// path: no retries, one dead letter with the parse reason, stamped with
+// the wall-clock time it was dead-lettered even under a pinned data clock.
 func TestMalformedEventDeadLetters(t *testing.T) {
-	p, err := NewPlatform(Config{})
+	p, err := NewPlatform(Config{Clock: func() time.Time { return synth.WindowStart }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	start := time.Now()
 	if err := p.Pipeline.Enqueue("k", []byte("{broken")); err != nil {
 		t.Fatal(err)
 	}
 	p.Pipeline.Flush()
+	end := time.Now()
 	dls := p.DeadLetters()
 	if len(dls) != 1 {
 		t.Fatalf("dead letters: %d", len(dls))
 	}
 	if dls[0].Attempts != 0 || !strings.Contains(dls[0].Reason, "malformed") {
 		t.Errorf("dead letter: %+v", dls[0])
+	}
+	if at := dls[0].Time; at.Before(start) || at.After(end) {
+		t.Errorf("dead-lettered at %v, outside the test's run %v..%v", at, start, end)
 	}
 	ss := p.StreamStats()
 	if ss.Retried != 0 || ss.Malformed != 1 || ss.DeadLetterBacklog != 1 {

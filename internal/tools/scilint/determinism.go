@@ -14,11 +14,11 @@ import (
 // internal/classify, internal/stream — wall clocks and the global
 // math/rand state are banned (inject a clock or a seeded *rand.Rand
 // instead), and float accumulators must not fold values in map iteration
-// order. The stream zone exists for the adaptive-ingestion controller:
-// its decisions must replay identically under a test clock, so every
-// wall-clock read goes through the pipeline's injected Now (the few
-// legitimate cadence-only sites carry explicit scilint:ignore
-// annotations).
+// order. The stream zone keeps the pipeline testable under a fake clock:
+// admission refill, the drain-rate estimate and the queue-wait stamps
+// read the pipeline's injected now, so every wall-clock read there goes
+// through it (the production default and the few cadence-only sites
+// carry explicit scilint:ignore annotations).
 type determinism struct{}
 
 func (determinism) Name() string { return "determinism" }
