@@ -36,21 +36,23 @@ func degradedFixture(t *testing.T) (*core.Platform, *vfs.Fault, *synth.World, *S
 }
 
 // waitHealth polls p's StorageHealth until cond holds. It fails the test
-// only after the health has not changed for stall: a loaded machine may
-// slow the supervisor down, but a stuck one stops moving.
-func waitHealth(t *testing.T, p *core.Platform, stall time.Duration, what string, cond func(core.StorageHealth) bool) {
+// only after progress, a counter of steps towards cond, has not moved for
+// stall: a loaded machine may slow the supervisor down, but a stuck one
+// stops moving.
+func waitHealth(t *testing.T, p *core.Platform, stall time.Duration, what string,
+	progress func(core.StorageHealth) uint64, cond func(core.StorageHealth) bool) {
 	t.Helper()
-	last := p.StorageHealth()
+	last := progress(p.StorageHealth())
 	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(2 * time.Millisecond) {
 		h := p.StorageHealth()
 		if cond(h) {
 			return
 		}
-		if h != last {
-			moved, last = time.Now(), h
+		if n := progress(h); n != last {
+			moved, last = time.Now(), n
 		}
 	}
-	t.Fatalf("no progress towards %s for %v: %+v", what, stall, last)
+	t.Fatalf("no progress towards %s for %v: %+v", what, stall, p.StorageHealth())
 }
 
 // TestDegradedModeHTTP pins the API contract of degraded read-only mode:
@@ -121,7 +123,14 @@ func TestDegradedModeHTTP(t *testing.T) {
 	// delay starts at 100ms and doubles per failed attempt), and the
 	// surface reopens.
 	fault.ClearWrites()
-	waitHealth(t, p, 10*time.Second, "self-healing", func(h core.StorageHealth) bool {
+	// Each recovery attempt is progress, but at most three may fail after
+	// the fault clears; only the one in flight as it clears should.
+	from := p.StorageHealth().RecoveryAttempts
+	attempts := func(h core.StorageHealth) uint64 { return h.RecoveryAttempts }
+	waitHealth(t, p, 10*time.Second, "self-healing", attempts, func(h core.StorageHealth) bool {
+		if h.State == core.StorageDegraded && h.RecoveryAttempts-from > 3 {
+			t.Fatalf("%d recovery attempts failed after the fault cleared: %+v", h.RecoveryAttempts-from, h)
+		}
 		return h.State == core.StorageOK
 	})
 	rec, payload = doJSON(t, srv, "GET", "/api/health", nil)
@@ -155,8 +164,9 @@ func TestHealthEndpointSchedulerStats(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	srv := NewServer(p)
-	waitHealth(t, p, 5*time.Second, "a scheduled checkpoint", func(h core.StorageHealth) bool {
-		return h.Scheduler.Runs > 0
+	runs := func(h core.StorageHealth) uint64 { return h.Scheduler.Runs }
+	waitHealth(t, p, 5*time.Second, "a scheduled checkpoint", runs, func(h core.StorageHealth) bool {
+		return runs(h) > 0
 	})
 	rec, payload := doJSON(t, srv, "GET", "/api/health", nil)
 	if rec.Code != http.StatusOK {

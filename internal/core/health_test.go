@@ -11,21 +11,42 @@ import (
 	"repro/internal/synth"
 )
 
-// waitFor polls cond until it holds. It fails the test only after p's
-// StorageHealth has not changed for stall: a loaded machine may slow the
-// supervisor down, but a stuck one stops moving.
-func waitFor(t *testing.T, p *Platform, stall time.Duration, what string, cond func() bool) {
+// waitFor polls cond until it holds. It fails the test only after
+// progress, a counter of steps towards cond, has not moved for stall: a
+// loaded machine may slow the supervisor down, but a stuck one stops
+// moving.
+func waitFor(t *testing.T, stall time.Duration, what string, progress func() uint64, cond func() bool) {
 	t.Helper()
-	last := p.StorageHealth()
+	last := progress()
 	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(2 * time.Millisecond) {
 		if cond() {
 			return
 		}
-		if h := p.StorageHealth(); h != last {
-			moved, last = time.Now(), h
+		if n := progress(); n != last {
+			moved, last = time.Now(), n
 		}
 	}
-	t.Fatalf("no progress towards %s for %v: %+v", what, stall, last)
+	t.Fatalf("no progress towards %s for %v (progress counter at %d)", what, stall, last)
+}
+
+// maxFailedHeals bounds the recovery attempts that may fail after a fault
+// clears; only the one in flight as it clears should.
+const maxFailedHeals = 3
+
+// waitHealed waits for the supervisor to return p to ok after its fault
+// cleared. Each recovery attempt counts as progress, but a heal that keeps
+// failing fails the test after maxFailedHeals attempts.
+func waitHealed(t *testing.T, p *Platform, stall time.Duration) {
+	t.Helper()
+	from := p.StorageHealth().RecoveryAttempts
+	attempts := func() uint64 { return p.StorageHealth().RecoveryAttempts }
+	waitFor(t, stall, "self-healing", attempts, func() bool {
+		h := p.StorageHealth()
+		if h.State == StorageDegraded && h.RecoveryAttempts-from > maxFailedHeals {
+			t.Fatalf("%d recovery attempts failed after the fault cleared: %+v", h.RecoveryAttempts-from, h)
+		}
+		return h.State == StorageOK
+	})
 }
 
 // faultedPlatform builds a durable platform on an in-memory filesystem
@@ -114,8 +135,9 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	}
 
 	// The supervisor keeps retrying (and failing) while the fault holds.
-	waitFor(t, p, 2*time.Second, "recovery attempts", func() bool {
-		return p.StorageHealth().RecoveryAttempts >= 2
+	attempts := func() uint64 { return p.StorageHealth().RecoveryAttempts }
+	waitFor(t, 2*time.Second, "recovery attempts", attempts, func() bool {
+		return attempts() >= 2
 	})
 	if h := p.StorageHealth(); h.State == StorageOK {
 		t.Fatalf("state %q with the fault still armed", h.State)
@@ -126,7 +148,7 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	// Clear the fault: the next supervised checkpoint rotates the WAL,
 	// clears the broken latch and reopens writes — no operator involved.
 	fault.ClearWrites()
-	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitHealed(t, p, 2*time.Second)
 	h := p.StorageHealth()
 	if h.State != StorageOK || h.Recoveries == 0 {
 		t.Fatalf("healed health: %+v", h)
@@ -142,7 +164,8 @@ func TestDegradedModeRoundTrip(t *testing.T) {
 	if err := p.StreamEvent(&streamed, false); err != nil {
 		t.Fatalf("stream after recovery: %v", err)
 	}
-	waitFor(t, p, 2*time.Second, "a streamed event to commit after recovery", func() bool {
+	stages := func() uint64 { st := p.StreamStats(); return st.Evaluated + st.Committed }
+	waitFor(t, 2*time.Second, "a streamed event to commit after recovery", stages, func() bool {
 		return p.StreamStats().Committed > committed
 	})
 
@@ -177,7 +200,7 @@ func TestDegradedSurvivesRestart(t *testing.T) {
 		t.Fatal("not degraded")
 	}
 	fault.ClearWrites()
-	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitHealed(t, p, 2*time.Second)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +235,7 @@ func TestCheckpointFailureDegrades(t *testing.T) {
 		t.Fatal("failed checkpoint did not degrade the platform")
 	}
 	fault.ClearWrites()
-	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitHealed(t, p, 2*time.Second)
 	if p.StorageHealth().Recoveries == 0 {
 		t.Fatal("recovery not counted")
 	}
@@ -233,7 +256,8 @@ func TestManualCheckpointKicksRecovery(t *testing.T) {
 	}
 	// The fault's own kick runs one attempt at once; it fails, and the
 	// next one is an hour away.
-	waitFor(t, p, 2*time.Second, "the first recovery attempt", func() bool {
+	attempts := func() uint64 { return p.StorageHealth().RecoveryAttempts }
+	waitFor(t, 2*time.Second, "the first recovery attempt", attempts, func() bool {
 		h := p.StorageHealth()
 		return h.RecoveryAttempts == 1 && h.State == StorageDegraded
 	})
@@ -241,7 +265,7 @@ func TestManualCheckpointKicksRecovery(t *testing.T) {
 	if _, err := p.Checkpoint(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Checkpoint while degraded: %v", err)
 	}
-	waitFor(t, p, 2*time.Second, "self-healing", func() bool { return p.StorageHealth().State == StorageOK })
+	waitHealed(t, p, 2*time.Second)
 }
 
 // TestCheckpointSchedulerInterval: with an interval configured, a durable
@@ -272,8 +296,9 @@ func TestCheckpointSchedulerInterval(t *testing.T) {
 			if !h.Scheduler.Enabled {
 				t.Fatal("scheduler not enabled")
 			}
-			waitFor(t, p, 5*time.Second, "interval-triggered checkpoints", func() bool {
-				return p.StorageHealth().Scheduler.IntervalRuns >= 2
+			runs := func() uint64 { return p.StorageHealth().Scheduler.IntervalRuns }
+			waitFor(t, 5*time.Second, "interval-triggered checkpoints", runs, func() bool {
+				return runs() >= 2
 			})
 			if p.StorageStats().Checkpoints < 2 {
 				t.Fatalf("storage saw %d checkpoints", p.StorageStats().Checkpoints)
@@ -287,34 +312,40 @@ func TestCheckpointSchedulerInterval(t *testing.T) {
 
 // TestCheckpointSchedulerWALBytes: the byte-growth trigger fires once the
 // WAL outgrows the configured bound, then re-arms from the new baseline.
+// It runs alone, as the benchmark harness configures it, and beside an
+// hour-long interval, which counts from the supervisor's start until the
+// first checkpoint and so is never due here.
 func TestCheckpointSchedulerWALBytes(t *testing.T) {
-	p, err := NewPlatform(Config{
-		DataDir:            t.TempDir(),
-		CheckpointWALBytes: 1, // any append at all is over the bound
-		// The interval runs from the supervisor's start until the first
-		// checkpoint, so the byte trigger's 50 ms polls never find it due.
-		CheckpointInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	w := synth.GenerateWorld(synth.Config{Seed: 72, Days: 1, RateScale: 0.2, ReactionScale: 0.1})
-	events := w.Events()
-	if err := p.IngestEvent(&events[0]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, p, 5*time.Second, "byte-triggered checkpoint", func() bool {
-		return p.StorageHealth().Scheduler.ByteRuns >= 1
-	})
-	st := p.StorageHealth().Scheduler
-	if st.Runs == 0 || st.IntervalRuns != 0 || p.StorageStats().LastCheckpoint.IsZero() {
-		t.Fatalf("scheduler stats: %+v", st)
-	}
-	// Re-armed: with no append since, four more polls find nothing due.
-	time.Sleep(4 * schedBytePoll)
-	if again := p.StorageHealth().Scheduler; again.ByteRuns != st.ByteRuns {
-		t.Fatalf("byte trigger fired again without WAL growth: %d → %d runs", st.ByteRuns, again.ByteRuns)
+	for _, interval := range []time.Duration{0, time.Hour} {
+		t.Run("interval="+interval.String(), func(t *testing.T) {
+			p, err := NewPlatform(Config{
+				DataDir:            t.TempDir(),
+				CheckpointWALBytes: 1, // any append at all is over the bound
+				CheckpointInterval: interval,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			w := synth.GenerateWorld(synth.Config{Seed: 72, Days: 1, RateScale: 0.2, ReactionScale: 0.1})
+			events := w.Events()
+			if err := p.IngestEvent(&events[0]); err != nil {
+				t.Fatal(err)
+			}
+			runs := func() uint64 { return p.StorageHealth().Scheduler.ByteRuns }
+			waitFor(t, 5*time.Second, "byte-triggered checkpoint", runs, func() bool {
+				return runs() >= 1
+			})
+			st := p.StorageHealth().Scheduler
+			if st.Runs == 0 || st.IntervalRuns != 0 || p.StorageStats().LastCheckpoint.IsZero() {
+				t.Fatalf("scheduler stats: %+v", st)
+			}
+			// Re-armed: with no append since, four more polls find nothing due.
+			time.Sleep(4 * schedBytePoll)
+			if again := p.StorageHealth().Scheduler; again.ByteRuns != st.ByteRuns || again.IntervalRuns != 0 {
+				t.Fatalf("scheduler fired again without WAL growth: %+v → %+v", st, again)
+			}
+		})
 	}
 }
 
