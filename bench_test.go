@@ -64,32 +64,6 @@ func BenchmarkFigure3SingleAssessment(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3WarmEvaluation measures the cached document-evaluation
-// path: repeated POST /api/assess requests for already-seen documents are
-// served from the engine's content-hash report cache.
-func BenchmarkFigure3WarmEvaluation(b *testing.B) {
-	_, w := benchFixture(b)
-	engine := scilens.NewEngine(scilens.EngineConfig{})
-	docs := make([]string, 0, 256)
-	urls := make([]string, 0, 256)
-	for _, a := range w.Articles[:min(256, len(w.Articles))] {
-		docs = append(docs, a.RawHTML)
-		urls = append(urls, a.URL)
-	}
-	// Prime the cache.
-	for i := range docs {
-		if _, err := engine.Evaluate(docs[i], urls[i], nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Evaluate(docs[i%len(docs)], urls[i%len(docs)], nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigure3ConcurrentAssessment drives the stored-assessment path
 // from parallel clients — the serving shape of the real-time Indicators
 // API under load.

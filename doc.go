@@ -34,11 +34,10 @@
 // formulas, subjectivity and clickbait lexicon scoring, topic tagging —
 // consumes that one analysis instead of re-scanning the text. One
 // document is evaluated on one goroutine; batch jobs spread documents over
-// a bounded compute.Pool worker set. On top, the engine keeps a sharded
-// LRU report cache keyed by document content hash with singleflight
-// de-duplication, so repeated and concurrent evaluations of the same
-// article — the POST /api/assess hot path — run the pipeline once. The stored-assessment path reads rows in
-// place (rdbms.Table.View) and memoises expert-review aggregates.
+// a bounded compute.Pool worker set. POST /api/assess runs that pipeline
+// on every request: no cache stands in front of it. The stored-assessment
+// path reads rows in place (rdbms.Table.View) and memoises expert-review
+// aggregates.
 //
 // # Batch re-indexing after model retraining
 //
@@ -53,8 +52,8 @@
 // read-modify-write per row (rdbms.Table.Mutate), re-classifies the
 // stored reply stances and reconciles the social stance aggregates with
 // per-article deltas — all while the real-time assessment paths keep
-// serving. Training jobs accept WithReindex to run the re-index as part
-// of the retrain, and the HTTP layer exposes it as POST /api/reindex.
+// serving. RunDaily runs it once after its training stages, and the HTTP
+// layer exposes it as POST /api/reindex.
 //
 // # Streaming ingestion
 //

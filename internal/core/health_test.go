@@ -372,6 +372,110 @@ func TestSchedLoadLimitFollowsPipeline(t *testing.T) {
 	}
 }
 
+// TestSchedulerSkipsUnderLoad: a due checkpoint waits while more events
+// are queued than the load watermark (half of a 1 × 8 pipeline, so 4),
+// and runs once the queue drains.
+func TestSchedulerSkipsUnderLoad(t *testing.T) {
+	p, err := NewPlatform(Config{
+		DataDir: "data", StorageFS: vfs.NewMem(),
+		CheckpointWALBytes: 1, // any append at all is over the bound
+		streamShards:       1, streamQueueCapacity: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.schedLoadLimit != 4 {
+		t.Fatalf("schedLoadLimit %d, want 4", p.schedLoadLimit)
+	}
+	w := synth.GenerateWorld(synth.Config{Seed: 73, Days: 1, RateScale: 0.2, ReactionScale: 0.1})
+	events := w.Events()
+	p.Pipeline.Pause()
+	for i := 1; i <= 5; i++ {
+		if err := p.StreamEvent(&events[i], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := p.Pipeline.Depth(); d != 5 {
+		t.Fatalf("queue depth %d, want 5", d)
+	}
+	// A synchronous write grows the WAL, so the byte trigger is due.
+	if err := p.IngestEvent(&events[0]); err != nil {
+		t.Fatal(err)
+	}
+	sched := func() StorageSchedulerStats { return p.StorageHealth().Scheduler }
+	skipped := func() uint64 { return sched().Skipped }
+	waitFor(t, 2*time.Second, "a checkpoint skipped under load", skipped, func() bool {
+		return skipped() >= 1
+	})
+	// The supervisor is one goroutine: once it has skipped, no earlier
+	// run is still in flight.
+	before := sched()
+	waitFor(t, 2*time.Second, "three more skipped checkpoints", skipped, func() bool {
+		return skipped() >= before.Skipped+3
+	})
+	if after := sched(); after.Runs != before.Runs || after.ByteRuns != before.ByteRuns {
+		t.Fatalf("a checkpoint ran over the load watermark: %+v → %+v", before, after)
+	}
+
+	p.Pipeline.Resume()
+	runs := func() uint64 { return sched().Runs }
+	waitFor(t, 2*time.Second, "a checkpoint once the queue drained", runs, func() bool {
+		return runs() > before.Runs
+	})
+}
+
+// TestFaultPausesPipeline: the first storage fault pauses the pipeline,
+// so events that reached a broken store wait on their shard instead of
+// burning their retries into dead letters, and commit once it heals.
+func TestFaultPausesPipeline(t *testing.T) {
+	p, _, fault, w := faultedPlatform(t, func(c *Config) {
+		c.streamShards, c.streamQueueCapacity = 1, 8
+	})
+	defer p.Close()
+	events := w.Events()
+	for i := range events {
+		if err := p.IngestEvent(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Pipeline.Pause()
+	const n = 4
+	for i := range n {
+		ev := synth.Event{
+			Type: synth.EventTypeReaction, PostID: fmt.Sprint("held-", i), Kind: "like",
+			UserID: "u", ArticleURL: w.Articles[0].URL, Time: time.Now(),
+		}
+		if err := p.StreamEvent(&ev, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fault.BreakWrites(vfs.ENOSPC)
+	// The batch fails against the broken WAL, which degrades the platform.
+	p.Pipeline.Resume()
+	attempts := func() uint64 { return p.StorageHealth().RecoveryAttempts }
+	// Eight failed recovery attempts wait out at least 110 ms of backoff,
+	// several times the retry budget of an event that keeps running.
+	waitFor(t, 2*time.Second, "recovery attempts under the fault", attempts, func() bool {
+		return attempts() >= 8
+	})
+	st := p.StreamStats()
+	if st.DeadLettered != 0 || st.Committed != 0 || st.QueueDepth != n {
+		t.Fatalf("under the fault: dead letters %d, committed %d, queued %d; want 0, 0, %d",
+			st.DeadLettered, st.Committed, st.QueueDepth, n)
+	}
+
+	fault.ClearWrites()
+	waitHealed(t, p, 2*time.Second)
+	stages := func() uint64 { st := p.StreamStats(); return st.Committed + st.DeadLettered }
+	waitFor(t, 2*time.Second, "the held events to commit", stages, func() bool {
+		return stages() >= n
+	})
+	if st := p.StreamStats(); st.Committed != n || st.DeadLettered != 0 {
+		t.Fatalf("after the heal: committed %d, dead letters %d; want %d, 0", st.Committed, st.DeadLettered, n)
+	}
+}
+
 // TestInMemoryPlatformNeverDegrades: without a data directory there is no
 // WAL to break — the gate must stay open and the health report "ok".
 func TestInMemoryPlatformNeverDegrades(t *testing.T) {

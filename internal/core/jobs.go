@@ -167,46 +167,16 @@ type TrainReport struct {
 	// TrainAccuracy is the accuracy on the training set (sanity signal;
 	// weak labels have no held-out gold).
 	TrainAccuracy float64
-	// Reindex is the corpus re-evaluation report when the run was invoked
-	// with WithReindex (nil otherwise).
-	Reindex *ReindexReport
-}
-
-// TrainOption customises a periodic training run.
-type TrainOption func(*trainOptions)
-
-type trainOptions struct {
-	reindex bool
-}
-
-// WithReindex makes the training job re-evaluate the stored corpus under
-// the freshly attached model before returning (ReindexCorpus on the same
-// pool), so stored assessments never mix model generations.
-func WithReindex() TrainOption {
-	return func(o *trainOptions) { o.reindex = true }
-}
-
-// maybeReindex runs the opt-in post-training corpus re-evaluation.
-func (p *Platform) maybeReindex(pool *compute.Pool, rep *TrainReport, opts []TrainOption) error {
-	var o trainOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if !o.reindex {
-		return nil
-	}
-	var err error
-	rep.Reindex, err = p.ReindexCorpus(pool)
-	return err
 }
 
 // TrainClickbaitModel trains the clickbait classifier over the full stored
 // article history using distant supervision: titles whose lexicon score is
 // extreme (>= 0.6 or <= 0.15) become weak labels. Feature extraction runs
 // in parallel on the compute pool (the paper's Spark role). The
-// trained model is attached to the engine. WithReindex additionally
-// re-evaluates the stored corpus under the new model before returning.
-func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...TrainOption) (*TrainReport, error) {
+// trained model is attached to the engine; the stored rows stay as they
+// were until ReindexCorpus re-evaluates them (RunDaily does so after its
+// training stages).
+func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64) (*TrainReport, error) {
 	articlesTable, err := p.DB.Table(ArticlesTable)
 	if err != nil {
 		return nil, err
@@ -261,15 +231,11 @@ func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...T
 		}
 	}
 	p.Engine.SetClickbaitModel(model)
-	rep := &TrainReport{
+	return &TrainReport{
 		Examples:      len(data),
 		PositiveShare: float64(positives) / float64(len(data)),
 		TrainAccuracy: float64(correct) / float64(len(data)),
-	}
-	if err := p.maybeReindex(pool, rep, opts); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	}, nil
 }
 
 // TrainStanceModel trains the stance naive Bayes over the stored reply
@@ -279,10 +245,9 @@ func (p *Platform) TrainClickbaitModel(pool *compute.Pool, seed int64, opts ...T
 // column is rewritten by the serving classifier (at ingest and by corpus
 // re-indexing), so training on it would feed the model its own previous
 // predictions back — a self-training loop where label drift compounds
-// across retrain cycles. WithReindex additionally re-evaluates the stored
-// corpus (including the stored reply stances) under the new model before
-// returning.
-func (p *Platform) TrainStanceModel(pool *compute.Pool, opts ...TrainOption) (*TrainReport, error) {
+// across retrain cycles. The stored reply stances stay as they were until
+// ReindexCorpus re-classifies them.
+func (p *Platform) TrainStanceModel(pool *compute.Pool) (*TrainReport, error) {
 	repliesTable, err := p.DB.Table(RepliesTable)
 	if err != nil {
 		return nil, err
@@ -326,15 +291,11 @@ func (p *Platform) TrainStanceModel(pool *compute.Pool, opts ...TrainOption) (*T
 		}
 	}
 	p.Engine.SetStanceModel(nb)
-	rep := &TrainReport{
+	return &TrainReport{
 		Examples:      len(rows),
 		PositiveShare: float64(positives) / float64(len(rows)),
 		TrainAccuracy: float64(correct) / float64(len(rows)),
-	}
-	if err := p.maybeReindex(pool, rep, opts); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	}, nil
 }
 
 // Assessment is the single-article view (paper Figure 3): stored

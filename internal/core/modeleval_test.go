@@ -79,7 +79,11 @@ func TestEvaluateClickbaitModelAgainstGroundTruth(t *testing.T) {
 			positives++
 		}
 	}
-	if _, err := p.TrainClickbaitModel(compute.NewPool(4, nil), 7, WithReindex()); err != nil {
+	pool := compute.NewPool(4, nil)
+	if _, err := p.TrainClickbaitModel(pool, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ReindexCorpus(pool); err != nil {
 		t.Fatal(err)
 	}
 	m := scoreClickbait(t, p, gold)

@@ -131,20 +131,21 @@ func TestReindexFixesStaleAssessments(t *testing.T) {
 	}
 }
 
-// TestTrainWithReindexOption covers the opt-in lifecycle wiring: training
-// with WithReindex leaves no stale row behind and reports the run.
+// TestTrainWithReindexOption covers the lifecycle RunDaily follows:
+// training and then ReindexCorpus leaves no stale row behind, and training
+// alone leaves every row for the next reindex.
 func TestTrainWithReindexOption(t *testing.T) {
 	p, w := testPlatform(t, 12, 8, 0.4)
 	pool := compute.NewPool(4, nil)
-	rep, err := p.TrainClickbaitModel(pool, 3, WithReindex())
+	if _, err := p.TrainClickbaitModel(pool, 3); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.ReindexCorpus(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Reindex == nil {
-		t.Fatal("WithReindex produced no reindex report")
-	}
-	if rep.Reindex.Articles != len(w.Articles) {
-		t.Errorf("reindexed %d of %d", rep.Reindex.Articles, len(w.Articles))
+	if rep.Articles != len(w.Articles) {
+		t.Errorf("reindexed %d of %d", rep.Articles, len(w.Articles))
 	}
 	for _, a := range w.Articles[:min(20, len(w.Articles))] {
 		fresh, err := p.Engine.Evaluate(a.RawHTML, a.URL, nil)
@@ -156,16 +157,19 @@ func TestTrainWithReindexOption(t *testing.T) {
 			t.Fatal(err)
 		}
 		if assessment.Clickbait != fresh.Content.Clickbait {
-			t.Fatalf("article %s stale after TrainClickbaitModel(WithReindex)", a.ID)
+			t.Fatalf("article %s stale after TrainClickbaitModel and ReindexCorpus", a.ID)
 		}
 	}
-	// Without the option the report carries no reindex run.
-	rep2, err := p.TrainClickbaitModel(pool, 3)
+	// Training alone reindexes nothing: every row waits for the next run.
+	if _, err := p.TrainClickbaitModel(pool, 3); err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := p.ReindexCorpus(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Reindex != nil {
-		t.Error("reindex ran without the option")
+	if rep2.Skipped != 0 || rep2.Articles != len(w.Articles) {
+		t.Errorf("after training alone: reindexed %d, skipped %d of %d", rep2.Articles, rep2.Skipped, len(w.Articles))
 	}
 }
 
@@ -175,12 +179,15 @@ func TestTrainWithReindexOption(t *testing.T) {
 func TestReindexReconcilesStanceCounts(t *testing.T) {
 	p, _ := testPlatform(t, 13, 10, 0.4)
 	pool := compute.NewPool(4, nil)
-	rep, err := p.TrainStanceModel(pool, WithReindex())
+	if _, err := p.TrainStanceModel(pool); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.ReindexCorpus(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Reindex == nil || rep.Reindex.Replies == 0 {
-		t.Fatalf("reindex report: %+v", rep.Reindex)
+	if rep.Replies == 0 {
+		t.Fatalf("reindex report: %+v", rep)
 	}
 
 	// Every stored reply label must match the current classifier.

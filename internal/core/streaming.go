@@ -100,8 +100,7 @@ func (p *Platform) IngestEvent(ev *synth.Event) error {
 func (p *Platform) evaluateAndCommit(shard int, events []*synth.Event, live []bool, results []stream.Result) {
 	// Stage 2: micro-batched evaluation of the postings. EvaluateBatch
 	// fans the single-pass document analysis out on the platform compute
-	// pool and bypasses the real-time report cache (a firehose sweep must
-	// not evict the hot entries).
+	// pool.
 	var postingIdx []int
 	var docs []indicators.BatchDoc
 	for i := range events {

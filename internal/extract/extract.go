@@ -265,7 +265,8 @@ func textOf(run string) string {
 // Parse is one pass over the document: tags, attribute values and text
 // runs are spans of doc, and only what the article keeps is decoded.
 // Everything the article holds is a fresh string, never a span of doc,
-// so an article held by the report cache does not pin its document.
+// so an article kept past the request (a stored row keeps its title)
+// does not pin its document.
 func Parse(doc, baseURL string) (*Article, error) {
 	var (
 		title, h1, byline       string

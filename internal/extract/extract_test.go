@@ -235,9 +235,10 @@ func TestHost(t *testing.T) {
 	}
 }
 
-// TestParseDoesNotPinDocument: an article outlives its document in the
-// report cache, so no field may be a substring of the markup — one short
-// title or link would keep the whole request body alive.
+// TestParseDoesNotPinDocument: an article can outlive its document (a
+// stored row keeps its title), so no field may be a substring of the
+// markup — one short title or link would keep the whole request body
+// alive.
 func TestParseDoesNotPinDocument(t *testing.T) {
 	docs := []string{
 		sampleDoc,

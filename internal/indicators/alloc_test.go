@@ -38,10 +38,39 @@ func TestEvaluateArticleAllocations(t *testing.T) {
 			art = p
 		}
 	}
-	e := NewEngine(Config{cacheSize: -1})
+	e := NewEngine(Config{})
 	e.evaluateBase(art)
 	limit := float64(evaluateArticleAllocs + evaluateArticleAllocs/20)
 	if n := testing.AllocsPerRun(100, func() { e.evaluateBase(art) }); n > limit {
 		t.Errorf("evaluateBase allocates %v times, limit %v", n, limit)
+	}
+}
+
+// evaluateAllocs is what Evaluate allocates on the longest document of
+// the same world, markup to report: the extracted article, its links and
+// strings (see extract's TestParseAllocations), then what evaluateBase
+// allocates.
+const evaluateAllocs = 22
+
+// TestEvaluateAllocations guards the whole evaluation POST /api/assess
+// runs, on every request: no cache stands in front of it.
+func TestEvaluateAllocations(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage counters change what the compiler inlines and keeps on the stack")
+	}
+	w := synth.GenerateWorld(synth.Config{Seed: 5, Days: 2, RateScale: 0.2})
+	var doc, url string
+	for _, a := range w.Articles {
+		if len(a.RawHTML) > len(doc) {
+			doc, url = a.RawHTML, a.URL
+		}
+	}
+	e := NewEngine(Config{})
+	if _, err := e.Evaluate(doc, url, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() { _, _ = e.Evaluate(doc, url, nil) })
+	if limit := float64(evaluateAllocs + evaluateAllocs/20); n > limit {
+		t.Errorf("Evaluate allocates %v times, limit %v", n, limit)
 	}
 }

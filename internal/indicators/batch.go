@@ -31,11 +31,8 @@ type BatchResult struct {
 
 // EvaluateBatch evaluates the documents through the cascade-independent
 // indicator pipeline, in parallel on pool (nil pool evaluates
-// sequentially). Results are returned in input order. The engine's report
-// cache is deliberately bypassed in both directions: a whole-corpus sweep
-// must not evict the hot real-time entries, and every document must be
-// freshly evaluated under the models attached at call time rather than
-// served from a pre-retraining cache entry.
+// sequentially). Results are returned in input order, each evaluated under
+// the models attached at call time.
 func (e *Engine) EvaluateBatch(pool *compute.Pool, docs []BatchDoc) ([]BatchResult, error) {
 	if len(docs) == 0 {
 		return nil, nil

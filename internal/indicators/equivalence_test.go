@@ -18,7 +18,7 @@ import (
 // through the still-exported sequential entry points (readability.Score,
 // contentind.SubjectivityScore, LexiconClickbaitScore, Tagger.Tag).
 func TestSharedAnalysisEquivalence(t *testing.T) {
-	e := NewEngine(Config{cacheSize: -1})
+	e := NewEngine(Config{})
 	w := synth.GenerateWorld(synth.Config{Seed: 99, Days: 8, RateScale: 0.4})
 	if len(w.Articles) == 0 {
 		t.Fatal("empty world")

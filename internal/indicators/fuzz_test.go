@@ -123,21 +123,21 @@ func evaluate(e *Engine, doc, url string, cascade []socialind.Post) outcome {
 
 // FuzzEvaluatePaths evaluates one document, under one URL and one cascade,
 // down every path that produces an indicator report, and checks they agree.
-// The paths share the pooled text analyses, the process-wide form table
-// and the report cache, which is where a defect that only some inputs or
-// some orders reach would hide. For markup doc, url and cascade seed c:
+// The paths share the pooled text analyses and the process-wide form
+// table, which is where a defect that only some inputs or some orders reach
+// would hide. For markup doc, url and cascade seed c:
 //
-//   - nothing panics, and a cold evaluation allocates at most
+//   - nothing panics, and an evaluation allocates at most
 //     evaluateAllocBytesPerInputByte per input byte plus
 //     evaluateAllocSlack;
-//   - an uncached engine, a cached engine on its miss and on its hit, and
+//   - an engine that has evaluated other documents, a fresh engine, and
 //     EvaluateBatch on pools of 1 and 2 workers give the same report
 //     (reflect.DeepEqual, and every float the same bits), also right after
 //     another document was analysed and released, and while another is
 //     analysed on a second goroutine;
-//   - a cached engine first asked for the same document under another URL
-//     gives the report for url;
-//   - a cached engine first asked with another cascade gives what a fresh
+//   - an engine first asked for the same document under another URL gives
+//     the report for url;
+//   - an engine first asked with another cascade gives what a fresh
 //     engine gives for c.
 //
 // The seeds under testdata/fuzz/FuzzEvaluatePaths are synthetic articles of
@@ -145,23 +145,23 @@ func evaluate(e *Engine, doc, url string, cascade []socialind.Post) outcome {
 // with capitalised, non-ASCII and invalid UTF-8 words, a document with no
 // article and a long document of unseen words.
 func FuzzEvaluatePaths(f *testing.F) {
-	uncached := NewEngine(Config{cacheSize: -1})
+	e := NewEngine(Config{})
 	pool1, pool2 := compute.NewPool(1, nil), compute.NewPool(2, nil)
 	f.Fuzz(func(t *testing.T, markup []byte, url string, c uint8) {
 		doc := string(markup)
 		cascade := fuzzCascade(c, url)
 
 		// After a different document, and after this one.
-		evaluate(uncached, fuzzNeighbour, "https://neighbour.example/a", nil)
-		want := evaluate(uncached, doc, url, cascade)
-		checkSame(t, "uncached, after itself", evaluate(uncached, doc, url, cascade), want)
-		base := evaluate(uncached, doc, url, nil)
+		evaluate(e, fuzzNeighbour, "https://neighbour.example/a", nil)
+		want := evaluate(e, doc, url, cascade)
+		checkSame(t, "after itself", evaluate(e, doc, url, cascade), want)
+		base := evaluate(e, doc, url, nil)
 
 		allocated := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _ = uncached.Evaluate(doc, url, nil)
+			_, _ = e.Evaluate(doc, url, nil)
 			runtime.ReadMemStats(&after)
 			if n := after.TotalAlloc - before.TotalAlloc; n < allocated {
 				allocated = n
@@ -171,19 +171,16 @@ func FuzzEvaluatePaths(f *testing.F) {
 			t.Fatalf("evaluating %d + %d bytes allocated %d B, limit %d", len(doc), len(url), allocated, limit)
 		}
 
-		cached := NewEngine(Config{})
-		checkSame(t, "cached miss", evaluate(cached, doc, url, cascade), want)
-		checkSame(t, "cached hit", evaluate(cached, doc, url, cascade), want)
-		checkSame(t, "cached base", evaluate(cached, doc, url, nil), base)
+		checkSame(t, "fresh engine", evaluate(NewEngine(Config{}), doc, url, cascade), want)
 
 		other := url + "/other"
 		byURL := NewEngine(Config{})
 		evaluate(byURL, doc, other, nil)
-		checkSame(t, "cached after another URL", evaluate(byURL, doc, url, nil), base)
+		checkSame(t, "after another URL", evaluate(byURL, doc, url, nil), base)
 
 		layered := NewEngine(Config{})
 		evaluate(layered, doc, url, fuzzCascade(c+1, url))
-		checkSame(t, "cached after another cascade", evaluate(layered, doc, url, cascade),
+		checkSame(t, "after another cascade", evaluate(layered, doc, url, cascade),
 			evaluate(NewEngine(Config{}), doc, url, cascade))
 
 		docs := []BatchDoc{{ID: "neighbour", HTML: fuzzNeighbour, URL: other}, {ID: "doc", HTML: doc, URL: url}}
@@ -191,7 +188,7 @@ func FuzzEvaluatePaths(f *testing.F) {
 			if pool == nil {
 				continue
 			}
-			res, err := uncached.EvaluateBatch(pool, docs)
+			res, err := e.EvaluateBatch(pool, docs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +205,7 @@ func FuzzEvaluatePaths(f *testing.F) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			beside := NewEngine(Config{cacheSize: -1})
+			beside := NewEngine(Config{})
 			for {
 				select {
 				case <-stop:
@@ -219,7 +216,7 @@ func FuzzEvaluatePaths(f *testing.F) {
 			}
 		}()
 		for range 4 {
-			checkSame(t, "uncached, beside another evaluation", evaluate(uncached, doc, url, cascade), want)
+			checkSame(t, "beside another evaluation", evaluate(e, doc, url, cascade), want)
 		}
 	})
 }

@@ -8,11 +8,10 @@
 // The engine is built for the real-time evaluation path (§3.3): each
 // article's title and body go through one shared textutil.Analysis pass
 // (tokens, stems, syllables, sentence boundaries, stop-word flags) that
-// all indicator families consume, and a sharded LRU cache keyed by document
-// content hash — with singleflight de-duplication — makes repeated and
-// concurrent evaluations of the same article cheap. One document is
-// evaluated on one goroutine; batches spread documents over the caller's
-// compute.Pool (see EvaluateBatch).
+// all indicator families consume. Every call parses and evaluates its
+// document afresh: the engine keeps no reports. One
+// document is evaluated on one goroutine; batches spread documents over
+// the caller's compute.Pool (see EvaluateBatch).
 package indicators
 
 import (
@@ -30,12 +29,6 @@ import (
 	"repro/internal/textutil"
 	"repro/internal/topics"
 )
-
-// warmSampleMask samples warm-hit timing 1-in-64, so the ~350ns cached
-// path is not dominated by clock reads. Cold observations time every
-// pipeline run: the compute is µs–ms scale, so two clock reads vanish in
-// it.
-const warmSampleMask = 63
 
 // ErrNoArticle is returned when the document cannot be parsed.
 var ErrNoArticle = errors.New("indicators: no article content")
@@ -67,13 +60,9 @@ type Engine struct {
 	stance  *socialind.StanceClassifier
 	tagger  *topics.Tagger
 
-	cache *reportCache // nil = caching disabled
-
-	// Engine telemetry: cache effectiveness counters plus cold/warm
-	// evaluation latency.
-	cacheHits, cacheMisses, cacheJoins *obs.Counter
-	evalCold, evalWarm                 *obs.Histogram
-	warmSample                         atomic.Uint64
+	// evalCold times every Evaluate: the compute is µs–ms scale, so two
+	// clock reads vanish in it.
+	evalCold *obs.Histogram
 
 	// modelGen counts model attachments: it advances every time a trained
 	// model is swapped in, so stored rows stamped with the generation they
@@ -89,48 +78,27 @@ type Config struct {
 	Registry *outlets.Registry
 	// Metrics is the registry the engine records on (nil: a private one).
 	Metrics *obs.Registry
-
-	// cacheSize bounds the report cache, keyed by document content hash
-	// (0: defaultCacheSize; negative disables caching). Only this
-	// package's tests and benchmarks set it.
-	cacheSize int
 }
-
-// defaultCacheSize is the report cache's bound in entries.
-const defaultCacheSize = 1024
 
 // NewEngine builds an engine.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Registry == nil {
 		cfg.Registry = outlets.DemoShortlist()
 	}
-	size := cfg.cacheSize
-	if size == 0 {
-		size = defaultCacheSize
-	}
-	r := cfg.Metrics
-	e := &Engine{
+	return &Engine{
 		content: contentind.NewAnalyzer(),
 		refs:    refind.NewClassifier(cfg.Registry),
 		stance:  socialind.NewStanceClassifier(),
 		tagger:  topics.NewTagger(topics.DefaultTaxonomy()),
 
-		cacheHits:   r.NewCounter("scilens_engine_cache_hits_total", "Report-cache hits (warm evaluations served from the LRU)."),
-		cacheMisses: r.NewCounter("scilens_engine_cache_misses_total", "Report-cache misses (cold evaluations that ran the indicator pipeline)."),
-		cacheJoins:  r.NewCounter("scilens_engine_cache_joins_total", "Singleflight joins (requests that waited on a concurrent evaluation of the same document)."),
-		evalCold:    r.NewDurationHistogram("scilens_engine_eval_cold_seconds", "Cold evaluation latency: full indicator-pipeline runs (cache misses and uncached engines)."),
-		evalWarm:    r.NewDurationHistogram("scilens_engine_eval_warm_seconds", "Warm evaluation latency: cache-hit lookups, sampled 1-in-64."),
+		evalCold: cfg.Metrics.NewDurationHistogram("scilens_engine_eval_cold_seconds", "Evaluation latency: full indicator-pipeline runs of Evaluate."),
 	}
-	if size > 0 {
-		e.cache = newReportCache(size)
-	}
-	return e
 }
 
 // SetClickbaitModel attaches a trained clickbait classifier.
 func (e *Engine) SetClickbaitModel(m *classify.LogReg) {
 	e.content.SetClickbaitModel(m)
-	e.flushCache()
+	e.modelGen.Add(1)
 }
 
 // ClickbaitFeatures exposes the content feature extractor for training.
@@ -139,70 +107,24 @@ func (e *Engine) ClickbaitFeatures() *contentind.FeatureExtractor { return e.con
 // SetStanceModel attaches a trained stance model.
 func (e *Engine) SetStanceModel(nb *classify.NaiveBayes) {
 	e.stance.SetModel(nb)
-	e.flushCache()
+	e.modelGen.Add(1)
 }
 
 // Stance returns the engine's stance classifier (for cascade-only paths).
 func (e *Engine) Stance() *socialind.StanceClassifier { return e.stance }
 
 // Evaluate computes the full report for an article document. cascade may
-// be nil (content + context indicators only). The cascade-independent part
-// of the report is cached by document content hash (and evaluation URL);
-// concurrent evaluations of the same never-seen document run the pipeline
-// once and share the result.
+// be nil (content + context indicators only).
 func (e *Engine) Evaluate(doc, url string, cascade []socialind.Post) (*Report, error) {
-	base, err := e.baseReport(doc, url)
-	if err != nil {
-		return nil, err
+	start := time.Now()
+	r, err := e.computeBase(doc, url)
+	e.evalCold.ObserveDuration(time.Since(start))
+	if err != nil || len(cascade) == 0 {
+		return r, err
 	}
-	if len(cascade) == 0 {
-		return base, nil
-	}
-	return e.withCascade(base, cascade), nil
-}
-
-// withCascade layers the cascade-dependent social indicators over a copy
-// of the (possibly cached) base report — social depends on the cascade,
-// never on the document, so the base is shared untouched.
-func (e *Engine) withCascade(base *Report, cascade []socialind.Post) *Report {
-	r := *base
 	r.Social = e.stance.Analyze(cascade)
-	r.Composite = Composite(&r)
-	return &r
-}
-
-// baseReport returns the cascade-independent report for (doc, url),
-// through the cache + singleflight layer when caching is enabled.
-func (e *Engine) baseReport(doc, url string) (*Report, error) {
-	if e.cache == nil {
-		start := time.Now()
-		r, err := e.computeBase(doc, url)
-		e.evalCold.ObserveDuration(time.Since(start))
-		return r, err
-	}
-	sampled := e.warmSample.Add(1)&warmSampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	r, outcome, err := e.cache.getOrCompute(keyFor(doc, url), func() (*Report, error) {
-		cstart := time.Now()
-		r, err := e.computeBase(doc, url)
-		e.evalCold.ObserveDuration(time.Since(cstart))
-		return r, err
-	})
-	switch outcome {
-	case cacheHit:
-		e.cacheHits.Inc()
-		if sampled {
-			e.evalWarm.ObserveDuration(time.Since(start))
-		}
-	case cacheJoin:
-		e.cacheJoins.Inc()
-	case cacheMiss:
-		e.cacheMisses.Inc()
-	}
-	return r, err
+	r.Composite = Composite(r)
+	return r, nil
 }
 
 // computeBase parses the document and evaluates the cascade-independent
@@ -285,14 +207,5 @@ func (e *Engine) EnsureModelGenerationAbove(g uint64) {
 		if e.modelGen.CompareAndSwap(cur, g) {
 			return
 		}
-	}
-}
-
-// flushCache clears the cache and advances the model generation (models
-// changed: cached and stored evaluations are stale).
-func (e *Engine) flushCache() {
-	e.modelGen.Add(1)
-	if e.cache != nil {
-		e.cache.flush()
 	}
 }

@@ -101,50 +101,6 @@ func TestEvaluateParseError(t *testing.T) {
 	}
 }
 
-func TestCacheBehaviour(t *testing.T) {
-	e := NewEngine(Config{cacheSize: 2})
-	r1, _ := e.Evaluate(goodDoc, "https://a.example/1", nil)
-	r2, _ := e.Evaluate(goodDoc, "https://a.example/1", nil)
-	if r1 != r2 {
-		t.Error("cache miss on identical URL")
-	}
-	if cacheLen(e) != 1 {
-		t.Errorf("cache len: %d", cacheLen(e))
-	}
-	// Eviction at capacity.
-	e.Evaluate(goodDoc, "https://a.example/2", nil)
-	e.Evaluate(goodDoc, "https://a.example/3", nil)
-	if cacheLen(e) != 2 {
-		t.Errorf("cache len after eviction: %d", cacheLen(e))
-	}
-	// Cascade evaluations never serve stale social data from the cache.
-	rc, _ := e.Evaluate(goodDoc, "https://a.example/1", supportCascade(3))
-	if rc.Social.Reach.Posts == 0 {
-		t.Error("cascade evaluation served stale cache")
-	}
-	// The cache is keyed by document content hash, so even URL-less
-	// evaluations (the POST /api/assess path for never-seen articles)
-	// are de-duplicated.
-	ra, _ := e.Evaluate(goodDoc, "", nil)
-	rb, _ := e.Evaluate(goodDoc, "", nil)
-	if ra != rb {
-		t.Error("URL-less evaluation missed the content-hash cache")
-	}
-	// Model change flushes.
-	e.SetStanceModel(nil)
-	if cacheLen(e) != 0 {
-		t.Error("cache not flushed on model change")
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	e := NewEngine(Config{cacheSize: -1})
-	e.Evaluate(goodDoc, "https://a.example/1", nil)
-	if cacheLen(e) != 0 {
-		t.Error("disabled cache stored")
-	}
-}
-
 func TestCompositeBounds(t *testing.T) {
 	e := engine()
 	w := synth.GenerateWorld(synth.Config{Seed: 13, Days: 6, RateScale: 0.3})
@@ -190,12 +146,11 @@ func min(a, b int) int {
 }
 
 // BenchmarkFigure3ColdEvaluation measures evaluating an arbitrary document
-// through the full indicator engine with the cache bypassed (the POST
-// /api/assess path for never-seen articles), over the first 256 articles
-// of a 20-day world.
+// through the full indicator engine (the POST /api/assess path), over the
+// first 256 articles of a 20-day world.
 func BenchmarkFigure3ColdEvaluation(b *testing.B) {
 	w := synth.GenerateWorld(synth.Config{Seed: 1, Days: 20, RateScale: 0.5, ReactionScale: 0.3})
-	engine := NewEngine(Config{cacheSize: -1})
+	engine := NewEngine(Config{})
 	docs := make([]string, 0, 256)
 	for _, a := range w.Articles[:min(256, len(w.Articles))] {
 		docs = append(docs, a.RawHTML)

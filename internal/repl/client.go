@@ -116,8 +116,8 @@ type Client struct {
 	cursorsTbl *rdbms.Table
 	m          *metrics
 
-	// st holds the link state; its four counters live in m and are filled
-	// in by Status.
+	// st holds the link state; its four counters live in m and its
+	// position is cur, both filled in by Status.
 	mu  sync.Mutex
 	cur cursor
 	st  Status
@@ -151,6 +151,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 func (c *Client) Status() Status {
 	c.mu.Lock()
 	st := c.st
+	st.Segment, st.Offset = c.cur.seg, c.cur.off
 	c.mu.Unlock()
 	st.RecordsApplied = c.m.recordsApplied.Value()
 	st.BytesReceived = c.m.bytesReceived.Value()
@@ -177,7 +178,6 @@ func (c *Client) EnsureSynced(ctx context.Context) error {
 		}
 		c.mu.Lock()
 		c.cur = cur
-		c.st.Segment, c.st.Offset = cur.seg, cur.off
 		c.mu.Unlock()
 		return nil
 	}
@@ -323,7 +323,6 @@ func (c *Client) streamOnce(ctx context.Context) error {
 			}
 			c.mu.Lock()
 			c.cur = cursor{seg: int(vals[0])}
-			c.st.Segment, c.st.Offset = c.cur.seg, 0
 			c.mu.Unlock()
 			pending++
 			if err := flush(); err != nil {
@@ -373,7 +372,6 @@ func (c *Client) fullResync(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	c.cur = cursor{seg: m.StartSegment()}
-	c.st.Segment, c.st.Offset = c.cur.seg, 0
 	c.mu.Unlock()
 	return c.saveCursor()
 }
@@ -495,7 +493,6 @@ func (c *Client) advance(rec []byte) {
 	c.mu.Lock()
 	c.cur.off += int64(len(rec))
 	c.cur.push(rec)
-	c.st.Segment, c.st.Offset = c.cur.seg, c.cur.off
 	c.mu.Unlock()
 	c.m.recordsApplied.Inc()
 	c.m.bytesReceived.Add(uint64(len(rec)))
@@ -504,12 +501,12 @@ func (c *Client) advance(rec []byte) {
 func (c *Client) notePrimary(seg int, size int64) {
 	c.mu.Lock()
 	c.st.PrimarySegment, c.st.PrimaryOffset = seg, size
-	c.st.LagSegments = seg - c.st.Segment
+	c.st.LagSegments = seg - c.cur.seg
 	if c.st.LagSegments < 0 {
 		c.st.LagSegments = 0
 	}
 	if c.st.LagSegments == 0 {
-		c.st.LagBytes = size - c.st.Offset
+		c.st.LagBytes = size - c.cur.off
 		if c.st.LagBytes < 0 {
 			c.st.LagBytes = 0
 		}

@@ -94,15 +94,29 @@ func TestChaosConvergence(t *testing.T) {
 		st.RecordsApplied, st.Reconnects, st.FullResyncs, sh.Faults)
 }
 
-// waitHealthy blocks until the platform has left degraded mode.
-func waitHealthy(t testing.TB, p *core.Platform, timeout time.Duration) {
+// maxFailedHeals bounds the recovery attempts that may fail once the
+// fault has cleared; only the one in flight as it clears should.
+const maxFailedHeals = 3
+
+// waitHealthy blocks until the platform has left degraded mode, its fault
+// already cleared. Each recovery attempt counts as progress, so it fails
+// only after stall with no attempt, or once more than maxFailedHeals
+// attempts have failed.
+func waitHealthy(t testing.TB, p *core.Platform, stall time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if p.StorageHealth().State == core.StorageOK {
+	from := p.StorageHealth().RecoveryAttempts
+	last := from
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(25 * time.Millisecond) {
+		h := p.StorageHealth()
+		if h.State == core.StorageOK {
 			return
 		}
-		time.Sleep(25 * time.Millisecond)
+		if h.State == core.StorageDegraded && h.RecoveryAttempts-from > maxFailedHeals {
+			t.Fatalf("%d recovery attempts failed after the fault cleared: %+v", h.RecoveryAttempts-from, h)
+		}
+		if h.RecoveryAttempts != last {
+			moved, last = time.Now(), h.RecoveryAttempts
+		}
 	}
-	t.Fatalf("platform still degraded after %v: %+v", timeout, p.StorageHealth())
+	t.Fatalf("platform still degraded, no recovery attempt for %v: %+v", stall, p.StorageHealth())
 }

@@ -67,12 +67,10 @@ func crashScenario(t *testing.T, k int) int {
 	// Wait for the armed cut to fire — or, when this run crossed fewer
 	// boundaries than the probe (replay batching varies), for plain
 	// convergence.
-	deadline := time.Now().Add(15 * time.Second)
-	for !follower.Fault.Crashed() && !caughtUp(primary, follower) {
-		if time.Now().After(deadline) {
-			t.Fatalf("boundary %d: neither crashed nor converged", k)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !waitApplying(follower, 15*time.Second, func() bool {
+		return follower.Fault.Crashed() || caughtUp(primary, follower)
+	}) {
+		t.Fatalf("boundary %d: neither crashed nor converged", k)
 	}
 	if !follower.Fault.Crashed() {
 		TablesEqual(t, primary.DB, follower.DB)
@@ -95,6 +93,21 @@ func crashScenario(t *testing.T, k int) int {
 	}
 	TablesEqual(t, primary.DB, restarted.DB)
 	return 0
+}
+
+// waitApplying polls until done holds, or until the follower's applied
+// record count has not moved for stall, and reports whether done held.
+func waitApplying(follower *LiteNode, stall time.Duration, done func() bool) bool {
+	last := follower.Client.Status().RecordsApplied
+	for moved := time.Now(); time.Since(moved) < stall; time.Sleep(5 * time.Millisecond) {
+		if done() {
+			return true
+		}
+		if n := follower.Client.Status().RecordsApplied; n != last {
+			moved, last = time.Now(), n
+		}
+	}
+	return done()
 }
 
 // caughtUp reports whether the follower's applied position equals the
@@ -167,13 +180,9 @@ func TestCursorSurvivesTornCursorWrite(t *testing.T) {
 	// upsert lands next is torn, and recovery truncates it away.
 	follower.Fault.TearWrite()
 	primary.InsertN(10, 30)
-	deadline := time.Now().Add(10 * time.Second)
-	for follower.Client.Status().LastError == "" && !caughtUp(primary, follower) {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitApplying(follower, 10*time.Second, func() bool {
+		return follower.Client.Status().LastError != "" || caughtUp(primary, follower)
+	})
 	follower.Crash()
 
 	gens := proxy.GenFetches()

@@ -38,15 +38,14 @@ func TestSSEEquivalence(t *testing.T) {
 		t.Fatal("primary published no feed events")
 	}
 	// Bounded lag: the follower's feed trails by at most the in-flight
-	// frames; after convergence plus one poll tick it has everything.
+	// frames; after convergence plus one poll tick it has everything. The
+	// wait ends once the feed has not grown for 10 s.
 	var followerSeq [][]byte
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		followerSeq = append(followerSeq, drainFeed(fsub.C)...)
-		if len(followerSeq) >= len(primarySeq) || time.Now().After(deadline) {
-			break
+	for moved := time.Now(); len(followerSeq) < len(primarySeq) && time.Since(moved) < 10*time.Second; time.Sleep(20 * time.Millisecond) {
+		if fresh := drainFeed(fsub.C); len(fresh) > 0 {
+			followerSeq = append(followerSeq, fresh...)
+			moved = time.Now()
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
 	pDropped := pair.Primary.Platform.Bus.Stats().Dropped

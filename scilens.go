@@ -29,8 +29,6 @@ type (
 	IngestStats = core.IngestStats
 	// TrainReport summarises a periodic model-training run.
 	TrainReport = core.TrainReport
-	// TrainOption customises a periodic training run (e.g. WithReindex).
-	TrainOption = core.TrainOption
 	// ReindexReport summarises one batch corpus re-evaluation run.
 	ReindexReport = core.ReindexReport
 	// ReindexOption customises a ReindexCorpus run (e.g. ReindexForce).
@@ -66,11 +64,6 @@ type (
 func NewComputePool(workers int) *ComputePool {
 	return compute.NewPool(workers, nil)
 }
-
-// WithReindex makes a training job re-evaluate the stored corpus under the
-// freshly attached model before returning (see Platform.ReindexCorpus), so
-// stored assessments never mix model generations.
-func WithReindex() TrainOption { return core.WithReindex() }
 
 // ReindexForce makes ReindexCorpus re-evaluate every stored row, ignoring
 // the incremental model-generation watermark that normally skips rows
@@ -195,8 +188,9 @@ func NewEngine(cfg EngineConfig) *Engine { return indicators.NewEngine(cfg) }
 
 // EvaluateDocument computes the full indicator report for one document with
 // a default engine — the one-shot path behind "any arbitrary news article
-// that a user wants to evaluate" (paper §4.1). For repeated evaluations
-// construct one Engine (or Platform) and reuse it; the engine caches.
+// that a user wants to evaluate" (paper §4.1). It builds a new engine on
+// every call; for repeated evaluations construct one Engine (or Platform)
+// and reuse it, so its models and metrics are built once.
 func EvaluateDocument(doc, url string) (*Report, error) {
 	return NewEngine(EngineConfig{}).Evaluate(doc, url, nil)
 }
