@@ -18,6 +18,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,6 +43,48 @@ const (
 	maxControlBody = 1 << 20 // batch / review / admin requests
 )
 
+// maxURLBytes bounds the url of POST /api/assess and every event's
+// article_url in POST /api/ingest: relative links resolve against it, so
+// its length multiplies into every link of the document.
+const maxURLBytes = 2 << 10
+
+// maxBodyPrealloc caps the buffer readBody sizes from a declared
+// Content-Length: past it the buffer grows with the bytes that arrive,
+// so a client cannot make the server hold 4 MiB by declaring it.
+const maxBodyPrealloc = 64 << 10
+
+// readBody reads the whole request body, bounded by limit, into a buffer
+// sized by the declared Content-Length. A body over the limit gets 413,
+// whatever its content; a failed read gets 400. When it returns false the
+// response has been written and the caller just returns.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 {
+		size = min(n, limit, maxBodyPrealloc) + 1 // room for the read that sees EOF
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF:
+			return buf, true
+		case err != nil:
+			var maxErr *http.MaxBytesError
+			if errors.As(err, &maxErr) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Errorf("request body exceeds %d bytes", maxErr.Limit))
+				return nil, false
+			}
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return nil, false
+		case len(buf) == cap(buf):
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // decodeJSON reads one JSON document from the request body into v, bounded
 // by limit. Oversized bodies get 413, malformed JSON and trailing garbage
 // after the document get 400; in every error case the response has already
@@ -51,38 +94,38 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 // decodeJSONAllowEmpty is decodeJSON for endpoints where an absent body
-// means "use defaults": a body that is empty (whatever the declared
-// ContentLength — chunked requests report -1) leaves v untouched.
+// means "use defaults": a body that is empty or only whitespace (whatever
+// the declared ContentLength — chunked requests report -1) leaves v
+// untouched.
 func decodeJSONAllowEmpty(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	return decodeJSONBody(w, r, limit, v, true)
 }
 
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any, allowEmpty bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(v); err != nil {
-		if allowEmpty && errors.Is(err, io.EOF) {
-			return true // empty body: caller's defaults stand
+	_, ok := decodeBody(w, r, limit, func(body []byte) (any, error) {
+		if allowEmpty && len(bytes.TrimLeft(body, " \t\r\n")) == 0 {
+			return nil, nil // empty body: caller's defaults stand
 		}
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
+		return nil, json.Unmarshal(body, v)
+	})
+	return ok
+}
+
+// decodeBody reads the bounded request body and decodes it with decode,
+// answering 400 for a body that does not decode. When it returns false
+// the response has been written and the caller just returns.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) (T, error)) (T, bool) {
+	var v T
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return v, false
+	}
+	v, err := decode(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+		return v, false
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, errors.New("trailing data after JSON body"))
-		return false
-	}
-	return true
+	return v, true
 }
 
 // writeJSON writes v with the given status.
@@ -254,14 +297,17 @@ type assessTopicPayload struct {
 
 func (s *Server) handleAssessDocument(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan(r.Context(), "decode")
-	var req assessRequest
-	if !decodeJSON(w, r, maxAssessBody, &req) {
-		sp.End()
+	req, ok := decodeBody(w, r, maxAssessBody, decodeAssessRequest)
+	sp.End()
+	if !ok {
 		return
 	}
-	sp.End()
 	if req.HTML == "" {
 		writeError(w, http.StatusBadRequest, errors.New("html field required"))
+		return
+	}
+	if len(req.URL) > maxURLBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("url exceeds %d bytes", maxURLBytes))
 		return
 	}
 	sp = obs.StartSpan(r.Context(), "evaluate")

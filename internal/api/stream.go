@@ -48,8 +48,8 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if !decodeJSON(w, r, maxAssessBody, &req) {
+	req, ok := decodeBody(w, r, maxAssessBody, decodeIngestRequest)
+	if !ok {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -68,6 +68,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for _, ev := range req.Events {
 		if ev.ArticleURL == "" {
 			writeError(w, http.StatusBadRequest, errors.New("every event needs an article_url (the shard key)"))
+			return
+		}
+		if len(ev.ArticleURL) > maxURLBytes {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("article_url exceeds %d bytes", maxURLBytes))
 			return
 		}
 	}

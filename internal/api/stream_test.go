@@ -352,7 +352,6 @@ func TestStreamSSEDeliversCommittedAssessments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.After(5 * time.Second)
 	lines := make(chan string, 16)
 	go func() {
 		for {
@@ -364,6 +363,14 @@ func TestStreamSSEDeliversCommittedAssessments(t *testing.T) {
 			lines <- line
 		}
 	}()
+	// The wait fails only after stall with no step towards the event: the
+	// posting committed, its assessment published to the feed, or a line
+	// read off the stream.
+	const stall = 5 * time.Second
+	progress := func() uint64 { return p.StreamStats().Committed + p.Bus.Stats().Published }
+	last, moved := progress(), time.Now()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
 	var event, data string
 	for data == "" {
 		select {
@@ -371,14 +378,19 @@ func TestStreamSSEDeliversCommittedAssessments(t *testing.T) {
 			if !open {
 				t.Fatal("stream closed before delivering the assessment")
 			}
+			moved = time.Now()
 			if strings.HasPrefix(line, "event: ") {
 				event = strings.TrimSpace(strings.TrimPrefix(line, "event: "))
 			}
 			if strings.HasPrefix(line, "data: ") {
 				data = strings.TrimSpace(strings.TrimPrefix(line, "data: "))
 			}
-		case <-deadline:
-			t.Fatal("no SSE event within deadline")
+		case <-tick.C:
+			if n := progress(); n != last {
+				last, moved = n, time.Now()
+			} else if time.Since(moved) > stall {
+				t.Fatalf("no SSE event and no progress towards one for %v (committed + published %d)", stall, n)
+			}
 		}
 	}
 	if event != "assessment" {

@@ -10,6 +10,28 @@ import (
 	"time"
 )
 
+// awaitWithProgress returns what done delivers. It fails only once
+// progress, the counter that rises as the pipeline works towards done,
+// has not moved for stall.
+func awaitWithProgress(t *testing.T, done <-chan error, stall time.Duration, what string, progress func() uint64) error {
+	t.Helper()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	last, moved := progress(), time.Now()
+	for {
+		select {
+		case err := <-done:
+			return err
+		case <-tick.C:
+			if n := progress(); n != last {
+				last, moved = n, time.Now()
+			} else if time.Since(moved) > stall {
+				t.Fatalf("no progress towards %s for %v (progress counter at %d)", what, stall, n)
+			}
+		}
+	}
+}
+
 // collectProcessor records processed envelopes and answers with a
 // configurable per-envelope verdict.
 type collectProcessor struct {
@@ -126,19 +148,20 @@ func TestPipelineShedVsBlock(t *testing.T) {
 	// Block mode parks the producer until the workers free capacity.
 	unblocked := make(chan error, 1)
 	go func() { unblocked <- p.Enqueue("k", []byte("blocked")) }()
+	// A check that something does not happen has no event to wait on, so
+	// it samples a 20 ms window: an Enqueue that returns at once fails it,
+	// one that returns later slips past it.
 	select {
 	case err := <-unblocked:
 		t.Fatalf("Enqueue returned on a full paused queue: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	p.Resume()
-	select {
-	case err := <-unblocked:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Enqueue never unblocked after Resume")
+	// The parked producer returns once the workers free a slot; the
+	// commits count towards that.
+	if err := awaitWithProgress(t, unblocked, 2*time.Second, "Enqueue unblocking after Resume",
+		func() uint64 { return p.Stats().Committed }); err != nil {
+		t.Fatal(err)
 	}
 	p.Flush()
 	if got := p.Stats().Committed; got != 5 {
@@ -224,19 +247,19 @@ func TestPipelineEnqueueCtxCancelUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	unblocked := make(chan error, 1)
 	go func() { unblocked <- p.EnqueueSource(ctx, "", "k", []byte("parked")) }()
+	// A negative check samples a window (see TestPipelineShedVsBlock).
 	select {
 	case err := <-unblocked:
 		t.Fatalf("EnqueueSource returned on a full paused queue: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	cancel()
-	select {
-	case err := <-unblocked:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled enqueue: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("EnqueueSource never unblocked on cancellation")
+	// The cancellation is the only event and nothing counts towards the
+	// return, so the test waits on the return itself: a producer that
+	// stays parked is caught by the test binary's -timeout, with every
+	// goroutine's stack.
+	if err := <-unblocked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled enqueue: %v", err)
 	}
 	// The cancelled envelope was never accepted: draining commits one.
 	p.Resume()
